@@ -49,19 +49,13 @@ type AdaptiveResult struct {
 	Violations int
 }
 
-// countingSampler wraps a sampler and accumulates the sensing cost of
-// every draw. One instance serves one single-goroutine Sim.
-type countingSampler struct {
-	inner  ssdsim.RetrySampler
-	reads  int64
-	senses int64
-}
-
-func (c *countingSampler) Sample(pageType int, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.Sample(pageType, rng)
-	c.reads++
-	c.senses += int64(1 + out.Retries + out.AuxSenses)
-	return out
+// sensesPerRead is a replay's mean sensing operations per flash page
+// read: attempts (1 + retries) plus auxiliary senses, over every draw.
+func sensesPerRead(rep *ssdsim.Report) float64 {
+	if rep.FlashReads == 0 {
+		return 0
+	}
+	return float64(rep.FlashReads+rep.TotalRetries+rep.AuxSenses) / float64(rep.FlashReads)
 }
 
 // Adaptive benchmarks the adaptive read stack across the MSR-like trace
@@ -181,8 +175,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		}
 		cells := make([]AdaptiveCell, 0, len(adaptivePolicies))
 		for _, name := range adaptivePolicies {
-			counter := &countingSampler{inner: samplers[name]}
-			sim, err := ssdsim.New(simCfg, counter)
+			sim, err := ssdsim.New(simCfg, samplers[name])
 			if err != nil {
 				return nil, err
 			}
@@ -199,9 +192,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 				MeanReadUS: rep.MeanReadUS,
 				P99ReadUS:  rep.P99ReadUS,
 			}
-			if counter.reads > 0 {
-				cell.SensesPerRead = float64(counter.senses) / float64(counter.reads)
-			}
+			cell.SensesPerRead = sensesPerRead(rep)
 			bsim, err := ssdsim.New(simCfg, samplers[name])
 			if err != nil {
 				return nil, err

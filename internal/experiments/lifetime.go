@@ -112,34 +112,6 @@ type LifetimeResult struct {
 	Violations int
 }
 
-// countingStressSampler wraps a StressSampler and accumulates the
-// sensing cost of every draw. One instance serves one single-goroutine
-// Sim. Routing through the StressSampler interface (not the
-// devirtualized grid path) is deliberate: the two paths are proven
-// byte-identical, and the wrapper must see every draw.
-type countingStressSampler struct {
-	inner  ssdsim.StressSampler
-	reads  int64
-	senses int64
-}
-
-func (c *countingStressSampler) count(out ssdsim.RetryOutcome) {
-	c.reads++
-	c.senses += int64(1 + out.Retries + out.AuxSenses)
-}
-
-func (c *countingStressSampler) Sample(pageType int, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.Sample(pageType, rng)
-	c.count(out)
-	return out
-}
-
-func (c *countingStressSampler) SampleStressed(pageType int, st physics.Stress, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.SampleStressed(pageType, st, rng)
-	c.count(out)
-	return out
-}
-
 // lifetimeGridPoint is one measured (P/E, retention) chip: its pools,
 // one per policy, in lifetimePolicies order.
 type lifetimeGridPoint struct {
@@ -284,8 +256,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 				CalibDriftHours:    2000,
 				CalibUS:            300,
 			}
-			counter := &countingStressSampler{inner: ls}
-			sim, err := ssdsim.New(cfg, counter)
+			sim, err := ssdsim.New(cfg, ls)
 			if err != nil {
 				return nil, err
 			}
@@ -298,14 +269,12 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 			}
 			cell := LifetimeCell{
 				Age: age.Name, Schedule: schedName, Policy: name,
-				MeanReadUS:   rep.MeanReadUS,
-				P99ReadUS:    rep.P99ReadUS,
-				DeviceHours:  rep.Life.DeviceHours,
-				Calibrations: rep.Life.Calibrations,
-				RunErases:    rep.Life.RunErases,
-			}
-			if counter.reads > 0 {
-				cell.SensesPerRead = float64(counter.senses) / float64(counter.reads)
+				MeanReadUS:    rep.MeanReadUS,
+				P99ReadUS:     rep.P99ReadUS,
+				DeviceHours:   rep.Life.DeviceHours,
+				Calibrations:  rep.Life.Calibrations,
+				RunErases:     rep.Life.RunErases,
+				SensesPerRead: sensesPerRead(rep),
 			}
 			cells = append(cells, cell)
 		}

@@ -11,7 +11,7 @@ import (
 // same channel sense in parallel but serialize their transfers.
 func TestChannelContention(t *testing.T) {
 	cfg := testSSDConfig()
-	s, err := New(cfg, FixedSampler{})
+	s, err := New(cfg, fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestGCWorkShowsUpInWriteLatency(t *testing.T) {
 		return out
 	}
 	run := func(ws int64, n int) float64 {
-		s, err := New(cfg, FixedSampler{})
+		s, err := New(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,9 +84,9 @@ const defaultChunkRequests = 1 << 17
 // An Engine is immutable configuration; each Replay call builds fresh
 // fleet state, so one Engine can replay many traces.
 type Engine struct {
-	cfg     ReplayConfig
-	sampler RetrySampler
-	stripe  stripeMap
+	cfg    ReplayConfig
+	grid   *LifetimeSampler
+	stripe stripeMap
 	// shardMask is Shards-1 when Shards is a power of two, else -1;
 	// shardOf then masks instead of dividing.
 	shardMask int64
@@ -132,12 +132,13 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkSampler(sub, sampler); err != nil {
+	grid, err := checkSampler(sub, sampler)
+	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		cfg:       cfg,
-		sampler:   sampler,
+		grid:      grid,
 		stripe:    newStripeMap(cfg.Devices, cfg.StripeGranule, cfg.Replicate),
 		shardMask: -1,
 	}
@@ -224,7 +225,7 @@ func (e *Engine) buildSims(globalBound int64) ([]*Sim, error) {
 		for s := 0; s < e.cfg.Shards; s++ {
 			cfg := e.cfg.targetConfig(d, s)
 			cfg.MaxLPN = hint
-			sim, err := New(cfg, e.sampler)
+			sim, err := New(cfg, e.grid)
 			if err != nil {
 				return nil, err
 			}

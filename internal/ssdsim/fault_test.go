@@ -51,7 +51,7 @@ func TestReportPropagatesDegradedOutcomes(t *testing.T) {
 	spec.WorkingSetPages = 1 << 10
 	reqs, _ := trace.Generate(spec, 2000, 3)
 	s, err := New(testSSDConfig(),
-		FixedSampler{RetryOutcome{Retries: 3, UsedFallback: true, Uncorrectable: true}})
+		fixedSampler(RetryOutcome{Retries: 3, UsedFallback: true, Uncorrectable: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPEFaultsRetireBlocksInReport(t *testing.T) {
 		FTLEraseFailRate:   0.002,
 	})
 	run := func() (int64, float64) {
-		s, err := New(cfg, FixedSampler{})
+		s, err := New(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 type Fleet struct {
 	cfg      FleetConfig
 	samplers map[string]fleetSampler
+	cost     readCost
 
 	mu      sync.RWMutex // guards stopped vs in-flight Submit sends
 	stopped bool
@@ -46,18 +47,20 @@ type Fleet struct {
 	wg     sync.WaitGroup
 }
 
-// fleetSampler pairs a policy's sampler with the salt that keys its
-// deterministic per-page outcome stream.
+// fleetSampler pairs a policy's frozen-stress pool (its sampler's grid
+// origin) with the salt that keys its deterministic per-page outcome
+// stream.
 type fleetSampler struct {
-	sampler RetrySampler
-	salt    uint64
+	pool *EmpiricalSampler
+	salt uint64
 }
 
 // FleetConfig parameterizes a Fleet.
 type FleetConfig struct {
 	// Sim carries the device geometry, latency model, bits per cell and
 	// the seed of the deterministic outcome streams. Obs and PEFaults are
-	// ignored; Metrics below attaches observability.
+	// ignored (Metrics below attaches observability); Life is unsupported
+	// and rejected, since the fleet serves at the samplers' grid origin.
 	Sim Config
 	// Shards is the number of independent sub-devices (default 1); it
 	// must divide Sim.Geo.Channels, exactly like ReplayConfig.Shards.
@@ -202,6 +205,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Samplers) == 0 {
 		return nil, fmt.Errorf("ssdsim: fleet needs at least one sampler")
 	}
+	if cfg.Sim.Life != nil {
+		return nil, fmt.Errorf("ssdsim: fleet does not model device lifetime; Sim.Life must be nil")
+	}
 	if cfg.Metrics != nil && cfg.Metrics.Shards() < cfg.Shards {
 		return nil, fmt.Errorf("ssdsim: metrics registry has %d shards, fleet needs %d",
 			cfg.Metrics.Shards(), cfg.Shards)
@@ -221,12 +227,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("ssdsim: premap %d outside [0, 90%% of %d pages]",
 			cfg.PremapPages, total)
 	}
-	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers))}
+	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers)),
+		cost: newReadCost(cfg.Sim.Lat, cfg.Sim.Bits)}
 	for name, s := range cfg.Samplers {
-		if err := checkSampler(sub, s); err != nil {
+		grid, err := checkSampler(sub, s)
+		if err != nil {
 			return nil, fmt.Errorf("policy %q: %w", name, err)
 		}
-		f.samplers[name] = fleetSampler{sampler: s, salt: policySalt(name)}
+		f.samplers[name] = fleetSampler{pool: grid.Pools[0], salt: policySalt(name)}
 	}
 	f.shards = make([]*fleetShard, cfg.Shards)
 	for s := range f.shards {
@@ -374,20 +382,21 @@ func (f *Fleet) run(s int) {
 // salt), so neither arrival order nor concurrency changes any result.
 func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 	pol := f.samplers[read.Policy]
-	lat := f.cfg.Sim.Lat
 	res := FleetResult{Shard: s}
 	for p := 0; p < read.Pages; p++ {
 		lpn := read.LPN + int64(p)
 		ppn, ok := sh.ftl.Translate(lpn)
 		if !ok {
 			res.UnmappedPages++
-			res.SimUS += lat.MapLookup
+			res.SimUS += f.cfg.Sim.Lat.MapLookup
 			res.Check ^= mathx.Mix3(uint64(lpn), pol.salt, 0xdead)
 			continue
 		}
 		rng := mathx.NewRand(mathx.Mix3(f.cfg.Sim.Seed, uint64(lpn), pol.salt))
 		pageType := ppn.Page % f.cfg.Sim.Bits
-		out := pol.sampler.Sample(pageType, rng)
+		// Copy out of the shared pool: the corruption and fail-fast
+		// adjustments below must not write through to it.
+		out := *pol.pool.sampleRef(pageType, rng)
 		if f.cfg.CorruptRate > 0 && rng.Float64() < f.cfg.CorruptRate {
 			out.Uncorrectable = true
 		}
@@ -400,11 +409,10 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 		res.AuxSenses += out.AuxSenses
 		res.UsedFallback = res.UsedFallback || out.UsedFallback
 		res.Uncorrectable = res.Uncorrectable || out.Uncorrectable
-		attempts := float64(out.Retries + 1)
-		res.SimUS += attempts*(lat.SenseBase+float64(levelsOf(pageType))*lat.SensePerLevel) +
-			float64(out.AuxSenses)*(lat.SenseBase+lat.SensePerLevel) +
-			attempts*(lat.Transfer+lat.ECCDecode) +
-			float64(out.AuxSenses)*lat.Transfer
+		// Service time without contention: the die and channel work back
+		// to back, priced by the same per-page model as Sim.readPage.
+		dieTime, chanTime := f.cost.page(pageType, &out)
+		res.SimUS += dieTime + chanTime
 		flags := uint64(0)
 		if out.UsedFallback {
 			flags |= 1

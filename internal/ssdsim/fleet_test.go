@@ -32,6 +32,18 @@ func fleetTestConfig() FleetConfig {
 	}
 }
 
+// TestFleetRejectsLifetime: the fleet serves at the samplers' grid
+// origin, so a lifetime config must fail construction rather than be
+// silently ignored.
+func TestFleetRejectsLifetime(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Sim.Life = &LifetimeConfig{BasePE: 1000}
+	if fl, err := NewFleet(cfg); err == nil {
+		fl.Close()
+		t.Fatal("fleet accepted Sim.Life")
+	}
+}
+
 func TestFleetDeterministicOutcomes(t *testing.T) {
 	results := make([]map[int64]FleetResult, 2)
 	for run := 0; run < 2; run++ {

@@ -89,14 +89,6 @@ func (c LifetimeConfig) Validate() error {
 	return nil
 }
 
-// StressSampler is a RetrySampler whose outcome distribution depends on
-// the block's current stress state; lifetime-enabled replay feeds it
-// the evolving per-block stress on every read.
-type StressSampler interface {
-	RetrySampler
-	SampleStressed(pageType int, st physics.Stress, rng *mathx.Rand) RetryOutcome
-}
-
 // LifetimeSampler interpolates between EmpiricalSamplers measured at a
 // grid of (P/E, effective retention hours) stress points: a read drawn
 // at stress st uses the pool of the nearest grid point at or below st
@@ -175,16 +167,14 @@ func (ls *LifetimeSampler) Sample(pageType int, rng *mathx.Rand) RetryOutcome {
 	return ls.Pools[0].Sample(pageType, rng)
 }
 
-// SampleStressed implements StressSampler.
+// SampleStressed draws from the pool of the grid point stress st floors
+// to — what a lifetime-enabled replay draws for a block at that stress.
 func (ls *LifetimeSampler) SampleStressed(pageType int, st physics.Stress, rng *mathx.Rand) RetryOutcome {
-	return *ls.sampleStressedRef(pageType, st, rng)
+	return *ls.gridPool(st).sampleRef(pageType, rng)
 }
 
-// sampleStressedRef is SampleStressed without the outcome copy (see
-// EmpiricalSampler.sampleRef for the aliasing and validation contract).
-func (ls *LifetimeSampler) sampleStressedRef(pageType int, st physics.Stress, rng *mathx.Rand) *RetryOutcome {
-	return ls.gridPool(st).sampleRef(pageType, rng)
-}
+// grid implements RetrySampler.
+func (ls *LifetimeSampler) grid() *LifetimeSampler { return ls }
 
 // SyntheticLifetimeSampler builds a deterministic grid sampler whose
 // retry cost grows with the grid point — the lifetime analogue of the
@@ -298,19 +288,17 @@ type lifetime struct {
 	// Per physical block (plane-major): the device-hour of the block's
 	// last successful replay erase (negative = still holding pre-replay
 	// data aged BaseRetentionHours), the cached hot-hours at that epoch,
-	// replay-observed erase attempts, and reads since the last erase.
+	// and replay-observed erase attempts.
 	resetH     []float64
 	hotAtReset []float64
 	cycles     []int32
-	reads      []int32
 
-	// Per-block cache for the devirtualized LifetimeSampler path: the
-	// resolved grid-pool index and the device-hour before which the
-	// block's stress provably cannot cross into the next grid cell
-	// (retention accrues at most at maxAF; P/E only moves on erase, which
-	// invalidates). Between those events the floor-grid lookup is a
-	// single comparison — and stays bit-identical to resolving gridPool
-	// on every read.
+	// Per-block grid-pool cache: the resolved grid-pool index and the
+	// device-hour before which the block's stress provably cannot cross
+	// into the next grid cell (retention accrues at most at maxAF; P/E
+	// only moves on erase, which invalidates). Between those events the
+	// floor-grid lookup is a single comparison — and stays bit-identical
+	// to resolving gridPool on every read.
 	poolIdx    []int32
 	poolExpiry []float64
 
@@ -349,7 +337,6 @@ func newLifetime(cfg Config) *lifetime {
 		resetH:         make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		hotAtReset:     make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		cycles:         make([]int32, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
-		reads:          make([]int32, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		poolIdx:        make([]int32, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		poolExpiry:     make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		calibNext:      make([]float64, cfg.Geo.Dies()),
@@ -404,28 +391,14 @@ func (l *lifetime) effRetention(i int, now float64) float64 {
 	return 0
 }
 
-// readStress resolves the stress state a read of (plane, block) sees
-// right now, counting the read for disturb accounting.
-func (l *lifetime) readStress(plane, block int) physics.Stress {
-	i := plane*l.blocksPerPlane + block
-	l.reads[i]++
-	return physics.Stress{
-		PECycles:          l.cfg.BasePE + int(l.cycles[i]),
-		ReadCount:         int(l.reads[i]),
-		EffRetentionHours: l.effRetention(i, l.clock.NowHours()),
-	}
-}
-
 // pool resolves the grid pool for a read of (plane, block) at the
-// clock's current reading — the devirtualized LifetimeSampler fast
-// path. It returns the same pool gridPool would resolve from the
-// block's current stress, through the per-block expiry cache: retention
-// is monotone while the reset epoch stands (rate bounded by maxAF) and
-// P/E only moves on erase, so between refreshes the floor cell provably
-// cannot change.
+// clock's current reading. It returns the same pool gridPool would
+// resolve from the block's current stress, through the per-block expiry
+// cache: retention is monotone while the reset epoch stands (rate
+// bounded by maxAF) and P/E only moves on erase, so between refreshes
+// the floor cell provably cannot change.
 func (l *lifetime) pool(ls *LifetimeSampler, plane, block int) *EmpiricalSampler {
 	i := plane*l.blocksPerPlane + block
-	l.reads[i]++
 	if now := l.clock.NowHours(); now >= l.poolExpiry[i] {
 		l.refreshPool(ls, i, now)
 	}
@@ -457,9 +430,9 @@ func (l *lifetime) refreshPool(ls *LifetimeSampler, i int, now float64) {
 
 // BlockErased implements ftl.WearSink: every replay-time erase attempt
 // wears the block; a successful one also resets its retention epoch to
-// the current device time and its read-disturb count. Failed erases
-// wear without erasing — the data (and its retention clock) stay put,
-// which is exactly the wear the old code lost track of.
+// the current device time. Failed erases wear without erasing — the
+// data (and its retention clock) stay put, which is exactly the wear the
+// old code lost track of.
 func (l *lifetime) BlockErased(plane, block int, failed bool) {
 	if !l.armed {
 		return
@@ -475,7 +448,6 @@ func (l *lifetime) BlockErased(plane, block int, failed bool) {
 	now := l.clock.NowHours()
 	l.resetH[i] = now
 	l.hotAtReset[i] = l.hot(now)
-	l.reads[i] = 0
 }
 
 // beforeOp charges any calibration work due on die before an operation

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sentinel3d/internal/fault"
-	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
@@ -159,7 +158,7 @@ func TestCalibrationChargedAsQueueLatency(t *testing.T) {
 	run := func(life *LifetimeConfig) float64 {
 		cfg := engineConfig()
 		cfg.Life = life
-		sim, err := New(cfg, FixedSampler{})
+		sim, err := New(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,50 +257,84 @@ func TestFrozenReportUnchangedByLifetimeCode(t *testing.T) {
 	}
 }
 
-// boxedStressSampler hides the concrete *LifetimeSampler so the Sim
-// takes the interface (ssampler) path instead of the devirtualized one.
-type boxedStressSampler struct{ ls *LifetimeSampler }
-
-func (b boxedStressSampler) Sample(pt int, rng *mathx.Rand) RetryOutcome {
-	return b.ls.Sample(pt, rng)
-}
-
-func (b boxedStressSampler) SampleStressed(pt int, st physics.Stress, rng *mathx.Rand) RetryOutcome {
-	return b.ls.SampleStressed(pt, st, rng)
-}
-
 // TestLifetimePoolCacheMatchesDirectLookup: the per-block expiry cache
-// used by the devirtualized sampler path must resolve exactly the pool
-// that gridPool resolves from the block's recomputed stress on every
-// read — pinned by running the same replay through both paths and
-// requiring byte-identical reports (same pools → same RNG draws).
+// must resolve exactly the pool that gridPool resolves from the block's
+// stress recomputed from scratch. Each trace is serviced one request at
+// a time, and after every read each page's block is checked against a
+// direct lookup at the clock's current reading (a read neither erases
+// nor moves the clock past its own arrival, so the check sees the state
+// the draw saw). The second trace overwrites a small span until GC
+// erases blocks on a slow clock: pre-replay data sits in a higher
+// retention cell than freshly erased blocks, and the cache cannot
+// expire on its own, so only the erase-time invalidation keeps it right.
 func TestLifetimePoolCacheMatchesDirectLookup(t *testing.T) {
-	reqs := engineTrace(t, 12000)
-	run := func(sampler RetrySampler) *Report {
-		cfg := engineConfig()
-		cfg.Life = lifeConfig()
-		sim, err := New(cfg, sampler)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("mixed", func(t *testing.T) {
+		checkPoolCache(t, engineTrace(t, 12000), lifeConfig(), false)
+	})
+	t.Run("gc", func(t *testing.T) {
+		span := int64(engineGeometry().PagesTotal() / 8)
+		var reqs []trace.Request
+		for i := 0; i < engineGeometry().PagesTotal()*4; i++ {
+			k := i / 2 // writes and reads each cover both LPN parities
+			r := trace.Request{ArriveUS: float64(i) * 20, Op: trace.Write, LPN: int64(k*7919) % span, Pages: 1}
+			if i%2 == 1 {
+				r.Op, r.LPN = trace.Read, int64(k*104729)%span
+			}
+			reqs = append(reqs, r)
 		}
-		if err := sim.Precondition(reqs); err != nil {
-			t.Fatal(err)
-		}
-		sim.beginReplay()
-		rep, err := sim.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		checkPoolCache(t, reqs,
+			&LifetimeConfig{BasePE: 2000, BaseRetentionHours: 1000, HoursPerSecond: 1}, true)
+	})
+}
+
+func checkPoolCache(t *testing.T, reqs []trace.Request, life *LifetimeConfig, wantErases bool) {
+	cfg := engineConfig()
+	cfg.Life = life
+	ls := lifeSampler()
+	sim, err := New(cfg, ls)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cached := run(lifeSampler())
-	direct := run(boxedStressSampler{lifeSampler()})
-	if !reflect.DeepEqual(cached, direct) {
-		t.Fatalf("pool cache diverged from per-read grid lookup:\n got %+v\nwant %+v",
-			cached, direct)
+	if err := sim.Precondition(reqs); err != nil {
+		t.Fatal(err)
 	}
-	if cached.TotalRetries == 0 {
+	sim.beginReplay()
+	l := sim.life
+	rep := &Report{}
+	seen := map[*EmpiricalSampler]bool{}
+	for _, r := range reqs {
+		if err := sim.service(r, rep); err != nil {
+			t.Fatal(err)
+		}
+		if r.Op != trace.Read {
+			continue
+		}
+		now := l.clock.NowHours()
+		for p := 0; p < r.Pages; p++ {
+			ppn, ok := sim.ftl.Translate(r.LPN + int64(p))
+			if !ok {
+				continue
+			}
+			i := ppn.Plane*l.blocksPerPlane + ppn.Block
+			want := ls.gridPool(physics.Stress{
+				PECycles:          cfg.Life.BasePE + int(l.cycles[i]),
+				EffRetentionHours: l.effRetention(i, now),
+			})
+			if got := ls.Pools[l.poolIdx[i]]; got != want {
+				t.Fatalf("block %d at %v h: cached pool %d, direct lookup disagrees",
+					i, now, l.poolIdx[i])
+			}
+			seen[want] = true
+		}
+	}
+	if rep.TotalRetries == 0 {
 		t.Fatal("degenerate comparison: no retries drawn")
+	}
+	if len(seen) < 2 {
+		t.Fatal("degenerate comparison: the replay never left its first grid cell")
+	}
+	if wantErases && l.runErases == 0 {
+		t.Fatal("degenerate comparison: no erases during the replay")
 	}
 }
 

@@ -7,7 +7,11 @@
 // Retry counts come from a RetrySampler built empirically on the
 // threshold-voltage chip simulator for each read policy, which is how the
 // paper's Figure 14 connects chip-level retry behaviour to system-level
-// read latency.
+// read latency. Every sampler is a grid of per-page-type pools over
+// (P/E, retention) stress points — a frozen-stress EmpiricalSampler is the
+// 1x1 grid — and one per-page cost function (readCost) turns a drawn
+// outcome into die and channel time for both the replay Sim and the
+// serving Fleet.
 package ssdsim
 
 import (
@@ -42,17 +46,15 @@ type RetryOutcome struct {
 }
 
 // RetrySampler yields retry outcomes for reads of a given page type
-// (0 = LSB ... bits-1 = MSB).
+// (0 = LSB ... bits-1 = MSB). The interface is sealed: *EmpiricalSampler
+// and *LifetimeSampler are its only implementations, and the simulators
+// resolve either one to its stress grid once, at construction, so the
+// per-read draw is a direct call with no dispatch.
 type RetrySampler interface {
 	Sample(pageType int, rng *mathx.Rand) RetryOutcome
+	// grid returns the sampler as a (P/E, retention) grid of pools.
+	grid() *LifetimeSampler
 }
-
-// FixedSampler returns the same outcome for every read; useful for
-// baselines and tests.
-type FixedSampler struct{ Outcome RetryOutcome }
-
-// Sample implements RetrySampler.
-func (f FixedSampler) Sample(int, *mathx.Rand) RetryOutcome { return f.Outcome }
 
 // EmpiricalSampler draws uniformly from per-page-type outcome pools
 // measured on the chip simulator.
@@ -75,6 +77,12 @@ func (e *EmpiricalSampler) pool(pageType int) []RetryOutcome {
 
 // PageTypes returns the number of page types the sampler covers.
 func (e *EmpiricalSampler) PageTypes() int { return len(e.PerPage) }
+
+// grid implements RetrySampler: a frozen-stress sampler is the 1x1 grid
+// whose only point every block sits on at any age.
+func (e *EmpiricalSampler) grid() *LifetimeSampler {
+	return &LifetimeSampler{PEs: []int{0}, Hours: []float64{0}, Pools: []*EmpiricalSampler{e}}
+}
 
 // Sample implements RetrySampler.
 func (e *EmpiricalSampler) Sample(pageType int, rng *mathx.Rand) RetryOutcome {
@@ -114,22 +122,6 @@ func (e *EmpiricalSampler) MeanRetries(p int) float64 {
 		s += o.Retries
 	}
 	return float64(s) / float64(len(pool))
-}
-
-// UncorrectableRate returns the fraction of page type p's pool that ended
-// uncorrectable.
-func (e *EmpiricalSampler) UncorrectableRate(p int) float64 {
-	pool := e.pool(p)
-	if len(pool) == 0 {
-		return 0
-	}
-	n := 0
-	for _, o := range pool {
-		if o.Uncorrectable {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pool))
 }
 
 // BuildSampler measures retry outcomes on a chip through a retry
@@ -287,6 +279,13 @@ type Report struct {
 	// ReportSummary: the frozen replay cells' golden digests pin the
 	// summary's rendering, so lifetime statistics travel beside it.
 	Life LifetimeStats
+	// FlashReads counts page-level reads serviced from flash (one sampler
+	// draw each) and AuxSenses sums their auxiliary single-voltage senses,
+	// so (FlashReads + TotalRetries + AuxSenses) / FlashReads is the mean
+	// sensing operations per flash read. Like Life, both stay outside
+	// ReportSummary so the golden digests' field set is unchanged.
+	FlashReads int64
+	AuxSenses  int64
 	// UnmappedReads counts page-level reads of never-written LPNs,
 	// serviced from the mapping table at LatencyModel.MapLookup cost
 	// without touching flash.
@@ -385,6 +384,8 @@ func (r *Report) merge(o *Report) {
 		r.hist.Merge(o.hist)
 	}
 	r.TotalRetries += o.TotalRetries
+	r.FlashReads += o.FlashReads
+	r.AuxSenses += o.AuxSenses
 	r.GCWrites += o.GCWrites
 	r.UncorrectableReads += o.UncorrectableReads
 	r.FallbackReads += o.FallbackReads
@@ -412,61 +413,81 @@ func (r *Report) finalize() {
 
 // Sim runs traces against one SSD instance.
 type Sim struct {
-	cfg     Config
-	ftl     *ftl.FTL
-	sampler RetrySampler
-	rng     *mathx.Rand
-	met     *simMetrics
+	cfg  Config
+	ftl  *ftl.FTL
+	grid *LifetimeSampler
+	rng  *mathx.Rand
+	met  *simMetrics
+	cost readCost
 
 	dieFree  []float64
 	chanFree []float64
 
-	// Hot-path caches. esampler devirtualizes the common sampler so the
-	// per-read draw is a direct call; planeDie/planeChan/pageType replace
-	// the per-page divisions with table lookups; the latency sums fold
-	// cfg.Lat's per-read arithmetic into constants (computed exactly as
-	// the inline expressions did, so latencies stay bit-identical); wres
-	// and sout are reused per-call scratch (one per Sim — Sims are
-	// single-goroutine by contract).
-	esampler    *EmpiricalSampler
-	planeDie    []int32
-	planeChan   []int32
-	pageType    []uint8
+	// Hot-path caches. planeDie/planeChan/pageType replace the per-page
+	// divisions with table lookups; migProgUS folds the GC migration
+	// arithmetic into a constant; wres is reused per-call scratch (one
+	// per Sim — Sims are single-goroutine by contract).
+	planeDie  []int32
+	planeChan []int32
+	pageType  []uint8
+	migProgUS float64 // GC migration: MSB-page read + program
+	wres      ftl.WriteResult
+
+	// Lifetime state (nil when Config.Life is nil — the frozen path pays
+	// one nil check per read and draws from the grid origin).
+	life *lifetime
+}
+
+// readCost is the per-page read latency model Sim and Fleet share: each
+// attempt (the first read plus every retry) senses the page type's read
+// voltages on the die, then bursts the page over the channel and through
+// ECC decode; each auxiliary single-voltage sense adds one sense and one
+// bare transfer. The LatencyModel sums are folded into constants once;
+// each is the same float expression a per-read evaluation would compute,
+// so the fold never moves a latency.
+type readCost struct {
 	senseByType [4]float64 // SenseBase + levels(pt)*SensePerLevel
 	auxSenseUS  float64    // SenseBase + SensePerLevel
 	xferBurstUS float64    // Transfer + ECCDecode
-	migProgUS   float64    // GC migration: MSB-page read + program
-	wres        ftl.WriteResult
-	sout        RetryOutcome
-
-	// Lifetime state (nil when Config.Life is nil — the frozen path pays
-	// one nil check per read). lsampler is the devirtualized grid
-	// sampler; ssampler the interface fallback for custom StressSamplers.
-	life     *lifetime
-	lsampler *LifetimeSampler
-	ssampler StressSampler
+	auxXferUS   float64    // Transfer
 }
 
-// checkSampler verifies the sampler exists and matches the config's
-// bits-per-cell setting.
-func checkSampler(cfg Config, sampler RetrySampler) error {
+func newReadCost(lat retry.LatencyModel, bits int) readCost {
+	c := readCost{
+		auxSenseUS:  lat.SenseBase + lat.SensePerLevel,
+		xferBurstUS: lat.Transfer + lat.ECCDecode,
+		auxXferUS:   lat.Transfer,
+	}
+	for pt := 0; pt < bits; pt++ {
+		c.senseByType[pt] = lat.SenseBase + float64(levelsOf(pt))*lat.SensePerLevel
+	}
+	return c
+}
+
+// page returns the die (sensing) and channel (transfer + decode) time of
+// one page read of pageType with outcome out.
+func (c *readCost) page(pageType int, out *RetryOutcome) (dieTime, chanTime float64) {
+	attempts := float64(out.Retries + 1)
+	aux := float64(out.AuxSenses)
+	return attempts*c.senseByType[pageType] + aux*c.auxSenseUS,
+		attempts*c.xferBurstUS + aux*c.auxXferUS
+}
+
+// checkSampler resolves the sampler to its stress grid and verifies the
+// grid is well formed and matches the config's bits-per-cell setting.
+func checkSampler(cfg Config, sampler RetrySampler) (*LifetimeSampler, error) {
 	if sampler == nil {
-		return fmt.Errorf("ssdsim: nil sampler")
+		return nil, fmt.Errorf("ssdsim: nil sampler")
 	}
-	if es, ok := sampler.(*EmpiricalSampler); ok && es.PageTypes() != cfg.Bits {
-		return fmt.Errorf("ssdsim: sampler covers %d page types, config has %d bits",
-			es.PageTypes(), cfg.Bits)
+	g := sampler.grid()
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	if ls, ok := sampler.(*LifetimeSampler); ok {
-		if err := ls.Validate(); err != nil {
-			return err
-		}
-		if ls.PageTypes() != cfg.Bits {
-			return fmt.Errorf("ssdsim: lifetime sampler covers %d page types, config has %d bits",
-				ls.PageTypes(), cfg.Bits)
-		}
+	if g.PageTypes() != cfg.Bits {
+		return nil, fmt.Errorf("ssdsim: sampler covers %d page types, config has %d bits",
+			g.PageTypes(), cfg.Bits)
 	}
-	return nil
+	return g, nil
 }
 
 // New builds a simulator.
@@ -474,7 +495,8 @@ func New(cfg Config, sampler RetrySampler) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkSampler(cfg, sampler); err != nil {
+	grid, err := checkSampler(cfg, sampler)
+	if err != nil {
 		return nil, err
 	}
 	f, err := ftl.New(cfg.Geo)
@@ -489,20 +511,16 @@ func New(cfg Config, sampler RetrySampler) (*Sim, error) {
 	s := &Sim{
 		cfg:      cfg,
 		ftl:      f,
-		sampler:  sampler,
+		grid:     grid,
 		rng:      mathx.NewRand(cfg.Seed ^ 0x55d51a1),
 		met:      newSimMetrics(cfg.Obs),
+		cost:     newReadCost(cfg.Lat, cfg.Bits),
 		dieFree:  make([]float64, cfg.Geo.Dies()),
 		chanFree: make([]float64, cfg.Geo.Channels),
 	}
-	s.esampler, _ = sampler.(*EmpiricalSampler)
 	if cfg.Life != nil {
 		s.life = newLifetime(cfg)
 		f.Wear = s.life // unarmed until beginReplay: precondition churn is not wear
-		s.lsampler, _ = sampler.(*LifetimeSampler)
-		if s.lsampler == nil {
-			s.ssampler, _ = sampler.(StressSampler)
-		}
 	}
 	planes := cfg.Geo.Planes()
 	s.planeDie = make([]int32, planes)
@@ -515,13 +533,7 @@ func New(cfg Config, sampler RetrySampler) (*Sim, error) {
 	for p := range s.pageType {
 		s.pageType[p] = uint8(p % cfg.Bits)
 	}
-	for pt := 0; pt < cfg.Bits; pt++ {
-		s.senseByType[pt] = cfg.Lat.SenseBase + float64(levelsOf(pt))*cfg.Lat.SensePerLevel
-	}
-	s.auxSenseUS = cfg.Lat.SenseBase + cfg.Lat.SensePerLevel
-	s.xferBurstUS = cfg.Lat.Transfer + cfg.Lat.ECCDecode
-	migRead := cfg.Lat.SenseBase + float64(levelsOf(cfg.Bits-1))*cfg.Lat.SensePerLevel
-	s.migProgUS = migRead + cfg.ProgramUS
+	s.migProgUS = s.cost.senseByType[cfg.Bits-1] + cfg.ProgramUS
 	return s, nil
 }
 
@@ -830,46 +842,24 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 	}
 	pageType := int(s.pageType[ppn.Page])
 	die := s.planeDie[ppn.Plane]
-	var out *RetryOutcome
+	pool := s.grid.Pools[0]
 	if s.life != nil {
-		// Dynamic aging: charge any due calibration to the die, then
-		// draw from the pool matching the block's *current* stress.
+		// Dynamic aging: charge any due calibration to the die, then draw
+		// from the grid cell matching the block's *current* stress.
 		s.beforeOp(die, arrive)
-		switch {
-		case s.lsampler != nil:
-			// Devirtualized grid path: resolve the block's current grid
-			// cell through the per-block expiry cache, skipping the
-			// Stress construction entirely.
-			out = s.life.pool(s.lsampler, ppn.Plane, ppn.Block).sampleRef(pageType, s.rng)
-		case s.ssampler != nil:
-			st := s.life.readStress(ppn.Plane, ppn.Block)
-			s.sout = s.ssampler.SampleStressed(pageType, st, s.rng)
-			out = &s.sout
-		case s.esampler != nil:
-			s.life.readStress(ppn.Plane, ppn.Block) // keep disturb accounting
-			out = s.esampler.sampleRef(pageType, s.rng)
-		default:
-			s.life.readStress(ppn.Plane, ppn.Block)
-			s.sout = s.sampler.Sample(pageType, s.rng)
-			out = &s.sout
-		}
-	} else if s.esampler != nil {
-		out = s.esampler.sampleRef(pageType, s.rng)
-	} else {
-		s.sout = s.sampler.Sample(pageType, s.rng)
-		out = &s.sout
+		pool = s.life.pool(s.grid, ppn.Plane, ppn.Block)
 	}
+	out := pool.sampleRef(pageType, s.rng)
+	rep.FlashReads++
 	rep.TotalRetries += int64(out.Retries)
+	rep.AuxSenses += int64(out.AuxSenses)
 	if out.Uncorrectable {
 		rep.UncorrectableReads++
 	}
 	if out.UsedFallback {
 		rep.FallbackReads++
 	}
-	attempts := float64(out.Retries + 1)
-	aux := float64(out.AuxSenses)
-	dieTime := attempts*s.senseByType[pageType] + aux*s.auxSenseUS
-	chanTime := attempts*s.xferBurstUS + aux*s.cfg.Lat.Transfer
+	dieTime, chanTime := s.cost.page(pageType, out)
 
 	ch := s.planeChan[ppn.Plane]
 	senseStart := maxf(arrive, s.dieFree[die])

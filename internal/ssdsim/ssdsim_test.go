@@ -13,6 +13,12 @@ import (
 	"sentinel3d/internal/trace"
 )
 
+// fixedSampler returns a TLC sampler whose every pool holds the single
+// outcome out, so every read draws it.
+func fixedSampler(out RetryOutcome) *EmpiricalSampler {
+	return &EmpiricalSampler{PerPage: [][]RetryOutcome{{out}, {out}, {out}}}
+}
+
 func testSSDConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Geo = ftl.Geometry{
@@ -54,7 +60,7 @@ func TestReadLatencyScalesWithRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(retries int) float64 {
-		s, err := New(testSSDConfig(), FixedSampler{RetryOutcome{Retries: retries}})
+		s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{Retries: retries}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +83,7 @@ func TestReportStatistics(t *testing.T) {
 	spec, _ := trace.WorkloadByName("hm_0")
 	spec.WorkingSetPages = 1 << 12
 	reqs, _ := trace.Generate(spec, 5000, 2)
-	s, err := New(testSSDConfig(), FixedSampler{})
+	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestReportStatistics(t *testing.T) {
 
 func TestUnmappedReadCheap(t *testing.T) {
 	cfg := testSSDConfig()
-	s, err := New(cfg, FixedSampler{RetryOutcome{Retries: 9}})
+	s, err := New(cfg, fixedSampler(RetryOutcome{Retries: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestPreconditionSortedDedup(t *testing.T) {
 		{Op: trace.Read, LPN: 91, Pages: 2}, // overlaps the first request
 		{Op: trace.Read, LPN: 5, Pages: 1},  // exact duplicate
 	}
-	s, err := New(testSSDConfig(), FixedSampler{})
+	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +174,8 @@ func TestPreconditionSourceStreams(t *testing.T) {
 	spec, _ := trace.WorkloadByName("hm_0")
 	spec.WorkingSetPages = 1 << 12
 	reqs, _ := trace.Generate(spec, 3000, 9)
-	a, _ := New(testSSDConfig(), FixedSampler{})
-	b, _ := New(testSSDConfig(), FixedSampler{})
+	a, _ := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
+	b, _ := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err := a.Precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +199,7 @@ func TestPreconditionSourceStreams(t *testing.T) {
 
 func TestQueueingDelaysBursts(t *testing.T) {
 	// Two back-to-back reads of the same page must queue on the die.
-	s, err := New(testSSDConfig(), FixedSampler{})
+	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +299,7 @@ func TestDeterministicRuns(t *testing.T) {
 	spec.WorkingSetPages = 1 << 12
 	reqs, _ := trace.Generate(spec, 2000, 5)
 	run := func() float64 {
-		s, err := New(testSSDConfig(), FixedSampler{RetryOutcome{Retries: 2}})
+		s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{Retries: 2}))
 		if err != nil {
 			t.Fatal(err)
 		}
