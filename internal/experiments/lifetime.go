@@ -65,9 +65,6 @@ func ScheduleByName(name string) (physics.TempSchedule, bool) {
 	return physics.TempSchedule{}, false
 }
 
-// ScheduleNames returns the named schedules in sweep order.
-func ScheduleNames() []string { return []string{"room", "hot", "diurnal"} }
-
 // LifetimeGridHours is the retention grid a lifetime replay measures
 // its sampler pools at, anchored at the age preset's base retention:
 // the starting point, four months on, and a year on. A replay

@@ -139,10 +139,6 @@ func (c *Coding) ReadBit(p, below int) int {
 	return c.PageBit(0, p) ^ (below & 1)
 }
 
-// StateFromVoltageCount converts the count of all read voltages at or
-// below Vth into the read state (full-resolution sensing).
-func (c *Coding) StateFromVoltageCount(below int) int { return below }
-
 // PageName returns the conventional page name for index p given the cell
 // bits ("LSB", "CSB", "CSB2", "MSB").
 func (c *Coding) PageName(p int) string {

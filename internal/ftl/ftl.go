@@ -268,9 +268,6 @@ func (f *FTL) Translate(lpn int64) (PPN, bool) {
 	return f.l2pGet(lpn)
 }
 
-// FreeBlocks returns the number of erased spare blocks in plane p.
-func (f *FTL) FreeBlocks(p int) int { return len(f.planes[p].freeQueue) }
-
 // WriteResult describes the physical work one host page write caused.
 type WriteResult struct {
 	// Target is where the host page landed.

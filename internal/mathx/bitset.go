@@ -5,7 +5,7 @@ import "math/bits"
 // Bitset is a fixed-capacity set of non-negative integers backed by a
 // packed word array. The replay engine's precondition pass uses it to
 // deduplicate trace LPNs when the address bound is known up front:
-// inserting is one OR, and Visit yields members in ascending order —
+// inserting is one OR, and VisitErr yields members in ascending order —
 // the same order a sort-based dedup produces — without the sort.
 type Bitset struct {
 	words []uint64
@@ -71,20 +71,8 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Visit calls fn for every member in ascending order.
-func (b *Bitset) Visit(fn func(i int64)) {
-	for wi, w := range b.words {
-		base := int64(wi) << 6
-		for w != 0 {
-			t := bits.TrailingZeros64(w)
-			fn(base + int64(t))
-			w &= w - 1
-		}
-	}
-}
-
-// VisitErr is Visit with early exit: it stops at the first error fn
-// returns and propagates it.
+// VisitErr calls fn for every member in ascending order. It stops at
+// the first error fn returns and propagates it.
 func (b *Bitset) VisitErr(fn func(i int64) error) error {
 	for wi, w := range b.words {
 		base := int64(wi) << 6

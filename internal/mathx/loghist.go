@@ -220,9 +220,6 @@ func LogHistBuckets() int { return len(LogHist{}.counts) }
 // route v <= 0 (and NaN) to the zero count instead.
 func LogHistBucketOf(v float64) int { return logHistIndex(v) }
 
-// LogHistBucketUpper returns the exclusive upper bound of bucket i.
-func LogHistBucketUpper(i int) float64 { return logHistUpper(i) }
-
 // ZeroCount returns the number of recorded non-positive samples.
 func (h *LogHist) ZeroCount() int64 { return h.zero }
 

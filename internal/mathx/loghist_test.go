@@ -235,7 +235,7 @@ func TestLogHistPartsRoundTrip(t *testing.T) {
 	// Bucket bounds are consistent with the internal index mapping.
 	for _, v := range []float64{1e-6, 0.5, 1, 137.5, 8e7} {
 		i := LogHistBucketOf(v)
-		if up := LogHistBucketUpper(i); v >= up {
+		if up := logHistUpper(i); v >= up {
 			t.Fatalf("v=%v lands in bucket %d with upper bound %v", v, i, up)
 		}
 	}

@@ -1,11 +1,11 @@
 // Package parallel provides the bounded fan-out primitives used by the
 // experiment sweeps: a worker pool sized from the machine (with a global
-// override wired to the -workers CLI flags) and ForEach / Map / MapReduce
-// helpers over integer index ranges.
+// override wired to the -workers CLI flags) and ForEach / Map helpers
+// over integer index ranges.
 //
 // Determinism contract: the helpers distribute *work* across goroutines
-// but never results. Map and MapReduce write each index's result into an
-// index-addressed slot and fold in ascending index order, so any
+// but never results. Map writes each index's result into an
+// index-addressed slot, and callers fold in ascending index order, so any
 // experiment built on them produces byte-identical output at workers=1
 // and workers=N. Callers using ForEach must follow the same discipline:
 // write only to per-index slots, merge serially afterwards.
@@ -181,16 +181,4 @@ func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapReduce evaluates mapper over [0, n) in parallel, then folds the
-// results serially in ascending index order: acc = reduce(acc, r_0),
-// reduce(acc, r_1), ... The serial fold keeps floating-point
-// accumulation order — and therefore every derived statistic — identical
-// at any worker count.
-func MapReduce[T, A any](n int, mapper func(i int) T, acc A, reduce func(A, T) A) A {
-	for _, r := range Map(n, mapper) {
-		acc = reduce(acc, r)
-	}
-	return acc
 }

@@ -104,15 +104,17 @@ func TestMapErr(t *testing.T) {
 	}
 }
 
-// TestMapReduceFloatDeterminism is the core determinism property: a
-// non-associative float fold must give bit-identical results at every
-// worker count because the reduce runs serially in index order.
-func TestMapReduceFloatDeterminism(t *testing.T) {
+// TestMapFoldFloatDeterminism is the core determinism property: a
+// non-associative float fold over Map's results must give bit-identical
+// results at every worker count because Map fills index-addressed slots
+// and the fold runs serially in index order.
+func TestMapFoldFloatDeterminism(t *testing.T) {
 	fold := func() float64 {
-		return MapReduce(5000,
-			func(i int) float64 { return math.Sin(float64(i)) * 1e-3 },
-			1.0,
-			func(a, v float64) float64 { return a*1.0000001 + v })
+		acc := 1.0
+		for _, v := range Map(5000, func(i int) float64 { return math.Sin(float64(i)) * 1e-3 }) {
+			acc = acc*1.0000001 + v
+		}
+		return acc
 	}
 	defer SetWorkers(SetWorkers(1))
 	want := fold()

@@ -134,13 +134,6 @@ func names() []string {
 	return out
 }
 
-// Names lists the registered experiments in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return names()
-}
-
 // Entries returns the registry in registration order — the order the
 // "all" experiment set runs in, matching the pre-registry CLI dispatch.
 func Entries() []*Entry {

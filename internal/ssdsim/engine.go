@@ -37,12 +37,8 @@ type ReplayConfig struct {
 	// device. The merged report counts device-serviced work, so a
 	// replicated write contributes Devices requests.
 	Replicate bool
-	// StripeGranule is the striping unit in pages (default 64 = 256
-	// KiB): consecutive granules of the logical space round-robin across
-	// devices.
-	StripeGranule int64
 	// ChunkRequests is the commit granularity of the streaming replay
-	// (default 32768): cancellation is checked once per chunk, and every
+	// (default 131072): cancellation is checked once per chunk, and every
 	// committed chunk is serviced in full. Peak memory holds a bounded
 	// number of request blocks regardless of trace length.
 	ChunkRequests int
@@ -70,7 +66,8 @@ type ReplayConfig struct {
 	Ctx context.Context
 }
 
-// defaultChunkRequests holds ~1 MiB of requests per committed chunk.
+// defaultChunkRequests holds 4 MiB of requests (32 bytes each) per
+// committed chunk.
 const defaultChunkRequests = 1 << 17
 
 // Engine replays traces against a fleet of sharded SSD simulations.
@@ -87,14 +84,11 @@ type Engine struct {
 	cfg    ReplayConfig
 	grid   *LifetimeSampler
 	stripe stripeMap
-	// shardMask is Shards-1 when Shards is a power of two, else -1;
-	// shardOf then masks instead of dividing.
-	shardMask int64
+	router shardRouter
 }
 
-// NewEngine validates the configuration. Shards, Devices, StripeGranule
-// and ChunkRequests default to 1, 1, defaultStripeGranule and
-// defaultChunkRequests when zero.
+// NewEngine validates the configuration. Shards, Devices and
+// ChunkRequests default to 1, 1 and defaultChunkRequests when zero.
 func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
@@ -107,12 +101,6 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	}
 	if cfg.Devices < 0 {
 		return nil, fmt.Errorf("ssdsim: negative device count %d", cfg.Devices)
-	}
-	if cfg.StripeGranule == 0 {
-		cfg.StripeGranule = defaultStripeGranule
-	}
-	if cfg.StripeGranule < 0 {
-		return nil, fmt.Errorf("ssdsim: negative stripe granule %d", cfg.StripeGranule)
 	}
 	if cfg.Sim.Geo.Channels%cfg.Shards != 0 {
 		return nil, fmt.Errorf("ssdsim: %d shards do not divide %d channels",
@@ -136,16 +124,12 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:       cfg,
-		grid:      grid,
-		stripe:    newStripeMap(cfg.Devices, cfg.StripeGranule, cfg.Replicate),
-		shardMask: -1,
-	}
-	if s := int64(cfg.Shards); s&(s-1) == 0 {
-		e.shardMask = s - 1
-	}
-	return e, nil
+	return &Engine{
+		cfg:    cfg,
+		grid:   grid,
+		stripe: newStripeMap(cfg.Devices, cfg.Replicate),
+		router: newShardRouter(cfg.Shards),
+	}, nil
 }
 
 // targetConfig derives target (d, s)'s sub-device configuration: 1/Shards
@@ -180,22 +164,39 @@ func (c ReplayConfig) targetConfig(d, s int) Config {
 // footprints and inflate per-shard space usage several-fold.
 const shardGranule = 64
 
-// shardGranuleShift is log2(shardGranule), for the divide-free router.
+// shardGranuleShift is log2(shardGranule), for the divide-free routers.
 const shardGranuleShift = 6
 
-// shardOf routes a request by its first (device-local) LPN's granule.
-// The fine interleaving balances shards even on traces whose footprint
-// is a few hot ranges; negative LPNs (malformed traces) route to shard
-// 0, which services them exactly like the unsharded Sim would.
-func (e *Engine) shardOf(lpn int64) int {
+// shardRouter routes a request by its first (device-local) LPN's
+// granule; the replay Engine and the serving Fleet share it. The fine
+// interleaving balances shards even on traces whose footprint is a few
+// hot ranges; negative LPNs (malformed traces) route to shard 0, which
+// services them exactly like the unsharded Sim would.
+type shardRouter struct {
+	n int64
+	// mask is n-1 when n is a power of two, else -1; of then masks
+	// instead of dividing.
+	mask int64
+}
+
+func newShardRouter(shards int) shardRouter {
+	r := shardRouter{n: int64(shards), mask: -1}
+	if r.n&(r.n-1) == 0 {
+		r.mask = r.n - 1
+	}
+	return r
+}
+
+// of returns lpn's shard in [0, n).
+func (r shardRouter) of(lpn int64) int {
 	if lpn < 0 {
 		return 0
 	}
 	g := lpn >> shardGranuleShift
-	if e.shardMask >= 0 {
-		return int(g & e.shardMask)
+	if r.mask >= 0 {
+		return int(g & r.mask)
 	}
-	return int(g % int64(e.cfg.Shards))
+	return int(g % r.n)
 }
 
 // denseHintBudgetPages caps the fleet-wide dense-L2P hint: the packed
@@ -283,27 +284,22 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 		}
 	}
 	e.publishGauges(reps, busy)
+	// Online per-device merge in fixed (device, shard) order: each
+	// device's shards fold into a device report, the device reports fold
+	// into the run report, and with a fleet the device summaries land on
+	// PerDevice — all independent of worker count. Merging a lone device
+	// into the empty run report copies it exactly, so a 1-device replay
+	// equals a plain shard-order merge and carries no PerDevice rows.
 	out := e.newReport()
-	if e.cfg.Devices == 1 {
-		// Exactly the pre-fleet merge: shard order, no intermediate
-		// device report, no PerDevice rows.
-		for t := range sims {
+	for d := 0; d < e.cfg.Devices; d++ {
+		dev := e.newReport()
+		for s := 0; s < e.cfg.Shards; s++ {
+			t := d*e.cfg.Shards + s
 			sims[t].flushCounters(reps[t])
-			out.merge(reps[t])
+			dev.merge(reps[t])
 		}
-	} else {
-		// Online per-device merge in fixed (device, shard) order: each
-		// device's shards fold into a device report, the device reports
-		// fold into the run report, and the device summaries land on
-		// PerDevice — all independent of worker count.
-		for d := 0; d < e.cfg.Devices; d++ {
-			dev := e.newReport()
-			for s := 0; s < e.cfg.Shards; s++ {
-				t := d*e.cfg.Shards + s
-				sims[t].flushCounters(reps[t])
-				dev.merge(reps[t])
-			}
-			out.merge(dev)
+		out.merge(dev)
+		if e.cfg.Devices > 1 {
 			dev.finalize()
 			sum := dev.Summary()
 			sum.ReadLatencies = nil
@@ -418,7 +414,7 @@ func (e *Engine) preconditionPass(sims []*Sim, src trace.Source, localBound int6
 			break
 		}
 		dev, local := e.stripe.route(r.LPN)
-		s := e.shardOf(local)
+		s := e.router.of(local)
 		if replicate {
 			for dd := 0; dd < e.cfg.Devices; dd++ {
 				deds[dd*nShards+s].addRange(local, r.Pages)
@@ -437,7 +433,7 @@ func (e *Engine) preconditionPass(sims []*Sim, src trace.Source, localBound int6
 	return closeSource(src)
 }
 
-// reqBlockSize is the block-handoff unit: 512 requests (~16 KiB) keeps
+// reqBlockSize is the block-handoff unit: 4096 requests (128 KiB) keeps
 // per-block bookkeeping amortized to fractions of a nanosecond per
 // request while bounding how much decoded-but-unserviced work a chunk
 // can hold.
@@ -618,7 +614,7 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 				break
 			}
 			dev, local := e.stripe.route(r.LPN)
-			s := e.shardOf(local)
+			s := e.router.of(local)
 			if replicate {
 				if r.Op == trace.Write {
 					for dd := 0; dd < e.cfg.Devices; dd++ {

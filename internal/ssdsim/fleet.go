@@ -44,6 +44,7 @@ type Fleet struct {
 	stopped bool
 
 	shards []*fleetShard
+	router shardRouter
 	wg     sync.WaitGroup
 }
 
@@ -58,9 +59,10 @@ type fleetSampler struct {
 // FleetConfig parameterizes a Fleet.
 type FleetConfig struct {
 	// Sim carries the device geometry, latency model, bits per cell and
-	// the seed of the deterministic outcome streams. Obs and PEFaults are
-	// ignored (Metrics below attaches observability); Life is unsupported
-	// and rejected, since the fleet serves at the samplers' grid origin.
+	// the seed of the deterministic outcome streams. Obs is ignored
+	// (Metrics below attaches observability). Life and PEFaults are
+	// unsupported and rejected: the fleet serves at the samplers' grid
+	// origin, and its premapped FTLs inject no program/erase failures.
 	Sim Config
 	// Shards is the number of independent sub-devices (default 1); it
 	// must divide Sim.Geo.Channels, exactly like ReplayConfig.Shards.
@@ -208,6 +210,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Sim.Life != nil {
 		return nil, fmt.Errorf("ssdsim: fleet does not model device lifetime; Sim.Life must be nil")
 	}
+	if cfg.Sim.PEFaults != nil {
+		return nil, fmt.Errorf("ssdsim: fleet does not inject P/E faults; Sim.PEFaults must be nil")
+	}
 	if cfg.Metrics != nil && cfg.Metrics.Shards() < cfg.Shards {
 		return nil, fmt.Errorf("ssdsim: metrics registry has %d shards, fleet needs %d",
 			cfg.Metrics.Shards(), cfg.Shards)
@@ -237,6 +242,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.samplers[name] = fleetSampler{pool: grid.Pools[0], salt: policySalt(name)}
 	}
 	f.shards = make([]*fleetShard, cfg.Shards)
+	f.router = newShardRouter(cfg.Shards)
 	for s := range f.shards {
 		ft, err := ftl.New(shardGeo)
 		if err != nil {
@@ -255,7 +261,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// Premap ascending: each LPN routes to its owning shard's FTL, the
 	// same granule interleaving the replay engine uses.
 	for lpn := int64(0); lpn < cfg.PremapPages; lpn++ {
-		sh := f.shards[f.shardOf(lpn)]
+		sh := f.shards[f.router.of(lpn)]
 		if _, err := sh.ftl.Write(lpn); err != nil {
 			return nil, err
 		}
@@ -273,15 +279,6 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // PremapPages returns the number of LPNs mapped at startup — the
 // logical footprint load generators should stay inside.
 func (f *Fleet) PremapPages() int64 { return f.cfg.PremapPages }
-
-// shardOf mirrors Engine.shardOf: granule-interleaved LPN routing.
-func (f *Fleet) shardOf(lpn int64) int {
-	s := (lpn / shardGranule) % int64(len(f.shards))
-	if s < 0 {
-		return 0
-	}
-	return int(s)
-}
 
 // MaxQueueFrac returns the highest queue occupancy across shards in
 // [0, 1] — the degradation ladder's pressure signal.
@@ -313,7 +310,7 @@ func (f *Fleet) Submit(ctx context.Context, read FleetRead) (FleetResult, error)
 	}
 	req := fleetReq{read: read, ctx: ctx, enqueued: time.Now(),
 		done: make(chan fleetReply, 1)}
-	sh := f.shards[f.shardOf(read.LPN)]
+	sh := f.shards[f.router.of(read.LPN)]
 
 	f.mu.RLock()
 	if f.stopped {

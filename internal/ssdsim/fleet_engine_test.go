@@ -47,13 +47,12 @@ func TestEngineFleetSingleDeviceGolden(t *testing.T) {
 	}
 	for _, rc := range []ReplayConfig{
 		{Sim: cfg, Shards: 2, Devices: 1, CollectLatencies: true, Precondition: true},
-		{Sim: cfg, Shards: 2, Devices: 1, StripeGranule: 16, CollectLatencies: true, Precondition: true},
 		{Sim: cfg, Shards: 2, Devices: 1, Replicate: true, CollectLatencies: true, Precondition: true},
 	} {
 		got := run(rc)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("1-device fleet (granule=%d replicate=%v) diverged from the single-device engine:\n got %+v\nwant %+v",
-				rc.StripeGranule, rc.Replicate, got, want)
+			t.Fatalf("1-device fleet (replicate=%v) diverged from the single-device engine:\n got %+v\nwant %+v",
+				rc.Replicate, got, want)
 		}
 	}
 }
@@ -277,24 +276,21 @@ func TestEngineLongFleetDeterminism(t *testing.T) {
 
 // FuzzStripeMap: for any fleet shape, every LPN routes to exactly one
 // device and the (device, local) pair round-trips through global — the
-// stripe map is a bijection — and the pow2 fast paths agree with the
-// plain divide/modulo definition. The shard router then stays in range
-// and its mask fast path agrees with the modulo one.
+// stripe map is a bijection — and the shift/mask fast paths agree with
+// the plain divide/modulo definition. The shard router shared by Engine
+// and Fleet then stays in range and its mask fast path agrees with the
+// modulo one.
 func FuzzStripeMap(f *testing.F) {
-	f.Add(uint8(4), uint8(8), int64(64), int64(12345))
-	f.Add(uint8(1), uint8(1), int64(64), int64(0))
-	f.Add(uint8(3), uint8(5), int64(7), int64(1<<40))
-	f.Add(uint8(2), uint8(2), int64(1), int64(-9))
-	f.Add(uint8(16), uint8(4), int64(1<<20), int64(1<<62))
-	f.Fuzz(func(t *testing.T, dByte, sByte uint8, granule, lpn int64) {
+	f.Add(uint8(4), uint8(8), int64(12345))
+	f.Add(uint8(1), uint8(1), int64(0))
+	f.Add(uint8(3), uint8(5), int64(1<<40))
+	f.Add(uint8(2), uint8(2), int64(-9))
+	f.Add(uint8(16), uint8(4), int64(1<<62))
+	f.Fuzz(func(t *testing.T, dByte, sByte uint8, lpn int64) {
 		devices := int(dByte%32) + 1
 		shards := int(sByte%16) + 1
-		granule = granule%(1<<20) + 1
-		if granule <= 0 { // granule%(1<<20) can be negative
-			granule += 1 << 20
-		}
 		for _, replicate := range []bool{false, true} {
-			m := newStripeMap(devices, granule, replicate)
+			m := newStripeMap(devices, replicate)
 			dev, local := m.route(lpn)
 			if dev < 0 || dev >= devices {
 				t.Fatalf("route(%d) device %d out of [0,%d)", lpn, dev, devices)
@@ -310,9 +306,9 @@ func FuzzStripeMap(f *testing.F) {
 				}
 			default:
 				// Reference: plain divide/modulo, no fast paths.
-				g := lpn / granule
+				g := lpn / stripeGranule
 				wantDev := int(g % int64(devices))
-				wantLocal := (g/int64(devices))*granule + lpn%granule
+				wantLocal := (g/int64(devices))*stripeGranule + lpn%stripeGranule
 				if devices == 1 {
 					wantDev, wantLocal = 0, lpn
 				}
@@ -328,17 +324,13 @@ func FuzzStripeMap(f *testing.F) {
 			}
 			// Shard router: in range, and the pow2 mask path agrees
 			// with modulo.
-			e := &Engine{cfg: ReplayConfig{Shards: shards}, shardMask: -1}
-			if s64 := int64(shards); s64&(s64-1) == 0 {
-				e.shardMask = s64 - 1
-			}
-			s := e.shardOf(local)
+			s := newShardRouter(shards).of(local)
 			if s < 0 || s >= shards {
-				t.Fatalf("shardOf(%d) = %d out of [0,%d)", local, s, shards)
+				t.Fatalf("shard router(%d) = %d out of [0,%d)", local, s, shards)
 			}
 			if local >= 0 {
-				if want := int((local >> shardGranuleShift) % int64(shards)); s != want {
-					t.Fatalf("shardOf(%d) = %d, reference %d", local, s, want)
+				if want := int((local / shardGranule) % int64(shards)); s != want {
+					t.Fatalf("shard router(%d) = %d, reference %d", local, s, want)
 				}
 			} else if s != 0 {
 				t.Fatalf("negative local %d routed to shard %d, want 0", local, s)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sentinel3d/internal/fault"
 	"sentinel3d/internal/ftl"
 )
 
@@ -41,6 +42,17 @@ func TestFleetRejectsLifetime(t *testing.T) {
 	if fl, err := NewFleet(cfg); err == nil {
 		fl.Close()
 		t.Fatal("fleet accepted Sim.Life")
+	}
+}
+
+// TestFleetRejectsPEFaults: the fleet's FTLs run fault-free, so a P/E
+// fault model must fail construction rather than be silently ignored.
+func TestFleetRejectsPEFaults(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Sim.PEFaults = fault.MustNew(fault.Profile{Seed: 5, FTLEraseFailRate: 0.002})
+	if fl, err := NewFleet(cfg); err == nil {
+		fl.Close()
+		t.Fatal("fleet accepted Sim.PEFaults")
 	}
 }
 

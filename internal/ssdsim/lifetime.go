@@ -147,17 +147,23 @@ func (ls *LifetimeSampler) PageTypes() int {
 	return ls.Pools[0].PageTypes()
 }
 
-// gridPool resolves the floor grid point for a stress state. The grids
-// are a handful of entries, so a linear scan beats a binary search.
-func (ls *LifetimeSampler) gridPool(st physics.Stress) *EmpiricalSampler {
-	i := 0
-	for i+1 < len(ls.PEs) && ls.PEs[i+1] <= st.PECycles {
+// cell returns the floor grid cell (i, j) for a P/E count and an
+// effective retention: PEs[i] <= pe and Hours[j] <= hours, clamped to
+// the grid. The grids are a handful of entries, so a linear scan beats
+// a binary search.
+func (ls *LifetimeSampler) cell(pe int, hours float64) (i, j int) {
+	for i+1 < len(ls.PEs) && ls.PEs[i+1] <= pe {
 		i++
 	}
-	j := 0
-	for j+1 < len(ls.Hours) && ls.Hours[j+1] <= st.EffRetentionHours {
+	for j+1 < len(ls.Hours) && ls.Hours[j+1] <= hours {
 		j++
 	}
+	return i, j
+}
+
+// gridPool resolves the floor grid point for a stress state.
+func (ls *LifetimeSampler) gridPool(st physics.Stress) *EmpiricalSampler {
+	i, j := ls.cell(st.PECycles, st.EffRetentionHours)
 	return ls.Pools[i*len(ls.Hours)+j]
 }
 
@@ -409,15 +415,7 @@ func (l *lifetime) pool(ls *LifetimeSampler, plane, block int) *EmpiricalSampler
 // bounds how long the result stays valid.
 func (l *lifetime) refreshPool(ls *LifetimeSampler, i int, now float64) {
 	eff := l.effRetention(i, now)
-	pe := l.cfg.BasePE + int(l.cycles[i])
-	pi := 0
-	for pi+1 < len(ls.PEs) && ls.PEs[pi+1] <= pe {
-		pi++
-	}
-	j := 0
-	for j+1 < len(ls.Hours) && ls.Hours[j+1] <= eff {
-		j++
-	}
+	pi, j := ls.cell(l.cfg.BasePE+int(l.cycles[i]), eff)
 	l.poolIdx[i] = int32(pi*len(ls.Hours) + j)
 	if j+1 < len(ls.Hours) {
 		// Retention accrues at most maxAF effective hours per device

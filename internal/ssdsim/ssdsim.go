@@ -246,8 +246,45 @@ func (c Config) Validate() error {
 // the inverted-Gray coding (1, 2, 4, 8 for pages 0..3).
 func levelsOf(pageType int) int { return 1 << pageType }
 
-// Report aggregates a run's results.
+// Report aggregates a run's results: the deterministic statistics
+// (ReportSummary, embedded so every field reads as rep.X) plus the
+// lifetime and sensing tallies and per-device rows that travel beside
+// them, and the accumulator state.
 type Report struct {
+	ReportSummary
+	// Life summarizes the dynamic-aging machinery when Config.Life was
+	// set (zero value otherwise). It is deliberately NOT part of
+	// ReportSummary: the frozen replay cells' golden digests pin the
+	// summary's rendering, so lifetime statistics travel beside it.
+	Life LifetimeStats
+	// FlashReads counts page-level reads serviced from flash (one sampler
+	// draw each) and AuxSenses sums their auxiliary single-voltage senses,
+	// so (FlashReads + TotalRetries + AuxSenses) / FlashReads is the mean
+	// sensing operations per flash read. Like Life, both stay outside
+	// ReportSummary so the golden digests' field set is unchanged.
+	FlashReads int64
+	AuxSenses  int64
+	// PerDevice holds one summary per fleet device, in device order,
+	// when the replay engine ran with Devices > 1; nil otherwise (a
+	// single-device replay is byte-identical to the pre-fleet engine,
+	// including this field). Per-device rows never carry the latency
+	// vector — the merged report owns it.
+	PerDevice []ReportSummary
+
+	// Accumulator state. collect appends read latencies for the exact
+	// percentile path; hist records them into the log-bucketed histogram
+	// instead. Exactly one is active per run.
+	collect  bool
+	hist     *mathx.LogHist
+	writeSum float64
+}
+
+// ReportSummary is the exported, deterministic view of a Report: the
+// statistics, without the accumulator internals. Golden digests hash
+// the %v rendering of result payloads, so payloads must not reach the
+// Report struct itself — its unexported histogram pointer would print
+// as a heap address and change every run.
+type ReportSummary struct {
 	Requests int
 	Reads    int
 	Writes   int
@@ -274,18 +311,6 @@ type Report struct {
 	// RetiredBlocks counts blocks the FTL took out of service after
 	// program/erase failures during the run (including preconditioning).
 	RetiredBlocks int64
-	// Life summarizes the dynamic-aging machinery when Config.Life was
-	// set (zero value otherwise). It is deliberately NOT part of
-	// ReportSummary: the frozen replay cells' golden digests pin the
-	// summary's rendering, so lifetime statistics travel beside it.
-	Life LifetimeStats
-	// FlashReads counts page-level reads serviced from flash (one sampler
-	// draw each) and AuxSenses sums their auxiliary single-voltage senses,
-	// so (FlashReads + TotalRetries + AuxSenses) / FlashReads is the mean
-	// sensing operations per flash read. Like Life, both stay outside
-	// ReportSummary so the golden digests' field set is unchanged.
-	FlashReads int64
-	AuxSenses  int64
 	// UnmappedReads counts page-level reads of never-written LPNs,
 	// serviced from the mapping table at LatencyModel.MapLookup cost
 	// without touching flash.
@@ -295,64 +320,10 @@ type Report struct {
 	// running maximum (see trace.MSRSource). Zero for in-order traces
 	// and for sources that do not report reordering.
 	ReorderedArrivals int64
-	// PerDevice holds one summary per fleet device, in device order,
-	// when the replay engine ran with Devices > 1; nil otherwise (a
-	// single-device replay is byte-identical to the pre-fleet engine,
-	// including this field). Per-device rows never carry the latency
-	// vector — the merged report owns it.
-	PerDevice []ReportSummary
-
-	// Accumulator state. collect appends read latencies for the exact
-	// percentile path; hist records them into the log-bucketed histogram
-	// instead. Exactly one is active per run.
-	collect  bool
-	hist     *mathx.LogHist
-	writeSum float64
-}
-
-// ReportSummary is the exported, deterministic view of a Report: the
-// statistics, without the accumulator internals. Golden digests hash
-// the %v rendering of result payloads, so payloads must not reach the
-// Report struct itself — its unexported histogram pointer would print
-// as a heap address and change every run.
-type ReportSummary struct {
-	Requests           int
-	Reads              int
-	Writes             int
-	ReadLatencies      []float64
-	MeanReadUS         float64
-	P95ReadUS          float64
-	P99ReadUS          float64
-	MeanWriteUS        float64
-	TotalRetries       int64
-	GCWrites           int64
-	UncorrectableReads int64
-	FallbackReads      int64
-	RetiredBlocks      int64
-	UnmappedReads      int64
-	ReorderedArrivals  int64
 }
 
 // Summary extracts the deterministic statistics view.
-func (r *Report) Summary() ReportSummary {
-	return ReportSummary{
-		Requests:           r.Requests,
-		Reads:              r.Reads,
-		Writes:             r.Writes,
-		ReadLatencies:      r.ReadLatencies,
-		MeanReadUS:         r.MeanReadUS,
-		P95ReadUS:          r.P95ReadUS,
-		P99ReadUS:          r.P99ReadUS,
-		MeanWriteUS:        r.MeanWriteUS,
-		TotalRetries:       r.TotalRetries,
-		GCWrites:           r.GCWrites,
-		UncorrectableReads: r.UncorrectableReads,
-		FallbackReads:      r.FallbackReads,
-		RetiredBlocks:      r.RetiredBlocks,
-		UnmappedReads:      r.UnmappedReads,
-		ReorderedArrivals:  r.ReorderedArrivals,
-	}
-}
+func (r *Report) Summary() ReportSummary { return r.ReportSummary }
 
 // recordRead accounts one completed read request.
 func (r *Report) recordRead(lat float64) {
@@ -676,35 +647,9 @@ func (s *Sim) Precondition(reqs []trace.Request) error {
 			bound = max
 		}
 	}
-	return s.preconditionFrom(trace.Sliced(reqs), bound)
-}
-
-// PreconditionSource is Precondition over a streamed trace: it writes
-// the trace's LPNs in ascending unique order (the same order the
-// map-based dedup produced) without materializing the request stream.
-// Sources that know their LPN bound (the generator, the binary format)
-// get the bitmap dedup automatically.
-func (s *Sim) PreconditionSource(src trace.Source) error {
-	bound := s.cfg.MaxLPN
-	if bound == 0 {
-		if m, ok := src.(interface{ MaxLPN() int64 }); ok {
-			bound = m.MaxLPN()
-		}
-	}
-	return s.preconditionFrom(src, bound)
-}
-
-func (s *Sim) preconditionFrom(src trace.Source, maxLPN int64) error {
-	d := newLPNDedup(maxLPN)
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		d.addRange(r.LPN, r.Pages)
+	d := newLPNDedup(bound)
+	for i := range reqs {
+		d.addRange(reqs[i].LPN, reqs[i].Pages)
 	}
 	return d.each(func(lpn int64) error {
 		return s.ftl.WriteInto(lpn, &s.wres)

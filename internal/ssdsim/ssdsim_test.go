@@ -168,35 +168,6 @@ func TestPreconditionSortedDedup(t *testing.T) {
 	}
 }
 
-// TestPreconditionSourceStreams: the streaming variant must produce the
-// same device state as the slice path, batch boundaries included.
-func TestPreconditionSourceStreams(t *testing.T) {
-	spec, _ := trace.WorkloadByName("hm_0")
-	spec.WorkingSetPages = 1 << 12
-	reqs, _ := trace.Generate(spec, 3000, 9)
-	a, _ := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
-	b, _ := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
-	if err := a.Precondition(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PreconditionSource(trace.Sliced(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	if a.ftl.HostWrites != b.ftl.HostWrites {
-		t.Fatalf("host writes differ: %d vs %d", a.ftl.HostWrites, b.ftl.HostWrites)
-	}
-	for _, r := range reqs {
-		for p := 0; p < r.Pages; p++ {
-			pa, oka := a.ftl.Translate(r.LPN + int64(p))
-			pb, okb := b.ftl.Translate(r.LPN + int64(p))
-			if oka != okb || pa != pb {
-				t.Fatalf("LPN %d mapped differently: %v/%v vs %v/%v",
-					r.LPN+int64(p), pa, oka, pb, okb)
-			}
-		}
-	}
-}
-
 func TestQueueingDelaysBursts(t *testing.T) {
 	// Two back-to-back reads of the same page must queue on the die.
 	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))

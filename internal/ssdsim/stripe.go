@@ -3,7 +3,7 @@ package ssdsim
 import "math/bits"
 
 // stripeMap splits one logical address space across a fleet of devices.
-// In striped (RAID-0) mode, granules of StripeGranule pages round-robin
+// In striped (RAID-0) mode, granules of stripeGranule pages round-robin
 // across devices and each device compacts its granules into a dense
 // local address space:
 //
@@ -19,28 +19,27 @@ import "math/bits"
 // A 1-device map is the identity in both modes, which is how a fleet
 // engine with Devices=1 reproduces the single-device engine bit for
 // bit. Negative LPNs (malformed traces) route to device 0 with their
-// address unchanged, mirroring shardOf's handling.
+// address unchanged, mirroring shardRouter's handling.
 //
 // The engine routes whole requests by their first LPN and services the
 // request's pages contiguously in device-local space, so a request that
 // crosses a granule boundary reads the device's own next granule rather
 // than splitting across devices — the same first-LPN aliasing the shard
-// router has always applied (see shardOf).
+// router has always applied (see shardRouter).
 type stripeMap struct {
 	devices   int64
-	granule   int64
 	replicate bool
-	// gShift/dShift are log2(granule)/log2(devices) when those are
-	// powers of two, else -1; the hot route path then runs on shifts and
-	// masks instead of 64-bit divisions.
-	gShift int8
+	// dShift is log2(devices) when devices is a power of two, else -1;
+	// the hot route path then runs on shifts and masks instead of 64-bit
+	// divisions.
 	dShift int8
 }
 
-// defaultStripeGranule matches shardGranule: 64 pages = 256 KiB keeps
-// mean-sized requests inside one device while interleaving finely
-// enough to balance the fleet on hot-range traces.
-const defaultStripeGranule = 64
+// stripeGranule is the striping unit, fixed at shardGranule: 64 pages =
+// 256 KiB keeps mean-sized requests inside one device while
+// interleaving finely enough to balance the fleet on hot-range traces.
+// Being a power of two, it splits an LPN with a shift and a mask.
+const stripeGranule = shardGranule
 
 // stripeBoundSlack pads localBound for the whole-request routing above:
 // a request whose first LPN sits at the end of the global space can run
@@ -54,12 +53,10 @@ func pow2Shift(v int64) int8 {
 	return -1
 }
 
-func newStripeMap(devices int, granule int64, replicate bool) stripeMap {
+func newStripeMap(devices int, replicate bool) stripeMap {
 	return stripeMap{
 		devices:   int64(devices),
-		granule:   granule,
 		replicate: replicate,
-		gShift:    pow2Shift(granule),
 		dShift:    pow2Shift(int64(devices)),
 	}
 }
@@ -69,12 +66,7 @@ func (m stripeMap) route(lpn int64) (int, int64) {
 	if m.devices == 1 || lpn < 0 {
 		return 0, lpn
 	}
-	var g, off int64
-	if m.gShift >= 0 {
-		g, off = lpn>>uint(m.gShift), lpn&(m.granule-1)
-	} else {
-		g, off = lpn/m.granule, lpn%m.granule
-	}
+	g, off := lpn>>shardGranuleShift, lpn&(stripeGranule-1)
 	var dev, dg int64
 	if m.dShift >= 0 {
 		dev, dg = g&(m.devices-1), g>>uint(m.dShift)
@@ -84,7 +76,7 @@ func (m stripeMap) route(lpn int64) (int, int64) {
 	if m.replicate {
 		return int(dev), lpn
 	}
-	return int(dev), dg*m.granule + off
+	return int(dev), dg*stripeGranule + off
 }
 
 // global inverts route for non-negative local LPNs: it returns the
@@ -93,8 +85,8 @@ func (m stripeMap) global(dev int, local int64) int64 {
 	if m.devices == 1 || m.replicate || local < 0 {
 		return local
 	}
-	g, off := local/m.granule, local%m.granule
-	return (g*m.devices+int64(dev))*m.granule + off
+	g, off := local>>shardGranuleShift, local&(stripeGranule-1)
+	return (g*m.devices+int64(dev))*stripeGranule + off
 }
 
 // localBound converts a global LPN bound into a per-device one: the
@@ -105,5 +97,5 @@ func (m stripeMap) localBound(bound int64) int64 {
 	if bound <= 0 || m.devices == 1 || m.replicate {
 		return bound
 	}
-	return (bound/(m.granule*m.devices))*m.granule + m.granule - 1 + stripeBoundSlack
+	return (bound/(stripeGranule*m.devices))*stripeGranule + stripeGranule - 1 + stripeBoundSlack
 }

@@ -3,9 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"os"
 )
 
 // Binary trace format: a fixed 24-byte header followed by fixed 24-byte
@@ -36,20 +34,6 @@ const (
 	binaryRecordBytes = 24
 )
 
-// EncodeBinary serializes a materialized trace into the binary format.
-func EncodeBinary(reqs []Request) []byte {
-	buf := make([]byte, binaryHeaderBytes, binaryHeaderBytes+len(reqs)*binaryRecordBytes)
-	var maxLPN int64 = -1
-	for i := range reqs {
-		buf = appendBinaryRecord(buf, &reqs[i])
-		if last := reqs[i].LPN + int64(reqs[i].Pages) - 1; last > maxLPN {
-			maxLPN = last
-		}
-	}
-	putBinaryHeader(buf, int64(len(reqs)), maxLPN)
-	return buf
-}
-
 // EncodeBinarySource drains src into the binary format without
 // materializing a []Request.
 func EncodeBinarySource(src Source) ([]byte, error) {
@@ -72,25 +56,6 @@ func EncodeBinarySource(src Source) ([]byte, error) {
 	}
 	putBinaryHeader(buf, count, maxLPN)
 	return buf, nil
-}
-
-// WriteBinaryFile encodes src to path atomically enough for tooling use
-// (plain write; callers wanting durability can fsync themselves).
-func WriteBinaryFile(path string, src Source) error {
-	data, err := EncodeBinarySource(src)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadBinaryFile loads a binary trace written by WriteBinaryFile.
-func ReadBinaryFile(path string) (*BinarySource, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewBinarySource(data)
 }
 
 func putBinaryHeader(buf []byte, count, maxLPN int64) {
@@ -180,16 +145,4 @@ func (b *BinarySource) Next() (Request, bool, error) {
 		Pages:    int(int32(binary.LittleEndian.Uint32(rec[16:20]))),
 		Op:       Op(rec[20]),
 	}, true, nil
-}
-
-// WriteBinary streams src into w in the binary format. It buffers the
-// whole trace first (the header carries totals), so for very large
-// traces prefer encoding shards separately.
-func WriteBinary(w io.Writer, src Source) error {
-	data, err := EncodeBinarySource(src)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }

@@ -3,15 +3,24 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// encodeReqs encodes a materialized trace through the streaming encoder.
+func encodeReqs(t *testing.T, reqs []Request) []byte {
+	t.Helper()
+	data, err := EncodeBinarySource(Sliced(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestBinaryRoundTrip: encode → decode must reproduce a generated trace
 // record for record, the header must carry the exact count and maximum
-// touched LPN, and the streaming encoder must emit byte-identical
-// output to the materializing one.
+// touched LPN, and encoding the streaming generator must emit the same
+// bytes as encoding its materialized trace.
 func TestBinaryRoundTrip(t *testing.T) {
 	spec, err := WorkloadByName("hm_0")
 	if err != nil {
@@ -23,7 +32,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data := EncodeBinary(reqs)
+	data := encodeReqs(t, reqs)
 	gen, err := NewGenerator(spec, 2000, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +42,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, streamed) {
-		t.Fatal("EncodeBinarySource diverged from EncodeBinary on the same trace")
+		t.Fatal("encoding the generator diverged from encoding its materialized trace")
 	}
 
 	src, err := NewBinarySource(data)
@@ -73,7 +82,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // TestBinaryEmptyTrace: a zero-record trace is valid — header only,
 // MaxLPN sentinel -1.
 func TestBinaryEmptyTrace(t *testing.T) {
-	src, err := NewBinarySource(EncodeBinary(nil))
+	src, err := NewBinarySource(encodeReqs(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestBinaryOpenerResets(t *testing.T) {
 		{ArriveUS: 1, Op: Read, LPN: 10, Pages: 2},
 		{ArriveUS: 2.5, Op: Write, LPN: 640, Pages: 3},
 	}
-	open, err := BinaryOpener(EncodeBinary(reqs))
+	open, err := BinaryOpener(encodeReqs(t, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,42 +120,10 @@ func TestBinaryOpenerResets(t *testing.T) {
 	}
 }
 
-// TestBinaryFileRoundTrip: WriteBinaryFile + ReadBinaryFile preserve
-// the trace.
-func TestBinaryFileRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{ArriveUS: 0, Op: Write, LPN: 0, Pages: 1},
-		{ArriveUS: 7, Op: Read, LPN: 99, Pages: 4},
-	}
-	path := filepath.Join(t.TempDir(), "trace.bin")
-	if err := WriteBinaryFile(path, Sliced(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	src, err := ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
-		t.Fatalf("file round trip decoded %+v", got)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, Sliced(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), EncodeBinary(reqs)) {
-		t.Fatal("WriteBinary diverged from EncodeBinary")
-	}
-}
-
 // TestBinaryValidation: truncated, corrupted and version-skewed inputs
 // are rejected with a diagnostic, never decoded.
 func TestBinaryValidation(t *testing.T) {
-	good := EncodeBinary([]Request{{Op: Read, LPN: 1, Pages: 1}})
+	good := encodeReqs(t, []Request{{Op: Read, LPN: 1, Pages: 1}})
 
 	cases := []struct {
 		name string
