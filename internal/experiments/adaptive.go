@@ -58,6 +58,18 @@ func sensesPerRead(rep *ssdsim.Report) float64 {
 	return float64(rep.FlashReads+rep.TotalRetries+rep.AuxSenses) / float64(rep.FlashReads)
 }
 
+// replayTrace replays a materialized trace on one preconditioned device
+// with exact latency collection.
+func replayTrace(cfg ssdsim.Config, sampler ssdsim.RetrySampler, reqs []trace.Request) (*ssdsim.Report, error) {
+	eng, err := ssdsim.NewEngine(ssdsim.ReplayConfig{
+		Sim: cfg, Shards: 1, CollectLatencies: true, Precondition: true,
+	}, sampler)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Replay(trace.SliceOpener(reqs))
+}
+
 // Adaptive benchmarks the adaptive read stack across the MSR-like trace
 // matrix: the static table and plain sentinel baselines against AR²
 // (pipelined table stepping), the offset-history cache (first shot from
@@ -150,20 +162,9 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		spec := specs[i]
 		spec.WorkingSetPages = int64(simCfg.Geo.PagesTotal()) * 6 / 10
 		spec.MeanIATUS *= 6
-		gen, err := trace.NewGenerator(spec, requests, mathx.Mix(0xada, uint64(len(spec.Name))))
+		reqs, err := trace.Generate(spec, requests, mathx.Mix(0xada, uint64(len(spec.Name))))
 		if err != nil {
 			return nil, err
-		}
-		var reqs []trace.Request
-		for {
-			r, ok, err := gen.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			reqs = append(reqs, r)
 		}
 		// The paced trace measures latency; arrivals dominate its makespan,
 		// so device throughput is measured on a saturated burst (every
@@ -175,14 +176,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		}
 		cells := make([]AdaptiveCell, 0, len(adaptivePolicies))
 		for _, name := range adaptivePolicies {
-			sim, err := ssdsim.New(simCfg, samplers[name])
-			if err != nil {
-				return nil, err
-			}
-			if err := sim.Precondition(reqs); err != nil {
-				return nil, err
-			}
-			rep, err := sim.Run(reqs)
+			rep, err := replayTrace(simCfg, samplers[name], reqs)
 			if err != nil {
 				return nil, err
 			}
@@ -193,18 +187,11 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 				P99ReadUS:  rep.P99ReadUS,
 			}
 			cell.SensesPerRead = sensesPerRead(rep)
-			bsim, err := ssdsim.New(simCfg, samplers[name])
+			brep, err := replayTrace(simCfg, samplers[name], burst)
 			if err != nil {
 				return nil, err
 			}
-			if err := bsim.Precondition(burst); err != nil {
-				return nil, err
-			}
-			brep, err := bsim.Run(burst)
-			if err != nil {
-				return nil, err
-			}
-			if mk := bsim.Makespan(); mk > 0 {
+			if mk := brep.MakespanUS; mk > 0 {
 				cell.SimReqPerSec = float64(brep.Requests) / (mk * 1e-6)
 			}
 			cells = append(cells, cell)

@@ -253,14 +253,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 				CalibDriftHours:    2000,
 				CalibUS:            300,
 			}
-			sim, err := ssdsim.New(cfg, ls)
-			if err != nil {
-				return nil, err
-			}
-			if err := sim.Precondition(reqs); err != nil {
-				return nil, err
-			}
-			rep, err := sim.Run(reqs)
+			rep, err := replayTrace(cfg, ls, reqs)
 			if err != nil {
 				return nil, err
 			}

@@ -101,9 +101,8 @@ func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
 		// down accordingly.
 		spec.MeanIATUS *= 6
 		// Replay through a single-shard engine with exact latency
-		// collection: identical output to Precondition+Run on a plain
-		// Sim, but the trace streams from the generator twice instead of
-		// being materialized.
+		// collection; the trace streams from the generator twice
+		// (precondition pass, replay pass) instead of being materialized.
 		open := trace.GeneratorOpener(spec, requests, mathx.Mix(0x14c, uint64(len(spec.Name))))
 		run := func(sampler ssdsim.RetrySampler) (*ssdsim.Report, error) {
 			eng, err := ssdsim.NewEngine(ssdsim.ReplayConfig{

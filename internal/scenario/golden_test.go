@@ -14,8 +14,12 @@ func TestGoldenParity(t *testing.T) {
 	for _, tc := range []struct{ exp, want string }{
 		{"fig2", "ef6135903f7b556c"},
 		{"fig13", "30d208461a899976"},
+		// The paper matrix's replay experiments (scenarios/paper.json):
+		// both replay materialized traces through the 1-shard engine.
+		{"adaptive", "fa986b4c3bf62107"},
+		{"lifetime", "07b28d539682efed"},
 	} {
-		res, err := RunCell(Spec{Name: tc.exp, Experiment: tc.exp, Scale: "quick"}, RunOptions{})
+		res, err := RunCell(Spec{Name: tc.exp, Experiment: tc.exp, Scale: "quick", Requests: 6000}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

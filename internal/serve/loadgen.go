@@ -104,7 +104,8 @@ type BenchConfig struct {
 	// Tenants are the load streams.
 	Tenants []BenchTenant
 	// Client is the HTTP client (default: keep-alive transport with
-	// generous connection pools).
+	// generous connection pools, whose idle connections RunBench closes
+	// on return; a caller-supplied client is left as is).
 	Client *http.Client
 }
 
@@ -355,10 +356,15 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 		cfg.OpenLoopInflight = 64
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
+		tr := &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 256,
-		}}
+		}
+		// A dialed-but-unused connection stays StateNew on the server,
+		// which http.Server.Shutdown waits on as if it were active; close
+		// the bench's own idle connections so the server can drain.
+		defer tr.CloseIdleConnections()
+		cfg.Client = &http.Client{Transport: tr}
 	}
 	bc := &benchClient{url: cfg.BaseURL, client: cfg.Client}
 

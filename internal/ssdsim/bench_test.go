@@ -89,14 +89,14 @@ func BenchmarkReplaySequential(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim, err := New(cfg, benchSampler())
+		sim, err := newSim(cfg, benchSampler())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Precondition(reqs); err != nil {
+		if err := sim.precondition(reqs); err != nil {
 			b.Fatal(err)
 		}
-		rep, err := sim.Run(reqs)
+		rep, err := sim.run(reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,11 +236,11 @@ func BenchmarkPrecondition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim, err := New(cfg, benchSampler())
+		sim, err := newSim(cfg, benchSampler())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Precondition(reqs); err != nil {
+		if err := sim.precondition(reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

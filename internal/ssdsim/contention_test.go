@@ -11,7 +11,7 @@ import (
 // same channel sense in parallel but serialize their transfers.
 func TestChannelContention(t *testing.T) {
 	cfg := testSSDConfig()
-	s, err := New(cfg, fixedSampler(RetryOutcome{}))
+	s, err := newSim(cfg, fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestChannelContention(t *testing.T) {
 		{Op: trace.Read, LPN: 0, Pages: 1},
 		{Op: trace.Read, LPN: 1, Pages: 1},
 	}
-	if err := s.Precondition(warm); err != nil {
+	if err := s.precondition(warm); err != nil {
 		t.Fatal(err)
 	}
 	ppn0, _ := s.ftl.Translate(0)
@@ -35,7 +35,7 @@ func TestChannelContention(t *testing.T) {
 		{ArriveUS: 0, Op: trace.Read, LPN: 0, Pages: 1},
 		{ArriveUS: 0, Op: trace.Read, LPN: 1, Pages: 1},
 	}
-	rep, err := s.Run(reqs)
+	rep, err := s.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestGCWorkShowsUpInWriteLatency(t *testing.T) {
 		return out
 	}
 	run := func(ws int64, n int) float64 {
-		s, err := New(cfg, fixedSampler(RetryOutcome{}))
+		s, err := newSim(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(mkReqs(ws, n))
+		rep, err := s.run(mkReqs(ws, n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,10 +44,12 @@ type ReplayConfig struct {
 	ChunkRequests int
 	// CollectLatencies switches the report from the O(1)-memory
 	// log-bucketed histogram (the default) to appending every read
-	// latency, reproducing Sim.Run's exact-percentile output.
+	// latency, for exact percentiles.
 	CollectLatencies bool
-	// Precondition makes a first pass over the trace that warms each
-	// target's FTL exactly like Sim.Precondition before the replay pass.
+	// Precondition makes a first pass over the trace that maps every LPN
+	// it touches on each target's FTL, in ascending order and at no
+	// simulated time, so reads hit valid data (SSDSim warms the device
+	// the same way).
 	Precondition bool
 	// Metrics, when non-nil, attaches each (device, shard) target's
 	// simulator to registry shard device*Shards+shard (the registry must
@@ -76,7 +78,12 @@ const defaultChunkRequests = 1 << 17
 // Shards); every target services its sub-stream on its own Sim, and
 // the per-target reports merge in fixed (device, shard) order — so the
 // output is byte-identical at any worker count, and a 1-device 1-shard
-// engine reproduces Sim.Run exactly.
+// engine reproduces a plain in-order replay on one Sim exactly (the
+// package tests keep that sequential loop as their reference).
+//
+// The Engine is the package's only replay entry point: a materialized
+// trace replays through trace.SliceOpener on a 1-shard engine with
+// CollectLatencies and Precondition.
 //
 // An Engine is immutable configuration; each Replay call builds fresh
 // fleet state, so one Engine can replay many traces.
@@ -136,9 +143,7 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 // of the channels, and an RNG stream split from the seed with the same
 // Mix-based scheme the experiment engine uses for its fan-out — first
 // across devices, then across shards, each split skipped at count 1 so
-// a 1-device 1-shard engine keeps the seed untouched and reproduces
-// Sim.Run bit for bit. MaxLPN is cleared: the engine re-derives the
-// per-device bound from the trace and the stripe map (see buildSims).
+// a 1-device 1-shard engine keeps the seed untouched.
 func (c ReplayConfig) targetConfig(d, s int) Config {
 	sub := c.Sim
 	sub.Geo.Channels = c.Sim.Geo.Channels / c.Shards
@@ -150,7 +155,6 @@ func (c ReplayConfig) targetConfig(d, s int) Config {
 		seed = mathx.Mix3(seed, uint64(s), uint64(c.Shards))
 	}
 	sub.Seed = seed
-	sub.MaxLPN = 0
 	sub.Obs = c.Metrics.Set(d*c.Shards + s)
 	return sub
 }
@@ -214,7 +218,9 @@ const preconditionBitmapBudgetBits = int64(1) << 30
 // buildSims constructs the fleet's per-target simulators in target
 // order. globalBound, when positive, is the highest global LPN the
 // trace can touch; it converts through the stripe map into a per-device
-// dense-mapping hint when the fleet-wide budget allows.
+// dense-mapping hint (ftl.SetLPNBound) when the fleet-wide budget
+// allows. The hint is performance-only: reports are byte-identical with
+// and without it.
 func (e *Engine) buildSims(globalBound int64) ([]*Sim, error) {
 	n := e.cfg.Devices * e.cfg.Shards
 	hint := int64(0)
@@ -224,11 +230,12 @@ func (e *Engine) buildSims(globalBound int64) ([]*Sim, error) {
 	sims := make([]*Sim, n)
 	for d := 0; d < e.cfg.Devices; d++ {
 		for s := 0; s < e.cfg.Shards; s++ {
-			cfg := e.cfg.targetConfig(d, s)
-			cfg.MaxLPN = hint
-			sim, err := New(cfg, e.grid)
+			sim, err := newSim(e.cfg.targetConfig(d, s), e.grid)
 			if err != nil {
 				return nil, err
+			}
+			if hint > 0 {
+				sim.ftl.SetLPNBound(hint)
 			}
 			sims[d*e.cfg.Shards+s] = sim
 		}
@@ -251,11 +258,9 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := e.cfg.Sim.MaxLPN
-	if bound == 0 {
-		if m, ok := src.(interface{ MaxLPN() int64 }); ok {
-			bound = m.MaxLPN()
-		}
+	var bound int64
+	if m, ok := src.(interface{ MaxLPN() int64 }); ok {
+		bound = m.MaxLPN()
 	}
 	sims, err := e.buildSims(bound)
 	if err != nil {
@@ -369,8 +374,8 @@ func (e *Engine) newReport() *Report {
 
 // preconditionPass streams the trace once, deduplicating each target's
 // (device-local) LPNs, then warms the target FTLs concurrently. Per
-// target the write order is ascending unique — the same order
-// Sim.Precondition uses — so a 1-target pass is identical to it.
+// target the write order is ascending unique, so the warmed FTL state
+// depends only on the set of LPNs the trace touches.
 // Replicated fleets warm every device with the full trace footprint,
 // since any device can be asked to serve any granule's reads after a
 // failover and every write lands everywhere.

@@ -49,39 +49,54 @@ func engineTrace(t testing.TB, n int) []trace.Request {
 }
 
 // TestEngineGoldenSingleShard: a 1-shard engine with CollectLatencies
-// must reproduce Precondition+Run on a plain Sim field for field,
-// including the exact latency vector and percentiles.
+// must reproduce the sequential reference (precondition + run on a
+// plain Sim) field for field, including the exact latency vector and
+// percentiles. The saturated burst (every request at t=0) makes the
+// makespan pure service capacity, so the DeepEqual also pins MakespanUS
+// against the reference makespan.
 func TestEngineGoldenSingleShard(t *testing.T) {
 	cfg := engineConfig()
-	reqs := engineTrace(t, 5000)
+	paced := engineTrace(t, 5000)
+	burst := slices.Clone(paced)
+	for i := range burst {
+		burst[i].ArriveUS = 0
+	}
+	for _, in := range []struct {
+		name string
+		reqs []trace.Request
+	}{{"paced", paced}, {"burst", burst}} {
+		sim, err := newSim(cfg, benchSampler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.precondition(in.reqs); err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.run(in.reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.MakespanUS != sim.makespan() || want.MakespanUS <= 0 {
+			t.Fatalf("%s: report makespan %v, reference %v", in.name, want.MakespanUS, sim.makespan())
+		}
 
-	sim, err := New(cfg, benchSampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Precondition(reqs); err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng, err := NewEngine(ReplayConfig{
-		Sim: cfg, Shards: 1, CollectLatencies: true, Precondition: true,
-	}, benchSampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Replay(trace.SliceOpener(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("single-shard engine diverged from Sim.Run:\n got %+v\nwant %+v", got, want)
-	}
-	if got.Reads == 0 || got.Writes == 0 {
-		t.Fatalf("degenerate trace: %d reads, %d writes", got.Reads, got.Writes)
+		eng, err := NewEngine(ReplayConfig{
+			Sim: cfg, Shards: 1, CollectLatencies: true, Precondition: true,
+		}, benchSampler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Replay(trace.SliceOpener(in.reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: single-shard engine diverged from the reference:\n got %+v\nwant %+v",
+				in.name, got, want)
+		}
+		if got.Reads == 0 || got.Writes == 0 {
+			t.Fatalf("%s: degenerate trace: %d reads, %d writes", in.name, got.Reads, got.Writes)
+		}
 	}
 }
 

@@ -36,12 +36,12 @@ func TestNewRejectsMismatchedSampler(t *testing.T) {
 	// TLC config (3 bits) with a 2-pool sampler: the old mod-wrap made
 	// this silently sample MSB reads from the LSB pool.
 	e := &EmpiricalSampler{PerPage: [][]RetryOutcome{{{Retries: 1}}, {{Retries: 2}}}}
-	if _, err := New(testSSDConfig(), e); err == nil ||
+	if _, err := newSim(testSSDConfig(), e); err == nil ||
 		!strings.Contains(err.Error(), "page types") {
 		t.Fatalf("accepted 2-pool sampler for 3-bit config (err=%v)", err)
 	}
 	e3 := &EmpiricalSampler{PerPage: make([][]RetryOutcome, 3)}
-	if _, err := New(testSSDConfig(), e3); err != nil {
+	if _, err := newSim(testSSDConfig(), e3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,15 +50,15 @@ func TestReportPropagatesDegradedOutcomes(t *testing.T) {
 	spec, _ := trace.WorkloadByName("hm_0")
 	spec.WorkingSetPages = 1 << 10
 	reqs, _ := trace.Generate(spec, 2000, 3)
-	s, err := New(testSSDConfig(),
+	s, err := newSim(testSSDConfig(),
 		fixedSampler(RetryOutcome{Retries: 3, UsedFallback: true, Uncorrectable: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Precondition(reqs); err != nil {
+	if err := s.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(reqs)
+	rep, err := s.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,14 @@ func TestPEFaultsRetireBlocksInReport(t *testing.T) {
 		FTLEraseFailRate:   0.002,
 	})
 	run := func() (int64, float64) {
-		s, err := New(cfg, fixedSampler(RetryOutcome{}))
+		s, err := newSim(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Precondition(reqs); err != nil {
+		if err := s.precondition(reqs); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(reqs)
+		rep, err := s.run(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

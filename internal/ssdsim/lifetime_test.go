@@ -80,20 +80,21 @@ func TestLifetimeWorkerDeterminism(t *testing.T) {
 }
 
 // TestLifetimeEngineSingleShardMatchesSimRun: the engine must arm and
-// drive the lifetime state exactly like a plain Sim.Precondition+Run.
+// drive the lifetime state exactly like the sequential reference
+// (precondition + run on a plain Sim).
 func TestLifetimeEngineSingleShardMatchesSimRun(t *testing.T) {
 	cfg := engineConfig()
 	cfg.Life = lifeConfig()
 	reqs := engineTrace(t, 5000)
 
-	sim, err := New(cfg, lifeSampler())
+	sim, err := newSim(cfg, lifeSampler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Precondition(reqs); err != nil {
+	if err := sim.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(reqs)
+	want, err := sim.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestLifetimeEngineSingleShardMatchesSimRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("single-shard lifetime engine diverged from Sim.Run:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("single-shard lifetime engine diverged from the reference:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -122,14 +123,14 @@ func TestLifetimeStressEvolves(t *testing.T) {
 	run := func(life *LifetimeConfig) *Report {
 		cfg := engineConfig()
 		cfg.Life = life
-		sim, err := New(cfg, lifeSampler())
+		sim, err := newSim(cfg, lifeSampler())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Precondition(reqs); err != nil {
+		if err := sim.precondition(reqs); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sim.Run(reqs)
+		rep, err := sim.run(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +159,17 @@ func TestCalibrationChargedAsQueueLatency(t *testing.T) {
 	run := func(life *LifetimeConfig) float64 {
 		cfg := engineConfig()
 		cfg.Life = life
-		sim, err := New(cfg, fixedSampler(RetryOutcome{}))
+		sim, err := newSim(cfg, fixedSampler(RetryOutcome{}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		warm := []trace.Request{{ArriveUS: 0, Op: trace.Read, LPN: 7, Pages: 1}}
-		if err := sim.Precondition(warm); err != nil {
+		if err := sim.precondition(warm); err != nil {
 			t.Fatal(err)
 		}
 		// At 1 h/s, the 1-hour calibration period elapses at trace
 		// microsecond 1e6; the read arrives 1 µs after that.
-		rep, err := sim.Run([]trace.Request{
+		rep, err := sim.run([]trace.Request{
 			{ArriveUS: 1e6 + 1, Op: trace.Read, LPN: 7, Pages: 1},
 		})
 		if err != nil {
@@ -198,7 +199,7 @@ func TestFailedEraseWearVisibleInLifetime(t *testing.T) {
 		Seed:             13,
 		FTLEraseFailRate: 0.05,
 	})
-	sim, err := New(cfg, lifeSampler())
+	sim, err := newSim(cfg, lifeSampler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestFailedEraseWearVisibleInLifetime(t *testing.T) {
 			Pages:    1,
 		})
 	}
-	rep, err := sim.Run(reqs)
+	rep, err := sim.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +237,15 @@ func TestFailedEraseWearVisibleInLifetime(t *testing.T) {
 // frozen golden cells; here we pin the zero value).
 func TestFrozenReportUnchangedByLifetimeCode(t *testing.T) {
 	cfg := engineConfig()
-	sim, err := New(cfg, benchSampler())
+	sim, err := newSim(cfg, benchSampler())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := engineTrace(t, 2000)
-	if err := sim.Precondition(reqs); err != nil {
+	if err := sim.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sim.Run(reqs)
+	rep, err := sim.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +292,11 @@ func checkPoolCache(t *testing.T, reqs []trace.Request, life *LifetimeConfig, wa
 	cfg := engineConfig()
 	cfg.Life = life
 	ls := lifeSampler()
-	sim, err := New(cfg, ls)
+	sim, err := newSim(cfg, ls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Precondition(reqs); err != nil {
+	if err := sim.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
 	sim.beginReplay()

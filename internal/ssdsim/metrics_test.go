@@ -209,14 +209,14 @@ func TestSimRunWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry(1)
 	cfg.Obs = reg.Set(0)
 	reqs := engineTrace(t, 5000)
-	sim, err := New(cfg, benchSampler())
+	sim, err := newSim(cfg, benchSampler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Precondition(reqs); err != nil {
+	if err := sim.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sim.Run(reqs)
+	rep, err := sim.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,11 @@ func TestFleetMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	sim, err := New(cfg, sampler)
+	sim, err := newSim(cfg, sampler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Precondition([]trace.Request{{Op: trace.Write, LPN: 0, Pages: premap}}); err != nil {
+	if err := sim.precondition([]trace.Request{{Op: trace.Write, LPN: 0, Pages: premap}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestFleetMatchesReplay(t *testing.T) {
 		// Arrivals far enough apart that every read finds the device idle.
 		reqs = append(reqs, trace.Request{ArriveUS: float64(i) * 1e4, Op: trace.Read, LPN: lpn, Pages: 1})
 	}
-	rep, err := sim.Run(reqs)
+	rep, err := sim.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

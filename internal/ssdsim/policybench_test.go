@@ -132,18 +132,18 @@ func benchPolicyReplay(b *testing.B, pool *EmpiricalSampler) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim, err := New(cfg, pool)
+		sim, err := newSim(cfg, pool)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Precondition(reqs); err != nil {
+		if err := sim.precondition(reqs); err != nil {
 			b.Fatal(err)
 		}
-		rep, err := sim.Run(reqs)
+		rep, err := sim.run(reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if mk := sim.Makespan(); mk > 0 {
+		if mk := sim.makespan(); mk > 0 {
 			b.ReportMetric(float64(rep.Requests)/(mk*1e-6), "sim-req/s")
 		}
 	}

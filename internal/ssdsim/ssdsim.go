@@ -181,14 +181,6 @@ type Config struct {
 	EraseUS   float64
 	// Seed drives retry sampling.
 	Seed uint64
-	// MaxLPN, when positive, is the highest logical page the trace can
-	// touch. It is purely a performance hint: the FTL sizes a dense
-	// mapping array from it (LPNs above the bound fall back to the map)
-	// and the precondition pass deduplicates with a bitmap instead of a
-	// sort. Reports are byte-identical with and without it. The replay
-	// engine fills it automatically from sources that know their bound
-	// (the synthetic generator, the binary trace format).
-	MaxLPN int64
 	// PEFaults optionally injects program/erase failures into the FTL
 	// (see internal/fault); retired blocks are counted in the report.
 	PEFaults ftl.PEFaultModel
@@ -264,6 +256,12 @@ type Report struct {
 	// ReportSummary so the golden digests' field set is unchanged.
 	FlashReads int64
 	AuxSenses  int64
+	// MakespanUS is the simulated completion time of all flash work, µs:
+	// the latest die/channel busy-until time over every target. For a
+	// saturating burst (every request at t=0), Requests/MakespanUS is
+	// the device's simulated throughput — the policy-sensitive
+	// counterpart of wall-clock req/s. Outside ReportSummary, like Life.
+	MakespanUS float64
 	// PerDevice holds one summary per fleet device, in device order,
 	// when the replay engine ran with Devices > 1; nil otherwise (a
 	// single-device replay is byte-identical to the pre-fleet engine,
@@ -289,11 +287,10 @@ type ReportSummary struct {
 	Reads    int
 	Writes   int
 	// ReadLatencies holds every read request's latency in replay order,
-	// µs. Sim.Run (and the engine with CollectLatencies) fills it and
-	// derives exact percentiles from it; in the engine's default
-	// histogram mode it is nil and the percentiles are bucket-resolution
-	// (see mathx.LogHist), keeping memory O(shards) in the request
-	// count.
+	// µs. The engine with CollectLatencies fills it and derives exact
+	// percentiles from it; in its default histogram mode it is nil and
+	// the percentiles are bucket-resolution (see mathx.LogHist), keeping
+	// memory O(shards) in the request count.
 	ReadLatencies []float64
 	MeanReadUS    float64
 	P95ReadUS     float64
@@ -363,6 +360,7 @@ func (r *Report) merge(o *Report) {
 	r.RetiredBlocks += o.RetiredBlocks
 	r.UnmappedReads += o.UnmappedReads
 	r.ReorderedArrivals += o.ReorderedArrivals
+	r.MakespanUS = max(r.MakespanUS, o.MakespanUS)
 	r.Life.mergeLife(o.Life)
 }
 
@@ -461,8 +459,9 @@ func checkSampler(cfg Config, sampler RetrySampler) (*LifetimeSampler, error) {
 	return g, nil
 }
 
-// New builds a simulator.
-func New(cfg Config, sampler RetrySampler) (*Sim, error) {
+// newSim builds a simulator. Only the replay Engine builds them, one per
+// (device, shard) target.
+func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -473,9 +472,6 @@ func New(cfg Config, sampler RetrySampler) (*Sim, error) {
 	f, err := ftl.New(cfg.Geo)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxLPN > 0 {
-		f.SetLPNBound(cfg.MaxLPN)
 	}
 	f.Faults = cfg.PEFaults
 	f.Obs = ftl.NewMetrics(cfg.Obs)
@@ -625,83 +621,15 @@ func (d *lpnDedup) each(fn func(lpn int64) error) error {
 	return nil
 }
 
-// preconditionBitmapMaxLPN caps the bound the slice Precondition will
-// derive on its own: a 1<<27-page universe is a 16 MiB bitmap. Sparser
-// traces use the sort path (or set Config.MaxLPN explicitly).
-const preconditionBitmapMaxLPN = 1 << 27
-
-// Precondition maps every LPN a trace will read, so reads hit valid data
-// (SSDSim warms the device the same way). It costs no simulated time.
-// The trace is in hand, so the LPN bound is scanned from it and compact
-// traces dedup with a bitmap instead of a sort.
-func (s *Sim) Precondition(reqs []trace.Request) error {
-	bound := s.cfg.MaxLPN
-	if bound == 0 {
-		var max int64 = -1
-		for i := range reqs {
-			if last := reqs[i].LPN + int64(reqs[i].Pages) - 1; last > max {
-				max = last
-			}
-		}
-		if max >= 0 && max < preconditionBitmapMaxLPN {
-			bound = max
-		}
-	}
-	d := newLPNDedup(bound)
-	for i := range reqs {
-		d.addRange(reqs[i].LPN, reqs[i].Pages)
-	}
-	return d.each(func(lpn int64) error {
-		return s.ftl.WriteInto(lpn, &s.wres)
-	})
-}
-
-// Run services the requests in arrival order and returns the report
-// with full latency collection and exact percentiles. Within a request,
-// page operations are issued in order; the request completes when its
-// last page does. For multi-million-request traces prefer the sharded
-// streaming Engine, which bounds memory and parallelizes across shards.
-func (s *Sim) Run(reqs []trace.Request) (*Report, error) {
-	rep := &Report{collect: true}
-	s.beginReplay()
-	if err := s.replay(trace.Sliced(reqs), rep); err != nil {
-		return nil, err
-	}
-	s.flushMetrics()
-	s.flushCounters(rep)
-	rep.finalize()
-	return rep, nil
-}
-
-// replay services src's requests in order, accumulating into rep. It
-// neither reads the FTL's cumulative counters nor finalizes, so the
-// engine can call it once per demuxed chunk and settle the report at
-// the end of the run. Metric deltas publish on a paced schedule keyed
-// to source drains (the engine's chunking), with an unconditional
-// flushMetrics at end of run settling the exact totals.
-func (s *Sim) replay(src trace.Source, rep *Report) error {
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			s.met.chunkDrained()
-			s.ftl.FlushObs()
-			return nil
-		}
-		if err := s.service(r, rep); err != nil {
-			return err
-		}
-	}
-}
-
-// replaySlice is replay over a materialized block of requests: the
-// engine's block handoff recycles fixed-size arrays through a freelist,
-// and servicing them directly skips a Source interface call per
-// request. Draining a block counts as one chunk drain for the paced
-// metric flush, exactly like replay's source drain — so the flush
-// schedule stays a pure function of the demuxed stream.
+// replaySlice services a materialized block of requests in order,
+// accumulating into rep. It neither reads the FTL's cumulative counters
+// nor finalizes, so the engine calls it once per demuxed block and
+// settles the report at the end of the run. The engine's block handoff
+// recycles fixed-size arrays through a freelist, and servicing them
+// directly skips a Source interface call per request. Draining a block
+// counts as one chunk drain for the paced metric flush — so the flush
+// schedule stays a pure function of the demuxed stream — and an
+// unconditional flushMetrics at end of run settles the exact totals.
 func (s *Sim) replaySlice(reqs []trace.Request, rep *Report) error {
 	for i := range reqs {
 		if err := s.service(reqs[i], rep); err != nil {
@@ -753,8 +681,8 @@ func (s *Sim) service(r trace.Request, rep *Report) error {
 }
 
 // beginReplay marks the end of preconditioning: from here on, erase
-// wear counts against the per-block lifetime state. Sim.Run and the
-// engine's replay pass call it; preconditioning happens before it.
+// wear counts against the per-block lifetime state. The engine's replay
+// pass calls it; preconditioning happens before it.
 func (s *Sim) beginReplay() {
 	if s.life != nil {
 		s.life.armed = true
@@ -762,12 +690,13 @@ func (s *Sim) beginReplay() {
 }
 
 // flushCounters copies the FTL's cumulative counters (which include
-// preconditioning work) into the report.
+// preconditioning work) and the makespan into the report.
 func (s *Sim) flushCounters(rep *Report) {
 	rep.GCWrites = s.ftl.GCWrites
 	rep.RetiredBlocks = s.ftl.BadBlocks
+	rep.MakespanUS = s.makespan()
 	if s.life != nil {
-		s.life.finish(rep, s.cfg.Obs, s.Makespan())
+		s.life.finish(rep, s.cfg.Obs, rep.MakespanUS)
 	}
 }
 
@@ -857,13 +786,10 @@ func (s *Sim) writePage(arrive float64, lpn int64) (float64, error) {
 	return progEnd, nil
 }
 
-// Makespan returns the simulated completion time of all flash work
-// issued so far: the maximum die/channel busy-until time. For a
-// saturating burst, requests/Makespan is the device's simulated
-// throughput — the policy-sensitive counterpart of wall-clock req/s,
-// which only measures the host-side replay loop and is identical for
-// any two samplers of the same pool sizes.
-func (s *Sim) Makespan() float64 {
+// makespan returns the simulated completion time of all flash work
+// issued so far: the maximum die/channel busy-until time (see
+// Report.MakespanUS).
+func (s *Sim) makespan() float64 {
 	var m float64
 	for _, t := range s.dieFree {
 		if t > m {

@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted zero program time")
 	}
-	if _, err := New(testSSDConfig(), nil); err == nil {
+	if _, err := newSim(testSSDConfig(), nil); err == nil {
 		t.Fatal("accepted nil sampler")
 	}
 }
@@ -60,14 +60,14 @@ func TestReadLatencyScalesWithRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(retries int) float64 {
-		s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{Retries: retries}))
+		s, err := newSim(testSSDConfig(), fixedSampler(RetryOutcome{Retries: retries}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Precondition(reqs); err != nil {
+		if err := s.precondition(reqs); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(reqs)
+		rep, err := s.run(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,14 +83,14 @@ func TestReportStatistics(t *testing.T) {
 	spec, _ := trace.WorkloadByName("hm_0")
 	spec.WorkingSetPages = 1 << 12
 	reqs, _ := trace.Generate(spec, 5000, 2)
-	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
+	s, err := newSim(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Precondition(reqs); err != nil {
+	if err := s.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(reqs)
+	rep, err := s.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestReportStatistics(t *testing.T) {
 
 func TestUnmappedReadCheap(t *testing.T) {
 	cfg := testSSDConfig()
-	s, err := New(cfg, fixedSampler(RetryOutcome{Retries: 9}))
+	s, err := newSim(cfg, fixedSampler(RetryOutcome{Retries: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := []trace.Request{{ArriveUS: 0, Op: trace.Read, LPN: 1234, Pages: 2}}
-	rep, err := s.Run(reqs)
+	rep, err := s.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestPreconditionSortedDedup(t *testing.T) {
 		{Op: trace.Read, LPN: 91, Pages: 2}, // overlaps the first request
 		{Op: trace.Read, LPN: 5, Pages: 1},  // exact duplicate
 	}
-	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
+	s, err := newSim(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Precondition(reqs); err != nil {
+	if err := s.precondition(reqs); err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{5, 6, 90, 91, 92}
@@ -170,19 +170,19 @@ func TestPreconditionSortedDedup(t *testing.T) {
 
 func TestQueueingDelaysBursts(t *testing.T) {
 	// Two back-to-back reads of the same page must queue on the die.
-	s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{}))
+	s, err := newSim(testSSDConfig(), fixedSampler(RetryOutcome{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pre := []trace.Request{{Op: trace.Read, LPN: 0, Pages: 1}}
-	if err := s.Precondition(pre); err != nil {
+	if err := s.precondition(pre); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []trace.Request{
 		{ArriveUS: 0, Op: trace.Read, LPN: 0, Pages: 1},
 		{ArriveUS: 0, Op: trace.Read, LPN: 0, Pages: 1},
 	}
-	rep, err := s.Run(reqs)
+	rep, err := s.run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,14 +270,14 @@ func TestDeterministicRuns(t *testing.T) {
 	spec.WorkingSetPages = 1 << 12
 	reqs, _ := trace.Generate(spec, 2000, 5)
 	run := func() float64 {
-		s, err := New(testSSDConfig(), fixedSampler(RetryOutcome{Retries: 2}))
+		s, err := newSim(testSSDConfig(), fixedSampler(RetryOutcome{Retries: 2}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Precondition(reqs); err != nil {
+		if err := s.precondition(reqs); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(reqs)
+		rep, err := s.run(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
