@@ -182,32 +182,20 @@ type CombinedAblationResult struct {
 // AblateCombined measures the Section V extension: starting reads at the
 // tracked per-block voltages and falling back to sentinel inference.
 func AblateCombined(s Scale) (*CombinedAblationResult, error) {
-	model, err := s.TrainModel(flash.TLC, 113)
+	tb, err := s.Testbed(flash.TLC, 113, 233, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 233)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 233, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
+	chip, ctl := tb.Chip, tb.Ctl
 	tracking := retry.NewTracking(retry.NewDefaultTable(chip, s.TableStep))
 	if err := tracking.UpdateBlock(chip, 0, 0); err != nil {
 		return nil, err
 	}
-	sent := retry.NewSentinelPolicy(eng)
+	sent := retry.NewSentinelPolicy(tb.Eng)
 	combined := retry.NewCombined(tracking, sent)
 	res := &CombinedAblationResult{}
 	msb := chip.Coding().Bits() - 1
-	n := cfg.WordlinesPerBlock()
+	n := tb.Cfg.WordlinesPerBlock()
 	type wlRead struct{ sent, combined retry.Result }
 	for _, r := range parallel.Map(n, func(wl int) wlRead {
 		return wlRead{

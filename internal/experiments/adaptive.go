@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
@@ -83,73 +81,27 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 	if requests <= 0 {
 		requests = 6000
 	}
-	model, err := s.TrainModel(flash.TLC, 114)
+	tb, err := s.Testbed(flash.TLC, 114, 214, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 214)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 214, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	var wls []int
-	nwl := cfg.WordlinesPerBlock()
-	step := nwl / 16
-	if step < 1 {
-		step = 1
-	}
-	for wl := 0; wl < nwl; wl += step {
-		wls = append(wls, wl)
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	sent := retry.NewSentinelPolicy(eng)
-	newCache := func() (*retry.HistCache, error) {
-		cache, err := retry.NewHistCache(4, 64<<10, chip.Coding().NumVoltages(), eng.OffsetBound())
+	wls := tb.spreadWLs()
+	samplers := make(map[string]*ssdsim.EmpiricalSampler, len(adaptivePolicies))
+	for i, name := range adaptivePolicies {
+		pol, err := tb.Policy(name)
 		if err != nil {
 			return nil, err
 		}
-		retry.WarmHistCache(cache, chip, eng, []int{0}, wls[0], 0x9157)
-		return cache, nil
-	}
-	histCache, err := newCache()
-	if err != nil {
-		return nil, err
-	}
-	combCache, err := newCache()
-	if err != nil {
-		return nil, err
-	}
-	policies := map[string]retry.Policy{
-		"table":            table,
-		"sentinel":         sent,
-		"ar2":              retry.NewAR2(table),
-		"history":          retry.NewHistoryPolicy(histCache, table, false),
-		"sentinel+history": retry.NewSentinelHistory(combCache, sent, false),
-	}
-	samplers := make(map[string]*ssdsim.EmpiricalSampler, len(policies))
-	for i, name := range adaptivePolicies {
-		sampler, err := ssdsim.BuildSampler(ctl, policies[name], 0, wls, 3, 0xad0+uint64(i))
+		sampler, err := ssdsim.BuildSampler(tb.Ctl, pol, 0, wls, 3, 0xad0+uint64(i))
 		if err != nil {
 			return nil, err
 		}
 		samplers[name] = sampler
 	}
 
-	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	simCfg := TraceDevice()
 	res := &AdaptiveResult{Requests: requests}
-	msb := chip.Coding().Bits() - 1
+	msb := tb.Chip.Coding().Bits() - 1
 	for _, name := range adaptivePolicies {
 		pool := samplers[name]
 		res.MSBPoolSenses = append(res.MSBPoolSenses,

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
@@ -131,8 +129,8 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	if requests <= 0 {
 		requests = 6000
 	}
-	model, err := s.TrainModel(flash.TLC, 114)
-	if err != nil {
+	// Train once before the fan-out so every grid point shares the model.
+	if _, err := s.TrainModel(flash.TLC, 114); err != nil {
 		return nil, err
 	}
 
@@ -149,43 +147,18 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	points, err := parallel.MapErr(len(ages)*nHours, func(pi int) (*lifetimeGridPoint, error) {
 		age := ages[pi/nHours]
 		hours := grids[pi/nHours][pi%nHours]
-		seed := mathx.Mix(0x11fe, uint64(pi))
-		cfg := s.ChipConfig(flash.TLC, seed)
-		eng, err := s.Engine(model, cfg)
+		tb, err := s.Testbed(flash.TLC, 114, mathx.Mix(0x11fe, uint64(pi)), age.PE, hours)
 		if err != nil {
 			return nil, err
 		}
-		chip, err := s.BuildEvalChip(flash.TLC, seed, eng, age.PE, hours)
-		if err != nil {
-			return nil, err
-		}
-		ctl, err := s.Controller(chip, s.MaxRetries)
-		if err != nil {
-			return nil, err
-		}
-		var wls []int
-		nwl := cfg.WordlinesPerBlock()
-		step := nwl / 16
-		if step < 1 {
-			step = 1
-		}
-		for wl := 0; wl < nwl; wl += step {
-			wls = append(wls, wl)
-		}
-		sent := retry.NewSentinelPolicy(eng)
-		cache, err := retry.NewHistCache(4, 64<<10, chip.Coding().NumVoltages(), eng.OffsetBound())
-		if err != nil {
-			return nil, err
-		}
-		retry.WarmHistCache(cache, chip, eng, []int{0}, wls[0], 0x9157)
-		policies := map[string]retry.Policy{
-			"table":            retry.NewDefaultTable(chip, s.TableStep),
-			"sentinel":         sent,
-			"sentinel+history": retry.NewSentinelHistory(cache, sent, false),
-		}
+		wls := tb.spreadWLs()
 		pt := &lifetimeGridPoint{}
 		for i, name := range lifetimePolicies {
-			pool, err := ssdsim.BuildSampler(ctl, policies[name], 0, wls, 3, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
+			pol, err := tb.Policy(name)
+			if err != nil {
+				return nil, err
+			}
+			pool, err := ssdsim.BuildSampler(tb.Ctl, pol, 0, wls, 3, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
 			if err != nil {
 				return nil, err
 			}
@@ -197,11 +170,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 		return nil, err
 	}
 
-	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	simCfg := TraceDevice()
 	// One read-heavy workload, materialized once: every (age, schedule,
 	// policy) cell replays the identical trace, isolating the lifetime
 	// axes.

@@ -31,32 +31,19 @@ type Fig13Result struct {
 // at P/E 5000 with one-year retention, read wordline by wordline with the
 // static vendor table versus the sentinel policy.
 func Fig13RetryCount(s Scale) (*Fig13Result, error) {
-	model, err := s.TrainModel(flash.TLC, 113)
+	tb, err := s.Testbed(flash.TLC, 113, 213, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 213)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 213, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	sent := retry.NewSentinelPolicy(eng)
+	table := retry.NewDefaultTable(tb.Chip, s.TableStep)
+	sent := retry.NewSentinelPolicy(tb.Eng)
 	res := &Fig13Result{}
-	msb := chip.Coding().Bits() - 1
+	msb := tb.Chip.Coding().Bits() - 1
 	type wlRead struct{ table, sent retry.Result }
-	reads := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) wlRead {
+	reads := parallel.Map(tb.Cfg.WordlinesPerBlock(), func(wl int) wlRead {
 		return wlRead{
-			table: ctl.Read(0, wl, msb, table, mathx.Mix(0x13a, uint64(wl))),
-			sent:  ctl.Read(0, wl, msb, sent, mathx.Mix(0x13b, uint64(wl))),
+			table: tb.Ctl.Read(0, wl, msb, table, mathx.Mix(0x13a, uint64(wl))),
+			sent:  tb.Ctl.Read(0, wl, msb, sent, mathx.Mix(0x13b, uint64(wl))),
 		}
 	})
 	for _, r := range reads {
@@ -129,27 +116,15 @@ var MethodNames = [4]string{"default", "inferred", "calibrated", "optimal"}
 // and measures the error count of every read voltage per wordline under
 // default, inferred, calibrated, tracked, and optimal offsets.
 func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
-	model, err := s.TrainModel(kind, 116)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.ChipConfig(kind, 216)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
 	pe := 5000
 	if kind == flash.QLC {
 		pe = 1000
 	}
-	chip, err := s.BuildEvalChip(kind, 216, eng, pe, physics.YearHours)
+	tb, err := s.Testbed(kind, 116, 216, pe, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
+	chip, eng := tb.Chip, tb.Eng
 	lab := charlab.New(chip)
 	sent := retry.NewSentinelPolicy(eng)
 	tracking := retry.NewTracking(retry.NewDefaultTable(chip, s.TableStep))
@@ -161,8 +136,8 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 	nv := chip.Coding().NumVoltages()
 	res := &ErrCompResult{Kind: kind}
 	msb := chip.Coding().Bits() - 1
-	sv := model.SentinelVoltage
-	nwl := cfg.WordlinesPerBlock()
+	sv := eng.Model.SentinelVoltage
+	nwl := tb.Cfg.WordlinesPerBlock()
 	for m := range res.Errors {
 		res.Errors[m] = make([][]int, nv)
 		for v := 0; v < nv; v++ {
@@ -180,7 +155,7 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 		// Calibrated = the offsets the full read flow ends at. When the
 		// read fails outright, the controller reverts to the inferred
 		// voltages (the best information it holds), so measure those.
-		rr := ctl.Read(0, wl, msb, sent, mathx.Mix(0x15b, uint64(wl)))
+		rr := tb.Ctl.Read(0, wl, msb, sent, mathx.Mix(0x15b, uint64(wl)))
 		calibrated := rr.FinalOffsets
 		if calibrated == nil || !rr.OK {
 			calibrated = inferred

@@ -52,23 +52,11 @@ type RobustnessResult struct {
 // per-wordline fan-out uses index-addressed slots, so the result is
 // byte-identical at any worker count.
 func CorruptionSweep(s Scale) (*RobustnessResult, error) {
-	model, err := s.TrainModel(flash.TLC, 117)
+	tb, err := s.Testbed(flash.TLC, 117, 217, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 217)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 217, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
+	cfg, eng, chip, ctl := tb.Cfg, tb.Eng, tb.Chip, tb.Ctl
 	table := retry.NewDefaultTable(chip, s.TableStep)
 	bare := retry.NewSentinelPolicy(eng)
 	// The sentinels live at the tail of the wordline; corrupt exactly that

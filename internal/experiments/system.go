@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
@@ -41,49 +40,21 @@ func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
 	if requests <= 0 {
 		requests = 6000
 	}
-	model, err := s.TrainModel(flash.TLC, 114)
+	tb, err := s.Testbed(flash.TLC, 114, 214, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 214)
-	eng, err := s.Engine(model, cfg)
+	wls := tb.spreadWLs()
+	baseSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewDefaultTable(tb.Chip, s.TableStep), 0, wls, 3, 0x14a)
 	if err != nil {
 		return nil, err
 	}
-	chip, err := s.BuildEvalChip(flash.TLC, 214, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	// Sample retry outcomes over a spread of wordlines.
-	var wls []int
-	nwl := cfg.WordlinesPerBlock()
-	step := nwl / 16
-	if step < 1 {
-		step = 1
-	}
-	for wl := 0; wl < nwl; wl += step {
-		wls = append(wls, wl)
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	sent := retry.NewSentinelPolicy(eng)
-	baseSampler, err := ssdsim.BuildSampler(ctl, table, 0, wls, 3, 0x14a)
-	if err != nil {
-		return nil, err
-	}
-	sentSampler, err := ssdsim.BuildSampler(ctl, sent, 0, wls, 3, 0x14b)
+	sentSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewSentinelPolicy(tb.Eng), 0, wls, 3, 0x14b)
 	if err != nil {
 		return nil, err
 	}
 
-	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	simCfg := TraceDevice()
 	res := &Fig14Result{
 		TableMSBRetries: baseSampler.MeanRetries(2),
 		SentMSBRetries:  sentSampler.MeanRetries(2),

@@ -104,20 +104,8 @@ func (p *AR2Policy) Name() string { return "ar2" }
 
 // Session implements Policy.
 func (p *AR2Policy) Session(env *Env) Session {
-	return ar2Session{p: p.Table, nv: env.Coding().NumVoltages()}
+	return tableSession{p: p.Table, nv: env.Coding().NumVoltages(), pipelined: true}
 }
-
-type ar2Session struct {
-	p  *DefaultTablePolicy
-	nv int
-}
-
-func (s ar2Session) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	return s.p.Entry(k, s.nv), true
-}
-
-// Pipelined implements PipelinedSession.
-func (ar2Session) Pipelined() bool { return true }
 
 // ---------------------------------------------------------------------------
 // Sentinel + history — cache-seeded first shot, sentinel recovery.
@@ -151,10 +139,11 @@ func (p *SentinelHistoryPolicy) Session(env *Env) Session {
 	} else {
 		env.met.cacheMiss()
 	}
-	return &sentinelHistorySession{
-		p: p, env: env, cached: cached,
-		sentinel: p.Sentinel.Session(env).(*sentinelSession),
-	}
+	sent := p.Sentinel.Session(env).(*sentinelSession)
+	// Same subtlety as CombinedPolicy: a first attempt at cached offsets
+	// leaves no default-voltage LSB readout to reuse.
+	sent.senseLSB = cached != nil
+	return &sentinelHistorySession{p: p, env: env, cached: cached, sentinel: sent}
 }
 
 type sentinelHistorySession struct {
@@ -167,14 +156,6 @@ type sentinelHistorySession struct {
 func (s *sentinelHistorySession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.Offsets) (flash.Offsets, bool) {
 	if k == 0 && s.cached != nil {
 		return s.cached, true
-	}
-	// Delegate to the sentinel session, with the same subtlety as
-	// CombinedPolicy: when the first attempt applied cached (non-default)
-	// offsets, an LSB readout was not taken at the default sentinel
-	// voltage, so it cannot be reused as the default-voltage sense —
-	// force the auxiliary read instead.
-	if k >= 1 && s.cached != nil && s.env.Page == flash.PageLSB {
-		return s.sentinel.nextWithAuxSense(k, priorOfs)
 	}
 	return s.sentinel.NextOffsets(k, prior, priorOfs)
 }

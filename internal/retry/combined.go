@@ -24,10 +24,13 @@ func (p *CombinedPolicy) Name() string { return "tracking+sentinel" }
 
 // Session implements Policy.
 func (p *CombinedPolicy) Session(env *Env) Session {
-	return &combinedSession{
-		tracked:  p.Tracking.Tracked(env.B),
-		sentinel: p.Sentinel.Session(env).(*sentinelSession),
-	}
+	tracked := p.Tracking.Tracked(env.B)
+	sent := p.Sentinel.Session(env).(*sentinelSession)
+	// The sentinel k=1 step measures the error difference at the *default*
+	// sentinel voltage. An LSB readout taken at the tracked offsets
+	// cannot stand in for that sense, so force the auxiliary read.
+	sent.senseLSB = tracked != nil
+	return &combinedSession{tracked: tracked, sentinel: sent}
 }
 
 type combinedSession struct {
@@ -39,39 +42,5 @@ func (s *combinedSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 	if k == 0 && s.tracked != nil {
 		return s.tracked, true
 	}
-	// Delegate to the sentinel session. Its k=1 step measures the error
-	// difference at the *default* sentinel voltage; the tracked first
-	// attempt applied a different offset there, so for non-LSB pages it
-	// performs the auxiliary default-voltage sense as usual. For LSB
-	// pages the prior readout was taken at the tracked offset, so it
-	// cannot be reused as the default-voltage sense — force the auxiliary
-	// read by presenting the page as non-reusable.
-	if k >= 1 && s.tracked != nil && s.sentinel.env.Page == flash.PageLSB {
-		return s.sentinel.nextWithAuxSense(k, priorOfs)
-	}
 	return s.sentinel.NextOffsets(k, prior, priorOfs)
-}
-
-// nextWithAuxSense mirrors sentinelSession.NextOffsets but always obtains
-// sentinel-voltage senses through auxiliary reads (used when the prior
-// readout was taken at non-default offsets).
-func (s *sentinelSession) nextWithAuxSense(k int, _ flash.Offsets) (flash.Offsets, bool) {
-	eng := s.p.Engine
-	sv := eng.Model.SentinelVoltage
-	switch {
-	case k == 1:
-		s.defaultSense = s.env.Sense(sv, 0)
-		d, ofs := eng.Infer(s.defaultSense)
-		s.lastD = d
-		s.sentOfs = ofs.Get(sv)
-		return ofs, true
-	default:
-		if k-1 > eng.Cal.MaxSteps {
-			return nil, false
-		}
-		curSense := s.env.Sense(sv, s.sentOfs)
-		newOfs, vec := eng.CalibrationStep(s.sentOfs, s.defaultSense, curSense)
-		s.sentOfs = newOfs
-		return vec, true
-	}
 }

@@ -58,9 +58,11 @@ func (p *DefaultTablePolicy) Session(env *Env) Session {
 	return tableSession{p: p, nv: env.Coding().NumVoltages()}
 }
 
+// tableSession walks the vendor table; AR2Policy sets pipelined.
 type tableSession struct {
-	p  *DefaultTablePolicy
-	nv int
+	p         *DefaultTablePolicy
+	nv        int
+	pipelined bool
 }
 
 // Entry returns table entry k (k=0 is factory defaults).
@@ -82,6 +84,9 @@ func (p *DefaultTablePolicy) Entry(k, nv int) flash.Offsets {
 func (s tableSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
 	return s.p.Entry(k, s.nv), true
 }
+
+// Pipelined implements PipelinedSession.
+func (s tableSession) Pipelined() bool { return s.pipelined }
 
 // ---------------------------------------------------------------------------
 // Tracking — the HPCA'15-style baseline.
@@ -239,6 +244,11 @@ type sentinelSession struct {
 
 	defaultSense flash.Bitmap
 	sentOfs      float64
+	// senseLSB forces auxiliary sentinel-voltage senses on LSB pages
+	// too: set when the first attempt read at non-default (warm)
+	// offsets, so the LSB readout was not taken at the voltages the
+	// inference and calibration steps expect.
+	senseLSB bool
 	// lastD is the error-difference rate measured at attempt 1; the
 	// fallback guard reads it to judge whether the measurement was inside
 	// the model's training domain.
@@ -268,7 +278,7 @@ func (s *sentinelSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 		return flash.ZeroOffsets(nv), true
 	case k == 1:
 		// Measure the error difference at the default sentinel voltage.
-		if s.env.Page == flash.PageLSB {
+		if s.env.Page == flash.PageLSB && !s.senseLSB {
 			s.defaultSense = s.env.senseFromLSBReadout(prior)
 		} else {
 			s.defaultSense = s.env.Sense(sv, 0)
@@ -285,7 +295,7 @@ func (s *sentinelSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 		// attempt already applied the sentinel voltage at that offset, so
 		// its readout is reused for free.
 		var curSense flash.Bitmap
-		if s.env.Page == flash.PageLSB {
+		if s.env.Page == flash.PageLSB && !s.senseLSB {
 			curSense = s.env.senseFromLSBReadout(prior)
 		} else {
 			curSense = s.env.Sense(sv, s.sentOfs)

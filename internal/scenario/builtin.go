@@ -2,17 +2,16 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"sentinel3d/internal/charlab"
 	"sentinel3d/internal/experiments"
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
@@ -139,31 +138,14 @@ func init() {
 		PerKind: true, Run: runCharlab})
 }
 
-// defaultReplayGeometry is the 4-channel device tracesim has always
-// replayed against; cells override it with a DeviceSpec.
-func defaultReplayGeometry() ftl.Geometry {
-	return ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
-}
-
 // chipPrep is the shared preconditioning of chip-backed replay cells:
-// a trained model, an aged evaluation chip, its retry controller and
-// the static-table policy. Cells differing only in policy, workload,
-// shard count or request count share one chipPrep.
+// the aged-chip testbed and the wordlines its pools sample. Cells
+// differing only in policy, workload, shard count or request count
+// share one chipPrep.
 type chipPrep struct {
-	cfg   flash.Config
-	chip  *flash.Chip
-	ctl   *retry.Controller
-	eng   *retrySentinel
-	table *retry.DefaultTablePolicy
-	wls   []int
+	tb  *experiments.Testbed
+	wls []int
 }
-
-// retrySentinel bundles the sentinel engine so chipPrep stays a single
-// value in the shared cache.
-type retrySentinel struct{ eng *retry.SentinelPolicy }
 
 // prepKey is the dedup signature of the chip-level preconditioning.
 // The seeds below are fixed (like every experiment's internal seeds),
@@ -186,16 +168,9 @@ func replayStress(spec Spec) (int, float64) {
 	return pe, hours
 }
 
-// buildChipPrep mirrors the tracesim CLI's chip-level setup: train on
-// chip 1, evaluate on an aged chip 2, corrupt the sentinel region when
-// the spec says so. Sampling seeds stay fixed per policy so every cell
-// sharing the prep sees identical distributions.
-func buildChipPrep(ctx *Ctx) (*chipPrep, error) {
-	pe, hours := replayStress(ctx.Spec)
-	return buildChipPrepAt(ctx, pe, hours)
-}
-
-// buildChipPrepAt is buildChipPrep at an explicit stress point — the
+// buildChipPrepAt is the chip-level setup of a replay cell at an
+// explicit stress point: train on chip 1, evaluate on chip 2 aged to
+// (pe, hours), corrupt the sentinel region when the spec says so. The
 // lifetime path measures several retention points per cell (including
 // P/E 0, which replayStress would remap to the frozen default).
 func buildChipPrepAt(ctx *Ctx, pe int, hours float64) (*chipPrep, error) {
@@ -206,39 +181,21 @@ func buildChipPrepAt(ctx *Ctx, pe int, hours float64) (*chipPrep, error) {
 	kind := ctx.Kind()
 	key := prepKey(scale.Name, kind, pe, hours, ctx.Spec.Fault)
 	v, err := ctx.Shared.Do(key, func() (any, error) {
-		model, err := scale.TrainModel(kind, 1)
+		tb, err := scale.Testbed(kind, 1, 2, pe, hours)
 		if err != nil {
 			return nil, err
 		}
-		cfg := scale.ChipConfig(kind, 2)
-		eng, err := scale.Engine(model, cfg)
-		if err != nil {
-			return nil, err
-		}
-		chip, err := scale.BuildEvalChip(kind, 2, eng, pe, hours)
-		if err != nil {
-			return nil, err
-		}
-		ctl, err := scale.Controller(chip, scale.MaxRetries)
-		if err != nil {
-			return nil, err
-		}
-		if inj, err := ctx.Spec.Fault.chipProfile(cfg.UserCells(), cfg.CellsPerWordline,
-			chip.Model().P.StateWidth); err != nil {
+		if inj, err := ctx.Spec.Fault.chipProfile(tb.Cfg.UserCells(), tb.Cfg.CellsPerWordline,
+			tb.Chip.Model().P.StateWidth); err != nil {
 			return nil, err
 		} else if inj != nil {
-			chip.SetFaults(inj)
+			tb.Chip.SetFaults(inj)
 		}
 		var wls []int
-		for wl := 0; wl < cfg.WordlinesPerBlock(); wl += 2 {
+		for wl := 0; wl < tb.Cfg.WordlinesPerBlock(); wl += 2 {
 			wls = append(wls, wl)
 		}
-		return &chipPrep{
-			cfg: cfg, chip: chip, ctl: ctl,
-			eng:   &retrySentinel{eng: retry.NewSentinelPolicy(eng)},
-			table: retry.NewDefaultTable(chip, scale.TableStep),
-			wls:   wls,
-		}, nil
+		return &chipPrep{tb: tb, wls: wls}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +210,10 @@ func samplerFor(ctx *Ctx) (*ssdsim.EmpiricalSampler, error) {
 	return samplerAt(ctx, pe, hours)
 }
 
-// samplerAt is samplerFor at an explicit stress point.
+// samplerAt is samplerFor at an explicit stress point. Each policy
+// samples with its own fixed seed — 11 plus its position in the
+// catalogue — so every cell sharing the prep sees identical
+// distributions.
 func samplerAt(ctx *Ctx, pe int, hours float64) (*ssdsim.EmpiricalSampler, error) {
 	policy := ctx.Spec.Policy
 	if policy == "" {
@@ -268,57 +228,17 @@ func samplerAt(ctx *Ctx, pe int, hours float64) (*ssdsim.EmpiricalSampler, error
 	}
 	key := prepKey(ctx.Scale.Name, ctx.Kind(), pe, hours, ctx.Spec.Fault) + "/sampler/" + policy
 	v, err := ctx.Shared.Do(key, func() (any, error) {
-		var pol retry.Policy
-		var seed uint64
-		switch policy {
-		case "table":
-			pol, seed = prep.table, 11
-		case "sentinel":
-			pol, seed = prep.eng.eng, 12
-		case "fallback":
-			fb := retry.NewFallback(prep.eng.eng, prep.table)
-			fb.ProbeBlock(prep.chip, 0, 0)
-			pol, seed = fb, 13
-		case "history":
-			cache, err := warmedHistCache(prep)
-			if err != nil {
-				return nil, err
-			}
-			pol, seed = retry.NewHistoryPolicy(cache, prep.table, false), 14
-		case "ar2":
-			pol, seed = retry.NewAR2(prep.table), 15
-		case "sentinel+history":
-			cache, err := warmedHistCache(prep)
-			if err != nil {
-				return nil, err
-			}
-			pol, seed = retry.NewSentinelHistory(cache, prep.eng.eng, false), 16
-		default:
-			return nil, fmt.Errorf("scenario: unknown policy %q", policy)
+		pol, err := prep.tb.Policy(policy)
+		if err != nil {
+			return nil, err
 		}
-		return ssdsim.BuildSampler(prep.ctl, pol, 0, prep.wls, 3, seed)
+		seed := 11 + uint64(slices.Index(experiments.PolicyNames, policy))
+		return ssdsim.BuildSampler(prep.tb.Ctl, pol, 0, prep.wls, 3, seed)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*ssdsim.EmpiricalSampler), nil
-}
-
-// warmedHistCache builds the offset-history cache the history-backed
-// sampling policies consult: deterministically warmed from sentinel
-// inference on the prep chip's sampled block and then frozen (the
-// policies are built with WriteBack off), so the sampler pools — and
-// every replay report built on them — stay byte-identical at any
-// worker count.
-func warmedHistCache(prep *chipPrep) (*retry.HistCache, error) {
-	eng := prep.eng.eng.Engine
-	cache, err := retry.NewHistCache(4, 64<<10, prep.chip.Coding().NumVoltages(),
-		eng.OffsetBound())
-	if err != nil {
-		return nil, err
-	}
-	retry.WarmHistCache(cache, prep.chip, eng, []int{0}, prep.wls[0], 0x9157)
-	return cache, nil
 }
 
 // ReplayResult is a replay cell's deterministic payload: the engine's
@@ -459,8 +379,8 @@ func fleetRow(label string, rep *ssdsim.ReportSummary) []string {
 // cells golden-gate like figures; wall-clock req/s goes to metrics.
 func runReplay(ctx *Ctx) (*Outcome, error) {
 	spec := ctx.Spec
-	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = spec.Device.Geometry(defaultReplayGeometry())
+	simCfg := experiments.TraceDevice()
+	simCfg.Geo = spec.Device.Geometry(simCfg.Geo)
 	simCfg.Seed = ctx.Seed
 	if spec.Policy != "" && spec.Policy != "synthetic" {
 		simCfg.Bits = ctx.Kind().Bits()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/experiments"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/serve"
 	"sentinel3d/internal/ssdsim"
 )
@@ -64,9 +63,7 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 	cfg := serve.Config{
 		Fleet: ssdsim.FleetConfig{
 			Sim: func() ssdsim.Config {
-				sim := ssdsim.DefaultConfig()
-				sim.Geo = ftl.Geometry{Channels: 4, ChipsPerChan: 1, DiesPerChip: 2,
-					PlanesPerDie: 2, BlocksPerPlane: 32, PagesPerBlock: 192}
+				sim := experiments.TraceDevice()
 				sim.Seed = ctx.Seed
 				return sim
 			}(),

@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+)
 
 // TestGoldenParity asserts the registry path produces byte-identical
 // payloads to the pre-registry experiment functions: the digests here
@@ -26,5 +29,25 @@ func TestGoldenParity(t *testing.T) {
 		if res.Digest != tc.want {
 			t.Errorf("%s digest %s, want %s", tc.exp, res.Digest, tc.want)
 		}
+	}
+}
+
+// TestSmokeMatrixGoldens runs the committed smoke tier end to end: every
+// cell carries a golden digest, so this pins the replay cells' read
+// policies and their sampling seeds, not just the figures above.
+func TestSmokeMatrixGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the smoke matrix takes seconds; skipped in -short")
+	}
+	m, err := Load(filepath.Join("..", "..", "scenarios", "smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(m, RunOptions{})
+	if res == nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Failed() {
+		t.Errorf("%s: %s", c.Name, c.Err)
 	}
 }

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sentinel3d/internal/experiments"
@@ -46,16 +47,13 @@ type Spec struct {
 	// Kind is the cell technology for kind-parameterized experiments:
 	// "tlc" (default) or "qlc".
 	Kind string `json:"kind,omitempty"`
-	// Policy selects the retry policy of replay cells: "table",
-	// "sentinel" (default), "fallback" (sentinel wrapped in the static-
-	// table guard), "history" (first shot from the offset-history cache,
-	// table walk beyond it), "ar2" (pipelined table walk),
-	// "sentinel+history" (cache-seeded first shot, sentinel recovery) or
-	// "synthetic" (a fixed outcome distribution; no chip is built, so
-	// the cell is fast enough for smoke tiers). The history-cache
-	// policies sample against a cache deterministically warmed from
-	// sentinel inference and then frozen, so their cells golden-gate
-	// like every other.
+	// Policy selects the retry policy of replay cells: any name in the
+	// experiments.PolicyNames catalogue ("sentinel" by default), built by
+	// experiments.Testbed.Policy on the cell's aged chip, or "synthetic"
+	// (a fixed outcome distribution; no chip is built, so the cell is
+	// fast enough for smoke tiers). The history-cache policies sample
+	// against a cache warmed from sentinel inference and then frozen, so
+	// their cells golden-gate like every other.
 	Policy string `json:"policy,omitempty"`
 	// Workload names a built-in MSR-like workload (trace.WorkloadByName)
 	// for replay cells; TraceFile overrides it with an MSR-format CSV.
@@ -259,10 +257,7 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: cell %q: unknown kind %q", s.Name, s.Kind)
 	}
-	switch s.Policy {
-	case "", "table", "sentinel", "fallback", "synthetic",
-		"history", "ar2", "sentinel+history":
-	default:
+	if s.Policy != "" && s.Policy != "synthetic" && !slices.Contains(experiments.PolicyNames, s.Policy) {
 		return fmt.Errorf("scenario: cell %q: unknown policy %q", s.Name, s.Policy)
 	}
 	if s.Age != "" {

@@ -11,11 +11,19 @@ func TestSpecValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// want is the expected error fragment; "" marks a valid spec.
 	cases := []struct {
 		name string
 		spec Spec
 		want string
 	}{
+		{"policy table", Spec{Name: "x", Experiment: "replay", Policy: "table"}, ""},
+		{"policy sentinel", Spec{Name: "x", Experiment: "replay", Policy: "sentinel"}, ""},
+		{"policy fallback", Spec{Name: "x", Experiment: "replay", Policy: "fallback"}, ""},
+		{"policy history", Spec{Name: "x", Experiment: "replay", Policy: "history"}, ""},
+		{"policy ar2", Spec{Name: "x", Experiment: "replay", Policy: "ar2"}, ""},
+		{"policy sentinel+history", Spec{Name: "x", Experiment: "replay", Policy: "sentinel+history"}, ""},
+		{"policy synthetic", Spec{Name: "x", Experiment: "replay", Policy: "synthetic"}, ""},
 		{"empty name", Spec{Experiment: "fig13"}, "empty name"},
 		{"slash in name", Spec{Name: "a/b", Experiment: "fig13"}, "'/'"},
 		{"colon in name", Spec{Name: "a:b", Experiment: "fig13"}, "':'"},
@@ -32,7 +40,10 @@ func TestSpecValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: valid spec rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -134,6 +135,42 @@ func TestServerRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /read: status %d", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsUnboundedReads pins the per-read page bound: a read
+// longer than one erase block, or one whose LPN range overflows int64,
+// is a 400 before it costs a token or reaches a shard queue.
+func TestServerRejectsUnboundedReads(t *testing.T) {
+	cfg := testConfig()
+	s := startServer(t, cfg)
+	base := "http://" + s.Addr()
+	ppb := cfg.Fleet.Sim.Geo.PagesPerBlock
+	cases := []struct {
+		body, want string
+	}{
+		{`{"tenant":"gold","lpn":0,"pages":50000000}`, "pages_too_large"},
+		{fmt.Sprintf(`{"tenant":"gold","lpn":0,"pages":%d}`, ppb+1), "pages_too_large"},
+		{fmt.Sprintf(`{"tenant":"gold","batch":[{"lpn":1},{"lpn":2,"pages":%d}]}`, ppb+1), "pages_too_large"},
+		{`{"tenant":"gold","lpn":9223372036854775807}`, "lpn_out_of_range"},
+		{`{"tenant":"gold","batch":[{"lpn":9223372036854775800,"pages":8}]}`, "lpn_out_of_range"},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(base+"/read", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || body.Error != c.want {
+			t.Errorf("body %q: status %d error %q (%v), want 400 %q",
+				c.body, resp.StatusCode, body.Error, err, c.want)
+		}
+	}
+	// A read of exactly one block is still served.
+	if code, _ := postRead(t, base, fmt.Sprintf(`{"tenant":"gold","lpn":0,"pages":%d}`, ppb), nil); code != http.StatusOK {
+		t.Errorf("one-block read: status %d, want 200", code)
 	}
 }
 

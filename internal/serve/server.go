@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -327,7 +328,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	reads, errCode := normalizeReads(req, s.cfg.MaxBatch)
+	reads, errCode := normalizeReads(req, s.cfg.MaxBatch, s.cfg.Fleet.Sim.Geo.PagesPerBlock)
 	if errCode != "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: errCode})
 		return
@@ -399,8 +400,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 }
 
 // normalizeReads turns a request body into fleet reads, or returns an
-// error code for the 400.
-func normalizeReads(req ReadRequest, maxBatch int) ([]ssdsim.FleetRead, string) {
+// error code for the 400. A read spans at most maxPages pages (one
+// erase block), so no single request can hold a shard worker for long.
+func normalizeReads(req ReadRequest, maxBatch, maxPages int) ([]ssdsim.FleetRead, string) {
 	var reads []ssdsim.FleetRead
 	switch {
 	case req.LPN != nil && len(req.Batch) > 0:
@@ -419,8 +421,13 @@ func normalizeReads(req ReadRequest, maxBatch int) ([]ssdsim.FleetRead, string) 
 		return nil, "empty_request"
 	}
 	for _, rd := range reads {
-		if rd.LPN < 0 {
+		switch {
+		case rd.LPN < 0:
 			return nil, "negative_lpn"
+		case rd.Pages > maxPages:
+			return nil, "pages_too_large"
+		case rd.LPN > math.MaxInt64-int64(max(rd.Pages, 1)):
+			return nil, "lpn_out_of_range"
 		}
 	}
 	return reads, ""
