@@ -15,9 +15,8 @@
 //
 // Experiment ids: fig2 fig3 fig45 fig6 fig7 fig8 fig10 table1 fig12 fig13
 // fig14 fig15 (alias: errcomp, covers figs 15-18) fig19 robust ablations
-// all; plus replay (one workload through the sharded streaming engine)
-// and replay-throughput (the engine's wall-clock scaling table, never
-// part of all).
+// all; plus replay (the default cell of the sharded streaming engine,
+// never part of all; cmd/tracesim is the replay front end).
 package main
 
 import (
@@ -46,10 +45,6 @@ func main() {
 		kindStr  = flag.String("kind", "both", "tlc, qlc or both (where applicable)")
 		requests = flag.Int("requests", 0, "trace requests per workload (0 = experiment default)")
 		workers  = flag.Int("workers", 0, "worker goroutines for per-wordline fan-out (0 = all CPUs); results are identical at any setting")
-		workload = flag.String("workload", "", "replay: workload name (hm_0, prxy_0, ...)")
-		policy   = flag.String("policy", "", "replay: retry policy (sentinel, table, fallback, synthetic)")
-		shards   = flag.Int("shards", 0, "replay: engine shards (0 = 1)")
-		devices  = flag.Int("devices", 0, "replay: fleet devices the trace is striped across (0 = 1)")
 
 		matrixPath = flag.String("matrix", "", "run a scenario matrix JSON instead of -exp")
 		cellsRe    = flag.String("cells", "", "with -matrix: run only cells whose name matches this regexp")
@@ -105,7 +100,7 @@ func main() {
 	if *matrixPath != "" {
 		runErr = runMatrix(ctx, *matrixPath, *cellsRe, *outDir, *benchOut, reg)
 	} else {
-		runErr = runExp(ctx, *expID, *scaleStr, *kindStr, *requests, *workload, *policy, *shards, *devices, reg)
+		runErr = runExp(ctx, *expID, *scaleStr, *kindStr, *requests, reg)
 	}
 
 	// The metrics snapshot lands before any failure exit, so an
@@ -198,7 +193,7 @@ var aliases = map[string][]string{
 // runExp dispatches one -exp id (or "all") through the registry. Cell
 // failures and cancellation return an error (so main can still flush
 // the metrics snapshot); bad flag values stay fatal on the spot.
-func runExp(ctx context.Context, expID, scaleStr, kindStr string, requests int, workload, policy string, shards, devices int, reg *obs.Registry) error {
+func runExp(ctx context.Context, expID, scaleStr, kindStr string, requests int, reg *obs.Registry) error {
 	kinds := []string{"tlc", "qlc"}
 	switch strings.ToLower(kindStr) {
 	case "tlc":
@@ -243,10 +238,6 @@ func runExp(ctx context.Context, expID, scaleStr, kindStr string, requests int, 
 				Scale:      scaleStr,
 				Kind:       k,
 				Requests:   requests,
-				Workload:   workload,
-				Policy:     policy,
-				Shards:     shards,
-				Devices:    devices,
 			}
 			label := id
 			if k != "" {

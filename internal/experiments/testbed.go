@@ -118,3 +118,15 @@ func TraceDevice() ssdsim.Config {
 	}
 	return cfg
 }
+
+// SyntheticSampler is a synthetic TLC retry-outcome distribution that
+// exercises the sampler RNG path without building a chip. The scenario
+// registry's "synthetic"-policy replay cells use it (fast enough for CI
+// smoke tiers), and it matches the ssdsim replay benchmarks' sampler.
+func SyntheticSampler() *ssdsim.EmpiricalSampler {
+	return &ssdsim.EmpiricalSampler{PerPage: [][]ssdsim.RetryOutcome{
+		{{Retries: 0}, {Retries: 0}, {Retries: 1}},
+		{{Retries: 0}, {Retries: 1}, {Retries: 2}},
+		{{Retries: 1}, {Retries: 2}, {Retries: 4, AuxSenses: 1}},
+	}}
+}

@@ -119,21 +119,6 @@ func init() {
 		}})
 	Register(Entry{Name: "replay", Desc: "sharded streaming trace replay under one retry policy",
 		Run: runReplay})
-	Register(Entry{Name: "replay-throughput", Desc: "replay engine scaling table (wall-clock; never golden-gated)",
-		Run: func(ctx *Ctx) (*Outcome, error) {
-			r, err := experiments.ReplayThroughput(ctx.Requests(6000))
-			if err != nil {
-				return nil, err
-			}
-			best := 0.0
-			for _, row := range r.Rows {
-				if row.ReqPerSec > best {
-					best = row.ReqPerSec
-				}
-			}
-			return &Outcome{Payload: r, Render: r.Render(), Volatile: true,
-				Metrics: map[string]float64{"req/s": best}}, nil
-		}})
 	Register(Entry{Name: "charlab", Desc: "chip characterization bench (RBER table, optima, sweeps)",
 		PerKind: true, Run: runCharlab})
 }

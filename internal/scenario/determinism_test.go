@@ -64,24 +64,27 @@ func TestHistoryPolicyWorkerDeterminism(t *testing.T) {
 
 // TestCellObsDeterminism asserts instrumentation does not perturb
 // results: a cell run with per-cell metrics enabled digests identically
-// to the same cell uninstrumented.
+// to the same cell uninstrumented, on one device and on a fleet (whose
+// registry needs a shard per engine shard of every device).
 func TestCellObsDeterminism(t *testing.T) {
-	base := Spec{Name: "c", Experiment: "replay", Policy: "synthetic",
-		Workload: "hm_0", Requests: 2000, Shards: 2, Seed: 99}
-	plain, err := RunCell(base, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsd := base
-	obsd.Obs = ObsSpec{Metrics: true, SlowN: 4}
-	inst, err := RunCell(obsd, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Digest != inst.Digest {
-		t.Errorf("obs changed the digest: %s vs %s", plain.Digest, inst.Digest)
-	}
-	if inst.Metrics["obs-series"] <= 0 {
-		t.Errorf("instrumented cell exported no obs series: %v", inst.Metrics)
+	for _, devices := range []int{1, 2} {
+		base := Spec{Name: "c", Experiment: "replay", Policy: "synthetic",
+			Workload: "hm_0", Requests: 2000, Shards: 2, Devices: devices, Seed: 99}
+		plain, err := RunCell(base, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsd := base
+		obsd.Obs = ObsSpec{Metrics: true, SlowN: 4}
+		inst, err := RunCell(obsd, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Digest != inst.Digest {
+			t.Errorf("devices=%d: obs changed the digest: %s vs %s", devices, plain.Digest, inst.Digest)
+		}
+		if inst.Metrics["obs-series"] <= 0 {
+			t.Errorf("devices=%d: instrumented cell exported no obs series: %v", devices, inst.Metrics)
+		}
 	}
 }

@@ -266,9 +266,6 @@ func mergeSpec(c, def Spec) Spec {
 		c.Devices = def.Devices
 	}
 	c.Replicate = c.Replicate || def.Replicate
-	if c.Workers == 0 {
-		c.Workers = def.Workers
-	}
 	if c.Seed == 0 {
 		c.Seed = def.Seed
 	}

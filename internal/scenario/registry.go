@@ -56,9 +56,7 @@ func (c *Ctx) Requests(def int) int {
 type Outcome struct {
 	// Payload is the deterministic result value: it is digested (and
 	// checked against the cell's golden digest) and must therefore be
-	// byte-identical at any worker count. Runners whose results include
-	// wall-clock measurements must set Volatile instead of polluting the
-	// payload.
+	// byte-identical at any worker count.
 	Payload any
 	// Render is the human-readable text (the CLIs print it verbatim).
 	Render string
@@ -66,10 +64,6 @@ type Outcome struct {
 	// "req/s". They are emitted on the cell's bench line and in its JSON
 	// result but never digested.
 	Metrics map[string]float64
-	// Volatile marks results that legitimately differ run to run (wall-
-	// clock throughput tables); the runner skips digesting them and
-	// rejects golden digests on such cells.
-	Volatile bool
 }
 
 // Runner executes one cell.

@@ -108,13 +108,12 @@ func (m *MatrixResult) Failed() []CellResult {
 	return out
 }
 
-// Run expands the matrix and executes every (filtered) cell: unpinned
-// cells fan out through internal/parallel (each is internally parallel
-// too — the pool just sees more work), cells that pin a worker count
-// run serially afterwards under their override. Cell failures — runner
-// errors and golden-digest mismatches alike — never stop other cells;
-// they are accumulated into the returned error, BASIL-style, so one
-// broken cell cannot hide the rest of the matrix.
+// Run expands the matrix and executes every (filtered) cell: the cells
+// fan out through internal/parallel (each is internally parallel too —
+// the pool just sees more work). Cell failures — runner errors and
+// golden-digest mismatches alike — never stop other cells; they are
+// accumulated into the returned error, BASIL-style, so one broken cell
+// cannot hide the rest of the matrix.
 func Run(m *Matrix, opts RunOptions) (*MatrixResult, error) {
 	cells, err := m.Expand()
 	if err != nil {
@@ -134,24 +133,9 @@ func Run(m *Matrix, opts RunOptions) (*MatrixResult, error) {
 	}
 	shared := NewShared()
 	results := make([]CellResult, len(cells))
-	var pinned []int
-	var auto []int
-	for i, c := range cells {
-		if c.Workers > 0 {
-			pinned = append(pinned, i)
-		} else {
-			auto = append(auto, i)
-		}
-	}
-	parallel.ForEach(len(auto), func(j int) {
-		i := auto[j]
+	parallel.ForEach(len(cells), func(i int) {
 		results[i] = runCell(cells[i], shared, opts)
 	})
-	for _, i := range pinned {
-		prev := parallel.SetWorkers(cells[i].Workers)
-		results[i] = runCell(cells[i], shared, opts)
-		parallel.SetWorkers(prev)
-	}
 	res := &MatrixResult{Matrix: m.Name, Cells: results,
 		PrecondExecutions: shared.Executions()}
 	var errs []error
@@ -188,7 +172,6 @@ func RunCell(spec Spec, opts RunOptions) (CellResult, error) {
 
 // runCell executes one validated cell and converts its outcome.
 func runCell(spec Spec, shared *Shared, opts RunOptions) CellResult {
-	cliReg := opts.Obs
 	out := CellResult{
 		Name:       spec.Name,
 		Experiment: spec.Experiment,
@@ -205,13 +188,11 @@ func runCell(spec Spec, shared *Shared, opts RunOptions) CellResult {
 		out.Err = err.Error()
 		return out
 	}
-	reg := cliReg
+	reg := opts.Obs
 	if reg == nil && spec.Obs.Metrics {
-		shards := spec.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		reg = obs.NewRegistry(shards)
+		// One registry shard per engine shard of every fleet device:
+		// runReplay drops a registry smaller than Devices×Shards.
+		reg = obs.NewRegistry(max(1, spec.Shards) * max(1, spec.Devices))
 		if spec.Obs.SlowN > 0 {
 			reg.KeepSlowest(spec.Obs.SlowN)
 		}
@@ -235,16 +216,9 @@ func runCell(spec Spec, shared *Shared, opts RunOptions) CellResult {
 	if opts.KeepPayload {
 		out.Payload = oc.Payload
 	}
-	switch {
-	case oc.Volatile:
-		if spec.Golden != "" {
-			out.Err = fmt.Sprintf("golden digest on volatile experiment %q", spec.Experiment)
-		}
-	default:
-		out.Digest = Digest(oc.Payload)
-		if spec.Golden != "" && out.Digest != spec.Golden {
-			out.Err = fmt.Sprintf("golden mismatch: digest %s, want %s", out.Digest, spec.Golden)
-		}
+	out.Digest = Digest(oc.Payload)
+	if spec.Golden != "" && out.Digest != spec.Golden {
+		out.Err = fmt.Sprintf("golden mismatch: digest %s, want %s", out.Digest, spec.Golden)
 	}
 	return out
 }

@@ -128,17 +128,6 @@ func TestGoldenGate(t *testing.T) {
 	}
 }
 
-func TestGoldenOnVolatileRejected(t *testing.T) {
-	m := &Matrix{Name: "t", Cells: []Spec{{
-		Name: "rt", Experiment: "replay-throughput", Requests: 500,
-		Golden: "abcd",
-	}}}
-	_, err := Run(m, RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "volatile") {
-		t.Errorf("volatile golden: got %v", err)
-	}
-}
-
 func TestRunFilter(t *testing.T) {
 	m := syntheticMatrix()
 	res, err := Run(m, RunOptions{Filter: mustRe(t, `^hm_0_`)})

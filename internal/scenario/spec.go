@@ -38,7 +38,7 @@ type Spec struct {
 	// bench-line and gate-expression metacharacters).
 	Name string `json:"name"`
 	// Experiment is the registry entry that runs the cell (fig2..fig19,
-	// table1, robust, replay, replay-throughput, charlab, ...). See
+	// table1, robust, replay, charlab, ...). See
 	// Names() for the full list.
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full" — the fidelity/runtime
@@ -71,12 +71,6 @@ type Spec struct {
 	// Replicate switches a multi-device replay cell from RAID-0 striping
 	// to replication (reads round-robin, writes fan out to every device).
 	Replicate bool `json:"replicate,omitempty"`
-	// Workers pins the worker pool for this cell. 0 (the default)
-	// inherits the global pool — results are byte-identical either way;
-	// pinning only matters for throughput measurements, and pinned cells
-	// run serially after the fanned-out ones so the override cannot leak
-	// into concurrent cells.
-	Workers int `json:"workers,omitempty"`
 	// Seed overrides the cell's derived seed (0 = split from the matrix
 	// seed and the cell name; see Matrix.Expand).
 	Seed uint64 `json:"seed,omitempty"`
@@ -275,7 +269,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: cell %q: %w", s.Name, err)
 		}
 	}
-	if s.Requests < 0 || s.Shards < 0 || s.Devices < 0 || s.Workers < 0 || s.PE < 0 ||
+	if s.Requests < 0 || s.Shards < 0 || s.Devices < 0 || s.PE < 0 ||
 		s.Hours < 0 || s.Wordlines < 0 || s.SweepV < 0 || s.Obs.SlowN < 0 {
 		return fmt.Errorf("scenario: cell %q: negative count", s.Name)
 	}

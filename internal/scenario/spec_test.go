@@ -58,6 +58,7 @@ func TestParseStrict(t *testing.T) {
 		`{"name":"m"} trailing`,
 		`{"cells":[]}`, // no name
 		`not json`,
+		`{"name":"m","cells":[{"name":"x","experiment":"replay","workers":2}]}`, // removed knob
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -159,7 +160,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"fig2", "fig13", "robust", "replay", "replay-throughput", "charlab"} {
+	for _, name := range []string{"fig2", "fig13", "robust", "replay", "charlab"} {
 		if _, err := Lookup(name); err != nil {
 			t.Errorf("Lookup(%q): %v", name, err)
 		}

@@ -106,10 +106,11 @@ func BenchmarkReplaySequential(b *testing.B) {
 
 // benchReplayShards measures the streaming engine end to end (two
 // passes over the generator: precondition + replay) in the default
-// histogram mode, optionally with a full observability registry
+// histogram mode or, with collect, the exact-percentile mode that keeps
+// every read latency; optionally with a full observability registry
 // attached (metrics, slow-read trace) but no scraper, and optionally
 // with dynamic per-block aging enabled.
-func benchReplayShards(b *testing.B, shards int, withMetrics, withLife bool) {
+func benchReplayShards(b *testing.B, shards int, collect, withMetrics, withLife bool) {
 	cfg := DefaultConfig()
 	cfg.Geo = benchGeometry()
 	var sampler RetrySampler = benchSampler()
@@ -139,7 +140,8 @@ func benchReplayShards(b *testing.B, shards int, withMetrics, withLife bool) {
 			reg.KeepSlowest(32)
 		}
 		eng, err := NewEngine(ReplayConfig{
-			Sim: cfg, Shards: shards, Precondition: true, Metrics: reg,
+			Sim: cfg, Shards: shards, CollectLatencies: collect,
+			Precondition: true, Metrics: reg,
 		}, sampler)
 		if err != nil {
 			b.Fatal(err)
@@ -154,24 +156,29 @@ func benchReplayShards(b *testing.B, shards int, withMetrics, withLife bool) {
 
 // BenchmarkReplayShard1 is the engine's single-shard streaming path —
 // the like-for-like successor of BenchmarkReplaySequential.
-func BenchmarkReplayShard1(b *testing.B) { benchReplayShards(b, 1, false, false) }
+func BenchmarkReplayShard1(b *testing.B) { benchReplayShards(b, 1, false, false, false) }
 
 // BenchmarkReplayShard8 shards the 8-channel device fully; with N CPUs
 // the shards replay on min(8, N) workers.
-func BenchmarkReplayShard8(b *testing.B) { benchReplayShards(b, 8, false, false) }
+func BenchmarkReplayShard8(b *testing.B) { benchReplayShards(b, 8, false, false, false) }
+
+// BenchmarkReplayShard8Collect is BenchmarkReplayShard8 in the
+// exact-percentile mode (CollectLatencies): every read latency is kept,
+// the mode the Fig 14, adaptive and lifetime replays run in.
+func BenchmarkReplayShard8Collect(b *testing.B) { benchReplayShards(b, 8, true, false, false) }
 
 // BenchmarkReplayShard8Metrics is BenchmarkReplayShard8 with the
 // observability registry enabled but idle (no scraper): its req/s is
 // gated in CI against the uninstrumented baseline to hold the metrics
 // overhead under 1%.
-func BenchmarkReplayShard8Metrics(b *testing.B) { benchReplayShards(b, 8, true, false) }
+func BenchmarkReplayShard8Metrics(b *testing.B) { benchReplayShards(b, 8, false, true, false) }
 
 // BenchmarkReplayShard8Lifetime is BenchmarkReplayShard8 with dynamic
 // per-block aging enabled: the retention clock, per-block stress
 // lookups, grid-sampler dispatch and the calibration scheduler all run
 // on the hot path. Its req/s is gated in CI against the frozen-stress
 // baseline to hold the lifetime bookkeeping overhead under 5%.
-func BenchmarkReplayShard8Lifetime(b *testing.B) { benchReplayShards(b, 8, false, true) }
+func BenchmarkReplayShard8Lifetime(b *testing.B) { benchReplayShards(b, 8, false, false, true) }
 
 // fleetBenchRequests sizes the fleet benchmark at 5x the single-device
 // replay benches: the fleet path amortizes per-replay construction
