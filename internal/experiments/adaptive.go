@@ -12,7 +12,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Adaptive first-shot reads: sentinel vs AR² vs offset-history cache.
+// Adaptive first-shot reads: sentinel vs AR² vs warm-start offsets.
 
 // adaptivePolicies is the comparison set, in table order.
 var adaptivePolicies = []string{"table", "sentinel", "ar2", "history", "sentinel+history"}
@@ -29,7 +29,7 @@ type AdaptiveCell struct {
 	// SimReqPerSec is the device's simulated throughput for the cell:
 	// requests serviced over the simulated makespan. Unlike wall-clock
 	// req/s it depends on the policy's retry distribution, so it is the
-	// number the history-cache speedup claim is made on.
+	// number the warm-start speedup claim is made on.
 	SimReqPerSec float64
 }
 
@@ -70,11 +70,10 @@ func replayTrace(cfg ssdsim.Config, sampler ssdsim.RetrySampler, reqs []trace.Re
 
 // Adaptive benchmarks the adaptive read stack across the MSR-like trace
 // matrix: the static table and plain sentinel baselines against AR²
-// (pipelined table stepping), the offset-history cache (first shot from
-// the block's last-known-good offsets) and the sentinel-seeded cache
-// combination. Retry-outcome pools are sampled per policy on the aged
-// TLC chip — the history caches deterministically warmed from sentinel
-// inference and frozen — and every workload replays the identical trace
+// (pipelined table stepping), history (first shot from sentinel-inferred
+// start offsets, table walk beyond) and sentinel+history (the same first
+// shot, sentinel recovery). Retry-outcome pools are sampled per policy
+// on the aged TLC chip, and every workload replays the identical trace
 // under each pool, measuring senses-per-read, latency and simulated
 // device throughput.
 func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {

@@ -127,11 +127,7 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 	chip, eng := tb.Chip, tb.Eng
 	lab := charlab.New(chip)
 	sent := retry.NewSentinelPolicy(eng)
-	tracking := retry.NewTracking(retry.NewDefaultTable(chip, s.TableStep))
-	if err := tracking.UpdateBlock(chip, 0, 0); err != nil {
-		return nil, err
-	}
-	tracked := tracking.Tracked(0)
+	tracked := lab.OptimalOffsets(0, 0)
 
 	nv := chip.Coding().NumVoltages()
 	res := &ErrCompResult{Kind: kind}

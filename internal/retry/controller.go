@@ -85,15 +85,6 @@ type PipelinedSession interface {
 	Pipelined() bool
 }
 
-// FinishingSession is the optional interface of sessions that observe
-// the final Result of their read — e.g. to write the last-known-good
-// offsets back into a HistCache. Finish runs after the result is fully
-// populated and before it is recorded to metrics.
-type FinishingSession interface {
-	Session
-	Finish(res *Result)
-}
-
 // Result reports one serviced read.
 type Result struct {
 	// OK is false when the read exhausted its retry budget or could not be
@@ -247,9 +238,6 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 	res.Uncorrectable = !res.OK
 	if fs, ok := sess.(interface{ UsedFallback() bool }); ok {
 		res.UsedFallback = fs.UsedFallback()
-	}
-	if fs, ok := sess.(FinishingSession); ok {
-		fs.Finish(&res)
 	}
 	flash.PutBitmap(errs)
 	flash.PutBitmap(bufs[1])

@@ -57,13 +57,12 @@ func DefaultGuard() FallbackGuard {
 //     remaining attempts of that read to the static table (whose entry k
 //     sequence is shared, so no attempt is wasted).
 //
-// The block-degraded map is mutex-guarded, and every session latches
-// its degraded flag once at creation: flipping a block between
-// sentinel and table service (ProbeBlock, ForceDegraded) while reads
-// are in flight is safe, and each in-flight read runs one coherent
-// policy — it can degrade mid-read via its own guard, never by an
-// external flip. Probing does issue device senses, so ProbeBlock
-// itself follows the chip's read-concurrency contract.
+// ProbeBlock writes the block-degraded map before reads fan out; the
+// map is mutex-guarded all the same, and every session latches its
+// degraded flag once at creation, so each read runs one coherent
+// policy — it can degrade mid-read only via its own guard. Probing
+// issues device senses, so ProbeBlock itself follows the chip's
+// read-concurrency contract.
 type FallbackPolicy struct {
 	Sentinel *SentinelPolicy
 	Table    *DefaultTablePolicy
@@ -110,24 +109,6 @@ func (p *FallbackPolicy) ProbeBlock(chip *flash.Chip, b, wl int) float64 {
 	}
 	p.mu.Unlock()
 	return frac
-}
-
-// ForceDegraded marks (on) or clears (off) block b's degraded status
-// without probing — the per-tenant policy-switch hook: a serving layer
-// forcing static-table service under overload flips it while reads are
-// in flight. Sessions created after the flip follow the new policy;
-// sessions already running keep the one they latched.
-func (p *FallbackPolicy) ForceDegraded(b int, on bool) {
-	p.mu.Lock()
-	if p.degraded == nil {
-		p.degraded = make(map[int]bool)
-	}
-	if on {
-		p.degraded[b] = true
-	} else {
-		delete(p.degraded, b)
-	}
-	p.mu.Unlock()
 }
 
 // BlockDegraded reports whether block b failed its last probe.

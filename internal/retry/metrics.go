@@ -18,13 +18,12 @@ type Metrics struct {
 	Fallbacks     *obs.Counter
 	Uncorrectable *obs.Counter
 	// FirstAttempt counts reads that decoded on the very first attempt
-	// — the headline number of the adaptive (history-cache) policies.
+	// — the headline number of the warm-start policies.
 	FirstAttempt *obs.Counter
-	// CacheHits/CacheMisses/CacheEvicts instrument the offset-history
-	// cache consulted by HistoryPolicy and SentinelHistoryPolicy.
+	// CacheHits/CacheMisses count WarmStartPolicy reads whose block
+	// has start offsets (a hit) or starts at factory defaults (a miss).
 	CacheHits   *obs.Counter
 	CacheMisses *obs.Counter
-	CacheEvicts *obs.Counter
 	Latency     *obs.Hist
 	// OverlapSaved is the per-read latency hidden by pipelined
 	// (AR²-style) retry stepping, µs; only overlapping reads observe.
@@ -52,9 +51,8 @@ func NewMetrics(set *obs.Set, tableStep float64) *Metrics {
 		Fallbacks:     set.Counter("retry.fallbacks", "reads that degraded to the fallback path"),
 		Uncorrectable: set.Counter("retry.uncorrectable", "reads that exhausted the retry budget"),
 		FirstAttempt:  set.Counter("retry.first_attempt_hits", "reads decoded on the first attempt"),
-		CacheHits:     set.Counter("retry.cache_hits", "offset-history cache hits"),
-		CacheMisses:   set.Counter("retry.cache_misses", "offset-history cache misses"),
-		CacheEvicts:   set.Counter("retry.cache_evicts", "offset-history cache evictions"),
+		CacheHits:     set.Counter("retry.cache_hits", "warm-start reads of blocks with start offsets"),
+		CacheMisses:   set.Counter("retry.cache_misses", "warm-start reads of blocks without start offsets"),
 		Latency:       set.Hist("retry.latency_us", "chip-level read service time, µs"),
 		OverlapSaved:  set.Hist("retry.overlap_saved_us", "latency hidden by pipelined retry stepping, µs"),
 		tableStep:     tableStep,
@@ -106,8 +104,8 @@ func (m *Metrics) lsbReuse() {
 	m.LSBReuses.Inc()
 }
 
-// cacheHit / cacheMiss / cacheEvict account one offset-history cache
-// consultation or write-back eviction; nil-safe like every recorder.
+// cacheHit / cacheMiss account one warm-start lookup; nil-safe like
+// every recorder.
 func (m *Metrics) cacheHit() {
 	if m == nil {
 		return
@@ -120,11 +118,4 @@ func (m *Metrics) cacheMiss() {
 		return
 	}
 	m.CacheMisses.Inc()
-}
-
-func (m *Metrics) cacheEvict() {
-	if m == nil {
-		return
-	}
-	m.CacheEvicts.Inc()
 }

@@ -1,10 +1,6 @@
 package retry
 
 import (
-	"fmt"
-	"sync"
-
-	"sentinel3d/internal/charlab"
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/sentinel"
 )
@@ -87,129 +83,6 @@ func (s tableSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash
 
 // Pipelined implements PipelinedSession.
 func (s tableSession) Pipelined() bool { return s.pipelined }
-
-// ---------------------------------------------------------------------------
-// Tracking — the HPCA'15-style baseline.
-
-// TrackingPolicy periodically sweeps one representative wordline per block
-// and applies its optimal offsets to every read in that block. On a read
-// failure it falls back to the static table, resuming near the tracked
-// point.
-type TrackingPolicy struct {
-	Fallback *DefaultTablePolicy
-
-	mu      sync.Mutex
-	tracked map[int]flash.Offsets
-}
-
-// NewTracking builds the tracking baseline over the given fallback table.
-func NewTracking(fallback *DefaultTablePolicy) *TrackingPolicy {
-	return &TrackingPolicy{
-		Fallback: fallback,
-		tracked:  make(map[int]flash.Offsets),
-	}
-}
-
-// Name implements Policy.
-func (p *TrackingPolicy) Name() string { return "tracking" }
-
-// UpdateBlock re-characterizes block b using its wordline probeWL: the
-// periodic maintenance the baseline requires (the paper notes it must run
-// every 24 hours, and more often under high temperature).
-func (p *TrackingPolicy) UpdateBlock(chip *flash.Chip, b, probeWL int) error {
-	if !chip.IsProgrammed(b, probeWL) {
-		return fmt.Errorf("retry: tracking probe wordline %d not programmed", probeWL)
-	}
-	lab := charlab.New(chip)
-	opt := lab.OptimalOffsets(b, probeWL)
-	p.mu.Lock()
-	p.tracked[b] = opt
-	p.mu.Unlock()
-	return nil
-}
-
-// Tracked returns the recorded offsets for block b (nil if never updated).
-func (p *TrackingPolicy) Tracked(b int) flash.Offsets {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tracked[b].Clone()
-}
-
-// Session implements Policy.
-func (p *TrackingPolicy) Session(env *Env) Session {
-	return &trackingSession{p: p, env: env}
-}
-
-type trackingSession struct {
-	p   *TrackingPolicy
-	env *Env
-}
-
-func (s *trackingSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	nv := s.env.Coding().NumVoltages()
-	if k == 0 {
-		if t := s.p.Tracked(s.env.B); t != nil {
-			return t, true
-		}
-		return flash.ZeroOffsets(nv), true
-	}
-	// Fall back to the static table beyond the tracked point.
-	return s.p.Fallback.Entry(k, nv), true
-}
-
-// ---------------------------------------------------------------------------
-// Oracle — ground-truth optimum (upper bound).
-
-// OraclePolicy reads with the per-wordline ground-truth optimal offsets
-// located by full characterization sweeps. It is the paper's "OPT" and is
-// only realizable inside the simulator.
-type OraclePolicy struct {
-	mu    sync.Mutex
-	cache map[[2]int]flash.Offsets
-}
-
-// NewOracle returns an oracle with an empty sweep cache.
-func NewOracle() *OraclePolicy {
-	return &OraclePolicy{cache: make(map[[2]int]flash.Offsets)}
-}
-
-// Name implements Policy.
-func (p *OraclePolicy) Name() string { return "oracle" }
-
-// Session implements Policy.
-func (p *OraclePolicy) Session(env *Env) Session {
-	return &oracleSession{p: p, env: env}
-}
-
-type oracleSession struct {
-	p   *OraclePolicy
-	env *Env
-}
-
-func (s *oracleSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	if k > 2 {
-		return nil, false // the optimum plus sensing-noise rerolls
-	}
-	key := [2]int{s.env.B, s.env.WL}
-	s.p.mu.Lock()
-	ofs, hit := s.p.cache[key]
-	s.p.mu.Unlock()
-	if !hit {
-		lab := charlab.New(s.env.Chip)
-		ofs = lab.OptimalOffsets(s.env.B, s.env.WL)
-		s.p.mu.Lock()
-		s.p.cache[key] = ofs
-		s.p.mu.Unlock()
-	}
-	return ofs, true
-}
-
-// Invalidate clears the sweep cache (call after aging the chip).
-func (p *OraclePolicy) Invalidate() {
-	p.mu.Lock()
-	p.cache = make(map[[2]int]flash.Offsets)
-	p.mu.Unlock()
-}
 
 // ---------------------------------------------------------------------------
 // Sentinel — the paper's technique.

@@ -244,73 +244,6 @@ func TestSentinelLSBNeedsNoAuxSense(t *testing.T) {
 	}
 }
 
-func TestOraclePolicyNearZeroRetries(t *testing.T) {
-	eng := testEngine(t)
-	chip := agedTLCChip(t, eng)
-	capm := ecc.CapabilityModel{FrameBits: 8192, T: 28}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := NewOracle()
-	var total float64
-	fails := 0
-	for wl := 0; wl < 16; wl++ {
-		res := ctl.Read(0, wl, 2, oracle, mathx.Mix(5, uint64(wl)))
-		total += float64(res.Retries)
-		if !res.OK {
-			fails++
-		}
-	}
-	if fails > 1 {
-		t.Fatalf("oracle failed %d reads", fails)
-	}
-	if total/16 > 0.5 {
-		t.Fatalf("oracle averaged %v retries", total/16)
-	}
-	oracle.Invalidate()
-	if len(oracle.cache) != 0 {
-		t.Fatal("Invalidate did not clear the cache")
-	}
-}
-
-func TestTrackingPolicy(t *testing.T) {
-	eng := testEngine(t)
-	chip := agedTLCChip(t, eng)
-	table := NewDefaultTable(chip, 2)
-	tr := NewTracking(table)
-	if err := tr.UpdateBlock(chip, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Tracked(0) == nil {
-		t.Fatal("no tracked offsets after update")
-	}
-	capm := ecc.CapabilityModel{FrameBits: 8192, T: 28}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tracking should beat the plain table on average (first attempt is
-	// already tuned), even though it hurts some wordlines (Fig. 18).
-	var trSum, tabSum float64
-	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
-		rTr := ctl.Read(0, wl, 2, tr, mathx.Mix(6, uint64(wl)))
-		rTab := ctl.Read(0, wl, 2, table, mathx.Mix(6, uint64(wl)))
-		trSum += float64(rTr.Retries)
-		tabSum += float64(rTab.Retries)
-	}
-	if trSum >= tabSum {
-		t.Fatalf("tracking (%v) not better than table (%v) on average",
-			trSum, tabSum)
-	}
-	// Unprogrammed probe errors out.
-	cfg := testCfg(flash.TLC)
-	empty := flash.MustNew(cfg)
-	if err := tr.UpdateBlock(empty, 0, 0); err == nil {
-		t.Fatal("accepted unprogrammed probe wordline")
-	}
-}
-
 func TestReadGivesUpAtBudget(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
@@ -361,12 +294,6 @@ func TestPolicyNames(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	if table.Name() != "current-flash" {
 		t.Fatal("table name")
-	}
-	if NewTracking(table).Name() != "tracking" {
-		t.Fatal("tracking name")
-	}
-	if NewOracle().Name() != "oracle" {
-		t.Fatal("oracle name")
 	}
 	if NewSentinelPolicy(testEngine(t)).Name() != "sentinel" {
 		t.Fatal("sentinel name")

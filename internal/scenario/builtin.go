@@ -109,7 +109,7 @@ func init() {
 	figure("ablation-combined", "combined ablation", func(s experiments.Scale) (renderer, error) {
 		return experiments.AblateCombined(s)
 	})
-	Register(Entry{Name: "adaptive", Desc: "adaptive first-shot reads: table/sentinel vs ar2/history caches", InAll: true,
+	Register(Entry{Name: "adaptive", Desc: "adaptive first-shot reads: table/sentinel vs ar2/history", InAll: true,
 		Run: func(ctx *Ctx) (*Outcome, error) {
 			return outcomeOf(experiments.Adaptive(ctx.Scale, ctx.Requests(6000)))
 		}})

@@ -35,10 +35,10 @@ func TestMatrixWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestHistoryPolicyWorkerDeterminism pins the frozen-cache contract:
-// replay cells under the offset-history policies (cache warmed once,
-// then read-only) digest byte-identically at 1, 4 and 8 workers, and
-// the warmed cache's deterministic snapshot is reproducible.
+// TestHistoryPolicyWorkerDeterminism pins the read-only start-offset
+// contract: replay cells under the history policies (start offsets
+// inferred once, never rewritten) digest byte-identically at 1, 4 and
+// 8 workers.
 func TestHistoryPolicyWorkerDeterminism(t *testing.T) {
 	for _, policy := range []string{"history", "sentinel+history"} {
 		spec := Spec{Name: "c", Experiment: "replay", Policy: policy,

@@ -51,9 +51,9 @@ type Spec struct {
 	// experiments.PolicyNames catalogue ("sentinel" by default), built by
 	// experiments.Testbed.Policy on the cell's aged chip, or "synthetic"
 	// (a fixed outcome distribution; no chip is built, so the cell is
-	// fast enough for smoke tiers). The history-cache policies sample
-	// against a cache warmed from sentinel inference and then frozen, so
-	// their cells golden-gate like every other.
+	// fast enough for smoke tiers). The history policies start block 0
+	// at offsets inferred once from a sentinel sense and never rewritten,
+	// so their cells golden-gate like every other.
 	Policy string `json:"policy,omitempty"`
 	// Workload names a built-in MSR-like workload (trace.WorkloadByName)
 	// for replay cells; TraceFile overrides it with an MSR-format CSV.

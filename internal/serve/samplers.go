@@ -3,12 +3,14 @@ package serve
 import "sentinel3d/internal/ssdsim"
 
 // DefaultSamplers is the policy set flashd serves when no trained
-// model is wired in: empirical retry pools per TLC page type, shaped
-// like the paper's headline result — the sentinel policy resolves most
-// reads in one attempt at the cost of an aux sense, the vendor table
-// walks fixed retry sequences (deep for MSB pages), and the adaptive
-// policies (ar2, history, sentinel+history) shave or skip the walk
-// entirely via pipelining and the per-block offset-history cache.
+// model is wired in: fixed empirical retry pools per TLC page type,
+// shaped like the paper's headline result — the sentinel policy
+// resolves most reads in one attempt at the cost of an aux sense, the
+// vendor table walks fixed retry sequences (deep for MSB pages), and
+// the adaptive policies (ar2, history, sentinel+history) shave or skip
+// the walk via pipelining and per-block warm-start offsets. The pools
+// never change while serving: flashd reads no chip and keeps no
+// per-block offset state.
 func DefaultSamplers() map[string]ssdsim.RetrySampler {
 	return map[string]ssdsim.RetrySampler{
 		"sentinel": &ssdsim.EmpiricalSampler{PerPage: [][]ssdsim.RetryOutcome{
@@ -50,9 +52,9 @@ func DefaultSamplers() map[string]ssdsim.RetrySampler {
 				{Retries: 2}, {Retries: 4}, {Retries: 4}, {Retries: 6},
 			},
 		}},
-		// history starts at the block's last-known-good offsets: warm
-		// blocks land first shot with no aux sense; a cold block here and
-		// there falls back to a short table walk.
+		// history starts at the block's warm-start offsets: started
+		// blocks land first shot with no aux sense; a block without
+		// start offsets here and there falls back to a short table walk.
 		"history": &ssdsim.EmpiricalSampler{PerPage: [][]ssdsim.RetryOutcome{
 			{ // LSB
 				{Retries: 0}, {Retries: 0}, {Retries: 0}, {Retries: 0},
@@ -64,9 +66,9 @@ func DefaultSamplers() map[string]ssdsim.RetrySampler {
 				{Retries: 0}, {Retries: 0}, {Retries: 1}, {Retries: 2},
 			},
 		}},
-		// sentinel+history consults the cache first and recovers misses
-		// with sentinel inference, so cold blocks cost an aux sense
-		// instead of a table walk.
+		// sentinel+history starts at the warm-start offsets and recovers
+		// failed first shots with sentinel inference, so they cost an
+		// aux sense instead of a table walk.
 		"sentinel+history": &ssdsim.EmpiricalSampler{PerPage: [][]ssdsim.RetryOutcome{
 			{ // LSB
 				{Retries: 0}, {Retries: 0}, {Retries: 0}, {Retries: 0},
