@@ -1,14 +1,17 @@
 // Package retry implements the read path of the flash controller: issue a
 // page read, check ECC, and — on failure — choose the next voltage
-// offsets. Four interchangeable policies cover the paper's comparisons:
+// offsets. Interchangeable policies cover the paper's comparisons and
+// the adaptive follow-ons:
 //
 //   - DefaultTable: the "current flash" baseline that walks a vendor-style
 //     static retry table;
-//   - Tracking: the HPCA'15-style baseline that periodically records one
-//     wordline's optimal voltages per block and applies them block-wide;
-//   - Oracle: ground-truth optimal voltages (upper bound);
+//   - AR2: the same table walk with pipelined retry steps;
 //   - Sentinel: the paper's contribution — inference from sentinel-cell
-//     errors, then state-change calibration.
+//     errors, then state-change calibration;
+//   - WarmStart: a first shot at read-only per-block start offsets,
+//     recovered by the table walk or by sentinel inference;
+//   - Fallback: Sentinel guarded by the static table on blocks whose
+//     sentinel cells are corrupt.
 //
 // The controller accounts latency with an SSDSim-style model where sensing
 // cost is proportional to the number of applied read voltages, so an extra
