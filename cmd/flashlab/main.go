@@ -80,7 +80,7 @@ func main() {
 		}
 	}
 
-	res, err := scenario.RunCell(scenario.Spec{
+	res, err := scenario.Run(&scenario.Matrix{Name: "flashlab", Cells: []scenario.Spec{{
 		Name:       "flashlab",
 		Experiment: "charlab",
 		Scale:      scaleStr,
@@ -92,7 +92,7 @@ func main() {
 		SweepV:     *sweepV,
 		Seed:       *seed,
 		Fault:      fault,
-	}, scenario.RunOptions{Obs: reg})
+	}}}, scenario.RunOptions{Obs: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 		fmt.Printf("faults: stuck %.3g, outlier WLs %.3g, bursts %.3g, seed %d\n",
 			*faultStuck, *faultOutlier, *faultBurst, *faultSeed)
 	}
-	fmt.Print(res.Render)
+	fmt.Print(res.Cells[0].Render)
 
 	if *metricsOut != "" {
 		if err := obs.Dump(*metricsOut, reg); err != nil {

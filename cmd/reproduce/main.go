@@ -1,9 +1,11 @@
 // Command reproduce runs the paper's tables and figures on the simulated
 // chips and prints the results as text tables. It is a thin front-end
-// over the internal/scenario registry: every experiment id is a registry
-// entry, and -matrix runs a whole declarative experiment matrix (see
-// scenarios/) with shared preconditioning, golden-digest gating and
-// machine-readable per-cell results.
+// over the internal/scenario registry and matrix runner: -matrix runs a
+// declarative experiment matrix (see scenarios/), and -exp builds an
+// in-memory one with a cell per experiment id (per kind for per-kind
+// entries). Either way the cells run concurrently, bounded by -workers,
+// with shared preconditioning, golden-digest gating and optional
+// machine-readable per-cell results, and print when the run ends.
 //
 // Usage:
 //
@@ -23,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -44,12 +45,12 @@ func main() {
 		scaleStr = flag.String("scale", "quick", "quick or full")
 		kindStr  = flag.String("kind", "both", "tlc, qlc or both (where applicable)")
 		requests = flag.Int("requests", 0, "trace requests per workload (0 = experiment default)")
-		workers  = flag.Int("workers", 0, "worker goroutines for per-wordline fan-out (0 = all CPUs); results are identical at any setting")
+		workers  = flag.Int("workers", 0, "worker goroutines shared by the cells and their per-wordline fan-out (0 = all CPUs); results are identical at any setting")
 
 		matrixPath = flag.String("matrix", "", "run a scenario matrix JSON instead of -exp")
-		cellsRe    = flag.String("cells", "", "with -matrix: run only cells whose name matches this regexp")
-		outDir     = flag.String("out", "", "with -matrix: write per-cell JSON results and matrix.json here")
-		benchOut   = flag.String("bench", "", "with -matrix: write go-bench-format cell lines here ('-' for stdout)")
+		cellsRe    = flag.String("cells", "", "run only cells whose name matches this regexp")
+		outDir     = flag.String("out", "", "write per-cell JSON results and matrix.json here")
+		benchOut   = flag.String("bench", "", "write go-bench-format cell lines here ('-' for stdout)")
 		list       = flag.Bool("list", false, "list registry experiments and exit")
 
 		metricsOut = flag.String("metrics", "", "write a Prometheus-style metrics snapshot here at exit ('-' for stdout)")
@@ -96,12 +97,16 @@ func main() {
 		os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var runErr error
+	var m *scenario.Matrix
 	if *matrixPath != "" {
-		runErr = runMatrix(ctx, *matrixPath, *cellsRe, *outDir, *benchOut, reg)
+		var err error
+		if m, err = scenario.Load(*matrixPath); err != nil {
+			log.Fatal(err)
+		}
 	} else {
-		runErr = runExp(ctx, *expID, *scaleStr, *kindStr, *requests, reg)
+		m = expMatrix(*expID, *scaleStr, *kindStr, *requests)
 	}
+	runErr := runMatrix(ctx, m, *cellsRe, *outDir, *benchOut, reg)
 
 	// The metrics snapshot lands before any failure exit, so an
 	// interrupted (or failed) run still leaves its partial telemetry.
@@ -119,15 +124,11 @@ func main() {
 	}
 }
 
-// runMatrix executes a declarative matrix file and prints a per-cell
-// summary. Golden mismatches and cell errors are all reported (and the
-// result artifacts written) before the returned error makes the command
-// exit non-zero; flag and I/O mistakes stay fatal on the spot.
-func runMatrix(ctx context.Context, path, cellsRe, outDir, benchOut string, reg *obs.Registry) error {
-	m, err := scenario.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
+// runMatrix executes a matrix and prints a per-cell summary. Golden
+// mismatches and cell errors are all reported (and the result artifacts
+// written) before the returned error makes the command exit non-zero;
+// flag and I/O mistakes stay fatal on the spot.
+func runMatrix(ctx context.Context, m *scenario.Matrix, cellsRe, outDir, benchOut string, reg *obs.Registry) error {
 	opts := scenario.RunOptions{Obs: reg, ResultsDir: outDir, Ctx: ctx}
 	if cellsRe != "" {
 		re, err := regexp.Compile(cellsRe)
@@ -142,11 +143,12 @@ func runMatrix(ctx context.Context, path, cellsRe, outDir, benchOut string, reg 
 	case "-":
 		opts.BenchWriter = os.Stdout
 	default:
-		benchFile, err = os.Create(benchOut)
+		f, err := os.Create(benchOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts.BenchWriter = io.Writer(benchFile)
+		benchFile = f
+		opts.BenchWriter = f
 	}
 	res, runErr := scenario.Run(m, opts)
 	if benchFile != nil {
@@ -190,10 +192,13 @@ var aliases = map[string][]string{
 	"ablations": {"ablation-placement", "ablation-tempbands", "ablation-delta", "ablation-combined"},
 }
 
-// runExp dispatches one -exp id (or "all") through the registry. Cell
-// failures and cancellation return an error (so main can still flush
-// the metrics snapshot); bad flag values stay fatal on the spot.
-func runExp(ctx context.Context, expID, scaleStr, kindStr string, requests int, reg *obs.Registry) error {
+// expMatrix builds the in-memory matrix behind -exp: one cell per
+// registry entry named by id (an alias, or every entry in "all"), one
+// per kind for per-kind entries. Cells are named id or id_kind and seed
+// from SplitSeed(1, name), so each one digests exactly like the
+// same-named cell of scenarios/paper.json. Unknown ids and kinds are
+// fatal.
+func expMatrix(expID, scaleStr, kindStr string, requests int) *scenario.Matrix {
 	kinds := []string{"tlc", "qlc"}
 	switch strings.ToLower(kindStr) {
 	case "tlc":
@@ -219,46 +224,20 @@ func runExp(ctx context.Context, expID, scaleStr, kindStr string, requests int, 
 		ids = []string{expID}
 	}
 
+	m := &scenario.Matrix{Name: "exp", Seed: 1,
+		Defaults: scenario.Spec{Scale: scaleStr, Requests: requests}}
 	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("stopped before %s: %w", id, err)
-		}
 		entry, err := scenario.Lookup(id)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runKinds := []string{""}
-		if entry.PerKind {
-			runKinds = kinds
+		if !entry.PerKind {
+			m.Cells = append(m.Cells, scenario.Spec{Name: id, Experiment: id})
+			continue
 		}
-		for _, k := range runKinds {
-			spec := scenario.Spec{
-				Name:       strings.ReplaceAll(id, "/", "_"),
-				Experiment: id,
-				Scale:      scaleStr,
-				Kind:       k,
-				Requests:   requests,
-			}
-			label := id
-			if k != "" {
-				spec.Name = id + "_" + k
-				label = id + "/" + k
-			}
-			res, err := scenario.RunCell(spec, scenario.RunOptions{Obs: reg, Ctx: ctx})
-			if err != nil {
-				return fmt.Errorf("%s: %w", label, err)
-			}
-			fmt.Printf("== %s (%s scale, %.1fs) ==\n%s\n",
-				label, scaleName(scaleStr), res.Seconds, res.Render)
+		for _, k := range kinds {
+			m.Cells = append(m.Cells, scenario.Spec{Name: id + "_" + k, Experiment: id, Kind: k})
 		}
 	}
-	return nil
-}
-
-// scaleName normalizes the -scale flag for display.
-func scaleName(s string) string {
-	if s == "" {
-		return "quick"
-	}
-	return s
+	return m
 }

@@ -1,17 +1,18 @@
 // Command tracesim replays block I/O traces against the SSD simulator,
-// comparing read latency under the current-flash retry baseline and the
-// sentinel policy (the paper's Figure 14 pipeline, usable with either the
-// built-in synthetic MSR-like workloads or a real MSR-format CSV file).
-// It is a thin front-end over internal/scenario: each (workload, policy)
-// pair is one replay cell, and the expensive chip preconditioning is
-// shared across all of them by the matrix runner.
+// comparing read latency across retry policies — by default the
+// current-flash table baseline and the sentinel policy (the paper's
+// Figure 14 pipeline, usable with either the built-in synthetic MSR-like
+// workloads or a real MSR-format CSV file). It is a thin front-end over
+// internal/scenario: each (workload, policy) pair is one replay cell, and
+// the expensive chip preconditioning is shared across all of them by the
+// matrix runner.
 //
 // Examples:
 //
 //	tracesim -workload hm_0 -requests 20000
 //	tracesim -trace volume.csv
 //	tracesim -workload all
-//	tracesim -workload hm_0 -fault-stuck 0.08 -fault-pe 0.0005 -fallback
+//	tracesim -workload hm_0 -fault-stuck 0.08 -fault-pe 0.0005 -policies table,sentinel,fallback
 //	tracesim -workload hm_0 -requests 2000000 -stream -shards 4 -workers 4
 //	tracesim -workload hm_0 -metrics - -slow slow.jsonl
 //	tracesim -workload all -debug-addr 127.0.0.1:6060
@@ -47,11 +48,10 @@ func main() {
 		schedule  = flag.String("schedule", "", "dynamic aging: ambient temperature schedule (room, hot, diurnal); implies lifetime mode like -age")
 		full      = flag.Bool("full", false, "use full physical wordline width for retry sampling (slow)")
 
-		faultStuck  = flag.Float64("fault-stuck", 0, "fraction of OOB-region cells stuck high on the sampling chip")
-		faultPE     = flag.Float64("fault-pe", 0, "FTL page-program fail rate (block-erase fails at 4x this rate)")
-		faultSeed   = flag.Uint64("fault-seed", 0xfa17, "fault-injection seed")
-		useFallback = flag.Bool("fallback", false, "also sample and replay the sentinel+fallback policy")
-		policyList  = flag.String("policies", "", "comma-separated policy set (table, sentinel, fallback, ar2, history, sentinel+history); replaces the default table-vs-sentinel comparison with a generic per-cell table")
+		faultStuck = flag.Float64("fault-stuck", 0, "fraction of OOB-region cells stuck high on the sampling chip")
+		faultPE    = flag.Float64("fault-pe", 0, "FTL page-program fail rate (block-erase fails at 4x this rate)")
+		faultSeed  = flag.Uint64("fault-seed", 0xfa17, "fault-injection seed")
+		policyList = flag.String("policies", "table,sentinel", "comma-separated policy set (table, sentinel, fallback, ar2, history, sentinel+history, synthetic); reductions are against the first")
 
 		workers   = flag.Int("workers", 0, "replay worker goroutines (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 1, "device shards replayed concurrently (must divide the channel count)")
@@ -98,24 +98,14 @@ func main() {
 		fmt.Printf("debug endpoint: http://%s/metrics\n", srv.Addr)
 	}
 
-	// The policies column set: the static-table baseline and sentinel
-	// by default (fallback on request), or whatever -policies names —
-	// custom sets get a generic per-cell table instead of the
-	// two-column comparison.
-	policies := []string{"table", "sentinel"}
-	custom := *policyList != ""
-	if custom {
-		policies = policies[:0]
-		for _, p := range strings.Split(*policyList, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				policies = append(policies, p)
-			}
+	var policies []string
+	for _, p := range strings.Split(*policyList, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			policies = append(policies, p)
 		}
-		if len(policies) == 0 {
-			log.Fatal("-policies: empty policy list")
-		}
-	} else if *useFallback {
-		policies = append(policies, "fallback")
+	}
+	if len(policies) == 0 {
+		log.Fatal("-policies: empty policy list")
 	}
 
 	var names []string
@@ -185,89 +175,43 @@ func main() {
 	}
 	if ctx.Err() != nil {
 		// Interrupted: some cells never produced payloads, so skip the
-		// comparison table, flush the partial snapshots and exit non-zero.
-		fmt.Println("interrupted: skipping comparison table, flushing partial metrics")
+		// table, flush the partial snapshots and exit non-zero.
+		fmt.Println("interrupted: skipping the latency table, flushing partial metrics")
 		dumpSnapshots(*metricsOut, *slowOut, reg)
 		os.Exit(1)
 	}
 
-	// Cells are in matrix order: len(policies) per workload.
-	byPolicy := func(i int, pol string) scenario.CellResult {
-		for j, p := range policies {
-			if p == pol {
-				return res.Cells[i*len(policies)+j]
-			}
-		}
-		panic("unknown policy " + pol)
-	}
-	if custom {
-		// Generic per-(workload, policy) table: no assumptions about
-		// which policies are present.
-		fmt.Print("chip MSB retries:")
-		for _, pol := range policies {
-			fmt.Printf(" %s %.2f", pol, byPolicy(0, pol).Metrics["msb-retries"])
-		}
-		fmt.Print("\n\n")
-		hdr := []string{"workload", "policy", "reads", "mean µs", "p99 µs", "uncorr", "retired"}
-		var rows [][]string
-		for i, name := range names {
-			for _, pol := range policies {
-				r := report(byPolicy(i, pol))
-				rows = append(rows, []string{
-					name, pol, fmt.Sprint(r.Reads),
-					fmt.Sprintf("%.0f", r.MeanReadUS), fmt.Sprintf("%.0f", r.P99ReadUS),
-					fmt.Sprint(r.UncorrectableReads), fmt.Sprint(r.RetiredBlocks),
-				})
-			}
-		}
-		fmt.Print(experiments.Table(hdr, rows))
-		printPerDevice(*devices, *replicate, policies[0], names, byPolicy)
-		dumpSnapshots(*metricsOut, *slowOut, reg)
-		return
-	}
-
-	first := byPolicy(0, "table")
-	fmt.Printf("chip MSB retries: current flash %.2f, sentinel %.2f",
-		first.Metrics["msb-retries"], byPolicy(0, "sentinel").Metrics["msb-retries"])
-	if *useFallback {
-		fmt.Printf(", fallback %.2f", byPolicy(0, "fallback").Metrics["msb-retries"])
+	// Cells are in matrix order: len(policies) per workload, and every
+	// reduction is against the workload's first listed policy.
+	cell := func(i, j int) scenario.CellResult { return res.Cells[i*len(policies)+j] }
+	fmt.Print("chip MSB retries:")
+	for j, pol := range policies {
+		fmt.Printf(" %s %.2f", pol, cell(0, j).Metrics["msb-retries"])
 	}
 	fmt.Print("\n\n")
-
-	header := []string{"workload", "reads", "base µs", "sentinel µs", "reduction",
-		"base p99", "sent p99"}
-	if *useFallback {
-		header = append(header, "fb µs", "fb degraded")
-	}
-	header = append(header, "uncorr b/s", "retired")
+	hdr := []string{"workload", "policy", "reads", "mean µs", "p99 µs", "reduction",
+		"uncorr", "fallback", "retired"}
 	var rows [][]string
 	for i, name := range names {
-		b := report(byPolicy(i, "table"))
-		s := report(byPolicy(i, "sentinel"))
-		red := 0.0
-		if b.MeanReadUS > 0 {
-			red = 1 - s.MeanReadUS/b.MeanReadUS
+		base := report(cell(i, 0))
+		for j, pol := range policies {
+			r := report(cell(i, j))
+			red := 0.0
+			if base.MeanReadUS > 0 {
+				red = 1 - r.MeanReadUS/base.MeanReadUS
+			}
+			rows = append(rows, []string{
+				name, pol, fmt.Sprint(r.Reads),
+				fmt.Sprintf("%.0f", r.MeanReadUS), fmt.Sprintf("%.0f", r.P99ReadUS),
+				experiments.Pct(red), fmt.Sprint(r.UncorrectableReads),
+				fmt.Sprint(r.FallbackReads), fmt.Sprint(r.RetiredBlocks),
+			})
 		}
-		row := []string{
-			name, fmt.Sprint(b.Reads),
-			fmt.Sprintf("%.0f", b.MeanReadUS), fmt.Sprintf("%.0f", s.MeanReadUS),
-			experiments.Pct(red),
-			fmt.Sprintf("%.0f", b.P99ReadUS), fmt.Sprintf("%.0f", s.P99ReadUS),
-		}
-		if *useFallback {
-			f := report(byPolicy(i, "fallback"))
-			row = append(row, fmt.Sprintf("%.0f", f.MeanReadUS),
-				fmt.Sprint(f.FallbackReads))
-		}
-		row = append(row,
-			fmt.Sprintf("%d/%d", b.UncorrectableReads, s.UncorrectableReads),
-			fmt.Sprint(b.RetiredBlocks))
-		rows = append(rows, row)
 	}
-	fmt.Print(experiments.Table(header, rows))
-
-	printPerDevice(*devices, *replicate, "sentinel", names, byPolicy)
-
+	fmt.Print(experiments.Table(hdr, rows))
+	for j, pol := range policies {
+		printPerDevice(*devices, *replicate, pol, names, func(i int) scenario.CellResult { return cell(i, j) })
+	}
 	dumpSnapshots(*metricsOut, *slowOut, reg)
 }
 
@@ -275,7 +219,7 @@ func main() {
 // the rows come straight from the engine's PerDevice summaries. No-op
 // for single-device runs.
 func printPerDevice(devices int, replicate bool, policy string, names []string,
-	byPolicy func(int, string) scenario.CellResult) {
+	cell func(workload int) scenario.CellResult) {
 	if devices <= 1 {
 		return
 	}
@@ -287,7 +231,7 @@ func printPerDevice(devices int, replicate bool, policy string, names []string,
 	hdr := []string{"workload", "device", "requests", "reads", "mean µs", "p99", "uncorr", "retired"}
 	var drows [][]string
 	for i, name := range names {
-		for d, sum := range perDevice(byPolicy(i, policy)) {
+		for d, sum := range perDevice(cell(i)) {
 			drows = append(drows, []string{
 				name, fmt.Sprintf("dev%d", d),
 				fmt.Sprint(sum.Requests), fmt.Sprint(sum.Reads),

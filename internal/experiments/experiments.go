@@ -92,9 +92,10 @@ func Full() Scale {
 		// Full pages hold ~18 ECC frames and a page decodes only when
 		// every frame does, so the per-frame capability is sized a little
 		// above the quick scale's 2-frame pages.
-		TLCCapT:   32,
-		QLCCapT:   70,
-		TableStep: 1.2,
+		TLCCapT:    32,
+		QLCCapT:    70,
+		TableStep:  1.2,
+		MaxRetries: 15,
 	}
 }
 

@@ -22,6 +22,12 @@ func TestScalesValid(t *testing.T) {
 		if len(s.trainPoints()) == 0 {
 			t.Errorf("%s has no stress points", s.Name)
 		}
+		// A zero budget reads every page exactly once; the scales trade
+		// fidelity for time, never the controller's retry budget.
+		if s.MaxRetries <= 0 || s.MaxRetries != Quick().MaxRetries {
+			t.Errorf("%s retry budget %d, want quick's positive %d",
+				s.Name, s.MaxRetries, Quick().MaxRetries)
+		}
 	}
 	// Quick keeps the paper's absolute sentinel count.
 	q := Quick()

@@ -300,8 +300,8 @@ func (c *Chip) SetReadTemperature(b int, tempC float64) {
 	c.blocks[b].stress = c.blocks[b].stress.AtReadTemp(tempC)
 }
 
-// ResetRetention clears accumulated retention and read count of block b
-// (as if freshly reprogrammed) while keeping wear.
+// ResetRetention clears accumulated retention and the read temperature
+// of block b (as if freshly reprogrammed) while keeping wear.
 func (c *Chip) ResetRetention(b int) {
 	c.checkAddr(b, 0)
 	c.blocks[b].stress = c.blocks[b].stress.AfterProgram()

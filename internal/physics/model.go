@@ -243,19 +243,6 @@ func (m *Model) FillVth(env WLEnv, globalWL uint64, states []uint8, epoch, readS
 	}
 }
 
-// readDisturbShift is the upward creep of low states after many reads.
-// Negligible below ~1e6 reads, matching the paper's measurement.
-func (m *Model) readDisturbShift(s int, reads int) float64 {
-	if reads <= 0 || m.P.ReadDisturbScale == 0 {
-		return 0
-	}
-	// Only states well below the pass-through voltage creep upward;
-	// weight fades with state index.
-	k := float64(m.P.States() - 1)
-	w := (k - float64(s)) / k
-	return m.P.ReadDisturbScale * w * math.Log1p(float64(reads)/1e5)
-}
-
 // WLEnv captures everything about a wordline's environment that is shared
 // by all its cells: resolved per-state means and sigmas under a given
 // stress, plus the spatial gradient. Computing it once per wordline read
@@ -294,8 +281,7 @@ func (m *Model) EnvInto(env *WLEnv, layer int, globalWL uint64, st Stress) {
 	widen := m.SigmaWiden(st) * m.LayerSigmaMult(layer)
 	dT := st.EffectiveReadTemp() - RoomTempC
 	for s := 0; s < k; s++ {
-		shift := -amp*m.shiftWeight(s) + m.readDisturbShift(s, st.ReadCount) +
-			m.crossTempShift(s, dT)
+		shift := -amp*m.shiftWeight(s) + m.crossTempShift(s, dT)
 		env.Mean[s] = m.Center(s) + m.LayerStateOffset(layer, s) +
 			m.WLStateOffset(globalWL, s) + shift
 		env.Sigma[s] = m.BaseSigma(s) * widen

@@ -227,18 +227,6 @@ func TestCellVthDistribution(t *testing.T) {
 	}
 }
 
-func TestReadDisturbNegligibleBelowMillionReads(t *testing.T) {
-	m := mustModel(t, QLC(), 5)
-	st := Stress{ReadCount: 500000}
-	env0 := m.Env(0, 0, Stress{})
-	envR := m.Env(0, 0, st)
-	for s := 0; s < m.P.States(); s++ {
-		if d := math.Abs(envR.Mean[s] - env0.Mean[s]); d > 0.2 {
-			t.Fatalf("read disturb moved state %d by %v before 1M reads", s, d)
-		}
-	}
-}
-
 func TestGradientZeroMeanAcrossWordlines(t *testing.T) {
 	m := mustModel(t, QLC(), 5)
 	var sum float64

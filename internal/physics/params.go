@@ -104,11 +104,6 @@ type Params struct {
 	// room-temperature retention time.
 	ActivationEnergyEV float64
 
-	// ReadDisturbScale controls the tiny upward creep of low states with
-	// accumulated reads. The paper measured no degradation below one
-	// million reads; the default keeps the effect negligible until then.
-	ReadDisturbScale float64
-
 	// TailFrac and TailMult model the heavy tails of real Vth
 	// distributions: a TailFrac fraction of cells draw their program
 	// offset from a TailMult-times-wider Gaussian (fast leakers, random
@@ -179,7 +174,6 @@ func TLC() Params {
 		GradientStd:        4.0,
 		ReadNoiseSigma:     3.0,
 		ActivationEnergyEV: 0.55,
-		ReadDisturbScale:   0.02,
 		TailFrac:           0.008,
 		TailMult:           2.2,
 		XTempPerC:          0.30,
@@ -210,7 +204,6 @@ func QLC() Params {
 		GradientStd:        2.5,
 		ReadNoiseSigma:     2.0,
 		ActivationEnergyEV: 0.55,
-		ReadDisturbScale:   0.02,
 		TailFrac:           0.008,
 		TailMult:           2.2,
 		XTempPerC:          0.18,

@@ -24,10 +24,6 @@ type Stress struct {
 	// normalized to room temperature.
 	EffRetentionHours float64
 
-	// ReadCount is the number of reads since the last program (read
-	// disturb accounting).
-	ReadCount int
-
 	// ReadTempC is the ambient temperature during reads. It is only
 	// meaningful when ReadTempSet is true; use AtReadTemp to set both
 	// (and EffectiveReadTemp to read back). Reading hot shifts higher
@@ -92,17 +88,9 @@ func (s Stress) Cycled(n int) Stress {
 }
 
 // AfterProgram returns the stress state immediately after reprogramming:
-// retention and read count reset, wear kept.
+// retention and read temperature reset, wear kept.
 func (s Stress) AfterProgram() Stress {
 	return Stress{PECycles: s.PECycles}
-}
-
-// Read returns a copy of s with n additional read operations recorded.
-func (s Stress) Read(n int) Stress {
-	if n > 0 {
-		s.ReadCount += n
-	}
-	return s
 }
 
 // YearHours is the number of hours in the paper's canonical one-year

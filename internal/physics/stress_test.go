@@ -60,13 +60,10 @@ func TestAgedNegativePanics(t *testing.T) {
 	mustPanic(t, "Aged(NaN)", func() { (Stress{}).Aged(p, math.NaN(), 80) })
 }
 
-func TestCycledAndRead(t *testing.T) {
-	s := Stress{}.Cycled(100).Read(7).Read(0)
+func TestCycledAccumulates(t *testing.T) {
+	s := Stress{}.Cycled(100).Cycled(0)
 	if s.PECycles != 100 {
 		t.Fatalf("PECycles = %d", s.PECycles)
-	}
-	if s.ReadCount != 7 {
-		t.Fatalf("ReadCount = %d", s.ReadCount)
 	}
 	mustPanic(t, "Cycled(-5)", func() { s.Cycled(-5) })
 }
@@ -116,9 +113,9 @@ func TestZeroCelsiusReadShiftsDifferFromRoom(t *testing.T) {
 }
 
 func TestAfterProgramResetsRetentionKeepsWear(t *testing.T) {
-	s := Stress{PECycles: 500, EffRetentionHours: 1000, ReadCount: 99}
+	s := Stress{PECycles: 500, EffRetentionHours: 1000}.AtReadTemp(70)
 	s = s.AfterProgram()
-	if s.PECycles != 500 || s.EffRetentionHours != 0 || s.ReadCount != 0 {
+	if s.PECycles != 500 || s.EffRetentionHours != 0 || s.ReadTempSet {
 		t.Fatalf("AfterProgram = %+v", s)
 	}
 }

@@ -46,11 +46,7 @@ func TestHistoryPolicyWorkerDeterminism(t *testing.T) {
 		run := func(workers int) string {
 			prev := parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(prev)
-			res, err := RunCell(spec, RunOptions{})
-			if err != nil {
-				t.Fatalf("%s at %d workers: %v", policy, workers, err)
-			}
-			return res.Digest
+			return runOne(t, spec).Digest
 		}
 		ref := run(1)
 		for _, workers := range []int{4, 8} {
@@ -70,16 +66,10 @@ func TestCellObsDeterminism(t *testing.T) {
 	for _, devices := range []int{1, 2} {
 		base := Spec{Name: "c", Experiment: "replay", Policy: "synthetic",
 			Workload: "hm_0", Requests: 2000, Shards: 2, Devices: devices, Seed: 99}
-		plain, err := RunCell(base, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := runOne(t, base)
 		obsd := base
 		obsd.Obs = ObsSpec{Metrics: true, SlowN: 4}
-		inst, err := RunCell(obsd, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := runOne(t, obsd)
 		if plain.Digest != inst.Digest {
 			t.Errorf("devices=%d: obs changed the digest: %s vs %s", devices, plain.Digest, inst.Digest)
 		}

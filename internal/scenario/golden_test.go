@@ -22,10 +22,7 @@ func TestGoldenParity(t *testing.T) {
 		{"adaptive", "fa986b4c3bf62107"},
 		{"lifetime", "07b28d539682efed"},
 	} {
-		res, err := RunCell(Spec{Name: tc.exp, Experiment: tc.exp, Scale: "quick", Requests: 6000}, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runOne(t, Spec{Name: tc.exp, Experiment: tc.exp, Scale: "quick", Requests: 6000})
 		if res.Digest != tc.want {
 			t.Errorf("%s digest %s, want %s", tc.exp, res.Digest, tc.want)
 		}

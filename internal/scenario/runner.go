@@ -46,7 +46,7 @@ type RunOptions struct {
 	// cmd/benchjson can parse, compare and gate the run.
 	BenchWriter io.Writer
 	// KeepPayload retains each cell's raw result value on CellResult for
-	// in-process front-ends (tracesim's comparison table); the payload is
+	// in-process front-ends (tracesim's latency table); the payload is
 	// never serialized.
 	KeepPayload bool
 	// Ctx, when non-nil, cancels the run cooperatively (the CLIs wire
@@ -148,26 +148,6 @@ func Run(m *Matrix, opts RunOptions) (*MatrixResult, error) {
 		errs = append(errs, err)
 	}
 	return res, errors.Join(errs...)
-}
-
-// RunCell executes a single spec outside any matrix — the thin CLI
-// front-ends use it. The spec must carry its own seed or rely on the
-// runner default (SplitSeed(1, name)).
-func RunCell(spec Spec, opts RunOptions) (CellResult, error) {
-	if spec.Name == "" {
-		spec.Name = spec.Experiment
-	}
-	if spec.Seed == 0 {
-		spec.Seed = SplitSeed(1, spec.Name)
-	}
-	if err := spec.Validate(); err != nil {
-		return CellResult{Name: spec.Name, Err: err.Error()}, err
-	}
-	res := runCell(spec, NewShared(), opts)
-	if res.Err != "" {
-		return res, fmt.Errorf("cell %s: %s", res.Name, res.Err)
-	}
-	return res, nil
 }
 
 // runCell executes one validated cell and converts its outcome.

@@ -25,6 +25,17 @@ func syntheticMatrix() *Matrix {
 	}
 }
 
+// runOne runs spec as the only cell of a matrix, the way the CLIs run a
+// single experiment.
+func runOne(t *testing.T, spec Spec) CellResult {
+	t.Helper()
+	res, err := Run(&Matrix{Name: "one", Cells: []Spec{spec}}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Cells[0]
+}
+
 func TestRunSyntheticReplay(t *testing.T) {
 	dir := t.TempDir()
 	var bench bytes.Buffer
@@ -206,13 +217,10 @@ func TestRunCellCharlab(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a chip; skipped in -short")
 	}
-	res, err := RunCell(Spec{
+	res := runOne(t, Spec{
 		Name: "bench", Experiment: "charlab", Kind: "tlc",
 		Wordlines: 2, PE: 1000, Hours: 100, SweepV: 2, Seed: 1,
-	}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	for _, want := range []string{"chip:", "stress:", "RBER", "error-vs-offset sweep"} {
 		if !strings.Contains(res.Render, want) {
 			t.Errorf("charlab render missing %q:\n%s", want, res.Render)

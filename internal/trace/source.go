@@ -91,13 +91,11 @@ func Collect(src Source) ([]Request, error) {
 // one request per line, without slurping the file. Timestamps are
 // Windows filetime (100ns ticks) and are rebased so the first request
 // arrives at t=0; Offset and Size are bytes. Requests are yielded in
-// file order, which matches ParseMSR (it sorts by timestamp) on the
-// published MSR volumes because those are timestamp-sorted. On a trace
-// with out-of-order timestamps the two differ by construction — the
-// stream cannot be sorted without materializing it — so the streaming
-// path clamps each arrival to the running maximum: replay order is
-// file order, time never runs backwards, and Reordered counts the
-// records whose timestamps did.
+// file order, which is timestamp order on the published MSR volumes. A
+// stream cannot be sorted without materializing it, so on a trace with
+// out-of-order timestamps each arrival is clamped to the running
+// maximum: replay order is file order, time never runs backwards, and
+// Reordered counts the records whose timestamps did.
 type MSRSource struct {
 	sc      *bufio.Scanner
 	closer  io.Closer
@@ -142,43 +140,15 @@ func (m *MSRSource) Close() error {
 	return err
 }
 
-// Next implements Source. Arrivals are rebased against the first
-// record and clamped to the running maximum, so a record whose raw
-// timestamp runs backwards (including one earlier than the first
-// record's) never injects a negative or time-travelling arrival into
-// the simulator; Reordered reports how many records were clamped.
+// Next implements Source. Blank and comment lines are skipped.
+// Arrivals are rebased against the first record and clamped to the
+// running maximum, so a record whose raw timestamp runs backwards
+// (including one earlier than the first record's) never injects a
+// negative or time-travelling arrival into the simulator; Reordered
+// reports how many records were clamped.
 func (m *MSRSource) Next() (Request, bool, error) {
-	req, ts, ok, err := m.nextRaw()
-	if err != nil || !ok {
-		return Request{}, false, err
-	}
-	if !m.started {
-		m.started = true
-		m.t0 = ts
-	}
-	us := float64(ts-m.t0) / 10.0 // 100ns ticks -> µs
-	if us < m.lastUS {
-		us = m.lastUS
-		m.reordered++
-	} else {
-		m.lastUS = us
-	}
-	req.ArriveUS = us
-	return req, true, nil
-}
-
-// Reordered returns the number of records yielded so far whose raw
-// timestamp preceded an earlier record's. The replay engine surfaces
-// this in its Report so divergence from the sorted (ParseMSR) order is
-// visible rather than silent.
-func (m *MSRSource) Reordered() int64 { return m.reordered }
-
-// nextRaw yields the next record with its raw filetime timestamp,
-// skipping blank and comment lines. ParseMSR builds on it to sort by
-// raw timestamp before rebasing.
-func (m *MSRSource) nextRaw() (Request, int64, bool, error) {
 	if m.err != nil {
-		return Request{}, 0, false, m.err
+		return Request{}, false, m.err
 	}
 	for m.sc.Scan() {
 		m.line++
@@ -191,26 +161,39 @@ func (m *MSRSource) nextRaw() (Request, int64, bool, error) {
 		req, ts, err := parseMSRBytes(text, m.line)
 		if err != nil {
 			m.err = err
-			return Request{}, 0, false, err
+			return Request{}, false, err
 		}
-		return req, ts, true, nil
+		if !m.started {
+			m.started = true
+			m.t0 = ts
+		}
+		us := float64(ts-m.t0) / 10.0 // 100ns ticks -> µs
+		if us < m.lastUS {
+			us = m.lastUS
+			m.reordered++
+		} else {
+			m.lastUS = us
+		}
+		req.ArriveUS = us
+		return req, true, nil
 	}
 	if err := m.sc.Err(); err != nil {
 		m.err = err
-		return Request{}, 0, false, err
+		return Request{}, false, err
 	}
-	return Request{}, 0, false, nil
+	return Request{}, false, nil
 }
 
-// parseMSRLine parses one CSV record, returning the request with its raw
-// timestamp (the caller rebases arrivals against the first one seen).
-func parseMSRLine(text string, line int) (Request, int64, error) {
-	return parseMSRBytes([]byte(text), line)
-}
+// Reordered returns the number of records yielded so far whose raw
+// timestamp preceded an earlier record's. The replay engine surfaces
+// this in its Report so a trace that is not timestamp-sorted is
+// visible rather than silent.
+func (m *MSRSource) Reordered() int64 { return m.reordered }
 
-// parseMSRBytes is the allocation-free core of parseMSRLine: fields are
-// located by comma scan and integers parsed in place, so the streaming
-// MSR source costs no heap traffic per record.
+// parseMSRBytes parses one CSV record, returning the request with its
+// raw timestamp (Next rebases arrivals against the first one seen).
+// Fields are located by comma scan and integers parsed in place, so the
+// streaming MSR source costs no heap traffic per record.
 func parseMSRBytes(text []byte, line int) (Request, int64, error) {
 	var f [6][]byte
 	rest := text

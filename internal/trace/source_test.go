@@ -90,31 +90,9 @@ const msrSample = `128166372003061629,hm,0,Read,8192,4096,100
 128166372023061629,hm,0,Read,0,512,100
 `
 
-// TestMSRSourceMatchesParseMSR: on a timestamp-sorted file (which the
-// published MSR volumes are), streaming yields exactly what ParseMSR
-// materializes.
-func TestMSRSourceMatchesParseMSR(t *testing.T) {
-	want, err := ParseMSR(strings.NewReader(msrSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(NewMSRSource(strings.NewReader(msrSample)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d streamed vs %d parsed", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("request %d differs: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // msrMessy exercises every parser edge in one fixture: comments, blank
 // lines, CRLF endings, a size-0 record (still one page), and surplus
-// whitespace. Timestamps are in order so streaming == sorting.
+// whitespace. Timestamps are in order, so no arrival is clamped.
 const msrMessy = "# MSR header comment\r\n" +
 	"128166372003061629,hm,0,Read,8192,4096,100\r\n" +
 	"\r\n" +
@@ -123,8 +101,8 @@ const msrMessy = "# MSR header comment\r\n" +
 	"128166372023061629,hm,0,Read,12288,0,100\r\n" + // size 0 -> 1 page
 	"128166372033061629,hm,0,read,0,512,100\n" // case-insensitive op
 
-// TestMSRSourceGoldenMessy pins MSRSource and ParseMSR to the same
-// stream on the messy fixture, and the stream itself to golden values.
+// TestMSRSourceGoldenMessy pins MSRSource's stream over the messy
+// fixture to golden values.
 func TestMSRSourceGoldenMessy(t *testing.T) {
 	want := []Request{
 		{ArriveUS: 0, Op: Read, LPN: 2, Pages: 1},
@@ -132,22 +110,15 @@ func TestMSRSourceGoldenMessy(t *testing.T) {
 		{ArriveUS: 2e6, Op: Read, LPN: 3, Pages: 1},
 		{ArriveUS: 3e6, Op: Read, LPN: 0, Pages: 1},
 	}
-	parsed, err := ParseMSR(strings.NewReader(msrMessy))
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := NewMSRSource(strings.NewReader(msrMessy))
 	streamed, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed) != len(want) || len(streamed) != len(want) {
-		t.Fatalf("parsed %d, streamed %d, want %d", len(parsed), len(streamed), len(want))
+	if len(streamed) != len(want) {
+		t.Fatalf("streamed %d, want %d", len(streamed), len(want))
 	}
 	for i := range want {
-		if parsed[i] != want[i] {
-			t.Errorf("parsed[%d] = %+v, want %+v", i, parsed[i], want[i])
-		}
 		if streamed[i] != want[i] {
 			t.Errorf("streamed[%d] = %+v, want %+v", i, streamed[i], want[i])
 		}
@@ -194,26 +165,6 @@ func TestMSRSourceOutOfOrder(t *testing.T) {
 		t.Errorf("Reordered() = %d, want 2", src.Reordered())
 	}
 
-	// ParseMSR sorts by raw timestamp and rebases against the earliest
-	// record, so the sorted trace starts at 0 and is monotone.
-	parsed, err := ParseMSR(strings.NewReader(msrOutOfOrder))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSorted := []Request{
-		{ArriveUS: 0, Op: Write, LPN: 1, Pages: 2},
-		{ArriveUS: 1e6, Op: Read, LPN: 2, Pages: 1},
-		{ArriveUS: 1.9e6, Op: Read, LPN: 4, Pages: 1},
-		{ArriveUS: 2e6, Op: Read, LPN: 3, Pages: 1},
-	}
-	if len(parsed) != len(wantSorted) {
-		t.Fatalf("parsed %d requests", len(parsed))
-	}
-	for i := range wantSorted {
-		if parsed[i] != wantSorted[i] {
-			t.Errorf("parsed[%d] = %+v, want %+v", i, parsed[i], wantSorted[i])
-		}
-	}
 }
 
 // FuzzParseMSRLine: no input may crash the line parser, and every
@@ -227,7 +178,7 @@ func FuzzParseMSRLine(f *testing.F) {
 	f.Add(",,,,,,")
 	f.Add("1,h,0,Read,0x10,4096,1")
 	f.Fuzz(func(t *testing.T, line string) {
-		req, ts, err := parseMSRLine(line, 1)
+		req, ts, err := parseMSRBytes([]byte(line), 1)
 		if err != nil {
 			return
 		}
@@ -237,7 +188,7 @@ func FuzzParseMSRLine(f *testing.F) {
 		if req.Op != Read && req.Op != Write {
 			t.Fatalf("accepted line %q with op %v", line, req.Op)
 		}
-		req2, ts2, err2 := parseMSRLine(line, 1)
+		req2, ts2, err2 := parseMSRBytes([]byte(line), 1)
 		if err2 != nil || req2 != req || ts2 != ts {
 			t.Fatalf("re-parse of %q diverged: %+v/%v vs %+v/%v (%v)",
 				line, req, ts, req2, ts2, err2)

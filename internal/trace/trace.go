@@ -1,6 +1,6 @@
 // Package trace provides block-level I/O traces for the SSD simulator: a
-// parser for MSR-Cambridge-format CSV traces and synthetic generators for
-// eight workloads whose shapes (read ratio, arrival burstiness, request
+// streaming parser for MSR-Cambridge-format CSV traces and synthetic
+// generators for eight workloads whose shapes (read ratio, arrival burstiness, request
 // sizes, access locality) follow the published summary statistics of the
 // MSR volumes used in the paper's Figure 14.
 //
@@ -9,11 +9,6 @@
 // which depends on read intensity and arrival structure rather than the
 // exact block addresses.
 package trace
-
-import (
-	"io"
-	"sort"
-)
 
 // Op is the request type.
 type Op int
@@ -47,73 +42,3 @@ type Request struct {
 
 // PageBytes is the logical page size used for LPN accounting.
 const PageBytes = 4096
-
-// ParseMSR reads an MSR Cambridge CSV trace:
-//
-//	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
-//
-// Timestamp is in Windows filetime (100ns ticks); Offset and Size are in
-// bytes. Unparseable lines yield an error with the line number.
-//
-// ParseMSR materializes the whole trace, stable-sorts it by raw
-// timestamp, and rebases arrivals so the earliest request arrives at
-// t=0 — even when the file's first line is not its earliest record.
-// For multi-million-request files use NewMSRSource/OpenMSR, which
-// stream requests in file order (clamping any backwards timestamps to
-// the running maximum) instead.
-func ParseMSR(r io.Reader) ([]Request, error) {
-	src := NewMSRSource(r)
-	type raw struct {
-		req Request
-		ts  int64
-	}
-	var recs []raw
-	for {
-		req, ts, ok, err := src.nextRaw()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		recs = append(recs, raw{req, ts})
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ts < recs[j].ts })
-	out := make([]Request, len(recs))
-	for i, rec := range recs {
-		rec.req.ArriveUS = float64(rec.ts-recs[0].ts) / 10.0
-		out[i] = rec.req
-	}
-	return out, nil
-}
-
-// Stats summarizes a trace.
-type Stats struct {
-	Requests   int
-	Reads      int
-	ReadFrac   float64
-	TotalPages int
-	AvgPages   float64
-	DurationUS float64
-}
-
-// Summarize computes Stats for a request slice.
-func Summarize(reqs []Request) Stats {
-	var s Stats
-	s.Requests = len(reqs)
-	for _, r := range reqs {
-		if r.Op == Read {
-			s.Reads++
-		}
-		s.TotalPages += r.Pages
-	}
-	if len(reqs) > 0 {
-		s.ReadFrac = float64(s.Reads) / float64(len(reqs))
-		s.AvgPages = float64(s.TotalPages) / float64(len(reqs))
-		s.DurationUS = reqs[len(reqs)-1].ArriveUS - reqs[0].ArriveUS
-	}
-	return s
-}

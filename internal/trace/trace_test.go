@@ -7,63 +7,14 @@ import (
 	"testing/quick"
 )
 
-func TestParseMSR(t *testing.T) {
-	csv := strings.Join([]string{
-		"128166372003061629,hm,0,Read,8192,4096,100",
-		"128166372013061629,hm,0,Write,4096,8192,100",
-		"128166372023061629,hm,0,Read,0,512,100",
-	}, "\n")
-	reqs, err := ParseMSR(strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 3 {
-		t.Fatalf("got %d requests", len(reqs))
-	}
-	r0 := reqs[0]
-	if r0.ArriveUS != 0 || r0.Op != Read || r0.LPN != 2 || r0.Pages != 1 {
-		t.Fatalf("r0 = %+v", r0)
-	}
-	if reqs[1].ArriveUS != 1e6 { // 1e7 ticks = 1s = 1e6 µs
-		t.Fatalf("r1 arrive = %v", reqs[1].ArriveUS)
-	}
-	if reqs[1].Op != Write || reqs[1].LPN != 1 || reqs[1].Pages != 2 {
-		t.Fatalf("r1 = %+v", reqs[1])
-	}
-	// Sub-page read still touches one page.
-	if reqs[2].Pages != 1 {
-		t.Fatalf("r2 pages = %d", reqs[2].Pages)
-	}
-}
-
 func TestParseMSRUnalignedSpansPages(t *testing.T) {
 	// 4 KiB starting at offset 2048 touches two pages.
-	csv := "1,h,0,Read,2048,4096,1"
-	reqs, err := ParseMSR(strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
+	req, ok, err := NewMSRSource(strings.NewReader("1,h,0,Read,2048,4096,1")).Next()
+	if err != nil || !ok {
+		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if reqs[0].Pages != 2 {
-		t.Fatalf("pages = %d, want 2", reqs[0].Pages)
-	}
-}
-
-func TestParseMSRErrors(t *testing.T) {
-	cases := []string{
-		"notanumber,h,0,Read,0,4096,1",
-		"1,h,0,Flush,0,4096,1",
-		"1,h,0,Read,zero,4096,1",
-		"1,h,0,Read,0,big,1",
-		"1,h,0",
-	}
-	for _, c := range cases {
-		if _, err := ParseMSR(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-	// Blank lines and comments are fine.
-	if _, err := ParseMSR(strings.NewReader("# header\n\n1,h,0,Read,0,4096,1\n")); err != nil {
-		t.Errorf("rejected comments: %v", err)
+	if req.LPN != 0 || req.Pages != 2 {
+		t.Fatalf("req = %+v, want LPN 0 spanning 2 pages", req)
 	}
 }
 
@@ -96,12 +47,20 @@ func TestGenerateMatchesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Summarize(reqs)
-	if math.Abs(st.ReadFrac-spec.ReadFrac) > 0.02 {
-		t.Fatalf("read fraction %v, want ~%v", st.ReadFrac, spec.ReadFrac)
+	reads, pages := 0, 0
+	for _, r := range reqs {
+		if r.Op == Read {
+			reads++
+		}
+		pages += r.Pages
 	}
-	if math.Abs(st.AvgPages-spec.MeanPages)/spec.MeanPages > 0.25 {
-		t.Fatalf("mean size %v, want ~%v", st.AvgPages, spec.MeanPages)
+	readFrac := float64(reads) / float64(len(reqs))
+	avgPages := float64(pages) / float64(len(reqs))
+	if math.Abs(readFrac-spec.ReadFrac) > 0.02 {
+		t.Fatalf("read fraction %v, want ~%v", readFrac, spec.ReadFrac)
+	}
+	if math.Abs(avgPages-spec.MeanPages)/spec.MeanPages > 0.25 {
+		t.Fatalf("mean size %v, want ~%v", avgPages, spec.MeanPages)
 	}
 	// Arrivals are sorted and positive.
 	prev := -1.0
@@ -192,12 +151,6 @@ func TestZipfSkewConcentratesAccesses(t *testing.T) {
 	}
 	if conc(1.1) <= conc(0.2)+0.05 {
 		t.Fatal("higher Zipf skew did not concentrate accesses")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.Requests != 0 || s.ReadFrac != 0 {
-		t.Fatalf("empty summary = %+v", s)
 	}
 }
 
