@@ -37,8 +37,6 @@ func main() {
 		},
 		WordlinesPerPoint: 12,
 		Layout:            scale.Layout(),
-		PolyDegree:        5,
-		MeasureReads:      2,
 		Seed:              0xfac702,
 		TempBandsC:        []float64{45, 100},
 	}

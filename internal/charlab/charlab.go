@@ -18,44 +18,40 @@ import (
 	"sentinel3d/internal/parallel"
 )
 
-// Lab wraps a chip with sweep settings.
+// The offset grid used to find optimal voltages, in normalized units:
+// sweepLo..sweepHi in steps of sweepStep.
+const (
+	sweepLo   float64 = -60
+	sweepHi   float64 = 30
+	sweepStep float64 = 1
+)
+
+// averageReads is the number of independent reads averaged per sweep
+// (reduces sensing-noise jitter in the located optimum).
+const averageReads int = 2
+
+// Lab wraps a chip with the read-noise seed of its measurements.
 //
-// A Lab holds no mutable measurement state: once its fields are set, any
+// A Lab holds no mutable measurement state: once Seed is set, any
 // number of goroutines may call its measurement methods concurrently
-// (the block-scan helpers below do exactly that). Do not change the
-// fields, or mutate the chip, while measurements are in flight.
+// (the block-scan helpers below do exactly that). Do not change Seed,
+// or mutate the chip, while measurements are in flight.
 type Lab struct {
 	Chip *flash.Chip
-
-	// SweepLo, SweepHi and SweepStep define the offset grid used to find
-	// optimal voltages, in normalized units.
-	SweepLo, SweepHi, SweepStep float64
-
-	// AverageReads is the number of independent reads averaged per sweep
-	// (reduces sensing-noise jitter in the located optimum).
-	AverageReads int
 
 	// Seed drives the read-noise seeds of the lab's measurements.
 	Seed uint64
 }
 
-// New returns a Lab with the default sweep grid (-60..+30, step 1, two
-// averaged reads).
+// New returns a Lab with the default seed.
 func New(chip *flash.Chip) *Lab {
-	return &Lab{
-		Chip:         chip,
-		SweepLo:      -60,
-		SweepHi:      30,
-		SweepStep:    1,
-		AverageReads: 2,
-		Seed:         0x1ab5eed,
-	}
+	return &Lab{Chip: chip, Seed: 0x1ab5eed}
 }
 
-// Grid returns the lab's offset grid in ascending order.
-func (l *Lab) Grid() []float64 {
+// sweepGrid returns the sweep offset grid in ascending order.
+func sweepGrid() []float64 {
 	var out []float64
-	for o := l.SweepLo; o <= l.SweepHi+1e-9; o += l.SweepStep {
+	for o := sweepLo; o <= sweepHi+1e-9; o += sweepStep {
 		out = append(out, o)
 	}
 	return out
@@ -67,18 +63,18 @@ func (l *Lab) readSeed(b, wl, rep int) uint64 {
 
 // SweepCurve returns the offset grid and the total error count of
 // voltage v at each offset on wordline (b, wl), averaged over
-// AverageReads reads. This is the paper's Figure 2 curve.
+// averageReads reads. This is the paper's Figure 2 curve.
 func (l *Lab) SweepCurve(b, wl, v int) (offs []float64, errs []float64) {
-	offs = l.Grid()
+	offs = sweepGrid()
 	errs = make([]float64, len(offs))
-	for rep := 0; rep < l.AverageReads; rep++ {
+	for rep := 0; rep < averageReads; rep++ {
 		ups, downs := l.Chip.SweepVoltageErrors(b, wl, v, offs, l.readSeed(b, wl, rep))
 		for i := range errs {
 			errs[i] += float64(ups[i] + downs[i])
 		}
 	}
 	for i := range errs {
-		errs[i] /= float64(l.AverageReads)
+		errs[i] /= float64(averageReads)
 	}
 	return offs, errs
 }
@@ -87,16 +83,16 @@ func (l *Lab) SweepCurve(b, wl, v int) (offs []float64, errs []float64) {
 // the averaged total error curve of voltage v — the full family of
 // Figure 2 curves. All voltages share each repetition's read operation
 // (one threshold-voltage materialization serves every boundary), so the
-// whole family costs AverageReads reads instead of AverageReads per
+// whole family costs averageReads reads instead of averageReads per
 // voltage, and each curve is byte-identical to SweepCurve's.
 func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
-	offs = l.Grid()
+	offs = sweepGrid()
 	nv := l.Chip.Coding().NumVoltages()
 	errs = make([][]float64, nv)
 	for v := range errs {
 		errs[v] = make([]float64, len(offs))
 	}
-	for rep := 0; rep < l.AverageReads; rep++ {
+	for rep := 0; rep < averageReads; rep++ {
 		rows := l.Chip.SweepAllVoltages(b, wl, offs, l.readSeed(b, wl, rep))
 		for v := range errs {
 			for i, e := range rows[v] {
@@ -106,7 +102,7 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 	}
 	for v := range errs {
 		for i := range errs[v] {
-			errs[v][i] /= float64(l.AverageReads)
+			errs[v][i] /= float64(averageReads)
 		}
 	}
 	return offs, errs
@@ -116,13 +112,13 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 // voltage on wordline (b, wl) by exhaustive sweep, exactly as a tester
 // would.
 func (l *Lab) OptimalOffsets(b, wl int) flash.Offsets {
-	offs := l.Grid()
+	offs := sweepGrid()
 	nv := l.Chip.Coding().NumVoltages()
 	acc := make([][]float64, nv)
 	for v := 0; v < nv; v++ {
 		acc[v] = make([]float64, len(offs))
 	}
-	for rep := 0; rep < l.AverageReads; rep++ {
+	for rep := 0; rep < averageReads; rep++ {
 		rows := l.Chip.SweepAllVoltages(b, wl, offs, l.readSeed(b, wl, rep))
 		for v := 0; v < nv; v++ {
 			for i, e := range rows[v] {
@@ -175,9 +171,9 @@ func refineMinimum(offs, errs []float64) float64 {
 
 // OptimalOffset locates the optimum of a single voltage.
 func (l *Lab) OptimalOffset(b, wl, v int) float64 {
-	offs := l.Grid()
+	offs := sweepGrid()
 	acc := make([]float64, len(offs))
-	for rep := 0; rep < l.AverageReads; rep++ {
+	for rep := 0; rep < averageReads; rep++ {
 		ups, downs := l.Chip.SweepVoltageErrors(b, wl, v, offs, l.readSeed(b, wl, rep))
 		for i := range acc {
 			acc[i] += float64(ups[i] + downs[i])
@@ -187,13 +183,13 @@ func (l *Lab) OptimalOffset(b, wl, v int) float64 {
 }
 
 // PageRBER measures the RBER of page p on wordline (b, wl) under offsets
-// o, averaged over AverageReads reads.
+// o, averaged over averageReads reads.
 func (l *Lab) PageRBER(b, wl, p int, o flash.Offsets) float64 {
 	var sum float64
-	for rep := 0; rep < l.AverageReads; rep++ {
+	for rep := 0; rep < averageReads; rep++ {
 		sum += l.Chip.PageRBER(b, wl, p, o, l.readSeed(b, wl, 100+rep))
 	}
-	return sum / float64(l.AverageReads)
+	return sum / float64(averageReads)
 }
 
 // LayerRBER holds per-layer results for Figure 3: the maximum RBER of a

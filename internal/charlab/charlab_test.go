@@ -36,10 +36,8 @@ func smallChip(t testing.TB, kind flash.Kind, pe int, hours float64) *flash.Chip
 }
 
 func TestGrid(t *testing.T) {
-	l := New(smallChip(t, flash.QLC, 0, 0))
-	l.SweepLo, l.SweepHi, l.SweepStep = -3, 3, 1
-	g := l.Grid()
-	if len(g) != 7 || g[0] != -3 || g[6] != 3 {
+	g := sweepGrid()
+	if len(g) != 91 || g[0] != -60 || g[90] != 30 {
 		t.Fatalf("grid = %v", g)
 	}
 }
@@ -110,7 +108,7 @@ func TestOptimalOffsetSingleMatchesVector(t *testing.T) {
 	l := New(c)
 	all := l.OptimalOffsets(0, 3)
 	single := l.OptimalOffset(0, 3, 8)
-	if math.Abs(all.Get(8)-single) > 2*l.SweepStep {
+	if math.Abs(all.Get(8)-single) > 2*sweepStep {
 		t.Fatalf("single-voltage optimum %v far from vector %v", single, all.Get(8))
 	}
 }

@@ -22,6 +22,9 @@ import (
 	"sentinel3d/internal/sentinel"
 )
 
+// tableStep is the per-entry step of the vendor retry table baseline.
+const tableStep float64 = 1.2
+
 // Scale selects the fidelity/runtime trade-off of an experiment.
 type Scale struct {
 	// Name labels the scale in reports.
@@ -45,8 +48,6 @@ type Scale struct {
 	// 8192-bit frame) used by the retry experiments.
 	TLCCapT int
 	QLCCapT int
-	// TableStep is the per-entry step of the vendor retry table baseline.
-	TableStep float64
 	// MaxRetries is the controller's retry budget (vendor tables hold
 	// 15-50 entries).
 	MaxRetries int
@@ -72,7 +73,6 @@ func Quick() Scale {
 		CacheZ:        true,
 		TLCCapT:       26,
 		QLCCapT:       60,
-		TableStep:     1.2,
 		MaxRetries:    15,
 	}
 }
@@ -94,7 +94,6 @@ func Full() Scale {
 		// above the quick scale's 2-frame pages.
 		TLCCapT:    32,
 		QLCCapT:    70,
-		TableStep:  1.2,
 		MaxRetries: 15,
 	}
 }
@@ -153,6 +152,16 @@ func (s Scale) trainPoints() []sentinel.StressPoint {
 	return out
 }
 
+// trainConfig is the trainer setup of a training chip seeded trainSeed.
+func (s Scale) trainConfig(trainSeed uint64) sentinel.TrainConfig {
+	return sentinel.TrainConfig{
+		Points:            s.trainPoints(),
+		WordlinesPerPoint: s.TrainWLs,
+		Layout:            s.Layout(),
+		Seed:              mathx.Mix(trainSeed, 0x7ea1),
+	}
+}
+
 // modelCache memoizes trained models: training is deterministic in
 // (scale, kind, seed) and by far the most expensive setup step shared by
 // the experiments.
@@ -172,15 +181,7 @@ func (s Scale) TrainModel(kind flash.Kind, trainSeed uint64) (*sentinel.Model, e
 	if err != nil {
 		return nil, err
 	}
-	tc := sentinel.TrainConfig{
-		Points:            s.trainPoints(),
-		WordlinesPerPoint: s.TrainWLs,
-		Layout:            s.Layout(),
-		PolyDegree:        5,
-		MeasureReads:      2,
-		Seed:              mathx.Mix(trainSeed, 0x7ea1),
-	}
-	m, err := sentinel.Train(chip, tc)
+	m, err := sentinel.Train(chip, s.trainConfig(trainSeed))
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +231,14 @@ func (s Scale) Engine(model *sentinel.Model, cfg flash.Config) (*sentinel.Engine
 	return eng, nil
 }
 
-// Controller builds a retry controller with the scale's ECC and default
-// latencies, instrumented when the scale carries a registry.
+// Controller builds a retry controller with the scale's ECC,
+// instrumented when the scale carries a registry.
 func (s Scale) Controller(chip *flash.Chip, maxRetries int) (*retry.Controller, error) {
-	ctl, err := retry.NewController(chip, s.CapModel(chip.Config().Kind),
-		retry.DefaultLatency(), maxRetries)
+	ctl, err := retry.NewController(chip, s.CapModel(chip.Config().Kind), maxRetries)
 	if err != nil {
 		return nil, err
 	}
-	ctl.Obs = retry.NewMetrics(s.obsSet(), s.TableStep)
+	ctl.Obs = retry.NewMetrics(s.obsSet(), tableStep)
 	return ctl, nil
 }
 

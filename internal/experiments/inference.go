@@ -40,15 +40,7 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := sentinel.TrainConfig{
-		Points:            s.trainPoints(),
-		WordlinesPerPoint: s.TrainWLs,
-		Layout:            s.Layout(),
-		PolyDegree:        5,
-		MeasureReads:      2,
-		Seed:              mathx.Mix(110, 0x7ea1),
-	}
-	ds, opts, err := sentinel.TrainSamples(trainChip, tc)
+	ds, opts, err := sentinel.TrainSamples(trainChip, s.trainConfig(110))
 	if err != nil {
 		return nil, err
 	}

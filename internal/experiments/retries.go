@@ -35,7 +35,7 @@ func Fig13RetryCount(s Scale) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := retry.NewDefaultTable(tb.Chip, s.TableStep)
+	table := retry.NewDefaultTable(tb.Chip, tableStep)
 	sent := retry.NewSentinelPolicy(tb.Eng)
 	res := &Fig13Result{}
 	msb := tb.Chip.Coding().Bits() - 1

@@ -57,7 +57,7 @@ func CorruptionSweep(s Scale) (*RobustnessResult, error) {
 		return nil, err
 	}
 	cfg, eng, chip, ctl := tb.Cfg, tb.Eng, tb.Chip, tb.Ctl
-	table := retry.NewDefaultTable(chip, s.TableStep)
+	table := retry.NewDefaultTable(chip, tableStep)
 	bare := retry.NewSentinelPolicy(eng)
 	// The sentinels live at the tail of the wordline; corrupt exactly that
 	// region.

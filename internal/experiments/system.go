@@ -45,7 +45,7 @@ func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
 		return nil, err
 	}
 	wls := tb.spreadWLs()
-	baseSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewDefaultTable(tb.Chip, s.TableStep), 0, wls, 3, 0x14a)
+	baseSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewDefaultTable(tb.Chip, tableStep), 0, wls, 3, 0x14a)
 	if err != nil {
 		return nil, err
 	}

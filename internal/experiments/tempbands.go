@@ -35,15 +35,8 @@ func TempBandExperiment(s Scale) (*TempBandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := sentinel.TrainConfig{
-		Points:            s.trainPoints(),
-		WordlinesPerPoint: s.TrainWLs,
-		Layout:            s.Layout(),
-		PolyDegree:        5,
-		MeasureReads:      2,
-		Seed:              mathx.Mix(141, 0x7ea1),
-		TempBandsC:        []float64{45, 100},
-	}
+	tc := s.trainConfig(141)
+	tc.TempBandsC = []float64{45, 100}
 	model, err := sentinel.Train(chip, tc)
 	if err != nil {
 		return nil, err

@@ -21,8 +21,6 @@ type Testbed struct {
 	Eng  *sentinel.Engine
 	Chip *flash.Chip
 	Ctl  *retry.Controller
-
-	tableStep float64
 }
 
 // Testbed trains (or reuses) the model of kind on chip trainSeed, then
@@ -46,7 +44,7 @@ func (s Scale) Testbed(kind flash.Kind, trainSeed, chipSeed uint64, pe int, hour
 	if err != nil {
 		return nil, err
 	}
-	return &Testbed{Cfg: cfg, Eng: eng, Chip: chip, Ctl: ctl, tableStep: s.TableStep}, nil
+	return &Testbed{Cfg: cfg, Eng: eng, Chip: chip, Ctl: ctl}, nil
 }
 
 // PolicyNames is the read-policy catalogue Testbed.Policy builds from,
@@ -70,7 +68,7 @@ var PolicyNames = []string{"table", "sentinel", "fallback", "history", "ar2", "s
 // them afterwards, so reads are a pure function of their seeds at any
 // worker count.
 func (tb *Testbed) Policy(name string) (retry.Policy, error) {
-	table := retry.NewDefaultTable(tb.Chip, tb.tableStep)
+	table := retry.NewDefaultTable(tb.Chip, tableStep)
 	sent := retry.NewSentinelPolicy(tb.Eng)
 	switch name {
 	case "table":

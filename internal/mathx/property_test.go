@@ -98,37 +98,21 @@ func TestLinearFitMatchesPolyFitDegree1(t *testing.T) {
 	}
 }
 
-// TestHistogramConservation: every added sample lands in exactly one
-// bucket (or an overflow counter).
-func TestHistogramConservation(t *testing.T) {
-	f := func(seed uint32) bool {
-		r := NewRand(uint64(seed))
-		h := NewHistogram(-5, 5, 7)
-		n := 500
-		for i := 0; i < n; i++ {
-			h.Add(r.NormFloat64() * 3)
-		}
-		return h.Total() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSummaryAgainstSort: Summarize's median agrees with direct sorting.
+// TestSummaryAgainstSort: Median and MinMax agree with direct sorting.
 func TestSummaryAgainstSort(t *testing.T) {
 	r := NewRand(79)
 	xs := make([]float64, 101)
 	for i := range xs {
 		xs[i] = r.Float64()
 	}
-	s := Summarize(xs)
+	median := Median(xs)
+	lo, hi := MinMax(xs)
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if s.Median != sorted[50] {
-		t.Fatalf("median %v != sorted middle %v", s.Median, sorted[50])
+	if median != sorted[50] {
+		t.Fatalf("median %v != sorted middle %v", median, sorted[50])
 	}
-	if s.Min != sorted[0] || s.Max != sorted[100] {
+	if lo != sorted[0] || hi != sorted[100] {
 		t.Fatal("min/max wrong")
 	}
 }

@@ -108,83 +108,3 @@ func AbsMean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Summary holds the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	lo, hi := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    lo,
-		Max:    hi,
-		Median: Median(xs),
-	}
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int // samples below Lo
-	Over    int // samples at or above Hi
-	binSize float64
-}
-
-// NewHistogram creates a histogram with bins buckets spanning [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("mathx: invalid histogram parameters")
-	}
-	return &Histogram{
-		Lo: lo, Hi: hi,
-		Counts:  make([]int, bins),
-		binSize: (hi - lo) / float64(bins),
-	}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Under++
-	case v >= h.Hi:
-		h.Over++
-	default:
-		i := int((v - h.Lo) / h.binSize)
-		if i >= len(h.Counts) { // guard FP edge at Hi
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bucket i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binSize
-}

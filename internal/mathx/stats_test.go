@@ -97,57 +97,3 @@ func TestAbsMean(t *testing.T) {
 		t.Fatal("AbsMean wrong")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if (Summarize(nil) != Summary{}) {
-		t.Fatal("empty Summarize should be zero")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, v := range []float64{-1, 0, 0.5, 5, 9.999, 10, 15} {
-		h.Add(v)
-	}
-	if h.Under != 1 {
-		t.Fatalf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Fatalf("Over = %d", h.Over)
-	}
-	if h.Counts[0] != 2 {
-		t.Fatalf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Fatalf("bins = %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Fatalf("BinCenter(0) = %v", c)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with bad params should panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramFloatEdge(t *testing.T) {
-	// A value infinitesimally below Hi must land in the last bin, never
-	// out of range.
-	h := NewHistogram(0, 1, 3)
-	h.Add(math.Nextafter(1, 0))
-	if h.Counts[2] != 1 || h.Over != 0 {
-		t.Fatalf("edge value misbinned: %v over=%d", h.Counts, h.Over)
-	}
-}

@@ -109,7 +109,7 @@ func SentinelStart(chip *flash.Chip, eng *sentinel.Engine, b, wl int, seed uint6
 // AR2Policy walks the same vendor table as DefaultTablePolicy but
 // pipelines the steps: while attempt k's ECC decode runs, attempt k+1's
 // sense is already being issued on the latched wordline, so each retry
-// hides min(decode, sense) of its cost (see LatencyModel.StepLatency).
+// hides its ECC decode (see StepLatency).
 // Retry counts are identical to the serial table by construction; only
 // the per-read latency (and Result.OverlapSavedUS) differ.
 type AR2Policy struct {

@@ -15,24 +15,15 @@ import (
 // TestStepLatencySerialPin pins the serial path byte-for-byte: with
 // overlap off, StepLatency must equal PageRead exactly — the frozen
 // replay goldens ride on this identity — and with overlap on it hides
-// min(decode, sense) of each step.
+// the decode, which is cheaper than any sense (25 + 12n).
 func TestStepLatencySerialPin(t *testing.T) {
-	l := DefaultLatency()
 	for n := 1; n <= 8; n++ {
-		if got, want := l.StepLatency(n, false), l.PageRead(n); got != want {
+		if got, want := StepLatency(n, false), PageRead(n); got != want {
 			t.Fatalf("StepLatency(%d, false) = %v, PageRead = %v", n, got, want)
 		}
-		// Default model: decode (8) is always cheaper than any sense
-		// (25 + 12n), so pipelining hides exactly the decode.
-		if got, want := l.StepLatency(n, true), l.PageRead(n)-l.ECCDecode; got != want {
+		if got, want := StepLatency(n, true), PageRead(n)-ECCDecodeUS; got != want {
 			t.Fatalf("StepLatency(%d, true) = %v, want %v", n, got, want)
 		}
-	}
-	// When the sense is the cheaper half, it is what hides.
-	short := DefaultLatency()
-	short.SenseBase, short.SensePerLevel, short.ECCDecode = 2, 1, 50
-	if got, want := short.StepLatency(3, true), short.PageRead(3)-5.0; got != want {
-		t.Fatalf("sense-bound StepLatency = %v, want %v", got, want)
 	}
 }
 
@@ -43,8 +34,7 @@ func TestStepLatencySerialPin(t *testing.T) {
 func TestAR2MatchesTableRetries(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +52,7 @@ func TestAR2MatchesTableRetries(t *testing.T) {
 		if !reflect.DeepEqual(rA.FinalOffsets, rT.FinalOffsets) {
 			t.Fatalf("wl %d: offset schedules diverged", wl)
 		}
-		wantSaved := float64(rT.Retries) * ctl.Lat.ECCDecode
+		wantSaved := float64(rT.Retries) * ECCDecodeUS
 		if math.Abs(rA.OverlapSavedUS-wantSaved) > 1e-9 {
 			t.Fatalf("wl %d: OverlapSavedUS = %v, want %v", wl, rA.OverlapSavedUS, wantSaved)
 		}
@@ -88,8 +78,7 @@ func TestAR2MatchesTableRetries(t *testing.T) {
 func TestSentinelHistoryWarmStart(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +114,7 @@ func TestSentinelHistoryWarmStart(t *testing.T) {
 func TestAdaptiveMetricsCounters(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +166,7 @@ func TestCombinedPolicyBeatsBoth(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 26}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
+	ctl, err := NewController(chip, capm, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +208,7 @@ func TestCombinedWithoutTrackingFallsBack(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 26}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
+	ctl, err := NewController(chip, capm, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +243,7 @@ func TestCombinedLSBUsesAuxSense(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 1} // force failures
-	ctl, err := NewController(chip, capm, DefaultLatency(), 6)
+	ctl, err := NewController(chip, capm, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ type Env struct {
 	B, WL int
 	Page  int
 
-	lat       LatencyModel
 	seed      uint64
 	senseOps  int
 	extraCost float64
@@ -32,7 +31,7 @@ type Env struct {
 // it across reads.
 func (e *Env) Sense(v int, offset float64) flash.Bitmap {
 	e.senseOps++
-	e.extraCost += e.lat.AuxSense()
+	e.extraCost += AuxSense()
 	return e.hold(e.Chip.Sense(e.B, e.WL, v, offset,
 		mathx.Mix3(e.seed, 0xa5e, uint64(e.senseOps))))
 }
@@ -131,7 +130,6 @@ var (
 type Controller struct {
 	Chip       *flash.Chip
 	ECC        ecc.CapabilityModel
-	Lat        LatencyModel
 	MaxRetries int
 	// Obs, when non-nil, receives per-read metrics (see Metrics); nil
 	// costs one branch per read.
@@ -139,20 +137,17 @@ type Controller struct {
 }
 
 // NewController validates and builds a controller.
-func NewController(chip *flash.Chip, model ecc.CapabilityModel, lat LatencyModel, maxRetries int) (*Controller, error) {
+func NewController(chip *flash.Chip, model ecc.CapabilityModel, maxRetries int) (*Controller, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("retry: nil chip")
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if err := lat.Validate(); err != nil {
-		return nil, err
-	}
 	if maxRetries < 0 {
 		return nil, fmt.Errorf("retry: negative retry budget %d", maxRetries)
 	}
-	return &Controller{Chip: chip, ECC: model, Lat: lat, MaxRetries: maxRetries}, nil
+	return &Controller{Chip: chip, ECC: model, MaxRetries: maxRetries}, nil
 }
 
 // Read services one page read with the given policy. readSeed
@@ -175,7 +170,7 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 	}
 	env := &Env{
 		Chip: c.Chip, B: b, WL: wl, Page: page,
-		lat: c.Lat, seed: readSeed, met: c.Obs,
+		seed: readSeed, met: c.Obs,
 	}
 	sess := pol.Session(env)
 	pipelined := false
@@ -212,9 +207,9 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 		op := c.Chip.BeginRead(b, wl, mathx.Mix3(readSeed, 0x5ead, uint64(k)))
 		read := op.ReadPageInto(bufs[k&1], page, ofs)
 		op.Close()
-		step := c.Lat.StepLatency(levels, pipelined && k > 0)
+		step := StepLatency(levels, pipelined && k > 0)
 		if pipelined && k > 0 {
-			res.OverlapSavedUS += c.Lat.PageRead(levels) - step
+			res.OverlapSavedUS += PageRead(levels) - step
 		}
 		res.Latency += step
 		res.FinalOffsets = ofs

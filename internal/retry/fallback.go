@@ -6,42 +6,33 @@ import (
 	"sentinel3d/internal/flash"
 )
 
-// FallbackGuard holds the plausibility thresholds of a FallbackPolicy.
-// Production controllers never trust a single inference path; these are
-// the checks that decide when sentinel inference is lying.
-type FallbackGuard struct {
-	// DSlack widens the model's trained error-difference domain
-	// [DLo, DHi]: a measured d outside [DLo-DSlack, DHi+DSlack] cannot
+// Plausibility thresholds of FallbackPolicy. Production controllers
+// never trust a single inference path; these are the checks that decide
+// when sentinel inference is lying.
+const (
+	// dSlack widens the model's trained error-difference domain
+	// [DLo, DHi]: a measured d outside [DLo-dSlack, DHi+dSlack] cannot
 	// have come from a healthy sentinel population and trips the guard.
-	DSlack float64
-	// MaxOffsetFactor bounds inferred and calibrated sentinel offsets to
-	// MaxOffsetFactor * Engine.OffsetBound(); beyond that the inference
+	dSlack float64 = 0.05
+	// maxOffsetFactor bounds inferred and calibrated sentinel offsets to
+	// maxOffsetFactor * Engine.OffsetBound(); beyond that the inference
 	// (or a diverging calibration walk) is implausible.
-	MaxOffsetFactor float64
-	// StuckTolerance is the sentinel-region stuck-cell fraction above
-	// which ProbeBlock declares the whole block degraded.
-	StuckTolerance float64
-	// ProbeSpan sets the probe voltages of ProbeBlock in state widths:
-	// the sentinel voltage ± ProbeSpan*StateWidth. It must be wide enough
+	maxOffsetFactor float64 = 1.25
+	// stuckTolerance is the sentinel-region stuck-cell fraction above
+	// which ProbeBlock declares the whole block degraded. It is
+	// deliberately generous: the inference clamp to [DLo, DHi] plus
+	// state-change calibration absorb small error-difference biases (the
+	// corruption sweep measures only ~0.1 extra retries per read at 4%
+	// stuck cells), so the probe withdraws trust only once the stuck
+	// fraction is large enough to bias d beyond what calibration can
+	// walk back.
+	stuckTolerance float64 = 0.05
+	// probeSpan sets the probe voltages of ProbeBlock in state widths:
+	// the sentinel voltage ± probeSpan*StateWidth. It must be wide enough
 	// that every healthy cell of the two flanking states responds at both
 	// extremes.
-	ProbeSpan float64
-}
-
-// DefaultGuard returns the thresholds used by the experiments. The stuck
-// tolerance is deliberately generous: the inference clamp to [DLo, DHi]
-// plus state-change calibration absorb small error-difference biases (the
-// corruption sweep measures only ~0.1 extra retries per read at 4% stuck
-// cells), so the probe withdraws trust only once the stuck fraction is
-// large enough to bias d beyond what calibration can walk back.
-func DefaultGuard() FallbackGuard {
-	return FallbackGuard{
-		DSlack:          0.05,
-		MaxOffsetFactor: 1.25,
-		StuckTolerance:  0.05,
-		ProbeSpan:       1.5,
-	}
-}
+	probeSpan float64 = 1.5
+)
 
 // FallbackPolicy plausibility-checks sentinel inference and degrades to
 // the static vendor table instead of burning the retry budget on
@@ -49,7 +40,7 @@ func DefaultGuard() FallbackGuard {
 //
 //   - Per block: ProbeBlock senses the sentinel region at two extreme
 //     voltages and retires the block from sentinel service when its
-//     stuck-cell fraction exceeds Guard.StuckTolerance. Degraded blocks
+//     stuck-cell fraction exceeds stuckTolerance. Degraded blocks
 //     read exactly like the static table from attempt 0.
 //   - Per read: the inferred offset must be inside the model's plausible
 //     range and the measured d inside the trained domain; calibration
@@ -66,19 +57,16 @@ func DefaultGuard() FallbackGuard {
 type FallbackPolicy struct {
 	Sentinel *SentinelPolicy
 	Table    *DefaultTablePolicy
-	Guard    FallbackGuard
 
 	mu       sync.RWMutex
 	degraded map[int]bool
 }
 
-// NewFallback wraps a sentinel policy with a static-table fallback under
-// the default guard thresholds.
+// NewFallback wraps a sentinel policy with a static-table fallback.
 func NewFallback(sentinel *SentinelPolicy, table *DefaultTablePolicy) *FallbackPolicy {
 	return &FallbackPolicy{
 		Sentinel: sentinel,
 		Table:    table,
-		Guard:    DefaultGuard(),
 		degraded: make(map[int]bool),
 	}
 }
@@ -90,19 +78,19 @@ func (p *FallbackPolicy) Name() string { return "sentinel+fallback" }
 // (which must be programmed): two accounted-for-nothing senses at the
 // extremes of the sentinel voltage's neighbourhood detect cells that do
 // not respond to the read voltage. It returns the stuck fraction and
-// records the block as degraded when it exceeds Guard.StuckTolerance.
+// records the block as degraded when it exceeds stuckTolerance.
 // Call from the coordinating goroutine before fanning out reads.
 func (p *FallbackPolicy) ProbeBlock(chip *flash.Chip, b, wl int) float64 {
 	eng := p.Sentinel.Engine
 	sv := eng.Model.SentinelVoltage
-	span := p.Guard.ProbeSpan * chip.Model().P.StateWidth
+	span := probeSpan * chip.Model().P.StateWidth
 	lo := chip.Sense(b, wl, sv, -span, uint64(b)<<1|1)
 	hi := chip.Sense(b, wl, sv, +span, uint64(b)<<1)
 	frac := eng.StuckFraction(lo, hi)
 	flash.PutBitmap(hi)
 	flash.PutBitmap(lo)
 	p.mu.Lock()
-	if frac > p.Guard.StuckTolerance {
+	if frac > stuckTolerance {
 		p.degraded[b] = true
 	} else {
 		delete(p.degraded, b)
@@ -167,21 +155,20 @@ func (s *fallbackSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 // plausible applies the per-read guard after the sentinel session
 // produced the offsets for attempt k.
 func (s *fallbackSession) plausible(k int) bool {
-	g := s.p.Guard
 	eng := s.p.Sentinel.Engine
 	if k == 1 {
 		// The measured error-difference rate must lie inside (or near) the
 		// trained domain; far outside it the polynomial is extrapolating
 		// from a population that cannot be healthy sentinels.
 		d := s.sentinel.lastD
-		if d < eng.Model.DLo-g.DSlack || d > eng.Model.DHi+g.DSlack {
+		if d < eng.Model.DLo-dSlack || d > eng.Model.DHi+dSlack {
 			return false
 		}
 	}
 	// The running sentinel offset — inferred at k=1, walked by
 	// calibration afterwards — must stay inside the model's plausible
 	// range instead of diverging.
-	bound := g.MaxOffsetFactor * eng.OffsetBound()
+	bound := maxOffsetFactor * eng.OffsetBound()
 	if bound > 0 && (s.sentinel.sentOfs < -bound || s.sentinel.sentOfs > bound) {
 		return false
 	}

@@ -13,8 +13,7 @@ import (
 
 func TestReadReportsBadAddress(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30},
-		DefaultLatency(), 5)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +36,7 @@ func TestReadReportsBadAddress(t *testing.T) {
 
 func TestReadReportsUnprogrammed(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30},
-		DefaultLatency(), 5)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +50,7 @@ func TestReadReportsUnprogrammed(t *testing.T) {
 func TestUncorrectableFlag(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 0},
-		DefaultLatency(), 2)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestProbeBlockHealthyAndDegraded(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	fb := NewFallback(NewSentinelPolicy(eng), table)
 
-	if frac := fb.ProbeBlock(chip, 0, 0); frac > fb.Guard.StuckTolerance {
+	if frac := fb.ProbeBlock(chip, 0, 0); frac > stuckTolerance {
 		t.Fatalf("healthy chip probed stuck fraction %v", frac)
 	}
 	if fb.BlockDegraded(0) {
@@ -127,8 +124,7 @@ func TestDegradedBlockMatchesTable(t *testing.T) {
 	if !fb.BlockDegraded(0) {
 		t.Fatal("probe did not degrade the corrupted block")
 	}
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +152,7 @@ func TestGuardTripsWithoutProbe(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	bare := NewSentinelPolicy(eng)
 	fb := NewFallback(bare, table)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +183,7 @@ func TestFallbackHealthyStaysOnSentinel(t *testing.T) {
 	bare := NewSentinelPolicy(eng)
 	fb := NewFallback(bare, table)
 	fb.ProbeBlock(chip, 0, 0)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +215,7 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	fb := NewFallback(NewSentinelPolicy(eng), table)
 	fb.ProbeBlock(chip, 0, 0) // coordinator-side, before the fan-out
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,51 +19,31 @@
 // paper argues in Section III-B2.
 package retry
 
-import "fmt"
-
-// LatencyModel holds the timing parameters in microseconds.
-type LatencyModel struct {
-	// SenseBase is the fixed array-access cost of any read operation.
-	SenseBase float64
-	// SensePerLevel is the additional cost per applied read voltage.
-	SensePerLevel float64
-	// Transfer is the page transfer time to the controller.
-	Transfer float64
-	// ECCDecode is the decode time per page.
-	ECCDecode float64
-	// MapLookup is the controller-side cost of resolving a logical page
-	// against the mapping table without touching flash. It is the full
-	// service time of a read that hits a never-written LPN (the device
-	// returns zeros straight from the FTL), so it involves no die or
-	// channel occupancy.
-	MapLookup float64
-}
-
-// DefaultLatency mirrors 3D TLC/QLC datasheet-class timings: an LSB read
-// ~60us, an MSB read ~130us (TLC) / ~160us (QLC).
-func DefaultLatency() LatencyModel {
-	return LatencyModel{
-		SenseBase:     25,
-		SensePerLevel: 12,
-		Transfer:      20,
-		ECCDecode:     8,
-		MapLookup:     5,
-	}
-}
-
-// Validate reports parameter errors.
-func (l LatencyModel) Validate() error {
-	if l.SenseBase <= 0 || l.SensePerLevel < 0 || l.Transfer < 0 || l.ECCDecode < 0 ||
-		l.MapLookup < 0 {
-		return fmt.Errorf("retry: invalid latency model %+v", l)
-	}
-	return nil
-}
+// Device timing in microseconds: the one SSDSim-style latency model the
+// controller, the replay simulator and the serving fleet share. It
+// mirrors 3D TLC/QLC datasheet-class timings: an LSB read ~60us, an MSB
+// read ~130us (TLC) / ~160us (QLC).
+const (
+	// SenseBaseUS is the fixed array-access cost of any read operation.
+	SenseBaseUS float64 = 25
+	// SensePerLevelUS is the additional cost per applied read voltage.
+	SensePerLevelUS float64 = 12
+	// TransferUS is the page transfer time to the controller.
+	TransferUS float64 = 20
+	// ECCDecodeUS is the decode time per page.
+	ECCDecodeUS float64 = 8
+	// MapLookupUS is the controller-side cost of resolving a logical
+	// page against the mapping table without touching flash. It is the
+	// full service time of a read that hits a never-written LPN (the
+	// device returns zeros straight from the FTL), so it involves no die
+	// or channel occupancy.
+	MapLookupUS float64 = 5
+)
 
 // PageRead returns the latency of one full page read attempt that applies
 // nLevels read voltages, including transfer and decode.
-func (l LatencyModel) PageRead(nLevels int) float64 {
-	return l.SenseBase + float64(nLevels)*l.SensePerLevel + l.Transfer + l.ECCDecode
+func PageRead(nLevels int) float64 {
+	return SenseBaseUS + float64(nLevels)*SensePerLevelUS + TransferUS + ECCDecodeUS
 }
 
 // StepLatency returns the latency attributed to one read attempt under
@@ -71,23 +51,19 @@ func (l LatencyModel) PageRead(nLevels int) float64 {
 // equals PageRead exactly — every attempt pays sense, transfer and
 // decode back to back. overlap=true is the AR²/PR²-style pipelined
 // model: the attempt's sensing was launched while the previous
-// attempt's ECC decode was still running, so min(decode, sense) of the
-// step is hidden behind the predecessor.
-func (l LatencyModel) StepLatency(nLevels int, overlap bool) float64 {
-	serial := l.PageRead(nLevels)
+// attempt's ECC decode was still running, so the decode is hidden
+// behind the predecessor (it is shorter than any sense).
+func StepLatency(nLevels int, overlap bool) float64 {
+	serial := PageRead(nLevels)
 	if !overlap {
 		return serial
 	}
-	hidden := l.ECCDecode
-	if sense := l.SenseBase + float64(nLevels)*l.SensePerLevel; sense < hidden {
-		hidden = sense
-	}
-	return serial - hidden
+	return serial - ECCDecodeUS
 }
 
 // AuxSense returns the latency of a one-voltage auxiliary read (the
 // sentinel-voltage LSB read used for inference and calibration); the data
 // is transferred but not ECC-decoded.
-func (l LatencyModel) AuxSense() float64 {
-	return l.SenseBase + l.SensePerLevel + l.Transfer
+func AuxSense() float64 {
+	return SenseBaseUS + SensePerLevelUS + TransferUS
 }

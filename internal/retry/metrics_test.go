@@ -78,8 +78,7 @@ func TestMetricsRecord(t *testing.T) {
 func TestMetricsOnInstrumentedReads(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,27 +81,14 @@ func testEngine(t testing.TB) *sentinel.Engine {
 }
 
 func TestLatencyModel(t *testing.T) {
-	l := DefaultLatency()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if l.PageRead(1) >= l.PageRead(8) {
+	if PageRead(1) >= PageRead(8) {
 		t.Fatal("more sensing levels should cost more")
 	}
-	if l.AuxSense() >= l.PageRead(4) {
+	if AuxSense() >= PageRead(4) {
 		t.Fatal("aux sense should be cheaper than an MSB read")
 	}
-	bad := LatencyModel{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted zero latency model")
-	}
-	bad = DefaultLatency()
-	bad.MapLookup = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted negative mapping-lookup cost")
-	}
-	if DefaultLatency().MapLookup <= 0 {
-		t.Fatal("default mapping lookup must cost something")
+	if MapLookupUS <= 0 || MapLookupUS >= AuxSense() {
+		t.Fatalf("mapping lookup %v must cost something but less than any flash access", MapLookupUS)
 	}
 }
 
@@ -137,16 +124,13 @@ func TestDefaultTableEntries(t *testing.T) {
 
 func TestControllerValidation(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
-	if _, err := NewController(nil, ecc.DefaultCapability(), DefaultLatency(), 5); err == nil {
+	if _, err := NewController(nil, ecc.DefaultCapability(), 5); err == nil {
 		t.Fatal("accepted nil chip")
 	}
-	if _, err := NewController(chip, ecc.CapabilityModel{}, DefaultLatency(), 5); err == nil {
+	if _, err := NewController(chip, ecc.CapabilityModel{}, 5); err == nil {
 		t.Fatal("accepted invalid ECC")
 	}
-	if _, err := NewController(chip, ecc.DefaultCapability(), LatencyModel{}, 5); err == nil {
-		t.Fatal("accepted invalid latency")
-	}
-	if _, err := NewController(chip, ecc.DefaultCapability(), DefaultLatency(), -1); err == nil {
+	if _, err := NewController(chip, ecc.DefaultCapability(), -1); err == nil {
 		t.Fatal("accepted negative budget")
 	}
 }
@@ -155,8 +139,7 @@ func TestFreshChipReadsWithoutRetry(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
 	rng := mathx.NewRand(2)
 	chip.ProgramRandom(0, 0, rng)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30},
-		DefaultLatency(), 10)
+	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +149,7 @@ func TestFreshChipReadsWithoutRetry(t *testing.T) {
 		if !res.OK || res.Retries != 0 {
 			t.Fatalf("fresh page %d: ok=%v retries=%d", p, res.OK, res.Retries)
 		}
-		want := ctl.Lat.PageRead(len(chip.Coding().PageVoltages(p)))
+		want := PageRead(len(chip.Coding().PageVoltages(p)))
 		if math.Abs(res.Latency-want) > 1e-9 {
 			t.Fatalf("latency = %v, want %v", res.Latency, want)
 		}
@@ -180,7 +163,7 @@ func TestAgedChipTableVsSentinel(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 28}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
+	ctl, err := NewController(chip, capm, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +198,7 @@ func TestSentinelLSBNeedsNoAuxSense(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 10} // tight: force retries
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
+	ctl, err := NewController(chip, capm, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +232,7 @@ func TestReadGivesUpAtBudget(t *testing.T) {
 	chip := agedTLCChip(t, eng)
 	// Impossible capability: every read fails.
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 0}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 3)
+	ctl, err := NewController(chip, capm, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +245,7 @@ func TestReadGivesUpAtBudget(t *testing.T) {
 		t.Fatalf("retries = %d, want full budget 3", res.Retries)
 	}
 	// Latency covers all four attempts.
-	want := 4 * ctl.Lat.PageRead(4)
+	want := 4 * PageRead(4)
 	if math.Abs(res.Latency-want) > 1e-9 {
 		t.Fatalf("latency = %v, want %v", res.Latency, want)
 	}
@@ -272,7 +255,7 @@ func TestSentinelSessionGivesUp(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
 	capm := ecc.CapabilityModel{FrameBits: 8192, T: 0}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 20)
+	ctl, err := NewController(chip, capm, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

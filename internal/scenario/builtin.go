@@ -10,6 +10,7 @@ import (
 	"sentinel3d/internal/experiments"
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
 	"sentinel3d/internal/ssdsim"
@@ -365,7 +366,6 @@ func fleetRow(label string, rep *ssdsim.ReportSummary) []string {
 func runReplay(ctx *Ctx) (*Outcome, error) {
 	spec := ctx.Spec
 	simCfg := experiments.TraceDevice()
-	simCfg.Geo = spec.Device.Geometry(simCfg.Geo)
 	simCfg.Seed = ctx.Seed
 	if spec.Policy != "" && spec.Policy != "synthetic" {
 		simCfg.Bits = ctx.Kind().Bits()
@@ -486,10 +486,16 @@ func runReplay(ctx *Ctx) (*Outcome, error) {
 		metrics["calibrations"] = float64(rep.Life.Calibrations)
 	}
 	if reg != nil {
-		snap := reg.Snapshot().Deterministic()
-		metrics["obs-series"] = float64(len(snap.Counters) + len(snap.Hists))
+		metrics["obs-series"] = obsSeries(reg)
 	}
 	return &Outcome{Payload: res, Render: res.Render(), Metrics: metrics}, nil
+}
+
+// obsSeries counts the deterministic series an instrumented cell
+// exported.
+func obsSeries(reg *obs.Registry) float64 {
+	snap := reg.Snapshot().Deterministic()
+	return float64(len(snap.Counters) + len(snap.Hists))
 }
 
 // runCharlab is the flashlab CLI's engine: program, age and

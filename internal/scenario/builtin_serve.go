@@ -25,6 +25,10 @@ func init() {
 // bench's MaxLPN so every drawn LPN resolves.
 const servePremapPages = 4096
 
+// serveShards is the serve cell's fleet shard count; runCell sizes the
+// cell's obs registry to it.
+const serveShards = 2
+
 // ServeResult is the serve cell's deterministic payload: the stripped
 // closed-loop report plus the fleet shape it ran against.
 type ServeResult struct {
@@ -57,7 +61,7 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 	// hold per-shard cells; run on a private registry rather than
 	// failing the cell (same rule as the replay runner).
 	reg := ctx.Obs
-	if reg != nil && reg.Shards() < 2 {
+	if reg != nil && reg.Shards() < serveShards {
 		reg = nil
 	}
 	cfg := serve.Config{
@@ -67,7 +71,7 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 				sim.Seed = ctx.Seed
 				return sim
 			}(),
-			Shards:      2,
+			Shards:      serveShards,
 			PremapPages: servePremapPages,
 			Samplers:    serve.DefaultSamplers(),
 		},
@@ -118,10 +122,14 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 		}
 	}
 	res := &ServeResult{Shards: cfg.Fleet.Shards, Tenants: rep.Deterministic().Tenants}
-	return &Outcome{Payload: res, Render: res.Render(), Metrics: map[string]float64{
+	metrics := map[string]float64{
 		"req/s":   sumAchievedRPS(rep),
 		"mean-us": meanSimUS(rep),
-	}}, nil
+	}
+	if reg != nil {
+		metrics["obs-series"] = obsSeries(reg)
+	}
+	return &Outcome{Payload: res, Render: res.Render(), Metrics: metrics}, nil
 }
 
 // sumAchievedRPS totals the tenants' wall-clock throughput.

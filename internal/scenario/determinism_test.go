@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 )
 
@@ -59,8 +60,9 @@ func TestHistoryPolicyWorkerDeterminism(t *testing.T) {
 }
 
 // TestCellObsDeterminism asserts instrumentation does not perturb
-// results: a cell run with per-cell metrics enabled digests identically
-// to the same cell uninstrumented, on one device and on a fleet (whose
+// results: a cell run with per-cell metrics enabled, or under a
+// CLI-style registry with the slow-read ring on, digests identically to
+// the same cell uninstrumented, on one device and on a fleet (whose
 // registry needs a shard per engine shard of every device).
 func TestCellObsDeterminism(t *testing.T) {
 	for _, devices := range []int{1, 2} {
@@ -68,13 +70,37 @@ func TestCellObsDeterminism(t *testing.T) {
 			Workload: "hm_0", Requests: 2000, Shards: 2, Devices: devices, Seed: 99}
 		plain := runOne(t, base)
 		obsd := base
-		obsd.Obs = ObsSpec{Metrics: true, SlowN: 4}
-		inst := runOne(t, obsd)
-		if plain.Digest != inst.Digest {
-			t.Errorf("devices=%d: obs changed the digest: %s vs %s", devices, plain.Digest, inst.Digest)
+		obsd.Obs = ObsSpec{Metrics: true}
+		reg := obs.NewRegistry(2 * devices)
+		reg.KeepSlowest(4)
+		for name, inst := range map[string]CellResult{
+			"cell registry": runOne(t, obsd),
+			"cli registry":  runOneWith(t, base, RunOptions{Obs: reg}),
+		} {
+			if plain.Digest != inst.Digest {
+				t.Errorf("devices=%d, %s: obs changed the digest: %s vs %s",
+					devices, name, plain.Digest, inst.Digest)
+			}
+			if inst.Metrics["obs-series"] <= 0 {
+				t.Errorf("devices=%d, %s: instrumented cell exported no obs series: %v",
+					devices, name, inst.Metrics)
+			}
 		}
-		if inst.Metrics["obs-series"] <= 0 {
-			t.Errorf("devices=%d: instrumented cell exported no obs series: %v", devices, inst.Metrics)
+		if len(reg.Snapshot().Slow) == 0 {
+			t.Errorf("devices=%d: slow ring kept no reads", devices)
 		}
+	}
+}
+
+// TestServeCellObs: a serve cell with metrics on instruments its fleet,
+// whose registry needs one shard per fleet shard.
+func TestServeCellObs(t *testing.T) {
+	c := runOne(t, Spec{Name: "s", Experiment: "serve", Requests: 40, Seed: 5,
+		Obs: ObsSpec{Metrics: true}})
+	if c.Err != "" {
+		t.Fatal(c.Err)
+	}
+	if c.Metrics["obs-series"] <= 0 {
+		t.Errorf("instrumented serve cell exported no obs series: %v", c.Metrics)
 	}
 }

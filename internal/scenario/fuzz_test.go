@@ -16,7 +16,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		`"sweep":[{"base":{"experiment":"replay","policy":"synthetic"},` +
 		`"workload":["hm_0","prxy_0"],"shards":[1,2]}]}`))
 	f.Add([]byte(`{"name":"m","cells":[{"name":"x","experiment":"replay",` +
-		`"fault":{"stuck_rate":0.01},"device":{"channels":2},"obs":{"metrics":true}}],` +
+		`"fault":{"stuck_rate":0.01},"obs":{"metrics":true}}],` +
 		`"golden":{"x":"abcd"}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))

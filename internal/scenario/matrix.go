@@ -291,15 +291,9 @@ func mergeSpec(c, def Spec) Spec {
 		c.SweepV = def.SweepV
 	}
 	c.Collect = c.Collect || def.Collect
-	if c.Device == nil {
-		c.Device = def.Device
-	}
 	if c.Fault == nil {
 		c.Fault = def.Fault
 	}
 	c.Obs.Metrics = c.Obs.Metrics || def.Obs.Metrics
-	if c.Obs.SlowN == 0 {
-		c.Obs.SlowN = def.Obs.SlowN
-	}
 	return c
 }

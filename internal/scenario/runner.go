@@ -171,11 +171,13 @@ func runCell(spec Spec, shared *Shared, opts RunOptions) CellResult {
 	reg := opts.Obs
 	if reg == nil && spec.Obs.Metrics {
 		// One registry shard per engine shard of every fleet device:
-		// runReplay drops a registry smaller than Devices×Shards.
-		reg = obs.NewRegistry(max(1, spec.Shards) * max(1, spec.Devices))
-		if spec.Obs.SlowN > 0 {
-			reg.KeepSlowest(spec.Obs.SlowN)
+		// runReplay drops a registry smaller than Devices×Shards, and
+		// runServe one smaller than its fleet.
+		n := max(1, spec.Shards) * max(1, spec.Devices)
+		if spec.Experiment == "serve" {
+			n = serveShards
 		}
+		reg = obs.NewRegistry(n)
 	}
 	scale, err := resolveScale(spec, reg)
 	if err != nil {

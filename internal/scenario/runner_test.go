@@ -29,7 +29,13 @@ func syntheticMatrix() *Matrix {
 // single experiment.
 func runOne(t *testing.T, spec Spec) CellResult {
 	t.Helper()
-	res, err := Run(&Matrix{Name: "one", Cells: []Spec{spec}}, RunOptions{})
+	return runOneWith(t, spec, RunOptions{})
+}
+
+// runOneWith is runOne under the given run options.
+func runOneWith(t *testing.T, spec Spec, opts RunOptions) CellResult {
+	t.Helper()
+	res, err := Run(&Matrix{Name: "one", Cells: []Spec{spec}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // CLIs used to wire by hand through flags — paper figures, robustness
 // sweeps, trace replays, characterization benches — is described by a
 // Spec (one struct/JSON object per cell naming the experiment, policy,
-// workload, fault profile, device geometry, shard/worker count and obs
-// settings), looked up in a registry of runners, and executed by a
+// workload, fault profile, shard and device counts and whether metrics
+// are on), looked up in a registry of runners, and executed by a
 // matrix runner that expands sweeps into cells, dedupes shared
 // preconditioning, fans cells out through internal/parallel with
 // deterministic per-cell seed splitting, and emits one machine-readable
@@ -97,8 +97,6 @@ type Spec struct {
 	// Collect switches replay cells to exact-percentile latency
 	// collection (the engine's CollectLatencies mode).
 	Collect bool `json:"collect,omitempty"`
-	// Device overrides the replay device geometry.
-	Device *DeviceSpec `json:"device,omitempty"`
 	// Fault injects deterministic faults (chip-level sentinel corruption
 	// and sense noise, FTL program/erase failures).
 	Fault *FaultSpec `json:"fault,omitempty"`
@@ -108,37 +106,6 @@ type Spec struct {
 	// fails the cell on any divergence — the same byte-identity contract
 	// the read kernel's golden tests enforce.
 	Golden string `json:"golden,omitempty"`
-}
-
-// DeviceSpec is the JSON shape of an ftl.Geometry override.
-type DeviceSpec struct {
-	Channels       int `json:"channels"`
-	ChipsPerChan   int `json:"chips_per_chan,omitempty"`
-	DiesPerChip    int `json:"dies_per_chip,omitempty"`
-	PlanesPerDie   int `json:"planes_per_die,omitempty"`
-	BlocksPerPlane int `json:"blocks_per_plane,omitempty"`
-	PagesPerBlock  int `json:"pages_per_block,omitempty"`
-}
-
-// Geometry converts the spec to an ftl.Geometry, filling unset fields
-// from the base geometry.
-func (d *DeviceSpec) Geometry(base ftl.Geometry) ftl.Geometry {
-	if d == nil {
-		return base
-	}
-	g := base
-	set := func(dst *int, v int) {
-		if v > 0 {
-			*dst = v
-		}
-	}
-	set(&g.Channels, d.Channels)
-	set(&g.ChipsPerChan, d.ChipsPerChan)
-	set(&g.DiesPerChip, d.DiesPerChip)
-	set(&g.PlanesPerDie, d.PlanesPerDie)
-	set(&g.BlocksPerPlane, d.BlocksPerPlane)
-	set(&g.PagesPerBlock, d.PagesPerBlock)
-	return g
 }
 
 // FaultSpec is the JSON shape of a fault.Profile. The sentinel-region
@@ -224,8 +191,6 @@ type ObsSpec struct {
 	// shard count) and reports its deterministic snapshot size in the
 	// cell metrics.
 	Metrics bool `json:"metrics,omitempty"`
-	// SlowN is the per-shard slow-read ring size (default 0 = off).
-	SlowN int `json:"slow_n,omitempty"`
 }
 
 // Validate checks the spec against the registry. It is called by the
@@ -270,7 +235,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Requests < 0 || s.Shards < 0 || s.Devices < 0 || s.PE < 0 ||
-		s.Hours < 0 || s.Wordlines < 0 || s.SweepV < 0 || s.Obs.SlowN < 0 {
+		s.Hours < 0 || s.Wordlines < 0 || s.SweepV < 0 {
 		return fmt.Errorf("scenario: cell %q: negative count", s.Name)
 	}
 	if f := s.Fault; f != nil {
@@ -278,14 +243,6 @@ func (s *Spec) Validate() error {
 			f.OutlierWLRate, f.BurstRate, f.ProgramFailRate, f.EraseFailRate} {
 			if r < 0 || r > 1 {
 				return fmt.Errorf("scenario: cell %q: fault rate %g outside [0,1]", s.Name, r)
-			}
-		}
-	}
-	if d := s.Device; d != nil {
-		for _, n := range []int{d.Channels, d.ChipsPerChan, d.DiesPerChip,
-			d.PlanesPerDie, d.BlocksPerPlane, d.PagesPerBlock} {
-			if n < 0 {
-				return fmt.Errorf("scenario: cell %q: negative device dimension", s.Name)
 			}
 		}
 	}

@@ -35,8 +35,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative requests", Spec{Name: "x", Experiment: "replay", Requests: -1}, "negative"},
 		{"fault rate above 1", Spec{Name: "x", Experiment: "replay",
 			Fault: &FaultSpec{StuckRate: 1.5}}, "outside [0,1]"},
-		{"negative device dim", Spec{Name: "x", Experiment: "replay",
-			Device: &DeviceSpec{Channels: -4}}, "negative device"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -55,6 +53,11 @@ func TestParseStrict(t *testing.T) {
 	}
 	for _, bad := range []string{
 		`{"name":"m","cells":[{"name":"x","experiments":"fig13"}]}`, // typoed field
+		// Not cell axes: every cell runs on one device geometry, and the
+		// slow-read ring belongs to the CLI registry.
+		`{"name":"m","cells":[{"name":"x","experiment":"replay","device":{"channels":2}}]}`,
+		`{"name":"m","cells":[{"name":"x","experiment":"replay","obs":{"metrics":true,"slow_n":4}}]}`,
+		`{"name":"m","defaults":{"device":{"channels":2}},"cells":[{"name":"x","experiment":"replay"}]}`,
 		`{"name":"m"} trailing`,
 		`{"cells":[]}`, // no name
 		`not json`,

@@ -27,10 +27,6 @@ type TrainConfig struct {
 	WordlinesPerPoint int
 	// Layout is the sentinel layout the runtime will use.
 	Layout Layout
-	// PolyDegree is the degree of f(d); the paper uses 5.
-	PolyDegree int
-	// MeasureReads is how many reads are averaged per d measurement.
-	MeasureReads int
 	// Seed drives data patterns and read seeds.
 	Seed uint64
 	// TempBandsC optionally lists temperature-band upper edges in C
@@ -40,6 +36,14 @@ type TrainConfig struct {
 	// independent and trained once.
 	TempBandsC []float64
 }
+
+// Fixed shape of the trained model: f(d) is a degree-polyDegree
+// polynomial (the paper uses 5), and every d measurement averages
+// measureReads sentinel senses.
+const (
+	polyDegree   int = 5
+	measureReads int = 2
+)
 
 // DefaultTrainConfig covers fresh-to-worn and short-to-year-long retention.
 func DefaultTrainConfig() TrainConfig {
@@ -53,8 +57,6 @@ func DefaultTrainConfig() TrainConfig {
 		Points:            pts,
 		WordlinesPerPoint: 12,
 		Layout:            DefaultLayout(),
-		PolyDegree:        5,
-		MeasureReads:      2,
 		Seed:              0x7ea1ed,
 	}
 }
@@ -65,9 +67,6 @@ func (tc TrainConfig) validate(cfg flash.Config) error {
 	}
 	if len(tc.Points) == 0 {
 		return fmt.Errorf("sentinel: no stress points")
-	}
-	if tc.PolyDegree < 1 || tc.PolyDegree > 9 {
-		return fmt.Errorf("sentinel: poly degree %d out of [1,9]", tc.PolyDegree)
 	}
 	if tc.WordlinesPerPoint < 1 {
 		return fmt.Errorf("sentinel: WordlinesPerPoint must be positive")
@@ -89,7 +88,7 @@ func Train(chip *flash.Chip, tc TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := mathx.PolyFit(ds, opts, tc.PolyDegree)
+	f, err := mathx.PolyFit(ds, opts, polyDegree)
 	if err != nil {
 		return nil, fmt.Errorf("sentinel: fitting f(d): %w", err)
 	}
@@ -185,9 +184,6 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 	if err := tc.validate(cfg); err != nil {
 		return nil, nil, err
 	}
-	if tc.MeasureReads < 1 {
-		tc.MeasureReads = 1
-	}
 	coding := chip.Coding()
 	sv := coding.SentinelVoltage()
 	indices := tc.Layout.Indices(cfg)
@@ -230,13 +226,13 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 		}
 		for wi, wl := range wls {
 			var d float64
-			for rep := 0; rep < tc.MeasureReads; rep++ {
+			for rep := 0; rep < measureReads; rep++ {
 				seed := mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep))
 				sense := chip.Sense(0, wl, sv, 0, seed)
 				d += ErrorDiffRate(sense, indices)
 				flash.PutBitmap(sense)
 			}
-			d /= float64(tc.MeasureReads)
+			d /= float64(measureReads)
 			ds = append(ds, d)
 			opts = append(opts, lab.OptimalOffset(0, wl, sv))
 		}

@@ -131,11 +131,6 @@ func TestTrainConfigValidation(t *testing.T) {
 		t.Fatal("accepted empty stress grid")
 	}
 	tc = quickTrainConfig()
-	tc.PolyDegree = 0
-	if _, err := Train(chip, tc); err == nil {
-		t.Fatal("accepted degree 0")
-	}
-	tc = quickTrainConfig()
 	tc.WordlinesPerPoint = 0
 	if _, err := Train(chip, tc); err == nil {
 		t.Fatal("accepted zero wordlines")

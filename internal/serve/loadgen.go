@@ -97,10 +97,6 @@ type BenchConfig struct {
 	Duration time.Duration
 	// Phases ramp the open-loop rates (optional; default one flat phase).
 	Phases []LoadPhase
-	// OpenLoopInflight caps outstanding open-loop requests per tenant
-	// (default 64); arrivals past the cap are counted as Overflow, not
-	// sent — the client-side analogue of shedding.
-	OpenLoopInflight int
 	// Tenants are the load streams.
 	Tenants []BenchTenant
 	// Client is the HTTP client (default: keep-alive transport with
@@ -352,9 +348,6 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
 	}
-	if cfg.OpenLoopInflight <= 0 {
-		cfg.OpenLoopInflight = 64
-	}
 	if cfg.Client == nil {
 		tr := &http.Transport{
 			MaxIdleConns:        256,
@@ -452,6 +445,11 @@ func runClosedWorker(ctx context.Context, bc *benchClient, cfg BenchConfig, ti, 
 	}
 }
 
+// openLoopInflight caps outstanding open-loop requests per tenant;
+// arrivals past the cap are counted as Overflow, not sent — the
+// client-side analogue of shedding.
+const openLoopInflight int = 64
+
 // runOpenLoop is one tenant's open-loop dispatcher: arrivals at the
 // phase-scaled rate, each serviced by a goroutine drawn from a bounded
 // in-flight pool; arrivals finding the pool empty count as Overflow.
@@ -462,7 +460,7 @@ func runOpenLoop(ctx context.Context, bc *benchClient, cfg BenchConfig, ti int, 
 	if len(phases) == 0 {
 		phases = []LoadPhase{{Duration: cfg.Duration, RateScale: 1}}
 	}
-	sem := make(chan struct{}, cfg.OpenLoopInflight)
+	sem := make(chan struct{}, openLoopInflight)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	end := time.Now().Add(cfg.Duration)

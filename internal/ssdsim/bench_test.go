@@ -31,8 +31,7 @@ func BenchmarkBuildSampler(b *testing.B) {
 	}
 	chip.Cycle(0, 5000)
 	chip.Age(0, physics.YearHours, physics.RoomTempC)
-	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14},
-		retry.DefaultLatency(), 15)
+	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14}, 15)
 	if err != nil {
 		b.Fatal(err)
 	}

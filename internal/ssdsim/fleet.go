@@ -11,6 +11,7 @@ import (
 	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
+	"sentinel3d/internal/retry"
 )
 
 // Fleet is the online (serving) counterpart of the batch replay Engine:
@@ -38,7 +39,6 @@ import (
 type Fleet struct {
 	cfg      FleetConfig
 	samplers map[string]fleetSampler
-	cost     readCost
 
 	mu      sync.RWMutex // guards stopped vs in-flight Submit sends
 	stopped bool
@@ -58,11 +58,11 @@ type fleetSampler struct {
 
 // FleetConfig parameterizes a Fleet.
 type FleetConfig struct {
-	// Sim carries the device geometry, latency model, bits per cell and
-	// the seed of the deterministic outcome streams. Obs is ignored
-	// (Metrics below attaches observability). Life and PEFaults are
-	// unsupported and rejected: the fleet serves at the samplers' grid
-	// origin, and its premapped FTLs inject no program/erase failures.
+	// Sim carries the device geometry, bits per cell and the seed of
+	// the deterministic outcome streams. Obs is ignored (Metrics below
+	// attaches observability). Life and PEFaults are unsupported and
+	// rejected: the fleet serves at the samplers' grid origin, and its
+	// premapped FTLs inject no program/erase failures.
 	Sim Config
 	// Shards is the number of independent sub-devices (default 1); it
 	// must divide Sim.Geo.Channels, exactly like ReplayConfig.Shards.
@@ -232,8 +232,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("ssdsim: premap %d outside [0, 90%% of %d pages]",
 			cfg.PremapPages, total)
 	}
-	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers)),
-		cost: newReadCost(cfg.Sim.Lat, cfg.Sim.Bits)}
+	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers))}
 	for name, s := range cfg.Samplers {
 		grid, err := checkSampler(sub, s)
 		if err != nil {
@@ -385,7 +384,7 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 		ppn, ok := sh.ftl.Translate(lpn)
 		if !ok {
 			res.UnmappedPages++
-			res.SimUS += f.cfg.Sim.Lat.MapLookup
+			res.SimUS += retry.MapLookupUS
 			res.Check ^= mathx.Mix3(uint64(lpn), pol.salt, 0xdead)
 			continue
 		}
@@ -408,7 +407,7 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 		res.Uncorrectable = res.Uncorrectable || out.Uncorrectable
 		// Service time without contention: the die and channel work back
 		// to back, priced by the same per-page model as Sim.readPage.
-		dieTime, chanTime := f.cost.page(pageType, &out)
+		dieTime, chanTime := pageCost(pageType, &out)
 		res.SimUS += dieTime + chanTime
 		flags := uint64(0)
 		if out.UsedFallback {

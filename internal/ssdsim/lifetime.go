@@ -35,10 +35,6 @@ type LifetimeConfig struct {
 	// accrues at the schedule's Arrhenius-accelerated rate.
 	Schedule physics.TempSchedule
 
-	// ActivationEnergyEV converts hot time into effective room-temp
-	// time; 0 means the paper chips' 0.55 eV.
-	ActivationEnergyEV float64
-
 	// HoursPerSecond is the time-lapse factor: how many device-hours
 	// pass per trace second. 0 means 1. A one-minute trace replayed at
 	// 4380 h/s spans six months of device life.
@@ -60,8 +56,9 @@ type LifetimeConfig struct {
 	CalibUS float64
 }
 
-// defaultActivationEnergyEV matches the paper chips (physics.TLC/QLC).
-const defaultActivationEnergyEV = 0.55
+// activationEnergyEV converts hot time into effective room-temp time; it
+// matches the paper chips (physics.TLC/QLC).
+const activationEnergyEV float64 = 0.55
 
 // Validate reports configuration errors.
 func (c LifetimeConfig) Validate() error {
@@ -73,9 +70,6 @@ func (c LifetimeConfig) Validate() error {
 	}
 	if err := c.Schedule.Validate(); err != nil {
 		return err
-	}
-	if c.ActivationEnergyEV < 0 {
-		return fmt.Errorf("ssdsim: negative activation energy %g eV", c.ActivationEnergyEV)
 	}
 	if math.IsNaN(c.HoursPerSecond) || c.HoursPerSecond < 0 {
 		return fmt.Errorf("ssdsim: invalid time-lapse factor %g h/s", c.HoursPerSecond)
@@ -324,13 +318,10 @@ type lifetime struct {
 // newLifetime builds the per-block state for one (sub-)device.
 func newLifetime(cfg Config) *lifetime {
 	lc := *cfg.Life
-	if lc.ActivationEnergyEV == 0 {
-		lc.ActivationEnergyEV = defaultActivationEnergyEV
-	}
 	if lc.HoursPerSecond == 0 {
 		lc.HoursPerSecond = 1
 	}
-	eval := lc.Schedule.Eval(physics.Params{ActivationEnergyEV: lc.ActivationEnergyEV})
+	eval := lc.Schedule.Eval(physics.Params{ActivationEnergyEV: activationEnergyEV})
 	l := &lifetime{
 		cfg:            lc,
 		eval:           eval,

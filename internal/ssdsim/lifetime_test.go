@@ -372,7 +372,6 @@ func TestLifetimeConfigValidate(t *testing.T) {
 		{BasePE: -1},
 		{BaseRetentionHours: -3},
 		{Schedule: physics.TempSchedule{BaseC: -200}},
-		{ActivationEnergyEV: -1},
 		{HoursPerSecond: -2},
 		{CalibPeriodHours: 24}, // scheduled but free
 	} {

@@ -56,8 +56,7 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 				{PECycles: 5000, Hours: 4380, TempC: physics.RoomTempC},
 				{PECycles: 5000, Hours: physics.YearHours, TempC: physics.RoomTempC},
 			},
-			WordlinesPerPoint: 8, Layout: layout, PolyDegree: 5,
-			MeasureReads: 2, Seed: mathx.Mix(114, 0x7ea1),
+			WordlinesPerPoint: 8, Layout: layout, Seed: mathx.Mix(114, 0x7ea1),
 		})
 		if err != nil {
 			pb.err = err
@@ -90,7 +89,7 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 		chip.Cycle(0, 5000)
 		chip.Age(0, physics.YearHours, physics.RoomTempC)
 		ctl, err := retry.NewController(chip,
-			ecc.CapabilityModel{FrameBits: 8192, T: 26}, retry.DefaultLatency(), 15)
+			ecc.CapabilityModel{FrameBits: 8192, T: 26}, 15)
 		if err != nil {
 			pb.err = err
 			return

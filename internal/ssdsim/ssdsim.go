@@ -9,7 +9,7 @@
 // paper's Figure 14 connects chip-level retry behaviour to system-level
 // read latency. Every sampler is a grid of per-page-type pools over
 // (P/E, retention) stress points — a frozen-stress EmpiricalSampler is the
-// 1x1 grid — and one per-page cost function (readCost) turns a drawn
+// 1x1 grid — and one per-page cost function (pageCost) turns a drawn
 // outcome into die and channel time for both the replay Sim and the
 // serving Fleet.
 package ssdsim
@@ -172,13 +172,8 @@ func BuildSampler(ctl *retry.Controller, pol retry.Policy, b int, wls []int, rep
 type Config struct {
 	// Geo is the SSD geometry.
 	Geo ftl.Geometry
-	// Lat is the chip-level latency model shared with the retry layer.
-	Lat retry.LatencyModel
 	// Bits per cell: page type of physical page i is i % Bits.
 	Bits int
-	// ProgramUS is the page program time; EraseUS the block erase time.
-	ProgramUS float64
-	EraseUS   float64
 	// Seed drives retry sampling.
 	Seed uint64
 	// PEFaults optionally injects program/erase failures into the FTL
@@ -200,11 +195,8 @@ type Config struct {
 // DefaultConfig returns a TLC SSD configuration.
 func DefaultConfig() Config {
 	return Config{
-		Geo:       ftl.DefaultGeometry(),
-		Lat:       retry.DefaultLatency(),
-		Bits:      3,
-		ProgramUS: 700,
-		EraseUS:   5000,
+		Geo:  ftl.DefaultGeometry(),
+		Bits: 3,
 	}
 }
 
@@ -213,18 +205,12 @@ func (c Config) Validate() error {
 	if err := c.Geo.Validate(); err != nil {
 		return err
 	}
-	if err := c.Lat.Validate(); err != nil {
-		return err
-	}
 	if c.Bits < 2 || c.Bits > 4 {
 		return fmt.Errorf("ssdsim: bits %d out of [2,4]", c.Bits)
 	}
 	if c.Geo.PagesPerBlock%c.Bits != 0 {
 		return fmt.Errorf("ssdsim: pages per block %d not divisible by %d bits",
 			c.Geo.PagesPerBlock, c.Bits)
-	}
-	if c.ProgramUS <= 0 || c.EraseUS <= 0 {
-		return fmt.Errorf("ssdsim: non-positive program/erase time")
 	}
 	if c.Life != nil {
 		if err := c.Life.Validate(); err != nil {
@@ -309,7 +295,7 @@ type ReportSummary struct {
 	// program/erase failures during the run (including preconditioning).
 	RetiredBlocks int64
 	// UnmappedReads counts page-level reads of never-written LPNs,
-	// serviced from the mapping table at LatencyModel.MapLookup cost
+	// serviced from the mapping table at retry.MapLookupUS cost
 	// without touching flash.
 	UnmappedReads int64
 	// ReorderedArrivals counts trace records whose raw timestamp ran
@@ -387,7 +373,6 @@ type Sim struct {
 	grid *LifetimeSampler
 	rng  *mathx.Rand
 	met  *simMetrics
-	cost readCost
 
 	dieFree  []float64
 	chanFree []float64
@@ -407,39 +392,22 @@ type Sim struct {
 	life *lifetime
 }
 
-// readCost is the per-page read latency model Sim and Fleet share: each
+// senseUS is the die time of one sense of pageType's read voltages.
+func senseUS(pageType int) float64 {
+	return retry.SenseBaseUS + float64(levelsOf(pageType))*retry.SensePerLevelUS
+}
+
+// pageCost is the per-page read latency model Sim and Fleet share: each
 // attempt (the first read plus every retry) senses the page type's read
 // voltages on the die, then bursts the page over the channel and through
 // ECC decode; each auxiliary single-voltage sense adds one sense and one
-// bare transfer. The LatencyModel sums are folded into constants once;
-// each is the same float expression a per-read evaluation would compute,
-// so the fold never moves a latency.
-type readCost struct {
-	senseByType [4]float64 // SenseBase + levels(pt)*SensePerLevel
-	auxSenseUS  float64    // SenseBase + SensePerLevel
-	xferBurstUS float64    // Transfer + ECCDecode
-	auxXferUS   float64    // Transfer
-}
-
-func newReadCost(lat retry.LatencyModel, bits int) readCost {
-	c := readCost{
-		auxSenseUS:  lat.SenseBase + lat.SensePerLevel,
-		xferBurstUS: lat.Transfer + lat.ECCDecode,
-		auxXferUS:   lat.Transfer,
-	}
-	for pt := 0; pt < bits; pt++ {
-		c.senseByType[pt] = lat.SenseBase + float64(levelsOf(pt))*lat.SensePerLevel
-	}
-	return c
-}
-
-// page returns the die (sensing) and channel (transfer + decode) time of
-// one page read of pageType with outcome out.
-func (c *readCost) page(pageType int, out *RetryOutcome) (dieTime, chanTime float64) {
+// bare transfer. It returns the die (sensing) and channel (transfer +
+// decode) time of one page read of pageType with outcome out.
+func pageCost(pageType int, out *RetryOutcome) (dieTime, chanTime float64) {
 	attempts := float64(out.Retries + 1)
 	aux := float64(out.AuxSenses)
-	return attempts*c.senseByType[pageType] + aux*c.auxSenseUS,
-		attempts*c.xferBurstUS + aux*c.auxXferUS
+	return attempts*senseUS(pageType) + aux*(retry.SenseBaseUS+retry.SensePerLevelUS),
+		attempts*(retry.TransferUS+retry.ECCDecodeUS) + aux*retry.TransferUS
 }
 
 // checkSampler resolves the sampler to its stress grid and verifies the
@@ -481,7 +449,6 @@ func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
 		grid:     grid,
 		rng:      mathx.NewRand(cfg.Seed ^ 0x55d51a1),
 		met:      newSimMetrics(cfg.Obs),
-		cost:     newReadCost(cfg.Lat, cfg.Bits),
 		dieFree:  make([]float64, cfg.Geo.Dies()),
 		chanFree: make([]float64, cfg.Geo.Channels),
 	}
@@ -500,7 +467,7 @@ func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
 	for p := range s.pageType {
 		s.pageType[p] = uint8(p % cfg.Bits)
 	}
-	s.migProgUS = s.cost.senseByType[cfg.Bits-1] + cfg.ProgramUS
+	s.migProgUS = senseUS(cfg.Bits-1) + programUS
 	return s, nil
 }
 
@@ -712,7 +679,7 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 		// reports distinguish it from media service.
 		rep.UnmappedReads++
 		s.met.unmappedRead()
-		return arrive + s.cfg.Lat.MapLookup, nil
+		return arrive + retry.MapLookupUS, nil
 	}
 	pageType := int(s.pageType[ppn.Page])
 	die := s.planeDie[ppn.Plane]
@@ -733,7 +700,7 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 	if out.UsedFallback {
 		rep.FallbackReads++
 	}
-	dieTime, chanTime := s.cost.page(pageType, out)
+	dieTime, chanTime := pageCost(pageType, out)
 
 	ch := s.planeChan[ppn.Plane]
 	senseStart := maxf(arrive, s.dieFree[die])
@@ -749,6 +716,12 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 	}
 	return xferEnd, nil
 }
+
+// Page program and block erase times of the simulated TLC die.
+const (
+	programUS float64 = 700
+	eraseUS   float64 = 5000
+)
 
 // writePage services one page write: transfer on the channel, program on
 // the die; GC work (migrations, erases) occupies the die.
@@ -769,16 +742,16 @@ func (s *Sim) writePage(arrive float64, lpn int64) (float64, error) {
 	}
 
 	xferStart := maxf(arrive, s.chanFree[ch])
-	xferEnd := xferStart + s.cfg.Lat.Transfer
+	xferEnd := xferStart + retry.TransferUS
 	s.chanFree[ch] = xferEnd
 
-	dieTime := s.cfg.ProgramUS
+	dieTime := programUS
 	// GC migrations: an internal read (mid page cost) plus a program per
 	// page, and the erase.
 	if n := len(res.Migrations); n > 0 {
 		dieTime += float64(n) * s.migProgUS
 	}
-	dieTime += float64(res.ErasedBlocks) * s.cfg.EraseUS
+	dieTime += float64(res.ErasedBlocks) * eraseUS
 
 	progStart := maxf(xferEnd, s.dieFree[die])
 	progEnd := progStart + dieTime

@@ -42,11 +42,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted non-divisible pages per block")
 	}
-	bad = testSSDConfig()
-	bad.ProgramUS = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted zero program time")
-	}
 	if _, err := newSim(testSSDConfig(), nil); err == nil {
 		t.Fatal("accepted nil sampler")
 	}
@@ -122,9 +117,9 @@ func TestUnmappedReadCheap(t *testing.T) {
 	}
 	// Both pages are unmapped: serviced at the latency model's documented
 	// mapping-lookup cost, counted, and free of retry accounting.
-	if rep.ReadLatencies[0] != cfg.Lat.MapLookup {
+	if rep.ReadLatencies[0] != retry.MapLookupUS {
 		t.Fatalf("unmapped read cost %v µs, want MapLookup %v",
-			rep.ReadLatencies[0], cfg.Lat.MapLookup)
+			rep.ReadLatencies[0], retry.MapLookupUS)
 	}
 	if rep.UnmappedReads != 2 {
 		t.Fatalf("UnmappedReads = %d, want 2", rep.UnmappedReads)
@@ -231,8 +226,7 @@ func TestBuildSamplerFromChip(t *testing.T) {
 	}
 	chip.Cycle(0, 5000)
 	chip.Age(0, physics.YearHours, physics.RoomTempC)
-	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14},
-		retry.DefaultLatency(), 15)
+	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +253,7 @@ func TestBuildSamplerFromChip(t *testing.T) {
 		t.Fatal("accepted zero reps")
 	}
 	empty := flash.MustNew(cfg)
-	ctl2, _ := retry.NewController(empty, ecc.DefaultCapability(), retry.DefaultLatency(), 5)
+	ctl2, _ := retry.NewController(empty, ecc.DefaultCapability(), 5)
 	if _, err := BuildSampler(ctl2, pol, 0, []int{0}, 1, 1); err == nil {
 		t.Fatal("accepted unprogrammed wordline")
 	}
