@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/mathx"
@@ -56,18 +57,6 @@ func sensesPerRead(rep *ssdsim.Report) float64 {
 	return float64(rep.FlashReads+rep.TotalRetries+rep.AuxSenses) / float64(rep.FlashReads)
 }
 
-// replayTrace replays a materialized trace on one preconditioned device
-// with exact latency collection.
-func replayTrace(cfg ssdsim.Config, sampler ssdsim.RetrySampler, reqs []trace.Request) (*ssdsim.Report, error) {
-	eng, err := ssdsim.NewEngine(ssdsim.ReplayConfig{
-		Sim: cfg, Shards: 1, CollectLatencies: true, Precondition: true,
-	}, sampler)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Replay(trace.SliceOpener(reqs))
-}
-
 // Adaptive benchmarks the adaptive read stack across the MSR-like trace
 // matrix: the static table and plain sentinel baselines against AR²
 // (pipelined table stepping), history (first shot from sentinel-inferred
@@ -77,9 +66,6 @@ func replayTrace(cfg ssdsim.Config, sampler ssdsim.RetrySampler, reqs []trace.Re
 // under each pool, measuring senses-per-read, latency and simulated
 // device throughput.
 func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
-	if requests <= 0 {
-		requests = 6000
-	}
 	tb, err := s.Testbed(flash.TLC, 114, 214, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
@@ -87,11 +73,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 	wls := tb.spreadWLs()
 	samplers := make(map[string]*ssdsim.EmpiricalSampler, len(adaptivePolicies))
 	for i, name := range adaptivePolicies {
-		pol, err := tb.Policy(name)
-		if err != nil {
-			return nil, err
-		}
-		sampler, err := ssdsim.BuildSampler(tb.Ctl, pol, 0, wls, 3, 0xad0+uint64(i))
+		sampler, err := tb.Sampler(name, wls, 0xad0+uint64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +92,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 	// policy's pool; workloads fan out, rows stay in workload order.
 	specs := trace.MSRWorkloads()
 	rows, err := parallel.MapErr(len(specs), func(i int) ([]AdaptiveCell, error) {
-		spec := specs[i]
-		spec.WorkingSetPages = int64(simCfg.Geo.PagesTotal()) * 6 / 10
-		spec.MeanIATUS *= 6
+		spec := paperWorkload(specs[i])
 		reqs, err := trace.Generate(spec, requests, mathx.Mix(0xada, uint64(len(spec.Name))))
 		if err != nil {
 			return nil, err
@@ -127,7 +107,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		}
 		cells := make([]AdaptiveCell, 0, len(adaptivePolicies))
 		for _, name := range adaptivePolicies {
-			rep, err := replayTrace(simCfg, samplers[name], reqs)
+			rep, err := replayTrace(simCfg, samplers[name], trace.SliceOpener(reqs), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +118,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 				P99ReadUS:  rep.P99ReadUS,
 			}
 			cell.SensesPerRead = sensesPerRead(rep)
-			brep, err := replayTrace(simCfg, samplers[name], burst)
+			brep, err := replayTrace(simCfg, samplers[name], trace.SliceOpener(burst), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -177,14 +157,10 @@ func meanAux(e *ssdsim.EmpiricalSampler, p int) float64 {
 	return float64(s) / float64(len(pool))
 }
 
-// cellOf picks the named policy's cell from one workload's group.
+// cellOf picks the named policy's cell from one workload's group, whose
+// cells are built in adaptivePolicies order.
 func cellOf(group []AdaptiveCell, policy string) *AdaptiveCell {
-	for i := range group {
-		if group[i].Policy == policy {
-			return &group[i]
-		}
-	}
-	return &AdaptiveCell{}
+	return &group[slices.Index(adaptivePolicies, policy)]
 }
 
 // HistorySpeedup returns the mean simulated-throughput ratio of the

@@ -6,6 +6,7 @@ import (
 
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/physics"
 )
 
 func TestScalesValid(t *testing.T) {
@@ -192,4 +193,23 @@ func TestFig8StrongCorrelations(t *testing.T) {
 		t.Fatalf("only %d/14 voltages strongly correlated", n)
 	}
 	_ = r.Render()
+}
+
+func TestTestbedSampler(t *testing.T) {
+	tb, err := Quick().Testbed(flash.TLC, 113, 213, 5000, physics.YearHours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Sampler("nope", []int{0}, 1); err == nil {
+		t.Fatal("Sampler accepted an unknown policy")
+	}
+	pool, err := tb.Sampler("table", []int{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, outcomes := range pool.PerPage {
+		if len(outcomes) != 3 {
+			t.Errorf("page %d: %d outcomes, want 3 reads of one wordline", p, len(outcomes))
+		}
+	}
 }

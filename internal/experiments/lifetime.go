@@ -126,9 +126,6 @@ type lifetimeGridPoint struct {
 // sentinel and sentinel+history beat the table on senses-per-read at
 // every aged (mid, worn) point of the sweep.
 func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
-	if requests <= 0 {
-		requests = 6000
-	}
 	// Train once before the fan-out so every grid point shares the model.
 	if _, err := s.TrainModel(flash.TLC, 114); err != nil {
 		return nil, err
@@ -154,11 +151,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 		wls := tb.spreadWLs()
 		pt := &lifetimeGridPoint{}
 		for i, name := range lifetimePolicies {
-			pol, err := tb.Policy(name)
-			if err != nil {
-				return nil, err
-			}
-			pool, err := ssdsim.BuildSampler(tb.Ctl, pol, 0, wls, 3, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
+			pool, err := tb.Sampler(name, wls, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
 			if err != nil {
 				return nil, err
 			}
@@ -178,9 +171,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec.WorkingSetPages = int64(simCfg.Geo.PagesTotal()) * 6 / 10
-	spec.MeanIATUS *= 6
-	reqs, err := trace.Generate(spec, requests, 0x11fe)
+	reqs, err := trace.Generate(paperWorkload(spec), requests, 0x11fe)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +213,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 				CalibDriftHours:    2000,
 				CalibUS:            300,
 			}
-			rep, err := replayTrace(cfg, ls, reqs)
+			rep, err := replayTrace(cfg, ls, trace.SliceOpener(reqs), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -254,24 +245,14 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 			// matters as an axis. The claim is about aged devices.
 			continue
 		}
-		table := lifetimeCellOf(cells, "table").SensesPerRead
-		for _, name := range lifetimePolicies[1:] {
-			if lifetimeCellOf(cells, name).SensesPerRead >= table {
+		// Cells are built in lifetimePolicies order: the table first.
+		for _, c := range cells[1:] {
+			if c.SensesPerRead >= cells[0].SensesPerRead {
 				res.Violations++
 			}
 		}
 	}
 	return res, nil
-}
-
-// lifetimeCellOf picks the named policy's cell from one group.
-func lifetimeCellOf(group []LifetimeCell, policy string) *LifetimeCell {
-	for i := range group {
-		if group[i].Policy == policy {
-			return &group[i]
-		}
-	}
-	return &LifetimeCell{}
 }
 
 // Render prints the senses-per-read and latency matrices plus the

@@ -7,8 +7,6 @@ import (
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
-	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
 
@@ -37,19 +35,16 @@ type Fig14Result struct {
 // flash and sentinel policies on the aged TLC chip, then replays the
 // eight MSR-like workloads through the SSD simulator under each.
 func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
-	if requests <= 0 {
-		requests = 6000
-	}
 	tb, err := s.Testbed(flash.TLC, 114, 214, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
 	wls := tb.spreadWLs()
-	baseSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewDefaultTable(tb.Chip, tableStep), 0, wls, 3, 0x14a)
+	baseSampler, err := tb.Sampler("table", wls, 0x14a)
 	if err != nil {
 		return nil, err
 	}
-	sentSampler, err := ssdsim.BuildSampler(tb.Ctl, retry.NewSentinelPolicy(tb.Eng), 0, wls, 3, 0x14b)
+	sentSampler, err := tb.Sampler("sentinel", wls, 0x14b)
 	if err != nil {
 		return nil, err
 	}
@@ -64,32 +59,15 @@ func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
 	// workloads and keep Rows in workload order.
 	specs := trace.MSRWorkloads()
 	rows, err := parallel.MapErr(len(specs), func(i int) (Fig14Row, error) {
-		spec := specs[i]
-		spec.WorkingSetPages = int64(simCfg.Geo.PagesTotal()) * 6 / 10
-		// The MSR volumes are light relative to an SSD's capability (the
-		// paper's SSDSim runs show latency ratios near the device-level
-		// retry ratio, i.e. negligible queueing); scale the arrival rate
-		// down accordingly.
-		spec.MeanIATUS *= 6
-		// Replay through a single-shard engine with exact latency
-		// collection; the trace streams from the generator twice
-		// (precondition pass, replay pass) instead of being materialized.
+		spec := paperWorkload(specs[i])
+		// The trace streams from the generator twice (precondition pass,
+		// replay pass) instead of being materialized.
 		open := trace.GeneratorOpener(spec, requests, mathx.Mix(0x14c, uint64(len(spec.Name))))
-		run := func(sampler ssdsim.RetrySampler) (*ssdsim.Report, error) {
-			eng, err := ssdsim.NewEngine(ssdsim.ReplayConfig{
-				Sim: simCfg, CollectLatencies: true, Precondition: true,
-				Metrics: s.Obs,
-			}, sampler)
-			if err != nil {
-				return nil, err
-			}
-			return eng.Replay(open)
-		}
-		base, err := run(baseSampler)
+		base, err := replayTrace(simCfg, baseSampler, open, s.Obs)
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		sentRep, err := run(sentSampler)
+		sentRep, err := replayTrace(simCfg, sentSampler, open, s.Obs)
 		if err != nil {
 			return Fig14Row{}, err
 		}

@@ -5,9 +5,11 @@ import (
 
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/ftl"
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/retry"
 	"sentinel3d/internal/sentinel"
 	"sentinel3d/internal/ssdsim"
+	"sentinel3d/internal/trace"
 )
 
 // Testbed is the aged-chip stack every chip-backed retry experiment and
@@ -96,6 +98,18 @@ func (tb *Testbed) Policy(name string) (retry.Policy, error) {
 	return nil, fmt.Errorf("experiments: unknown read policy %q", name)
 }
 
+// Sampler measures the named policy's retry-outcome pool on the
+// testbed: every page of wordlines wls of block 0 is read three times,
+// drawing from seed. Every trace experiment and chip-backed replay cell
+// builds its pools here, each with its own wordlines and seeds.
+func (tb *Testbed) Sampler(policy string, wls []int, seed uint64) (*ssdsim.EmpiricalSampler, error) {
+	pol, err := tb.Policy(policy)
+	if err != nil {
+		return nil, err
+	}
+	return ssdsim.BuildSampler(tb.Ctl, pol, 0, wls, 3, seed)
+}
+
 // spreadWLs returns 16 wordlines spread evenly over the block (every
 // wordline on blocks shorter than that): the sample the trace
 // experiments build their retry-outcome pools over.
@@ -118,6 +132,30 @@ func TraceDevice() ssdsim.Config {
 		BlocksPerPlane: 32, PagesPerBlock: 192,
 	}
 	return cfg
+}
+
+// paperWorkload sizes an MSR-like workload for TraceDevice: the
+// footprint is 60% of the device's pages and arrivals are slowed 6x.
+// The MSR volumes are light relative to an SSD's capability (the
+// paper's SSDSim runs show latency ratios near the device-level retry
+// ratio, i.e. negligible queueing); the slower arrivals keep it so.
+func paperWorkload(spec trace.WorkloadSpec) trace.WorkloadSpec {
+	spec.WorkingSetPages = int64(TraceDevice().Geo.PagesTotal()) * 6 / 10
+	spec.MeanIATUS *= 6
+	return spec
+}
+
+// replayTrace replays a trace on one preconditioned single-shard device
+// with exact latency collection, instrumented into reg when non-nil.
+func replayTrace(cfg ssdsim.Config, sampler ssdsim.RetrySampler, open trace.Opener, reg *obs.Registry) (*ssdsim.Report, error) {
+	eng, err := ssdsim.NewEngine(ssdsim.ReplayConfig{
+		Sim: cfg, Shards: 1, CollectLatencies: true, Precondition: true,
+		Metrics: reg,
+	}, sampler)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Replay(open)
 }
 
 // SyntheticSampler is a synthetic TLC retry-outcome distribution that

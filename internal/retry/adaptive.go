@@ -36,14 +36,6 @@ type WarmStartPolicy struct {
 	Sentinel *SentinelPolicy
 }
 
-// Name implements Policy.
-func (p *WarmStartPolicy) Name() string {
-	if p.Sentinel != nil {
-		return "sentinel+history"
-	}
-	return "history"
-}
-
 // Session implements Policy.
 func (p *WarmStartPolicy) Session(env *Env) Session {
 	start := p.Start[env.B]
@@ -120,9 +112,6 @@ type AR2Policy struct {
 func NewAR2(table *DefaultTablePolicy) *AR2Policy {
 	return &AR2Policy{Table: table}
 }
-
-// Name implements Policy.
-func (p *AR2Policy) Name() string { return "ar2" }
 
 // Session implements Policy.
 func (p *AR2Policy) Session(env *Env) Session {

@@ -174,9 +174,6 @@ func TestCombinedPolicyBeatsBoth(t *testing.T) {
 	combined := &WarmStartPolicy{
 		Start:    map[int]flash.Offsets{0: charlab.New(chip).OptimalOffsets(0, 0)},
 		Sentinel: sent}
-	if combined.Name() != "sentinel+history" {
-		t.Fatal("name wrong")
-	}
 
 	var sentSum, combSum float64
 	combFails := 0
@@ -228,8 +225,8 @@ func TestCombinedWithoutTrackingFallsBack(t *testing.T) {
 				rW := ctl.Read(0, wl, p, row.warm, seed)
 				if rB.OK != rW.OK || rB.Retries != rW.Retries || rB.AuxSenses != rW.AuxSenses ||
 					!reflect.DeepEqual(rB.FinalOffsets, rW.FinalOffsets) {
-					t.Fatalf("%s wl %d page %d: warm start %+v != %s %+v without start offsets",
-						row.warm.Name(), wl, p, rW, row.base.Name(), rB)
+					t.Fatalf("%T wl %d page %d: warm start %+v != %T %+v without start offsets",
+						row.warm, wl, p, rW, row.base, rB)
 				}
 			}
 		}

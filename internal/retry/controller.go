@@ -66,9 +66,8 @@ type Session interface {
 	NextOffsets(k int, prior flash.Bitmap, priorOfs flash.Offsets) (ofs flash.Offsets, ok bool)
 }
 
-// Policy produces sessions and names itself for reports.
+// Policy produces the per-read sessions of one read policy.
 type Policy interface {
-	Name() string
 	Session(env *Env) Session
 }
 

@@ -71,9 +71,6 @@ func NewFallback(sentinel *SentinelPolicy, table *DefaultTablePolicy) *FallbackP
 	}
 }
 
-// Name implements Policy.
-func (p *FallbackPolicy) Name() string { return "sentinel+fallback" }
-
 // ProbeBlock health-checks block b's sentinel region through wordline wl
 // (which must be programmed): two accounted-for-nothing senses at the
 // extremes of the sentinel voltage's neighbourhood detect cells that do

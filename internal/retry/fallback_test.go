@@ -199,9 +199,6 @@ func TestFallbackHealthyStaysOnSentinel(t *testing.T) {
 				wl, rF.Retries, rB.Retries)
 		}
 	}
-	if fb.Name() != "sentinel+fallback" {
-		t.Fatal("fallback name")
-	}
 }
 
 // TestConcurrentReadsMatchSerial locks in the documented Chip concurrency
@@ -248,8 +245,8 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 			if s.OK != c.OK || s.Retries != c.Retries ||
 				s.AuxSenses != c.AuxSenses || s.Latency != c.Latency ||
 				s.FinalErrors != c.FinalErrors || s.UsedFallback != c.UsedFallback {
-				t.Fatalf("%s wl %d: concurrent %+v != serial %+v",
-					pol.Name(), wl, c, s)
+				t.Fatalf("%T wl %d: concurrent %+v != serial %+v",
+					pol, wl, c, s)
 			}
 		}
 	}

@@ -46,9 +46,6 @@ func NewDefaultTable(chip *flash.Chip, step float64) *DefaultTablePolicy {
 	return &DefaultTablePolicy{Step: step, Shape: shape}
 }
 
-// Name implements Policy.
-func (p *DefaultTablePolicy) Name() string { return "current-flash" }
-
 // Session implements Policy.
 func (p *DefaultTablePolicy) Session(env *Env) Session {
 	return tableSession{p: p, nv: env.Coding().NumVoltages()}
@@ -102,9 +99,6 @@ type SentinelPolicy struct {
 func NewSentinelPolicy(engine *sentinel.Engine) *SentinelPolicy {
 	return &SentinelPolicy{Engine: engine}
 }
-
-// Name implements Policy.
-func (p *SentinelPolicy) Name() string { return "sentinel" }
 
 // Session implements Policy.
 func (p *SentinelPolicy) Session(env *Env) Session {

@@ -271,14 +271,3 @@ func TestSentinelSessionGivesUp(t *testing.T) {
 		t.Fatalf("sentinel retried %d times, budget %d", res.Retries, maxAttempts)
 	}
 }
-
-func TestPolicyNames(t *testing.T) {
-	chip := flash.MustNew(testCfg(flash.TLC))
-	table := NewDefaultTable(chip, 2)
-	if table.Name() != "current-flash" {
-		t.Fatal("table name")
-	}
-	if NewSentinelPolicy(testEngine(t)).Name() != "sentinel" {
-		t.Fatal("sentinel name")
-	}
-}

@@ -28,100 +28,68 @@ func outcomeOf(r renderer, err error) (*Outcome, error) {
 	return &Outcome{Payload: r, Render: r.Render()}, nil
 }
 
-// figure registers a plain figure experiment.
-func figure(name, desc string, fn func(experiments.Scale) (renderer, error)) {
-	Register(Entry{Name: name, Desc: desc, InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale)) }})
+// figure is a plain figure experiment.
+func figure[T renderer](name, desc string, fn func(experiments.Scale) (T, error)) *Entry {
+	return &Entry{Name: name, Desc: desc, InAll: true,
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale)) }}
 }
 
-// kindFigure registers a kind-parameterized figure experiment.
-func kindFigure(name, desc string, fn func(experiments.Scale, flash.Kind) (renderer, error)) {
-	Register(Entry{Name: name, Desc: desc, InAll: true, PerKind: true,
-		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale, ctx.Kind())) }})
+// kindFigure is a kind-parameterized figure experiment.
+func kindFigure[T renderer](name, desc string, fn func(experiments.Scale, flash.Kind) (T, error)) *Entry {
+	return &Entry{Name: name, Desc: desc, InAll: true, PerKind: true,
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale, ctx.Kind())) }}
 }
 
-// The registration order is the order `-exp all` (and a full matrix
-// run) executes in — it matches the pre-registry CLI dispatch.
-func init() {
-	figure("fig2", "bit errors vs read-voltage offset", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig2ErrorVsOffset(s)
-	})
-	kindFigure("fig3", "per-layer RBER, default vs optimal voltages", func(s experiments.Scale, k flash.Kind) (renderer, error) {
-		return experiments.Fig3LayerRBER(s, k)
-	})
-	figure("fig45", "temperature impact after one hour", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig45Temperature(s)
-	})
-	figure("fig6", "optimal offsets across layers", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig6LayerOptima(s)
-	})
-	Register(Entry{Name: "fig7", Desc: "bit-error position map", InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) {
-			r, err := experiments.Fig7ErrorMap(ctx.Scale)
-			if err != nil {
-				return nil, err
-			}
-			// Fig7Result.Map is a nested pointer; digesting the result
-			// itself would hash its heap address. Flatten it.
-			payload := struct {
-				Map               charlab.ErrorMap
-				UniformityChi2    float64
-				WordlineVariation float64
-			}{*r.Map, r.UniformityChi2, r.WordlineVariation}
-			return &Outcome{Payload: payload, Render: r.Render()}, nil
-		}})
-	figure("fig8", "correlation of per-voltage optima", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig8Correlation(s)
-	})
-	kindFigure("fig10", "f(d) fit and inference validation", func(s experiments.Scale, k flash.Kind) (renderer, error) {
-		return experiments.Fig10InferenceFit(s, k)
-	})
-	kindFigure("table1", "prediction error vs sentinel ratio", func(s experiments.Scale, k flash.Kind) (renderer, error) {
-		return experiments.Table1SentinelRatio(s, k)
-	})
-	figure("fig12", "state-change counts around the optimum", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig12StateChange(s)
-	})
-	figure("fig13", "read retries, current flash vs sentinel", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig13RetryCount(s)
-	})
-	Register(Entry{Name: "fig14", Desc: "trace-driven read-latency reduction", InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) {
-			return outcomeOf(experiments.Fig14TraceLatency(ctx.Scale, ctx.Requests(6000)))
-		}})
-	kindFigure("errcomp", "per-voltage errors and success rates (figs 15-18)", func(s experiments.Scale, k flash.Kind) (renderer, error) {
-		return experiments.ErrorComparison(s, k)
-	})
-	figure("fig19", "LDPC decoding success", func(s experiments.Scale) (renderer, error) {
-		return experiments.Fig19LDPC(s)
-	})
-	figure("robust", "sentinel corruption sweep (graceful degradation)", func(s experiments.Scale) (renderer, error) {
-		return experiments.CorruptionSweep(s)
-	})
-	figure("ablation-placement", "sentinel placement ablation", func(s experiments.Scale) (renderer, error) {
+// traceFigure is a trace-driven figure experiment: it replays the
+// cell's request count (6000 by default) per workload.
+func traceFigure[T renderer](name, desc string, fn func(experiments.Scale, int) (T, error)) *Entry {
+	return &Entry{Name: name, Desc: desc, InAll: true,
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale, ctx.Requests(6000))) }}
+}
+
+// entries is the experiment table. Its order is the order `-exp all`
+// (and a full matrix run) executes in.
+var entries = []*Entry{
+	figure("fig2", "bit errors vs read-voltage offset", experiments.Fig2ErrorVsOffset),
+	kindFigure("fig3", "per-layer RBER, default vs optimal voltages", experiments.Fig3LayerRBER),
+	figure("fig45", "temperature impact after one hour", experiments.Fig45Temperature),
+	figure("fig6", "optimal offsets across layers", experiments.Fig6LayerOptima),
+	{Name: "fig7", Desc: "bit-error position map", InAll: true, Run: runFig7},
+	figure("fig8", "correlation of per-voltage optima", experiments.Fig8Correlation),
+	kindFigure("fig10", "f(d) fit and inference validation", experiments.Fig10InferenceFit),
+	kindFigure("table1", "prediction error vs sentinel ratio", experiments.Table1SentinelRatio),
+	figure("fig12", "state-change counts around the optimum", experiments.Fig12StateChange),
+	figure("fig13", "read retries, current flash vs sentinel", experiments.Fig13RetryCount),
+	traceFigure("fig14", "trace-driven read-latency reduction", experiments.Fig14TraceLatency),
+	kindFigure("errcomp", "per-voltage errors and success rates (figs 15-18)", experiments.ErrorComparison),
+	figure("fig19", "LDPC decoding success", experiments.Fig19LDPC),
+	figure("robust", "sentinel corruption sweep (graceful degradation)", experiments.CorruptionSweep),
+	figure("ablation-placement", "sentinel placement ablation", func(s experiments.Scale) (*experiments.PlacementAblationResult, error) {
 		return experiments.AblatePlacement(s, flash.QLC)
-	})
-	figure("ablation-tempbands", "temperature-band ablation", func(s experiments.Scale) (renderer, error) {
-		return experiments.TempBandExperiment(s)
-	})
-	figure("ablation-delta", "calibration-delta ablation", func(s experiments.Scale) (renderer, error) {
-		return experiments.AblateCalibrationDelta(s)
-	})
-	figure("ablation-combined", "combined ablation", func(s experiments.Scale) (renderer, error) {
-		return experiments.AblateCombined(s)
-	})
-	Register(Entry{Name: "adaptive", Desc: "adaptive first-shot reads: table/sentinel vs ar2/history", InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) {
-			return outcomeOf(experiments.Adaptive(ctx.Scale, ctx.Requests(6000)))
-		}})
-	Register(Entry{Name: "lifetime", Desc: "device-lifetime sweep: dynamic aging replay, sentinel vs table per age and temperature schedule", InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) {
-			return outcomeOf(experiments.Lifetime(ctx.Scale, ctx.Requests(6000)))
-		}})
-	Register(Entry{Name: "replay", Desc: "sharded streaming trace replay under one retry policy",
-		Run: runReplay})
-	Register(Entry{Name: "charlab", Desc: "chip characterization bench (RBER table, optima, sweeps)",
-		PerKind: true, Run: runCharlab})
+	}),
+	figure("ablation-tempbands", "temperature-band ablation", experiments.TempBandExperiment),
+	figure("ablation-delta", "calibration-delta ablation", experiments.AblateCalibrationDelta),
+	figure("ablation-combined", "combined ablation", experiments.AblateCombined),
+	traceFigure("adaptive", "adaptive first-shot reads: table/sentinel vs ar2/history", experiments.Adaptive),
+	traceFigure("lifetime", "device-lifetime sweep: dynamic aging replay, sentinel vs table per age and temperature schedule", experiments.Lifetime),
+	{Name: "replay", Desc: "sharded streaming trace replay under one retry policy", Run: runReplay},
+	{Name: "charlab", Desc: "chip characterization bench (RBER table, optima, sweeps)", PerKind: true, Run: runCharlab},
+	{Name: "serve", Desc: "in-process read server driven by a closed-loop flashbench run", Run: runServe},
+}
+
+// runFig7 runs Fig 7. Fig7Result.Map is a nested pointer; digesting the
+// result itself would hash its heap address, so the payload flattens it.
+func runFig7(ctx *Ctx) (*Outcome, error) {
+	r, err := experiments.Fig7ErrorMap(ctx.Scale)
+	if err != nil {
+		return nil, err
+	}
+	payload := struct {
+		Map               charlab.ErrorMap
+		UniformityChi2    float64
+		WordlineVariation float64
+	}{*r.Map, r.UniformityChi2, r.WordlineVariation}
+	return &Outcome{Payload: payload, Render: r.Render()}, nil
 }
 
 // chipPrep is the shared preconditioning of chip-backed replay cells:
@@ -214,12 +182,8 @@ func samplerAt(ctx *Ctx, pe int, hours float64) (*ssdsim.EmpiricalSampler, error
 	}
 	key := prepKey(ctx.Scale.Name, ctx.Kind(), pe, hours, ctx.Spec.Fault) + "/sampler/" + policy
 	v, err := ctx.Shared.Do(key, func() (any, error) {
-		pol, err := prep.tb.Policy(policy)
-		if err != nil {
-			return nil, err
-		}
 		seed := 11 + uint64(slices.Index(experiments.PolicyNames, policy))
-		return ssdsim.BuildSampler(prep.tb.Ctl, pol, 0, prep.wls, 3, seed)
+		return prep.tb.Sampler(policy, prep.wls, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -567,26 +531,34 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 	}
 	header = append(header, "MSB RBER@opt", "Vsent opt")
 	sv := chip.Coding().SentinelVoltage()
-	var rberSum float64
-	var rberN int
-	rows := parallel.Map(len(wls), func(i int) []string {
+	// Each wordline yields its table row and its raw default-voltage
+	// page RBERs; the mean-rber metric averages the raw values.
+	type measured struct {
+		row  []string
+		rber []float64
+	}
+	ms := parallel.Map(len(wls), func(i int) measured {
 		wl := wls[i]
 		wlMeasured.Inc()
-		row := []string{fmt.Sprint(wl), fmt.Sprint(chip.LayerOf(wl))}
+		m := measured{row: []string{fmt.Sprint(wl), fmt.Sprint(chip.LayerOf(wl))}}
 		for p := 0; p < kind.Bits(); p++ {
 			rber := lab.PageRBER(0, wl, p, nil)
 			rberHist.Observe(rber)
-			row = append(row, fmt.Sprintf("%.3g", rber))
+			m.rber = append(m.rber, rber)
+			m.row = append(m.row, fmt.Sprintf("%.3g", rber))
 		}
 		opt := lab.OptimalOffsets(0, wl)
-		return append(row,
+		m.row = append(m.row,
 			fmt.Sprintf("%.3g", lab.PageRBER(0, wl, kind.Bits()-1, opt)),
 			fmt.Sprintf("%.1f", opt.Get(sv)))
+		return m
 	})
-	for _, row := range rows {
-		for p := 0; p < kind.Bits(); p++ {
-			var v float64
-			fmt.Sscanf(row[2+p], "%g", &v)
+	rows := make([][]string, len(ms))
+	var rberSum float64
+	var rberN int
+	for i, m := range ms {
+		rows[i] = m.row
+		for _, v := range m.rber {
 			rberSum += v
 			rberN++
 		}

@@ -9,17 +9,11 @@ import (
 	"sentinel3d/internal/ssdsim"
 )
 
-// This file registers the "serve" experiment: an in-process flashd
+// This file holds the "serve" experiment: an in-process flashd
 // (serving fleet + QoS layer) driven by a closed-loop flashbench run.
 // It is the serving layer's end-to-end determinism cell — the
 // closed-loop report is a pure function of the cell seed, so it
 // golden-gates in CI exactly like the figures.
-
-func init() {
-	Register(Entry{Name: "serve",
-		Desc: "in-process read server driven by a closed-loop flashbench run",
-		Run:  runServe})
-}
 
 // servePremapPages is the fleet's premapped footprint, matched by the
 // bench's MaxLPN so every drawn LPN resolves.

@@ -40,20 +40,14 @@ type Axes struct {
 	// Base seeds every cell of the block; its Name (optional) prefixes
 	// the generated names.
 	Base Spec `json:"base,omitempty"`
-	// Experiment, Scale, Kind, Policy, Workload, Age and Schedule are
-	// value axes.
-	Experiment []string `json:"experiment,omitempty"`
-	Scale      []string `json:"scale,omitempty"`
-	Kind       []string `json:"kind,omitempty"`
-	Policy     []string `json:"policy,omitempty"`
-	Workload   []string `json:"workload,omitempty"`
-	Age        []string `json:"age,omitempty"`
-	Schedule   []string `json:"schedule,omitempty"`
-	// Shards, Devices and Requests are numeric axes ("s<N>" / "d<N>" /
-	// "r<N>" name parts).
-	Shards   []int `json:"shards,omitempty"`
-	Devices  []int `json:"devices,omitempty"`
-	Requests []int `json:"requests,omitempty"`
+	// Kind, Policy, Workload, Age and Schedule are value axes.
+	Kind     []string `json:"kind,omitempty"`
+	Policy   []string `json:"policy,omitempty"`
+	Workload []string `json:"workload,omitempty"`
+	Age      []string `json:"age,omitempty"`
+	Schedule []string `json:"schedule,omitempty"`
+	// Shards is the numeric axis ("s<N>" name parts).
+	Shards []int `json:"shards,omitempty"`
 }
 
 // Parse decodes a matrix document strictly: unknown fields anywhere in
@@ -161,29 +155,22 @@ func (a *Axes) expand(defaults Spec) ([]Spec, error) {
 		n     int
 		apply func(c *Spec, i int) string // returns the name part
 	}
-	strAxis := func(vals []string, set func(*Spec, string), prefix string) axis {
+	strAxis := func(vals []string, set func(*Spec, string)) axis {
 		return axis{n: len(vals), apply: func(c *Spec, i int) string {
 			set(c, vals[i])
-			return prefix + vals[i]
-		}}
-	}
-	intAxis := func(vals []int, set func(*Spec, int), prefix string) axis {
-		return axis{n: len(vals), apply: func(c *Spec, i int) string {
-			set(c, vals[i])
-			return fmt.Sprintf("%s%d", prefix, vals[i])
+			return vals[i]
 		}}
 	}
 	axes := []axis{
-		strAxis(a.Experiment, func(c *Spec, v string) { c.Experiment = v }, ""),
-		strAxis(a.Scale, func(c *Spec, v string) { c.Scale = v }, ""),
-		strAxis(a.Kind, func(c *Spec, v string) { c.Kind = v }, ""),
-		strAxis(a.Policy, func(c *Spec, v string) { c.Policy = v }, ""),
-		strAxis(a.Workload, func(c *Spec, v string) { c.Workload = v }, ""),
-		strAxis(a.Age, func(c *Spec, v string) { c.Age = v }, ""),
-		strAxis(a.Schedule, func(c *Spec, v string) { c.Schedule = v }, ""),
-		intAxis(a.Shards, func(c *Spec, v int) { c.Shards = v }, "s"),
-		intAxis(a.Devices, func(c *Spec, v int) { c.Devices = v }, "d"),
-		intAxis(a.Requests, func(c *Spec, v int) { c.Requests = v }, "r"),
+		strAxis(a.Kind, func(c *Spec, v string) { c.Kind = v }),
+		strAxis(a.Policy, func(c *Spec, v string) { c.Policy = v }),
+		strAxis(a.Workload, func(c *Spec, v string) { c.Workload = v }),
+		strAxis(a.Age, func(c *Spec, v string) { c.Age = v }),
+		strAxis(a.Schedule, func(c *Spec, v string) { c.Schedule = v }),
+		{n: len(a.Shards), apply: func(c *Spec, i int) string {
+			c.Shards = a.Shards[i]
+			return fmt.Sprintf("s%d", a.Shards[i])
+		}},
 	}
 	total := 1
 	for _, ax := range axes {

@@ -3,8 +3,8 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"sentinel3d/internal/experiments"
 	"sentinel3d/internal/flash"
@@ -69,9 +69,9 @@ type Outcome struct {
 // Runner executes one cell.
 type Runner func(ctx *Ctx) (*Outcome, error)
 
-// Entry describes one registered experiment.
+// Entry describes one experiment of the table.
 type Entry struct {
-	// Name is the registry key cells reference as "experiment".
+	// Name is the table key cells reference as "experiment".
 	Name string
 	// Desc is a one-line description for -list output.
 	Desc string
@@ -86,54 +86,25 @@ type Entry struct {
 	Run Runner
 }
 
-var (
-	regMu   sync.RWMutex
-	regByID = map[string]*Entry{}
-	regSeq  []*Entry
-)
-
-// Register adds an entry; duplicate names panic at init time.
-func Register(e Entry) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if e.Name == "" || e.Run == nil {
-		panic("scenario: Register with empty name or nil runner")
-	}
-	if _, dup := regByID[e.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate registry entry %q", e.Name))
-	}
-	ent := e
-	regByID[e.Name] = &ent
-	regSeq = append(regSeq, &ent)
-}
-
 // Lookup resolves an experiment name.
 func Lookup(name string) (*Entry, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := regByID[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown experiment %q (have %v)", name, names())
+	for _, e := range entries {
+		if e.Name == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		names = append(names, e.Name)
+	}
+	sort.Strings(names)
+	return nil, fmt.Errorf("scenario: unknown experiment %q (have %v)", name, names)
 }
 
-// names lists the registered experiments sorted; callers hold regMu.
-func names() []string {
-	out := make([]string, 0, len(regSeq))
-	for _, e := range regSeq {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Entries returns the registry in registration order — the order the
-// "all" experiment set runs in, matching the pre-registry CLI dispatch.
+// Entries returns the experiment table in its declared order — the
+// order the "all" experiment set runs in.
 func Entries() []*Entry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]*Entry(nil), regSeq...)
+	return slices.Clone(entries)
 }
 
 // resolveScale builds the experiments.Scale for a spec, attaching the

@@ -9,6 +9,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"sentinel3d/internal/charlab"
+	"sentinel3d/internal/experiments"
+	"sentinel3d/internal/flash"
+	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/physics"
 )
 
 // syntheticMatrix is a fast all-synthetic replay matrix used by several
@@ -234,6 +240,31 @@ func TestRunCellCharlab(t *testing.T) {
 	}
 	if res.Metrics["wordlines"] != 2 {
 		t.Errorf("wordlines metric %v", res.Metrics)
+	}
+
+	// mean-rber is the full-precision mean of the default-voltage page
+	// RBERs, not of the table's 3-digit renderings: rebuild the same
+	// chip and recompute it in the cell's order.
+	cfg := experiments.Quick().ChipConfig(flash.TLC, 1)
+	chip, err := flash.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls := []int{0, cfg.WordlinesPerBlock() / 2}
+	for _, wl := range wls {
+		chip.ProgramRandom(0, wl, mathx.NewRand(mathx.Mix(1^0xf1a5, uint64(wl))))
+	}
+	chip.Cycle(0, 1000)
+	chip.Age(0, 100, physics.RoomTempC)
+	lab := charlab.New(chip)
+	var sum float64
+	for _, wl := range wls {
+		for p := 0; p < flash.TLC.Bits(); p++ {
+			sum += lab.PageRBER(0, wl, p, nil)
+		}
+	}
+	if want := sum / float64(len(wls)*flash.TLC.Bits()); res.Metrics["mean-rber"] != want {
+		t.Errorf("mean-rber %v, want full-precision mean %v", res.Metrics["mean-rber"], want)
 	}
 }
 

@@ -37,9 +37,9 @@ type Spec struct {
 	// be non-empty and contain no whitespace, '/' or ':' (those are
 	// bench-line and gate-expression metacharacters).
 	Name string `json:"name"`
-	// Experiment is the registry entry that runs the cell (fig2..fig19,
-	// table1, robust, replay, charlab, ...). See
-	// Names() for the full list.
+	// Experiment is the table entry that runs the cell (fig2..fig19,
+	// table1, robust, replay, charlab, ...). See Entries() for the full
+	// list.
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full" — the fidelity/runtime
 	// trade-off of experiments.Scale.

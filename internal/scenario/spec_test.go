@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,9 @@ func TestParseStrict(t *testing.T) {
 		`{"cells":[]}`, // no name
 		`not json`,
 		`{"name":"m","cells":[{"name":"x","experiment":"replay","workers":2}]}`, // removed knob
+		// Not a sweep axis: only kind, policy, workload, age, schedule
+		// and shards are.
+		`{"name":"m","sweep":[{"base":{"experiment":"replay"},"devices":[1,2]}]}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -163,21 +167,38 @@ func TestMatrixRoundTrip(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"fig2", "fig13", "robust", "replay", "charlab"} {
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("Lookup(%q): %v", name, err)
+	ents := Entries()
+	seen := map[string]bool{}
+	var all []string
+	for _, e := range ents {
+		if e.Name == "" || e.Run == nil {
+			t.Errorf("entry %+v has an empty name or nil runner", e)
+		}
+		if seen[e.Name] {
+			t.Errorf("duplicate entry %q", e.Name)
+		}
+		seen[e.Name] = true
+		if _, err := Lookup(e.Name); err != nil {
+			t.Errorf("Lookup(%q): %v", e.Name, err)
+		}
+		if e.InAll {
+			all = append(all, e.Name)
 		}
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Error("Lookup of unknown entry succeeded")
 	}
-	ents := Entries()
-	if len(ents) < 18 {
-		t.Errorf("only %d registry entries", len(ents))
+	// The table order is the -exp all order.
+	want := []string{"fig2", "fig3", "fig45", "fig6", "fig7", "fig8", "fig10",
+		"table1", "fig12", "fig13", "fig14", "errcomp", "fig19", "robust",
+		"ablation-placement", "ablation-tempbands", "ablation-delta",
+		"ablation-combined", "adaptive", "lifetime"}
+	if !slices.Equal(all, want) {
+		t.Errorf("-exp all order %v, want %v", all, want)
 	}
-	// Registration order is the -exp all order: fig2 first, robust after
-	// fig19, ablations after robust.
-	if ents[0].Name != "fig2" {
-		t.Errorf("first entry %q, want fig2", ents[0].Name)
+	for _, name := range []string{"replay", "charlab", "serve"} {
+		if !seen[name] {
+			t.Errorf("missing entry %q", name)
+		}
 	}
 }
