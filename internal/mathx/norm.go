@@ -3,9 +3,11 @@ package mathx
 import "math"
 
 // NormInv returns the inverse of the standard normal cumulative
-// distribution function evaluated at p in (0, 1), using Acklam's rational
-// approximation refined with one Halley step. Absolute error is below
-// 1e-9 over the full domain, far tighter than the chip model needs.
+// distribution function evaluated at p in (0, 1): Acklam's approximant
+// (acklam) refined with one Halley step against NormCDF, which takes its
+// 1.15e-9 relative error to near machine precision. The step costs a
+// math.Erfc and a math.Exp, so the per-cell sensing-noise path
+// (GaussFromHash) uses the approximant alone.
 //
 // NormInv(0) is -Inf and NormInv(1) is +Inf; p outside [0, 1] yields NaN.
 func NormInv(p float64) float64 {
@@ -17,7 +19,20 @@ func NormInv(p float64) float64 {
 	case p == 1:
 		return math.Inf(1)
 	}
+	x := acklam(p)
 
+	// One Halley refinement step against the true CDF.
+	e := NormCDF(x) - p
+	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
+	x = x - u/(1+x*u/2)
+	return x
+}
+
+// acklam is Acklam's rational approximation to the inverse normal CDF
+// for p in (0, 1), unrefined: relative error below 1.15e-9 over the
+// whole open interval. At p == 1 it returns NaN (Inf/Inf in the upper
+// tail), so callers keep p strictly below 1.
+func acklam(p float64) float64 {
 	// Coefficients for the central and tail rational approximations.
 	a := [...]float64{
 		-3.969683028665376e+01, 2.209460984245205e+02,
@@ -40,28 +55,21 @@ func NormInv(p float64) float64 {
 	}
 
 	const pLow = 0.02425
-	var x float64
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
+		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	case p <= 1-pLow:
 		q := p - 0.5
 		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
+		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
+		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
-
-	// One Halley refinement step against the true CDF.
-	e := NormCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
 }
 
 // NormCDF returns the standard normal cumulative distribution function at
@@ -77,12 +85,25 @@ func NormPDF(x float64) float64 {
 }
 
 // GaussFromHash converts a 64-bit hash value into a standard normal
-// variate by pushing a uniform derived from the hash through NormInv.
-// The uniform is clamped away from {0, 1} so the result is always finite.
+// variate: the top 53 bits select a bucket midpoint u in (0, 1), and u
+// goes through the unrefined Acklam approximant, within
+// 1.2e-9·max(1, |z|) of NormInv(u) at a quarter of its cost. The chip
+// model compares noisy voltages against read thresholds, and a 1e-9 σ
+// shift flips none of the comparisons the pinned digests cover.
+//
+// The top bucket's midpoint rounds to exactly 1.0 (k + 0.5 is a rounding
+// tie for every k >= 2^52), so u is clamped to the largest float64 below
+// 1. The result is always finite, within about ±8.3.
 func GaussFromHash(h uint64) float64 {
 	u := (float64(h>>11) + 0.5) * (1.0 / (1 << 53))
-	return NormInv(u)
+	if u > uMax {
+		u = uMax
+	}
+	return acklam(u)
 }
+
+// uMax is the largest float64 below 1.
+const uMax = 1 - 1.0/(1<<53)
 
 // UniformFromHash converts a 64-bit hash value into a uniform in [0, 1).
 func UniformFromHash(h uint64) float64 {

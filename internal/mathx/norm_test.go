@@ -99,3 +99,41 @@ func TestUniformFromHashRange(t *testing.T) {
 		}
 	}
 }
+
+// TestGaussFromHashFinite: the extreme hashes map to finite variates. The
+// top 2^11 hashes put the bucket midpoint on exactly 1.0, where the
+// unclamped uniform gave NormInv(1) = +Inf (Acklam alone gives NaN).
+func TestGaussFromHashFinite(t *testing.T) {
+	for _, h := range []uint64{0, 0xFFFFFFFFFFFFF800, ^uint64(0)} {
+		if v := GaussFromHash(h); math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Errorf("GaussFromHash(%#x) = %v, want finite", h, v)
+		}
+	}
+}
+
+// TestGaussFromHashMatchesNormInv holds the unrefined approximant behind
+// GaussFromHash to Acklam's published 1.15e-9 relative error against the
+// Halley-refined NormInv of the same uniform, over 4M seeded hashes and
+// the 2^20 lowest and 2^20 highest 53-bit buckets (both tails).
+func TestGaussFromHashMatchesNormInv(t *testing.T) {
+	var worst float64
+	check := func(h uint64) {
+		u := min((float64(h>>11)+0.5)*(1.0/(1<<53)), uMax)
+		got, want := GaussFromHash(h), NormInv(u)
+		diff := math.Abs(got - want)
+		if !(diff <= 1.2e-9*max(1, math.Abs(want))) { // NaN fails too
+			t.Fatalf("GaussFromHash(%#x) = %v, NormInv(%v) = %v: |diff| %v",
+				h, got, u, want, diff)
+		}
+		worst = max(worst, diff)
+	}
+	r := NewRand(1)
+	for i := 0; i < 4<<20; i++ {
+		check(r.Uint64())
+	}
+	for k := uint64(0); k < 1<<20; k++ {
+		check(k << 11)
+		check((1<<53 - 1 - k) << 11)
+	}
+	t.Logf("largest |GaussFromHash - NormInv| = %.3g", worst)
+}

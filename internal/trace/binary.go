@@ -35,9 +35,15 @@ const (
 )
 
 // EncodeBinarySource drains src into the binary format without
-// materializing a []Request.
+// materializing a []Request. A source that reports its length (Generator,
+// BinarySource) gets an exactly sized buffer, so a multi-million-request
+// encode writes each record once instead of re-copying as it grows.
 func EncodeBinarySource(src Source) ([]byte, error) {
-	buf := make([]byte, binaryHeaderBytes, 1<<16)
+	size := 1 << 16
+	if l, ok := src.(interface{ Len() int }); ok {
+		size = binaryHeaderBytes + l.Len()*binaryRecordBytes
+	}
+	buf := make([]byte, binaryHeaderBytes, size)
 	var maxLPN int64 = -1
 	count := int64(0)
 	for {

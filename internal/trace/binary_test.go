@@ -20,7 +20,7 @@ func encodeReqs(t *testing.T, reqs []Request) []byte {
 // TestBinaryRoundTrip: encode → decode must reproduce a generated trace
 // record for record, the header must carry the exact count and maximum
 // touched LPN, and encoding the streaming generator must emit the same
-// bytes as encoding its materialized trace.
+// bytes as encoding its materialized trace, into an exactly sized buffer.
 func TestBinaryRoundTrip(t *testing.T) {
 	spec, err := WorkloadByName("hm_0")
 	if err != nil {
@@ -43,6 +43,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, streamed) {
 		t.Fatal("encoding the generator diverged from encoding its materialized trace")
+	}
+	// The generator reports its length, so the encode is sized exactly.
+	if want := binaryHeaderBytes + len(reqs)*binaryRecordBytes; len(streamed) != want || cap(streamed) != want {
+		t.Fatalf("generator encode len %d cap %d, want both %d", len(streamed), cap(streamed), want)
 	}
 
 	src, err := NewBinarySource(data)

@@ -82,10 +82,12 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 }
 
 // zipfLPN draws a page index in [0, n) with approximately Zipfian
-// popularity of skew s, using the continuous inverse-CDF approximation.
+// popularity of skew s, using the continuous inverse-CDF approximation;
+// top is its normaliser (n+1)^(1-s) - 1, which depends only on the spec
+// (NewGenerator computes it once) and is used only when s is off 0 and 1.
 // The popular pages are scattered across the address space by a bijective
 // hash so that hot data does not cluster at low addresses.
-func zipfLPN(r *mathx.Rand, n int64, s float64) int64 {
+func zipfLPN(r *mathx.Rand, n int64, s, top float64) int64 {
 	u := r.Float64()
 	var x float64
 	switch {
@@ -94,7 +96,6 @@ func zipfLPN(r *mathx.Rand, n int64, s float64) int64 {
 	case math.Abs(s-1) < 1e-9:
 		x = math.Exp(u*math.Log(float64(n)+1)) - 1
 	default:
-		top := math.Pow(float64(n)+1, 1-s) - 1
 		x = math.Pow(1+u*top, 1/(1-s)) - 1
 	}
 	rank := int64(x)
@@ -117,6 +118,7 @@ type Generator struct {
 	r       *mathx.Rand
 	now     float64
 	prevEnd int64
+	zipfTop float64 // zipfLPN's top for the spec
 }
 
 // NewGenerator returns a Source producing n requests for the spec,
@@ -128,7 +130,8 @@ func NewGenerator(spec WorkloadSpec, n int, seed uint64) (*Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: non-positive request count %d", n)
 	}
-	return &Generator{spec: spec, n: n, r: mathx.NewRand(seed)}, nil
+	top := math.Pow(float64(spec.WorkingSetPages)+1, 1-spec.ZipfS) - 1
+	return &Generator{spec: spec, n: n, r: mathx.NewRand(seed), zipfTop: top}, nil
 }
 
 // Len returns the total number of requests the generator will yield.
@@ -167,7 +170,7 @@ func (g *Generator) Next() (Request, bool, error) {
 		g.prevEnd+int64(pages) < spec.WorkingSetPages {
 		lpn = g.prevEnd
 	} else {
-		lpn = zipfLPN(r, spec.WorkingSetPages, spec.ZipfS)
+		lpn = zipfLPN(r, spec.WorkingSetPages, spec.ZipfS, g.zipfTop)
 		if lpn+int64(pages) > spec.WorkingSetPages {
 			lpn = spec.WorkingSetPages - int64(pages)
 		}

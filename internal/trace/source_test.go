@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +70,50 @@ func TestGeneratorMatchesGenerate(t *testing.T) {
 				t.Fatalf("%s: request %d differs: %+v vs %+v",
 					spec.Name, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestGeneratorStreamDigest pins every built-in workload's stream at
+// seed 1: the FNV-64a of the first 200k requests' (ArriveUS bits, Op,
+// LPN, Pages) must equal the constant recorded for it. The specs cover
+// Zipf skew below 1, exactly 1 (wdev_0) and above 1 (prxy_0), so any
+// change to the arrival, size or address arithmetic shows here, not
+// first in a replay digest.
+func TestGeneratorStreamDigest(t *testing.T) {
+	want := map[string]uint64{
+		"hm_0":    0x87cd64638e8e270d,
+		"mds_0":   0xb0119a646d911d8f,
+		"prn_0":   0xa2a35fd1b33d6e8c,
+		"proj_0":  0x418012fcce1aa0c7,
+		"prxy_0":  0xa954236597729ed1,
+		"rsrch_0": 0x24ea7da61a670c1a,
+		"src2_0":  0x800752fd467d2720,
+		"wdev_0":  0x6f3d264c0292509e,
+	}
+	for _, spec := range MSRWorkloads() {
+		g, err := NewGenerator(spec, 200000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var rec [21]byte
+		for {
+			r, ok, err := g.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(r.ArriveUS))
+			rec[8] = byte(r.Op)
+			binary.LittleEndian.PutUint64(rec[9:17], uint64(r.LPN))
+			binary.LittleEndian.PutUint32(rec[17:21], uint32(r.Pages))
+			h.Write(rec[:])
+		}
+		if got := h.Sum64(); got != want[spec.Name] {
+			t.Errorf("%s: stream digest %#016x, want %#016x", spec.Name, got, want[spec.Name])
 		}
 	}
 }
