@@ -298,7 +298,9 @@ func (f *FTL) Write(lpn int64) (WriteResult, error) {
 // WriteInto is Write with a caller-owned result: res is reset and filled
 // in place, so a replay loop can reuse one WriteResult (and its
 // Migrations capacity) across millions of writes instead of copying a
-// fresh one out per page.
+// fresh one out per page. An error other than a negative LPN (a plane
+// out of space) can leave the mapping half updated; the FTL must not be
+// written again after one.
 func (f *FTL) WriteInto(lpn int64, res *WriteResult) error {
 	res.Target = PPN{}
 	res.Migrations = res.Migrations[:0]
@@ -307,13 +309,13 @@ func (f *FTL) WriteInto(lpn int64, res *WriteResult) error {
 	if lpn < 0 {
 		return fmt.Errorf("ftl: negative LPN %d", lpn)
 	}
-	// Invalidate the old copy.
+	// Invalidate the old copy blind: the L2P map and the per-page reverse
+	// map are a bijection (CheckInvariants), so the old page holds lpn
+	// and the store needs no load to confirm it.
 	if old, ok := f.l2pGet(lpn); ok {
 		bm := &f.planes[old.Plane].blocks[old.Block]
-		if bm.lpnAt(old.Page) == lpn {
-			bm.setLPN(old.Page, invalidLPN)
-			bm.validCnt--
-		}
+		bm.setLPN(old.Page, invalidLPN)
+		bm.validCnt--
 	}
 	plane := f.nextPlane
 	f.nextPlane++

@@ -192,11 +192,23 @@ const fleetBenchRequests = 1_000_000
 // replays of a converted trace). Both passes (precondition + replay)
 // decode straight from the byte buffer; the req/s metric is gated in CI
 // at >= 10x the PR4 ReplayShard8 baseline.
-func BenchmarkReplayFleetD4S8(b *testing.B) {
+func BenchmarkReplayFleetD4S8(b *testing.B) { benchReplayBinary(b, fleetBenchRequests, 4, 8) }
+
+// BenchmarkReplayBinaryShard1 is the generator-free single-device
+// replay: BenchmarkReplayShard1's trace and device, pre-encoded to the
+// binary format outside the timer, so its req/s measures the engine and
+// the Sim page path rather than the synthetic generator.
+func BenchmarkReplayBinaryShard1(b *testing.B) { benchReplayBinary(b, benchRequests, 1, 1) }
+
+// benchReplayBinary replays n generated requests, encoded once into the
+// zero-copy binary format outside the timer, over a fleet of devices x
+// shards; both passes (precondition + replay) decode straight from the
+// byte buffer.
+func benchReplayBinary(b *testing.B, n, devices, shards int) {
 	cfg := DefaultConfig()
 	cfg.Geo = benchGeometry()
 	spec := benchSpec(cfg.Geo)
-	gen, err := trace.NewGenerator(spec, fleetBenchRequests, 7)
+	gen, err := trace.NewGenerator(spec, n, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +224,7 @@ func BenchmarkReplayFleetD4S8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := NewEngine(ReplayConfig{
-			Sim: cfg, Shards: 8, Devices: 4, Precondition: true,
+			Sim: cfg, Shards: shards, Devices: devices, Precondition: true,
 		}, benchSampler())
 		if err != nil {
 			b.Fatal(err)
@@ -221,8 +233,8 @@ func BenchmarkReplayFleetD4S8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Requests != fleetBenchRequests {
-			b.Fatalf("replayed %d requests, want %d", rep.Requests, fleetBenchRequests)
+		if rep.Requests != n {
+			b.Fatalf("replayed %d requests, want %d", rep.Requests, n)
 		}
 		b.ReportMetric(float64(rep.Requests)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	}

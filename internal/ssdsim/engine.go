@@ -88,8 +88,10 @@ const defaultChunkRequests = 1 << 17
 // An Engine is immutable configuration; each Replay call builds fresh
 // fleet state, so one Engine can replay many traces.
 type Engine struct {
-	cfg    ReplayConfig
-	grid   *LifetimeSampler
+	cfg ReplayConfig
+	// draws is the sampler priced once (see drawTable), shared read-only
+	// by every target of every replay.
+	draws  *drawTable
 	stripe stripeMap
 	router shardRouter
 }
@@ -127,13 +129,13 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
-	grid, err := checkSampler(sub, sampler)
+	draws, err := newDrawTable(sub, sampler)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
 		cfg:    cfg,
-		grid:   grid,
+		draws:  draws,
 		stripe: newStripeMap(cfg.Devices, cfg.Replicate),
 		router: newShardRouter(cfg.Shards),
 	}, nil
@@ -230,7 +232,7 @@ func (e *Engine) buildSims(globalBound int64) ([]*Sim, error) {
 	sims := make([]*Sim, n)
 	for d := 0; d < e.cfg.Devices; d++ {
 		for s := 0; s < e.cfg.Shards; s++ {
-			sim, err := newSim(e.cfg.targetConfig(d, s), e.grid)
+			sim, err := newSimWith(e.cfg.targetConfig(d, s), e.draws)
 			if err != nil {
 				return nil, err
 			}
@@ -251,12 +253,19 @@ func (e *Engine) buildSims(globalBound int64) ([]*Sim, error) {
 // binary trace format) are probed for it before any simulator state is
 // built, which sizes the dense FTL mapping and dedup bitmaps.
 func (e *Engine) Replay(open trace.Opener) (*Report, error) {
+	rep, _, err := e.replay(open)
+	return rep, err
+}
+
+// replay is Replay that also returns the per-target simulators, in
+// target order, so package tests can inspect their final state.
+func (e *Engine) replay(open trace.Opener) (*Report, []*Sim, error) {
 	if open == nil {
-		return nil, fmt.Errorf("ssdsim: nil trace opener")
+		return nil, nil, fmt.Errorf("ssdsim: nil trace opener")
 	}
 	src, err := open()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var bound int64
 	if m, ok := src.(interface{ MaxLPN() int64 }); ok {
@@ -265,7 +274,7 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 	sims, err := e.buildSims(bound)
 	if err != nil {
 		closeSource(src)
-		return nil, err
+		return nil, nil, err
 	}
 	reps := make([]*Report, len(sims))
 	for t := range reps {
@@ -273,10 +282,10 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 	}
 	if e.cfg.Precondition {
 		if err := e.preconditionPass(sims, src, e.stripe.localBound(bound)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if src, err = open(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	busy := make([]float64, len(sims))
@@ -285,7 +294,7 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 		if cerr := e.ctxErr(); cerr != nil && errors.Is(err, cerr) {
 			canceled = err // merge and return the partial report below
 		} else {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	e.publishGauges(reps, busy)
@@ -312,7 +321,7 @@ func (e *Engine) Replay(open trace.Opener) (*Report, error) {
 		}
 	}
 	out.finalize()
-	return out, canceled
+	return out, sims, canceled
 }
 
 // publishGauges records the wall-clock throughput gauges: per-target

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"sentinel3d/internal/fault"
 	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
@@ -425,5 +426,76 @@ func TestEngineReplayCanceled(t *testing.T) {
 	}
 	if _, err := eng3.Replay(trace.SliceOpener(reqs)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled precondition: err %v", err)
+	}
+}
+
+// TestEngineFTLInvariants: after a replay through the Engine, every
+// target's FTL still holds the L2P↔P2L bijection and exact valid counts
+// (ftl.(*FTL).CheckInvariants). This is the loud check behind
+// WriteInto's blind invalidate of an overwritten page, run over every
+// engine configuration that drives a different write path: frozen
+// stress, lifetime aging (wear sink armed), program/erase faults (block
+// retirement and rescue copies), two shards, and two-device fleets both
+// striped and replicated.
+func TestEngineFTLInvariants(t *testing.T) {
+	// long fills ~half of each device's capacity with enough writes to
+	// run garbage collection on every target, fleets included; the faulty
+	// medium retires blocks as it goes, so it replays the shorter trace
+	// that still collects garbage without running a plane out of space.
+	spec, err := trace.WorkloadByName("hm_0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.WorkingSetPages = 12000
+	long, err := trace.Generate(spec, 60000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := engineTrace(t, 20000)
+	faulty := engineConfig()
+	faulty.PEFaults = fault.MustNew(fault.Profile{
+		Seed: 5, FTLProgramFailRate: 0.0005, FTLEraseFailRate: 0.002,
+	})
+	aging := engineConfig()
+	aging.Life = lifeConfig()
+	cases := []struct {
+		name    string
+		cfg     ReplayConfig
+		sampler RetrySampler
+		reqs    []trace.Request
+	}{
+		{"frozen", ReplayConfig{Sim: engineConfig()}, benchSampler(), long},
+		{"lifetime", ReplayConfig{Sim: aging}, lifeSampler(), long},
+		{"peFaults", ReplayConfig{Sim: faulty}, benchSampler(), short},
+		{"shards2", ReplayConfig{Sim: engineConfig(), Shards: 2}, benchSampler(), long},
+		{"striped2", ReplayConfig{Sim: engineConfig(), Devices: 2}, benchSampler(), long},
+		{"replicated2", ReplayConfig{Sim: engineConfig(), Devices: 2, Replicate: true}, benchSampler(), long},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Precondition = true
+			eng, err := NewEngine(c.cfg, c.sampler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, sims, err := eng.replay(trace.SliceOpener(c.reqs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Writes == 0 || rep.GCWrites == 0 {
+				t.Fatalf("degenerate replay: %d writes, %d GC writes", rep.Writes, rep.GCWrites)
+			}
+			if c.cfg.Sim.PEFaults != nil && rep.RetiredBlocks == 0 {
+				t.Fatal("degenerate replay: the faulty medium retired no blocks")
+			}
+			if want := max(c.cfg.Devices, 1) * max(c.cfg.Shards, 1); len(sims) != want {
+				t.Fatalf("%d targets, want %d", len(sims), want)
+			}
+			for i, sim := range sims {
+				if err := sim.ftl.CheckInvariants(); err != nil {
+					t.Fatalf("target %d: %v", i, err)
+				}
+			}
+		})
 	}
 }

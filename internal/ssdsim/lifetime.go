@@ -388,18 +388,18 @@ func (l *lifetime) effRetention(i int, now float64) float64 {
 	return 0
 }
 
-// pool resolves the grid pool for a read of (plane, block) at the
-// clock's current reading. It returns the same pool gridPool would
-// resolve from the block's current stress, through the per-block expiry
-// cache: retention is monotone while the reset epoch stands (rate
-// bounded by maxAF) and P/E only moves on erase, so between refreshes
-// the floor cell provably cannot change.
-func (l *lifetime) pool(ls *LifetimeSampler, plane, block int) *EmpiricalSampler {
+// poolIndex resolves the index in ls.Pools of the grid pool for a read
+// of (plane, block) at the clock's current reading. It is the same pool
+// gridPool would resolve from the block's current stress, found through
+// the per-block expiry cache: retention is monotone while the reset
+// epoch stands (rate bounded by maxAF) and P/E only moves on erase, so
+// between refreshes the floor cell provably cannot change.
+func (l *lifetime) poolIndex(ls *LifetimeSampler, plane, block int) int {
 	i := plane*l.blocksPerPlane + block
 	if now := l.clock.NowHours(); now >= l.poolExpiry[i] {
 		l.refreshPool(ls, i, now)
 	}
-	return ls.Pools[l.poolIdx[i]]
+	return int(l.poolIdx[i])
 }
 
 // refreshPool re-resolves block i's grid cell at device-hour now and
@@ -459,7 +459,7 @@ func (s *Sim) chargeCalib(die int32, arrive float64) {
 	if l.cfg.CalibPeriodHours > 0 {
 		for l.calibNext[die] <= now {
 			due := l.calibNext[die]
-			start := maxf(due*l.usPerHour, s.dieFree[die])
+			start := max(due*l.usPerHour, s.dieFree[die])
 			s.dieFree[die] = start + l.cfg.CalibUS
 			l.calibLast[die] = due
 			l.hotAtCalib[die] = l.eval.HotHoursBefore(due)
@@ -470,7 +470,7 @@ func (s *Sim) chargeCalib(die int32, arrive float64) {
 	}
 	if l.cfg.CalibDriftHours > 0 &&
 		l.eval.EffHoursPre(l.calibLast[die], now, l.hotAtCalib[die], l.hot(now)) >= l.cfg.CalibDriftHours {
-		s.dieFree[die] = maxf(arrive, s.dieFree[die]) + l.cfg.CalibUS
+		s.dieFree[die] = max(arrive, s.dieFree[die]) + l.cfg.CalibUS
 		l.calibLast[die] = now
 		l.hotAtCalib[die] = l.hot(now)
 		l.calibrations++

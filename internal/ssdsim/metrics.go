@@ -65,21 +65,18 @@ func newSimMetrics(set *obs.Set) *simMetrics {
 	}
 }
 
-// pageRead accounts one flash page read. wait is the time the read
-// spent queued behind the die and channel; the remaining arguments
-// describe the read for the slow-trace record.
-func (m *simMetrics) pageRead(out *RetryOutcome, lpn int64, plane, block, page int, wait, sense, xfer, total float64) {
+// pageRead accounts one flash page read of record rec, drawn from pool
+// k of draws. wait is the time the read spent queued behind the die and
+// channel; the remaining arguments describe the read for the slow-trace
+// record.
+func (m *simMetrics) pageRead(rec *drawRec, draws *drawTable, k int, lpn int64, plane, block, page int, wait, total float64) {
 	if m == nil {
 		return
 	}
-	m.dRetries += int64(out.Retries)
-	m.dAux += int64(out.AuxSenses)
-	if out.Uncorrectable {
-		m.dUncorr++
-	}
-	if out.UsedFallback {
-		m.dFallback++
-	}
+	m.dRetries += int64(rec.retries)
+	m.dAux += int64(rec.aux)
+	m.dUncorr += int64(rec.uncorrectable)
+	m.dFallback += int64(rec.fallback)
 	m.queueCur.Add(wait)
 	m.seq++
 	if !m.ring.Rejects(total) {
@@ -89,15 +86,15 @@ func (m *simMetrics) pageRead(out *RetryOutcome, lpn int64, plane, block, page i
 			Plane:          plane,
 			Block:          block,
 			Page:           page,
-			Retries:        out.Retries,
-			AuxSenses:      out.AuxSenses,
-			VoltageOffsets: out.Offsets,
+			Retries:        int(rec.retries),
+			AuxSenses:      int(rec.aux),
+			VoltageOffsets: draws.offsets(k, rec),
 			QueueUS:        wait,
-			SenseUS:        sense,
-			XferUS:         xfer,
+			SenseUS:        rec.dieUS,
+			XferUS:         rec.chanUS,
 			TotalUS:        total,
-			Uncorrectable:  out.Uncorrectable,
-			Fallback:       out.UsedFallback,
+			Uncorrectable:  rec.uncorrectable != 0,
+			Fallback:       rec.fallback != 0,
 		})
 	}
 }

@@ -227,3 +227,67 @@ func TestSimRunWithMetrics(t *testing.T) {
 		t.Fatal("FTL host writes not published")
 	}
 }
+
+// TestSlowReadsCarryDrawnOutcome: every slow-read record describes one
+// drawn outcome throughout. The replay prices a read from its draw-table
+// record and reaches the outcome's Offsets through the record's pool
+// index, so each outcome here encodes its own (pool, retries, aux,
+// flags) in Offsets, and every record must agree with them, with its
+// page's type and with pageCost — frozen and with lifetime aging, which
+// draws from every pool of the grid.
+func TestSlowReadsCarryDrawnOutcome(t *testing.T) {
+	tag := func(ls *LifetimeSampler) *LifetimeSampler {
+		for pi, pool := range ls.Pools {
+			for pt, outs := range pool.PerPage {
+				for i := range outs {
+					o := &outs[i]
+					o.UsedFallback, o.Uncorrectable = i%5 == 1, i%7 == 2
+					o.Offsets = []float64{float64(pi), float64(pt), float64(o.Retries), float64(o.AuxSenses),
+						float64(i % 5), float64(i % 7)}
+				}
+			}
+		}
+		return ls
+	}
+	aging := engineConfig()
+	aging.Life = lifeConfig()
+	reqs := engineTrace(t, 20000)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ls   *LifetimeSampler
+	}{
+		{"frozen", engineConfig(), tag(SyntheticLifetimeSampler(3, []int{0}, []float64{0}, 3))},
+		{"lifetime", aging, tag(lifeSampler())},
+	} {
+		reg := obs.NewRegistry(1)
+		reg.KeepSlowest(1 << 14) // most of the trace's page reads, so every pool shows
+		eng, err := NewEngine(ReplayConfig{Sim: c.cfg, Precondition: true, Metrics: reg}, c.ls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Replay(trace.SliceOpener(reqs)); err != nil {
+			t.Fatal(err)
+		}
+		slow := reg.Snapshot().Slow
+		pools := map[float64]bool{}
+		for _, r := range slow {
+			o := r.VoltageOffsets
+			if len(o) != 6 {
+				t.Fatalf("%s: slow read %+v carries no tagged offsets", c.name, r)
+			}
+			pt := int(o[1])
+			out := RetryOutcome{Retries: r.Retries, AuxSenses: r.AuxSenses}
+			die, ch := pageCost(pt, &out)
+			if pt != r.Page%c.cfg.Bits || float64(r.Retries) != o[2] || float64(r.AuxSenses) != o[3] ||
+				r.Fallback != (o[4] == 1) || r.Uncorrectable != (o[5] == 2) ||
+				r.SenseUS != die || r.XferUS != ch {
+				t.Fatalf("%s: slow read %+v disagrees with the outcome its offsets name", c.name, r)
+			}
+			pools[o[0]] = true
+		}
+		if len(slow) < 64 || (c.cfg.Life != nil && len(pools) < 2) {
+			t.Fatalf("%s: degenerate trace: %d slow reads from %d pools", c.name, len(slow), len(pools))
+		}
+	}
+}

@@ -9,6 +9,19 @@ import "sentinel3d/internal/trace"
 // and BenchmarkPrecondition time them as the baseline the engine's CI
 // gates are ratios of.
 
+// newSim builds a standalone simulator over its own draw table, for the
+// reference replay and the package tests that drive one Sim directly.
+func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	draws, err := newDrawTable(cfg, sampler)
+	if err != nil {
+		return nil, err
+	}
+	return newSimWith(cfg, draws)
+}
+
 // preconditionBitmapMaxLPN caps the bound precondition derives from the
 // trace: a 1<<27-page universe is a 16 MiB bitmap. Sparser traces use
 // the sort path.

@@ -99,10 +99,9 @@ var zeroOutcome RetryOutcome
 // sampleRef is Sample without the outcome copy: it returns a pointer
 // into the pool (treat as read-only). It consumes exactly the same RNG
 // draws as Sample, so the two are interchangeable mid-stream. The
-// page-type validation that Sample routes through pool() is skipped —
+// page-type validation that Sample routes through pool() is skipped:
 // checkSampler pinned PageTypes == Bits at construction and the
-// caller's page-type table never exceeds Bits — which keeps the whole
-// draw inlinable.
+// caller's page-type table never exceeds Bits.
 func (e *EmpiricalSampler) sampleRef(pageType int, rng *mathx.Rand) *RetryOutcome {
 	pool := e.PerPage[pageType]
 	if len(pool) == 0 {
@@ -368,11 +367,11 @@ func (r *Report) finalize() {
 
 // Sim runs traces against one SSD instance.
 type Sim struct {
-	cfg  Config
-	ftl  *ftl.FTL
-	grid *LifetimeSampler
-	rng  *mathx.Rand
-	met  *simMetrics
+	cfg   Config
+	ftl   *ftl.FTL
+	draws *drawTable
+	rng   *mathx.Rand
+	met   *simMetrics
 
 	dieFree  []float64
 	chanFree []float64
@@ -427,16 +426,102 @@ func checkSampler(cfg Config, sampler RetrySampler) (*LifetimeSampler, error) {
 	return g, nil
 }
 
-// newSim builds a simulator. Only the replay Engine builds them, one per
-// (device, shard) target.
-func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	grid, err := checkSampler(cfg, sampler)
+// drawRec is one pool outcome as the replay's page path consumes it:
+// pageCost already evaluated, the counts narrowed to 32 bits (a read's
+// retries and aux senses are bounded by the controller's retry budget,
+// tens at most), and the two flags stored as 0/1 so the report adds
+// them instead of branching on them.
+type drawRec struct {
+	dieUS, chanUS float64 // pageCost(pageType, &outcome)
+	retries, aux  int32
+	// idx is the outcome's index in its sampler pool (-1 for the
+	// empty-pool stand-in); only the slow-read trace follows it, to the
+	// outcome's Offsets.
+	idx                     int32
+	fallback, uncorrectable uint8
+}
+
+// drawTable is a sampler's stress grid priced once: one drawRec per
+// outcome of every (grid pool, page type) pool, in pool order, so a
+// replayed read loads one record at the same rng.Intn(len(pool)) index
+// the sampler draw would use. It is read-only once built; the Engine
+// shares one table across all of its targets.
+type drawTable struct {
+	grid *LifetimeSampler
+	bits int
+	// recs[pool*bits+pageType] prices grid.Pools[pool].PerPage[pageType],
+	// and outs holds that pool itself (for the slow-read trace's Offsets).
+	recs [][]drawRec
+	outs [][]RetryOutcome
+	// empty[pageType] is what a read of an empty pool costs: the zero
+	// outcome, drawn without consuming the RNG (sampleRef's contract).
+	empty []drawRec
+}
+
+// newDrawTable validates the sampler against cfg (see checkSampler) and
+// prices every outcome of its grid through pageCost.
+func newDrawTable(cfg Config, sampler RetrySampler) (*drawTable, error) {
+	g, err := checkSampler(cfg, sampler)
 	if err != nil {
 		return nil, err
 	}
+	t := &drawTable{grid: g, bits: cfg.Bits, empty: make([]drawRec, cfg.Bits)}
+	for pt := range t.empty {
+		t.empty[pt] = priceOutcome(pt, &zeroOutcome, -1)
+	}
+	for _, pool := range g.Pools {
+		for pt, outs := range pool.PerPage {
+			recs := make([]drawRec, len(outs))
+			for i := range outs {
+				recs[i] = priceOutcome(pt, &outs[i], int32(i))
+			}
+			t.recs = append(t.recs, recs)
+			t.outs = append(t.outs, outs)
+		}
+	}
+	return t, nil
+}
+
+// priceOutcome builds outcome out's record for a read of pageType.
+func priceOutcome(pageType int, out *RetryOutcome, idx int32) drawRec {
+	die, ch := pageCost(pageType, out)
+	r := drawRec{dieUS: die, chanUS: ch, retries: int32(out.Retries),
+		aux: int32(out.AuxSenses), idx: idx}
+	if out.UsedFallback {
+		r.fallback = 1
+	}
+	if out.Uncorrectable {
+		r.uncorrectable = 1
+	}
+	return r
+}
+
+// draw returns the record of one outcome drawn from pool k (pool index
+// times bits plus pageType). It consumes exactly the RNG draws
+// sampleRef does on the same pool, so the replay's outcome stream is
+// unchanged by pricing ahead.
+func (t *drawTable) draw(k, pageType int, rng *mathx.Rand) *drawRec {
+	recs := t.recs[k]
+	if len(recs) == 0 {
+		return &t.empty[pageType]
+	}
+	return &recs[rng.Intn(len(recs))]
+}
+
+// offsets returns the final read-voltage offsets of rec's outcome in
+// pool k (nil for the empty-pool stand-in).
+func (t *drawTable) offsets(k int, rec *drawRec) []float64 {
+	if rec.idx < 0 {
+		return nil
+	}
+	return t.outs[k][rec.idx].Offsets
+}
+
+// newSimWith builds a simulator for a validated cfg over draws, which
+// must have been built for the same bits-per-cell setting. Only the
+// replay Engine builds them, one per (device, shard) target, all on the
+// Engine's one table.
+func newSimWith(cfg Config, draws *drawTable) (*Sim, error) {
 	f, err := ftl.New(cfg.Geo)
 	if err != nil {
 		return nil, err
@@ -446,7 +531,7 @@ func newSim(cfg Config, sampler RetrySampler) (*Sim, error) {
 	s := &Sim{
 		cfg:      cfg,
 		ftl:      f,
-		grid:     grid,
+		draws:    draws,
 		rng:      mathx.NewRand(cfg.Seed ^ 0x55d51a1),
 		met:      newSimMetrics(cfg.Obs),
 		dieFree:  make([]float64, cfg.Geo.Dies()),
@@ -616,34 +701,31 @@ func (s *Sim) flushMetrics() {
 	s.ftl.FlushObs()
 }
 
-// service runs one request to completion.
+// service runs one request to completion. The op is tested once per
+// request, not per page, and the request completes when its last page
+// does.
 func (s *Sim) service(r trace.Request, rep *Report) error {
 	rep.Requests++
 	end := r.ArriveUS
-	for p := 0; p < r.Pages; p++ {
-		lpn := r.LPN + int64(p)
-		var done float64
-		var err error
-		if r.Op == trace.Read {
-			done, err = s.readPage(r.ArriveUS, lpn, rep)
-		} else {
-			done, err = s.writePage(r.ArriveUS, lpn)
+	if r.Op == trace.Read {
+		for p := 0; p < r.Pages; p++ {
+			end = max(end, s.readPage(r.ArriveUS, r.LPN+int64(p), rep))
 		}
+		lat := end - r.ArriveUS
+		rep.recordRead(lat)
+		s.met.readDone(lat)
+		return nil
+	}
+	for p := 0; p < r.Pages; p++ {
+		done, err := s.writePage(r.ArriveUS, r.LPN+int64(p))
 		if err != nil {
 			return err
 		}
-		if done > end {
-			end = done
-		}
+		end = max(end, done)
 	}
 	lat := end - r.ArriveUS
-	if r.Op == trace.Read {
-		rep.recordRead(lat)
-		s.met.readDone(lat)
-	} else {
-		rep.recordWrite(lat)
-		s.met.writeDone()
-	}
+	rep.recordWrite(lat)
+	s.met.writeDone()
 	return nil
 }
 
@@ -668,8 +750,10 @@ func (s *Sim) flushCounters(rep *Report) {
 }
 
 // readPage services one page read: sense on the die (repeated per retry),
-// then transfer per attempt on the channel.
-func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) {
+// then transfer per attempt on the channel. The drawn outcome arrives
+// priced (see drawTable) and the die/channel timing is branch-free, so
+// a mapped read takes no data-dependent branch.
+func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) float64 {
 	ppn, ok := s.ftl.Translate(lpn)
 	if !ok {
 		// Read of never-written data: serviced from the mapping table
@@ -679,42 +763,37 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 		// reports distinguish it from media service.
 		rep.UnmappedReads++
 		s.met.unmappedRead()
-		return arrive + retry.MapLookupUS, nil
+		return arrive + retry.MapLookupUS
 	}
 	pageType := int(s.pageType[ppn.Page])
 	die := s.planeDie[ppn.Plane]
-	pool := s.grid.Pools[0]
+	k := pageType
 	if s.life != nil {
 		// Dynamic aging: charge any due calibration to the die, then draw
 		// from the grid cell matching the block's *current* stress.
 		s.beforeOp(die, arrive)
-		pool = s.life.pool(s.grid, ppn.Plane, ppn.Block)
+		k += s.life.poolIndex(s.draws.grid, ppn.Plane, ppn.Block) * s.draws.bits
 	}
-	out := pool.sampleRef(pageType, s.rng)
+	rec := s.draws.draw(k, pageType, s.rng)
 	rep.FlashReads++
-	rep.TotalRetries += int64(out.Retries)
-	rep.AuxSenses += int64(out.AuxSenses)
-	if out.Uncorrectable {
-		rep.UncorrectableReads++
-	}
-	if out.UsedFallback {
-		rep.FallbackReads++
-	}
-	dieTime, chanTime := pageCost(pageType, out)
+	rep.TotalRetries += int64(rec.retries)
+	rep.AuxSenses += int64(rec.aux)
+	rep.UncorrectableReads += int64(rec.uncorrectable)
+	rep.FallbackReads += int64(rec.fallback)
 
 	ch := s.planeChan[ppn.Plane]
-	senseStart := maxf(arrive, s.dieFree[die])
-	senseEnd := senseStart + dieTime
+	senseStart := max(arrive, s.dieFree[die])
+	senseEnd := senseStart + rec.dieUS
 	s.dieFree[die] = senseEnd
-	xferStart := maxf(senseEnd, s.chanFree[ch])
-	xferEnd := xferStart + chanTime
+	xferStart := max(senseEnd, s.chanFree[ch])
+	xferEnd := xferStart + rec.chanUS
 	s.chanFree[ch] = xferEnd
 	if s.met != nil {
 		wait := (senseStart - arrive) + (xferStart - senseEnd)
-		s.met.pageRead(out, lpn, ppn.Plane, ppn.Block, ppn.Page,
-			wait, dieTime, chanTime, xferEnd-arrive)
+		s.met.pageRead(rec, s.draws, k, lpn, ppn.Plane, ppn.Block, ppn.Page,
+			wait, xferEnd-arrive)
 	}
-	return xferEnd, nil
+	return xferEnd
 }
 
 // Page program and block erase times of the simulated TLC die.
@@ -741,19 +820,16 @@ func (s *Sim) writePage(arrive float64, lpn int64) (float64, error) {
 		s.chargeCalib(die, arrive) // programs queue behind due calibrations too
 	}
 
-	xferStart := maxf(arrive, s.chanFree[ch])
+	xferStart := max(arrive, s.chanFree[ch])
 	xferEnd := xferStart + retry.TransferUS
 	s.chanFree[ch] = xferEnd
 
-	dieTime := programUS
 	// GC migrations: an internal read (mid page cost) plus a program per
 	// page, and the erase.
-	if n := len(res.Migrations); n > 0 {
-		dieTime += float64(n) * s.migProgUS
-	}
-	dieTime += float64(res.ErasedBlocks) * eraseUS
+	dieTime := programUS + float64(len(res.Migrations))*s.migProgUS +
+		float64(res.ErasedBlocks)*eraseUS
 
-	progStart := maxf(xferEnd, s.dieFree[die])
+	progStart := max(xferEnd, s.dieFree[die])
 	progEnd := progStart + dieTime
 	s.dieFree[die] = progEnd
 	return progEnd, nil
@@ -775,11 +851,4 @@ func (s *Sim) makespan() float64 {
 		}
 	}
 	return m
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

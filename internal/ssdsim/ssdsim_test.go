@@ -290,3 +290,77 @@ func TestLevelsOf(t *testing.T) {
 		}
 	}
 }
+
+// TestDrawTableMatchesPageCost: the replay's pre-priced draw table is
+// pageCost evaluated ahead of time, nothing else. Every record must
+// equal pageCost(pageType, &pool[i]) bit for bit and carry the
+// outcome's counts, flags and pool index, for a frozen sampler (with an
+// empty pool, whose stand-in is the zero outcome) and for every pool of
+// a lifetime grid; and a table draw must consume the RNG exactly like
+// the sampler draw it replaces.
+func TestDrawTableMatchesPageCost(t *testing.T) {
+	frozen := &EmpiricalSampler{PerPage: [][]RetryOutcome{
+		{{Retries: 0}, {Retries: 2, AuxSenses: 1}},
+		{},
+		{{Retries: 7, AuxSenses: 3, UsedFallback: true, Uncorrectable: true},
+			{Retries: 1, UsedFallback: true}, {Retries: 4, Uncorrectable: true}},
+	}}
+	for _, c := range []struct {
+		name    string
+		sampler RetrySampler
+	}{{"frozen", frozen}, {"lifetime", lifeSampler()}} {
+		draws, err := newDrawTable(testSSDConfig(), c.sampler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, pool := range draws.grid.Pools {
+			for pt := 0; pt < draws.bits; pt++ {
+				k := pi*draws.bits + pt
+				outs := pool.PerPage[pt]
+				if len(draws.recs[k]) != len(outs) {
+					t.Fatalf("%s pool %d page %d: %d records for %d outcomes",
+						c.name, pi, pt, len(draws.recs[k]), len(outs))
+				}
+				check := func(what string, rec *drawRec, out *RetryOutcome, idx int32) {
+					t.Helper()
+					die, ch := pageCost(pt, out)
+					if math.Float64bits(rec.dieUS) != math.Float64bits(die) ||
+						math.Float64bits(rec.chanUS) != math.Float64bits(ch) {
+						t.Fatalf("%s pool %d page %d %s: priced (%v, %v), pageCost (%v, %v)",
+							c.name, pi, pt, what, rec.dieUS, rec.chanUS, die, ch)
+					}
+					b := func(v bool) uint8 {
+						if v {
+							return 1
+						}
+						return 0
+					}
+					if int(rec.retries) != out.Retries || int(rec.aux) != out.AuxSenses ||
+						rec.fallback != b(out.UsedFallback) || rec.uncorrectable != b(out.Uncorrectable) ||
+						rec.idx != idx {
+						t.Fatalf("%s pool %d page %d %s: record %+v for outcome %+v at %d",
+							c.name, pi, pt, what, *rec, *out, idx)
+					}
+				}
+				for i := range outs {
+					check("outcome", &draws.recs[k][i], &outs[i], int32(i))
+				}
+				if len(outs) == 0 {
+					check("empty stand-in", &draws.empty[pt], &zeroOutcome, -1)
+				}
+				a, b := mathx.NewRand(uint64(k)), mathx.NewRand(uint64(k))
+				for n := 0; n < 32; n++ {
+					rec, out := draws.draw(k, pt, a), pool.sampleRef(pt, b)
+					if len(outs) > 0 && out != &outs[rec.idx] {
+						t.Fatalf("%s pool %d page %d draw %d: table drew outcome %d, sampler another",
+							c.name, pi, pt, n, rec.idx)
+					}
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatalf("%s pool %d page %d: table and sampler draws desynchronised the RNG",
+						c.name, pi, pt)
+				}
+			}
+		}
+	}
+}

@@ -85,10 +85,8 @@ func appendBinaryRecord(buf []byte, r *Request) []byte {
 // straight out of the backing byte slice, so replaying a pre-encoded
 // trace allocates nothing per request.
 type BinarySource struct {
-	data   []byte // records only, header stripped
-	i      int    // byte offset of the next record
+	data   []byte // the records not yet read, header and trailing bytes stripped
 	count  int64
-	read   int64
 	maxLPN int64
 }
 
@@ -112,11 +110,13 @@ func NewBinarySource(data []byte) (*BinarySource, error) {
 		return nil, fmt.Errorf("trace: negative binary trace count %d", count)
 	}
 	body := data[binaryHeaderBytes:]
-	if int64(len(body)) < count*binaryRecordBytes {
-		return nil, fmt.Errorf("trace: binary trace truncated: %d record bytes, want %d",
-			len(body), count*binaryRecordBytes)
+	// Compare record counts, not byte counts: count*binaryRecordBytes
+	// overflows for a header claiming more than 2^63/24 records.
+	if have := int64(len(body) / binaryRecordBytes); have < count {
+		return nil, fmt.Errorf("trace: binary trace truncated: %d whole records, header claims %d",
+			have, count)
 	}
-	return &BinarySource{data: body, count: count, maxLPN: maxLPN}, nil
+	return &BinarySource{data: body[:count*binaryRecordBytes], count: count, maxLPN: maxLPN}, nil
 }
 
 // BinaryOpener returns an Opener that re-decodes the same encoded trace
@@ -137,18 +137,55 @@ func (b *BinarySource) Len() int { return int(b.count) }
 // state ahead of the first request.
 func (b *BinarySource) MaxLPN() int64 { return b.maxLPN }
 
-// Next implements Source.
-func (b *BinarySource) Next() (Request, bool, error) {
-	if b.read >= b.count {
-		return Request{}, false, nil
+// Next implements Source. A record that no other source could yield —
+// an arrival that is negative or not finite, fewer than one page, an op
+// other than Read or Write — fails the trace with an error naming the
+// record's index, and the source stays on that record.
+//
+// Next is kept within the compiler's inlining budget: the replay engine
+// calls it once per request per pass, and a call costs more than the
+// decode. That is why the check is one condition with a single early
+// return and why the error is the source itself (see badRecordError).
+func (b *BinarySource) Next() (r Request, ok bool, err error) {
+	rec := b.data
+	if len(rec) < binaryRecordBytes {
+		return
 	}
-	rec := b.data[b.i : b.i+binaryRecordBytes]
-	b.i += binaryRecordBytes
-	b.read++
-	return Request{
-		ArriveUS: math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8])),
-		LPN:      int64(binary.LittleEndian.Uint64(rec[8:16])),
-		Pages:    int(int32(binary.LittleEndian.Uint32(rec[16:20]))),
+	r = Request{
+		ArriveUS: math.Float64frombits(binary.LittleEndian.Uint64(rec)),
+		LPN:      int64(binary.LittleEndian.Uint64(rec[8:])),
+		Pages:    int(int32(binary.LittleEndian.Uint32(rec[16:]))),
 		Op:       Op(rec[20]),
-	}, true, nil
+	}
+	// NaN fails both arrival comparisons, +Inf the second.
+	if r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && r.Pages > 0 && r.Op <= Write {
+		b.data = rec[binaryRecordBytes:]
+		return r, true, nil
+	}
+	return Request{}, false, (*badRecordError)(b)
+}
+
+// badRecordError is a BinarySource stopped on a record it rejects. A
+// stopped source never advances, so the message, built only when read,
+// always describes the record Next rejected.
+type badRecordError BinarySource
+
+func (e *badRecordError) Error() string {
+	b := (*BinarySource)(e)
+	r := Request{
+		ArriveUS: math.Float64frombits(binary.LittleEndian.Uint64(b.data)),
+		Pages:    int(int32(binary.LittleEndian.Uint32(b.data[16:]))),
+		Op:       Op(b.data[20]),
+	}
+	var what string
+	switch {
+	case !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64):
+		what = fmt.Sprintf("arrival %g µs is negative or not finite", r.ArriveUS)
+	case r.Pages < 1:
+		what = fmt.Sprintf("%d pages, want at least 1", r.Pages)
+	default:
+		what = fmt.Sprintf("op %d is neither read (%d) nor write (%d)", int(r.Op), Read, Write)
+	}
+	index := b.count - int64(len(b.data)/binaryRecordBytes)
+	return fmt.Sprintf("trace: binary record %d: %s", index, what)
 }

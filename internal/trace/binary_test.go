@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,13 @@ func TestBinaryValidation(t *testing.T) {
 			return d
 		}(), "count"},
 		{"truncatedBody", good[:len(good)-1], "truncated"},
+		// count*24 wraps to 0 in int64: a header-only buffer claiming 2^62
+		// records must not pass the length check.
+		{"countOverflow", func() []byte {
+			d := bytes.Clone(good[:binaryHeaderBytes])
+			binary.LittleEndian.PutUint64(d[8:16], 1<<62)
+			return d
+		}(), "truncated"},
 	}
 	for _, c := range cases {
 		if _, err := NewBinarySource(c.data); err == nil {
@@ -157,5 +165,61 @@ func TestBinaryValidation(t *testing.T) {
 		if _, err := BinaryOpener(c.data); err == nil {
 			t.Errorf("%s: BinaryOpener accepted", c.name)
 		}
+	}
+}
+
+// TestBinaryRejectsBadRecords: a record no other source could yield
+// fails the trace with an error naming its index, after the good
+// records before it decode normally; the source stays on the bad record.
+func TestBinaryRejectsBadRecords(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(rec []byte)
+		want    string
+	}{
+		{"nanArrival", func(rec []byte) {
+			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(math.NaN()))
+		}, "arrival"},
+		{"infArrival", func(rec []byte) {
+			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(math.Inf(1)))
+		}, "arrival"},
+		{"negativeArrival", func(rec []byte) {
+			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(-1))
+		}, "arrival"},
+		{"zeroPages", func(rec []byte) {
+			binary.LittleEndian.PutUint32(rec[16:20], 0)
+		}, "pages"},
+		{"negativePages", func(rec []byte) {
+			binary.LittleEndian.PutUint32(rec[16:20], ^uint32(0))
+		}, "pages"},
+		{"unknownOp", func(rec []byte) { rec[20] = 2 }, "op 2"},
+	}
+	reqs := []Request{
+		{ArriveUS: 0, Op: Read, LPN: 1, Pages: 1},
+		{ArriveUS: 3, Op: Write, LPN: 2, Pages: 2},
+		{ArriveUS: 5, Op: Read, LPN: 3, Pages: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := encodeReqs(t, reqs)
+			rec1 := binaryHeaderBytes + binaryRecordBytes
+			c.corrupt(data[rec1 : rec1+binaryRecordBytes])
+			src, err := NewBinarySource(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, ok, err := src.Next(); err != nil || !ok || r != reqs[0] {
+				t.Fatalf("record 0 = %+v, %v, %v; want %+v", r, ok, err, reqs[0])
+			}
+			for try := 0; try < 2; try++ {
+				_, ok, err := src.Next()
+				if err == nil || ok {
+					t.Fatalf("bad record accepted (ok=%v)", ok)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "record 1") || !strings.Contains(msg, c.want) {
+					t.Fatalf("error %q does not name record 1 and %q", msg, c.want)
+				}
+			}
+		})
 	}
 }
