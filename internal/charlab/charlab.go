@@ -61,18 +61,30 @@ func (l *Lab) readSeed(b, wl, rep int) uint64 {
 	return mathx.Mix4(l.Seed, uint64(b), uint64(wl), uint64(rep))
 }
 
+// reads runs f on averageReads reads of wordline (b, wl), the rep'th
+// with read seed readSeed(b, wl, first+rep). The repetitions re-read one
+// wordline, so they share one handle, redrawn for each.
+func (l *Lab) reads(b, wl, first int, f func(op *flash.ReadOp)) {
+	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, first))
+	defer op.Close()
+	for rep := 0; rep < averageReads; rep++ {
+		op.Redraw(l.readSeed(b, wl, first+rep))
+		f(op)
+	}
+}
+
 // SweepCurve returns the offset grid and the total error count of
 // voltage v at each offset on wordline (b, wl), averaged over
 // averageReads reads. This is the paper's Figure 2 curve.
 func (l *Lab) SweepCurve(b, wl, v int) (offs []float64, errs []float64) {
 	offs = sweepGrid()
 	errs = make([]float64, len(offs))
-	for rep := 0; rep < averageReads; rep++ {
-		ups, downs := l.Chip.SweepVoltageErrors(b, wl, v, offs, l.readSeed(b, wl, rep))
+	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+		ups, downs := op.SweepVoltageErrors(v, offs)
 		for i := range errs {
 			errs[i] += float64(ups[i] + downs[i])
 		}
-	}
+	})
 	for i := range errs {
 		errs[i] /= float64(averageReads)
 	}
@@ -92,14 +104,14 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 	for v := range errs {
 		errs[v] = make([]float64, len(offs))
 	}
-	for rep := 0; rep < averageReads; rep++ {
-		rows := l.Chip.SweepAllVoltages(b, wl, offs, l.readSeed(b, wl, rep))
+	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+		rows := op.SweepAllVoltages(offs)
 		for v := range errs {
 			for i, e := range rows[v] {
 				errs[v][i] += float64(e)
 			}
 		}
-	}
+	})
 	for v := range errs {
 		for i := range errs[v] {
 			errs[v][i] /= float64(averageReads)
@@ -118,14 +130,14 @@ func (l *Lab) OptimalOffsets(b, wl int) flash.Offsets {
 	for v := 0; v < nv; v++ {
 		acc[v] = make([]float64, len(offs))
 	}
-	for rep := 0; rep < averageReads; rep++ {
-		rows := l.Chip.SweepAllVoltages(b, wl, offs, l.readSeed(b, wl, rep))
+	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+		rows := op.SweepAllVoltages(offs)
 		for v := 0; v < nv; v++ {
 			for i, e := range rows[v] {
 				acc[v][i] += float64(e)
 			}
 		}
-	}
+	})
 	out := flash.ZeroOffsets(nv)
 	for v := 0; v < nv; v++ {
 		out[v] = refineMinimum(offs, acc[v])
@@ -173,22 +185,23 @@ func refineMinimum(offs, errs []float64) float64 {
 func (l *Lab) OptimalOffset(b, wl, v int) float64 {
 	offs := sweepGrid()
 	acc := make([]float64, len(offs))
-	for rep := 0; rep < averageReads; rep++ {
-		ups, downs := l.Chip.SweepVoltageErrors(b, wl, v, offs, l.readSeed(b, wl, rep))
+	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+		ups, downs := op.SweepVoltageErrors(v, offs)
 		for i := range acc {
 			acc[i] += float64(ups[i] + downs[i])
 		}
-	}
+	})
 	return refineMinimum(offs, acc)
 }
 
 // PageRBER measures the RBER of page p on wordline (b, wl) under offsets
 // o, averaged over averageReads reads.
 func (l *Lab) PageRBER(b, wl, p int, o flash.Offsets) float64 {
+	cells := float64(l.Chip.Config().CellsPerWordline)
 	var sum float64
-	for rep := 0; rep < averageReads; rep++ {
-		sum += l.Chip.PageRBER(b, wl, p, o, l.readSeed(b, wl, 100+rep))
-	}
+	l.reads(b, wl, 100, func(op *flash.ReadOp) {
+		sum += float64(op.CountPageErrors(p, o)) / cells
+	})
 	return sum / float64(averageReads)
 }
 
@@ -326,10 +339,12 @@ func (l *Lab) CollectErrorMap(b, segments int) *ErrorMap {
 		}
 		read := flash.GetBitmap(cells)
 		truth := flash.GetBitmap(cells)
+		// Each page is its own read of the wordline: one handle, redrawn.
+		op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 200))
+		defer op.Close()
 		for p := 0; p < l.Chip.Coding().Bits(); p++ {
-			op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 200+p))
+			op.Redraw(l.readSeed(b, wl, 200+p))
 			read = op.ReadPageInto(read, p, nil)
-			op.Close()
 			truth = l.Chip.TrueBitsInto(truth, b, wl, p)
 			for s := 0; s < segments; s++ {
 				n := read.XorCountRange(truth, bounds[s], bounds[s+1])

@@ -387,46 +387,65 @@ func (c *Chip) States(b, wl int) []uint8 {
 	return out
 }
 
-// vthAll fills buf with every cell's threshold voltage for one read
-// operation (one shared read seed). It returns the filled slice. env is
-// caller-owned scratch for the resolved wordline environment (its slices
-// are reused), so the steady-state path performs no allocations.
-func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WLEnv) []float64 {
+// wordline returns the state of wordline (b, wl), which must hold data.
+func (c *Chip) wordline(b, wl int) *wlState {
 	w := &c.blocks[b].wls[wl]
 	if !w.programmed {
 		panic("flash: read of unprogrammed wordline")
 	}
+	return w
+}
+
+// vthAll fills buf with every cell's threshold voltage for one read
+// operation (one shared read seed): the eager form, which draws every
+// cell's sensing noise and then applies any attached fault model. It
+// returns the filled slice. env is caller-owned scratch for the resolved
+// wordline environment (its slices are reused), so the steady-state path
+// performs no allocations.
+func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WLEnv) []float64 {
+	w := c.wordline(b, wl)
 	n := c.cfg.CellsPerWordline
 	if cap(buf) < n {
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
-	g := c.globalWL(b, wl)
-	c.model.EnvInto(env, c.LayerOf(wl), g, c.blocks[b].stress)
 	if w.zcache != nil {
-		// Batched form of the per-cell sum: the sensing-noise hash stream
-		// setup is hoisted out of the loop (physics.NoiseStream); the
-		// floating-point grouping matches the scalar path exactly.
+		c.vth0Into(b, wl, w, buf, env)
+		// The sensing-noise hash stream setup is hoisted out of the loop
+		// (physics.NoiseStream); each cell's Vth is its noiseless sum plus
+		// its noise, exactly the scalar path's grouping.
 		ns := c.model.Noise(readSeed)
-		nf := float64(n)
-		for i := 0; i < n; i++ {
-			s := int(w.states[i])
-			pos := (float64(i)+0.5)/nf - 0.5
-			var grad float64
-			if s > 0 {
-				grad = env.Gradient * pos
-			}
-			buf[i] = env.Mean[s] + grad +
-				env.Sigma[s]*float64(w.zcache[i]) +
-				ns.At(i)
+		for i := range buf {
+			buf[i] += ns.At(i)
 		}
 	} else {
-		c.model.FillVth(*env, g, w.states, w.epoch, readSeed, buf)
+		c.model.EnvInto(env, c.LayerOf(wl), c.globalWL(b, wl), c.blocks[b].stress)
+		c.model.FillVth(*env, c.globalWL(b, wl), w.states, w.epoch, readSeed, buf)
 	}
 	if c.faults != nil {
 		c.faults.PerturbVth(b, wl, readSeed, buf)
 	}
 	return buf
+}
+
+// vth0Into fills buf (len CellsPerWordline) with every cell's noiseless
+// threshold voltage, (Mean + grad) + Sigma·z from the wordline's cached
+// program offsets: the sum to which a read adds each cell's sensing
+// noise. The explicit conversions keep every product rounded on its own
+// on every GOARCH, so the sum is the same whether the noise is added here
+// or later.
+func (c *Chip) vth0Into(b, wl int, w *wlState, buf []float64, env *physics.WLEnv) {
+	c.model.EnvInto(env, c.LayerOf(wl), c.globalWL(b, wl), c.blocks[b].stress)
+	nf := float64(len(buf))
+	for i := range buf {
+		s := int(w.states[i])
+		pos := (float64(i)+0.5)/nf - 0.5
+		var grad float64
+		if s > 0 {
+			grad = float64(env.Gradient * pos)
+		}
+		buf[i] = env.Mean[s] + grad + float64(env.Sigma[s]*float64(w.zcache[i]))
+	}
 }
 
 // Offsets is a per-read-voltage tuning vector in normalized units,

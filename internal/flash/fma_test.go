@@ -1,0 +1,51 @@
+package flash
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// fusedOp matches arm64's fused multiply-add instructions in compiler
+// assembly listings.
+var fusedOp = regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
+
+// TestNoFusedMultiplyAdd compiles this package and internal/physics for
+// arm64 and fails on any fused multiply-add. A fused x*y+z rounds once
+// where amd64 rounds twice, so a threshold voltage — and with it every
+// sensed bit and golden digest — could differ between GOARCHes, and the
+// lazy read kernel's noise add could round differently from the eager
+// one. An explicit float64(x*y) conversion rounds the product on its own
+// and blocks the fusion.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles two packages for arm64")
+	}
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gobin); err != nil {
+		if gobin, err = exec.LookPath("go"); err != nil {
+			t.Skip("no go command available")
+		}
+	}
+	cmd := exec.Command(gobin, "build", "-gcflags=-S",
+		"sentinel3d/internal/flash", "sentinel3d/internal/physics")
+	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("arm64 build failed: %v\n%s", err, out)
+	}
+	var fused []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if fusedOp.MatchString(line) {
+			fused = append(fused, strings.TrimSpace(line))
+		}
+	}
+	if len(fused) > 0 {
+		t.Fatalf("%d fused multiply-adds in the arm64 build; wrap the product in float64():\n%s",
+			len(fused), strings.Join(fused, "\n"))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/physics"
 )
 
 // readOpTestChip builds a small programmed, stressed chip. cells need not
@@ -111,7 +112,9 @@ func TestReadOpMatchesReference(t *testing.T) {
 				}
 				for _, readSeed := range []uint64{0, 42, 1 << 50} {
 					op := c.BeginRead(0, 1, readSeed)
-					vths := append([]float64(nil), op.vth...)
+					// The reference is the eager vector: a lazy handle's
+					// own vth holds only the noise its queries drew.
+					vths := c.vthAll(0, 1, readSeed, nil, new(physics.WLEnv))
 					states := c.States(0, 1)
 
 					for v := 1; v <= nv; v++ {

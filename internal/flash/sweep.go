@@ -23,7 +23,59 @@ func (c *Chip) SweepVoltageErrors(b, wl, v int, offs []float64, readSeed uint64)
 // SweepVoltageErrors is the ReadOp form of Chip.SweepVoltageErrors,
 // sharing the handle's threshold-voltage vector.
 func (op *ReadOp) SweepVoltageErrors(v int, offs []float64) (ups, downs []int) {
-	return sweepOne(op.c.model.DefaultReadVoltage(v), op.vth, op.states, v, offs)
+	base := op.c.model.DefaultReadVoltage(v)
+	op.noiseSweep([]float64{base}, offs)
+	return sweepOne(base, op.vth, op.states, v, offs)
+}
+
+// noiseSweep draws the sensing noise of every cell that some offset of a
+// sweep can compare differently with it than without it. Boundary base
+// at offset off catches exactly the cells with Vth >= sweepThreshold(off,
+// base), which ascends with off, so the cells in question lie inside the
+// window [lo of the first offset's threshold, hi of the last one's]. The
+// windows of all bases are merged and the cells placed in one scan.
+// Offsets that are not NaN-free and ascending draw every cell's noise.
+func (op *ReadOp) noiseSweep(bases, offs []float64) {
+	if op.vth0 == nil || len(offs) == 0 {
+		return
+	}
+	if !ascending(offs) {
+		op.noiseAll()
+		return
+	}
+	var winsArr [16]window
+	wins := winsArr[:0]
+	for _, base := range bases {
+		w := window{
+			lo: noiseWindow(sweepThreshold(offs[0], base), op.bound).lo,
+			hi: noiseWindow(sweepThreshold(offs[len(offs)-1], base), op.bound).hi,
+		}
+		// Keep the windows ordered by lo (bases ascend, so this rarely
+		// moves anything).
+		wins = append(wins, w)
+		for k := len(wins) - 1; k > 0 && wins[k-1].lo > wins[k].lo; k-- {
+			wins[k-1], wins[k] = wins[k], wins[k-1]
+		}
+	}
+	merged := wins[:1]
+	for _, w := range wins[1:] {
+		if last := &merged[len(merged)-1]; w.lo < last.hi {
+			last.hi = math.Max(last.hi, w.hi)
+		} else {
+			merged = append(merged, w)
+		}
+	}
+	for i, x := range op.vth {
+		for _, w := range merged {
+			if x <= w.lo {
+				break
+			}
+			if x < w.hi {
+				op.noisy(i)
+				break
+			}
+		}
+	}
 }
 
 // sweepOne classifies one boundary across an ascending offset grid given
@@ -108,6 +160,7 @@ func (op *ReadOp) SweepAllVoltages(offs []float64) [][]int {
 	for v := 1; v <= nv; v++ {
 		bases[v-1] = op.c.model.DefaultReadVoltage(v)
 	}
+	op.noiseSweep(bases, offs)
 	ups, downs := sweepMulti(bases, op.vth, op.states, op.c.coding.States(), offs)
 	for v := range out {
 		row := make([]int, len(offs))
@@ -117,6 +170,16 @@ func (op *ReadOp) SweepAllVoltages(offs []float64) [][]int {
 		out[v] = row
 	}
 	return out
+}
+
+// ascending reports whether xs is NaN-free and non-decreasing.
+func ascending(xs []float64) bool {
+	for i, x := range xs {
+		if x != x || (i > 0 && !(xs[i-1] <= x)) {
+			return false
+		}
+	}
+	return true
 }
 
 func offsHaveNaN(offs []float64) bool {
@@ -131,26 +194,66 @@ func offsHaveNaN(offs []float64) bool {
 // sweepThreshold returns the smallest threshold voltage y at which offset
 // off catches a cell: the minimal y with off <= fl(y-base), the exact
 // floating-point predicate sweepOne evaluates. Because fl(y-base) is
-// monotone in y the minimum is well defined; it sits within a couple of
-// ulps of fl(base+off), found by Nextafter walking.
+// monotone in y the minimum is well defined. It usually sits within a
+// couple of ulps of fl(base+off), but not always: when base+off is near
+// zero, fl(y-base) stays put across a huge run of tiny y. So the search
+// runs over the totally ordered keys of the float64s (floatKey): steps
+// of doubling length from fl(base+off) bracket the minimum, and a
+// bisection pins it down, in at most about 130 probes for any input.
 func sweepThreshold(off, base float64) float64 {
-	y := base + off
-	for {
-		down := math.Nextafter(y, math.Inf(-1))
-		if down == y || !(off <= down-base) {
-			break
-		}
-		y = down
+	ok := func(k uint64) bool { return off <= keyFloat(k)-base }
+	lo, hi := keyNegInf, keyPosInf // ok(hi) always holds
+	if ok(lo) {
+		return math.Inf(-1)
 	}
-	for !(off <= y-base) {
-		up := math.Nextafter(y, math.Inf(1))
-		if up == y {
-			break
+	if k := floatKey(base + off); ok(k) {
+		hi = k
+		for d := uint64(1); d <= 1<<62 && hi-lo > d; d *= 2 {
+			if !ok(hi - d) {
+				lo = hi - d
+				break
+			}
+			hi -= d
 		}
-		y = up
+	} else {
+		lo = k
+		for d := uint64(1); d <= 1<<62 && hi-lo > d; d *= 2 {
+			if ok(lo + d) {
+				hi = lo + d
+				break
+			}
+			lo += d
+		}
 	}
-	return y
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if ok(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return keyFloat(hi)
 }
+
+// floatKey maps a non-NaN float64 to a uint64 that orders like the float
+// (with -0 just below +0); keyFloat is its inverse.
+func floatKey(x float64) uint64 {
+	u := math.Float64bits(x)
+	return u ^ (uint64(int64(u)>>63) | 1<<63) // ^u if negative, else u | 1<<63
+}
+
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+var (
+	keyNegInf = floatKey(math.Inf(-1))
+	keyPosInf = floatKey(math.Inf(1))
+)
 
 // sweepMulti is the one-pass multi-boundary sweep: it buckets every cell
 // across the full (voltage, offset) grid in a single scan and returns,

@@ -203,3 +203,32 @@ func TestSweepOptimalBelowDefaultAfterRetention(t *testing.T) {
 		t.Fatalf("V8 optimum %v not negative after 1-year retention", offs[minI])
 	}
 }
+
+// sweepThreshold must return the exact minimum, and return at all, where
+// fl(base+off) is near zero: there fl(y-base) stays put over some 2^62
+// tiny y, which a walk of one ulp per step would never cross.
+func TestSweepThresholdNearZero(t *testing.T) {
+	cases := [][2]float64{ // {off, base}
+		{131, -131}, {66.5, -66.5}, {-1661, 1661}, {0.1, -0.1},
+		{1e-300, 0}, {0, 0}, {-0.0, 5}, {math.Inf(1), 3}, {math.Inf(-1), 3},
+		{math.MaxFloat64, 1}, {-math.MaxFloat64, -1},
+	}
+	r := mathx.NewRand(3)
+	for i := 0; i < 200; i++ {
+		base := (r.Float64() - 0.5) * 4000
+		off := -base + (r.Float64()-0.5)*math.Ldexp(1, -r.Intn(60))
+		cases = append(cases, [2]float64{off, base})
+	}
+	for _, c := range cases {
+		off, base := c[0], c[1]
+		y := sweepThreshold(off, base)
+		if !(off <= y-base) {
+			t.Fatalf("sweepThreshold(%v, %v) = %v does not catch: fl(y-base) = %v", off, base, y, y-base)
+		}
+		if k := floatKey(y); k > keyNegInf {
+			if prev := keyFloat(k - 1); off <= prev-base {
+				t.Fatalf("sweepThreshold(%v, %v) = %v is not minimal: %v also catches", off, base, y, prev)
+			}
+		}
+	}
+}

@@ -105,6 +105,14 @@ func GaussFromHash(h uint64) float64 {
 // uMax is the largest float64 below 1.
 const uMax = 1 - 1.0/(1<<53)
 
+// GaussBound bounds |GaussFromHash(h)| over every 64-bit h. The two
+// extreme hashes give the extreme variates: h = 0 selects the smallest
+// u (2^-54) and h = 2^64-1 the largest (uMax), and acklam is monotone in
+// u apart from rounding at the ulp scale, which the 2^-30 relative
+// margin covers. The chip's read kernel scales it by the sensing-noise
+// sigma to decide which cells' noise can change a comparison.
+var GaussBound = math.Max(-GaussFromHash(0), GaussFromHash(math.MaxUint64)) * (1 + 0x1p-30)
+
 // UniformFromHash converts a 64-bit hash value into a uniform in [0, 1).
 func UniformFromHash(h uint64) float64 {
 	return float64(h>>11) * (1.0 / (1 << 53))

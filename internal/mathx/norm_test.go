@@ -137,3 +137,25 @@ func TestGaussFromHashMatchesNormInv(t *testing.T) {
 	}
 	t.Logf("largest |GaussFromHash - NormInv| = %.3g", worst)
 }
+
+// GaussBound must bound every variate GaussFromHash can return: the
+// buckets nearest both extremes (where the tails are steepest and any
+// non-monotone rounding would show) and a spread of random hashes.
+func TestGaussBound(t *testing.T) {
+	if GaussBound < 8 || GaussBound > 8.5 {
+		t.Fatalf("GaussBound = %v, want about 8.3", GaussBound)
+	}
+	check := func(h uint64) {
+		if z := GaussFromHash(h); math.Abs(z) > GaussBound {
+			t.Fatalf("|GaussFromHash(%#x)| = %v exceeds GaussBound %v", h, math.Abs(z), GaussBound)
+		}
+	}
+	for k := uint64(0); k < 1<<16; k++ {
+		check(k << 11)
+		check(math.MaxUint64 - k<<11)
+	}
+	r := NewRand(5)
+	for i := 0; i < 1<<16; i++ {
+		check(r.Uint64())
+	}
+}

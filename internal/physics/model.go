@@ -45,16 +45,16 @@ const (
 // variation. State 0 (erased) sits EraseDepth state-widths below state 1.
 func (m *Model) Center(s int) float64 {
 	if s == 0 {
-		return -m.P.EraseDepth * m.P.StateWidth
+		return float64(-m.P.EraseDepth * m.P.StateWidth)
 	}
-	return float64(s) * m.P.StateWidth
+	return float64(float64(s) * m.P.StateWidth)
 }
 
 // DefaultReadVoltage returns the factory default for read voltage
 // V_i (1 <= i <= NumVoltages), placed DefaultMargin below the midpoint of
 // the adjacent nominal state centres.
 func (m *Model) DefaultReadVoltage(i int) float64 {
-	return (m.Center(i-1)+m.Center(i))/2 - m.P.DefaultMargin
+	return float64((m.Center(i-1)+m.Center(i))/2) - m.P.DefaultMargin
 }
 
 // shiftWeight is w(s): the relative retention-shift magnitude of state s.
@@ -70,22 +70,22 @@ func (m *Model) shiftWeight(s int) float64 {
 // A = RetentionScale * ln(1 + tEff/T0) * (1 + PE/1000 * WearShiftPer1K).
 func (m *Model) ShiftAmplitude(st Stress) float64 {
 	ret := math.Log(1 + st.EffRetentionHours/m.P.RetentionT0Hours)
-	wear := 1 + float64(st.PECycles)/1000*m.P.WearShiftPer1K
+	wear := 1 + float64(float64(st.PECycles)/1000*m.P.WearShiftPer1K)
 	return m.P.RetentionScale * ret * wear
 }
 
 // SigmaWiden returns the multiplicative distribution-widening factor for a
 // stress state.
 func (m *Model) SigmaWiden(st Stress) float64 {
-	return 1 + float64(st.PECycles)/1000*m.P.SigmaPEPer1K +
-		m.P.SigmaRetention*math.Log(1+st.EffRetentionHours/m.P.RetentionT0Hours)
+	return 1 + float64(float64(st.PECycles)/1000*m.P.SigmaPEPer1K) +
+		float64(m.P.SigmaRetention*math.Log(1+st.EffRetentionHours/m.P.RetentionT0Hours))
 }
 
 // LayerShiftMult returns the frozen per-layer retention multiplier
 // (clamped to at least 0.3 so that no layer "un-leaks").
 func (m *Model) LayerShiftMult(layer int) float64 {
 	g := mathx.GaussFromHash(mathx.Mix3(m.Seed, dsLayerShift, uint64(layer)))
-	v := 1 + m.P.LayerShiftStd*g
+	v := 1 + float64(m.P.LayerShiftStd*g)
 	if v < 0.3 {
 		v = 0.3
 	}
@@ -95,7 +95,7 @@ func (m *Model) LayerShiftMult(layer int) float64 {
 // LayerSigmaMult returns the frozen per-layer sigma multiplier.
 func (m *Model) LayerSigmaMult(layer int) float64 {
 	g := mathx.GaussFromHash(mathx.Mix3(m.Seed, dsLayerSigma, uint64(layer)))
-	v := 1 + m.P.LayerSigmaStd*g
+	v := 1 + float64(m.P.LayerSigmaStd*g)
 	if v < 0.5 {
 		v = 0.5
 	}
@@ -116,7 +116,7 @@ func (m *Model) LayerStateOffset(layer, s int) float64 {
 // by the wordline's global index within the chip.
 func (m *Model) WLShiftMult(globalWL uint64) float64 {
 	g := mathx.GaussFromHash(mathx.Mix3(m.Seed, dsWLShift, globalWL))
-	v := 1 + m.P.WLShiftStd*g
+	v := 1 + float64(m.P.WLShiftStd*g)
 	if v < 0.3 {
 		v = 0.3
 	}
@@ -170,7 +170,7 @@ func (m *Model) ReadNoise(readSeed uint64, cell int) float64 {
 		return 0
 	}
 	h := mathx.Mix3(readSeed, dsReadNoise, uint64(cell))
-	return m.P.ReadNoiseSigma * mathx.GaussFromHash(h)
+	return float64(m.P.ReadNoiseSigma * mathx.GaussFromHash(h))
 }
 
 // NoiseStream is the hash stream of one read operation's sensing noise
@@ -192,11 +192,21 @@ func (m *Model) Noise(readSeed uint64) NoiseStream {
 }
 
 // At returns the sensing noise of one cell; bit-identical to ReadNoise.
+// The explicit conversion rounds the product on its own, so no
+// architecture fuses it into the caller's add (arm64 would otherwise emit
+// FMADDD) and every caller adds the same rounded noise.
 func (ns NoiseStream) At(cell int) float64 {
 	if ns.sigma == 0 {
 		return 0
 	}
-	return ns.sigma * mathx.GaussFromHash(mathx.Mix(ns.base, uint64(cell)))
+	return float64(ns.sigma * mathx.GaussFromHash(mathx.Mix(ns.base, uint64(cell))))
+}
+
+// Bound returns an upper bound on |At(cell)| over every cell: the noise
+// sigma times mathx.GaussBound, rounded like At's own product, so
+// monotone rounding keeps every |At(cell)| at or below it.
+func (ns NoiseStream) Bound() float64 {
+	return float64(ns.sigma * mathx.GaussBound)
 }
 
 // FillCellZ writes the frozen program offset of every cell of a wordline
@@ -232,14 +242,14 @@ func (m *Model) FillVth(env WLEnv, globalWL uint64, states []uint8, epoch, readS
 		pos := (float64(i)+0.5)/nf - 0.5
 		var grad float64
 		if s > 0 {
-			grad = env.Gradient * pos
+			grad = float64(env.Gradient * pos)
 		}
 		h := mathx.Mix(zbase, uint64(i))
 		z := mathx.GaussFromHash(h)
 		if tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < tf {
 			z *= tm
 		}
-		dst[i] = env.Mean[s] + grad + env.Sigma[s]*z + ns.At(i)
+		dst[i] = env.Mean[s] + grad + float64(env.Sigma[s]*z) + ns.At(i)
 	}
 }
 
@@ -281,7 +291,7 @@ func (m *Model) EnvInto(env *WLEnv, layer int, globalWL uint64, st Stress) {
 	widen := m.SigmaWiden(st) * m.LayerSigmaMult(layer)
 	dT := st.EffectiveReadTemp() - RoomTempC
 	for s := 0; s < k; s++ {
-		shift := -amp*m.shiftWeight(s) + m.crossTempShift(s, dT)
+		shift := float64(-amp*m.shiftWeight(s)) + m.crossTempShift(s, dT)
 		env.Mean[s] = m.Center(s) + m.LayerStateOffset(layer, s) +
 			m.WLStateOffset(globalWL, s) + shift
 		env.Sigma[s] = m.BaseSigma(s) * widen
@@ -306,9 +316,9 @@ func (m *Model) CellVth(env WLEnv, globalWL uint64, cell, n, s int, epoch, readS
 	pos := (float64(cell)+0.5)/float64(n) - 0.5
 	var grad float64
 	if s > 0 { // the erased state carries no programmed charge to skew
-		grad = env.Gradient * pos
+		grad = float64(env.Gradient * pos)
 	}
 	return env.Mean[s] + grad +
-		env.Sigma[s]*m.CellZ(globalWL, cell, epoch) +
+		float64(env.Sigma[s]*m.CellZ(globalWL, cell, epoch)) +
 		m.ReadNoise(readSeed, cell)
 }

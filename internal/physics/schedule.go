@@ -115,8 +115,8 @@ func (e ScheduleEval) Schedule() TempSchedule { return e.sched }
 // hotHoursBefore returns the cumulative hot-band hours in [0, t].
 func (e ScheduleEval) hotHoursBefore(t float64) float64 {
 	n := math.Floor(t / e.period)
-	rem := t - n*e.period
-	return n*e.hotPerPeriod + math.Min(rem, e.hotPerPeriod)
+	rem := t - float64(n*e.period)
+	return float64(n*e.hotPerPeriod) + math.Min(rem, e.hotPerPeriod)
 }
 
 // HotHoursBefore returns the cumulative hot-band hours in [0, t].
@@ -142,7 +142,7 @@ func (e ScheduleEval) EffHoursPre(from, to, hotFrom, hotTo float64) float64 {
 	} else if hot > span {
 		hot = span
 	}
-	return hot*e.afHot + (span-hot)*e.afBase
+	return float64(hot*e.afHot) + float64((span-hot)*e.afBase)
 }
 
 // MaxRate returns the schedule's fastest effective-hours accrual rate —
@@ -178,7 +178,7 @@ func (e ScheduleEval) EffHours(from, to float64) float64 {
 	} else if hot > span {
 		hot = span
 	}
-	return hot*e.afHot + (span-hot)*e.afBase
+	return float64(hot*e.afHot) + float64((span-hot)*e.afBase)
 }
 
 // RetentionClock tracks simulated device time and answers "how much

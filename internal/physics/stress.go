@@ -72,7 +72,7 @@ func (s Stress) Aged(p Params, hours, tempC float64) Stress {
 	if hours < 0 || math.IsNaN(hours) {
 		panic(fmt.Sprintf("physics: Aged with negative retention interval %g h", hours))
 	}
-	s.EffRetentionHours += hours * AccelerationFactor(p.ActivationEnergyEV, tempC)
+	s.EffRetentionHours += float64(hours * AccelerationFactor(p.ActivationEnergyEV, tempC))
 	return s
 }
 

@@ -18,6 +18,7 @@ type Env struct {
 	Page  int
 
 	seed      uint64
+	op        *flash.ReadOp // the read's one handle on (B, WL)
 	senseOps  int
 	extraCost float64
 	scratch   []flash.Bitmap
@@ -28,12 +29,12 @@ type Env struct {
 // the given offset and returns the sense bitmap (bit set = cell at or
 // above the voltage). The bitmap stays valid until the controller finishes
 // the current read, after which it is recycled — sessions must not retain
-// it across reads.
+// it across reads. Each sense is a fresh noise draw on the read's handle.
 func (e *Env) Sense(v int, offset float64) flash.Bitmap {
 	e.senseOps++
 	e.extraCost += AuxSense()
-	return e.hold(e.Chip.Sense(e.B, e.WL, v, offset,
-		mathx.Mix3(e.seed, 0xa5e, uint64(e.senseOps))))
+	e.op.Redraw(mathx.Mix3(e.seed, 0xa5e, uint64(e.senseOps)))
+	return e.hold(e.op.SenseInto(flash.GetBitmap(e.op.Cells()), v, offset))
 }
 
 // hold registers a pooled bitmap for bulk release when the read finishes.
@@ -167,9 +168,14 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 		return Result{Err: fmt.Errorf("%w: block %d wordline %d",
 			ErrNotProgrammed, b, wl)}
 	}
+	// Every attempt and auxiliary sense re-reads this one wordline, so
+	// one handle serves them all, redrawn with each operation's seed.
+	attemptSeed := func(k int) uint64 { return mathx.Mix3(readSeed, 0x5ead, uint64(k)) }
+	op := c.Chip.BeginRead(b, wl, attemptSeed(0))
+	defer op.Close()
 	env := &Env{
 		Chip: c.Chip, B: b, WL: wl, Page: page,
-		seed: readSeed, met: c.Obs,
+		seed: readSeed, op: op, met: c.Obs,
 	}
 	sess := pol.Session(env)
 	pipelined := false
@@ -203,9 +209,8 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 		// pipelined sessions too, which overlap the NEXT sense with the
 		// CURRENT decode but still sense anew (only the latency is
 		// pipelined, never the electrons).
-		op := c.Chip.BeginRead(b, wl, mathx.Mix3(readSeed, 0x5ead, uint64(k)))
+		op.Redraw(attemptSeed(k))
 		read := op.ReadPageInto(bufs[k&1], page, ofs)
-		op.Close()
 		step := StepLatency(levels, pipelined && k > 0)
 		if pipelined && k > 0 {
 			res.OverlapSavedUS += PageRead(levels) - step

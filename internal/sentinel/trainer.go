@@ -225,13 +225,19 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 			}
 		}
 		for wi, wl := range wls {
+			// The repeated senses re-read one wordline: one handle,
+			// redrawn with each repetition's seed.
+			seed := func(rep int) uint64 { return mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)) }
+			op := chip.BeginRead(0, wl, seed(0))
+			sense := flash.GetBitmap(cfg.CellsPerWordline)
 			var d float64
 			for rep := 0; rep < measureReads; rep++ {
-				seed := mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep))
-				sense := chip.Sense(0, wl, sv, 0, seed)
+				op.Redraw(seed(rep))
+				sense = op.SenseInto(sense, sv, 0)
 				d += ErrorDiffRate(sense, indices)
-				flash.PutBitmap(sense)
 			}
+			flash.PutBitmap(sense)
+			op.Close()
 			d /= float64(measureReads)
 			ds = append(ds, d)
 			opts = append(opts, lab.OptimalOffset(0, wl, sv))

@@ -38,6 +38,10 @@ const (
 // materializing a []Request. A source that reports its length (Generator,
 // BinarySource) gets an exactly sized buffer, so a multi-million-request
 // encode writes each record once instead of re-copying as it grows.
+//
+// A record the format cannot carry faithfully fails the encode with an
+// error naming its index: one BinarySource.Next would reject (see
+// recordFault), or one with more pages than the 32-bit pages field holds.
 func EncodeBinarySource(src Source) ([]byte, error) {
 	size := 1 << 16
 	if l, ok := src.(interface{ Len() int }); ok {
@@ -53,6 +57,14 @@ func EncodeBinarySource(src Source) ([]byte, error) {
 		}
 		if !ok {
 			break
+		}
+		if !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && r.Pages > 0 &&
+			r.Pages <= math.MaxInt32 && r.Op >= Read && r.Op <= Write) {
+			what := recordFault(r)
+			if what == "" {
+				what = fmt.Sprintf("%d pages overflow the 32-bit pages field", r.Pages)
+			}
+			return nil, fmt.Errorf("trace: encoding record %d: %s", count, what)
 		}
 		buf = appendBinaryRecord(buf, &r)
 		if last := r.LPN + int64(r.Pages) - 1; last > maxLPN {
@@ -177,15 +189,21 @@ func (e *badRecordError) Error() string {
 		Pages:    int(int32(binary.LittleEndian.Uint32(b.data[16:]))),
 		Op:       Op(b.data[20]),
 	}
-	var what string
+	index := b.count - int64(len(b.data)/binaryRecordBytes)
+	return fmt.Sprintf("trace: binary record %d: %s", index, recordFault(r))
+}
+
+// recordFault describes why a binary trace cannot hold r — an arrival
+// that is negative or not finite, fewer than one page, an op other than
+// Read or Write — or returns "" when it can.
+func recordFault(r Request) string {
 	switch {
 	case !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64):
-		what = fmt.Sprintf("arrival %g µs is negative or not finite", r.ArriveUS)
+		return fmt.Sprintf("arrival %g µs is negative or not finite", r.ArriveUS)
 	case r.Pages < 1:
-		what = fmt.Sprintf("%d pages, want at least 1", r.Pages)
-	default:
-		what = fmt.Sprintf("op %d is neither read (%d) nor write (%d)", int(r.Op), Read, Write)
+		return fmt.Sprintf("%d pages, want at least 1", r.Pages)
+	case r.Op < Read || r.Op > Write:
+		return fmt.Sprintf("op %d is neither read (%d) nor write (%d)", int(r.Op), Read, Write)
 	}
-	index := b.count - int64(len(b.data)/binaryRecordBytes)
-	return fmt.Sprintf("trace: binary record %d: %s", index, what)
+	return ""
 }

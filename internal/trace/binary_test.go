@@ -223,3 +223,50 @@ func TestBinaryRejectsBadRecords(t *testing.T) {
 		})
 	}
 }
+
+// TestEncodeRejectsBadRecords: the encoder refuses every record the
+// decoder would reject, and page counts its 32-bit field would truncate,
+// with an error naming the record's index instead of writing a trace
+// that fails only when replayed.
+func TestEncodeRejectsBadRecords(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  Request
+		want string
+	}{
+		{"nanArrival", Request{ArriveUS: math.NaN(), Pages: 1}, "arrival"},
+		{"infArrival", Request{ArriveUS: math.Inf(1), Pages: 1}, "arrival"},
+		{"negativeArrival", Request{ArriveUS: -1, Pages: 1}, "arrival"},
+		{"zeroPages", Request{ArriveUS: 4, Pages: 0}, "pages"},
+		{"negativePages", Request{ArriveUS: 4, Pages: -3}, "pages"},
+		{"hugePages", Request{ArriveUS: 4, Pages: math.MaxInt32 + 1}, "32-bit"},
+		{"unknownOp", Request{ArriveUS: 4, Pages: 1, Op: 2}, "op 2"},
+		{"negativeOp", Request{ArriveUS: 4, Pages: 1, Op: -1}, "op -1"},
+		{"wrappingOp", Request{ArriveUS: 4, Pages: 1, Op: 256}, "op 256"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reqs := []Request{
+				{ArriveUS: 0, Op: Read, LPN: 1, Pages: 1},
+				{ArriveUS: 3, Op: Write, LPN: 2, Pages: 2},
+				c.bad,
+			}
+			data, err := EncodeBinarySource(Sliced(reqs))
+			if err == nil {
+				t.Fatalf("encoded %+v into %d bytes", c.bad, len(data))
+			}
+			if msg := err.Error(); !strings.Contains(msg, "record 2") || !strings.Contains(msg, c.want) {
+				t.Fatalf("error %q does not name record 2 and %q", msg, c.want)
+			}
+		})
+	}
+	// The largest page count the field holds still round-trips.
+	big := []Request{{ArriveUS: 1, Op: Write, Pages: math.MaxInt32}}
+	src, err := NewBinarySource(encodeReqs(t, big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := src.Next(); err != nil || !ok || r != big[0] {
+		t.Fatalf("decoded %+v, %v, %v; want %+v", r, ok, err, big[0])
+	}
+}
