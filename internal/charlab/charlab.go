@@ -396,8 +396,11 @@ func NewCorrelationCollector(coding *flash.Coding) *CorrelationCollector {
 
 // Add sweeps the given wordlines of block b at the chip's *current* stress
 // state and records their optima. Call it repeatedly between aging steps.
-// The sweeps fan out per wordline; optima are recorded in wls order.
-func (cc *CorrelationCollector) Add(l *Lab, b int, wls []int) error {
+// The sweeps fan out per wordline; optima are recorded in wls order and
+// returned, one vector per wordline, so a caller that also needs one
+// voltage's optimum at this stress point need not sweep again: each
+// entry's Get(v) equals OptimalOffset(b, wl, v) bit for bit.
+func (cc *CorrelationCollector) Add(l *Lab, b int, wls []int) ([]flash.Offsets, error) {
 	optima, err := parallel.MapErr(len(wls), func(i int) (flash.Offsets, error) {
 		wl := wls[i]
 		if !l.Chip.IsProgrammed(b, wl) {
@@ -406,10 +409,10 @@ func (cc *CorrelationCollector) Add(l *Lab, b int, wls []int) error {
 		return l.OptimalOffsets(b, wl), nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cc.optima = append(cc.optima, optima...)
-	return nil
+	return optima, nil
 }
 
 // Len returns the number of collected optimum vectors.

@@ -113,6 +113,33 @@ func TestOptimalOffsetSingleMatchesVector(t *testing.T) {
 	}
 }
 
+// TestOptimalOffsetsMatchSingleBitwise pins the identity the sentinel
+// trainer relies on to skip a second sweep: the all-voltage sweep's
+// optimum of voltage v is bit for bit the single-voltage sweep's, on
+// fresh and aged TLC and QLC chips, with the lab's seed moved off its
+// default as the trainer moves it.
+func TestOptimalOffsetsMatchSingleBitwise(t *testing.T) {
+	for _, kind := range []flash.Kind{flash.TLC, flash.QLC} {
+		for _, age := range []struct {
+			pe    int
+			hours float64
+		}{{0, 0}, {3000, physics.YearHours}} {
+			c := smallChip(t, kind, age.pe, age.hours)
+			l := New(c)
+			l.Seed = 0x5eed
+			for _, wl := range []int{0, 5, 11} {
+				all := l.OptimalOffsets(0, wl)
+				for v := 1; v <= c.Coding().NumVoltages(); v++ {
+					if got, want := all.Get(v), l.OptimalOffset(0, wl, v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%v pe=%d wl=%d v=%d: vector optimum %v, single %v",
+							kind, age.pe, wl, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestOptimalNegativeAfterRetention(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
@@ -192,7 +219,7 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 	} {
 		c.Cycle(0, step.pe)
 		c.Age(0, step.hours, physics.RoomTempC)
-		if err := cc.Add(l, 0, wls); err != nil {
+		if _, err := cc.Add(l, 0, wls); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +256,7 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 func TestCollectCorrelationsSingleStress(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	cc := NewCorrelationCollector(c.Coding())
-	if err := cc.Add(New(c), 0, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+	if _, err := cc.Add(New(c), 0, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
 	cors := cc.Fit()
@@ -248,7 +275,7 @@ func TestCollectCorrelationsUnprogrammed(t *testing.T) {
 		Kind: flash.QLC, Blocks: 1, Layers: 4, WordlinesPerLayer: 1,
 		CellsPerWordline: 1024, Seed: 1, CacheZ: true,
 	})
-	if err := NewCorrelationCollector(c.Coding()).Add(New(c), 0, []int{0}); err == nil {
+	if _, err := NewCorrelationCollector(c.Coding()).Add(New(c), 0, []int{0}); err == nil {
 		t.Fatal("expected error for unprogrammed wordline")
 	}
 }

@@ -230,11 +230,17 @@ func Fig12StateChange(s Scale) (*Fig12Result, error) {
 		if opt >= -4 {
 			return nil // need a clear downward move for the window to exist
 		}
-		defSense := chip.Sense(0, wl, sv, 0, mathx.Mix(0x12a, uint64(wl)))
+		// The default sense and the probes re-read one wordline: one
+		// handle, redrawn with each read's seed.
+		op := chip.BeginRead(0, wl, mathx.Mix(0x12a, uint64(wl)))
+		defer op.Close()
+		defSense := op.Sense(sv, 0)
+		var probe flash.Bitmap
 		base := -1.0
 		ncs := make([]float64, len(pos))
 		for i, p := range pos {
-			probe := chip.Sense(0, wl, sv, opt+p, mathx.Mix3(0x12b, uint64(wl), uint64(i)))
+			op.Redraw(mathx.Mix3(0x12b, uint64(wl), uint64(i)))
+			probe = op.SenseInto(probe, sv, opt+p)
 			ncs[i] = float64(defSense.XorCount(probe))
 			if p == 0 {
 				base = ncs[i]

@@ -243,9 +243,13 @@ func senseLLR(chip *flash.Chip, wl, v int, offset float64, sn ecc.Sensing,
 
 	levels := sn.Levels()
 	senses := make([]flash.Bitmap, len(levels))
+	// The levels re-read one wordline: one handle, redrawn per level.
+	op := chip.BeginRead(0, wl, mathx.Mix(seed, 0))
 	for i, lv := range levels {
-		senses[i] = chip.Sense(0, wl, v, offset+lv, mathx.Mix(seed, uint64(i)))
+		op.Redraw(mathx.Mix(seed, uint64(i)))
+		senses[i] = op.Sense(v, offset+lv)
 	}
+	op.Close()
 	n := k + parityLen
 	out := make([]float64, n)
 	fill := func(dst int, cell int) {

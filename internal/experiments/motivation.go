@@ -347,7 +347,7 @@ func Fig8Correlation(s Scale) (*Fig8Result, error) {
 		st = st.Aged(chip.Model().P, pt.Hours, pt.TempC)
 		chip.SetStress(0, st)
 		lab.Seed = mathx.Mix(12345, uint64(i))
-		if err := cc.Add(lab, 0, wls); err != nil {
+		if _, err := cc.Add(lab, 0, wls); err != nil {
 			return nil, err
 		}
 	}

@@ -14,16 +14,17 @@ import (
 // assembly listings.
 var fusedOp = regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
-// TestNoFusedMultiplyAdd compiles this package and internal/physics for
-// arm64 and fails on any fused multiply-add. A fused x*y+z rounds once
-// where amd64 rounds twice, so a threshold voltage — and with it every
-// sensed bit and golden digest — could differ between GOARCHes, and the
-// lazy read kernel's noise add could round differently from the eager
-// one. An explicit float64(x*y) conversion rounds the product on its own
-// and blocks the fusion.
+// TestNoFusedMultiplyAdd compiles this package, internal/physics and
+// internal/trace for arm64 and fails on any fused multiply-add. A fused
+// x*y+z rounds once where amd64 rounds twice, so a threshold voltage —
+// and with it every sensed bit and golden digest — could differ between
+// GOARCHes, and the lazy read kernel's noise add could round differently
+// from the eager one; in the trace generator an arrival time or a Zipf
+// rank could. An explicit float64(x*y) conversion rounds the product on
+// its own and blocks the fusion.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles two packages for arm64")
+		t.Skip("cross-compiles three packages for arm64")
 	}
 	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(gobin); err != nil {
@@ -32,7 +33,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		}
 	}
 	cmd := exec.Command(gobin, "build", "-gcflags=-S",
-		"sentinel3d/internal/flash", "sentinel3d/internal/physics")
+		"sentinel3d/internal/flash", "sentinel3d/internal/physics", "sentinel3d/internal/trace")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -94,8 +94,11 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
+// The scaling is exact; the float64 conversion only keeps an inlined
+// caller's 1-u from compiling to a fused multiply-subtract, which
+// TestNoFusedMultiplyAdd forbids.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

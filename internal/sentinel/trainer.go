@@ -154,7 +154,7 @@ func trainBands(chip *flash.Chip, tc TrainConfig) ([]TempBand, error) {
 			st = st.Aged(chip.Model().P, pt.Hours, pt.TempC).AtReadTemp(mid)
 			chip.SetStress(0, st)
 			lab.Seed = mathx.Mix3(tc.Seed, 0xba2d, uint64(bi*100+pi))
-			if err := cc.Add(lab, 0, wls); err != nil {
+			if _, err := cc.Add(lab, 0, wls); err != nil {
 				return nil, err
 			}
 		}
@@ -219,8 +219,12 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 		chip.SetStress(0, st)
 		// Vary the lab's read seeds per point so sweeps are independent.
 		lab.Seed = mathx.Mix(tc.Seed, uint64(pi))
+		// The collector sweeps every voltage of these wordlines with the
+		// lab's seeds; its sentinel-voltage optima are bit for bit what
+		// a single-voltage sweep would find, so reuse them.
+		var optima []flash.Offsets
 		if cc != nil {
-			if err := cc.Add(lab, 0, wls); err != nil {
+			if optima, err = cc.Add(lab, 0, wls); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -240,7 +244,11 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 			op.Close()
 			d /= float64(measureReads)
 			ds = append(ds, d)
-			opts = append(opts, lab.OptimalOffset(0, wl, sv))
+			if optima != nil {
+				opts = append(opts, optima[wi].Get(sv))
+			} else {
+				opts = append(opts, lab.OptimalOffset(0, wl, sv))
+			}
 		}
 	}
 	return ds, opts, nil

@@ -81,29 +81,139 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 	return WorkloadSpec{}, fmt.Errorf("trace: unknown workload %q", name)
 }
 
-// zipfLPN draws a page index in [0, n) with approximately Zipfian
-// popularity of skew s, using the continuous inverse-CDF approximation;
-// top is its normaliser (n+1)^(1-s) - 1, which depends only on the spec
-// (NewGenerator computes it once) and is used only when s is off 0 and 1.
-// The popular pages are scattered across the address space by a bijective
-// hash so that hot data does not cluster at low addresses.
-func zipfLPN(r *mathx.Rand, n int64, s, top float64) int64 {
-	u := r.Float64()
-	var x float64
+// zipf draws page indices in [0, n) with approximately Zipfian
+// popularity of skew s, using the continuous inverse-CDF approximation
+//
+//	x = (1 + u·top)^y - 1,  top = (n+1)^(1-s) - 1,  y = 1/(1-s)
+//
+// (x = (n+1)^u - 1 at s = 1, x = u·n at s <= 0), ranked as int64(x).
+// newZipf prepares everything that depends only on (n, s) once per
+// spec. The popular pages are scattered across the address space by a
+// bijective hash so that hot data does not cluster at low addresses.
+type zipf struct {
+	n     int64
+	kind  zipfKind
+	top   float64 // the power branch's normaliser (n+1)^(1-s) - 1
+	logN1 float64 // the s = 1 branch's normaliser ln(n+1)
+	y     float64 // the power branch's exponent 1/(1-s)
+	// k >= 0 certifies the power branch: b^y is b^k (1/b^k when y < 0)
+	// to within zipfTol for every b the draws reach; -1 means no
+	// certificate, and every power draw calls math.Pow.
+	k int
+}
+
+type zipfKind uint8
+
+const (
+	zipfUniform zipfKind = iota // s <= 0
+	zipfLog                     // s within 1e-9 of 1
+	zipfPower                   // any other s
+)
+
+// The certified rank. math.Pow (the portable implementation, which
+// every GOARCH but s390x runs) splits |y| = k + yf with |yf| <= 1/2 and
+// computes b^y = Exp(yf·Log b) · b^k by square-and-multiply on b's
+// mantissa, then takes the reciprocal when y < 0. When
+// η = |yf|·max|ln b| is tiny, b^yf is within a factor e^±η of 1, so
+// est = b^k from our own square-and-multiply chain (1/b^k when y < 0)
+// brackets the exact x = fl(Pow(b, y) - 1):
+//
+//	x ∈ [est·(1-ρ) - 1, est·(1+ρ) - 1], with, in units of ε = 2^-53
+//	and to first order in the roundings,
+//	ρ <= η(1+η)   the dropped factor b^yf
+//	   + (k+1)ε   Pow's chain: k-1 products, one more for Exp's factor,
+//	              one reciprocal (the mantissa/exponent split is exact)
+//	   + 5ε       Pow's Log and Exp (< 1 ulp = 2ε each) and yf·Log b
+//	   + kε       our chain: k-1 products and one reciprocal
+//	   + ε        the final -1, relative to est
+//	   = η(1+η) + (2k+7)ε.
+//
+// The certificate demands k <= zipfMaxChain and η <= zipfMaxEta, so
+// ρ < 1e-13 + 135ε < 1.2e-13. Computing each end of the band rounds
+// three more times (the constant 1±zipfTol, the product, the -1), at
+// most 3ε·est. zipfTol = 1e-11 exceeds the sum more than eighty times
+// over. int64 conversion is monotone below 2^63 and constant above it,
+// so when both ends of the band convert to the same rank, that is
+// int64(x); otherwise the band holds
+// an integer and the draw takes the exact expression. The built-in
+// specs' η is at most 1.3e-14 (rsrch_0 and prxy_0).
+const (
+	zipfTol      = 1e-11
+	zipfMaxChain = 64
+	zipfMaxEta   = 1e-13
+)
+
+// newZipf prepares the sampler for n pages at skew s.
+func newZipf(n int64, s float64) zipf {
+	z := zipf{n: n, k: -1}
 	switch {
 	case s <= 0:
-		x = u * float64(n)
+		z.kind = zipfUniform
 	case math.Abs(s-1) < 1e-9:
-		x = math.Exp(u*math.Log(float64(n)+1)) - 1
+		z.kind = zipfLog
+		z.logN1 = math.Log(float64(n) + 1)
 	default:
-		x = math.Pow(1+u*top, 1/(1-s)) - 1
+		z.kind = zipfPower
+		z.top = math.Pow(float64(n)+1, 1-s) - 1
+		z.y = 1 / (1 - s)
+		// Split y exactly as math.Pow does. b ranges over
+		// [min(1, 1+top), max(1, 1+top)], so max|ln b| = |ln(1+top)|.
+		// A NaN anywhere fails the comparison and leaves k at -1.
+		yi, yf := math.Modf(math.Abs(z.y))
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		eta := math.Abs(yf) * math.Abs(math.Log(1+z.top))
+		if yi <= zipfMaxChain && eta <= zipfMaxEta {
+			z.k = int(yi)
+		}
 	}
-	rank := int64(x)
-	if rank >= n {
-		rank = n - 1
+	return z
+}
+
+// rank returns int64(x) for the draw u in [0, 1): by the certified
+// estimate where it fixes the rank, by the exact expression otherwise.
+func (z *zipf) rank(u float64) int64 {
+	switch z.kind {
+	case zipfUniform:
+		return int64(u * float64(z.n))
+	case zipfLog:
+		return int64(math.Exp(u*z.logN1) - 1)
+	}
+	b := 1 + float64(u*z.top)
+	if z.k >= 0 {
+		if lo, hi := z.band(b); lo == hi {
+			return lo
+		}
+	}
+	return int64(math.Pow(b, z.y) - 1)
+}
+
+// band returns the truncated ends of the certified band around
+// x = b^y - 1 (see zipfTol). Only a certified sampler calls it.
+func (z *zipf) band(b float64) (lo, hi int64) {
+	est := 1.0
+	for i, sq := z.k, b; i != 0; i >>= 1 {
+		if i&1 == 1 {
+			est *= sq
+		}
+		sq *= sq
+	}
+	if z.y < 0 {
+		est = 1 / est
+	}
+	return int64(float64(est*(1-zipfTol)) - 1), int64(float64(est*(1+zipfTol)) - 1)
+}
+
+// lpn draws a page index.
+func (z *zipf) lpn(r *mathx.Rand) int64 {
+	rank := z.rank(r.Float64())
+	if rank >= z.n {
+		rank = z.n - 1
 	}
 	// Scatter ranks over the address space deterministically.
-	return int64(mathx.Mix(uint64(rank), 0x5ca77e2) % uint64(n))
+	return int64(mathx.Mix(uint64(rank), 0x5ca77e2) % uint64(z.n))
 }
 
 // Generator streams the synthetic workload one request at a time; it is
@@ -118,7 +228,7 @@ type Generator struct {
 	r       *mathx.Rand
 	now     float64
 	prevEnd int64
-	zipfTop float64 // zipfLPN's top for the spec
+	zipf    zipf
 }
 
 // NewGenerator returns a Source producing n requests for the spec,
@@ -130,8 +240,8 @@ func NewGenerator(spec WorkloadSpec, n int, seed uint64) (*Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: non-positive request count %d", n)
 	}
-	top := math.Pow(float64(spec.WorkingSetPages)+1, 1-spec.ZipfS) - 1
-	return &Generator{spec: spec, n: n, r: mathx.NewRand(seed), zipfTop: top}, nil
+	return &Generator{spec: spec, n: n, r: mathx.NewRand(seed),
+		zipf: newZipf(spec.WorkingSetPages, spec.ZipfS)}, nil
 }
 
 // Len returns the total number of requests the generator will yield.
@@ -149,11 +259,14 @@ func (g *Generator) Next() (Request, bool, error) {
 	}
 	g.emitted++
 	spec, r := g.spec, g.r
-	// Arrival process: exponential base with a burst mode.
+	// Arrival process: exponential base with a burst mode. The
+	// float64 conversions round each product before the add, so no
+	// GOARCH fuses them into a multiply-add and the stream is the same
+	// everywhere.
 	if r.Float64() < spec.Burstiness {
-		g.now += -math.Log(1-r.Float64()) * spec.MeanIATUS * 0.02
+		g.now += float64(-math.Log(1-r.Float64()) * spec.MeanIATUS * 0.02)
 	} else {
-		g.now += -math.Log(1-r.Float64()) * spec.MeanIATUS
+		g.now += float64(-math.Log(1-r.Float64()) * spec.MeanIATUS)
 	}
 	op := Write
 	if r.Float64() < spec.ReadFrac {
@@ -170,7 +283,7 @@ func (g *Generator) Next() (Request, bool, error) {
 		g.prevEnd+int64(pages) < spec.WorkingSetPages {
 		lpn = g.prevEnd
 	} else {
-		lpn = zipfLPN(r, spec.WorkingSetPages, spec.ZipfS, g.zipfTop)
+		lpn = g.zipf.lpn(r)
 		if lpn+int64(pages) > spec.WorkingSetPages {
 			lpn = spec.WorkingSetPages - int64(pages)
 		}
