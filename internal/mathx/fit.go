@@ -20,7 +20,7 @@ type Poly struct {
 func (p Poly) Eval(x float64) float64 {
 	var y float64
 	for i := len(p.Coef) - 1; i >= 0; i-- {
-		y = y*x + p.Coef[i]
+		y = float64(y*x) + p.Coef[i]
 	}
 	return y
 }
@@ -89,7 +89,7 @@ func PolyFit(x, y []float64, degree int) (Poly, error) {
 			tk *= t
 		}
 		for i := 0; i < n; i++ {
-			bvec[i] += tp[i] * y[k]
+			bvec[i] += float64(tp[i] * y[k])
 		}
 	}
 	a := make([][]float64, n)
@@ -118,7 +118,7 @@ func PolyFit(x, y []float64, degree int) (Poly, error) {
 			} else {
 				comb = 1.0
 			}
-			out[j] += c[i] * si * comb * math.Pow(-mu, float64(i-j))
+			out[j] += float64(c[i] * si * comb * math.Pow(-mu, float64(i-j)))
 		}
 	}
 	return Poly{Coef: out}, nil
@@ -152,9 +152,9 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for cc := col; cc < n; cc++ {
-				a[r][cc] -= f * a[col][cc]
+				a[r][cc] -= float64(f * a[col][cc])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	// Back substitution.
@@ -162,7 +162,7 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for cc := r + 1; cc < n; cc++ {
-			sum -= a[r][cc] * x[cc]
+			sum -= float64(a[r][cc] * x[cc])
 		}
 		x[r] = sum / a[r][r]
 	}
@@ -180,15 +180,15 @@ func LinearFit(x, y []float64) (slope, intercept, r float64, err error) {
 	var sxx, syy, sxy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
+		sxy += float64(dx * dy)
 	}
 	if sxx == 0 {
 		return 0, 0, 0, ErrSingular
 	}
 	slope = sxy / sxx
-	intercept = my - slope*mx
+	intercept = my - float64(slope*mx)
 	if syy == 0 {
 		// y constant: perfectly predicted by the constant model.
 		return slope, intercept, 1, nil

@@ -69,7 +69,7 @@ func logHistIndex(v float64) int {
 func logHistUpper(i int) float64 {
 	e := i/logHistSub + logHistExpLo
 	sub := i % logHistSub
-	return math.Ldexp(1+float64(sub+1)/logHistSub, e-1)
+	return math.Ldexp(1+float64(float64(sub+1)/logHistSub), e-1)
 }
 
 // WidthFactor is the worst-case ratio between a bucket's upper and lower

@@ -22,9 +22,9 @@ func NormInv(p float64) float64 {
 	x := acklam(p)
 
 	// One Halley refinement step against the true CDF.
-	e := NormCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	e := float64(NormCDF(x)) - p
+	u := e * math.Sqrt(2*math.Pi) * math.Exp(float64(x*x)/2)
+	x = x - u/(1+float64(x*u/2))
 	return x
 }
 
@@ -54,21 +54,48 @@ func acklam(p float64) float64 {
 		2.445134137142996e+00, 3.754408661907416e+00,
 	}
 
+	// Horner's rule, one step per statement: every float64(k*x) rounds
+	// the product on its own, so arm64 cannot fuse it with the add.
 	const pLow = 0.02425
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		num := float64(c[0]*q) + c[1]
+		num = float64(num*q) + c[2]
+		num = float64(num*q) + c[3]
+		num = float64(num*q) + c[4]
+		num = float64(num*q) + c[5]
+		den := float64(d[0]*q) + d[1]
+		den = float64(den*q) + d[2]
+		den = float64(den*q) + d[3]
+		den = float64(den*q) + 1
+		return num / den
 	case p <= 1-pLow:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		num := float64(a[0]*r) + a[1]
+		num = float64(num*r) + a[2]
+		num = float64(num*r) + a[3]
+		num = float64(num*r) + a[4]
+		num = (float64(num*r) + a[5]) * q
+		den := float64(b[0]*r) + b[1]
+		den = float64(den*r) + b[2]
+		den = float64(den*r) + b[3]
+		den = float64(den*r) + b[4]
+		den = float64(den*r) + 1
+		return num / den
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		num := float64(c[0]*q) + c[1]
+		num = float64(num*q) + c[2]
+		num = float64(num*q) + c[3]
+		num = float64(num*q) + c[4]
+		num = -(float64(num*q) + c[5])
+		den := float64(d[0]*q) + d[1]
+		den = float64(den*q) + d[2]
+		den = float64(den*q) + d[3]
+		den = float64(den*q) + 1
+		return num / den
 	}
 }
 

@@ -303,11 +303,13 @@ type benchClient struct {
 }
 
 func (c *benchClient) do(ctx context.Context, req ReadRequest) (status int, body *ReadResponse, errCode string, err error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
+	// The request body is not pooled: the transport may still read it
+	// after Do returns (an early error response, a retried request).
+	reqBody, err := appendReadRequest(make([]byte, 0, 128), &req)
+	if err != nil {
 		return 0, nil, "", err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+"/read", &buf)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+"/read", bytes.NewReader(reqBody))
 	if err != nil {
 		return 0, nil, "", err
 	}
@@ -323,8 +325,15 @@ func (c *benchClient) do(ctx context.Context, req ReadRequest) (status int, body
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, nil, eb.Error, nil
 	}
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	var rerr error
+	*buf, rerr = readBody((*buf)[:0], resp.Body)
 	var rb ReadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
+	if err := unmarshalReadResponse(*buf, &rb); err != nil {
+		if rerr != nil {
+			err = rerr
+		}
 		return resp.StatusCode, nil, "", err
 	}
 	return resp.StatusCode, &rb, "", nil

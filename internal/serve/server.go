@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -308,9 +309,13 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	// A read error (the 1 MiB cap included) is not final: like
+	// json.Decoder, the decode accepts a value that completed before it.
+	*buf, _ = readBody((*buf)[:0], http.MaxBytesReader(w, r.Body, 1<<20))
 	var req ReadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err := unmarshalReadRequest(*buf, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_json"})
 		return
 	}
@@ -379,24 +384,36 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	case agg.stopped:
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 	default:
-		if agg.uncorrectable {
-			t.m.uncorrectable.Inc()
-		}
-		if agg.fallback {
-			t.m.fallback.Inc()
-		}
-		if agg.failFast {
-			t.m.failFast.Inc()
-		}
-		if wall > time.Duration(t.cfg.SLOMs*float64(time.Millisecond)) {
-			t.m.sloViolations.Inc()
-		}
-		t.m.ok.Inc()
-		writeJSON(w, http.StatusOK, ReadResponse{
+		t.serveOK(w, buf, &ReadResponse{
 			Tenant: req.Tenant, Policy: policy,
 			DegradeLevel: level, ForcedPolicy: forced, Results: results,
-		})
+		}, agg, wall)
 	}
+}
+
+// serveOK answers a served request. The body is encoded (into buf)
+// before the status line is written or any success counted, so a value
+// json cannot represent (a NaN) is a 500 "encode", never an empty 200.
+func (t *tenant) serveOK(w http.ResponseWriter, buf *[]byte, resp *ReadResponse, agg aggFlags, wall time.Duration) {
+	var err error
+	if *buf, err = appendReadResponse((*buf)[:0], resp); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode"})
+		return
+	}
+	if agg.uncorrectable {
+		t.m.uncorrectable.Inc()
+	}
+	if agg.fallback {
+		t.m.fallback.Inc()
+	}
+	if agg.failFast {
+		t.m.failFast.Inc()
+	}
+	if wall > time.Duration(t.cfg.SLOMs*float64(time.Millisecond)) {
+		t.m.sloViolations.Inc()
+	}
+	t.m.ok.Inc()
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // normalizeReads turns a request body into fleet reads, or returns an
@@ -516,11 +533,21 @@ func (s *Server) one(ctx context.Context, rd ssdsim.FleetRead, policy string, ma
 	return rr
 }
 
+// writeJSON answers with v's JSON rendering: the cold bodies (errors,
+// readyz). Like serveOK it encodes before committing the status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encode"})
+		return
+	}
+	writeBody(w, status, b.Bytes())
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // retryAfter sets the Retry-After header, rounding up to whole seconds

@@ -29,8 +29,21 @@ type WorkloadSpec struct {
 	SeqProb float64
 }
 
-// Validate reports spec errors.
+// Validate reports spec errors. A NaN passes every range comparison,
+// so the float fields are first checked to be finite.
 func (w WorkloadSpec) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"read fraction", w.ReadFrac}, {"mean inter-arrival", w.MeanIATUS},
+		{"burstiness", w.Burstiness}, {"zipf skew", w.ZipfS},
+		{"mean pages", w.MeanPages}, {"seq probability", w.SeqProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if w.ReadFrac < 0 || w.ReadFrac > 1 {
 		return fmt.Errorf("trace: read fraction %v out of [0,1]", w.ReadFrac)
 	}

@@ -41,6 +41,32 @@ func TestMSRWorkloadsValid(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*WorkloadSpec, float64)
+	}{
+		{"ReadFrac", func(w *WorkloadSpec, v float64) { w.ReadFrac = v }},
+		{"MeanIATUS", func(w *WorkloadSpec, v float64) { w.MeanIATUS = v }},
+		{"Burstiness", func(w *WorkloadSpec, v float64) { w.Burstiness = v }},
+		{"ZipfS", func(w *WorkloadSpec, v float64) { w.ZipfS = v }},
+		{"MeanPages", func(w *WorkloadSpec, v float64) { w.MeanPages = v }},
+		{"SeqProb", func(w *WorkloadSpec, v float64) { w.SeqProb = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			w, _ := WorkloadByName("hm_0")
+			f.set(&w, v)
+			if err := w.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+			if _, err := Generate(w, 10, 1); err == nil {
+				t.Errorf("Generate with %s = %v accepted", f.name, v)
+			}
+		}
+	}
+}
+
 func TestGenerateMatchesSpec(t *testing.T) {
 	spec, _ := WorkloadByName("mds_0")
 	reqs, err := Generate(spec, 20000, 1)
