@@ -27,13 +27,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-compiles four packages for arm64")
 	}
-	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(gobin); err != nil {
-		if gobin, err = exec.LookPath("go"); err != nil {
-			t.Skip("no go command available")
-		}
-	}
-	cmd := exec.Command(gobin, "build", "-gcflags=-S",
+	cmd := exec.Command(goCommand(t), "build", "-gcflags=-S",
 		"sentinel3d/internal/flash", "sentinel3d/internal/physics", "sentinel3d/internal/trace",
 		"sentinel3d/internal/mathx")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
@@ -50,5 +44,52 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if len(fused) > 0 {
 		t.Fatalf("%d fused multiply-adds in the arm64 build; wrap the product in float64():\n%s",
 			len(fused), strings.Join(fused, "\n"))
+	}
+}
+
+// goCommand returns the go command of the running toolchain, skipping
+// the test when there is none.
+func goCommand(t *testing.T) string {
+	t.Helper()
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gobin); err != nil {
+		if gobin, err = exec.LookPath("go"); err != nil {
+			t.Skip("no go command available")
+		}
+	}
+	return gobin
+}
+
+// TestHotPathInlines builds internal/mathx and internal/trace with the
+// compiler's inlining report and fails if a per-request draw or decode
+// stops inlining: (*Rand).Uint64, Float64 and Intn (the trace
+// generator's draws and the replay's page draw) and
+// (*BinarySource).Next, the budget the replay loops' devirtualized
+// decode relies on. It also fails on any remaining call from the trace
+// package into those draws. Each is a few instructions whose call
+// overhead would rival its body; a reshaped body that crosses the
+// budget shows here rather than as a replay slowdown.
+func TestHotPathInlines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles two packages with the inlining report")
+	}
+	gobin := goCommand(t)
+	out, err := exec.Command(gobin, "build", "-gcflags=-m",
+		"sentinel3d/internal/mathx", "sentinel3d/internal/trace").CombinedOutput()
+	if err != nil {
+		t.Fatalf("build failed: %v\n%s", err, out)
+	}
+	for _, fn := range []string{"(*Rand).Uint64", "(*Rand).Float64", "(*Rand).Intn", "(*BinarySource).Next"} {
+		if !strings.Contains(string(out), "can inline "+fn+"\n") {
+			t.Errorf("%s no longer inlines", fn)
+		}
+	}
+	asm, err := exec.Command(gobin, "build", "-gcflags=-S", "sentinel3d/internal/trace").CombinedOutput()
+	if err != nil {
+		t.Fatalf("build failed: %v\n%s", err, asm)
+	}
+	call := regexp.MustCompile(`CALL\s+sentinel3d/internal/mathx\.\(\*Rand\)\.(Uint64|Float64|Intn)\(SB\)`)
+	if m := call.FindAllString(string(asm), -1); len(m) > 0 {
+		t.Errorf("internal/trace still calls the draws:\n%s", strings.Join(m, "\n"))
 	}
 }

@@ -6,7 +6,10 @@
 // structure).
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry describes the SSD's physical structure.
 type Geometry struct {
@@ -74,8 +77,6 @@ func (g Geometry) Channel(plane int) int {
 // Die returns the global die index of a plane.
 func (g Geometry) Die(plane int) int { return plane / g.PlanesPerDie }
 
-const invalidLPN = int64(-1)
-
 // PEFaultModel lets a fault-injection layer (see internal/fault) fail
 // individual program and erase operations at the FTL's address level.
 // Implementations must be deterministic pure functions of their own seed
@@ -91,14 +92,17 @@ type PEFaultModel interface {
 }
 
 type blockMeta struct {
-	// valid[page] holds the stored LPN biased by one (lpn+1), with 0
-	// meaning invalid. The bias lets a freshly allocated (zeroed) array
-	// start in the all-invalid state without an initialization sweep,
-	// and lets erase clear pages with a memclr — at fleet scale the FTLs
-	// allocate tens of megabytes of page metadata per replay, most of
-	// which is never written, so the zero-state trick keeps construction
-	// proportional to pages touched rather than pages provisioned.
-	valid    []int64
+	// live has bit page%64 of word page/64 set while the page holds the
+	// current copy of its LPN; zero (a fresh or erased block) means no
+	// page is live. An overwrite invalidates the old copy by clearing
+	// one bit of this small, cache-resident bitmap.
+	live []uint64
+	// lpns[page] is the reverse map: the LPN the page was programmed
+	// with, written once at allocate and meaningful only while the page
+	// is live. Nothing reads it for dead pages, so neither construction
+	// nor erase sweeps it — at fleet scale the FTLs provision megabytes
+	// of it per replay, most never written.
+	lpns     []int64
 	validCnt int
 	writePtr int // next free page, PagesPerBlock when full
 	erases   int
@@ -106,11 +110,14 @@ type blockMeta struct {
 	retired  bool // permanently out of service (program/erase failure)
 }
 
-// lpnAt returns the LPN stored at page, or invalidLPN.
-func (bm *blockMeta) lpnAt(page int) int64 { return bm.valid[page] - 1 }
+// isLive reports whether page holds the current copy of its LPN.
+func (bm *blockMeta) isLive(page int) bool { return bm.live[page>>6]&(1<<(page&63)) != 0 }
 
-// setLPN marks page as holding lpn (invalidLPN clears it).
-func (bm *blockMeta) setLPN(page int, lpn int64) { bm.valid[page] = lpn + 1 }
+// kill invalidates a live page.
+func (bm *blockMeta) kill(page int) {
+	bm.live[page>>6] &^= 1 << (page & 63)
+	bm.validCnt--
+}
 
 type planeState struct {
 	blocks    []blockMeta
@@ -183,11 +190,16 @@ func New(geo Geometry) (*FTL, error) {
 	for p := range f.planes {
 		ps := &f.planes[p]
 		ps.blocks = make([]blockMeta, geo.BlocksPerPlane)
-		// One backing array per plane, zero-valued = all pages invalid
-		// (see blockMeta.valid); blocks slice it without touching it.
-		backing := make([]int64, geo.BlocksPerPlane*geo.PagesPerBlock)
+		// One backing array per plane for each of the bitmap (zero = no
+		// page live) and the reverse map; blocks slice them without
+		// touching them.
+		words := (geo.PagesPerBlock + 63) / 64
+		live := make([]uint64, geo.BlocksPerPlane*words)
+		lpns := make([]int64, geo.BlocksPerPlane*geo.PagesPerBlock)
 		for b := range ps.blocks {
-			ps.blocks[b].valid = backing[b*geo.PagesPerBlock : (b+1)*geo.PagesPerBlock]
+			bm := &ps.blocks[b]
+			bm.live = live[b*words : (b+1)*words : (b+1)*words]
+			bm.lpns = lpns[b*geo.PagesPerBlock : (b+1)*geo.PagesPerBlock : (b+1)*geo.PagesPerBlock]
 			if b > 0 {
 				ps.freeQueue = append(ps.freeQueue, b)
 			}
@@ -309,13 +321,11 @@ func (f *FTL) WriteInto(lpn int64, res *WriteResult) error {
 	if lpn < 0 {
 		return fmt.Errorf("ftl: negative LPN %d", lpn)
 	}
-	// Invalidate the old copy blind: the L2P map and the per-page reverse
-	// map are a bijection (CheckInvariants), so the old page holds lpn
-	// and the store needs no load to confirm it.
+	// Invalidate the old copy: the L2P map and the live pages are a
+	// bijection (CheckInvariants), so the old page is live and holds
+	// lpn, and clearing its bit is the whole invalidation.
 	if old, ok := f.l2pGet(lpn); ok {
-		bm := &f.planes[old.Plane].blocks[old.Block]
-		bm.setLPN(old.Page, invalidLPN)
-		bm.validCnt--
+		f.planes[old.Plane].blocks[old.Block].kill(old.Page)
 	}
 	plane := f.nextPlane
 	f.nextPlane++
@@ -374,7 +384,8 @@ func (f *FTL) allocate(plane int, lpn int64, res *WriteResult, checkFaults bool)
 			continue
 		}
 		bm.writePtr++
-		bm.setLPN(page, lpn)
+		bm.lpns[page] = lpn
+		bm.live[page>>6] |= 1 << (page & 63)
 		bm.validCnt++
 		return PPN{Plane: plane, Block: ps.active, Page: page}, nil
 	}
@@ -398,21 +409,29 @@ func (f *FTL) retireActive(plane int, res *WriteResult) error {
 	ps.active = ps.freeQueue[0]
 	ps.freeQueue = ps.freeQueue[1:]
 	ps.blocks[ps.active].isActive = true
-	for page, lpn1 := range bm.valid {
-		if lpn1 == 0 {
-			continue
+	return f.relocate(plane, victim, res, false)
+}
+
+// relocate moves every live page of (plane, victim) to the plane's
+// active block, in ascending page order, recording each source page in
+// res.Migrations. The victim is never the active block, so the
+// allocations it makes cannot land on the pages it is reading.
+func (f *FTL) relocate(plane, victim int, res *WriteResult, checkFaults bool) error {
+	bm := &f.planes[plane].blocks[victim]
+	for w := range bm.live {
+		for word := bm.live[w]; word != 0; word &= word - 1 {
+			page := w<<6 | bits.TrailingZeros64(word)
+			lpn := bm.lpns[page]
+			res.Migrations = append(res.Migrations,
+				PPN{Plane: plane, Block: victim, Page: page})
+			bm.kill(page)
+			tgt, err := f.allocate(plane, lpn, res, checkFaults)
+			if err != nil {
+				return err
+			}
+			f.l2pSet(lpn, tgt)
+			f.GCWrites++
 		}
-		lpn := lpn1 - 1
-		res.Migrations = append(res.Migrations,
-			PPN{Plane: plane, Block: victim, Page: page})
-		bm.setLPN(page, invalidLPN)
-		bm.validCnt--
-		tgt, err := f.allocate(plane, lpn, res, false)
-		if err != nil {
-			return err
-		}
-		f.l2pSet(lpn, tgt)
-		f.GCWrites++
 	}
 	return nil
 }
@@ -439,23 +458,10 @@ func (f *FTL) collect(plane int, res *WriteResult) (progressed bool, err error) 
 	if victim < 0 || best >= f.geo.PagesPerBlock {
 		return false, nil
 	}
-	bm := &ps.blocks[victim]
-	for page, lpn1 := range bm.valid {
-		if lpn1 == 0 {
-			continue
-		}
-		lpn := lpn1 - 1
-		res.Migrations = append(res.Migrations,
-			PPN{Plane: plane, Block: victim, Page: page})
-		bm.setLPN(page, invalidLPN)
-		bm.validCnt--
-		tgt, err := f.allocate(plane, lpn, res, true)
-		if err != nil {
-			return false, err
-		}
-		f.l2pSet(lpn, tgt)
-		f.GCWrites++
+	if err := f.relocate(plane, victim, res, true); err != nil {
+		return false, err
 	}
+	bm := &ps.blocks[victim]
 	// Erase. A failed erase wears the block without freeing it; the FTL
 	// retires it on the spot (its pages were already migrated, so no data
 	// is at risk) and the next collect round picks another victim.
@@ -472,7 +478,7 @@ func (f *FTL) collect(plane int, res *WriteResult) (progressed bool, err error) 
 	bm.writePtr = 0
 	bm.validCnt = 0
 	bm.erases++
-	clear(bm.valid) // zero = invalid; compiles to a memclr
+	clear(bm.live) // already empty after relocate: an erased block has no live page
 	f.Erases++
 	res.ErasedBlocks++
 	if f.Wear != nil {
@@ -492,15 +498,21 @@ func (f *FTL) BlockRetired(plane, block int) bool {
 	return f.planes[plane].blocks[block].retired
 }
 
-// CheckInvariants verifies internal consistency: every L2P entry (dense
-// or map) points at a page recording that LPN, and valid counts match.
-// Tests call this.
+// CheckInvariants verifies that the L2P map (dense and overflow) and
+// the live pages are a bijection: every L2P entry points at a live page
+// whose reverse map holds that LPN, every live page's LPN translates
+// back to that page, and the live pages number as many as the L2P
+// entries. It also checks each block's valid count against its bitmap,
+// that no page at or past the write pointer is live, and that retired
+// blocks hold nothing. Tests call this.
 func (f *FTL) CheckInvariants() error {
+	entries := 0
 	check := func(lpn int64, ppn PPN) error {
+		entries++
 		bm := &f.planes[ppn.Plane].blocks[ppn.Block]
-		if bm.lpnAt(ppn.Page) != lpn {
-			return fmt.Errorf("ftl: L2P %d -> %+v but page holds %d",
-				lpn, ppn, bm.lpnAt(ppn.Page))
+		if !bm.isLive(ppn.Page) || bm.lpns[ppn.Page] != lpn {
+			return fmt.Errorf("ftl: L2P %d -> %+v but page live=%v holds %d",
+				lpn, ppn, bm.isLive(ppn.Page), bm.lpns[ppn.Page])
 		}
 		return nil
 	}
@@ -517,13 +529,24 @@ func (f *FTL) CheckInvariants() error {
 			return err
 		}
 	}
+	live := 0
 	for p := range f.planes {
 		for b := range f.planes[p].blocks {
 			bm := &f.planes[p].blocks[b]
 			cnt := 0
-			for _, v := range bm.valid {
-				if v != 0 {
-					cnt++
+			for page := range f.geo.PagesPerBlock {
+				if !bm.isLive(page) {
+					continue
+				}
+				cnt++
+				if page >= bm.writePtr {
+					return fmt.Errorf("ftl: plane %d block %d page %d live at or past write pointer %d",
+						p, b, page, bm.writePtr)
+				}
+				want := PPN{Plane: p, Block: b, Page: page}
+				if got, ok := f.l2pGet(bm.lpns[page]); !ok || got != want {
+					return fmt.Errorf("ftl: live page %+v holds LPN %d, which translates to %+v (mapped %v)",
+						want, bm.lpns[page], got, ok)
 				}
 			}
 			if cnt != bm.validCnt {
@@ -534,7 +557,11 @@ func (f *FTL) CheckInvariants() error {
 				return fmt.Errorf("ftl: plane %d block %d retired but validCnt=%d active=%v",
 					p, b, bm.validCnt, bm.isActive)
 			}
+			live += cnt
 		}
+	}
+	if live != entries {
+		return fmt.Errorf("ftl: %d live pages but %d L2P entries", live, entries)
 	}
 	return nil
 }

@@ -204,3 +204,32 @@ func TestMigrationsReported(t *testing.T) {
 		t.Fatal("no write ever reported GC migrations")
 	}
 }
+
+// TestCheckInvariantsCatchesOrphans unmaps an LPN without invalidating
+// its page: every remaining L2P entry still points at a live page that
+// holds it, so only the live-page side of the bijection check sees the
+// orphan.
+func TestCheckInvariantsCatchesOrphans(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		f, _ := New(smallGeo())
+		if dense {
+			f.SetLPNBound(100)
+		}
+		for lpn := int64(0); lpn < 20; lpn++ {
+			if _, err := f.Write(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if dense {
+			f.dense[5] = 0
+		} else {
+			delete(f.l2p, 5)
+		}
+		if err := f.CheckInvariants(); err == nil {
+			t.Fatalf("dense=%v: live page with no L2P entry passed", dense)
+		}
+	}
+}

@@ -6,7 +6,10 @@
 // simulations, trainer fits and experiments are exactly reproducible.
 package mathx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is a tiny, fast, well-distributed 64-bit PRNG used both as a
 // stream generator and as a stateless hash (see Hash64). It is the
@@ -66,8 +69,16 @@ type Rand struct {
 // NewRand returns a generator whose state is expanded from seed with
 // SplitMix64, as recommended by the xoshiro authors.
 func NewRand(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
 	r := &Rand{}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed resets r to exactly the state NewRand(seed) returns, so a hot
+// loop that needs a fresh keyed stream per item can reuse one Rand
+// instead of allocating one per item.
+func (r *Rand) Reseed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -75,22 +86,19 @@ func NewRand(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
+	r.spare, r.haveSpare = 0, false
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The state is loaded into
+// locals and stored back as one array literal, which keeps the method
+// under the compiler's inlining budget (TestHotPathInlines): the
+// replay's page draw and the trace generator call it per request.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

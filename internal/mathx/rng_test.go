@@ -62,6 +62,29 @@ func TestRandReproducible(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNewRand reseeds one Rand that has been drawn from,
+// including one left holding a cached Gaussian spare, and requires the
+// stream NewRand gives for the same seed: Uint64s, then a NormFloat64
+// pair that must not start from the stale spare.
+func TestReseedMatchesNewRand(t *testing.T) {
+	r := NewRand(99)
+	r.NormFloat64() // leaves a spare cached
+	for _, seed := range []uint64{0, 1, 123, Mix3(7, 8, 9), math.MaxUint64} {
+		r.Reseed(seed)
+		want := NewRand(seed)
+		for i := 0; i < 100; i++ {
+			if g, w := r.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %#x: value %d = %#x, want %#x", seed, i, g, w)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if g, w := r.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %#x: normal %d = %v, want %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRand(7)
 	for i := 0; i < 100000; i++ {

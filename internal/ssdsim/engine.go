@@ -400,10 +400,12 @@ func (e *Engine) preconditionPass(sims []*Sim, src trace.Source, localBound int6
 	}
 	nShards := e.cfg.Shards
 	replicate := e.cfg.Replicate && e.cfg.Devices > 1
-	// Devirtualized fast path for the zero-copy binary format: the
-	// concrete Next inlines into this loop, where the interface call
-	// cannot.
+	// Devirtualized fast paths: the zero-copy binary format's concrete
+	// Next inlines into this loop, where the interface call cannot, and
+	// the synthetic generator yields spans only — the pass reads no
+	// arrival time or op, so it skips the arrival's logarithm.
 	bin, _ := src.(*trace.BinarySource)
+	gen, _ := src.(*trace.Generator)
 	for n := 0; ; n++ {
 		// The warm-up pass has no partial result worth keeping, so a
 		// cancelled precondition simply aborts (checked in batches — the
@@ -416,9 +418,12 @@ func (e *Engine) preconditionPass(sims []*Sim, src trace.Source, localBound int6
 		var r trace.Request
 		var ok bool
 		var err error
-		if bin != nil {
+		switch {
+		case gen != nil:
+			r.LPN, r.Pages, ok = gen.NextSpan()
+		case bin != nil:
 			r, ok, err = bin.Next()
-		} else {
+		default:
 			r, ok, err = src.Next()
 		}
 		if err != nil {

@@ -432,7 +432,7 @@ func TestEngineReplayCanceled(t *testing.T) {
 // TestEngineFTLInvariants: after a replay through the Engine, every
 // target's FTL still holds the L2P↔P2L bijection and exact valid counts
 // (ftl.(*FTL).CheckInvariants). This is the loud check behind
-// WriteInto's blind invalidate of an overwritten page, run over every
+// WriteInto's unchecked invalidate of an overwritten page, run over every
 // engine configuration that drives a different write path: frozen
 // stress, lifetime aging (wear sink armed), program/erase faults (block
 // retirement and rescue copies), two shards, and two-device fleets both

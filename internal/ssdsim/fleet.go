@@ -349,6 +349,9 @@ func (f *Fleet) Close() {
 func (f *Fleet) run(s int) {
 	defer f.wg.Done()
 	sh := f.shards[s]
+	// The worker's one Rand, reseeded per served page; it lives on the
+	// worker's stack, off the cache lines submitters read.
+	var rng mathx.Rand
 	for req := range sh.queue {
 		sh.depth.Set(float64(len(sh.queue)))
 		wait := time.Since(req.enqueued)
@@ -366,7 +369,7 @@ func (f *Fleet) run(s int) {
 				time.Sleep(d)
 			}
 		}
-		res := f.service(sh, s, req.read)
+		res := f.service(sh, s, req.read, &rng)
 		res.QueueWait = wait
 		sh.satisfied.Inc()
 		req.done <- fleetReply{res: res}
@@ -375,8 +378,9 @@ func (f *Fleet) run(s int) {
 
 // service reads every page of the request on shard s. Outcomes are
 // deterministic per page: the RNG stream is keyed by (seed, LPN, policy
-// salt), so neither arrival order nor concurrency changes any result.
-func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
+// salt), so neither arrival order nor concurrency changes any result;
+// rng is the caller's, reseeded from that key for each page.
+func (f *Fleet) service(sh *fleetShard, s int, read FleetRead, rng *mathx.Rand) FleetResult {
 	pol := f.samplers[read.Policy]
 	res := FleetResult{Shard: s}
 	for p := 0; p < read.Pages; p++ {
@@ -388,7 +392,7 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 			res.Check ^= mathx.Mix3(uint64(lpn), pol.salt, 0xdead)
 			continue
 		}
-		rng := mathx.NewRand(mathx.Mix3(f.cfg.Sim.Seed, uint64(lpn), pol.salt))
+		rng.Reseed(mathx.Mix3(f.cfg.Sim.Seed, uint64(lpn), pol.salt))
 		pageType := ppn.Page % f.cfg.Sim.Bits
 		// Copy out of the shared pool: the corruption and fail-fast
 		// adjustments below must not write through to it.

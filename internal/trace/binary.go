@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary trace format: a fixed 24-byte header followed by fixed 24-byte
@@ -37,7 +38,8 @@ const (
 // EncodeBinarySource drains src into the binary format without
 // materializing a []Request. A source that reports its length (Generator,
 // BinarySource) gets an exactly sized buffer, so a multi-million-request
-// encode writes each record once instead of re-copying as it grows.
+// encode writes each record once, in place, instead of re-copying as it
+// grows.
 //
 // A record the format cannot carry faithfully fails the encode with an
 // error naming its index: one BinarySource.Next would reject (see
@@ -66,7 +68,12 @@ func EncodeBinarySource(src Source) ([]byte, error) {
 			}
 			return nil, fmt.Errorf("trace: encoding record %d: %s", count, what)
 		}
-		buf = appendBinaryRecord(buf, &r)
+		n := len(buf)
+		if cap(buf)-n < binaryRecordBytes {
+			buf = slices.Grow(buf, binaryRecordBytes)
+		}
+		buf = buf[:n+binaryRecordBytes]
+		putBinaryRecord(buf[n:], &r)
 		if last := r.LPN + int64(r.Pages) - 1; last > maxLPN {
 			maxLPN = last
 		}
@@ -84,13 +91,13 @@ func putBinaryHeader(buf []byte, count, maxLPN int64) {
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(maxLPN))
 }
 
-func appendBinaryRecord(buf []byte, r *Request) []byte {
-	var rec [binaryRecordBytes]byte
+// putBinaryRecord writes r into the record-sized rec, padding included.
+func putBinaryRecord(rec []byte, r *Request) {
+	rec = rec[:binaryRecordBytes]
 	binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(r.ArriveUS))
 	binary.LittleEndian.PutUint64(rec[8:16], uint64(r.LPN))
 	binary.LittleEndian.PutUint32(rec[16:20], uint32(r.Pages))
-	rec[20] = byte(r.Op)
-	return append(buf, rec[:]...)
+	rec[20], rec[21], rec[22], rec[23] = byte(r.Op), 0, 0, 0
 }
 
 // BinarySource decodes a binary trace in place: Next reads each record

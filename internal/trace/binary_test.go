@@ -270,3 +270,29 @@ func TestEncodeRejectsBadRecords(t *testing.T) {
 		t.Fatalf("decoded %+v, %v, %v; want %+v", r, ok, err, big[0])
 	}
 }
+
+// BenchmarkEncodeBinarySource re-encodes a decoded mds_0 trace, so the
+// loop times the encoder's record writes and checks, not a generator.
+// One op is one record.
+func BenchmarkEncodeBinarySource(b *testing.B) {
+	spec, _ := WorkloadByName("mds_0")
+	g, err := NewGenerator(spec, 1<<18, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := EncodeBinarySource(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += 1 << 18 {
+		src, err := NewBinarySource(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := EncodeBinarySource(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

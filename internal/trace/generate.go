@@ -285,6 +285,34 @@ func (g *Generator) Next() (Request, bool, error) {
 	if r.Float64() < spec.ReadFrac {
 		op = Read
 	}
+	lpn, pages := g.span()
+	return Request{ArriveUS: g.now, Op: op, LPN: lpn, Pages: pages}, true, nil
+}
+
+// NextSpan yields the next request's page span only: it advances the
+// RNG past the arrival and op draws without computing them (Next draws
+// exactly three values before the span on either arrival branch), so a
+// caller that needs only the pages — the replay engine's precondition
+// pass — skips the arrival's logarithm. The stream after a NextSpan is
+// the one Next would have continued with, except that the arrival clock
+// does not advance over the skipped request.
+func (g *Generator) NextSpan() (lpn int64, pages int, ok bool) {
+	if g.emitted >= g.n {
+		return 0, 0, false
+	}
+	g.emitted++
+	r := g.r
+	r.Uint64() // burst flag
+	r.Uint64() // exponential gap
+	r.Uint64() // op
+	lpn, pages = g.span()
+	return lpn, pages, true
+}
+
+// span draws a request's size and start page, the part of Next that
+// NextSpan shares.
+func (g *Generator) span() (int64, int) {
+	spec, r := &g.spec, g.r
 	// Size: geometric with the requested mean.
 	pages := 1
 	p := 1 - 1/spec.MeanPages
@@ -302,7 +330,7 @@ func (g *Generator) Next() (Request, bool, error) {
 		}
 	}
 	g.prevEnd = lpn + int64(pages)
-	return Request{ArriveUS: g.now, Op: op, LPN: lpn, Pages: pages}, true, nil
+	return lpn, pages
 }
 
 // Generate produces n requests for the spec, deterministically from seed.

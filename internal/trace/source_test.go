@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sentinel3d/internal/mathx"
 )
 
 func TestSlicedRoundTrip(t *testing.T) {
@@ -114,6 +116,70 @@ func TestGeneratorStreamDigest(t *testing.T) {
 		}
 		if got := h.Sum64(); got != want[spec.Name] {
 			t.Errorf("%s: stream digest %#016x, want %#016x", spec.Name, got, want[spec.Name])
+		}
+	}
+}
+
+// TestGeneratorNextSpanMatchesNext interleaves Next and NextSpan on
+// every built-in spec, plus an uncertified power-branch spec and an
+// s = 1 (zipfLog) spec at the scenario footprint. Each NextSpan must
+// return the span Next would have, and every Next after it the same
+// op and span as the pure Next stream: NextSpan consumes exactly the
+// draws Next does. Arrival times match exactly until the first
+// NextSpan, which leaves the clock where it was; after it they only
+// stay non-decreasing.
+func TestGeneratorNextSpanMatchesNext(t *testing.T) {
+	specs := MSRWorkloads()
+	pow, _ := WorkloadByName("hm_0")
+	pow.Name, pow.ZipfS, pow.WorkingSetPages = "pow", 0.6, scenarioPages
+	log1, _ := WorkloadByName("mds_0")
+	log1.Name, log1.ZipfS, log1.WorkingSetPages = "log", 1, scenarioPages
+	if z := newZipf(pow.WorkingSetPages, pow.ZipfS); z.kind != zipfPower || z.k != -1 {
+		t.Fatalf("pow spec: kind %d k %d, want the uncertified power branch", z.kind, z.k)
+	}
+	if z := newZipf(log1.WorkingSetPages, log1.ZipfS); z.kind != zipfLog {
+		t.Fatalf("log spec: kind %d, want zipfLog", z.kind)
+	}
+	specs = append(specs, pow, log1)
+	const n, exact = 20000, 100
+	for _, spec := range specs {
+		want, err := Generate(spec, n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGenerator(spec, n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := 0.0
+		for i, w := range want {
+			// Runs of both calls, switching on a hash of the index.
+			if i >= exact && mathx.Hash64(uint64(i)/4)&1 == 1 {
+				lpn, pages, ok := g.NextSpan()
+				if !ok || lpn != w.LPN || pages != w.Pages {
+					t.Fatalf("%s: NextSpan %d = (%d, %d, %v), want (%d, %d)",
+						spec.Name, i, lpn, pages, ok, w.LPN, w.Pages)
+				}
+				continue
+			}
+			r, ok, err := g.Next()
+			if err != nil || !ok {
+				t.Fatalf("%s: Next %d = (%v, %v)", spec.Name, i, ok, err)
+			}
+			if r.Op != w.Op || r.LPN != w.LPN || r.Pages != w.Pages {
+				t.Fatalf("%s: Next %d = %+v, want %+v", spec.Name, i, r, w)
+			}
+			if i < exact && r.ArriveUS != w.ArriveUS || r.ArriveUS < prev {
+				t.Fatalf("%s: Next %d arrives at %v (previous %v), want %v",
+					spec.Name, i, r.ArriveUS, prev, w.ArriveUS)
+			}
+			prev = r.ArriveUS
+		}
+		if _, _, ok := g.NextSpan(); ok {
+			t.Fatalf("%s: NextSpan past the end", spec.Name)
+		}
+		if _, ok, _ := g.Next(); ok {
+			t.Fatalf("%s: Next past the end", spec.Name)
 		}
 	}
 }
