@@ -43,7 +43,8 @@ func (b *TokenBucket) Take(n float64, now time.Time) (ok bool, retryAfter time.D
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
+		// Rounded on its own: no GOARCH fuses the refill into the add.
+		b.tokens += float64(now.Sub(b.last).Seconds() * b.rate)
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}

@@ -110,7 +110,9 @@ func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
+	// The conversion rounds the product on its own, so no GOARCH fuses
+	// it into a multiply-add and moves a rank.
+	i := int(float64(q*float64(len(sorted)))+0.5) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -99,21 +99,16 @@ type Engine struct {
 // NewEngine validates the configuration. Shards, Devices and
 // ChunkRequests default to 1, 1 and defaultChunkRequests when zero.
 func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	shards, sub, err := splitShards(cfg.Sim, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("ssdsim: negative shard count %d", cfg.Shards)
-	}
+	cfg.Shards = shards
 	if cfg.Devices == 0 {
 		cfg.Devices = 1
 	}
 	if cfg.Devices < 0 {
 		return nil, fmt.Errorf("ssdsim: negative device count %d", cfg.Devices)
-	}
-	if cfg.Sim.Geo.Channels%cfg.Shards != 0 {
-		return nil, fmt.Errorf("ssdsim: %d shards do not divide %d channels",
-			cfg.Shards, cfg.Sim.Geo.Channels)
 	}
 	if cfg.ChunkRequests == 0 {
 		cfg.ChunkRequests = defaultChunkRequests
@@ -125,10 +120,6 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 		return nil, fmt.Errorf("ssdsim: metrics registry has %d shards, fleet needs %d",
 			cfg.Metrics.Shards(), cfg.Devices*cfg.Shards)
 	}
-	sub := cfg.targetConfig(0, 0)
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
 	draws, err := newDrawTable(sub, sampler)
 	if err != nil {
 		return nil, err
@@ -139,6 +130,25 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 		stripe: newStripeMap(cfg.Devices, cfg.Replicate),
 		router: newShardRouter(cfg.Shards),
 	}, nil
+}
+
+// splitShards resolves a shard count (zero means one) and returns it
+// with the validated per-shard sub-device configuration: cfg with
+// 1/shards of its channels. The replay Engine and the serving Fleet
+// split a device by this one rule.
+func splitShards(cfg Config, shards int) (int, Config, error) {
+	if shards == 0 {
+		shards = 1
+	}
+	if shards < 0 {
+		return 0, Config{}, fmt.Errorf("ssdsim: negative shard count %d", shards)
+	}
+	if cfg.Geo.Channels%shards != 0 {
+		return 0, Config{}, fmt.Errorf("ssdsim: %d shards do not divide %d channels",
+			shards, cfg.Geo.Channels)
+	}
+	cfg.Geo.Channels /= shards
+	return shards, cfg, cfg.Validate()
 }
 
 // targetConfig derives target (d, s)'s sub-device configuration: 1/Shards
@@ -374,11 +384,7 @@ func (e *Engine) ctxErr() error {
 }
 
 func (e *Engine) newReport() *Report {
-	r := &Report{collect: e.cfg.CollectLatencies}
-	if !e.cfg.CollectLatencies {
-		r.hist = &mathx.LogHist{}
-	}
-	return r
+	return &Report{collect: e.cfg.CollectLatencies}
 }
 
 // preconditionPass streams the trace once, deduplicating each target's
@@ -603,7 +609,6 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 	// Devirtualized fast path for the zero-copy binary format (see
 	// preconditionPass).
 	bin, _ := src.(*trace.BinarySource)
-	var reordered int64
 	var canceled, perr error
 	eof := false
 	for !eof && canceled == nil && perr == nil {
@@ -656,14 +661,6 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 			d.flush(t)
 		}
 	}
-	if eof {
-		// Clean end of trace: collect the source's reordering count
-		// (streaming parsers that clamp out-of-order arrivals report it;
-		// other sources simply lack the method).
-		if rr, ok := src.(interface{ Reordered() int64 }); ok {
-			reordered = rr.Reordered()
-		}
-	}
 	shutdown()
 	if perr != nil {
 		return perr
@@ -673,21 +670,21 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 			return err
 		}
 	}
-	if canceled == nil {
-		// The demux is stream-global, so the reordering count is accounted
-		// to target 0 rather than split; merge sums it back into the run
-		// total. (On cancellation the stream was never drained, so there is
-		// no count to collect.)
-		reps[0].ReorderedArrivals = reordered
-		if m := sims[0].met; m != nil && reordered != 0 {
-			m.reorderedArrivals.Add(reordered)
-		}
+	if rr, ok := src.(interface{ Reordered() int64 }); ok && eof {
+		// Clean end of trace: collect the source's reordering count
+		// (streaming parsers that clamp out-of-order arrivals report it;
+		// other sources simply lack the method). The demux is
+		// stream-global, so the count is accounted to target 0 rather
+		// than split; merge sums it back into the run total. (On
+		// cancellation the stream was never drained, so there is no count
+		// to collect.)
+		reps[0].ReorderedArrivals = rr.Reordered()
 	}
 	// Settle the paced metric flushes: after the last block the registry
-	// must hold the pass's exact totals — on cancellation, the partial
-	// totals of everything serviced so far.
+	// must mirror the pass's reports exactly — on cancellation, the
+	// partial totals of everything serviced so far.
 	for t := range sims {
-		sims[t].flushMetrics()
+		sims[t].flushMetrics(reps[t])
 	}
 	if err := closeSource(src); err != nil && canceled == nil {
 		return err

@@ -48,12 +48,13 @@ type Fleet struct {
 	wg     sync.WaitGroup
 }
 
-// fleetSampler pairs a policy's frozen-stress pool (its sampler's grid
-// origin) with the salt that keys its deterministic per-page outcome
-// stream.
+// fleetSampler pairs a policy's priced draw table with the salt that
+// keys its deterministic per-page outcome stream. The fleet draws from
+// the table's grid origin, whose pool for a page type is the page type
+// itself.
 type fleetSampler struct {
-	pool *EmpiricalSampler
-	salt uint64
+	draws *drawTable
+	salt  uint64
 }
 
 // FleetConfig parameterizes a Fleet.
@@ -185,16 +186,11 @@ func policySalt(name string) uint64 {
 // NewFleet validates the configuration, builds the per-shard FTLs and
 // premaps the logical space, then starts one worker per shard.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	shards, sub, err := splitShards(cfg.Sim, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("ssdsim: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Sim.Geo.Channels%cfg.Shards != 0 {
-		return nil, fmt.Errorf("ssdsim: %d shards do not divide %d channels",
-			cfg.Shards, cfg.Sim.Geo.Channels)
-	}
+	cfg.Shards = shards
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = defaultQueueDepth
 	}
@@ -217,13 +213,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("ssdsim: metrics registry has %d shards, fleet needs %d",
 			cfg.Metrics.Shards(), cfg.Shards)
 	}
-	shardGeo := cfg.Sim.Geo
-	shardGeo.Channels /= cfg.Shards
-	sub := cfg.Sim
-	sub.Geo = shardGeo
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
 	total := int64(cfg.Sim.Geo.PagesTotal())
 	if cfg.PremapPages == 0 {
 		cfg.PremapPages = total * 6 / 10
@@ -234,16 +223,16 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers))}
 	for name, s := range cfg.Samplers {
-		grid, err := checkSampler(sub, s)
+		draws, err := newDrawTable(sub, s)
 		if err != nil {
 			return nil, fmt.Errorf("policy %q: %w", name, err)
 		}
-		f.samplers[name] = fleetSampler{pool: grid.Pools[0], salt: policySalt(name)}
+		f.samplers[name] = fleetSampler{draws: draws, salt: policySalt(name)}
 	}
 	f.shards = make([]*fleetShard, cfg.Shards)
 	f.router = newShardRouter(cfg.Shards)
 	for s := range f.shards {
-		ft, err := ftl.New(shardGeo)
+		ft, err := ftl.New(sub.Geo)
 		if err != nil {
 			return nil, err
 		}
@@ -394,34 +383,34 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead, rng *mathx.Rand) 
 		}
 		rng.Reseed(mathx.Mix3(f.cfg.Sim.Seed, uint64(lpn), pol.salt))
 		pageType := ppn.Page % f.cfg.Sim.Bits
-		// Copy out of the shared pool: the corruption and fail-fast
-		// adjustments below must not write through to it.
-		out := *pol.pool.sampleRef(pageType, rng)
+		rec := pol.draws.draw(pageType, pageType, rng)
+		retries, aux := int(rec.retries), int(rec.aux)
+		uncorrectable := rec.uncorrectable != 0
 		if f.cfg.CorruptRate > 0 && rng.Float64() < f.cfg.CorruptRate {
-			out.Uncorrectable = true
+			uncorrectable = true
 		}
-		if read.MaxRetries > 0 && out.Retries > read.MaxRetries {
-			out.Retries = read.MaxRetries
-			out.Uncorrectable = true
-			res.FailFast = true
-		}
-		res.Retries += out.Retries
-		res.AuxSenses += out.AuxSenses
-		res.UsedFallback = res.UsedFallback || out.UsedFallback
-		res.Uncorrectable = res.Uncorrectable || out.Uncorrectable
 		// Service time without contention: the die and channel work back
 		// to back, priced by the same per-page model as Sim.readPage.
-		dieTime, chanTime := pageCost(pageType, &out)
-		res.SimUS += dieTime + chanTime
-		flags := uint64(0)
-		if out.UsedFallback {
-			flags |= 1
+		dieTime, chanTime := rec.dieUS, rec.chanUS
+		if read.MaxRetries > 0 && retries > read.MaxRetries {
+			// Cut off after MaxRetries attempts: the shortened outcome
+			// is repriced.
+			retries = read.MaxRetries
+			uncorrectable = true
+			res.FailFast = true
+			dieTime, chanTime = pageCost(pageType, &RetryOutcome{Retries: retries, AuxSenses: aux})
 		}
-		if out.Uncorrectable {
+		res.Retries += retries
+		res.AuxSenses += aux
+		res.UsedFallback = res.UsedFallback || rec.fallback != 0
+		res.Uncorrectable = res.Uncorrectable || uncorrectable
+		res.SimUS += dieTime + chanTime
+		flags := uint64(rec.fallback)
+		if uncorrectable {
 			flags |= 2
 		}
 		res.Check ^= mathx.Mix4(uint64(lpn), pol.salt,
-			uint64(out.Retries)<<8|uint64(out.AuxSenses)<<2|flags, 0xf1ee7)
+			uint64(retries)<<8|uint64(aux)<<2|flags, 0xf1ee7)
 	}
 	return res
 }

@@ -170,7 +170,7 @@ func (ls *LifetimeSampler) Sample(pageType int, rng *mathx.Rand) RetryOutcome {
 // SampleStressed draws from the pool of the grid point stress st floors
 // to — what a lifetime-enabled replay draws for a block at that stress.
 func (ls *LifetimeSampler) SampleStressed(pageType int, st physics.Stress, rng *mathx.Rand) RetryOutcome {
-	return *ls.gridPool(st).sampleRef(pageType, rng)
+	return ls.gridPool(st).Sample(pageType, rng)
 }
 
 // grid implements RetrySampler.

@@ -7,35 +7,51 @@ import (
 
 // simMetrics is one shard's instrumentation state. The replay hot path
 // must stay allocation-free and add at most a few nanoseconds per
-// request, so nothing here touches shared memory per read: counters
-// accumulate in plain fields and histograms in local mathx.LogHists,
-// all owned by the shard's single replaying goroutine, and flush()
-// publishes the deltas into the registry cells at chunk boundaries.
-// Chunk boundaries are produced by the engine's single demux goroutine,
-// so what gets published — like everything else in the replay — is a
-// pure function of the trace, not of the worker count. The slow-read
-// ring is the one per-read registry touch, and costs one atomic load
-// once warm (see SlowRing.Rejects).
+// request, so nothing here touches shared memory per read. The request
+// and page-read counts and the read-latency histogram are not tallied
+// here at all: the shard's Report already keeps them, and flush()
+// publishes whatever the Report gained since the last flush. Only the
+// per-page queue wait, which the Report does not keep, accumulates in
+// a local mathx.LogHist. Everything is owned by the shard's single
+// replaying goroutine, and flushes happen at chunk boundaries, which
+// the engine's single demux goroutine produces — so what gets
+// published, like everything else in the replay, is a pure function of
+// the trace, not of the worker count. The slow-read ring is the one
+// per-read registry touch, and costs one atomic load once warm (see
+// SlowRing.Rejects).
 //
 // A nil *simMetrics (observability off) makes every hook a no-op.
 type simMetrics struct {
-	reads, writes     *obs.Counter
-	retries           *obs.Counter
-	auxSenses         *obs.Counter
-	uncorrectable     *obs.Counter
-	fallbacks         *obs.Counter
-	unmapped          *obs.Counter
-	reorderedArrivals *obs.Counter
-	queueWait         *obs.Hist
-	readLat           *obs.Hist
-	ring              *obs.SlowRing
+	counters  [len(reportCounters)]*obs.Counter
+	queueWait *obs.Hist
+	readLat   *obs.Hist
+	ring      *obs.SlowRing
 
-	// Local accumulators, flushed as deltas.
-	dReads, dWrites, dRetries, dAux      int64
-	dUncorr, dFallback, dUnmapped        int64
-	queueCur, queuePrev, latCur, latPrev mathx.LogHist
-	seq                                  int64 // page-read sequence, for slow records
-	drains                               int64 // chunk drains since the last flush
+	// pub and latPub are the Report totals and latency histogram as of
+	// the last flush; queueCur/queuePrev the local queue-wait histogram
+	// and its published state.
+	pub                 [len(reportCounters)]int64
+	latPub              mathx.LogHist
+	queueCur, queuePrev mathx.LogHist
+	seq                 int64 // page-read sequence, for slow records
+	drains              int64 // chunk drains since the last flush
+}
+
+// reportCounters are the registry counters that mirror a Report total,
+// in registration order.
+var reportCounters = [...]struct {
+	name, help string
+	total      func(*Report) int64
+}{
+	{"ssdsim.read_requests", "read requests completed", func(r *Report) int64 { return int64(r.Reads) }},
+	{"ssdsim.write_requests", "write requests completed", func(r *Report) int64 { return int64(r.Writes) }},
+	{"ssdsim.retries", "chip-level re-read attempts", func(r *Report) int64 { return r.TotalRetries }},
+	{"ssdsim.aux_senses", "auxiliary single-voltage senses", func(r *Report) int64 { return r.AuxSenses }},
+	{"ssdsim.uncorrectable_reads", "page reads failed back to the host", func(r *Report) int64 { return r.UncorrectableReads }},
+	{"ssdsim.fallback_reads", "page reads serviced in degraded mode", func(r *Report) int64 { return r.FallbackReads }},
+	{"ssdsim.unmapped_reads", "page reads of never-written LPNs", func(r *Report) int64 { return r.UnmappedReads }},
+	{"ssdsim.reordered_arrivals", "trace records with out-of-order timestamps, clamped on replay",
+		func(r *Report) int64 { return r.ReorderedArrivals }},
 }
 
 // metricsFlushChunks paces the histogram flush: publishing diffs the
@@ -50,33 +66,24 @@ func newSimMetrics(set *obs.Set) *simMetrics {
 	if set == nil {
 		return nil
 	}
-	return &simMetrics{
-		reads:             set.Counter("ssdsim.read_requests", "read requests completed"),
-		writes:            set.Counter("ssdsim.write_requests", "write requests completed"),
-		retries:           set.Counter("ssdsim.retries", "chip-level re-read attempts"),
-		auxSenses:         set.Counter("ssdsim.aux_senses", "auxiliary single-voltage senses"),
-		uncorrectable:     set.Counter("ssdsim.uncorrectable_reads", "page reads failed back to the host"),
-		fallbacks:         set.Counter("ssdsim.fallback_reads", "page reads serviced in degraded mode"),
-		unmapped:          set.Counter("ssdsim.unmapped_reads", "page reads of never-written LPNs"),
-		reorderedArrivals: set.Counter("ssdsim.reordered_arrivals", "trace records with out-of-order timestamps, clamped on replay"),
-		queueWait:         set.Hist("ssdsim.queue_wait_us", "per-page-read die + channel queueing, µs"),
-		readLat:           set.Hist("ssdsim.read_latency_us", "read request latency, µs"),
-		ring:              set.SlowRing(),
+	m := &simMetrics{}
+	for i, c := range reportCounters {
+		m.counters[i] = set.Counter(c.name, c.help)
 	}
+	m.queueWait = set.Hist("ssdsim.queue_wait_us", "per-page-read die + channel queueing, µs")
+	m.readLat = set.Hist("ssdsim.read_latency_us", "read request latency, µs")
+	m.ring = set.SlowRing()
+	return m
 }
 
-// pageRead accounts one flash page read of record rec, drawn from pool
-// k of draws. wait is the time the read spent queued behind the die and
+// pageRead observes one flash page read of record rec, drawn from pool
+// k of draws: wait is the time the read spent queued behind the die and
 // channel; the remaining arguments describe the read for the slow-trace
 // record.
 func (m *simMetrics) pageRead(rec *drawRec, draws *drawTable, k int, lpn int64, plane, block, page int, wait, total float64) {
 	if m == nil {
 		return
 	}
-	m.dRetries += int64(rec.retries)
-	m.dAux += int64(rec.aux)
-	m.dUncorr += int64(rec.uncorrectable)
-	m.dFallback += int64(rec.fallback)
 	m.queueCur.Add(wait)
 	m.seq++
 	if !m.ring.Rejects(total) {
@@ -103,58 +110,38 @@ func (m *simMetrics) unmappedRead() {
 	if m == nil {
 		return
 	}
-	m.dUnmapped++
 	m.seq++
 	m.queueCur.Add(0)
 }
 
-func (m *simMetrics) readDone(lat float64) {
-	if m == nil {
-		return
-	}
-	m.dReads++
-	m.latCur.Add(lat)
-}
-
-func (m *simMetrics) writeDone() {
-	if m == nil {
-		return
-	}
-	m.dWrites++
-}
-
 // chunkDrained is the paced flush called by the shard's replaying
-// goroutine each time a sub-trace drains; every metricsFlushChunks-th
-// drain publishes. The owner must still call flush once at end of
-// replay so the registry holds the exact totals.
-func (m *simMetrics) chunkDrained() {
+// goroutine each time a sub-trace drains into rep; every
+// metricsFlushChunks-th drain publishes. The owner must still call
+// flush once at end of replay so the registry holds the exact totals.
+func (m *simMetrics) chunkDrained(rep *Report) {
 	if m == nil {
 		return
 	}
 	m.drains++
 	if m.drains%metricsFlushChunks == 0 {
-		m.flush()
+		m.flush(rep)
 	}
 }
 
-// flush publishes the accumulated deltas into the registry cells and
-// rearms the accumulators. Scrapes between flushes see consistent,
-// deterministic prefixes of the shard's stream.
-func (m *simMetrics) flush() {
+// flush publishes what rep and the queue-wait histogram gained since
+// the last flush into the registry cells. Scrapes between flushes see
+// consistent, deterministic prefixes of the shard's stream.
+func (m *simMetrics) flush(rep *Report) {
 	if m == nil {
 		return
 	}
-	m.reads.Add(m.dReads)
-	m.writes.Add(m.dWrites)
-	m.retries.Add(m.dRetries)
-	m.auxSenses.Add(m.dAux)
-	m.uncorrectable.Add(m.dUncorr)
-	m.fallbacks.Add(m.dFallback)
-	m.unmapped.Add(m.dUnmapped)
-	m.dReads, m.dWrites, m.dRetries, m.dAux = 0, 0, 0, 0
-	m.dUncorr, m.dFallback, m.dUnmapped = 0, 0, 0
+	for i, c := range reportCounters {
+		v := c.total(rep)
+		m.counters[i].Add(v - m.pub[i])
+		m.pub[i] = v
+	}
 	m.queueWait.Flush(&m.queueCur, &m.queuePrev)
 	m.queuePrev = m.queueCur
-	m.readLat.Flush(&m.latCur, &m.latPrev)
-	m.latPrev = m.latCur
+	m.readLat.Flush(&rep.hist, &m.latPub)
+	m.latPub = rep.hist
 }

@@ -1,12 +1,16 @@
 package ssdsim
 
 import (
+	"context"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/trace"
@@ -25,71 +29,115 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
 }
 
 // TestEngineMetricsMatchReport: with observability attached, the
-// registry's merged counters must agree exactly with the report the
-// same replay produced, across the simulator and FTL families.
+// registry's merged counters and read-latency histogram must agree
+// exactly with the report the same replay produced, across the
+// simulator and FTL families — in histogram and in collect mode, and
+// for a replay cancelled mid-stream, whose registry must hold the
+// partial report's totals.
 func TestEngineMetricsMatchReport(t *testing.T) {
 	cfg := engineConfig()
 	reqs := engineTrace(t, 20000)
-	reg := obs.NewRegistry(4)
-	reg.KeepSlowest(16)
-	eng, err := NewEngine(ReplayConfig{
-		Sim: cfg, Shards: 4, Precondition: true, Metrics: reg,
-	}, benchSampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Replay(trace.SliceOpener(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := []struct {
-		name string
-		want int64
-	}{
-		{"ssdsim.read_requests", int64(rep.Reads)},
-		{"ssdsim.write_requests", int64(rep.Writes)},
-		{"ssdsim.retries", rep.TotalRetries},
-		{"ssdsim.uncorrectable_reads", rep.UncorrectableReads},
-		{"ssdsim.fallback_reads", rep.FallbackReads},
-		{"ssdsim.unmapped_reads", rep.UnmappedReads},
-		{"ssdsim.reordered_arrivals", rep.ReorderedArrivals},
-		{"ftl.gc_relocations", rep.GCWrites},
-		{"ftl.retired_blocks", rep.RetiredBlocks},
-	}
-	for _, c := range checks {
-		if got := counterValue(t, reg, c.name); got != c.want {
-			t.Errorf("%s = %d, report says %d", c.name, got, c.want)
-		}
-	}
-	if rep.Reads == 0 || rep.TotalRetries == 0 || rep.GCWrites == 0 {
-		t.Fatalf("degenerate workload: %+v", rep)
-	}
-	// The latency histogram holds every read request; the slow trace is
-	// full and carries the latency decomposition.
-	snap := reg.Snapshot()
-	for _, h := range snap.Hists {
-		if h.Name == "ssdsim.read_latency_us" && h.Hist.Count() != int64(rep.Reads) {
-			t.Errorf("read latency hist count %d, want %d", h.Hist.Count(), rep.Reads)
-		}
-	}
-	if len(snap.Slow) != 16 {
-		t.Fatalf("slow trace retained %d records, want 16", len(snap.Slow))
-	}
-	for i, r := range snap.Slow {
-		if r.TotalUS <= 0 || r.TotalUS < r.SenseUS {
-			t.Fatalf("slow[%d] inconsistent: %+v", i, r)
-		}
-		if i > 0 && r.TotalUS > snap.Slow[i-1].TotalUS {
-			t.Fatalf("slow trace not sorted slowest-first at %d", i)
-		}
-	}
-	// The per-shard throughput gauges are set — and stripped from the
-	// deterministic view.
-	if len(snap.Gauges) != 4 {
-		t.Fatalf("%d gauges set, want one per shard", len(snap.Gauges))
-	}
-	if det := snap.Deterministic(); len(det.Gauges) != 0 {
-		t.Fatal("Deterministic left gauges in place")
+	for _, c := range []struct {
+		name    string
+		collect bool
+		cancel  bool
+	}{{"hist", false, false}, {"collect", true, false}, {"canceled", false, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry(4)
+			reg.KeepSlowest(16)
+			rc := ReplayConfig{
+				Sim: cfg, Shards: 4, Precondition: true, Metrics: reg,
+				CollectLatencies: c.collect,
+			}
+			open := trace.SliceOpener(reqs)
+			if c.cancel {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rc.Ctx, rc.ChunkRequests = ctx, 1000
+				opens := 0
+				open = func() (trace.Source, error) {
+					if opens++; opens == 1 {
+						return trace.Sliced(reqs), nil // the precondition pass runs whole
+					}
+					return &cancelAfterSource{src: trace.Sliced(reqs), cancel: cancel, after: 12345}, nil
+				}
+			}
+			eng, err := NewEngine(rc, benchSampler())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := eng.Replay(open)
+			if c.cancel {
+				if !errors.Is(err, context.Canceled) || rep.Requests == 0 || rep.Requests >= len(reqs) {
+					t.Fatalf("cancelled replay: err %v after %d of %d requests", err, rep.Requests, len(reqs))
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			checks := []struct {
+				name string
+				want int64
+			}{
+				{"ssdsim.read_requests", int64(rep.Reads)},
+				{"ssdsim.write_requests", int64(rep.Writes)},
+				{"ssdsim.retries", rep.TotalRetries},
+				{"ssdsim.aux_senses", rep.AuxSenses},
+				{"ssdsim.uncorrectable_reads", rep.UncorrectableReads},
+				{"ssdsim.fallback_reads", rep.FallbackReads},
+				{"ssdsim.unmapped_reads", rep.UnmappedReads},
+				{"ssdsim.reordered_arrivals", rep.ReorderedArrivals},
+				{"ftl.gc_relocations", rep.GCWrites},
+				{"ftl.retired_blocks", rep.RetiredBlocks},
+			}
+			for _, c := range checks {
+				if got := counterValue(t, reg, c.name); got != c.want {
+					t.Errorf("%s = %d, report says %d", c.name, got, c.want)
+				}
+			}
+			if rep.Reads == 0 || rep.TotalRetries == 0 || rep.AuxSenses == 0 || rep.GCWrites == 0 {
+				t.Fatalf("degenerate workload: %+v", rep.Summary())
+			}
+			// The latency histogram holds every read request: the same
+			// buckets as the report's, and the same sum up to the
+			// registry's fixed-point resolution (2^-20 per shard).
+			snap := reg.Snapshot()
+			var lat *mathx.LogHist
+			for _, h := range snap.Hists {
+				if h.Name == "ssdsim.read_latency_us" {
+					lat = h.Hist
+				}
+			}
+			if lat == nil || lat.Count() != int64(rep.Reads) || lat.Count() != rep.hist.Count() {
+				t.Fatalf("read latency hist %v, report has %d reads", lat, rep.Reads)
+			}
+			if d := math.Abs(lat.Sum() - rep.hist.Sum()); d > 4.0/(1<<20)+1e-12*rep.hist.Sum() {
+				t.Errorf("read latency hist sum %v, report's %v", lat.Sum(), rep.hist.Sum())
+			}
+			for _, p := range []float64{50, 95, 99, 100} {
+				if got, want := lat.Percentile(p), rep.hist.Percentile(p); got != want {
+					t.Errorf("read latency hist p%g = %v, report's %v", p, got, want)
+				}
+			}
+			if len(snap.Slow) != 16 {
+				t.Fatalf("slow trace retained %d records, want 16", len(snap.Slow))
+			}
+			for i, r := range snap.Slow {
+				if r.TotalUS <= 0 || r.TotalUS < r.SenseUS {
+					t.Fatalf("slow[%d] inconsistent: %+v", i, r)
+				}
+				if i > 0 && r.TotalUS > snap.Slow[i-1].TotalUS {
+					t.Fatalf("slow trace not sorted slowest-first at %d", i)
+				}
+			}
+			// The per-shard throughput gauges are set — and stripped from
+			// the deterministic view.
+			if len(snap.Gauges) != 4 {
+				t.Fatalf("%d gauges set, want one per shard", len(snap.Gauges))
+			}
+			if det := snap.Deterministic(); len(det.Gauges) != 0 {
+				t.Fatal("Deterministic left gauges in place")
+			}
+		})
 	}
 }
 

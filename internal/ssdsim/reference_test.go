@@ -59,7 +59,7 @@ func (s *Sim) run(reqs []trace.Request) (*Report, error) {
 	if err := s.replaySlice(reqs, rep); err != nil {
 		return nil, err
 	}
-	s.flushMetrics()
+	s.flushMetrics(rep)
 	s.flushCounters(rep)
 	rep.finalize()
 	return rep, nil

@@ -9,9 +9,9 @@
 // paper's Figure 14 connects chip-level retry behaviour to system-level
 // read latency. Every sampler is a grid of per-page-type pools over
 // (P/E, retention) stress points — a frozen-stress EmpiricalSampler is the
-// 1x1 grid — and one per-page cost function (pageCost) turns a drawn
-// outcome into die and channel time for both the replay Sim and the
-// serving Fleet.
+// 1x1 grid. A drawTable prices every outcome of that grid once, through
+// the one per-page cost function (pageCost), into die and channel time;
+// the replay Sim and the serving Fleet both draw those priced records.
 package ssdsim
 
 import (
@@ -91,23 +91,6 @@ func (e *EmpiricalSampler) Sample(pageType int, rng *mathx.Rand) RetryOutcome {
 		return RetryOutcome{}
 	}
 	return pool[rng.Intn(len(pool))]
-}
-
-// zeroOutcome backs sampleRef's empty-pool return.
-var zeroOutcome RetryOutcome
-
-// sampleRef is Sample without the outcome copy: it returns a pointer
-// into the pool (treat as read-only). It consumes exactly the same RNG
-// draws as Sample, so the two are interchangeable mid-stream. The
-// page-type validation that Sample routes through pool() is skipped:
-// checkSampler pinned PageTypes == Bits at construction and the
-// caller's page-type table never exceeds Bits.
-func (e *EmpiricalSampler) sampleRef(pageType int, rng *mathx.Rand) *RetryOutcome {
-	pool := e.PerPage[pageType]
-	if len(pool) == 0 {
-		return &zeroOutcome
-	}
-	return &pool[rng.Intn(len(pool))]
 }
 
 // MeanRetries returns the average retry count of page type p's pool.
@@ -254,19 +237,21 @@ type Report struct {
 	// vector — the merged report owns it.
 	PerDevice []ReportSummary
 
-	// Accumulator state. collect appends read latencies for the exact
-	// percentile path; hist records them into the log-bucketed histogram
-	// instead. Exactly one is active per run.
+	// Accumulator state. hist records every read latency into the
+	// log-bucketed histogram, which the percentiles come from and the
+	// ssdsim.read_latency_us metric mirrors; collect also appends them
+	// to ReadLatencies for the exact percentile path.
 	collect  bool
-	hist     *mathx.LogHist
+	hist     mathx.LogHist
 	writeSum float64
 }
 
 // ReportSummary is the exported, deterministic view of a Report: the
 // statistics, without the accumulator internals. Golden digests hash
 // the %v rendering of result payloads, so payloads must not reach the
-// Report struct itself — its unexported histogram pointer would print
-// as a heap address and change every run.
+// Report struct itself — its unexported accumulator state (the
+// latency histogram's thousands of buckets) is not part of the pinned
+// view.
 type ReportSummary struct {
 	Requests int
 	Reads    int
@@ -313,9 +298,7 @@ func (r *Report) recordRead(lat float64) {
 	if r.collect {
 		r.ReadLatencies = append(r.ReadLatencies, lat)
 	}
-	if r.hist != nil {
-		r.hist.Add(lat)
-	}
+	r.hist.Add(lat)
 }
 
 // recordWrite accounts one completed write request.
@@ -333,9 +316,7 @@ func (r *Report) merge(o *Report) {
 	r.Writes += o.Writes
 	r.ReadLatencies = append(r.ReadLatencies, o.ReadLatencies...)
 	r.writeSum += o.writeSum
-	if r.hist != nil && o.hist != nil {
-		r.hist.Merge(o.hist)
-	}
+	r.hist.Merge(&o.hist)
 	r.TotalRetries += o.TotalRetries
 	r.FlashReads += o.FlashReads
 	r.AuxSenses += o.AuxSenses
@@ -355,7 +336,7 @@ func (r *Report) finalize() {
 		r.MeanReadUS = mathx.Mean(r.ReadLatencies)
 		r.P95ReadUS = mathx.Percentile(r.ReadLatencies, 95)
 		r.P99ReadUS = mathx.Percentile(r.ReadLatencies, 99)
-	case r.hist != nil && r.hist.Count() > 0:
+	case r.hist.Count() > 0:
 		r.MeanReadUS = r.hist.Mean()
 		r.P95ReadUS = r.hist.Percentile(95)
 		r.P99ReadUS = r.hist.Percentile(99)
@@ -393,44 +374,31 @@ type Sim struct {
 
 // senseUS is the die time of one sense of pageType's read voltages.
 func senseUS(pageType int) float64 {
-	return retry.SenseBaseUS + float64(levelsOf(pageType))*retry.SensePerLevelUS
+	return retry.SenseBaseUS + float64(float64(levelsOf(pageType))*retry.SensePerLevelUS)
 }
 
-// pageCost is the per-page read latency model Sim and Fleet share: each
-// attempt (the first read plus every retry) senses the page type's read
-// voltages on the die, then bursts the page over the channel and through
-// ECC decode; each auxiliary single-voltage sense adds one sense and one
-// bare transfer. It returns the die (sensing) and channel (transfer +
-// decode) time of one page read of pageType with outcome out.
+// pageCost is the per-page read latency model: each attempt (the first
+// read plus every retry) senses the page type's read voltages on the
+// die, then bursts the page over the channel and through ECC decode;
+// each auxiliary single-voltage sense adds one sense and one bare
+// transfer. It returns the die (sensing) and channel (transfer +
+// decode) time of one page read of pageType with outcome out. A
+// drawTable applies it to every sampler outcome ahead of time; the only
+// other caller is the Fleet's MaxRetries cut-off, which reprices the
+// outcome it shortens. The explicit float64 conversions round each
+// product on its own, so no GOARCH fuses them into a multiply-add.
 func pageCost(pageType int, out *RetryOutcome) (dieTime, chanTime float64) {
 	attempts := float64(out.Retries + 1)
 	aux := float64(out.AuxSenses)
-	return attempts*senseUS(pageType) + aux*(retry.SenseBaseUS+retry.SensePerLevelUS),
-		attempts*(retry.TransferUS+retry.ECCDecodeUS) + aux*retry.TransferUS
+	return float64(attempts*senseUS(pageType)) + float64(aux*(retry.SenseBaseUS+retry.SensePerLevelUS)),
+		float64(attempts*(retry.TransferUS+retry.ECCDecodeUS)) + float64(aux*retry.TransferUS)
 }
 
-// checkSampler resolves the sampler to its stress grid and verifies the
-// grid is well formed and matches the config's bits-per-cell setting.
-func checkSampler(cfg Config, sampler RetrySampler) (*LifetimeSampler, error) {
-	if sampler == nil {
-		return nil, fmt.Errorf("ssdsim: nil sampler")
-	}
-	g := sampler.grid()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if g.PageTypes() != cfg.Bits {
-		return nil, fmt.Errorf("ssdsim: sampler covers %d page types, config has %d bits",
-			g.PageTypes(), cfg.Bits)
-	}
-	return g, nil
-}
-
-// drawRec is one pool outcome as the replay's page path consumes it:
-// pageCost already evaluated, the counts narrowed to 32 bits (a read's
-// retries and aux senses are bounded by the controller's retry budget,
-// tens at most), and the two flags stored as 0/1 so the report adds
-// them instead of branching on them.
+// drawRec is one pool outcome as a page read consumes it: pageCost
+// already evaluated, the counts narrowed to 32 bits (a read's retries
+// and aux senses are bounded by the controller's retry budget, tens at
+// most), and the two flags stored as 0/1 so the report adds them
+// instead of branching on them.
 type drawRec struct {
 	dieUS, chanUS float64 // pageCost(pageType, &outcome)
 	retries, aux  int32
@@ -443,9 +411,10 @@ type drawRec struct {
 
 // drawTable is a sampler's stress grid priced once: one drawRec per
 // outcome of every (grid pool, page type) pool, in pool order, so a
-// replayed read loads one record at the same rng.Intn(len(pool)) index
-// the sampler draw would use. It is read-only once built; the Engine
-// shares one table across all of its targets.
+// read loads one record at the same rng.Intn(len(pool)) index the
+// sampler draw would use. It is read-only once built; the Engine shares
+// one table across all of its targets, and the Fleet builds one per
+// policy.
 type drawTable struct {
 	grid *LifetimeSampler
 	bits int
@@ -454,20 +423,28 @@ type drawTable struct {
 	recs [][]drawRec
 	outs [][]RetryOutcome
 	// empty[pageType] is what a read of an empty pool costs: the zero
-	// outcome, drawn without consuming the RNG (sampleRef's contract).
+	// outcome, drawn without consuming the RNG (as Sample returns it).
 	empty []drawRec
 }
 
-// newDrawTable validates the sampler against cfg (see checkSampler) and
-// prices every outcome of its grid through pageCost.
+// newDrawTable resolves the sampler to its stress grid, verifies the
+// grid is well formed and matches cfg's bits-per-cell setting, and
+// prices every outcome of it through pageCost.
 func newDrawTable(cfg Config, sampler RetrySampler) (*drawTable, error) {
-	g, err := checkSampler(cfg, sampler)
-	if err != nil {
+	if sampler == nil {
+		return nil, fmt.Errorf("ssdsim: nil sampler")
+	}
+	g := sampler.grid()
+	if err := g.Validate(); err != nil {
 		return nil, err
+	}
+	if g.PageTypes() != cfg.Bits {
+		return nil, fmt.Errorf("ssdsim: sampler covers %d page types, config has %d bits",
+			g.PageTypes(), cfg.Bits)
 	}
 	t := &drawTable{grid: g, bits: cfg.Bits, empty: make([]drawRec, cfg.Bits)}
 	for pt := range t.empty {
-		t.empty[pt] = priceOutcome(pt, &zeroOutcome, -1)
+		t.empty[pt] = priceOutcome(pt, &RetryOutcome{}, -1)
 	}
 	for _, pool := range g.Pools {
 		for pt, outs := range pool.PerPage {
@@ -498,8 +475,8 @@ func priceOutcome(pageType int, out *RetryOutcome, idx int32) drawRec {
 
 // draw returns the record of one outcome drawn from pool k (pool index
 // times bits plus pageType). It consumes exactly the RNG draws
-// sampleRef does on the same pool, so the replay's outcome stream is
-// unchanged by pricing ahead.
+// EmpiricalSampler.Sample does on the same pool, so the outcome stream
+// is unchanged by pricing ahead.
 func (t *drawTable) draw(k, pageType int, rng *mathx.Rand) *drawRec {
 	recs := t.recs[k]
 	if len(recs) == 0 {
@@ -688,16 +665,16 @@ func (s *Sim) replaySlice(reqs []trace.Request, rep *Report) error {
 			return err
 		}
 	}
-	s.met.chunkDrained()
+	s.met.chunkDrained(rep)
 	s.ftl.FlushObs()
 	return nil
 }
 
-// flushMetrics force-publishes every accumulated metric delta; callers
-// invoke it once after the last replay call so the registry holds the
-// run's exact totals.
-func (s *Sim) flushMetrics() {
-	s.met.flush()
+// flushMetrics force-publishes the metrics that mirror rep, the report
+// this Sim's replay accumulates into; callers invoke it once after the
+// last replay call so the registry holds the run's exact totals.
+func (s *Sim) flushMetrics(rep *Report) {
+	s.met.flush(rep)
 	s.ftl.FlushObs()
 }
 
@@ -711,9 +688,7 @@ func (s *Sim) service(r trace.Request, rep *Report) error {
 		for p := 0; p < r.Pages; p++ {
 			end = max(end, s.readPage(r.ArriveUS, r.LPN+int64(p), rep))
 		}
-		lat := end - r.ArriveUS
-		rep.recordRead(lat)
-		s.met.readDone(lat)
+		rep.recordRead(end - r.ArriveUS)
 		return nil
 	}
 	for p := 0; p < r.Pages; p++ {
@@ -723,9 +698,7 @@ func (s *Sim) service(r trace.Request, rep *Report) error {
 		}
 		end = max(end, done)
 	}
-	lat := end - r.ArriveUS
-	rep.recordWrite(lat)
-	s.met.writeDone()
+	rep.recordWrite(end - r.ArriveUS)
 	return nil
 }
 
@@ -826,8 +799,8 @@ func (s *Sim) writePage(arrive float64, lpn int64) (float64, error) {
 
 	// GC migrations: an internal read (mid page cost) plus a program per
 	// page, and the erase.
-	dieTime := programUS + float64(len(res.Migrations))*s.migProgUS +
-		float64(res.ErasedBlocks)*eraseUS
+	dieTime := programUS + float64(float64(len(res.Migrations))*s.migProgUS) +
+		float64(float64(res.ErasedBlocks)*eraseUS)
 
 	progStart := max(xferEnd, s.dieFree[die])
 	progEnd := progStart + dieTime

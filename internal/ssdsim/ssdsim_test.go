@@ -2,6 +2,7 @@ package ssdsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sentinel3d/internal/ecc"
@@ -297,7 +298,10 @@ func TestLevelsOf(t *testing.T) {
 // outcome's counts, flags and pool index, for a frozen sampler (with an
 // empty pool, whose stand-in is the zero outcome) and for every pool of
 // a lifetime grid; and a table draw must consume the RNG exactly like
-// the sampler draw it replaces.
+// the sampler draw it replaces. That draw is the sampler contract,
+// written out here: one rng.Intn(len(pool)) index, and no RNG draw at
+// all from an empty pool (whose outcome is the zero outcome);
+// EmpiricalSampler.Sample must keep it too.
 func TestDrawTableMatchesPageCost(t *testing.T) {
 	frozen := &EmpiricalSampler{PerPage: [][]RetryOutcome{
 		{{Retries: 0}, {Retries: 2, AuxSenses: 1}},
@@ -346,17 +350,29 @@ func TestDrawTableMatchesPageCost(t *testing.T) {
 					check("outcome", &draws.recs[k][i], &outs[i], int32(i))
 				}
 				if len(outs) == 0 {
-					check("empty stand-in", &draws.empty[pt], &zeroOutcome, -1)
+					check("empty stand-in", &draws.empty[pt], &RetryOutcome{}, -1)
 				}
-				a, b := mathx.NewRand(uint64(k)), mathx.NewRand(uint64(k))
+				contract := func(rng *mathx.Rand) (int32, RetryOutcome) {
+					if len(outs) == 0 {
+						return -1, RetryOutcome{}
+					}
+					i := rng.Intn(len(outs))
+					return int32(i), outs[i]
+				}
+				tab, ref, smp := mathx.NewRand(uint64(k)), mathx.NewRand(uint64(k)), mathx.NewRand(uint64(k))
 				for n := 0; n < 32; n++ {
-					rec, out := draws.draw(k, pt, a), pool.sampleRef(pt, b)
-					if len(outs) > 0 && out != &outs[rec.idx] {
-						t.Fatalf("%s pool %d page %d draw %d: table drew outcome %d, sampler another",
-							c.name, pi, pt, n, rec.idx)
+					rec := draws.draw(k, pt, tab)
+					idx, want := contract(ref)
+					if rec.idx != idx {
+						t.Fatalf("%s pool %d page %d draw %d: table drew outcome %d, sampler %d",
+							c.name, pi, pt, n, rec.idx, idx)
+					}
+					if got := pool.Sample(pt, smp); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s pool %d page %d draw %d: Sample drew %+v, contract %+v",
+							c.name, pi, pt, n, got, want)
 					}
 				}
-				if a.Uint64() != b.Uint64() {
+				if x := tab.Uint64(); x != ref.Uint64() || x != smp.Uint64() {
 					t.Fatalf("%s pool %d page %d: table and sampler draws desynchronised the RNG",
 						c.name, pi, pt)
 				}
