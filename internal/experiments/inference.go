@@ -161,7 +161,7 @@ func Table1SentinelRatio(s Scale, kind flash.Kind) (*Table1Result, error) {
 	allIdx := maxLayout.Indices(evalCfg)
 	for _, r0 := range base {
 		ratio := r0 * scale
-		count := int(float64(s.Cells)*ratio + 0.5)
+		count := int(float64(float64(s.Cells)*ratio) + 0.5)
 		if count < 2 {
 			count = 2
 		}

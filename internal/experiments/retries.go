@@ -183,7 +183,7 @@ func (r *ErrCompResult) SuccessRates(method int) []float64 {
 		for wl := 0; wl < n; wl++ {
 			opt := float64(r.Errors[MethodOptimal][v][wl])
 			got := float64(r.Errors[method][v][wl])
-			if got <= opt*1.05+2*math.Sqrt(opt+1) {
+			if got <= float64(opt*1.05)+float64(2*math.Sqrt(opt+1)) {
 				ok++
 			}
 		}

@@ -205,7 +205,7 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 		if hit(h, p.BurstRate) {
 			rng := mathx.NewRand(mathx.Hash64(h))
 			for i := range vth {
-				vth[i] += rng.NormFloat64() * p.BurstSigma
+				vth[i] += float64(rng.NormFloat64() * p.BurstSigma)
 			}
 		}
 	}

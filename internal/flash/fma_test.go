@@ -14,25 +14,22 @@ import (
 // assembly listings.
 var fusedOp = regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
-// TestNoFusedMultiplyAdd compiles this package, internal/physics,
-// internal/trace, internal/mathx, internal/ssdsim and internal/serve
-// for arm64 and fails on any fused multiply-add. A fused x*y+z rounds
-// once where amd64 rounds twice, so a threshold voltage — and with it
-// every sensed bit and golden digest — could differ between GOARCHes,
-// and the lazy read kernel's noise add could round differently from the
-// eager one; in the trace generator an arrival time or a Zipf rank
-// could; in mathx a Gaussian draw (GaussFromHash), a fit or a
-// percentile could; in ssdsim a page's sense, transfer or program time;
-// in serve a bench report's percentile or a token bucket's refill. An
-// explicit float64(x*y) conversion rounds the product on its own and
-// blocks the fusion.
+// TestNoFusedMultiplyAdd compiles every internal package for arm64
+// and fails on any fused multiply-add. A fused x*y+z rounds once where
+// amd64 rounds twice, so a threshold voltage — and with it every sensed
+// bit and golden digest — could differ between GOARCHes, and the lazy
+// read kernel's noise add could round differently from the eager one;
+// in the trace generator an arrival time or a Zipf rank could; in mathx
+// a Gaussian draw (GaussFromHash), a fit or a percentile could; in
+// ssdsim a page's sense, transfer or program time; in serve a bench
+// report's percentile or a token bucket's refill; in sentinel a
+// calibration step or an offset expansion. An explicit float64(x*y)
+// conversion rounds the product on its own and blocks the fusion.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles six packages for arm64")
+		t.Skip("cross-compiles every internal package for arm64")
 	}
-	cmd := exec.Command(goCommand(t), "build", "-gcflags=-S",
-		"sentinel3d/internal/flash", "sentinel3d/internal/physics", "sentinel3d/internal/trace",
-		"sentinel3d/internal/mathx", "sentinel3d/internal/ssdsim", "sentinel3d/internal/serve")
+	cmd := exec.Command(goCommand(t), "build", "-gcflags=-S", "sentinel3d/internal/...")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

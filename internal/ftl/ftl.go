@@ -8,6 +8,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -97,12 +98,15 @@ type blockMeta struct {
 	// page is live. An overwrite invalidates the old copy by clearing
 	// one bit of this small, cache-resident bitmap.
 	live []uint64
-	// lpns[page] is the reverse map: the LPN the page was programmed
-	// with, written once at allocate and meaningful only while the page
-	// is live. Nothing reads it for dead pages, so neither construction
+	// lpns[page] is the reverse map, the 4-byte entry a real FTL keeps
+	// in the page's OOB area: the LPN the page was programmed with,
+	// written once at allocate and meaningful only while the page is
+	// live. An LPN of lpnSpill or more does not fit; its entry is
+	// lpnSpill and the LPN itself sits in FTL.spill (see setLPN).
+	// Nothing reads an entry for a dead page, so neither construction
 	// nor erase sweeps it — at fleet scale the FTLs provision megabytes
 	// of it per replay, most never written.
-	lpns     []int64
+	lpns     []uint32
 	validCnt int
 	writePtr int // next free page, PagesPerBlock when full
 	erases   int
@@ -118,6 +122,10 @@ func (bm *blockMeta) kill(page int) {
 	bm.live[page>>6] &^= 1 << (page & 63)
 	bm.validCnt--
 }
+
+// lpnSpill marks a reverse-map entry whose LPN is too large for 32 bits
+// and is kept in FTL.spill instead.
+const lpnSpill = math.MaxUint32
 
 type planeState struct {
 	blocks    []blockMeta
@@ -149,6 +157,10 @@ type FTL struct {
 	dense     []uint64
 	planes    []planeState
 	nextPlane int
+	// spill holds the LPN of every page whose reverse-map entry is
+	// lpnSpill, keyed by pageKey. It stays nil until such an LPN is
+	// written, so a trace whose LPNs fit in 32 bits pays nothing for it.
+	spill map[int]int64
 
 	// Stats
 	HostWrites int64
@@ -195,7 +207,7 @@ func New(geo Geometry) (*FTL, error) {
 		// touching them.
 		words := (geo.PagesPerBlock + 63) / 64
 		live := make([]uint64, geo.BlocksPerPlane*words)
-		lpns := make([]int64, geo.BlocksPerPlane*geo.PagesPerBlock)
+		lpns := make([]uint32, geo.BlocksPerPlane*geo.PagesPerBlock)
 		for b := range ps.blocks {
 			bm := &ps.blocks[b]
 			bm.live = live[b*words : (b+1)*words : (b+1)*words]
@@ -384,11 +396,47 @@ func (f *FTL) allocate(plane int, lpn int64, res *WriteResult, checkFaults bool)
 			continue
 		}
 		bm.writePtr++
-		bm.lpns[page] = lpn
+		if uint64(lpn) < lpnSpill && bm.lpns[page] != lpnSpill {
+			bm.lpns[page] = uint32(lpn)
+		} else {
+			f.setLPN(bm, plane, ps.active, page, lpn)
+		}
 		bm.live[page>>6] |= 1 << (page & 63)
 		bm.validCnt++
 		return PPN{Plane: plane, Block: ps.active, Page: page}, nil
 	}
+}
+
+// pageKey numbers a physical page across the whole device.
+func (f *FTL) pageKey(plane, block, page int) int {
+	return (plane*f.geo.BlocksPerPlane+block)*f.geo.PagesPerBlock + page
+}
+
+// setLPN writes the reverse-map entry of (plane, block, page) when the
+// spill map is involved: an LPN of lpnSpill or more goes to the spill
+// map under the page's key, and a page that held one drops its key when
+// it is reprogrammed with a small LPN, so the map never outgrows the
+// pages that hold a large LPN.
+func (f *FTL) setLPN(bm *blockMeta, plane, block, page int, lpn int64) {
+	key := f.pageKey(plane, block, page)
+	if uint64(lpn) < lpnSpill {
+		delete(f.spill, key)
+		bm.lpns[page] = uint32(lpn)
+		return
+	}
+	if f.spill == nil {
+		f.spill = make(map[int]int64)
+	}
+	f.spill[key] = lpn
+	bm.lpns[page] = lpnSpill
+}
+
+// lpnAt returns the LPN (plane, block, page) was last programmed with.
+func (f *FTL) lpnAt(bm *blockMeta, plane, block, page int) int64 {
+	if v := bm.lpns[page]; v != lpnSpill {
+		return int64(v)
+	}
+	return f.spill[f.pageKey(plane, block, page)]
 }
 
 // retireActive takes the plane's active block out of service after a
@@ -421,7 +469,7 @@ func (f *FTL) relocate(plane, victim int, res *WriteResult, checkFaults bool) er
 	for w := range bm.live {
 		for word := bm.live[w]; word != 0; word &= word - 1 {
 			page := w<<6 | bits.TrailingZeros64(word)
-			lpn := bm.lpns[page]
+			lpn := f.lpnAt(bm, plane, victim, page)
 			res.Migrations = append(res.Migrations,
 				PPN{Plane: plane, Block: victim, Page: page})
 			bm.kill(page)
@@ -503,16 +551,18 @@ func (f *FTL) BlockRetired(plane, block int) bool {
 // whose reverse map holds that LPN, every live page's LPN translates
 // back to that page, and the live pages number as many as the L2P
 // entries. It also checks each block's valid count against its bitmap,
-// that no page at or past the write pointer is live, and that retired
-// blocks hold nothing. Tests call this.
+// that no page at or past the write pointer is live, that retired
+// blocks hold nothing, and that the spill map holds exactly the pages
+// whose 32-bit entry is lpnSpill, each with an LPN too large for 32
+// bits. Tests call this.
 func (f *FTL) CheckInvariants() error {
 	entries := 0
 	check := func(lpn int64, ppn PPN) error {
 		entries++
 		bm := &f.planes[ppn.Plane].blocks[ppn.Block]
-		if !bm.isLive(ppn.Page) || bm.lpns[ppn.Page] != lpn {
+		if held := f.lpnAt(bm, ppn.Plane, ppn.Block, ppn.Page); !bm.isLive(ppn.Page) || held != lpn {
 			return fmt.Errorf("ftl: L2P %d -> %+v but page live=%v holds %d",
-				lpn, ppn, bm.isLive(ppn.Page), bm.lpns[ppn.Page])
+				lpn, ppn, bm.isLive(ppn.Page), held)
 		}
 		return nil
 	}
@@ -529,12 +579,19 @@ func (f *FTL) CheckInvariants() error {
 			return err
 		}
 	}
-	live := 0
+	live, spilled := 0, 0
 	for p := range f.planes {
 		for b := range f.planes[p].blocks {
 			bm := &f.planes[p].blocks[b]
 			cnt := 0
 			for page := range f.geo.PagesPerBlock {
+				if bm.lpns[page] == lpnSpill {
+					spilled++
+					if lpn, ok := f.spill[f.pageKey(p, b, page)]; !ok || uint64(lpn) < lpnSpill {
+						return fmt.Errorf("ftl: plane %d block %d page %d spills LPN %d (held %v)",
+							p, b, page, lpn, ok)
+					}
+				}
 				if !bm.isLive(page) {
 					continue
 				}
@@ -544,9 +601,10 @@ func (f *FTL) CheckInvariants() error {
 						p, b, page, bm.writePtr)
 				}
 				want := PPN{Plane: p, Block: b, Page: page}
-				if got, ok := f.l2pGet(bm.lpns[page]); !ok || got != want {
+				held := f.lpnAt(bm, p, b, page)
+				if got, ok := f.l2pGet(held); !ok || got != want {
 					return fmt.Errorf("ftl: live page %+v holds LPN %d, which translates to %+v (mapped %v)",
-						want, bm.lpns[page], got, ok)
+						want, held, got, ok)
 				}
 			}
 			if cnt != bm.validCnt {
@@ -562,6 +620,9 @@ func (f *FTL) CheckInvariants() error {
 	}
 	if live != entries {
 		return fmt.Errorf("ftl: %d live pages but %d L2P entries", live, entries)
+	}
+	if spilled != len(f.spill) {
+		return fmt.Errorf("ftl: %d spilled reverse-map entries but %d spill keys", spilled, len(f.spill))
 	}
 	return nil
 }

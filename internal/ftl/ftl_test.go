@@ -1,8 +1,10 @@
 package ftl
 
 import (
+	"runtime"
 	"testing"
 
+	"sentinel3d/internal/fault"
 	"sentinel3d/internal/mathx"
 )
 
@@ -231,5 +233,84 @@ func TestCheckInvariantsCatchesOrphans(t *testing.T) {
 		if err := f.CheckInvariants(); err == nil {
 			t.Fatalf("dense=%v: live page with no L2P entry passed", dense)
 		}
+	}
+}
+
+// TestFTLBytesPerPage bounds what New allocates per physical page on
+// DefaultGeometry: the 4-byte reverse map, the liveness bitmap and the
+// block metadata, with no 8-byte entry per page.
+func TestFTLBytesPerPage(t *testing.T) {
+	geo := DefaultGeometry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := New(geo)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(f)
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / float64(geo.PagesTotal())
+	t.Logf("%.3f bytes per physical page", perPage)
+	if perPage > 4.5 {
+		t.Fatalf("New allocates %.3f bytes per physical page, want <= 4.5", perPage)
+	}
+}
+
+// TestReverseMapSpill writes a working set whose LPNs start at, straddle
+// or lie far above the 32-bit reverse-map limit, over a medium that fails
+// programs and erases, and checks the invariants after every write: GC
+// and retirement must read back each spilled LPN exactly. Below the limit
+// the spill map is never built; at the end it holds exactly the pages
+// whose entry spills.
+func TestReverseMapSpill(t *testing.T) {
+	g := smallGeo()
+	g.BlocksPerPlane = 16
+	ws := int64(g.PagesTotal() / 2)
+	for _, base := range []int64{0, lpnSpill - 100, lpnSpill, 1 << 40, 1<<62 + 5} {
+		f, _ := New(g)
+		f.Faults = fault.MustNew(fault.Profile{Seed: 3, FTLProgramFailRate: 0.0005, FTLEraseFailRate: 0.002})
+		r := mathx.NewRand(7)
+		for i := 0; i < 3000; i++ {
+			if _, err := f.Write(base + int64(r.Intn(int(ws)))); err != nil {
+				t.Fatalf("base %d write %d: %v", base, i, err)
+			}
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("base %d write %d: %v", base, i, err)
+			}
+		}
+		if f.GCWrites == 0 || f.BadBlocks == 0 {
+			t.Fatalf("base %d: %d GC writes, %d bad blocks; want both", base, f.GCWrites, f.BadBlocks)
+		}
+		if base+ws <= lpnSpill && f.spill != nil {
+			t.Fatalf("base %d: spill map built for LPNs that fit in 32 bits", base)
+		}
+		if base >= lpnSpill && len(f.spill) == 0 {
+			t.Fatalf("base %d: nothing spilled", base)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesSpillDrift changes a spilled LPN, then adds a
+// spill key no page refers to; CheckInvariants must reject both.
+func TestCheckInvariantsCatchesSpillDrift(t *testing.T) {
+	f, _ := New(smallGeo())
+	for lpn := int64(lpnSpill - 10); lpn < lpnSpill+10; lpn++ {
+		if _, err := f.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ppn, _ := f.Translate(lpnSpill + 3)
+	key := f.pageKey(ppn.Plane, ppn.Block, ppn.Page)
+	f.spill[key]++
+	if err := f.CheckInvariants(); err == nil {
+		t.Fatal("a changed spilled LPN passed")
+	}
+	f.spill[key]--
+	f.spill[f.pageKey(0, 5, 0)] = lpnSpill + 99
+	if err := f.CheckInvariants(); err == nil {
+		t.Fatal("a spill key with no spilled page passed")
 	}
 }

@@ -172,18 +172,29 @@ func (f *refFTL) collect(plane int, res *WriteResult) (bool, error) {
 // writes over a faulty medium and requires them to agree after every
 // write: the WriteResult (target, migrations in order, erase and
 // retirement counts), the error, every LPN's translation and the
-// counters. dense puts the lower half of the span on the dense L2P path
-// and the rest on the overflow map.
+// counters. The writes cover the LPNs [base, base+span), base taken
+// modulo 2^62+1, so a base near 2^32-1 straddles the 32-bit reverse-map
+// entry and its spill map, and a larger one runs wholly on the spill
+// map. dense puts the lower half of the span on the dense L2P path
+// where the bound fits it, and the rest on the overflow map.
 func FuzzFTLMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint16(300), uint16(0), uint16(0), false)
-	f.Add(uint64(2), uint16(420), uint16(40), uint16(400), true)
-	f.Add(uint64(3), uint16(200), uint16(300), uint16(2000), true)
-	f.Add(uint64(4), uint16(480), uint16(1000), uint16(0), false)
-	f.Add(uint64(39), uint16(559), uint16(970), uint16(0), false) // runs out of space
-	f.Fuzz(func(t *testing.T, seed uint64, span, progPPM, erasePPM uint16, dense bool) {
+	const straddle = uint64(lpnSpill - 150) // about half of a 300-page span spills
+	f.Add(uint64(1), uint64(0), uint16(300), uint16(0), uint16(0), false)
+	f.Add(uint64(2), uint64(0), uint16(420), uint16(40), uint16(400), true)
+	f.Add(uint64(3), uint64(0), uint16(200), uint16(300), uint16(2000), true)
+	f.Add(uint64(4), uint64(0), uint16(480), uint16(1000), uint16(0), false)
+	f.Add(uint64(39), uint64(0), uint16(559), uint16(970), uint16(0), false) // runs out of space
+	f.Add(uint64(5), straddle, uint16(300), uint16(0), uint16(0), false)
+	f.Add(uint64(6), straddle, uint16(300), uint16(300), uint16(2000), false)
+	f.Add(uint64(7), uint64(lpnSpill), uint16(480), uint16(1000), uint16(400), false)
+	f.Add(uint64(8), uint64(1)<<40, uint16(420), uint16(40), uint16(400), true)
+	f.Add(uint64(9), uint64(1)<<62, uint16(300), uint16(300), uint16(2000), false)
+	f.Add(uint64(39), uint64(1)<<62, uint16(559), uint16(970), uint16(0), false) // runs out of space
+	f.Fuzz(func(t *testing.T, seed, baseIn uint64, span, progPPM, erasePPM uint16, dense bool) {
 		geo := smallGeo()
 		geo.BlocksPerPlane = 16
 		span = max(1, span%uint16(geo.PagesTotal()*9/10))
+		base := int64(baseIn % (1<<62 + 1))
 		faults := fault.MustNew(fault.Profile{
 			Seed:               seed,
 			FTLProgramFailRate: float64(progPPM%5000) / 1e6,
@@ -195,19 +206,20 @@ func FuzzFTLMatchesReference(f *testing.F) {
 		}
 		got.Faults = faults
 		if dense {
-			got.SetLPNBound(int64(span) / 2)
+			got.SetLPNBound(base + int64(span)/2)
 		}
 		want := newRefFTL(geo, faults)
 		rng := mathx.NewRand(seed)
 		var res WriteResult
 		var failed error
-		lpn := int64(0)
+		off := int64(0)
 		for i := 0; i < 4*geo.PagesTotal(); i++ {
 			if rng.Intn(4) == 0 {
-				lpn = (lpn + 1) % int64(span)
+				off = (off + 1) % int64(span)
 			} else {
-				lpn = int64(rng.Intn(int(span)))
+				off = int64(rng.Intn(int(span)))
 			}
+			lpn := base + off
 			gerr := got.WriteInto(lpn, &res)
 			wres, werr := want.write(lpn)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
@@ -237,7 +249,7 @@ func FuzzFTLMatchesReference(f *testing.F) {
 				}
 			}
 			if i%256 == 0 {
-				for l := int64(0); l < int64(span); l++ {
+				for l := base; l < base+int64(span); l++ {
 					if err := sameTranslate(got, want, l); err != nil {
 						t.Fatalf("write %d: %v", i, err)
 					}

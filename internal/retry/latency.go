@@ -43,7 +43,7 @@ const (
 // PageRead returns the latency of one full page read attempt that applies
 // nLevels read voltages, including transfer and decode.
 func PageRead(nLevels int) float64 {
-	return SenseBaseUS + float64(nLevels)*SensePerLevelUS + TransferUS + ECCDecodeUS
+	return SenseBaseUS + float64(float64(nLevels)*SensePerLevelUS) + TransferUS + ECCDecodeUS
 }
 
 // StepLatency returns the latency attributed to one read attempt under

@@ -65,8 +65,8 @@ func (c Calibrator) Step(curOfs float64, nca, ncs int, ratio, boundaryFraction f
 	if float64(nca) > expected {
 		// Case 1: data cells moved more than sentinels predicted — the
 		// optimum lies further along the same direction.
-		return curOfs + dir*c.Delta
+		return curOfs + float64(dir*c.Delta)
 	}
 	// Case 2: overshoot — back off.
-	return curOfs - dir*c.Delta
+	return curOfs - float64(dir*c.Delta)
 }

@@ -83,7 +83,7 @@ func (l Layout) Validate(cfg flash.Config) error {
 
 // Count returns the number of sentinel cells per wordline.
 func (l Layout) Count(cfg flash.Config) int {
-	n := int(float64(cfg.CellsPerWordline)*l.Ratio + 0.5)
+	n := int(float64(float64(cfg.CellsPerWordline)*l.Ratio) + 0.5)
 	if n < 2 {
 		n = 2
 	}

@@ -110,7 +110,7 @@ func (m *Model) offsetBound() float64 {
 	const samples = 256
 	bound := 0.0
 	for i := 0; i <= samples; i++ {
-		d := m.DLo + (m.DHi-m.DLo)*float64(i)/samples
+		d := m.DLo + float64((m.DHi-m.DLo)*float64(i)/samples)
 		if v := math.Abs(m.F.Eval(d)); v > bound {
 			bound = v
 		}
@@ -130,7 +130,7 @@ func (m *Model) OffsetsFromSentinelAt(sentOfs, tempC float64) flash.Offsets {
 	corr := m.CorrFor(tempC)
 	out := flash.ZeroOffsets(len(corr))
 	for _, rel := range corr {
-		out[rel.Voltage-1] = rel.Slope*sentOfs + rel.Intercept
+		out[rel.Voltage-1] = float64(rel.Slope*sentOfs) + rel.Intercept
 	}
 	// The sentinel voltage itself maps exactly.
 	out[m.SentinelVoltage-1] = sentOfs

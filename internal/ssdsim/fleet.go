@@ -159,8 +159,9 @@ type fleetReply struct {
 	err error
 }
 
-// fleetShard is one sub-device: a bounded queue and the single worker
-// goroutine that owns the shard's FTL.
+// fleetShard is one sub-device: a bounded queue, the single worker
+// goroutine that drains it, and the shard's FTL, which NewFleet
+// premaps and every worker only reads.
 type fleetShard struct {
 	queue chan fleetReq
 	ftl   *ftl.FTL
@@ -358,23 +359,28 @@ func (f *Fleet) run(s int) {
 				time.Sleep(d)
 			}
 		}
-		res := f.service(sh, s, req.read, &rng)
+		res := f.service(s, req.read, &rng)
 		res.QueueWait = wait
 		sh.satisfied.Inc()
 		req.done <- fleetReply{res: res}
 	}
 }
 
-// service reads every page of the request on shard s. Outcomes are
-// deterministic per page: the RNG stream is keyed by (seed, LPN, policy
-// salt), so neither arrival order nor concurrency changes any result;
-// rng is the caller's, reseeded from that key for each page.
-func (f *Fleet) service(sh *fleetShard, s int, read FleetRead, rng *mathx.Rand) FleetResult {
+// service reads every page of the request for shard s, which queued
+// it. Each page is translated on the FTL of the shard that owns its
+// granule, where NewFleet premapped it, so a read that crosses a
+// granule boundary finds its pages on the next shard; after premap no
+// FTL is written, so reading another shard's FTL needs no lock.
+// Outcomes are deterministic per page: the RNG stream is keyed by
+// (seed, LPN, policy salt), so neither arrival order nor concurrency
+// changes any result; rng is the caller's, reseeded from that key for
+// each page.
+func (f *Fleet) service(s int, read FleetRead, rng *mathx.Rand) FleetResult {
 	pol := f.samplers[read.Policy]
 	res := FleetResult{Shard: s}
 	for p := 0; p < read.Pages; p++ {
 		lpn := read.LPN + int64(p)
-		ppn, ok := sh.ftl.Translate(lpn)
+		ppn, ok := f.shards[f.router.of(lpn)].ftl.Translate(lpn)
 		if !ok {
 			res.UnmappedPages++
 			res.SimUS += retry.MapLookupUS

@@ -69,13 +69,13 @@ func newPoolFleet(t *testing.T, cfg ssdsim.FleetConfig) *poolFleet {
 
 func (r *poolFleet) shardOf(lpn int64) int { return int(lpn / 64 % int64(r.cfg.Shards)) }
 
-// read is the serving contract written out: every page of the read is
-// looked up on the read's shard (the shard of its first LPN); an
-// unmapped page costs the map lookup, and a mapped one reseeds the
-// page's stream with Mix3(seed, lpn, salt), draws rng.Intn(len(pool))
-// (no draw from an empty pool, which yields the zero outcome), makes
-// the corruption draw, applies the MaxRetries cut-off and is priced by
-// pageCost.
+// read is the serving contract written out: the read reports its first
+// LPN's shard, and every page is looked up on the shard that owns the
+// page's own granule, where it was premapped; an unmapped page costs
+// the map lookup, and a mapped one reseeds the page's stream with
+// Mix3(seed, lpn, salt), draws rng.Intn(len(pool)) (no draw from an
+// empty pool, which yields the zero outcome), makes the corruption
+// draw, applies the MaxRetries cut-off and is priced by pageCost.
 func (r *poolFleet) read(read ssdsim.FleetRead) ssdsim.FleetResult {
 	h := fnv.New64a()
 	h.Write([]byte(read.Policy))
@@ -85,7 +85,7 @@ func (r *poolFleet) read(read ssdsim.FleetRead) ssdsim.FleetResult {
 	res := ssdsim.FleetResult{Shard: shard}
 	for p := 0; p < max(read.Pages, 1); p++ {
 		lpn := read.LPN + int64(p)
-		ppn, ok := r.ftls[shard].Translate(lpn)
+		ppn, ok := r.ftls[r.shardOf(lpn)].Translate(lpn)
 		if !ok {
 			res.UnmappedPages++
 			res.SimUS += retry.MapLookupUS

@@ -101,6 +101,60 @@ func TestFleetDeterministicOutcomes(t *testing.T) {
 	}
 }
 
+// TestFleetMultiPageReadCrossesShards reads 9 pages from LPN 60 past
+// each granule boundary of a 2-shard fleet: the pages past the boundary
+// were premapped on the other shard and must be found there, so the read
+// equals its pages read one at a time, summed in page order, and still
+// reports the shard of its first LPN. Four submitters run at once, so
+// under -race both workers translate on each other's FTLs concurrently.
+func TestFleetMultiPageReadCrossesShards(t *testing.T) {
+	cfg := fleetTestConfig()
+	fl, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	const pages = 9
+	granules := cfg.PremapPages/shardGranule - 1 // keep the last page premapped
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < 16; i++ {
+				lpn := int64(w*16+i)%granules*shardGranule + shardGranule - 4
+				got, err := fl.Submit(ctx, FleetRead{LPN: lpn, Pages: pages, Policy: "table"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got.QueueWait = 0
+				want := FleetResult{Shard: int(lpn / shardGranule % 2)}
+				for p := int64(0); p < pages; p++ {
+					one, err := fl.Submit(ctx, FleetRead{LPN: lpn + p, Pages: 1, Policy: "table"})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want.SimUS += one.SimUS
+					want.Retries += one.Retries
+					want.AuxSenses += one.AuxSenses
+					want.UsedFallback = want.UsedFallback || one.UsedFallback
+					want.Uncorrectable = want.Uncorrectable || one.Uncorrectable
+					want.UnmappedPages += one.UnmappedPages
+					want.Check ^= one.Check
+				}
+				if got != want || got.UnmappedPages != 0 {
+					t.Errorf("LPN %d, %d pages: read %+v, page by page %+v", lpn, pages, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestFleetPolicySelectsSampler(t *testing.T) {
 	fl, err := NewFleet(fleetTestConfig())
 	if err != nil {
