@@ -12,6 +12,7 @@ package charlab
 
 import (
 	"fmt"
+	"sync"
 
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/mathx"
@@ -41,6 +42,11 @@ type Lab struct {
 
 	// Seed drives the read-noise seeds of the lab's measurements.
 	Seed uint64
+
+	// plan is the sweep plan of the lab's offset grid on Chip, built by
+	// the lab's first all-voltage sweep and shared by the later ones.
+	planOnce sync.Once
+	plan     *flash.SweepPlan
 }
 
 // New returns a Lab with the default seed.
@@ -61,12 +67,25 @@ func (l *Lab) readSeed(b, wl, rep int) uint64 {
 	return mathx.Mix4(l.Seed, uint64(b), uint64(wl), uint64(rep))
 }
 
+// sweepPlan returns the plan of every all-voltage sweep the lab runs.
+func (l *Lab) sweepPlan() *flash.SweepPlan {
+	l.planOnce.Do(func() { l.plan = l.Chip.PlanSweep(sweepGrid()) })
+	return l.plan
+}
+
 // reads runs f on averageReads reads of wordline (b, wl), the rep'th
 // with read seed readSeed(b, wl, first+rep). The repetitions re-read one
 // wordline, so they share one handle, redrawn for each.
 func (l *Lab) reads(b, wl, first int, f func(op *flash.ReadOp)) {
 	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, first))
 	defer op.Close()
+	l.readsOn(op, first, f)
+}
+
+// readsOn is reads through the caller's handle op, whatever read seed
+// it was last drawn with: each repetition redraws it.
+func (l *Lab) readsOn(op *flash.ReadOp, first int, f func(op *flash.ReadOp)) {
+	b, wl := op.Wordline()
 	for rep := 0; rep < averageReads; rep++ {
 		op.Redraw(l.readSeed(b, wl, first+rep))
 		f(op)
@@ -105,7 +124,7 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 		errs[v] = make([]float64, len(offs))
 	}
 	l.reads(b, wl, 0, func(op *flash.ReadOp) {
-		rows := op.SweepAllVoltages(offs)
+		rows := op.SweepPlanned(l.sweepPlan())
 		for v := range errs {
 			for i, e := range rows[v] {
 				errs[v][i] += float64(e)
@@ -124,14 +143,24 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 // voltage on wordline (b, wl) by exhaustive sweep, exactly as a tester
 // would.
 func (l *Lab) OptimalOffsets(b, wl int) flash.Offsets {
+	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 0))
+	defer op.Close()
+	return l.OptimalOffsetsOn(op)
+}
+
+// OptimalOffsetsOn is OptimalOffsets of the wordline the caller's handle
+// op reads, through op: the measurement redraws it with the lab's read
+// seeds, so the result is OptimalOffsets' whatever op was drawn with,
+// and the caller may go on to redraw op for measurements of its own.
+func (l *Lab) OptimalOffsetsOn(op *flash.ReadOp) flash.Offsets {
 	offs := sweepGrid()
 	nv := l.Chip.Coding().NumVoltages()
 	acc := make([][]float64, nv)
 	for v := 0; v < nv; v++ {
 		acc[v] = make([]float64, len(offs))
 	}
-	l.reads(b, wl, 0, func(op *flash.ReadOp) {
-		rows := op.SweepAllVoltages(offs)
+	l.readsOn(op, 0, func(op *flash.ReadOp) {
+		rows := op.SweepPlanned(l.sweepPlan())
 		for v := 0; v < nv; v++ {
 			for i, e := range rows[v] {
 				acc[v][i] += float64(e)
@@ -183,9 +212,17 @@ func refineMinimum(offs, errs []float64) float64 {
 
 // OptimalOffset locates the optimum of a single voltage.
 func (l *Lab) OptimalOffset(b, wl, v int) float64 {
+	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 0))
+	defer op.Close()
+	return l.OptimalOffsetOn(op, v)
+}
+
+// OptimalOffsetOn is OptimalOffset of voltage v on the wordline the
+// caller's handle op reads, through op, as OptimalOffsetsOn.
+func (l *Lab) OptimalOffsetOn(op *flash.ReadOp, v int) float64 {
 	offs := sweepGrid()
 	acc := make([]float64, len(offs))
-	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+	l.readsOn(op, 0, func(op *flash.ReadOp) {
 		ups, downs := op.SweepVoltageErrors(v, offs)
 		for i := range acc {
 			acc[i] += float64(ups[i] + downs[i])
@@ -413,6 +450,12 @@ func (cc *CorrelationCollector) Add(l *Lab, b int, wls []int) ([]flash.Offsets, 
 	}
 	cc.optima = append(cc.optima, optima...)
 	return optima, nil
+}
+
+// AddOptima records optimum vectors measured by the caller (with
+// Lab.OptimalOffsetsOn, say), as Add records its own.
+func (cc *CorrelationCollector) AddOptima(optima ...flash.Offsets) {
+	cc.optima = append(cc.optima, optima...)
 }
 
 // Len returns the number of collected optimum vectors.

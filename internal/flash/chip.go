@@ -3,6 +3,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/physics"
@@ -147,6 +148,10 @@ type Chip struct {
 	model  *physics.Model
 	blocks []blockState
 	faults FaultModel
+	// pos[i] is cell i's position along the wordline, (i+0.5)/n - 0.5,
+	// the factor of the intra-wordline gradient; set with CacheZ, whose
+	// reads derive each cell's Vth from it (vth0Into).
+	pos []float64
 }
 
 type blockState struct {
@@ -193,6 +198,13 @@ func New(cfg Config) (*Chip, error) {
 	}
 	for b := range c.blocks {
 		c.blocks[b].wls = make([]wlState, cfg.WordlinesPerBlock())
+	}
+	if cfg.CacheZ {
+		c.pos = make([]float64, cfg.CellsPerWordline)
+		nf := float64(cfg.CellsPerWordline)
+		for i := range c.pos {
+			c.pos[i] = (float64(i)+0.5)/nf - 0.5
+		}
 	}
 	return c, nil
 }
@@ -433,20 +445,24 @@ func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WL
 // program offsets: the sum to which a read adds each cell's sensing
 // noise. The explicit conversions keep every product rounded on its own
 // on every GOARCH, so the sum is the same whether the noise is added here
-// or later.
+// or later. The erased state has no gradient term: its grad is exactly
+// +0, which a mask of the product's bits gives without a branch (a
+// multiply by 0 would give -0 for a negative product).
 func (c *Chip) vth0Into(b, wl int, w *wlState, buf []float64, env *physics.WLEnv) {
 	c.model.EnvInto(env, c.LayerOf(wl), c.globalWL(b, wl), c.blocks[b].stress)
-	nf := float64(len(buf))
+	pos, states, z := c.pos[:len(buf)], w.states[:len(buf)], w.zcache[:len(buf)]
 	for i := range buf {
-		s := int(w.states[i])
-		pos := (float64(i)+0.5)/nf - 0.5
-		var grad float64
-		if s > 0 {
-			grad = float64(env.Gradient * pos)
-		}
-		buf[i] = env.Mean[s] + grad + float64(env.Sigma[s]*float64(w.zcache[i]))
+		s := states[i]
+		grad := math.Float64frombits(math.Float64bits(float64(env.Gradient*pos[i])) & gradMask[s&15])
+		buf[i] = env.Mean[s] + grad + float64(env.Sigma[s]*float64(z[i]))
 	}
 }
+
+// gradMask keeps the gradient term's bits for every programmed state
+// and clears them, to +0, for the erased state 0.
+var gradMask = [16]uint64{0, ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
+	^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
+	^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
 // Offsets is a per-read-voltage tuning vector in normalized units,
 // indexed by voltage-1 (so Offsets[0] tunes V1). A nil Offsets means all

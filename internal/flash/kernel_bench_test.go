@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/physics"
 )
 
 // benchChip returns a programmed paper-geometry TLC chip shared by the
@@ -72,5 +73,38 @@ func BenchmarkSweepAllVoltages(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.SweepAllVoltages(0, 0, offs, uint64(i))
+	}
+}
+
+// BenchmarkSweepAllVoltagesQuick sweeps a quick-scale (16384-cell)
+// wordline on the lazy-noise path, fresh and at the paper's worn point
+// (5000 P/E, one year), for TLC and QLC: the shape of every sweep the
+// sentinel trainer runs at quick scale.
+func BenchmarkSweepAllVoltagesQuick(b *testing.B) {
+	for _, kind := range []Kind{TLC, QLC} {
+		for _, aged := range []bool{false, true} {
+			name := kind.String() + "/fresh"
+			if aged {
+				name = kind.String() + "/aged"
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := DefaultConfig(kind)
+				cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline = 1, 1, 16384
+				chip := MustNew(cfg)
+				if err := chip.ProgramRandom(0, 0, mathx.NewRand(42)); err != nil {
+					b.Fatal(err)
+				}
+				if aged {
+					chip.Cycle(0, 5000)
+					chip.Age(0, physics.YearHours, physics.RoomTempC)
+				}
+				offs := benchGrid()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					chip.SweepAllVoltages(0, 0, offs, uint64(i))
+				}
+			})
+		}
 	}
 }

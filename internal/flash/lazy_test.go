@@ -124,13 +124,14 @@ func randGrid(r *mathx.Rand) []float64 {
 // first answer that differs. target, when non-empty, lists read voltages
 // that half of the queries aim at.
 type lazyEagerCase struct {
-	t      testing.TB
-	c      *Chip
-	wl     int
-	lazy   *ReadOp
-	eager  *ReadOp
-	r      *mathx.Rand
-	target []float64 // read voltages to aim at
+	t       testing.TB
+	c       *Chip
+	wl      int
+	lazy    *ReadOp
+	eager   *ReadOp
+	r       *mathx.Rand
+	target  []float64 // read voltages to aim at
+	planted []int     // cells given a Vth by plant
 }
 
 func (lc *lazyEagerCase) fail(format string, args ...any) {
@@ -165,6 +166,82 @@ func (lc *lazyEagerCase) grid(v int) []float64 {
 	return offs
 }
 
+// senseNoised returns the cells the lazy handle must have noised after
+// sensing read voltage rv: those it had, and those inside rv's noise
+// window, the reference test.
+func (lc *lazyEagerCase) senseNoised(rv float64) Bitmap {
+	want := append(Bitmap(nil), lc.lazy.noised...)
+	win := lc.lazy.window(rv)
+	for i, x := range lc.lazy.vth {
+		if x > win.lo && x < win.hi {
+			want.Set(i, true)
+		}
+	}
+	return want
+}
+
+// pageNoised returns the cells the lazy handle must have noised after
+// reading page p with offsets o: those it had, and those outside the
+// interval between the noise windows of the levels below and above
+// them, by the reference scan: float comparisons, ranks counted level
+// by level.
+func (lc *lazyEagerCase) pageNoised(p int, o Offsets) Bitmap {
+	want := append(Bitmap(nil), lc.lazy.noised...)
+	var levels []float64
+	for k, v := range lc.c.Coding().PageVoltages(p) {
+		rv := lc.c.voltage(v, o)
+		if k > 0 && (rv < levels[k-1] || levels[k-1] != levels[k-1]) {
+			rv = levels[k-1]
+		}
+		levels = append(levels, rv)
+	}
+	for i, x := range lc.lazy.vth {
+		r := 0
+		for _, lv := range levels {
+			if x >= lv {
+				r++
+			}
+		}
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if r > 0 {
+			lo = lc.lazy.window(levels[r-1]).hi
+		}
+		if r < len(levels) {
+			hi = lc.lazy.window(levels[r]).lo
+		}
+		if x < lo || x > hi {
+			want.Set(i, true)
+		}
+	}
+	return want
+}
+
+// plant gives random cells of both handles the Vth values ys, the
+// eager one with the cell's noise added, as if the wordline held them;
+// replant renews the eager cells' noise after a redraw.
+func (lc *lazyEagerCase) plant(ys []float64) {
+	for _, y := range ys {
+		i := lc.r.Intn(lc.lazy.Cells())
+		lc.lazy.vth0[i], lc.lazy.vth[i] = y, y
+		if lc.lazy.noised.Get(i) {
+			lc.lazy.vth[i] = y + lc.lazy.noise.At(i)
+		}
+		lc.planted = append(lc.planted, i)
+	}
+	lc.replant()
+}
+
+func (lc *lazyEagerCase) replant() {
+	for _, i := range lc.planted {
+		lc.eager.vth[i] = lc.lazy.vth0[i] + lc.lazy.noise.At(i)
+	}
+}
+
+// plantValues are Vth values no wordline holds, for plant: NaN of
+// either sign, the infinities and huge magnitudes.
+var plantValues = []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+	1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+
 // panics reports whether f panics.
 func panics(f func()) (p bool) {
 	defer func() { p = recover() != nil }()
@@ -181,11 +258,15 @@ func (lc *lazyEagerCase) step() {
 		v := 1 + r.Intn(nv)
 		off := lc.offset(v)
 		eager := lc.eager.Sense(v, off)
+		want := lc.senseNoised(c.voltage(v, nil) + off)
 		if !bitmapsEqual(lc.lazy.Sense(v, off), eager) {
 			lc.fail("Sense(v=%d, off=%v) differs", v, off)
 		}
 		if !bitmapsEqual(eager, refSense(lc.eager.vth, c.voltage(v, nil)+off)) {
 			lc.fail("eager Sense(v=%d, off=%v) differs from the bit-by-bit reference", v, off)
+		}
+		if !bitmapsEqual(lc.lazy.noised, want) {
+			lc.fail("Sense(v=%d, off=%v) noised %d cells, want %d", v, off, lc.lazy.noised.PopCount(), want.PopCount())
 		}
 	case 1, 2:
 		p := r.Intn(c.Coding().Bits())
@@ -198,6 +279,7 @@ func (lc *lazyEagerCase) step() {
 				}
 			}
 		}
+		want := lc.pageNoised(p, o)
 		if r.Intn(2) == 0 {
 			eager := lc.eager.ReadPage(p, o)
 			if !bitmapsEqual(lc.lazy.ReadPage(p, o), eager) {
@@ -208,6 +290,9 @@ func (lc *lazyEagerCase) step() {
 			}
 		} else if a, b := lc.lazy.CountPageErrors(p, o), lc.eager.CountPageErrors(p, o); a != b {
 			lc.fail("CountPageErrors(p=%d, o=%v) = %d, eager %d", p, o, a, b)
+		}
+		if !bitmapsEqual(lc.lazy.noised, want) {
+			lc.fail("ReadPage(p=%d, o=%v) noised %d cells, want %d", p, o, lc.lazy.noised.PopCount(), want.PopCount())
 		}
 	case 3:
 		v := 1 + r.Intn(nv)
@@ -242,6 +327,7 @@ func (lc *lazyEagerCase) step() {
 		}
 		lc.lazy.Redraw(seed)
 		lc.eager.Redraw(seed)
+		lc.replant()
 	}
 }
 
@@ -257,6 +343,17 @@ func runLazyEager(t testing.TB, c *Chip, wl int, readSeed uint64, r *mathx.Rand,
 	eager := beginEager(c, 0, wl, readSeed)
 	defer eager.Close()
 	lc := &lazyEagerCase{t: t, c: c, wl: wl, lazy: lazy, eager: eager, r: r, target: target}
+	if r.Intn(3) == 0 {
+		ys := make([]float64, 1+r.Intn(6))
+		for k := range ys {
+			if len(target) > 0 && r.Intn(2) == 0 {
+				ys[k] = target[r.Intn(len(target))]
+			} else {
+				ys[k] = plantValues[r.Intn(len(plantValues))]
+			}
+		}
+		lc.plant(ys)
+	}
 	for s := 0; s < steps; s++ {
 		lc.step()
 	}
@@ -396,5 +493,30 @@ func TestReadOpFaultModelStaysEager(t *testing.T) {
 	}
 	if len(f.seeds) < 20 || f.seeds[0] != 5 {
 		t.Fatalf("PerturbVth saw read seeds %v, want one call per draw from 5", f.seeds)
+	}
+}
+
+// A page's levels are NaN from its first NaN voltage on, even after an
+// infinite one (math.Max(+Inf, NaN) is +Inf): a cell at +Inf reaches
+// the +Inf level and not the NaN one, as the scan-and-stop reference
+// reads it, on the lazy and the eager handle alike.
+func TestReadPageNaNAfterInfiniteLevel(t *testing.T) {
+	c := lazyChip(t, QLC, 200, 0, 0)
+	msb := c.Coding().Bits() - 1
+	pv := c.Coding().PageVoltages(msb)
+	o := make(Offsets, c.Coding().NumVoltages())
+	o[pv[1]-1], o[pv[3]-1] = math.Inf(1), math.NaN()
+	lazy := c.BeginRead(0, 0, 3)
+	defer lazy.Close()
+	eager := beginEager(c, 0, 0, 3)
+	defer eager.Close()
+	lc := &lazyEagerCase{t: t, c: c, lazy: lazy, eager: eager, r: mathx.NewRand(3)}
+	lc.plant([]float64{math.Inf(1), math.Inf(1), math.Inf(1)})
+	want := refReadPage(c, eager.vth, msb, o)
+	if got := eager.ReadPage(msb, o); !bitmapsEqual(got, want) {
+		t.Fatal("eager ReadPage differs from the scan-and-stop reference")
+	}
+	if got := lazy.ReadPage(msb, o); !bitmapsEqual(got, want) {
+		t.Fatal("lazy ReadPage differs from the scan-and-stop reference")
 	}
 }

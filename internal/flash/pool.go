@@ -49,6 +49,8 @@ var (
 	wordPool   slicePool[uint64]
 	intPool    slicePool[int]
 	statePool  slicePool[uint8]
+	idxPool    slicePool[int32]
+	tabPool    slicePool[uint32]
 	readOpPool sync.Pool // *ReadOp
 )
 

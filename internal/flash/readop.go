@@ -53,6 +53,9 @@ type ReadOp struct {
 	noise  physics.NoiseStream
 	bound  float64
 	states []uint8
+	// truth caches the programmed bits of each page TrueBits was asked
+	// for; they do not depend on the read seed.
+	truth [4]Bitmap
 	// env is scratch for the resolved wordline environment; its slices
 	// are retained across pool cycles so BeginRead never allocates in
 	// steady state.
@@ -122,8 +125,26 @@ func (op *ReadOp) Close() {
 	vthPool.put(op.vth)
 	vthPool.put(op.vth0)
 	PutBitmap(op.noised)
+	for p, bm := range op.truth {
+		PutBitmap(bm)
+		op.truth[p] = nil
+	}
 	op.c, op.vth, op.vth0, op.noised, op.states = nil, nil, nil, nil, nil
 	readOpPool.Put(op)
+}
+
+// Wordline returns the block and wordline the handle reads.
+func (op *ReadOp) Wordline() (b, wl int) { return op.b, op.wl }
+
+// TrueBits returns the programmed (ground-truth) bits of page p of the
+// handle's wordline. The bitmap belongs to the handle: it is built on
+// the first call for p, shared by later ones, and valid until Close.
+// The caller must not modify it.
+func (op *ReadOp) TrueBits(p int) Bitmap {
+	if op.truth[p] == nil {
+		op.truth[p] = op.c.TrueBitsInto(GetBitmap(len(op.vth)), op.b, op.wl, p)
+	}
+	return op.truth[p]
 }
 
 // window is the open interval (lo, hi) of noiseless Vth in which a
@@ -231,10 +252,30 @@ func (op *ReadOp) SenseInto(dst Bitmap, v int, offset float64) Bitmap {
 	return dst
 }
 
+// keys returns the window as a range of geKey order keys: for every x,
+// NaN included, lo < x < hi exactly when geKey(x)-start < n, unsigned.
+// (A NaN's key lies above +Inf's or below -Inf's, outside any range.)
+func (w window) keys() (start, n uint64) {
+	klo, khi := geKey(w.lo), geKey(w.hi)
+	if khi <= klo {
+		return 0, 0
+	}
+	return klo + 1, khi - klo - 1
+}
+
+// below returns 1 when a < b and 0 otherwise, without a branch.
+func below(a, b uint64) uint64 {
+	_, borrow := bits.Sub64(a, b, 0)
+	return borrow
+}
+
 // senseWords sets bit i of dst when vth[i] >= rv, and bit i of near when
 // vth[i] lies inside win: a cell whose noise the caller has yet to
-// settle. It makes no calls, so the scan keeps its state in registers.
+// settle. It makes no calls and takes no branch per cell (the window
+// test is one unsigned range check on order keys), so the scan keeps
+// its state in registers and never mispredicts.
 func senseWords(dst, near Bitmap, vth []float64, rv float64, win window) {
+	start, width := win.keys()
 	n := len(vth)
 	i := 0
 	for wi := range dst {
@@ -251,10 +292,7 @@ func senseWords(dst, near Bitmap, vth []float64, rv float64, win window) {
 			if x >= rv {
 				w |= 1 << 63
 			}
-			m >>= 1
-			if x > win.lo && x < win.hi {
-				m |= 1 << 63
-			}
+			m = m>>1 | below(geKey(x)-start, width)<<63
 		}
 		if k := uint(lim & 63); k != 0 {
 			w, m = w>>(64-k), m>>(64-k)
@@ -273,17 +311,24 @@ func (op *ReadOp) ReadPage(p int, o Offsets) Bitmap {
 func (op *ReadOp) ReadPageInto(dst Bitmap, p int, o Offsets) Bitmap {
 	coding := op.c.coding
 	var lad ladder
-	lad.set(op, coding.PageVoltages(p), o)
-	start := uint64(coding.ReadBit(p, 0))
+	lad.set(op, coding.PageVoltages(p), o, uint64(coding.ReadBit(p, 0)))
 	n := len(op.vth)
 	dst = ensureBitmap(dst, n)
 	near := Bitmap(wordPool.get(len(dst)))
-	lad.pageWords(dst, near, op.vth, start)
+	lad.pageWords(dst, near, op.vth)
+	// The exact treatment of the cells the table could not settle: the
+	// cell's rank, and when it lies outside the rank's settled interval
+	// its noise, and the rank of the noisy Vth.
 	for wi, m := range near {
 		for ; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			bit := start ^ uint64(lad.rank(op.noisy(wi<<6|j))&1)
-			dst[wi] = dst[wi]&^(1<<j) | bit<<j
+			k := scanKey(op.vth[wi<<6|j])
+			g := &lad.rungs[lad.rank(k)&15]
+			if g.near(k) != 0 {
+				k = scanKey(op.noisy(wi<<6 | j))
+				g = &lad.rungs[lad.rank(k)&15]
+			}
+			dst[wi] = dst[wi]&^(1<<j) | g.bit<<j
 		}
 	}
 	wordPool.put(near)
@@ -299,54 +344,136 @@ func (op *ReadOp) ReadPageInto(dst Bitmap, p int, o Offsets) Bitmap {
 //
 // A cell of rank r lies between levels r-1 and r, and the levels beyond
 // those two are further still, so its noise can change its rank only
-// inside one of their noise windows. settled[r] is the interval between
-// those windows (±Inf where rank r lacks a neighbour): a cell of rank r
-// inside it reads the same with or without its noise.
+// inside one of their noise windows. Rank r's settled interval lies
+// between those windows (unbounded where rank r lacks a neighbour): a
+// cell of rank r inside it reads the same with or without its noise.
+//
+// Most cells lie far from every level and window. The scan looks them
+// up in a table over a grid of buckets: a bucket that holds no level
+// and meets no window holds cells of one rank, all outside every
+// window, hence settled; tab gives their page bit. The cells of the
+// other buckets get the exact treatment (see ReadPageInto).
 type ladder struct {
-	n       int
-	key     [maxPageVoltages]uint64      // geKey of each level; MaxUint64 for NaN
-	settled [16]struct{ lo, hi float64 } // indexed by rank & 15
+	n     int
+	key   [maxPageVoltages]uint64 // geKey of each level; MaxUint64 for NaN and past n
+	rungs [16]rung                // indexed by rank & 15
+	// tab[k] holds, for a cell in bucket k of g, its page bit in bit 0
+	// and in bit 1 whether it needs the exact treatment. ok is false
+	// when the levels and windows admit no grid (an infinite level);
+	// then every cell takes the exact path.
+	g   grid
+	ok  bool
+	tab [ladderBuckets + 3]uint8
 }
+
+// ladderBuckets is the grid's resolution: with the windows about
+// 2·ReadNoiseSigma·mathx.GaussBound wide, the buckets a window only
+// partly covers add a few percent to the cells that take the exact
+// path.
+const ladderBuckets = 1024
+
+// rung is what the scan needs of one rank: its settled interval, as the
+// scanKeys k with k-start < n (unsigned; empty when the neighbouring
+// windows overlap, and every cell of the rank is near), and the page
+// bit its cells read.
+type rung struct{ start, n, bit uint64 }
+
+// near returns 1 when scanKey k lies outside the settled interval and
+// 0 otherwise, without a branch.
+func (g *rung) near(k uint64) uint64 { return below(k-g.start, g.n) ^ 1 }
 
 // maxPageVoltages bounds the voltages of one page: 2^(bits-1) for the
 // Gray-coded TLC and QLC pages.
 const maxPageVoltages = 8
 
-func (l *ladder) set(op *ReadOp, pv []int, o Offsets) {
+// set builds the ladder of a page with voltages pv under offsets o,
+// whose cells below every level read start.
+func (l *ladder) set(op *ReadOp, pv []int, o Offsets, start uint64) {
 	if len(pv) > maxPageVoltages {
 		panic("flash: page with more than 8 read voltages")
 	}
 	l.n = len(pv)
-	l.settled[0].lo = math.Inf(-1)
+	for k := range l.key {
+		l.key[k] = math.MaxUint64
+	}
+	// Rank 0 starts at key 0, a NaN's scanKey: a NaN reaches no level
+	// and its noise cannot move it, so it is settled at rank 0.
+	l.rungs[0].start = 0
+	var levels [maxPageVoltages]float64
+	var wins [maxPageVoltages]window
+	reached := 0 // levels before the first NaN
 	var rv float64
 	for k, v := range pv {
-		if k == 0 {
-			rv = op.c.voltage(v, o)
-		} else {
-			rv = math.Max(rv, op.c.voltage(v, o))
+		// math.Max(+Inf, NaN) is +Inf, so a NaN is carried on by hand.
+		if vk := op.c.voltage(v, o); k == 0 || vk != vk {
+			rv = vk
+		} else if rv == rv {
+			rv = math.Max(rv, vk)
 		}
 		l.key[k] = geKey(rv)
 		if rv != rv {
 			l.key[k] = math.MaxUint64
+		} else {
+			reached++
 		}
-		win := op.window(rv)
-		l.settled[k].hi, l.settled[k+1].lo = win.lo, win.hi
+		levels[k], wins[k] = rv, op.window(rv)
+		l.rungs[k].n = geKey(wins[k].lo) // the interval's last key, for now
+		l.rungs[k+1].start = geKey(wins[k].hi)
 	}
-	l.settled[l.n].hi = math.Inf(1)
+	l.rungs[l.n].n = keyPosInf
+	for r := 0; r <= l.n; r++ {
+		g := &l.rungs[r]
+		if g.n < g.start {
+			g.n = 0
+		} else {
+			g.n = g.n - g.start + 1
+		}
+		g.bit = start ^ uint64(r&1)
+	}
+	l.setTable(levels[:reached], wins[:reached])
 }
 
-// rank returns how many levels x reaches, counted without a branch per
-// level.
-func (l *ladder) rank(x float64) int {
-	if x != x {
-		return 0
+// setTable lays the grid over the levels and their windows and fills
+// the table.
+func (l *ladder) setTable(levels []float64, wins []window) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for k, lv := range levels {
+		lo = math.Min(lo, math.Min(lv, wins[k].lo))
+		hi = math.Max(hi, math.Max(lv, wins[k].hi))
 	}
-	k := geKey(x)
+	if l.g, l.ok = newGrid(lo, hi, ladderBuckets); !l.ok {
+		return
+	}
+	const exact = 2
+	var at [maxPageVoltages]int // each level's bucket
+	for k, lv := range levels {
+		at[k] = l.g.bucket(lv)
+		l.tab[at[k]] = exact
+		if w := wins[k]; w.lo < w.hi {
+			for b := l.g.bucket(w.lo); b <= l.g.bucket(w.hi); b++ {
+				l.tab[b] = exact
+			}
+		}
+	}
+	// A cell in a bucket above the one of level k reaches level k.
+	r := 0
+	for b := range l.tab {
+		for r < len(levels) && at[r] < b {
+			r++
+		}
+		l.tab[b] |= uint8(l.rungs[r].bit)
+	}
+}
+
+// rank returns how many levels the cell of scanKey k reaches, counted
+// without a branch: the keys past the last level are MaxUint64, which
+// no scanKey reaches.
+func (l *ladder) rank(k uint64) uint64 {
 	var r uint64
-	for _, lk := range l.key[:l.n] {
+	for _, lk := range l.key {
 		r += atLeast(k, lk)
 	}
-	return int(r)
+	return r
 }
 
 // geKey returns a key for branch-free >= tests: for non-NaN x and y,
@@ -355,39 +482,75 @@ func (l *ladder) rank(x float64) int {
 // callers keep it apart.
 func geKey(x float64) uint64 { return floatKey(x + 0) }
 
+// scanKey is geKey with NaN mapped to 0, below every other key: a NaN
+// cell then reaches no level, as no comparison with NaN holds. It
+// compiles to conditional moves.
+func scanKey(x float64) uint64 {
+	k := geKey(x)
+	if x != x {
+		k = 0
+	}
+	return k
+}
+
 // atLeast returns 1 when a >= b and 0 otherwise, without a branch.
 func atLeast(a, b uint64) uint64 {
 	_, borrow := bits.Sub64(a, b, 0)
 	return borrow ^ 1
 }
 
-// pageWords sets bit i of dst to cell i's page bit, start flipped once
-// per level vth[i] reaches, and bit i of near when the cell lies outside
-// its rank's settled interval: a cell whose noise the caller has yet to
-// settle. It makes no calls, so the scan keeps its state in registers.
-func (l *ladder) pageWords(dst, near Bitmap, vth []float64, start uint64) {
+// pageWords sets bit i of dst to cell i's page bit from the table, and
+// bit i of near when cell i needs the exact treatment instead: every
+// cell when there is no grid. A NaN lands in bucket 0, whose rank-0
+// cells are settled. The scan makes no calls and takes no branch that
+// depends on the cell.
+func (l *ladder) pageWords(dst, near Bitmap, vth []float64) {
 	n := len(vth)
+	if !l.ok {
+		for wi := range dst {
+			dst[wi], near[wi] = 0, ^uint64(0)
+		}
+		if k := uint(n & 63); k != 0 {
+			near[len(near)-1] = 1<<k - 1
+		}
+		return
+	}
 	i := 0
 	for wi := range dst {
 		lim := i + 64
 		if lim > n {
 			lim = n
 		}
-		var w, m uint64 // filled from the top, as in senseWords
-		for ; i < lim; i++ {
-			x := vth[i]
-			r := l.rank(x)
-			m >>= 1
-			if s := &l.settled[r&15]; x < s.lo || x > s.hi {
-				m |= 1 << 63
-			}
-			w = w>>1 | (start^uint64(r))<<63
-		}
+		w, m := l.word(vth[i:lim])
+		i = lim
 		if k := uint(lim & 63); k != 0 {
 			w, m = w>>(64-k), m>>(64-k)
 		}
 		dst[wi], near[wi] = w, m
 	}
+}
+
+// word scans up to 64 cells: their bits enter w and m at the top and
+// shift down, as in senseWords.
+func (l *ladder) word(cells []float64) (w, m uint64) {
+	var bad uint64
+	for _, x := range cells {
+		k, b := l.g.index(x)
+		bad |= b
+		e := uint64(l.tab[k])
+		w = w>>1 | e<<63
+		m = m>>1 | e>>1<<63
+	}
+	if bad == 0 {
+		return w, m
+	}
+	w, m = 0, 0
+	for _, x := range cells {
+		e := uint64(l.tab[l.g.bucket(x)])
+		w = w>>1 | e<<63
+		m = m>>1 | e>>1<<63
+	}
+	return w, m
 }
 
 // VoltageErrors counts the up and down errors read voltage v (1-based)

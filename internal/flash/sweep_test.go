@@ -2,6 +2,7 @@ package flash
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"sentinel3d/internal/mathx"
@@ -88,6 +89,42 @@ func TestSweepPanicsOnUnsortedOffsets(t *testing.T) {
 		}
 	}()
 	c.SweepVoltageErrors(0, 0, 8, []float64{0, -10, 10}, 1)
+}
+
+// sweepMulti is the multi-boundary sweep of a given Vth vector, with no
+// noise to draw — an eager handle's sweep: it plans bases over offs
+// (noise windows of bound 0), places every cell and folds the
+// histogram, returning per voltage (0-based index v = voltage-1) the
+// ups/downs vectors sweepOne must produce for voltage v+1, bit for bit,
+// for ascending offs and states < nstates.
+func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float64) (ups, downs [][]int) {
+	if !sort.Float64sAreSorted(offs) {
+		panic("flash: sweep offsets must ascend")
+	}
+	p := newSweepPlan(nil, bases, offs, nstates, 0)
+	defer p.release()
+	hist := intPool.get(nstates * (p.m + 1))
+	clear(hist)
+	p.place(vths, states, hist)
+	ups = make([][]int, p.nv)
+	downs = make([][]int, p.nv)
+	p.fold(hist, func(v int, upAt, downAt []int) {
+		u := make([]int, p.no)
+		d := make([]int, p.no)
+		suffix := 0
+		for i := p.no - 1; i >= 0; i-- {
+			suffix += upAt[i+1]
+			u[i] = suffix
+		}
+		prefix := 0
+		for i := 0; i < p.no; i++ {
+			prefix += downAt[i]
+			d[i] = prefix
+		}
+		ups[v], downs[v] = u, d
+	})
+	intPool.put(hist)
+	return ups, downs
 }
 
 func crossCheckSweep(t *testing.T, bases, vths []float64, states []uint8, nstates int, offs []float64) {

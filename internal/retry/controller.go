@@ -157,22 +157,58 @@ func NewController(chip *flash.Chip, model ecc.CapabilityModel, maxRetries int) 
 // Result.Err (with OK=false) rather than panicking, so callers such as
 // trace-driven simulators need no pre-checks of their own.
 func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
+	if err := c.checkPage(b, wl, page); err != nil {
+		return Result{Err: err}
+	}
+	op, err := c.Begin(b, wl, readSeed)
+	if err != nil {
+		return Result{Err: err}
+	}
+	defer op.Close()
+	return c.read(op, b, wl, page, pol, readSeed)
+}
+
+// Begin opens a handle on wordline (b, wl) for ReadOn, drawn for the
+// first attempt of the read with seed readSeed, or reports why the
+// wordline cannot be read (ErrBadAddress, ErrNotProgrammed). The caller
+// closes the handle.
+func (c *Controller) Begin(b, wl int, readSeed uint64) (*flash.ReadOp, error) {
 	cfg := c.Chip.Config()
-	if b < 0 || b >= cfg.Blocks ||
-		wl < 0 || wl >= cfg.WordlinesPerBlock() ||
-		page < 0 || page >= cfg.Kind.Bits() {
-		return Result{Err: fmt.Errorf("%w: block %d wordline %d page %d",
-			ErrBadAddress, b, wl, page)}
+	if b < 0 || b >= cfg.Blocks || wl < 0 || wl >= cfg.WordlinesPerBlock() {
+		return nil, fmt.Errorf("%w: block %d wordline %d", ErrBadAddress, b, wl)
 	}
 	if !c.Chip.IsProgrammed(b, wl) {
-		return Result{Err: fmt.Errorf("%w: block %d wordline %d",
-			ErrNotProgrammed, b, wl)}
+		return nil, fmt.Errorf("%w: block %d wordline %d", ErrNotProgrammed, b, wl)
 	}
-	// Every attempt and auxiliary sense re-reads this one wordline, so
-	// one handle serves them all, redrawn with each operation's seed.
-	attemptSeed := func(k int) uint64 { return mathx.Mix3(readSeed, 0x5ead, uint64(k)) }
-	op := c.Chip.BeginRead(b, wl, attemptSeed(0))
-	defer op.Close()
+	return c.Chip.BeginRead(b, wl, attemptSeed(readSeed, 0)), nil
+}
+
+// ReadOn is Read of a page of the wordline that op, a handle on
+// c.Chip, reads. Every attempt and auxiliary sense re-reads that one
+// wordline, so they all go through op, each redrawing it with its own
+// seed: the result is Read's whatever op was drawn with before, and a
+// caller that reads one wordline many times derives its cells once.
+func (c *Controller) ReadOn(op *flash.ReadOp, page int, pol Policy, readSeed uint64) Result {
+	b, wl := op.Wordline()
+	if err := c.checkPage(b, wl, page); err != nil {
+		return Result{Err: err}
+	}
+	return c.read(op, b, wl, page, pol, readSeed)
+}
+
+// checkPage reports a page outside the chip's pages per wordline.
+func (c *Controller) checkPage(b, wl, page int) error {
+	if page < 0 || page >= c.Chip.Config().Kind.Bits() {
+		return fmt.Errorf("%w: block %d wordline %d page %d", ErrBadAddress, b, wl, page)
+	}
+	return nil
+}
+
+// attemptSeed is the read seed of attempt k of the read with seed
+// readSeed.
+func attemptSeed(readSeed uint64, k int) uint64 { return mathx.Mix3(readSeed, 0x5ead, uint64(k)) }
+
+func (c *Controller) read(op *flash.ReadOp, b, wl, page int, pol Policy, readSeed uint64) Result {
 	env := &Env{
 		Chip: c.Chip, B: b, WL: wl, Page: page,
 		seed: readSeed, op: op, met: c.Obs,
@@ -185,12 +221,12 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 	coding := c.Chip.Coding()
 	levels := len(coding.PageVoltages(page))
 	userBits := c.Chip.Config().UserCells()
-	cells := cfg.CellsPerWordline
-	// All per-read buffers are pooled and recycled on exit: the ground
-	// truth, one readout buffer per parity of the attempt number (the
-	// session may inspect the prior attempt while the next one is sensed
-	// into the other buffer), and the error bitmap.
-	truth := c.Chip.TrueBitsInto(flash.GetBitmap(cells), b, wl, page)
+	cells := op.Cells()
+	// All per-read buffers are pooled and recycled on exit: one readout
+	// buffer per parity of the attempt number (the session may inspect
+	// the prior attempt while the next one is sensed into the other
+	// buffer) and the error bitmap. The ground truth is the handle's.
+	truth := op.TrueBits(page)
 	bufs := [2]flash.Bitmap{flash.GetBitmap(cells), flash.GetBitmap(cells)}
 	errs := flash.GetBitmap(cells)
 
@@ -209,7 +245,7 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 		// pipelined sessions too, which overlap the NEXT sense with the
 		// CURRENT decode but still sense anew (only the latency is
 		// pipelined, never the electrons).
-		op.Redraw(attemptSeed(k))
+		op.Redraw(attemptSeed(readSeed, k))
 		read := op.ReadPageInto(bufs[k&1], page, ofs)
 		step := StepLatency(levels, pipelined && k > 0)
 		if pipelined && k > 0 {
@@ -241,7 +277,6 @@ func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
 	flash.PutBitmap(errs)
 	flash.PutBitmap(bufs[1])
 	flash.PutBitmap(bufs[0])
-	flash.PutBitmap(truth)
 	env.release()
 	c.Obs.record(&res, coding.SentinelVoltage())
 	return res

@@ -6,6 +6,7 @@ import (
 	"sentinel3d/internal/charlab"
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
 )
 
@@ -88,6 +89,12 @@ func Train(chip *flash.Chip, tc TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fit(chip, tc, ds, opts, cc)
+}
+
+// fit fits the Model to collect's (d, sentinel optimum) pairs and the
+// optimum vectors in cc, training the temperature bands when tc asks.
+func fit(chip *flash.Chip, tc TrainConfig, ds, opts []float64, cc *charlab.CorrelationCollector) (*Model, error) {
 	f, err := mathx.PolyFit(ds, opts, polyDegree)
 	if err != nil {
 		return nil, fmt.Errorf("sentinel: fitting f(d): %w", err)
@@ -213,42 +220,50 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 
 	lab := charlab.New(chip)
 	model := chip.Model()
+	type measurement struct {
+		d, opt float64
+		optima flash.Offsets
+	}
 	for pi, pt := range tc.Points {
 		st := physics.Stress{PECycles: pt.PECycles}
 		st = st.Aged(model.P, pt.Hours, pt.TempC)
 		chip.SetStress(0, st)
 		// Vary the lab's read seeds per point so sweeps are independent.
 		lab.Seed = mathx.Mix(tc.Seed, uint64(pi))
-		// The collector sweeps every voltage of these wordlines with the
-		// lab's seeds; its sentinel-voltage optima are bit for bit what
-		// a single-voltage sweep would find, so reuse them.
-		var optima []flash.Offsets
-		if cc != nil {
-			if optima, err = cc.Add(lab, 0, wls); err != nil {
-				return nil, nil, err
-			}
-		}
-		for wi, wl := range wls {
-			// The repeated senses re-read one wordline: one handle,
-			// redrawn with each repetition's seed.
+		// Each sampled wordline is measured through one handle: the
+		// sweeps locating its optima (every voltage with the collector,
+		// the sentinel voltage alone without it) redraw it with the lab's
+		// seeds, then the repeated senses of d with their own, so each
+		// answers as a fresh handle would. The collector's
+		// sentinel-voltage optima are bit for bit what a single-voltage
+		// sweep would find, so they serve as the d pairs' optima.
+		ms := parallel.Map(len(wls), func(wi int) measurement {
 			seed := func(rep int) uint64 { return mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)) }
-			op := chip.BeginRead(0, wl, seed(0))
+			op := chip.BeginRead(0, wls[wi], seed(0))
+			defer op.Close()
+			var m measurement
+			if cc != nil {
+				m.optima = lab.OptimalOffsetsOn(op)
+				m.opt = m.optima.Get(sv)
+			} else {
+				m.opt = lab.OptimalOffsetOn(op, sv)
+			}
 			sense := flash.GetBitmap(cfg.CellsPerWordline)
-			var d float64
 			for rep := 0; rep < measureReads; rep++ {
 				op.Redraw(seed(rep))
 				sense = op.SenseInto(sense, sv, 0)
-				d += ErrorDiffRate(sense, indices)
+				m.d += ErrorDiffRate(sense, indices)
 			}
 			flash.PutBitmap(sense)
-			op.Close()
-			d /= float64(measureReads)
-			ds = append(ds, d)
-			if optima != nil {
-				opts = append(opts, optima[wi].Get(sv))
-			} else {
-				opts = append(opts, lab.OptimalOffset(0, wl, sv))
+			m.d /= float64(measureReads)
+			return m
+		})
+		for _, m := range ms {
+			if cc != nil {
+				cc.AddOptima(m.optima)
 			}
+			ds = append(ds, m.d)
+			opts = append(opts, m.opt)
 		}
 	}
 	return ds, opts, nil

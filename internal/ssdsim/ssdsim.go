@@ -118,13 +118,20 @@ func BuildSampler(ctl *retry.Controller, pol retry.Policy, b int, wls []int, rep
 	bits := ctl.Chip.Coding().Bits()
 	perWL, err := parallel.MapErr(len(wls), func(i int) ([][]RetryOutcome, error) {
 		wl := wls[i]
+		// Every read of the wordline goes through one handle, which
+		// each read redraws, so its cells are derived once.
+		op, err := ctl.Begin(b, wl, mathx.Mix4(seed, uint64(wl), 0, 0))
+		if err != nil {
+			// Bad address or unprogrammed wordline: the controller
+			// reports it, so no pre-checks are needed here.
+			return nil, fmt.Errorf("ssdsim: %w", err)
+		}
+		defer op.Close()
 		pools := make([][]RetryOutcome, bits)
 		for p := 0; p < bits; p++ {
 			for rep := 0; rep < reps; rep++ {
-				res := ctl.Read(b, wl, p, pol, mathx.Mix4(seed, uint64(wl), uint64(p), uint64(rep)))
+				res := ctl.ReadOn(op, p, pol, mathx.Mix4(seed, uint64(wl), uint64(p), uint64(rep)))
 				if res.Err != nil {
-					// Bad address or unprogrammed wordline: the controller
-					// reports it, so no pre-checks are needed here.
 					return nil, fmt.Errorf("ssdsim: %w", res.Err)
 				}
 				pools[p] = append(pools[p], RetryOutcome{
