@@ -277,6 +277,17 @@ func TestEngineStreamedSources(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("generator stream diverged from slice:\n got %+v\nwant %+v", got, want)
 	}
+	gen, err := trace.NewGenerator(spec, 5000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = newEngine().Replay(binaryOpener(t, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("S3DT-encoded generator diverged from slice:\n got %+v\nwant %+v", got, want)
+	}
 
 	// MSR file with monotone timestamps, so file order == sorted order.
 	csv := "128166372003061629,hm,0,Read,8192,8192,100\n" +
@@ -309,6 +320,87 @@ func TestEngineStreamedSources(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("MSR stream diverged from slice:\n got %+v\nwant %+v", got, want)
 	}
+	msr, err := trace.OpenMSR(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = newEngine().Replay(binaryOpener(t, msr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := msr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("S3DT-encoded MSR trace diverged from slice:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestEngineBinaryLargeLPNs: a trace whose LPNs lie past 2^33, up to
+// the S3DT record's 2^40-1, replays through its S3DT encoding exactly
+// as through the slice, on 1 and 2 devices. Every device's share of
+// those LPNs is past 2^32-1, so the writes reach the FTL's reverse-map
+// spill map, whose invariants hold after the replay.
+func TestEngineBinaryLargeLPNs(t *testing.T) {
+	bases := []int64{1<<33 + 5, 1<<36 - 3, 1<<40 - 600}
+	var reqs []trace.Request
+	for i := 0; i < 900; i++ {
+		op := trace.Read
+		if i%3 == 0 {
+			op = trace.Write
+		}
+		reqs = append(reqs, trace.Request{
+			ArriveUS: float64(i) * 40, Op: op,
+			LPN: bases[i%len(bases)] + int64(i*7%500), Pages: 1 + i%4,
+		})
+	}
+	for _, devices := range []int{1, 2} {
+		newEngine := func() *Engine {
+			eng, err := NewEngine(ReplayConfig{
+				Sim: engineConfig(), Shards: 2, Devices: devices,
+				CollectLatencies: true, Precondition: true,
+			}, benchSampler())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		want, err := newEngine().Replay(trace.SliceOpener(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, sims, err := newEngine().replay(binaryOpener(t, trace.Sliced(reqs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("devices=%d: S3DT replay diverged from slice:\n got %+v\nwant %+v", devices, got, want)
+		}
+		if got.Reads == 0 || got.Writes == 0 || got.UnmappedReads != 0 {
+			t.Fatalf("devices=%d: replayed %d reads (%d unmapped), %d writes",
+				devices, got.Reads, got.UnmappedReads, got.Writes)
+		}
+		for i, sim := range sims {
+			if err := sim.ftl.CheckInvariants(); err != nil {
+				t.Fatalf("devices=%d target %d: %v", devices, i, err)
+			}
+		}
+	}
+}
+
+// binaryOpener encodes src as S3DT and returns an opener over the
+// buffer.
+func binaryOpener(t *testing.T, src trace.Source) trace.Opener {
+	t.Helper()
+	data, err := trace.EncodeBinarySource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := trace.BinaryOpener(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return open
 }
 
 // TestEngineErrors: configuration and trace failures surface as errors.

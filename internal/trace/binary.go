@@ -7,7 +7,7 @@ import (
 	"slices"
 )
 
-// Binary trace format: a fixed 24-byte header followed by fixed 24-byte
+// Binary trace format: a fixed 24-byte header followed by fixed 16-byte
 // little-endian records, decodable in place with no per-record
 // allocation. The header carries the record count and the highest LPN
 // any record touches (LPN + Pages - 1), so a consumer can size dense
@@ -15,7 +15,15 @@ import (
 //
 //	header:  magic "S3DT" | version uint16 | reserved uint16
 //	         | count int64 | maxLPN int64
-//	record:  arriveUS float64 | lpn int64 | pages uint32 | op uint8 | pad[3]
+//	record:  arriveUS float64 | op<<63 | (pages-1)<<40 | lpn  (uint64)
+//
+// The record's second word packs the LPN into its low 40 bits (LPNs up
+// to 2^40-1, 4 PiB of 4 KiB pages), the page count less one into the
+// next 23 (1 to 2^23 pages) and the op into the top bit. Every bit
+// pattern of that word is a valid request, so the decoder checks only
+// the arrival and the encoder refuses anything the word cannot carry.
+// The arrival keeps all 8 bytes so it round-trips bit for bit; a
+// 12-byte record would leave the packed word about 26 bits of LPN.
 //
 // The format exists for replay speed: re-decoding a CSV trace or
 // re-running a synthetic generator costs hundreds of nanoseconds per
@@ -26,28 +34,46 @@ import (
 // binaryMagic identifies a binary trace ("S3DT" little-endian).
 const binaryMagic = uint32('S' | '3'<<8 | 'D'<<16 | 'T'<<24)
 
-// binaryVersion is the current format revision.
-const binaryVersion = 1
+// binaryVersion is the layout revision; NewBinarySource refuses any
+// other.
+const binaryVersion = 2
 
 // binaryHeaderBytes and binaryRecordBytes fix the layout sizes.
 const (
 	binaryHeaderBytes = 24
-	binaryRecordBytes = 24
+	binaryRecordBytes = 16
 )
+
+// The packed word's fields: LPN in bits 0-39, pages-1 in bits 40-62,
+// op in bit 63.
+const (
+	binaryLPNBits   = 40
+	binaryPagesBits = 23
+	binaryOpShift   = binaryLPNBits + binaryPagesBits
+
+	binaryMaxLPN   = 1<<binaryLPNBits - 1 // the largest first LPN a record carries
+	binaryMaxPages = 1 << binaryPagesBits // the largest page count a record carries
+)
+
+// binaryPresizeBytes caps the buffer EncodeBinarySource reserves from a
+// source's reported length; a longer trace grows past it as it encodes.
+const binaryPresizeBytes = 1 << 30
 
 // EncodeBinarySource drains src into the binary format without
 // materializing a []Request. A source that reports its length (Generator,
 // BinarySource) gets an exactly sized buffer, so a multi-million-request
 // encode writes each record once, in place, instead of re-copying as it
-// grows.
+// grows. A length that would need more than binaryPresizeBytes (or
+// overflow) is not trusted: the buffer then starts small and grows.
 //
-// A record the format cannot carry faithfully fails the encode with an
-// error naming its index: one BinarySource.Next would reject (see
-// recordFault), or one with more pages than the 32-bit pages field holds.
+// A record the format cannot carry fails the encode with an error naming
+// its index (see recordFault), so every trace it writes decodes in full.
 func EncodeBinarySource(src Source) ([]byte, error) {
 	size := 1 << 16
 	if l, ok := src.(interface{ Len() int }); ok {
-		size = binaryHeaderBytes + l.Len()*binaryRecordBytes
+		if n := l.Len(); n >= 0 && n <= (binaryPresizeBytes-binaryHeaderBytes)/binaryRecordBytes {
+			size = binaryHeaderBytes + n*binaryRecordBytes
+		}
 	}
 	buf := make([]byte, binaryHeaderBytes, size)
 	var maxLPN int64 = -1
@@ -60,13 +86,10 @@ func EncodeBinarySource(src Source) ([]byte, error) {
 		if !ok {
 			break
 		}
-		if !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && r.Pages > 0 &&
-			r.Pages <= math.MaxInt32 && r.Op >= Read && r.Op <= Write) {
-			what := recordFault(r)
-			if what == "" {
-				what = fmt.Sprintf("%d pages overflow the 32-bit pages field", r.Pages)
-			}
-			return nil, fmt.Errorf("trace: encoding record %d: %s", count, what)
+		// recordFault's ranges as one test, so a good record makes no call.
+		if !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && uint64(r.LPN) <= binaryMaxLPN &&
+			uint(r.Pages-1) < binaryMaxPages && uint(r.Op) <= uint(Write)) {
+			return nil, fmt.Errorf("trace: encoding record %d: %s", count, recordFault(r))
 		}
 		n := len(buf)
 		if cap(buf)-n < binaryRecordBytes {
@@ -91,13 +114,13 @@ func putBinaryHeader(buf []byte, count, maxLPN int64) {
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(maxLPN))
 }
 
-// putBinaryRecord writes r into the record-sized rec, padding included.
+// putBinaryRecord writes r, which recordFault accepts, into the
+// record-sized rec.
 func putBinaryRecord(rec []byte, r *Request) {
 	rec = rec[:binaryRecordBytes]
 	binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(r.ArriveUS))
-	binary.LittleEndian.PutUint64(rec[8:16], uint64(r.LPN))
-	binary.LittleEndian.PutUint32(rec[16:20], uint32(r.Pages))
-	rec[20], rec[21], rec[22], rec[23] = byte(r.Op), 0, 0, 0
+	binary.LittleEndian.PutUint64(rec[8:16],
+		uint64(r.Op)<<binaryOpShift|uint64(r.Pages-1)<<binaryLPNBits|uint64(r.LPN))
 }
 
 // BinarySource decodes a binary trace in place: Next reads each record
@@ -130,7 +153,7 @@ func NewBinarySource(data []byte) (*BinarySource, error) {
 	}
 	body := data[binaryHeaderBytes:]
 	// Compare record counts, not byte counts: count*binaryRecordBytes
-	// overflows for a header claiming more than 2^63/24 records.
+	// overflows for a header claiming more than 2^63/16 records.
 	if have := int64(len(body) / binaryRecordBytes); have < count {
 		return nil, fmt.Errorf("trace: binary trace truncated: %d whole records, header claims %d",
 			have, count)
@@ -156,10 +179,9 @@ func (b *BinarySource) Len() int { return int(b.count) }
 // state ahead of the first request.
 func (b *BinarySource) MaxLPN() int64 { return b.maxLPN }
 
-// Next implements Source. A record that no other source could yield —
-// an arrival that is negative or not finite, fewer than one page, an op
-// other than Read or Write — fails the trace with an error naming the
-// record's index, and the source stays on that record.
+// Next implements Source. A record whose arrival is negative or not
+// finite, the only fault a record can hold, fails the trace with an
+// error naming the record's index, and the source stays on that record.
 //
 // Next is kept within the compiler's inlining budget: the replay engine
 // calls it once per request per pass, and a call costs more than the
@@ -170,14 +192,15 @@ func (b *BinarySource) Next() (r Request, ok bool, err error) {
 	if len(rec) < binaryRecordBytes {
 		return
 	}
+	w := binary.LittleEndian.Uint64(rec[8:])
 	r = Request{
 		ArriveUS: math.Float64frombits(binary.LittleEndian.Uint64(rec)),
-		LPN:      int64(binary.LittleEndian.Uint64(rec[8:])),
-		Pages:    int(int32(binary.LittleEndian.Uint32(rec[16:]))),
-		Op:       Op(rec[20]),
+		LPN:      int64(w & binaryMaxLPN),
+		Pages:    int(w>>binaryLPNBits&(binaryMaxPages-1)) + 1,
+		Op:       Op(w >> binaryOpShift),
 	}
 	// NaN fails both arrival comparisons, +Inf the second.
-	if r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && r.Pages > 0 && r.Op <= Write {
+	if r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 {
 		b.data = rec[binaryRecordBytes:]
 		return r, true, nil
 	}
@@ -191,25 +214,29 @@ type badRecordError BinarySource
 
 func (e *badRecordError) Error() string {
 	b := (*BinarySource)(e)
-	r := Request{
-		ArriveUS: math.Float64frombits(binary.LittleEndian.Uint64(b.data)),
-		Pages:    int(int32(binary.LittleEndian.Uint32(b.data[16:]))),
-		Op:       Op(b.data[20]),
-	}
+	arrive := math.Float64frombits(binary.LittleEndian.Uint64(b.data))
 	index := b.count - int64(len(b.data)/binaryRecordBytes)
-	return fmt.Sprintf("trace: binary record %d: %s", index, recordFault(r))
+	return fmt.Sprintf("trace: binary record %d: %s", index, arrivalFault(arrive))
 }
 
-// recordFault describes why a binary trace cannot hold r — an arrival
-// that is negative or not finite, fewer than one page, an op other than
-// Read or Write — or returns "" when it can.
+// arrivalFault describes an arrival that is negative or not finite.
+func arrivalFault(us float64) string {
+	return fmt.Sprintf("arrival %g µs is negative or not finite", us)
+}
+
+// recordFault describes why a binary record cannot carry r — an arrival
+// that is negative or not finite, an LPN outside [0, binaryMaxLPN], a
+// page count outside [1, binaryMaxPages], an op other than Read or
+// Write — or returns "" when it can.
 func recordFault(r Request) string {
 	switch {
 	case !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64):
-		return fmt.Sprintf("arrival %g µs is negative or not finite", r.ArriveUS)
-	case r.Pages < 1:
-		return fmt.Sprintf("%d pages, want at least 1", r.Pages)
-	case r.Op < Read || r.Op > Write:
+		return arrivalFault(r.ArriveUS)
+	case r.LPN < 0 || r.LPN > binaryMaxLPN:
+		return fmt.Sprintf("LPN %d is outside [0, %d]", r.LPN, int64(binaryMaxLPN))
+	case r.Pages < 1 || r.Pages > binaryMaxPages:
+		return fmt.Sprintf("%d pages is outside [1, %d]", r.Pages, binaryMaxPages)
+	case r.Op != Read && r.Op != Write:
 		return fmt.Sprintf("op %d is neither read (%d) nor write (%d)", int(r.Op), Read, Write)
 	}
 	return ""
