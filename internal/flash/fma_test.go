@@ -62,13 +62,14 @@ func goCommand(t *testing.T) string {
 
 // TestHotPathInlines builds internal/mathx and internal/trace with the
 // compiler's inlining report and fails if a per-request draw or decode
-// stops inlining: (*Rand).Uint64, Float64 and Intn (the trace
-// generator's draws and the replay's page draw) and
-// (*BinarySource).Next, the budget the replay loops' devirtualized
-// decode relies on. It also fails on any remaining call from the trace
-// package into those draws. Each is a few instructions whose call
-// overhead would rival its body; a reshaped body that crosses the
-// budget shows here rather than as a replay slowdown.
+// stops inlining: the value-typed stepper's (*Xoshiro).Uint64 and
+// Float64 (the trace generator's block fill), (*Rand).Uint64, Float64
+// and Intn (the replay's page draw) and (*BinarySource).Next, the
+// budget the replay loops' devirtualized decode relies on. It also
+// fails on any remaining call from the trace package into those draws.
+// Each is a few instructions whose call overhead would rival its body;
+// a reshaped body that crosses the budget shows here rather than as a
+// replay slowdown.
 func TestHotPathInlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles two packages with the inlining report")
@@ -79,7 +80,8 @@ func TestHotPathInlines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build failed: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"(*Rand).Uint64", "(*Rand).Float64", "(*Rand).Intn", "(*BinarySource).Next"} {
+	for _, fn := range []string{"(*Xoshiro).Uint64", "(*Xoshiro).Float64",
+		"(*Rand).Uint64", "(*Rand).Float64", "(*Rand).Intn", "(*BinarySource).Next"} {
 		if !strings.Contains(string(out), "can inline "+fn+"\n") {
 			t.Errorf("%s no longer inlines", fn)
 		}
@@ -88,7 +90,7 @@ func TestHotPathInlines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build failed: %v\n%s", err, asm)
 	}
-	call := regexp.MustCompile(`CALL\s+sentinel3d/internal/mathx\.\(\*Rand\)\.(Uint64|Float64|Intn)\(SB\)`)
+	call := regexp.MustCompile(`CALL\s+sentinel3d/internal/mathx\.\(\*(Rand|Xoshiro)\)\.(Uint64|Float64|Intn)\(SB\)`)
 	if m := call.FindAllString(string(asm), -1); len(m) > 0 {
 		t.Errorf("internal/trace still calls the draws:\n%s", strings.Join(m, "\n"))
 	}

@@ -58,10 +58,42 @@ func Mix4(a, b, c, d uint64) uint64 {
 	return Mix(Mix3(a, b, c), d)
 }
 
+// Xoshiro is a xoshiro256** state held by value: the four words are
+// separate fields, not an array, so a caller that copies the state into
+// a local for a loop of draws gets four SSA values, kept in registers
+// between calls and in its own frame across them, instead of a heap
+// array loaded and stored on every draw. Rand steps one, so its stream
+// is Rand.Uint64's.
+type Xoshiro struct {
+	s0, s1, s2, s3 uint64
+}
+
+// NewXoshiro returns the state NewRand(seed) starts from, expanded from
+// seed with SplitMix64 as the xoshiro authors recommend.
+func NewXoshiro(seed uint64) Xoshiro {
+	sm := SplitMix64{state: seed}
+	x := Xoshiro{sm.Next(), sm.Next(), sm.Next(), sm.Next()}
+	// Guard against the (astronomically unlikely) all-zero state.
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
+	}
+	return x
+}
+
+// Uint64 advances the state and returns the next 64 random bits. It
+// stays under the compiler's inlining budget (TestHotPathInlines): the
+// replay's page draw and the trace generator's block fill call it per
+// draw.
+func (x *Xoshiro) Uint64() uint64 {
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2^x.s0, x.s3^x.s1
+	*x = Xoshiro{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
+}
+
 // Rand is a xoshiro256** PRNG: fast, high quality, 256-bit state.
 // The zero value is not usable; construct with NewRand.
 type Rand struct {
-	s         [4]uint64
+	x         Xoshiro
 	spare     float64
 	haveSpare bool
 }
@@ -78,36 +110,23 @@ func NewRand(seed uint64) *Rand {
 // loop that needs a fresh keyed stream per item can reuse one Rand
 // instead of allocating one per item.
 func (r *Rand) Reseed(seed uint64) {
-	sm := SplitMix64{state: seed}
-	for i := range r.s {
-		r.s[i] = sm.Next()
-	}
-	// Guard against the (astronomically unlikely) all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
-	}
+	r.x = NewXoshiro(seed)
 	r.spare, r.haveSpare = 0, false
 }
 
-// Uint64 returns the next 64 random bits. The state is loaded into
-// locals and stored back as one array literal, which keeps the method
-// under the compiler's inlining budget (TestHotPathInlines): the
-// replay's page draw and the trace generator call it per request.
-func (r *Rand) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	s2 ^= s0
-	s3 ^= s1
-	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
-	return bits.RotateLeft64(s1*5, 7) * 9
+// Uint64 returns the next 64 random bits (see Xoshiro.Uint64).
+func (r *Rand) Uint64() uint64 { return r.x.Uint64() }
+
+// Float64 returns a uniform value in [0, 1) with 53 bits of precision:
+// m·2^-53 for the draw's top 53 bits m. The scaling is exact; the
+// float64 conversion only keeps an inlined caller's 1-u from compiling
+// to a fused multiply-subtract, which TestNoFusedMultiplyAdd forbids.
+func (x *Xoshiro) Float64() float64 {
+	return float64(float64(x.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
-// Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-// The scaling is exact; the float64 conversion only keeps an inlined
-// caller's 1-u from compiling to a fused multiply-subtract, which
-// TestNoFusedMultiplyAdd forbids.
-func (r *Rand) Float64() float64 {
-	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
-}
+// Float64 returns a uniform value in [0, 1) (see Xoshiro.Float64).
+func (r *Rand) Float64() float64 { return r.x.Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {

@@ -406,47 +406,28 @@ func (e *Engine) preconditionPass(sims []*Sim, src trace.Source, localBound int6
 	}
 	nShards := e.cfg.Shards
 	replicate := e.cfg.Replicate && e.cfg.Devices > 1
-	// Devirtualized fast paths: the zero-copy binary format's concrete
-	// Next inlines into this loop, where the interface call cannot, and
-	// the synthetic generator yields spans only — the pass reads no
-	// arrival time or op, so it skips the arrival's logarithm.
-	bin, _ := src.(*trace.BinarySource)
-	gen, _ := src.(*trace.Generator)
-	for n := 0; ; n++ {
+	blk := make([]trace.Request, trace.BlockRequests)
+	for k := len(blk); k == len(blk); {
 		// The warm-up pass has no partial result worth keeping, so a
-		// cancelled precondition simply aborts (checked in batches — the
-		// per-request cost of ctx.Err() would be measurable at replay scale).
-		if n%4096 == 0 {
-			if err := e.ctxErr(); err != nil {
-				return err
-			}
-		}
-		var r trace.Request
-		var ok bool
-		var err error
-		switch {
-		case gen != nil:
-			r.LPN, r.Pages, ok = gen.NextSpan()
-		case bin != nil:
-			r, ok, err = bin.Next()
-		default:
-			r, ok, err = src.Next()
-		}
-		if err != nil {
+		// cancelled precondition simply aborts (checked once per block).
+		if err := e.ctxErr(); err != nil {
 			return err
 		}
-		if !ok {
-			break
+		var err error
+		if k, err = trace.ReadBlock(src, blk, true); err != nil {
+			return err
 		}
-		dev, local := e.stripe.route(r.LPN)
-		s := e.router.of(local)
-		if replicate {
-			for dd := 0; dd < e.cfg.Devices; dd++ {
-				deds[dd*nShards+s].addRange(local, r.Pages)
+		for _, r := range blk[:k] {
+			dev, local := e.stripe.route(r.LPN)
+			s := e.router.of(local)
+			if replicate {
+				for dd := 0; dd < e.cfg.Devices; dd++ {
+					deds[dd*nShards+s].addRange(local, r.Pages)
+				}
+				continue
 			}
-			continue
+			deds[dev*nShards+s].addRange(local, r.Pages)
 		}
-		deds[dev*nShards+s].addRange(local, r.Pages)
 	}
 	if err := parallel.ForEachErr(len(sims), func(t int) error {
 		return deds[t].each(func(lpn int64) error {
@@ -606,9 +587,7 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 
 	nShards := e.cfg.Shards
 	replicate := e.cfg.Replicate && e.cfg.Devices > 1
-	// Devirtualized fast path for the zero-copy binary format (see
-	// preconditionPass).
-	bin, _ := src.(*trace.BinarySource)
+	blk := make([]trace.Request, trace.BlockRequests)
 	var canceled, perr error
 	eof := false
 	for !eof && canceled == nil && perr == nil {
@@ -620,37 +599,28 @@ func (e *Engine) replayPass(sims []*Sim, reps []*Report, src trace.Source, busy 
 			canceled = err
 			break
 		}
-		for n := 0; n < e.cfg.ChunkRequests; n++ {
-			var r trace.Request
-			var ok bool
-			var err error
-			if bin != nil {
-				r, ok, err = bin.Next()
-			} else {
-				r, ok, err = src.Next()
-			}
-			if err != nil {
-				perr = err
-				break
-			}
-			if !ok {
-				eof = true
-				break
-			}
-			dev, local := e.stripe.route(r.LPN)
-			s := e.router.of(local)
-			if replicate {
-				if r.Op == trace.Write {
-					for dd := 0; dd < e.cfg.Devices; dd++ {
-						d.append(dd*nShards+s, r)
+		for n, k := 0, 0; n < e.cfg.ChunkRequests && !eof && perr == nil; n += k {
+			// A block never crosses the chunk boundary; a short one is
+			// the end of the trace.
+			want := min(len(blk), e.cfg.ChunkRequests-n)
+			k, perr = trace.ReadBlock(src, blk[:want], false)
+			eof = k < want
+			for _, r := range blk[:k] {
+				dev, local := e.stripe.route(r.LPN)
+				s := e.router.of(local)
+				if replicate {
+					if r.Op == trace.Write {
+						for dd := 0; dd < e.cfg.Devices; dd++ {
+							d.append(dd*nShards+s, r)
+						}
+						continue
 					}
+					d.append(dev*nShards+s, r)
 					continue
 				}
+				r.LPN = local
 				d.append(dev*nShards+s, r)
-				continue
 			}
-			r.LPN = local
-			d.append(dev*nShards+s, r)
 		}
 		if perr != nil {
 			// A trace error abandons the run (the caller discards the

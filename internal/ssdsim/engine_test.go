@@ -521,6 +521,126 @@ func TestEngineReplayCanceled(t *testing.T) {
 	}
 }
 
+// TestEngineGeneratorBlocks: the generator's block pulls (span-only
+// blocks in the precondition pass, request blocks cut at each chunk
+// boundary in the replay pass) replay exactly as the materialized slice
+// of the same trace. Chunks of 1000 and 4097 requests end inside a
+// 512-request block and one past a 4096-request demux block; the fleets
+// are a sharded device and striped and replicated pairs, at one worker
+// (inline servicing) and four (queues and freelist).
+func TestEngineGeneratorBlocks(t *testing.T) {
+	spec, err := trace.WorkloadByName("hm_0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.WorkingSetPages = 8000
+	const n = 12000
+	reqs, err := trace.Generate(spec, n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fleet := range []struct {
+		name            string
+		shards, devices int
+		replicate       bool
+	}{{"shards2", 2, 1, false}, {"striped", 2, 2, false}, {"replicated", 1, 2, true}} {
+		for _, chunk := range []int{1000, 4097} {
+			for _, workers := range []int{1, 4} {
+				prev := parallel.SetWorkers(workers)
+				eng, err := NewEngine(ReplayConfig{
+					Sim: engineConfig(), Shards: fleet.shards, Devices: fleet.devices,
+					Replicate: fleet.replicate, ChunkRequests: chunk,
+					CollectLatencies: true, Precondition: true,
+				}, benchSampler())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := eng.Replay(trace.SliceOpener(reqs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.Replay(trace.GeneratorOpener(spec, n, 42))
+				parallel.SetWorkers(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Requests < n {
+					t.Fatalf("%s: slice replay serviced %d of %d requests", fleet.name, want.Requests, n)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, chunk %d, %d workers: generator replay diverged from slice:\n got %+v\nwant %+v",
+						fleet.name, chunk, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// armedCtx reports Canceled from the at-th Err call after it is armed.
+type armedCtx struct {
+	context.Context
+	armed     bool
+	calls, at int
+}
+
+func (c *armedCtx) Err() error {
+	if !c.armed {
+		return nil
+	}
+	if c.calls++; c.calls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineGeneratorCancelMatchesSlice: a replay canceled mid-run
+// returns the same partial report from the generator's blocks as from
+// the slice source. The context is armed when the replay pass opens
+// its source, so only the replay pass's once-per-chunk checks count,
+// and cancels at the fourth: three whole chunks.
+func TestEngineGeneratorCancelMatchesSlice(t *testing.T) {
+	spec, err := trace.WorkloadByName("hm_0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.WorkingSetPages = 8000
+	const n, chunk = 12000, 1000
+	reqs, err := trace.Generate(spec, n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []*Report
+	for _, src := range []trace.Opener{trace.SliceOpener(reqs), trace.GeneratorOpener(spec, n, 42)} {
+		ctx := &armedCtx{Context: context.Background(), at: 4}
+		eng, err := NewEngine(ReplayConfig{
+			Sim: engineConfig(), Shards: 2, ChunkRequests: chunk,
+			CollectLatencies: true, Precondition: true, Ctx: ctx,
+		}, benchSampler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opens := 0
+		rep, err := eng.Replay(func() (trace.Source, error) {
+			opens++
+			ctx.armed = opens == 2
+			return src()
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err %v, want context.Canceled", err)
+		}
+		if rep == nil {
+			t.Fatal("no partial report")
+		}
+		if rep.Requests != 3*chunk {
+			t.Fatalf("partial report of %d requests, want %d", rep.Requests, 3*chunk)
+		}
+		reps = append(reps, rep)
+	}
+	if !reflect.DeepEqual(reps[1], reps[0]) {
+		t.Fatalf("canceled generator replay diverged from slice:\n got %+v\nwant %+v", reps[1], reps[0])
+	}
+}
+
 // TestEngineFTLInvariants: after a replay through the Engine, every
 // target's FTL still holds the L2P↔P2L bijection and exact valid counts
 // (ftl.(*FTL).CheckInvariants). This is the loud check behind

@@ -64,7 +64,9 @@ const binaryPresizeBytes = 1 << 30
 // BinarySource) gets an exactly sized buffer, so a multi-million-request
 // encode writes each record once, in place, instead of re-copying as it
 // grows. A length that would need more than binaryPresizeBytes (or
-// overflow) is not trusted: the buffer then starts small and grows.
+// overflow) is not trusted: the buffer then starts small and grows. The
+// source is read in blocks (ReadBlock), so a Generator draws a block per
+// call.
 //
 // A record the format cannot carry fails the encode with an error naming
 // its index (see recordFault), so every trace it writes decodes in full.
@@ -78,29 +80,30 @@ func EncodeBinarySource(src Source) ([]byte, error) {
 	buf := make([]byte, binaryHeaderBytes, size)
 	var maxLPN int64 = -1
 	count := int64(0)
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
+	blk := make([]Request, BlockRequests)
+	for k := len(blk); k == len(blk); {
+		var err error
+		if k, err = ReadBlock(src, blk, false); err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		for i := range blk[:k] {
+			r := &blk[i]
+			// recordFault's ranges as one test, so a good record makes no call.
+			if !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && uint64(r.LPN) <= binaryMaxLPN &&
+				uint(r.Pages-1) < binaryMaxPages && uint(r.Op) <= uint(Write)) {
+				return nil, fmt.Errorf("trace: encoding record %d: %s", count, recordFault(*r))
+			}
+			n := len(buf)
+			if cap(buf)-n < binaryRecordBytes {
+				buf = slices.Grow(buf, binaryRecordBytes)
+			}
+			buf = buf[:n+binaryRecordBytes]
+			putBinaryRecord(buf[n:], r)
+			if last := r.LPN + int64(r.Pages) - 1; last > maxLPN {
+				maxLPN = last
+			}
+			count++
 		}
-		// recordFault's ranges as one test, so a good record makes no call.
-		if !(r.ArriveUS >= 0 && r.ArriveUS <= math.MaxFloat64 && uint64(r.LPN) <= binaryMaxLPN &&
-			uint(r.Pages-1) < binaryMaxPages && uint(r.Op) <= uint(Write)) {
-			return nil, fmt.Errorf("trace: encoding record %d: %s", count, recordFault(r))
-		}
-		n := len(buf)
-		if cap(buf)-n < binaryRecordBytes {
-			buf = slices.Grow(buf, binaryRecordBytes)
-		}
-		buf = buf[:n+binaryRecordBytes]
-		putBinaryRecord(buf[n:], &r)
-		if last := r.LPN + int64(r.Pages) - 1; last > maxLPN {
-			maxLPN = last
-		}
-		count++
 	}
 	putBinaryHeader(buf, count, maxLPN)
 	return buf, nil

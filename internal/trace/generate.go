@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"sentinel3d/internal/mathx"
 )
@@ -219,9 +221,9 @@ func (z *zipf) band(b float64) (lo, hi int64) {
 	return int64(float64(est*(1-zipfTol)) - 1), int64(float64(est*(1+zipfTol)) - 1)
 }
 
-// lpn draws a page index.
-func (z *zipf) lpn(r *mathx.Rand) int64 {
-	rank := z.rank(r.Float64())
+// lpn maps the draw u in [0, 1) to a page index.
+func (z *zipf) lpn(u float64) int64 {
+	rank := z.rank(u)
 	if rank >= z.n {
 		rank = z.n - 1
 	}
@@ -229,19 +231,41 @@ func (z *zipf) lpn(r *mathx.Rand) int64 {
 	return int64(mathx.Mix(uint64(rank), 0x5ca77e2) % uint64(z.n))
 }
 
-// Generator streams the synthetic workload one request at a time; it is
-// the Source-shaped form of Generate, byte-identical to it for the same
-// (spec, n, seed). A fresh Generator with the same arguments replays the
-// same stream, which is how the replay engine makes its preconditioning
-// and replay passes without materializing the trace.
+// drawThreshold returns the integer form of the Bernoulli test u < q on
+// a draw u = m·2^-53, where m is the top 53 bits of the RNG word
+// (mathx's Float64): m·2^-53 < q ⇔ m < q·2^53 ⇔ m < ⌈q·2^53⌉, because
+// scaling by a power of two is exact and m is an integer. So
+// word>>11 < drawThreshold(q) is Float64() < q, bit for bit, with no
+// conversion to float. q <= 0 (or NaN) passes no draw and q >= 1 every
+// draw, as the float test does.
+func drawThreshold(q float64) uint64 {
+	switch {
+	case !(q > 0):
+		return 0
+	case q >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(q * (1 << 53)))
+}
+
+// Generator streams the synthetic workload; it is the Source-shaped
+// form of Generate, byte-identical to it for the same (spec, n, seed).
+// A fresh Generator with the same arguments replays the same stream,
+// which is how the replay engine makes its preconditioning and replay
+// passes without materializing the trace. Next, NextSpan, NextBlock and
+// NextSpans all advance one stream through one draw routine (draw), so
+// any mix of them yields the same spans in the same order.
 type Generator struct {
 	spec    WorkloadSpec
 	n       int
 	emitted int
-	r       *mathx.Rand
+	rng     mathx.Xoshiro
 	now     float64
 	prevEnd int64
 	zipf    zipf
+	// The Bernoulli tests' thresholds (see drawThreshold): burst mode,
+	// read, one more page, sequential continuation.
+	burst, read, grow, seq uint64
 }
 
 // NewGenerator returns a Source producing n requests for the spec,
@@ -253,8 +277,10 @@ func NewGenerator(spec WorkloadSpec, n int, seed uint64) (*Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: non-positive request count %d", n)
 	}
-	return &Generator{spec: spec, n: n, r: mathx.NewRand(seed),
-		zipf: newZipf(spec.WorkingSetPages, spec.ZipfS)}, nil
+	return &Generator{spec: spec, n: n, rng: mathx.NewXoshiro(seed),
+		zipf:  newZipf(spec.WorkingSetPages, spec.ZipfS),
+		burst: drawThreshold(spec.Burstiness), read: drawThreshold(spec.ReadFrac),
+		grow: drawThreshold(1 - 1/spec.MeanPages), seq: drawThreshold(spec.SeqProb)}, nil
 }
 
 // Len returns the total number of requests the generator will yield.
@@ -267,87 +293,114 @@ func (g *Generator) MaxLPN() int64 { return g.spec.WorkingSetPages - 1 }
 
 // Next implements Source.
 func (g *Generator) Next() (Request, bool, error) {
-	if g.emitted >= g.n {
+	var r [1]Request
+	if g.draw(r[:], false) == 0 {
 		return Request{}, false, nil
 	}
-	g.emitted++
-	spec, r := g.spec, g.r
-	// Arrival process: exponential base with a burst mode. The
-	// float64 conversions round each product before the add, so no
-	// GOARCH fuses them into a multiply-add and the stream is the same
-	// everywhere.
-	if r.Float64() < spec.Burstiness {
-		g.now += float64(-math.Log(1-r.Float64()) * spec.MeanIATUS * 0.02)
-	} else {
-		g.now += float64(-math.Log(1-r.Float64()) * spec.MeanIATUS)
-	}
-	op := Write
-	if r.Float64() < spec.ReadFrac {
-		op = Read
-	}
-	lpn, pages := g.span()
-	return Request{ArriveUS: g.now, Op: op, LPN: lpn, Pages: pages}, true, nil
+	return r[0], true, nil
 }
 
-// NextSpan yields the next request's page span only: it advances the
-// RNG past the arrival and op draws without computing them (Next draws
-// exactly three values before the span on either arrival branch), so a
-// caller that needs only the pages — the replay engine's precondition
-// pass — skips the arrival's logarithm. The stream after a NextSpan is
-// the one Next would have continued with, except that the arrival clock
-// does not advance over the skipped request.
+// NextSpan yields the next request's page span only (see NextSpans).
 func (g *Generator) NextSpan() (lpn int64, pages int, ok bool) {
-	if g.emitted >= g.n {
+	var r [1]Request
+	if g.draw(r[:], true) == 0 {
 		return 0, 0, false
 	}
-	g.emitted++
-	r := g.r
-	r.Uint64() // burst flag
-	r.Uint64() // exponential gap
-	r.Uint64() // op
-	lpn, pages = g.span()
-	return lpn, pages, true
+	return r[0].LPN, r[0].Pages, true
 }
 
-// span draws a request's size and start page, the part of Next that
-// NextSpan shares.
-func (g *Generator) span() (int64, int) {
-	spec, r := &g.spec, g.r
-	// Size: geometric with the requested mean.
-	pages := 1
-	p := 1 - 1/spec.MeanPages
-	for pages < 64 && r.Float64() < p {
-		pages++
+// NextBlock fills dst with the next requests, as many as fit and remain,
+// and returns how many it wrote; 0 means the stream is exhausted. It
+// yields what as many Next calls would, without a call per request.
+func (g *Generator) NextBlock(dst []Request) int { return g.draw(dst, false) }
+
+// NextSpans is NextBlock for a caller that needs only the pages, the
+// replay engine's precondition pass: each request gets its LPN and
+// Pages and a zero arrival and op. It steps the RNG past the arrival
+// and op draws without computing them (three draws on either arrival
+// branch), so it skips the arrival's logarithm. The stream after it is
+// the one Next would have continued with, except that the arrival clock
+// does not advance over the skipped requests.
+func (g *Generator) NextSpans(dst []Request) int { return g.draw(dst, true) }
+
+// draw is the generator's one draw sequence. It fills dst with the
+// next min(len(dst), remaining) requests, span-only when spans is set,
+// and returns how many. The RNG state, the clock and the sequential
+// cursor stay in locals for the whole block and are stored back once.
+func (g *Generator) draw(dst []Request, spans bool) int {
+	if rest := g.n - g.emitted; len(dst) > rest {
+		dst = dst[:rest]
 	}
-	var lpn int64
-	if r.Float64() < spec.SeqProb && g.prevEnd > 0 &&
-		g.prevEnd+int64(pages) < spec.WorkingSetPages {
-		lpn = g.prevEnd
-	} else {
-		lpn = g.zipf.lpn(r)
-		if lpn+int64(pages) > spec.WorkingSetPages {
-			lpn = spec.WorkingSetPages - int64(pages)
+	st, now, prevEnd := g.rng, g.now, g.prevEnd
+	iat, ws := g.spec.MeanIATUS, g.spec.WorkingSetPages
+	for i := range dst {
+		var arrive float64
+		var op Op
+		if spans {
+			st.Uint64() // burst flag
+			st.Uint64() // exponential gap
+			st.Uint64() // op
+		} else {
+			// Arrival process: exponential base with a burst mode. The
+			// float64 conversions round each product before the add, so
+			// no GOARCH fuses them into a multiply-add and the stream is
+			// the same everywhere.
+			burst := st.Uint64()>>11 < g.burst
+			gap := float64(-math.Log(1-st.Float64()) * iat)
+			if burst {
+				gap = float64(gap * 0.02)
+			}
+			now += gap
+			arrive, op = now, Write
+			if st.Uint64()>>11 < g.read {
+				op = Read
+			}
 		}
+		// Size: geometric with the requested mean.
+		pages := 1
+		for pages < 64 && st.Uint64()>>11 < g.grow {
+			pages++
+		}
+		var lpn int64
+		if st.Uint64()>>11 < g.seq && prevEnd > 0 && prevEnd+int64(pages) < ws {
+			lpn = prevEnd
+		} else {
+			lpn = g.zipf.lpn(st.Float64())
+			if lpn+int64(pages) > ws {
+				lpn = ws - int64(pages)
+			}
+		}
+		prevEnd = lpn + int64(pages)
+		dst[i] = Request{ArriveUS: arrive, Op: op, LPN: lpn, Pages: pages}
 	}
-	g.prevEnd = lpn + int64(pages)
-	return lpn, pages
+	g.rng, g.now, g.prevEnd = st, now, prevEnd
+	g.emitted += len(dst)
+	return len(dst)
 }
 
-// Generate produces n requests for the spec, deterministically from seed.
+// generatePresizeRequests caps how many requests Generate reserves up
+// front (the same 1 GiB EncodeBinarySource reserves); a longer trace
+// grows past it as it fills.
+const generatePresizeRequests = binaryPresizeBytes / int(unsafe.Sizeof(Request{}))
+
+// Generate produces n requests for the spec, deterministically from
+// seed. A count whose []Request would not fit in an int's worth of
+// bytes is refused with an error naming it rather than a panic: a
+// scenario's request count reaches here unchecked.
 func Generate(spec WorkloadSpec, n int, seed uint64) ([]Request, error) {
+	if n > math.MaxInt/int(unsafe.Sizeof(Request{})) {
+		return nil, fmt.Errorf("trace: %d requests cannot be materialized", n)
+	}
 	g, err := NewGenerator(spec, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Request, 0, n)
-	for {
-		req, ok, err := g.Next()
-		if err != nil {
-			return nil, err
+	out := make([]Request, 0, min(n, generatePresizeRequests))
+	for g.emitted < g.n {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 1)
 		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, req)
+		out = out[:len(out)+g.NextBlock(out[len(out):cap(out)])]
 	}
+	return out, nil
 }

@@ -84,6 +84,45 @@ func Collect(src Source) ([]Request, error) {
 	}
 }
 
+// BlockRequests is the block size ReadBlock's callers use: 512
+// requests, 16 KiB, still in L1 when the loop that consumes the block
+// reads it back.
+const BlockRequests = 512
+
+// ReadBlock fills dst with src's next requests and returns how many it
+// read; fewer than len(dst) means the trace ended (or err is set). A
+// Generator draws the whole block in one call, span-only when spans is
+// set (for a caller that reads only LPN and Pages: it skips the
+// arrival's logarithm). The binary format's concrete Next inlines into
+// the fill loop, where any other source's interface call cannot; both
+// fill whole requests whatever spans says.
+func ReadBlock(src Source, dst []Request, spans bool) (int, error) {
+	switch s := src.(type) {
+	case *Generator:
+		if spans {
+			return s.NextSpans(dst), nil
+		}
+		return s.NextBlock(dst), nil
+	case *BinarySource:
+		for i := range dst {
+			r, ok, err := s.Next()
+			if err != nil || !ok {
+				return i, err
+			}
+			dst[i] = r
+		}
+	default:
+		for i := range dst {
+			r, ok, err := s.Next()
+			if err != nil || !ok {
+				return i, err
+			}
+			dst[i] = r
+		}
+	}
+	return len(dst), nil
+}
+
 // MSRSource streams an MSR Cambridge CSV trace
 //
 //	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime

@@ -266,3 +266,37 @@ func BenchmarkGeneratorNextSpan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGeneratorNextBlock measures one request of mds_0 and prxy_0,
+// the replay workloads' specs, drawn in blocks of 512 as the replay
+// pass pulls them. One op is one request.
+func BenchmarkGeneratorNextBlock(b *testing.B) {
+	benchGeneratorBlocks(b, (*Generator).NextBlock)
+}
+
+// BenchmarkGeneratorNextSpans is BenchmarkGeneratorNextBlock for the
+// span-only blocks the precondition pass pulls.
+func BenchmarkGeneratorNextSpans(b *testing.B) {
+	benchGeneratorBlocks(b, (*Generator).NextSpans)
+}
+
+func benchGeneratorBlocks(b *testing.B, fill func(*Generator, []Request) int) {
+	for _, name := range []string{"mds_0", "prxy_0"} {
+		spec, _ := WorkloadByName(name)
+		spec.WorkingSetPages = scenarioPages
+		b.Run(name, func(b *testing.B) {
+			g, err := NewGenerator(spec, math.MaxInt, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := make([]Request, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(blk) {
+				if fill(g, blk[:min(len(blk), b.N-done)]) == 0 {
+					b.Fatal("generator drained")
+				}
+			}
+		})
+	}
+}
