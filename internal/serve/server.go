@@ -1,14 +1,14 @@
 // Package serve is the online serving layer over the ssdsim Fleet: a
 // JSON-over-HTTP read server (cmd/flashd) with per-tenant QoS
 // (token-bucket admission, latency-SLO tiers, per-tenant retry
-// policy), request deadlines propagated into the shard queues, bounded
+// policy), request deadlines stamped on every fleet read, bounded
 // backpressure (429 + Retry-After, never unbounded goroutine growth),
 // a three-step overload/degradation ladder (shed lowest tier → force
 // static-table policy → fail fast with a capped retry budget), and
 // graceful drain on SIGTERM.
 //
 // The request path is: in-flight cap → drain check → tenant lookup →
-// ladder shed → token bucket → deadline context → fleet submit →
+// ladder shed → token bucket → deadline stamp → fleet submit →
 // post-service deadline+grace check. The last step is what makes the
 // "no request is served past deadline+grace" guarantee hold by
 // construction: a reply that comes back late is converted to 504, so a
@@ -24,6 +24,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,8 @@ func (c *Config) withDefaults() {
 	}
 }
 
-// batchFanout bounds the goroutines one batch request fans out to, so
+// batchFanout bounds the goroutines that service one batch request,
+// the handler's own included: a batch starts at most batchFanout-1, so
 // worst-case goroutine count is MaxInflight*batchFanout — a config
 // product, never a function of load.
 const batchFanout = 8
@@ -236,8 +238,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Shutdown drains gracefully and is what SIGTERM maps to in flashd:
 // new requests are refused (readyz flips, /read answers 503), the
 // listener closes, in-flight handlers run to completion (bounded by
-// ctx), then the fleet services its queued tail and stops. No accepted
-// request is ever dropped.
+// ctx), then the fleet services the reads still waiting for a shard
+// and stops. No accepted request is ever dropped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -252,7 +254,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Close stops immediately, dropping in-flight HTTP exchanges (the
-// fleet still drains its queue — workers own FTL state).
+// fleet still services every read it accepted).
 func (s *Server) Close() error {
 	if s.draining.CompareAndSwap(false, true) {
 		s.ladder.Stop()
@@ -351,8 +353,6 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		deadlineMs = t.cfg.DeadlineMs
 	}
 	deadline := time.Duration(deadlineMs * float64(time.Millisecond))
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
 
 	policy, forced := t.cfg.Policy, false
 	if level >= LevelForceTable && policy != "table" {
@@ -364,7 +364,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		maxRetries = s.ladder.cfg.FailFastRetries
 	}
 
-	results, agg := s.fanout(ctx, reads, policy, maxRetries)
+	results, agg := s.fanout(r.Context(), start.Add(deadline), reads, policy, maxRetries)
 	wall := time.Since(start)
 	t.m.wallUS.Observe(float64(wall.Microseconds()))
 
@@ -418,7 +418,7 @@ func (t *tenant) serveOK(w http.ResponseWriter, buf *[]byte, resp *ReadResponse,
 
 // normalizeReads turns a request body into fleet reads, or returns an
 // error code for the 400. A read spans at most maxPages pages (one
-// erase block), so no single request can hold a shard worker for long.
+// erase block), so no single request can hold a shard's lock for long.
 func normalizeReads(req ReadRequest, maxBatch, maxPages int) ([]ssdsim.FleetRead, string) {
 	var reads []ssdsim.FleetRead
 	switch {
@@ -456,32 +456,47 @@ type aggFlags struct {
 	uncorrectable, fallback, failFast bool
 }
 
-// fanout services the reads: inline for a single read, through a
-// bounded worker pool (batchFanout goroutines) for a batch.
-func (s *Server) fanout(ctx context.Context, reads []ssdsim.FleetRead, policy string, maxRetries int) ([]ReadResult, aggFlags) {
+// fanout services the reads, each stamped with deadline, grouped by
+// the shard that services them. The handler goroutine services the
+// first shard's reads; each other shard gets one goroutine, at most
+// batchFanout goroutines in all, shards past that sharing them
+// round-robin. A shard services its reads one at a time anyway, so a
+// second goroutine on one shard would only wait for its lock.
+func (s *Server) fanout(ctx context.Context, deadline time.Time, reads []ssdsim.FleetRead, policy string, maxRetries int) ([]ReadResult, aggFlags) {
 	out := make([]ReadResult, len(reads))
 	if len(reads) == 1 {
-		out[0] = s.one(ctx, reads[0], policy, maxRetries)
+		out[0] = s.one(ctx, reads[0], deadline, policy, maxRetries)
 	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		k := batchFanout
-		if k > len(reads) {
-			k = len(reads)
+		// slot[i] is read i's shard's index among the batch's distinct
+		// shards, in order of first appearance.
+		slot := make([]int, len(reads))
+		var shards []int
+		for i, rd := range reads {
+			sh := s.fleet.ShardOf(rd.LPN)
+			j := slices.Index(shards, sh)
+			if j < 0 {
+				j = len(shards)
+				shards = append(shards, sh)
+			}
+			slot[i] = j
 		}
-		wg.Add(k)
-		for w := 0; w < k; w++ {
+		k := min(len(shards), batchFanout)
+		serve := func(w int) {
+			for i, j := range slot {
+				if j%k == w {
+					out[i] = s.one(ctx, reads[i], deadline, policy, maxRetries)
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		wg.Add(k - 1)
+		for w := 1; w < k; w++ {
 			go func() {
 				defer wg.Done()
-				for i := range idx {
-					out[i] = s.one(ctx, reads[i], policy, maxRetries)
-				}
+				serve(w)
 			}()
 		}
-		for i := range reads {
-			idx <- i
-		}
-		close(idx)
+		serve(0)
 		wg.Wait()
 	}
 	var agg aggFlags
@@ -502,9 +517,10 @@ func (s *Server) fanout(ctx context.Context, reads []ssdsim.FleetRead, policy st
 }
 
 // one submits one read and folds the fleet's reply into a ReadResult.
-func (s *Server) one(ctx context.Context, rd ssdsim.FleetRead, policy string, maxRetries int) ReadResult {
+func (s *Server) one(ctx context.Context, rd ssdsim.FleetRead, deadline time.Time, policy string, maxRetries int) ReadResult {
 	rd.Policy = policy
 	rd.MaxRetries = maxRetries
+	rd.Deadline = deadline
 	res, err := s.fleet.Submit(ctx, rd)
 	rr := ReadResult{LPN: rd.LPN}
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sentinel3d/internal/ftl"
@@ -15,37 +16,41 @@ import (
 )
 
 // Fleet is the online (serving) counterpart of the batch replay Engine:
-// N sharded sub-devices, each owned by one worker goroutine behind a
-// bounded request queue, servicing reads submitted one at a time with a
-// context deadline instead of a pre-recorded trace. It is what
-// cmd/flashd serves traffic from.
+// N sharded sub-devices, each plain state behind a mutex, servicing
+// reads submitted one at a time with a deadline instead of a
+// pre-recorded trace. A read is serviced on the goroutine that submits
+// it, under its shard's lock; the fleet itself starts no goroutines. It
+// is what cmd/flashd serves traffic from.
 //
 // Three contracts shape it:
 //
 //   - Backpressure, never buffering: Submit fails fast with ErrQueueFull
-//     when the target shard's queue is at capacity. The fleet never
-//     spawns per-request goroutines and never grows a queue, so overload
-//     surfaces to the admission layer instead of as memory.
-//   - Deadlines are honoured at dequeue: a request whose context deadline
-//     has already passed when its shard gets to it is rejected without
-//     touching the device (reject-on-arrival), so a backed-up queue
-//     cannot burn device time on reads nobody is waiting for.
+//     when QueueDepth submitters already wait for the target shard. The
+//     fleet never spawns per-request goroutines and never grows a queue,
+//     so overload surfaces to the admission layer instead of as memory.
+//   - Deadlines are honoured at the lock: a request whose context is
+//     done, or whose FleetRead.Deadline has passed, when it takes its
+//     shard's lock is rejected without touching the device
+//     (reject-on-arrival), so a backed-up shard cannot burn device time
+//     on reads nobody is waiting for.
 //   - Deterministic outcomes: a read's retry outcome is a pure function
 //     of (fleet seed, page LPN, policy), like the internal/fault
 //     injector's pure-hash decisions — never of arrival order or
-//     goroutine scheduling. Two closed-loop benchmark runs with the same
-//     seed therefore observe byte-identical per-read results, which is
-//     what makes flashbench reports reproducible.
+//     goroutine scheduling. Waiters take a shard's lock in the mutex's
+//     order, not FIFO, and no outcome depends on it. Two closed-loop
+//     benchmark runs with the same seed therefore observe byte-identical
+//     per-read results, which is what makes flashbench reports
+//     reproducible.
 type Fleet struct {
 	cfg      FleetConfig
 	samplers map[string]fleetSampler
 
-	mu      sync.RWMutex // guards stopped vs in-flight Submit sends
-	stopped bool
+	mu       sync.RWMutex // guards stopped against accepted submissions' inflight.Add
+	stopped  bool
+	inflight sync.WaitGroup
 
 	shards []*fleetShard
 	router shardRouter
-	wg     sync.WaitGroup
 }
 
 // fleetSampler pairs a policy's priced draw table with the salt that
@@ -68,8 +73,9 @@ type FleetConfig struct {
 	// Shards is the number of independent sub-devices (default 1); it
 	// must divide Sim.Geo.Channels, exactly like ReplayConfig.Shards.
 	Shards int
-	// QueueDepth bounds each shard's request queue (default 256). A full
-	// queue rejects with ErrQueueFull.
+	// QueueDepth bounds the submitters waiting for each shard's lock
+	// (default 256); a submission that finds QueueDepth already waiting
+	// rejects with ErrQueueFull.
 	QueueDepth int
 	// PremapPages maps LPNs [0, PremapPages) at startup so reads hit
 	// valid data (the serving analogue of Precondition). Default 60% of
@@ -85,8 +91,9 @@ type FleetConfig struct {
 	CorruptRate float64
 	// Stall, when non-nil, returns an extra wall-clock service delay for
 	// a request on the given shard — the chaos hook that simulates a
-	// slow die or a hiccuping channel. It runs on the shard worker, so a
-	// stall backs up that shard's queue exactly like a real slow shard.
+	// slow die or a hiccuping channel. It runs under the shard's lock, so
+	// a stall backs up that shard's waiters exactly like a real slow
+	// shard.
 	Stall func(shard int) time.Duration
 	// Metrics, when non-nil, attaches per-shard queue instrumentation
 	// (depth gauges, queue-wait histograms). Needs >= Shards shards.
@@ -104,6 +111,11 @@ type FleetRead struct {
 	// after MaxRetries attempts instead of burning the full budget. The
 	// degradation ladder's fail-fast step sets it.
 	MaxRetries int
+	// Deadline, when non-zero, is the instant past which the read is
+	// rejected with context.DeadlineExceeded instead of serviced. It is
+	// checked with the clock reading Submit takes for queue wait, so it
+	// costs no timer.
+	Deadline time.Time
 }
 
 // FleetResult is the outcome of one serviced read.
@@ -112,8 +124,8 @@ type FleetResult struct {
 	// (die sensing + channel transfer, µs), excluding wall-clock queue
 	// wait. It is deterministic per (seed, LPN, policy).
 	SimUS float64
-	// QueueWait is the wall-clock time the request spent queued before
-	// its shard worker picked it up.
+	// QueueWait is the wall-clock time the request waited for its
+	// shard's lock.
 	QueueWait time.Duration
 	// Shard is the shard that serviced the request.
 	Shard int
@@ -144,27 +156,13 @@ var (
 	ErrUnknownPolicy = errors.New("ssdsim: unknown policy")
 )
 
-// fleetReq is the queue entry: the read, its context (for the dequeue
-// deadline check), and the reply channel (buffered, so the worker never
-// blocks replying to an abandoned caller).
-type fleetReq struct {
-	read     FleetRead
-	ctx      context.Context
-	enqueued time.Time
-	done     chan fleetReply
-}
-
-type fleetReply struct {
-	res FleetResult
-	err error
-}
-
-// fleetShard is one sub-device: a bounded queue, the single worker
-// goroutine that drains it, and the shard's FTL, which NewFleet
-// premaps and every worker only reads.
+// fleetShard is one sub-device: the lock its reads are serviced under,
+// the count of submitters waiting for it, and the shard's FTL, which
+// NewFleet premaps and every read only translates on.
 type fleetShard struct {
-	queue chan fleetReq
-	ftl   *ftl.FTL
+	mu      sync.Mutex
+	waiting atomic.Int64
+	ftl     *ftl.FTL
 
 	depth     *obs.Gauge
 	waitUS    *obs.Hist
@@ -173,7 +171,7 @@ type fleetShard struct {
 	satisfied *obs.Counter
 }
 
-// defaultQueueDepth bounds a shard queue when the config leaves it zero.
+// defaultQueueDepth bounds a shard's waiters when the config leaves it zero.
 const defaultQueueDepth = 256
 
 // policySalt keys a policy's deterministic outcome stream by name, so
@@ -185,7 +183,7 @@ func policySalt(name string) uint64 {
 }
 
 // NewFleet validates the configuration, builds the per-shard FTLs and
-// premaps the logical space, then starts one worker per shard.
+// premaps the logical space.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	shards, sub, err := splitShards(cfg.Sim, cfg.Shards)
 	if err != nil {
@@ -237,12 +235,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &fleetShard{queue: make(chan fleetReq, cfg.QueueDepth), ftl: ft}
+		sh := &fleetShard{ftl: ft}
 		if set := cfg.Metrics.Set(s); set != nil {
 			sh.depth = set.Gauge("fleet.queue_depth", "requests queued on this shard")
 			sh.waitUS = set.Hist("fleet.queue_wait_us", "wall-clock queue wait per request")
 			sh.rejects = set.Counter("fleet.queue_rejects", "submissions rejected by a full queue")
-			sh.expired = set.Counter("fleet.deadline_expired", "requests already past deadline at dequeue")
+			sh.expired = set.Counter("fleet.deadline_expired", "requests already past deadline at the shard lock")
 			sh.satisfied = set.Counter("fleet.reads_serviced", "requests serviced by this shard")
 		}
 		f.shards[s] = sh
@@ -255,10 +253,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, err
 		}
 	}
-	f.wg.Add(len(f.shards))
-	for s := range f.shards {
-		go f.run(s)
-	}
 	return f, nil
 }
 
@@ -269,24 +263,28 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // logical footprint load generators should stay inside.
 func (f *Fleet) PremapPages() int64 { return f.cfg.PremapPages }
 
-// MaxQueueFrac returns the highest queue occupancy across shards in
+// ShardOf returns the shard a read starting at lpn is serviced on.
+func (f *Fleet) ShardOf(lpn int64) int { return f.router.of(lpn) }
+
+// MaxQueueFrac returns the highest waiter occupancy across shards in
 // [0, 1] — the degradation ladder's pressure signal.
 func (f *Fleet) MaxQueueFrac() float64 {
 	frac := 0.0
 	for _, sh := range f.shards {
-		if q := float64(len(sh.queue)) / float64(cap(sh.queue)); q > frac {
+		if q := float64(sh.waiting.Load()) / float64(f.cfg.QueueDepth); q > frac {
 			frac = q
 		}
 	}
 	return frac
 }
 
-// Submit enqueues one read on its shard and waits for the result. It
-// fails fast with ErrQueueFull when the shard's queue is at capacity
-// and with ErrFleetStopped after Close; a context already expired at
-// dequeue time returns the context's error without device work. Submit
-// never abandons a queued request — once enqueued it always waits for
-// the shard's reply, so accounting is exact and nothing leaks.
+// Submit services one read on the calling goroutine under its shard's
+// lock. It fails fast with ErrQueueFull when QueueDepth submitters
+// already wait for the shard and with ErrFleetStopped after Close; a
+// read whose context is done, or whose Deadline has passed, when it
+// takes the lock returns that error without device work. An accepted
+// read always gets its reply, so accounting is exact and Close can wait
+// for it.
 func (f *Fleet) Submit(ctx context.Context, read FleetRead) (FleetResult, error) {
 	if read.Pages <= 0 {
 		read.Pages = 1
@@ -297,30 +295,65 @@ func (f *Fleet) Submit(ctx context.Context, read FleetRead) (FleetResult, error)
 	if _, ok := f.samplers[read.Policy]; !ok {
 		return FleetResult{}, fmt.Errorf("%w %q", ErrUnknownPolicy, read.Policy)
 	}
-	req := fleetReq{read: read, ctx: ctx, enqueued: time.Now(),
-		done: make(chan fleetReply, 1)}
-	sh := f.shards[f.router.of(read.LPN)]
+	s := f.router.of(read.LPN)
+	sh := f.shards[s]
 
 	f.mu.RLock()
 	if f.stopped {
 		f.mu.RUnlock()
 		return FleetResult{}, ErrFleetStopped
 	}
-	select {
-	case sh.queue <- req:
-		f.mu.RUnlock()
-	default:
-		f.mu.RUnlock()
-		sh.rejects.Inc()
-		return FleetResult{}, ErrQueueFull
+	// Claim a waiter slot only below QueueDepth, so a submission that
+	// is refused never counts as waiting, even for an instant.
+	for {
+		n := sh.waiting.Load()
+		if n >= int64(f.cfg.QueueDepth) {
+			f.mu.RUnlock()
+			sh.rejects.Inc()
+			return FleetResult{}, ErrQueueFull
+		}
+		if sh.waiting.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
-	rep := <-req.done
-	return rep.res, rep.err
+	f.inflight.Add(1)
+	f.mu.RUnlock()
+	defer f.inflight.Done()
+
+	enqueued := time.Now()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.depth.Set(float64(sh.waiting.Add(-1)))
+	now := time.Now()
+	wait := now.Sub(enqueued)
+	sh.waitUS.Observe(float64(wait.Microseconds()))
+	err := ctx.Err()
+	if err == nil && !read.Deadline.IsZero() && !now.Before(read.Deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		// Reject-on-arrival: the caller stopped waiting (deadline or
+		// cancel) before the shard got to it; spend no device time on it.
+		sh.expired.Inc()
+		return FleetResult{}, err
+	}
+	if f.cfg.Stall != nil {
+		if d := f.cfg.Stall(s); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	// One Rand per read, reseeded per served page; it lives on the
+	// submitter's stack, off the cache lines other submitters touch.
+	var rng mathx.Rand
+	res := f.service(s, read, &rng)
+	res.QueueWait = wait
+	sh.satisfied.Inc()
+	return res, nil
 }
 
-// Close stops accepting new submissions, services every already-queued
-// request (graceful drain — nothing enqueued is ever dropped), and
-// waits for the shard workers to exit.
+// Close stops accepting new submissions and returns once every
+// accepted read has had its reply (graceful drain — nothing accepted is
+// ever dropped).
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.stopped {
@@ -329,47 +362,13 @@ func (f *Fleet) Close() {
 	}
 	f.stopped = true
 	f.mu.Unlock()
-	for _, sh := range f.shards {
-		close(sh.queue)
-	}
-	f.wg.Wait()
+	f.inflight.Wait()
 }
 
-// run is shard s's worker: dequeue, deadline-check, service, reply.
-func (f *Fleet) run(s int) {
-	defer f.wg.Done()
-	sh := f.shards[s]
-	// The worker's one Rand, reseeded per served page; it lives on the
-	// worker's stack, off the cache lines submitters read.
-	var rng mathx.Rand
-	for req := range sh.queue {
-		sh.depth.Set(float64(len(sh.queue)))
-		wait := time.Since(req.enqueued)
-		sh.waitUS.Observe(float64(wait.Microseconds()))
-		if err := req.ctx.Err(); err != nil {
-			// Reject-on-arrival: the caller stopped waiting (deadline or
-			// cancel) while the request sat in the queue; spend no device
-			// time on it.
-			sh.expired.Inc()
-			req.done <- fleetReply{err: err}
-			continue
-		}
-		if f.cfg.Stall != nil {
-			if d := f.cfg.Stall(s); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		res := f.service(s, req.read, &rng)
-		res.QueueWait = wait
-		sh.satisfied.Inc()
-		req.done <- fleetReply{res: res}
-	}
-}
-
-// service reads every page of the request for shard s, which queued
-// it. Each page is translated on the FTL of the shard that owns its
-// granule, where NewFleet premapped it, so a read that crosses a
-// granule boundary finds its pages on the next shard; after premap no
+// service reads every page of the request for shard s, whose lock the
+// caller holds. Each page is translated on the FTL of the shard that
+// owns its granule, where NewFleet premapped it, so a read that crosses
+// a granule boundary finds its pages on the next shard; after premap no
 // FTL is written, so reading another shard's FTL needs no lock.
 // Outcomes are deterministic per page: the RNG stream is keyed by
 // (seed, LPN, policy salt), so neither arrival order nor concurrency

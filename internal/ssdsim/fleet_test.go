@@ -3,6 +3,7 @@ package ssdsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"sentinel3d/internal/fault"
 	"sentinel3d/internal/ftl"
+	"sentinel3d/internal/obs"
 )
 
 // fleetTestConfig is a small 2-shard fleet with a slow/fast sampler pair.
@@ -318,5 +320,174 @@ func TestFleetCloseDrainsQueued(t *testing.T) {
 	fl.Close()
 	if ok.Load() != n {
 		t.Fatalf("%d/%d in-flight reads serviced", ok.Load(), n)
+	}
+}
+
+// TestFleetSubmitAllocs: a single-page read is serviced on the caller's
+// goroutine with no reply channel or request record, so it allocates
+// nothing, with and without metrics attached.
+func TestFleetSubmitAllocs(t *testing.T) {
+	for _, metrics := range []bool{false, true} {
+		cfg := fleetTestConfig()
+		if metrics {
+			cfg.Metrics = obs.NewRegistry(cfg.Shards)
+		}
+		fl, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		read := FleetRead{LPN: 10, Pages: 1, Policy: "sentinel"}
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := fl.Submit(ctx, read); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fl.Close()
+		if n != 0 {
+			t.Errorf("metrics %v: Submit allocates %v times per read, want 0", metrics, n)
+		}
+	}
+}
+
+// TestFleetReadDeadline: a FleetRead.Deadline already past when the
+// read takes its shard's lock rejects it with context.DeadlineExceeded
+// and no device work; a zero Deadline never expires; a cancelled
+// context is rejected at the lock too.
+func TestFleetReadDeadline(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Metrics = obs.NewRegistry(cfg.Shards)
+	fl, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	const lpn = 10
+	set := cfg.Metrics.Set(fl.ShardOf(lpn))
+	expired := set.Counter("fleet.deadline_expired", "")
+	serviced := set.Counter("fleet.reads_serviced", "")
+	check := func(name string, read FleetRead, ctx context.Context, want error) {
+		t.Helper()
+		e0, s0 := expired.Value(), serviced.Value()
+		_, err := fl.Submit(ctx, read)
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: got %v, want %v", name, err, want)
+		}
+		de, ds := expired.Value()-e0, serviced.Value()-s0
+		if want != nil && (de != 1 || ds != 0) || want == nil && (de != 0 || ds != 1) {
+			t.Fatalf("%s: deadline_expired +%d, reads_serviced +%d", name, de, ds)
+		}
+	}
+	bg := context.Background()
+	check("past deadline", FleetRead{LPN: lpn, Policy: "sentinel",
+		Deadline: time.Now().Add(-time.Millisecond)}, bg, context.DeadlineExceeded)
+	check("zero deadline", FleetRead{LPN: lpn, Policy: "sentinel"}, bg, nil)
+	check("future deadline", FleetRead{LPN: lpn, Policy: "sentinel",
+		Deadline: time.Now().Add(time.Hour)}, bg, nil)
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	check("cancelled context", FleetRead{LPN: lpn, Policy: "sentinel",
+		Deadline: time.Now().Add(time.Hour)}, cancelled, context.Canceled)
+}
+
+// TestFleetCloseWaitsForBlockedSubmitters: with submitters blocked
+// behind a stalled shard, Close returns only once every one of them has
+// its reply — serviced, or expired at the lock when its Deadline passed
+// while it waited — and a later Submit is refused.
+func TestFleetCloseWaitsForBlockedSubmitters(t *testing.T) {
+	gate := &stallGate{release: make(chan struct{})}
+	gate.on.Store(true)
+	cfg := fleetTestConfig()
+	cfg.Shards = 1
+	cfg.Stall = gate.stall
+	fl, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	var replied atomic.Int64
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read := FleetRead{LPN: int64(i), Policy: "sentinel"}
+			if i%2 == 1 {
+				read.Deadline = time.Now().Add(20 * time.Millisecond)
+			}
+			_, errs[i] = fl.Submit(context.Background(), read)
+			replied.Add(1)
+		}()
+	}
+	// One submitter holds the lock in the stall, the rest wait for it.
+	for limit := time.Now().Add(10 * time.Second); fl.shards[0].waiting.Load() < n-1; {
+		if time.Now().After(limit) {
+			t.Fatalf("%d submitters waiting, want %d", fl.shards[0].waiting.Load(), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan int64)
+	go func() {
+		fl.Close()
+		closed <- replied.Load()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while submitters were blocked")
+	case <-time.After(50 * time.Millisecond): // past every Deadline
+	}
+	gate.on.Store(false)
+	close(gate.release)
+	if got := <-closed; got != n {
+		t.Fatalf("Close returned after %d of %d replies", got, n)
+	}
+	wg.Wait()
+	var expired int
+	for i, err := range errs {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded) && i%2 == 1:
+			expired++
+		case err != nil:
+			t.Errorf("submitter %d: %v", i, err)
+		}
+	}
+	if expired < n/2-1 {
+		t.Errorf("%d deadline-stamped waiters expired, want at least %d", expired, n/2-1)
+	}
+	if _, err := fl.Submit(context.Background(), FleetRead{LPN: 1, Policy: "sentinel"}); !errors.Is(err, ErrFleetStopped) {
+		t.Fatalf("closed fleet: got %v", err)
+	}
+}
+
+// BenchmarkFleetSubmit is the fleet's per-read cost from concurrent
+// submitters (GOMAXPROCS of them): single-page reads spread over the
+// premapped space, on one shard and on two.
+func BenchmarkFleetSubmit(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			cfg := fleetTestConfig()
+			cfg.Shards = shards
+			cfg.Metrics = obs.NewRegistry(shards)
+			fl, err := NewFleet(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fl.Close()
+			var seq atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				ctx := context.Background()
+				lpn := seq.Add(1) * 997
+				for pb.Next() {
+					lpn = (lpn + 61) % cfg.PremapPages
+					if _, err := fl.Submit(ctx, FleetRead{LPN: lpn, Pages: 1, Policy: "sentinel"}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }
