@@ -8,8 +8,8 @@
 //   - transient sense-noise bursts affecting a whole read operation;
 //   - outlier wordlines with an anomalous Vth shift (early retention
 //     loss, process-variation outliers);
-//   - block-level program/erase failures, both at the chip (flash.Chip)
-//     and at the address-mapping (ftl.FTL) layer.
+//   - block-level program/erase failures at the address-mapping
+//     (ftl.FTL) layer.
 //
 // Every decision is a pure hash of (profile seed, physical address,
 // operation key) via the mathx seed-splitting primitives — never of call
@@ -32,8 +32,6 @@ const (
 	saltStuckHi = 0xfa17002
 	saltBurst   = 0xfa17003
 	saltOutlier = 0xfa17004
-	saltProgram = 0xfa17005
-	saltErase   = 0xfa17006
 	saltFTLProg = 0xfa17007
 	saltFTLErsd = 0xfa17008
 )
@@ -57,10 +55,6 @@ type Profile struct {
 	// window (the rest pin below). 1 models a worst-case biased clamp that
 	// skews the error-difference rate; 0.5 models symmetric corruption.
 	StuckHighFraction float64
-	// StuckShift is the Vth perturbation magnitude of a stuck cell in
-	// normalized voltage units. The default (set by New when zero) is far
-	// outside any read window.
-	StuckShift float64
 
 	// BurstRate is the per-read-operation probability of a transient
 	// sense-noise burst: every cell of that read gains extra Gaussian
@@ -73,11 +67,6 @@ type Profile struct {
 	// applied to all its cells.
 	OutlierWLRate float64
 	OutlierShift  float64
-
-	// ProgramFailRate / EraseFailRate are the per-operation failure
-	// probabilities of chip-level program and erase.
-	ProgramFailRate float64
-	EraseFailRate   float64
 
 	// FTLProgramFailRate / FTLEraseFailRate are the per-operation failure
 	// probabilities consulted by the FTL layer (ftl.PEFaultModel); they
@@ -96,8 +85,6 @@ func (p Profile) Validate() error {
 		{"SentinelStuckRate", p.SentinelStuckRate},
 		{"BurstRate", p.BurstRate},
 		{"OutlierWLRate", p.OutlierWLRate},
-		{"ProgramFailRate", p.ProgramFailRate},
-		{"EraseFailRate", p.EraseFailRate},
 		{"FTLProgramFailRate", p.FTLProgramFailRate},
 		{"FTLEraseFailRate", p.FTLEraseFailRate},
 	}
@@ -124,20 +111,20 @@ func (p Profile) Validate() error {
 	return nil
 }
 
+// stuckShift is the Vth perturbation magnitude of a stuck cell in
+// normalized voltage units, far outside any read window.
+const stuckShift float64 = 4096
+
 // Injector applies a Profile. It is immutable after construction and safe
 // for unlimited concurrent use.
 type Injector struct {
 	p Profile
 }
 
-// New validates the profile and builds an injector. A zero StuckShift
-// defaults to 4096 normalized units (well outside any read window).
+// New validates the profile and builds an injector.
 func New(p Profile) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.StuckShift == 0 {
-		p.StuckShift = 4096
 	}
 	return &Injector{p: p}, nil
 }
@@ -150,9 +137,6 @@ func MustNew(p Profile) *Injector {
 	}
 	return in
 }
-
-// Profile returns the injector's (defaulted) profile.
-func (in *Injector) Profile() Profile { return in.p }
 
 // u01 maps a hash to a uniform value in [0, 1).
 func u01(h uint64) float64 { return float64(h>>11) * (1.0 / (1 << 53)) }
@@ -181,7 +165,7 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 			if !hit(h, p.SentinelStuckRate) {
 				continue
 			}
-			shift := p.StuckShift
+			shift := stuckShift
 			if !hit(mathx.Hash64(h^saltStuckHi), p.StuckHighFraction) {
 				shift = -shift
 			}
@@ -209,18 +193,6 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 			}
 		}
 	}
-}
-
-// ProgramFails implements flash.FaultModel.
-func (in *Injector) ProgramFails(b, wl int, epoch uint64) bool {
-	return hit(mathx.Mix4(in.p.Seed^saltProgram, uint64(b), uint64(wl), epoch),
-		in.p.ProgramFailRate)
-}
-
-// EraseFails implements flash.FaultModel.
-func (in *Injector) EraseFails(b int, erase uint64) bool {
-	return hit(mathx.Mix3(in.p.Seed^saltErase, uint64(b), erase),
-		in.p.EraseFailRate)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -17,7 +16,7 @@ func TestValidate(t *testing.T) {
 		{StuckHighFraction: 2},                                 // out of range
 		{BurstRate: 0.1},                                       // no sigma
 		{OutlierWLRate: 0.1},                                   // no shift
-		{ProgramFailRate: -1},                                  // negative
+		{FTLProgramFailRate: -1},                               // negative
 		{FTLEraseFailRate: 1.01},                               // > 1
 		{SentinelStuckRate: 0.1, SentinelRegion: [2]int{8, 8}}, // empty
 	}
@@ -31,23 +30,12 @@ func TestValidate(t *testing.T) {
 		{SentinelStuckRate: 0.05, SentinelRegion: [2]int{100, 120}, StuckHighFraction: 1},
 		{BurstRate: 0.01, BurstSigma: 30},
 		{OutlierWLRate: 0.02, OutlierShift: 80},
-		{ProgramFailRate: 0.001, EraseFailRate: 0.001, FTLProgramFailRate: 0.01, FTLEraseFailRate: 0.01},
+		{FTLProgramFailRate: 0.01, FTLEraseFailRate: 0.01},
 	}
 	for i, p := range good {
 		if _, err := New(p); err != nil {
 			t.Errorf("profile %d: unexpected error %v", i, err)
 		}
-	}
-}
-
-func TestStuckShiftDefault(t *testing.T) {
-	in := MustNew(Profile{})
-	if in.Profile().StuckShift != 4096 {
-		t.Fatalf("default StuckShift = %v, want 4096", in.Profile().StuckShift)
-	}
-	in = MustNew(Profile{StuckShift: 100})
-	if in.Profile().StuckShift != 100 {
-		t.Fatalf("explicit StuckShift = %v, want 100", in.Profile().StuckShift)
 	}
 }
 
@@ -104,7 +92,6 @@ func TestStuckCellsFrozen(t *testing.T) {
 		SentinelStuckRate: 0.25,
 		SentinelRegion:    [2]int{0, 256},
 		StuckHighFraction: 1,
-		StuckShift:        1000,
 	})
 	stuckAt := func(readSeed uint64) map[int]bool {
 		v := make([]float64, 256)
@@ -140,7 +127,6 @@ func TestStuckRateEmpirical(t *testing.T) {
 		SentinelStuckRate: 0.1,
 		SentinelRegion:    [2]int{0, n},
 		StuckHighFraction: 1,
-		StuckShift:        1000,
 	})
 	v := make([]float64, n)
 	in.PerturbVth(0, 0, 1, v)
@@ -163,7 +149,6 @@ func TestStuckHighFraction(t *testing.T) {
 		SentinelStuckRate: 0.5,
 		SentinelRegion:    [2]int{0, n},
 		StuckHighFraction: 0.5,
-		StuckShift:        1000,
 	})
 	v := make([]float64, n)
 	in.PerturbVth(0, 0, 1, v)
@@ -191,13 +176,12 @@ func TestRegionClamped(t *testing.T) {
 		SentinelStuckRate: 1,
 		SentinelRegion:    [2]int{-10, 1 << 20},
 		StuckHighFraction: 1,
-		StuckShift:        100,
 	})
 	v := make([]float64, 16)
 	in.PerturbVth(0, 0, 1, v) // must not panic
 	for i, x := range v {
-		if x != 100 {
-			t.Fatalf("cell %d: got %v, want 100 (rate 1)", i, x)
+		if x != stuckShift {
+			t.Fatalf("cell %d: got %v, want %v (rate 1)", i, x, stuckShift)
 		}
 	}
 }
@@ -209,35 +193,13 @@ func TestZeroProfileIsNoop(t *testing.T) {
 	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
 		t.Fatalf("zero profile perturbed vth: %v", v)
 	}
-	if in.ProgramFails(0, 0, 1) || in.EraseFails(0, 1) ||
-		in.PageProgramFails(0, 0, 0, 0) || in.BlockEraseFails(0, 0, 0) {
+	if in.PageProgramFails(0, 0, 0, 0) || in.BlockEraseFails(0, 0, 0) {
 		t.Fatal("zero profile reported a failure")
 	}
 }
 
-func TestPERatesEmpirical(t *testing.T) {
-	in := MustNew(Profile{Seed: 9, ProgramFailRate: 0.05, EraseFailRate: 0.02})
-	const n = 50000
-	prog, erase := 0, 0
-	for i := 0; i < n; i++ {
-		if in.ProgramFails(i%64, i%96, uint64(i)) {
-			prog++
-		}
-		if in.EraseFails(i%64, uint64(i)) {
-			erase++
-		}
-	}
-	if got := float64(prog) / n; math.Abs(got-0.05) > 0.005 {
-		t.Fatalf("program fail rate %v, want 0.05±0.005", got)
-	}
-	if got := float64(erase) / n; math.Abs(got-0.02) > 0.005 {
-		t.Fatalf("erase fail rate %v, want 0.02±0.005", got)
-	}
-}
-
 // TestChipIntegration attaches an injector to a real chip and checks that
-// program/erase faults surface as the flash sentinel errors and that stuck
-// sentinel cells flip sensed bits deterministically, only inside the
+// stuck sentinel cells flip sensed bits deterministically, only inside the
 // configured region.
 func TestChipIntegration(t *testing.T) {
 	cfg := flash.Config{
@@ -251,26 +213,9 @@ func TestChipIntegration(t *testing.T) {
 	}
 	chip := flash.MustNew(cfg)
 	region := [2]int{cfg.CellsPerWordline - 64, cfg.CellsPerWordline}
-	chip.SetFaults(MustNew(Profile{
-		Seed:            21,
-		ProgramFailRate: 1,
-		EraseFailRate:   1,
-	}))
 
-	if err := chip.ProgramRandom(0, 0, mathx.NewRand(1)); err == nil {
-		t.Fatal("ProgramRandom with ProgramFailRate=1 succeeded")
-	} else if !errors.Is(err, flash.ErrProgramFault) {
-		t.Fatalf("program error = %v, want ErrProgramFault", err)
-	}
-	if err := chip.EraseBlock(0); err == nil {
-		t.Fatal("EraseBlock with EraseFailRate=1 succeeded")
-	} else if !errors.Is(err, flash.ErrEraseFault) {
-		t.Fatalf("erase error = %v, want ErrEraseFault", err)
-	}
-
-	// Clear faults, program, then re-attach with only stuck cells: reads
-	// must be deterministic and affected only inside the region.
-	chip.SetFaults(nil)
+	// Program fault-free, then attach stuck cells: reads must be
+	// deterministic and affected only inside the region.
 	if err := chip.ProgramRandom(0, 0, mathx.NewRand(2)); err != nil {
 		t.Fatalf("clean program failed: %v", err)
 	}

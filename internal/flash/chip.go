@@ -1,20 +1,11 @@
 package flash
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/physics"
-)
-
-// ErrProgramFault and ErrEraseFault are returned when an attached
-// FaultModel fails a program or erase operation. Callers can match them
-// with errors.Is to drive bad-block handling.
-var (
-	ErrProgramFault = errors.New("flash: program operation failed (injected fault)")
-	ErrEraseFault   = errors.New("flash: erase operation failed (injected fault)")
 )
 
 // FaultModel is the hook through which a fault-injection layer (see
@@ -28,11 +19,6 @@ type FaultModel interface {
 	// one read operation on wordline (b, wl). readSeed identifies the read
 	// operation, exactly as for sensing noise.
 	PerturbVth(b, wl int, readSeed uint64, vth []float64)
-	// ProgramFails reports whether programming wordline (b, wl) at the
-	// given program epoch fails.
-	ProgramFails(b, wl int, epoch uint64) bool
-	// EraseFails reports whether the erase'th erase of block b fails.
-	EraseFails(b int, erase uint64) bool
 }
 
 // Config describes the geometry and technology of a simulated chip.
@@ -133,11 +119,11 @@ func (c Config) Validate() error {
 //     zcache fill when CacheZ is set), so concurrent programs of
 //     *distinct* wordlines are safe, as are concurrent reads of other,
 //     already-programmed wordlines.
-//   - Block-level mutations (EraseBlock, Cycle, Age, SetStress,
-//     SetReadTemperature, ResetRetention) write the shared block stress
-//     state and must not run concurrently with anything else touching
-//     that block. SetFaults swaps the chip-wide fault model and must not
-//     run concurrently with anything at all.
+//   - Block-level mutations (Cycle, Age, SetStress, SetReadTemperature)
+//     write the shared block stress state and must not run concurrently
+//     with anything else touching that block. SetFaults swaps the
+//     chip-wide fault model and must not run concurrently with anything
+//     at all.
 //
 // The experiment drivers in internal/experiments rely on exactly this:
 // they fan out per-wordline work (programming, then read-only sweeps)
@@ -156,7 +142,6 @@ type Chip struct {
 
 type blockState struct {
 	stress physics.Stress
-	erases uint64 // erase attempts, successful or not (fault-model key)
 	wls    []wlState
 }
 
@@ -260,25 +245,6 @@ func (c *Chip) Stress(b int) physics.Stress {
 	return c.blocks[b].stress
 }
 
-// EraseBlock erases block b: all wordlines return to the erased state and
-// the block gains one P/E cycle. With a fault model attached the erase
-// can fail (ErrEraseFault): the block still wears one cycle but keeps its
-// contents — the caller should retire it, as a real FTL would.
-func (c *Chip) EraseBlock(b int) error {
-	c.checkAddr(b, 0)
-	blk := &c.blocks[b]
-	blk.erases++
-	if c.faults != nil && c.faults.EraseFails(b, blk.erases) {
-		blk.stress = blk.stress.Cycled(1)
-		return fmt.Errorf("flash: block %d erase %d: %w", b, blk.erases, ErrEraseFault)
-	}
-	blk.stress = blk.stress.AfterProgram().Cycled(1)
-	for i := range blk.wls {
-		blk.wls[i] = wlState{}
-	}
-	return nil
-}
-
 // Cycle adds n P/E cycles of pure wear to block b without changing its
 // contents — the standard way test platforms pre-condition blocks before
 // a characterization run.
@@ -312,13 +278,6 @@ func (c *Chip) SetReadTemperature(b int, tempC float64) {
 	c.blocks[b].stress = c.blocks[b].stress.AtReadTemp(tempC)
 }
 
-// ResetRetention clears accumulated retention and the read temperature
-// of block b (as if freshly reprogrammed) while keeping wear.
-func (c *Chip) ResetRetention(b int) {
-	c.checkAddr(b, 0)
-	c.blocks[b].stress = c.blocks[b].stress.AfterProgram()
-}
-
 // ProgramStates programs wordline (b, wl) with the given per-cell states.
 // len(states) must equal CellsPerWordline and every state must be within
 // range. Programming bumps the wordline's program epoch, redrawing its
@@ -337,14 +296,6 @@ func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
 		}
 	}
 	w := &c.blocks[b].wls[wl]
-	if c.faults != nil && c.faults.ProgramFails(b, wl, w.epoch+1) {
-		// A failed program still consumes the epoch (the attempt disturbed
-		// the cells) but leaves the wordline's data invalid.
-		w.epoch++
-		w.programmed = false
-		return fmt.Errorf("flash: wordline (%d,%d) program epoch %d: %w",
-			b, wl, w.epoch, ErrProgramFault)
-	}
 	w.programmed = true
 	w.epoch++
 	if w.states == nil {
@@ -365,9 +316,8 @@ func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
 // ProgramRandom programs wordline (b, wl) with uniformly random states
 // (host data is scrambled in real SSDs, so this is the realistic
 // distribution). The rng drives only the data pattern, not the physics.
-// The error is always nil on a fault-free chip (the generated states are
-// valid by construction); with a fault model attached it can be
-// ErrProgramFault.
+// The error is always nil: the generated states are valid by
+// construction.
 func (c *Chip) ProgramRandom(b, wl int, rng *mathx.Rand) error {
 	states := statePool.get(c.cfg.CellsPerWordline)
 	n := c.coding.States()

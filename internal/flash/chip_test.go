@@ -169,31 +169,6 @@ func TestOptimalOffsetReducesErrors(t *testing.T) {
 	}
 }
 
-func TestEraseResetsWordlinesAndAddsWear(t *testing.T) {
-	c := MustNew(testConfig(TLC))
-	rng := mathx.NewRand(1)
-	c.ProgramRandom(0, 0, rng)
-	pe := c.Stress(0).PECycles
-	c.EraseBlock(0)
-	if c.IsProgrammed(0, 0) {
-		t.Fatal("erase left wordline programmed")
-	}
-	if c.Stress(0).PECycles != pe+1 {
-		t.Fatal("erase did not add a P/E cycle")
-	}
-}
-
-func TestResetRetention(t *testing.T) {
-	c := MustNew(testConfig(TLC))
-	c.Cycle(0, 100)
-	c.Age(0, 1000, physics.RoomTempC)
-	c.ResetRetention(0)
-	st := c.Stress(0)
-	if st.EffRetentionHours != 0 || st.PECycles != 100 {
-		t.Fatalf("ResetRetention = %+v", st)
-	}
-}
-
 func TestReadNoiseMakesReadsDiffer(t *testing.T) {
 	// Two reads at the same voltages can differ (paper Section IV-B), but
 	// only slightly.

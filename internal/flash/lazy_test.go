@@ -461,8 +461,6 @@ func (f *pinFault) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 	vth[0] = f.pin
 	f.seeds = append(f.seeds, readSeed)
 }
-func (f *pinFault) ProgramFails(b, wl int, epoch uint64) bool { return false }
-func (f *pinFault) EraseFails(b int, erase uint64) bool       { return false }
 
 // A fault model perturbs the Vth vector after the sensing noise, so a
 // chip with one attached must take the eager path: every read sees the

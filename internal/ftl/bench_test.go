@@ -35,14 +35,13 @@ func BenchmarkFTLOverwrite(b *testing.B) {
 		lpn int64
 	}
 	var writes []write
-	for {
-		lpn, pages, ok := g.NextSpan()
-		if !ok {
-			break
-		}
-		for p := lpn; p < lpn+int64(pages); p++ {
-			gr := p / granule
-			writes = append(writes, write{int(gr % devices), gr/devices*granule + p%granule})
+	blk := make([]trace.Request, 512)
+	for k := g.NextSpans(blk); k > 0; k = g.NextSpans(blk) {
+		for _, r := range blk[:k] {
+			for p := r.LPN; p < r.LPN+int64(r.Pages); p++ {
+				gr := p / granule
+				writes = append(writes, write{int(gr % devices), gr/devices*granule + p%granule})
+			}
 		}
 	}
 	ftls := make([]*FTL, devices)

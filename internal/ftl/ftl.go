@@ -169,10 +169,6 @@ type FTL struct {
 	// BadBlocks counts blocks retired after a program or erase failure.
 	BadBlocks int64
 
-	// GCThreshold is the free-block low-water mark per plane at which
-	// garbage collection runs (default 2).
-	GCThreshold int
-
 	// Faults optionally injects program/erase failures; nil means a
 	// fault-free medium. Set it before issuing writes.
 	Faults PEFaultModel
@@ -188,16 +184,19 @@ type FTL struct {
 	Wear WearSink
 }
 
+// gcThreshold is the free-block low-water mark per plane at which
+// garbage collection runs.
+const gcThreshold = 2
+
 // New builds an FTL over the geometry.
 func New(geo Geometry) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
 	f := &FTL{
-		geo:         geo,
-		l2p:         make(map[int64]PPN),
-		planes:      make([]planeState, geo.Planes()),
-		GCThreshold: 2,
+		geo:    geo,
+		l2p:    make(map[int64]PPN),
+		planes: make([]planeState, geo.Planes()),
 	}
 	for p := range f.planes {
 		ps := &f.planes[p]
@@ -354,7 +353,7 @@ func (f *FTL) WriteInto(lpn int64, res *WriteResult) error {
 	f.HostWrites++
 	// Keep the free-block watermark: run GC until replenished or until it
 	// stops making progress (all candidate victims fully valid).
-	for len(f.planes[plane].freeQueue) < f.GCThreshold {
+	for len(f.planes[plane].freeQueue) < gcThreshold {
 		progressed, err := f.collect(plane, res)
 		if err != nil {
 			return err

@@ -106,11 +106,6 @@ func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormPDF returns the standard normal density at x.
-func NormPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // GaussFromHash converts a 64-bit hash value into a standard normal
 // variate: the top 53 bits select a bucket midpoint u in (0, 1), and u
 // goes through the unrefined Acklam approximant, within

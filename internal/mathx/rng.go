@@ -157,14 +157,3 @@ func (r *Rand) NormFloat64() float64 {
 	r.haveSpare = true
 	return mag * math.Cos(2*math.Pi*v)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64KnownValues(t *testing.T) {
@@ -158,26 +157,4 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRand(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(11)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

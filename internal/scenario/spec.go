@@ -123,11 +123,14 @@ type FaultSpec struct {
 	// (see fault.Profile).
 	OutlierWLRate float64 `json:"outlier_wl_rate,omitempty"`
 	BurstRate     float64 `json:"burst_rate,omitempty"`
-	// ProgramFailRate is the FTL page-program failure probability;
-	// EraseFailRate defaults to 4x it, matching the tracesim CLI.
+	// ProgramFailRate is the FTL page-program failure probability; the
+	// block-erase failure probability is eraseFailFactor times it.
 	ProgramFailRate float64 `json:"program_fail_rate,omitempty"`
-	EraseFailRate   float64 `json:"erase_fail_rate,omitempty"`
 }
+
+// eraseFailFactor scales FaultSpec.ProgramFailRate to the FTL
+// block-erase failure probability, as the tracesim CLI documents.
+const eraseFailFactor = 4
 
 // chipProfile builds the chip-level fault profile for a sentinel region
 // spanning [start, end) cells, with shift magnitudes scaled by the
@@ -154,17 +157,13 @@ func (f *FaultSpec) chipProfile(start, end int, sw float64) (*fault.Injector, er
 
 // ftlFaults builds the FTL program/erase fault model (nil when unused).
 func (f *FaultSpec) ftlFaults() (ftl.PEFaultModel, error) {
-	if f == nil || (f.ProgramFailRate == 0 && f.EraseFailRate == 0) {
+	if f == nil || f.ProgramFailRate == 0 {
 		return nil, nil
-	}
-	erase := f.EraseFailRate
-	if erase == 0 {
-		erase = 4 * f.ProgramFailRate
 	}
 	return fault.New(fault.Profile{
 		Seed:               f.seed(),
 		FTLProgramFailRate: f.ProgramFailRate,
-		FTLEraseFailRate:   erase,
+		FTLEraseFailRate:   eraseFailFactor * f.ProgramFailRate,
 	})
 }
 
@@ -180,9 +179,9 @@ func (f *FaultSpec) key() string {
 	if f == nil {
 		return "-"
 	}
-	return fmt.Sprintf("%d/%g/%g/%g/%g/%g/%g", f.seed(), f.StuckRate,
+	return fmt.Sprintf("%d/%g/%g/%g/%g/%g", f.seed(), f.StuckRate,
 		f.StuckHighFraction, f.OutlierWLRate, f.BurstRate,
-		f.ProgramFailRate, f.EraseFailRate)
+		f.ProgramFailRate)
 }
 
 // ObsSpec declares the cell's observability settings.
@@ -240,7 +239,7 @@ func (s *Spec) Validate() error {
 	}
 	if f := s.Fault; f != nil {
 		for _, r := range []float64{f.StuckRate, f.StuckHighFraction,
-			f.OutlierWLRate, f.BurstRate, f.ProgramFailRate, f.EraseFailRate} {
+			f.OutlierWLRate, f.BurstRate, f.ProgramFailRate} {
 			if r < 0 || r > 1 {
 				return fmt.Errorf("scenario: cell %q: fault rate %g outside [0,1]", s.Name, r)
 			}

@@ -100,11 +100,6 @@ func TestChaosLadderAndDrain(t *testing.T) {
 	cfg.Fleet.CorruptRate = 0.05
 	cfg.Fleet.Stall = gate.stall
 	cfg.Grace = 50 * time.Millisecond
-	cfg.Ladder = LadderConfig{
-		Tick:      10 * time.Millisecond,
-		UpTicks:   2,
-		DownTicks: 3,
-	}
 	s := startServer(t, cfg)
 	base := "http://" + s.Addr()
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}

@@ -46,8 +46,7 @@ func TestFanoutMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Never started, so there is no listener or ladder to stop.
-	defer s.fleet.Close()
+	defer s.Close()
 
 	ctx := context.Background()
 	rng := mathx.NewRand(7)

@@ -14,61 +14,35 @@ import (
 const (
 	// LevelNormal: full service.
 	LevelNormal = 0
-	// LevelShed: requests from tenants with Tier >= ShedTier get 503.
+	// LevelShed: requests from tenants with Tier >= shedTier get 503.
 	LevelShed = 1
 	// LevelForceTable: every read runs the static-table policy — no
 	// sentinel aux senses, cheaper and more predictable service time.
 	LevelForceTable = 2
-	// LevelFailFast: reads carry a hard retry budget (FailFastRetries);
+	// LevelFailFast: reads carry a hard retry budget (failFastRetries);
 	// pages needing more fail immediately as uncorrectable.
 	LevelFailFast = 3
 )
 
-// LadderConfig tunes the overload controller.
-type LadderConfig struct {
-	// Tick is the sampling period of the pressure signal (default 25ms).
-	Tick time.Duration
-	// Engage and Release are queue-occupancy hysteresis thresholds:
-	// pressure >= Engage counts toward climbing a level, pressure <=
-	// Release toward stepping down. Defaults 0.75 / 0.25.
-	Engage  float64
-	Release float64
-	// UpTicks and DownTicks are how many consecutive qualifying ticks a
-	// transition needs (defaults 2 and 8 — quick to protect, slow to
-	// relax). The ladder moves ONE level per transition, never skips.
-	UpTicks   int
-	DownTicks int
-	// ShedTier: tenants with Tier >= ShedTier are shed at LevelShed
-	// (default 2).
-	ShedTier int
-	// FailFastRetries is the per-page retry budget at LevelFailFast
-	// (default 1).
-	FailFastRetries int
-}
-
-func (c *LadderConfig) withDefaults() {
-	if c.Tick <= 0 {
-		c.Tick = 25 * time.Millisecond
-	}
-	if c.Engage <= 0 {
-		c.Engage = 0.75
-	}
-	if c.Release <= 0 {
-		c.Release = 0.25
-	}
-	if c.UpTicks <= 0 {
-		c.UpTicks = 2
-	}
-	if c.DownTicks <= 0 {
-		c.DownTicks = 8
-	}
-	if c.ShedTier <= 0 {
-		c.ShedTier = 2
-	}
-	if c.FailFastRetries <= 0 {
-		c.FailFastRetries = 1
-	}
-}
+// Ladder tuning.
+const (
+	// ladderTick is the sampling period of the pressure signal.
+	ladderTick = 25 * time.Millisecond
+	// ladderEngage and ladderRelease are queue-occupancy hysteresis
+	// thresholds: pressure >= ladderEngage counts toward climbing a
+	// level, pressure <= ladderRelease toward stepping down.
+	ladderEngage  = 0.75
+	ladderRelease = 0.25
+	// ladderUpTicks and ladderDownTicks are how many consecutive
+	// qualifying ticks a transition needs: quick to protect, slow to
+	// relax. The ladder moves ONE level per transition, never skips.
+	ladderUpTicks   = 2
+	ladderDownTicks = 8
+	// shedTier: tenants with Tier >= shedTier are shed at LevelShed.
+	shedTier = 2
+	// failFastRetries is the per-page retry budget at LevelFailFast.
+	failFastRetries = 1
+)
 
 // Transition records one ladder level change.
 type Transition struct {
@@ -83,7 +57,6 @@ type Transition struct {
 // reads are lock-free; the transition history is kept for tests and
 // operators.
 type Ladder struct {
-	cfg      LadderConfig
 	pressure func() float64
 
 	level atomic.Int32
@@ -92,29 +65,27 @@ type Ladder struct {
 	trans    []Transition
 	up, down int
 
-	stop chan struct{}
-	done chan struct{}
+	// started is set by start; stopped closes on stop; done closes
+	// when the sampling loop returns.
+	started atomic.Bool
+	stopped chan struct{}
+	done    chan struct{}
 
 	levelGauge *obs.Gauge
 	transCtr   *obs.Counter
 }
 
-// NewLadder builds a stopped ladder; call Start to begin sampling.
+// newLadder builds a stopped ladder; start begins sampling.
 // pressure must be safe for concurrent use (Fleet.MaxQueueFrac is).
-func NewLadder(cfg LadderConfig, pressure func() float64, set *obs.Set) *Ladder {
-	cfg.withDefaults()
+func newLadder(pressure func() float64, set *obs.Set) *Ladder {
 	return &Ladder{
-		cfg:        cfg,
 		pressure:   pressure,
-		stop:       make(chan struct{}),
+		stopped:    make(chan struct{}),
 		done:       make(chan struct{}),
 		levelGauge: set.Gauge("serve.degrade_level", "current overload ladder level (0=normal)"),
 		transCtr:   set.Counter("serve.ladder_transitions", "ladder level changes"),
 	}
 }
-
-// Config returns the ladder's effective (defaulted) configuration.
-func (l *Ladder) Config() LadderConfig { return l.cfg }
 
 // Level returns the current ladder level.
 func (l *Ladder) Level() int { return int(l.level.Load()) }
@@ -128,15 +99,16 @@ func (l *Ladder) Transitions() []Transition {
 	return out
 }
 
-// Start launches the sampling loop.
-func (l *Ladder) Start() {
+// start launches the sampling loop.
+func (l *Ladder) start() {
+	l.started.Store(true)
 	go func() {
 		defer close(l.done)
-		t := time.NewTicker(l.cfg.Tick)
+		t := time.NewTicker(ladderTick)
 		defer t.Stop()
 		for {
 			select {
-			case <-l.stop:
+			case <-l.stopped:
 				return
 			case <-t.C:
 				l.tick()
@@ -145,36 +117,37 @@ func (l *Ladder) Start() {
 	}()
 }
 
-// Stop halts sampling; the level freezes at its current value.
-func (l *Ladder) Stop() {
-	select {
-	case <-l.stop:
-	default:
-		close(l.stop)
+// stop halts sampling; the level freezes at its current value. It
+// waits for the loop only if start launched one. The server calls it
+// once, after winning the draining flag.
+func (l *Ladder) stop() {
+	close(l.stopped)
+	if l.started.Load() {
+		<-l.done
 	}
-	<-l.done
 }
 
 // tick samples pressure once and applies the hysteresis state machine:
-// UpTicks consecutive samples at or above Engage climb one level,
-// DownTicks at or below Release descend one. The middle band resets
-// both streaks, so a transition always reflects sustained pressure.
+// ladderUpTicks consecutive samples at or above ladderEngage climb one
+// level, ladderDownTicks at or below ladderRelease descend one. The
+// middle band resets both streaks, so a transition always reflects
+// sustained pressure.
 func (l *Ladder) tick() {
 	p := l.pressure()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cur := int(l.level.Load())
 	switch {
-	case p >= l.cfg.Engage:
+	case p >= ladderEngage:
 		l.down = 0
 		l.up++
-		if l.up >= l.cfg.UpTicks && cur < LevelFailFast {
+		if l.up >= ladderUpTicks && cur < LevelFailFast {
 			l.shift(cur, cur+1, p)
 		}
-	case p <= l.cfg.Release:
+	case p <= ladderRelease:
 		l.up = 0
 		l.down++
-		if l.down >= l.cfg.DownTicks && cur > LevelNormal {
+		if l.down >= ladderDownTicks && cur > LevelNormal {
 			l.shift(cur, cur-1, p)
 		}
 	default:

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -106,11 +108,79 @@ func TestServerReadSingleAndBatch(t *testing.T) {
 	}
 }
 
+// TestServerCloseWithoutStart: Close and Shutdown return at once on a
+// server that New built but Start never ran, and stop its fleet.
+func TestServerCloseWithoutStart(t *testing.T) {
+	for _, name := range []string{"Close", "Shutdown"} {
+		s, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			if name == "Close" {
+				done <- s.Close()
+			} else {
+				done <- s.Shutdown(context.Background())
+			}
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s on a never-started server still blocked after 2s", name)
+		}
+		read := ssdsim.FleetRead{LPN: 1, Policy: "table"}
+		if _, err := s.fleet.Submit(context.Background(), read); !errors.Is(err, ssdsim.ErrFleetStopped) {
+			t.Fatalf("%s: Submit after it = %v, want ErrFleetStopped", name, err)
+		}
+	}
+}
+
+// TestReadResultQueueWaitSubMicrosecond: a read's QueueWaitUS keeps the
+// fractional microseconds of its shard-lock wait. Over 1000 uncontended
+// reads the QueueWaitUS values sum to more than zero, and to the sum of
+// the fleet.queue_wait_us histogram up to its fixed-point rounding.
+func TestReadResultQueueWaitSubMicrosecond(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 1000
+	var sum float64
+	for i := 0; i < n; i++ {
+		rr := s.one(context.Background(), ssdsim.FleetRead{LPN: int64(i)}, time.Time{}, "table", 0)
+		if rr.Error != "" {
+			t.Fatalf("read %d: %s", i, rr.Error)
+		}
+		sum += rr.QueueWaitUS
+	}
+	hist := -1.0
+	for _, h := range s.Registry().Snapshot().Hists {
+		if h.Name == "fleet.queue_wait_us" {
+			hist = h.Hist.Sum()
+		}
+	}
+	if sum <= 0 || math.Abs(sum-hist) > n*1e-6 {
+		t.Fatalf("QueueWaitUS sum %v µs, fleet.queue_wait_us sum %v µs; want equal and > 0", sum, hist)
+	}
+}
+
 func TestServerRejections(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 4
-	s := startServer(t, cfg)
+	s := startServer(t, testConfig())
 	base := "http://" + s.Addr()
+	var tooLarge strings.Builder
+	tooLarge.WriteString(`{"tenant":"gold","batch":[`)
+	for i := 0; i <= maxBatch; i++ {
+		if i > 0 {
+			tooLarge.WriteByte(',')
+		}
+		fmt.Fprintf(&tooLarge, `{"lpn":%d}`, i+1)
+	}
+	tooLarge.WriteString(`]}`)
 
 	cases := []struct {
 		body string
@@ -120,7 +190,7 @@ func TestServerRejections(t *testing.T) {
 		{`{"tenant":"gold"}`, http.StatusBadRequest},
 		{`{"tenant":"gold","lpn":-4}`, http.StatusBadRequest},
 		{`{"tenant":"gold","lpn":1,"batch":[{"lpn":2}]}`, http.StatusBadRequest},
-		{`{"tenant":"gold","batch":[{"lpn":1},{"lpn":2},{"lpn":3},{"lpn":4},{"lpn":5}]}`, http.StatusBadRequest},
+		{tooLarge.String(), http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -283,7 +353,7 @@ func TestTokenBucket(t *testing.T) {
 
 func TestLadderHysteresis(t *testing.T) {
 	pressure := 0.0
-	l := NewLadder(LadderConfig{UpTicks: 2, DownTicks: 3}, func() float64 { return pressure }, nil)
+	l := newLadder(func() float64 { return pressure }, nil)
 	step := func(p float64, n int) {
 		pressure = p
 		for i := 0; i < n; i++ {
@@ -296,7 +366,7 @@ func TestLadderHysteresis(t *testing.T) {
 	}
 	step(0.9, 1)
 	if l.Level() != LevelShed {
-		t.Fatalf("level %d after UpTicks hot ticks, want shed", l.Level())
+		t.Fatalf("level %d after ladderUpTicks hot ticks, want shed", l.Level())
 	}
 	step(0.5, 1) // middle band resets streaks
 	step(0.9, 2)
@@ -311,15 +381,15 @@ func TestLadderHysteresis(t *testing.T) {
 	if l.Level() != LevelFailFast {
 		t.Fatal("ladder climbed past its top")
 	}
-	step(0.1, 2)
+	step(0.1, ladderDownTicks-1)
 	if l.Level() != LevelFailFast {
-		t.Fatal("released before DownTicks")
+		t.Fatal("released before ladderDownTicks")
 	}
 	step(0.1, 1)
 	if l.Level() != LevelForceTable {
-		t.Fatalf("level %d after DownTicks cool ticks, want force-table", l.Level())
+		t.Fatalf("level %d after ladderDownTicks cool ticks, want force-table", l.Level())
 	}
-	step(0.1, 6)
+	step(0.1, 2*ladderDownTicks)
 	if l.Level() != LevelNormal {
 		t.Fatalf("level %d, want normal", l.Level())
 	}

@@ -43,13 +43,6 @@ type Config struct {
 	// policy must name a Fleet sampler, and a "table" sampler must exist
 	// for the ladder's force-table step.
 	Tenants []TenantConfig
-	// Ladder tunes the overload controller.
-	Ladder LadderConfig
-	// MaxInflight caps concurrently handled /read requests (default
-	// 1024); excess requests bounce with 429 before any other work.
-	MaxInflight int
-	// MaxBatch caps reads per batch request (default 256).
-	MaxBatch int
 	// Grace is the slack past a request's deadline before a completed
 	// read is discarded as a 504 (default 100ms).
 	Grace time.Duration
@@ -59,12 +52,6 @@ type Config struct {
 }
 
 func (c *Config) withDefaults() {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 1024
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.Grace <= 0 {
 		c.Grace = 100 * time.Millisecond
 	}
@@ -80,11 +67,18 @@ func (c *Config) withDefaults() {
 	}
 }
 
-// batchFanout bounds the goroutines that service one batch request,
-// the handler's own included: a batch starts at most batchFanout-1, so
-// worst-case goroutine count is MaxInflight*batchFanout — a config
-// product, never a function of load.
-const batchFanout = 8
+const (
+	// maxInflight caps concurrently handled /read requests; excess
+	// requests bounce with 429 before any other work.
+	maxInflight = 1024
+	// maxBatch caps reads per batch request.
+	maxBatch = 256
+	// batchFanout bounds the goroutines that service one batch request,
+	// the handler's own included: a batch starts at most batchFanout-1,
+	// so worst-case goroutine count is maxInflight*batchFanout — a
+	// constant product, never a function of load.
+	batchFanout = 8
+)
 
 // ReadRequest is the /read body: either a single read (lpn set) or a
 // batch. DeadlineMs overrides the tenant's default deadline.
@@ -170,8 +164,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:             cfg,
 		fleet:           fleet,
 		tenants:         make(map[string]*tenant, len(cfg.Tenants)),
-		ladder:          NewLadder(cfg.Ladder, fleet.MaxQueueFrac, set),
-		inflight:        make(chan struct{}, cfg.MaxInflight),
+		ladder:          newLadder(fleet.MaxQueueFrac, set),
+		inflight:        make(chan struct{}, maxInflight),
 		inflightRejects: set.Counter("serve.inflight_rejects", "requests bounced by the global in-flight cap"),
 		lateReplies:     set.Counter("serve.late_replies", "completed reads discarded past deadline+grace"),
 	}
@@ -210,7 +204,7 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.ladder.Start()
+	s.ladder.start()
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	return nil
 }
@@ -244,7 +238,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.ladder.Stop()
+	s.ladder.stop()
 	var err error
 	if s.ln != nil {
 		err = s.httpSrv.Shutdown(ctx)
@@ -257,7 +251,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // fleet still services every read it accepted).
 func (s *Server) Close() error {
 	if s.draining.CompareAndSwap(false, true) {
-		s.ladder.Stop()
+		s.ladder.stop()
 	}
 	var err error
 	if s.ln != nil {
@@ -328,14 +322,14 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 
 	level := s.ladder.Level()
-	if level >= LevelShed && t.cfg.Tier >= s.ladder.cfg.ShedTier {
+	if level >= LevelShed && t.cfg.Tier >= shedTier {
 		t.m.shed.Inc()
 		retryAfter(w, time.Second)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shed"})
 		return
 	}
 
-	reads, errCode := normalizeReads(req, s.cfg.MaxBatch, s.cfg.Fleet.Sim.Geo.PagesPerBlock)
+	reads, errCode := normalizeReads(req, s.cfg.Fleet.Sim.Geo.PagesPerBlock)
 	if errCode != "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: errCode})
 		return
@@ -361,7 +355,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	maxRetries := 0
 	if level >= LevelFailFast {
-		maxRetries = s.ladder.cfg.FailFastRetries
+		maxRetries = failFastRetries
 	}
 
 	results, agg := s.fanout(r.Context(), start.Add(deadline), reads, policy, maxRetries)
@@ -419,7 +413,7 @@ func (t *tenant) serveOK(w http.ResponseWriter, buf *[]byte, resp *ReadResponse,
 // normalizeReads turns a request body into fleet reads, or returns an
 // error code for the 400. A read spans at most maxPages pages (one
 // erase block), so no single request can hold a shard's lock for long.
-func normalizeReads(req ReadRequest, maxBatch, maxPages int) ([]ssdsim.FleetRead, string) {
+func normalizeReads(req ReadRequest, maxPages int) ([]ssdsim.FleetRead, string) {
 	var reads []ssdsim.FleetRead
 	switch {
 	case req.LPN != nil && len(req.Batch) > 0:
@@ -537,7 +531,7 @@ func (s *Server) one(ctx context.Context, rd ssdsim.FleetRead, deadline time.Tim
 		return rr
 	}
 	rr.SimUS = res.SimUS
-	rr.QueueWaitUS = float64(res.QueueWait.Microseconds())
+	rr.QueueWaitUS = float64(res.QueueWait) / float64(time.Microsecond)
 	rr.Shard = res.Shard
 	rr.Retries = res.Retries
 	rr.AuxSenses = res.AuxSenses

@@ -13,7 +13,7 @@ import (
 type TenantConfig struct {
 	Name string `json:"name"`
 	// Tier is the SLO tier: 0 is the most protected. Tenants with
-	// Tier >= LadderConfig.ShedTier are shed at ladder level 1.
+	// Tier >= 2 (shedTier) are shed at ladder level 1.
 	Tier int `json:"tier"`
 	// RatePerSec and Burst parameterize the token bucket; RatePerSec 0
 	// means unlimited (no bucket).

@@ -326,7 +326,7 @@ func (f *Fleet) Submit(ctx context.Context, read FleetRead) (FleetResult, error)
 	sh.depth.Set(float64(sh.waiting.Add(-1)))
 	now := time.Now()
 	wait := now.Sub(enqueued)
-	sh.waitUS.Observe(float64(wait.Microseconds()))
+	sh.waitUS.Observe(float64(wait) / float64(time.Microsecond))
 	err := ctx.Err()
 	if err == nil && !read.Deadline.IsZero() && !now.Before(read.Deadline) {
 		err = context.DeadlineExceeded

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"sentinel3d/internal/fault"
 	"sentinel3d/internal/ftl"
+	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 )
 
@@ -347,6 +349,42 @@ func TestFleetSubmitAllocs(t *testing.T) {
 		if n != 0 {
 			t.Errorf("metrics %v: Submit allocates %v times per read, want 0", metrics, n)
 		}
+	}
+}
+
+// TestFleetQueueWaitSubMicrosecond: an uncontended read waits well
+// under a microsecond for its shard's lock, and fleet.queue_wait_us
+// still records that wait in fractional microseconds: over 1000 reads
+// the histogram's sum is positive and equals the sum of the returned
+// QueueWait values up to the sum's fixed-point rounding.
+func TestFleetQueueWaitSubMicrosecond(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Metrics = obs.NewRegistry(cfg.Shards)
+	fl, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	const n = 1000
+	var want float64
+	for i := 0; i < n; i++ {
+		res, err := fl.Submit(context.Background(), FleetRead{LPN: int64(i), Policy: "sentinel"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += float64(res.QueueWait) / float64(time.Microsecond)
+	}
+	var got *mathx.LogHist
+	for _, h := range cfg.Metrics.Snapshot().Hists {
+		if h.Name == "fleet.queue_wait_us" {
+			got = h.Hist
+		}
+	}
+	if got == nil || got.Count() != n {
+		t.Fatalf("fleet.queue_wait_us = %+v, want %d samples", got, n)
+	}
+	if got.Sum() <= 0 || math.Abs(got.Sum()-want) > n*1e-6 {
+		t.Fatalf("fleet.queue_wait_us sum %v µs, want %v µs (> 0)", got.Sum(), want)
 	}
 }
 

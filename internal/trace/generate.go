@@ -252,9 +252,9 @@ func drawThreshold(q float64) uint64 {
 // form of Generate, byte-identical to it for the same (spec, n, seed).
 // A fresh Generator with the same arguments replays the same stream,
 // which is how the replay engine makes its preconditioning and replay
-// passes without materializing the trace. Next, NextSpan, NextBlock and
-// NextSpans all advance one stream through one draw routine (draw), so
-// any mix of them yields the same spans in the same order.
+// passes without materializing the trace. Next, NextBlock and NextSpans
+// all advance one stream through one draw routine (draw), so any mix of
+// them yields the same spans in the same order.
 type Generator struct {
 	spec    WorkloadSpec
 	n       int
@@ -298,15 +298,6 @@ func (g *Generator) Next() (Request, bool, error) {
 		return Request{}, false, nil
 	}
 	return r[0], true, nil
-}
-
-// NextSpan yields the next request's page span only (see NextSpans).
-func (g *Generator) NextSpan() (lpn int64, pages int, ok bool) {
-	var r [1]Request
-	if g.draw(r[:], true) == 0 {
-		return 0, 0, false
-	}
-	return r[0].LPN, r[0].Pages, true
 }
 
 // NextBlock fills dst with the next requests, as many as fit and remain,

@@ -86,11 +86,11 @@ func oracleSpecs(t *testing.T) []WorkloadSpec {
 }
 
 // TestGeneratorBlocksMatchNext drives one generator per spec and block
-// size through a hash-chosen mix of Next, NextSpan, NextBlock and
-// NextSpans, and requires every request, arrival bits included, to
-// equal the float reference's: the integer thresholds, the
-// register-held state and the block fill change no draw. A span-only
-// call leaves the clock unadvanced in both.
+// size through a hash-chosen mix of Next, NextBlock and NextSpans, and
+// requires every request, arrival bits included, to equal the float
+// reference's: the integer thresholds, the register-held state and the
+// block fill change no draw. A span-only call leaves the clock
+// unadvanced in both.
 func TestGeneratorBlocksMatchNext(t *testing.T) {
 	const n = 20000
 	for _, spec := range oracleSpecs(t) {
@@ -105,20 +105,14 @@ func TestGeneratorBlocksMatchNext(t *testing.T) {
 			for call := uint64(0); len(got) < n; call++ {
 				var k int
 				span := false
-				switch mathx.Hash64(call) % 4 {
+				switch mathx.Hash64(call) % 3 {
 				case 0:
 					r, ok, err := g.Next()
 					if err != nil || !ok {
 						t.Fatalf("%s: Next at %d = (%v, %v)", spec.Name, len(got), ok, err)
 					}
 					blk[0], k = r, 1
-				case 1:
-					lpn, pages, ok := g.NextSpan()
-					if !ok {
-						t.Fatalf("%s: NextSpan at %d drained", spec.Name, len(got))
-					}
-					blk[0], k, span = Request{LPN: lpn, Pages: pages}, 1, true
-				case 2, 3:
+				case 1, 2:
 					if span = call%2 == 1; span {
 						k = g.NextSpans(blk)
 					} else {

@@ -120,14 +120,14 @@ func TestGeneratorStreamDigest(t *testing.T) {
 	}
 }
 
-// TestGeneratorNextSpanMatchesNext interleaves Next and NextSpan on
-// every built-in spec, plus an uncertified power-branch spec and an
-// s = 1 (zipfLog) spec at the scenario footprint. Each NextSpan must
-// return the span Next would have, and every Next after it the same
-// op and span as the pure Next stream: NextSpan consumes exactly the
-// draws Next does. Arrival times match exactly until the first
-// NextSpan, which leaves the clock where it was; after it they only
-// stay non-decreasing.
+// TestGeneratorNextSpanMatchesNext interleaves Next and one-request
+// NextSpans calls on every built-in spec, plus an uncertified
+// power-branch spec and an s = 1 (zipfLog) spec at the scenario
+// footprint. Each span must be the one Next would have returned, and
+// every Next after it the same op and span as the pure Next stream: a
+// span draw consumes exactly the draws Next does. Arrival times match
+// exactly until the first span draw, which leaves the clock where it
+// was; after it they only stay non-decreasing.
 func TestGeneratorNextSpanMatchesNext(t *testing.T) {
 	specs := MSRWorkloads()
 	pow, _ := WorkloadByName("hm_0")
@@ -152,13 +152,14 @@ func TestGeneratorNextSpanMatchesNext(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := 0.0
+		var one [1]Request
 		for i, w := range want {
 			// Runs of both calls, switching on a hash of the index.
 			if i >= exact && mathx.Hash64(uint64(i)/4)&1 == 1 {
-				lpn, pages, ok := g.NextSpan()
-				if !ok || lpn != w.LPN || pages != w.Pages {
-					t.Fatalf("%s: NextSpan %d = (%d, %d, %v), want (%d, %d)",
-						spec.Name, i, lpn, pages, ok, w.LPN, w.Pages)
+				k := g.NextSpans(one[:])
+				if k != 1 || one[0].LPN != w.LPN || one[0].Pages != w.Pages {
+					t.Fatalf("%s: NextSpans %d = %d (%d, %d), want 1 (%d, %d)",
+						spec.Name, i, k, one[0].LPN, one[0].Pages, w.LPN, w.Pages)
 				}
 				continue
 			}
@@ -175,8 +176,8 @@ func TestGeneratorNextSpanMatchesNext(t *testing.T) {
 			}
 			prev = r.ArriveUS
 		}
-		if _, _, ok := g.NextSpan(); ok {
-			t.Fatalf("%s: NextSpan past the end", spec.Name)
+		if k := g.NextSpans(one[:]); k != 0 {
+			t.Fatalf("%s: NextSpans past the end yielded %d", spec.Name, k)
 		}
 		if _, ok, _ := g.Next(); ok {
 			t.Fatalf("%s: Next past the end", spec.Name)

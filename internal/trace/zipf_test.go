@@ -245,28 +245,6 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorNextSpan is BenchmarkGeneratorNext for the span-only
-// draw the replay engine's precondition pass makes: the same size and
-// address work without the arrival's logarithm.
-func BenchmarkGeneratorNextSpan(b *testing.B) {
-	for _, spec := range MSRWorkloads() {
-		spec.WorkingSetPages = scenarioPages
-		b.Run(spec.Name, func(b *testing.B) {
-			g, err := NewGenerator(spec, math.MaxInt, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := g.NextSpan(); !ok {
-					b.Fatal("generator drained")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGeneratorNextBlock measures one request of mds_0 and prxy_0,
 // the replay workloads' specs, drawn in blocks of 512 as the replay
 // pass pulls them. One op is one request.
