@@ -69,11 +69,11 @@ func main() {
 
 	// Read hot: the controller's thermal sensor selects the hot band.
 	const hotC = 80
-	chip.SetReadTemperature(0, hotC)
+	chip.SetReadTemperature(hotC)
 	eng.SetTemperature(hotC)
 
 	wl := 5
-	sense := chip.Sense(0, wl, loaded.SentinelVoltage, 0, 42)
+	sense := chip.Sense(wl, loaded.SentinelVoltage, 0, 42)
 	d, offsets := eng.Infer(sense)
 	fmt.Printf("field chip, wordline %d read at %d C: d = %.4f\n", wl, hotC, d)
 	fmt.Printf("  inferred offsets (hot band):  V2 %.1f  V8 %.1f  V15 %.1f\n",
@@ -87,7 +87,7 @@ func main() {
 	errsAt := func(o flash.Offsets) int {
 		n := 0
 		for v := 2; v <= 15; v++ {
-			up, down := chip.VoltageErrors(0, wl, v, o.Get(v), mathx.Mix(9, uint64(v)))
+			up, down := chip.VoltageErrors(wl, v, o.Get(v), mathx.Mix(9, uint64(v)))
 			n += up + down
 		}
 		return n

@@ -41,9 +41,9 @@ func main() {
 	// among those whose optimum is actually decodable — the interesting
 	// calibration case.
 	decodableAtOptimum := func(wl int) bool {
-		opt := lab.OptimalOffsets(0, wl)
-		read := chip.ReadPage(0, wl, chip.Coding().Bits()-1, opt, uint64(wl)+7777)
-		truthBits := chip.TrueBits(0, wl, chip.Coding().Bits()-1)
+		opt := lab.OptimalOffsets(wl)
+		read := chip.ReadPage(wl, chip.Coding().Bits()-1, opt, uint64(wl)+7777)
+		truthBits := chip.TrueBits(wl, chip.Coding().Bits()-1)
 		errs := make(flash.Bitmap, len(read))
 		for i := range errs {
 			errs[i] = read[i] ^ truthBits[i]
@@ -55,9 +55,9 @@ func main() {
 		if !decodableAtOptimum(wl) {
 			continue
 		}
-		sense := chip.Sense(0, wl, sv, 0, uint64(wl)+9000)
+		sense := chip.Sense(wl, sv, 0, uint64(wl)+9000)
 		_, inf := eng.Infer(sense)
-		gap := inf.Get(sv) - lab.OptimalOffset(0, wl, sv)
+		gap := inf.Get(sv) - lab.OptimalOffset(wl, sv)
 		if gap < 0 {
 			gap = -gap
 		}
@@ -66,14 +66,14 @@ func main() {
 		}
 	}
 	wl := worstWL
-	truth := lab.OptimalOffset(0, wl, sv)
+	truth := lab.OptimalOffset(wl, sv)
 	fmt.Printf("wordline %d (layer %d): ground-truth optimal V%d offset = %.1f\n\n",
 		wl, chip.LayerOf(wl), sv, truth)
 
 	msb := chip.Coding().Bits() - 1
 	pageErrs := func(o flash.Offsets, seed uint64) (int, bool) {
-		read := chip.ReadPage(0, wl, msb, o, seed)
-		truthBits := chip.TrueBits(0, wl, msb)
+		read := chip.ReadPage(wl, msb, o, seed)
+		truthBits := chip.TrueBits(wl, msb)
 		errs := make(flash.Bitmap, len(read))
 		for i := range errs {
 			errs[i] = read[i] ^ truthBits[i]
@@ -96,7 +96,7 @@ func main() {
 	}
 
 	// Step 1: inference from the failed read's sentinel errors.
-	defSense := chip.Sense(0, wl, sv, 0, 2)
+	defSense := chip.Sense(wl, sv, 0, 2)
 	d, inferred := eng.Infer(defSense)
 	e1, ok1 := pageErrs(inferred, 3)
 	fmt.Printf("attempt 1 (inferred):        %4d raw errors, ECC %s  "+
@@ -107,7 +107,7 @@ func main() {
 	sentOfs := inferred.Get(sv)
 	cur := inferred
 	for step := 1; !ok1 && step <= eng.Cal.MaxSteps; step++ {
-		curSense := chip.Sense(0, wl, sv, sentOfs, uint64(step)*31)
+		curSense := chip.Sense(wl, sv, sentOfs, uint64(step)*31)
 		nca := defSense.XorCount(curSense)
 		ncs := 0
 		for _, idx := range eng.Indices() {
@@ -127,7 +127,7 @@ func main() {
 			step+1, e, okStr(ok1), nca, float64(ncs)/eng.Ratio(), caseName,
 			sv, sentOfs)
 	}
-	opt := lab.OptimalOffsets(0, wl)
+	opt := lab.OptimalOffsets(wl)
 	eOpt, _ := pageErrs(opt, 999)
 	fmt.Printf("\nreference (true optimal voltages): %d raw errors\n", eOpt)
 

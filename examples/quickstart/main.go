@@ -50,8 +50,8 @@ func main() {
 	var tSum, sSum, tLat, sLat float64
 	n := chip.Config().WordlinesPerBlock()
 	for wl := 0; wl < n; wl++ {
-		rT := ctl.Read(0, wl, msb, table, uint64(wl)*2)
-		rS := ctl.Read(0, wl, msb, sentinelPolicy, uint64(wl)*2+1)
+		rT := ctl.Read(wl, msb, table, uint64(wl)*2)
+		rS := ctl.Read(wl, msb, sentinelPolicy, uint64(wl)*2+1)
 		tSum += float64(rT.Retries)
 		sSum += float64(rS.Retries)
 		tLat += rT.Latency

@@ -63,8 +63,8 @@ func sweepGrid() []float64 {
 	return out
 }
 
-func (l *Lab) readSeed(b, wl, rep int) uint64 {
-	return mathx.Mix4(l.Seed, uint64(b), uint64(wl), uint64(rep))
+func (l *Lab) readSeed(wl, rep int) uint64 {
+	return mathx.Mix4(l.Seed, 0, uint64(wl), uint64(rep))
 }
 
 // sweepPlan returns the plan of every all-voltage sweep the lab runs.
@@ -73,11 +73,11 @@ func (l *Lab) sweepPlan() *flash.SweepPlan {
 	return l.plan
 }
 
-// reads runs f on averageReads reads of wordline (b, wl), the rep'th
-// with read seed readSeed(b, wl, first+rep). The repetitions re-read one
+// reads runs f on averageReads reads of wordline wl, the rep'th with
+// read seed readSeed(wl, first+rep). The repetitions re-read one
 // wordline, so they share one handle, redrawn for each.
-func (l *Lab) reads(b, wl, first int, f func(op *flash.ReadOp)) {
-	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, first))
+func (l *Lab) reads(wl, first int, f func(op *flash.ReadOp)) {
+	op := l.Chip.BeginRead(wl, l.readSeed(wl, first))
 	defer op.Close()
 	l.readsOn(op, first, f)
 }
@@ -85,20 +85,20 @@ func (l *Lab) reads(b, wl, first int, f func(op *flash.ReadOp)) {
 // readsOn is reads through the caller's handle op, whatever read seed
 // it was last drawn with: each repetition redraws it.
 func (l *Lab) readsOn(op *flash.ReadOp, first int, f func(op *flash.ReadOp)) {
-	b, wl := op.Wordline()
+	wl := op.Wordline()
 	for rep := 0; rep < averageReads; rep++ {
-		op.Redraw(l.readSeed(b, wl, first+rep))
+		op.Redraw(l.readSeed(wl, first+rep))
 		f(op)
 	}
 }
 
 // SweepCurve returns the offset grid and the total error count of
-// voltage v at each offset on wordline (b, wl), averaged over
-// averageReads reads. This is the paper's Figure 2 curve.
-func (l *Lab) SweepCurve(b, wl, v int) (offs []float64, errs []float64) {
+// voltage v at each offset on wordline wl, averaged over averageReads
+// reads. This is the paper's Figure 2 curve.
+func (l *Lab) SweepCurve(wl, v int) (offs []float64, errs []float64) {
 	offs = sweepGrid()
 	errs = make([]float64, len(offs))
-	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+	l.reads(wl, 0, func(op *flash.ReadOp) {
 		ups, downs := op.SweepVoltageErrors(v, offs)
 		for i := range errs {
 			errs[i] += float64(ups[i] + downs[i])
@@ -116,14 +116,14 @@ func (l *Lab) SweepCurve(b, wl, v int) (offs []float64, errs []float64) {
 // (one threshold-voltage materialization serves every boundary), so the
 // whole family costs averageReads reads instead of averageReads per
 // voltage, and each curve is byte-identical to SweepCurve's.
-func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
+func (l *Lab) SweepCurves(wl int) (offs []float64, errs [][]float64) {
 	offs = sweepGrid()
 	nv := l.Chip.Coding().NumVoltages()
 	errs = make([][]float64, nv)
 	for v := range errs {
 		errs[v] = make([]float64, len(offs))
 	}
-	l.reads(b, wl, 0, func(op *flash.ReadOp) {
+	l.reads(wl, 0, func(op *flash.ReadOp) {
 		rows := op.SweepPlanned(l.sweepPlan())
 		for v := range errs {
 			for i, e := range rows[v] {
@@ -140,10 +140,9 @@ func (l *Lab) SweepCurves(b, wl int) (offs []float64, errs [][]float64) {
 }
 
 // OptimalOffsets locates the ground-truth optimal offset of every read
-// voltage on wordline (b, wl) by exhaustive sweep, exactly as a tester
-// would.
-func (l *Lab) OptimalOffsets(b, wl int) flash.Offsets {
-	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 0))
+// voltage on wordline wl by exhaustive sweep, exactly as a tester would.
+func (l *Lab) OptimalOffsets(wl int) flash.Offsets {
+	op := l.Chip.BeginRead(wl, l.readSeed(wl, 0))
 	defer op.Close()
 	return l.OptimalOffsetsOn(op)
 }
@@ -211,8 +210,8 @@ func refineMinimum(offs, errs []float64) float64 {
 }
 
 // OptimalOffset locates the optimum of a single voltage.
-func (l *Lab) OptimalOffset(b, wl, v int) float64 {
-	op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 0))
+func (l *Lab) OptimalOffset(wl, v int) float64 {
+	op := l.Chip.BeginRead(wl, l.readSeed(wl, 0))
 	defer op.Close()
 	return l.OptimalOffsetOn(op, v)
 }
@@ -231,12 +230,12 @@ func (l *Lab) OptimalOffsetOn(op *flash.ReadOp, v int) float64 {
 	return refineMinimum(offs, acc)
 }
 
-// PageRBER measures the RBER of page p on wordline (b, wl) under offsets
-// o, averaged over averageReads reads.
-func (l *Lab) PageRBER(b, wl, p int, o flash.Offsets) float64 {
+// PageRBER measures the RBER of page p on wordline wl under offsets o,
+// averaged over averageReads reads.
+func (l *Lab) PageRBER(wl, p int, o flash.Offsets) float64 {
 	cells := float64(l.Chip.Config().CellsPerWordline)
 	var sum float64
-	l.reads(b, wl, 100, func(op *flash.ReadOp) {
+	l.reads(wl, 100, func(op *flash.ReadOp) {
 		sum += float64(op.CountPageErrors(p, o)) / cells
 	})
 	return sum / float64(averageReads)
@@ -251,8 +250,8 @@ type LayerRBER struct {
 }
 
 // LayerMaxRBER computes Figure 3's per-layer maxima for one page over the
-// programmed wordlines of block b.
-func (l *Lab) LayerMaxRBER(b, page int) []LayerRBER {
+// programmed wordlines of the chip.
+func (l *Lab) LayerMaxRBER(page int) []LayerRBER {
 	cfg := l.Chip.Config()
 	out := make([]LayerRBER, cfg.Layers)
 	for i := range out {
@@ -265,12 +264,12 @@ func (l *Lab) LayerMaxRBER(b, page int) []LayerRBER {
 		skip     bool
 	}
 	perWL := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) wlRBER {
-		if !l.Chip.IsProgrammed(b, wl) {
+		if !l.Chip.IsProgrammed(wl) {
 			return wlRBER{skip: true}
 		}
 		return wlRBER{
-			def: l.PageRBER(b, wl, page, nil),
-			opt: l.PageRBER(b, wl, page, l.OptimalOffsets(b, wl)),
+			def: l.PageRBER(wl, page, nil),
+			opt: l.PageRBER(wl, page, l.OptimalOffsets(wl)),
 		}
 	})
 	for wl, r := range perWL {
@@ -352,9 +351,9 @@ func (m *ErrorMap) WordlineVariation() float64 {
 	return mathx.StdDev(xs) / mean
 }
 
-// CollectErrorMap reads every programmed wordline of block b at default
-// voltages and bins the error positions of all pages into segments.
-func (l *Lab) CollectErrorMap(b, segments int) *ErrorMap {
+// CollectErrorMap reads every programmed wordline at default voltages
+// and bins the error positions of all pages into segments.
+func (l *Lab) CollectErrorMap(segments int) *ErrorMap {
 	cfg := l.Chip.Config()
 	nwl := cfg.WordlinesPerBlock()
 	m := &ErrorMap{
@@ -371,18 +370,18 @@ func (l *Lab) CollectErrorMap(b, segments int) *ErrorMap {
 	}
 	parallel.ForEach(nwl, func(wl int) {
 		m.SegmentCounts[wl] = make([]int, segments)
-		if !l.Chip.IsProgrammed(b, wl) {
+		if !l.Chip.IsProgrammed(wl) {
 			return
 		}
 		read := flash.GetBitmap(cells)
 		truth := flash.GetBitmap(cells)
 		// Each page is its own read of the wordline: one handle, redrawn.
-		op := l.Chip.BeginRead(b, wl, l.readSeed(b, wl, 200))
+		op := l.Chip.BeginRead(wl, l.readSeed(wl, 200))
 		defer op.Close()
 		for p := 0; p < l.Chip.Coding().Bits(); p++ {
-			op.Redraw(l.readSeed(b, wl, 200+p))
+			op.Redraw(l.readSeed(wl, 200+p))
 			read = op.ReadPageInto(read, p, nil)
-			truth = l.Chip.TrueBitsInto(truth, b, wl, p)
+			truth = l.Chip.TrueBitsInto(truth, wl, p)
 			for s := 0; s < segments; s++ {
 				n := read.XorCountRange(truth, bounds[s], bounds[s+1])
 				m.SegmentCounts[wl][s] += n
@@ -431,19 +430,19 @@ func NewCorrelationCollector(coding *flash.Coding) *CorrelationCollector {
 	}
 }
 
-// Add sweeps the given wordlines of block b at the chip's *current* stress
+// Add sweeps the given wordlines at the chip's *current* stress
 // state and records their optima. Call it repeatedly between aging steps.
 // The sweeps fan out per wordline; optima are recorded in wls order and
 // returned, one vector per wordline, so a caller that also needs one
 // voltage's optimum at this stress point need not sweep again: each
-// entry's Get(v) equals OptimalOffset(b, wl, v) bit for bit.
-func (cc *CorrelationCollector) Add(l *Lab, b int, wls []int) ([]flash.Offsets, error) {
+// entry's Get(v) equals OptimalOffset(wl, v) bit for bit.
+func (cc *CorrelationCollector) Add(l *Lab, wls []int) ([]flash.Offsets, error) {
 	optima, err := parallel.MapErr(len(wls), func(i int) (flash.Offsets, error) {
 		wl := wls[i]
-		if !l.Chip.IsProgrammed(b, wl) {
+		if !l.Chip.IsProgrammed(wl) {
 			return nil, fmt.Errorf("charlab: wordline %d not programmed", wl)
 		}
-		return l.OptimalOffsets(b, wl), nil
+		return l.OptimalOffsets(wl), nil
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ func smallChip(t testing.TB, kind flash.Kind, pe int, hours float64) *flash.Chip
 	t.Helper()
 	cfg := flash.Config{
 		Kind:              kind,
-		Blocks:            1,
 		Layers:            8,
 		WordlinesPerLayer: 2,
 		CellsPerWordline:  4096,
@@ -28,10 +27,10 @@ func smallChip(t testing.TB, kind flash.Kind, pe int, hours float64) *flash.Chip
 	}
 	rng := mathx.NewRand(77)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		c.ProgramRandom(0, wl, rng)
+		c.ProgramRandom(wl, rng)
 	}
-	c.Cycle(0, pe)
-	c.Age(0, hours, physics.RoomTempC)
+	c.Cycle(pe)
+	c.Age(hours, physics.RoomTempC)
 	return c
 }
 
@@ -45,7 +44,7 @@ func TestGrid(t *testing.T) {
 func TestSweepCurveVShaped(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	offs, errs := l.SweepCurve(0, 0, 8)
+	offs, errs := l.SweepCurve(0, 8)
 	if len(offs) != len(errs) {
 		t.Fatal("length mismatch")
 	}
@@ -69,12 +68,12 @@ func TestSweepCurvesMatchSweepCurve(t *testing.T) {
 	// accumulation order.
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	offs, curves := l.SweepCurves(0, 1)
+	offs, curves := l.SweepCurves(1)
 	if len(curves) != c.Coding().NumVoltages() {
 		t.Fatalf("got %d curves, want %d", len(curves), c.Coding().NumVoltages())
 	}
 	for v := 1; v <= len(curves); v++ {
-		wantOffs, want := l.SweepCurve(0, 1, v)
+		wantOffs, want := l.SweepCurve(1, v)
 		if len(offs) != len(wantOffs) {
 			t.Fatal("grid length mismatch")
 		}
@@ -92,8 +91,8 @@ func TestOptimalOffsetsReduceRBER(t *testing.T) {
 	l := New(c)
 	msb := c.Coding().Bits() - 1
 	for _, wl := range []int{0, 5, 11} {
-		def := l.PageRBER(0, wl, msb, nil)
-		opt := l.PageRBER(0, wl, msb, l.OptimalOffsets(0, wl))
+		def := l.PageRBER(wl, msb, nil)
+		opt := l.PageRBER(wl, msb, l.OptimalOffsets(wl))
 		if opt >= def {
 			t.Fatalf("wl %d: optimal RBER %v >= default %v", wl, opt, def)
 		}
@@ -106,8 +105,8 @@ func TestOptimalOffsetsReduceRBER(t *testing.T) {
 func TestOptimalOffsetSingleMatchesVector(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	all := l.OptimalOffsets(0, 3)
-	single := l.OptimalOffset(0, 3, 8)
+	all := l.OptimalOffsets(3)
+	single := l.OptimalOffset(3, 8)
 	if math.Abs(all.Get(8)-single) > 2*sweepStep {
 		t.Fatalf("single-voltage optimum %v far from vector %v", single, all.Get(8))
 	}
@@ -128,9 +127,9 @@ func TestOptimalOffsetsMatchSingleBitwise(t *testing.T) {
 			l := New(c)
 			l.Seed = 0x5eed
 			for _, wl := range []int{0, 5, 11} {
-				all := l.OptimalOffsets(0, wl)
+				all := l.OptimalOffsets(wl)
 				for v := 1; v <= c.Coding().NumVoltages(); v++ {
-					if got, want := all.Get(v), l.OptimalOffset(0, wl, v); math.Float64bits(got) != math.Float64bits(want) {
+					if got, want := all.Get(v), l.OptimalOffset(wl, v); math.Float64bits(got) != math.Float64bits(want) {
 						t.Errorf("%v pe=%d wl=%d v=%d: vector optimum %v, single %v",
 							kind, age.pe, wl, v, got, want)
 					}
@@ -144,7 +143,7 @@ func TestOptimalNegativeAfterRetention(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
 	neg := 0
-	o := l.OptimalOffsets(0, 0)
+	o := l.OptimalOffsets(0)
 	for v := 2; v <= 15; v++ {
 		if o.Get(v) < 0 {
 			neg++
@@ -158,7 +157,7 @@ func TestOptimalNegativeAfterRetention(t *testing.T) {
 func TestLayerMaxRBER(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	rows := l.LayerMaxRBER(0, c.Coding().Bits()-1)
+	rows := l.LayerMaxRBER(c.Coding().Bits() - 1)
 	if len(rows) != 8 {
 		t.Fatalf("got %d layers, want 8", len(rows))
 	}
@@ -182,7 +181,7 @@ func TestLayerMaxRBER(t *testing.T) {
 func TestErrorMapUniformAlongWordline(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	m := l.CollectErrorMap(0, 16)
+	m := l.CollectErrorMap(16)
 	chi2 := m.UniformityChi2()
 	// Errors nearly uniform along each wordline: reduced chi-squared in a
 	// loose band around 1.
@@ -200,13 +199,13 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 	// show a near-linear relation between every voltage's optimum and the
 	// sentinel voltage's optimum (Figure 8).
 	cfg := flash.Config{
-		Kind: flash.QLC, Blocks: 1, Layers: 8, WordlinesPerLayer: 2,
+		Kind: flash.QLC, Layers: 8, WordlinesPerLayer: 2,
 		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 21, CacheZ: true,
 	}
 	c := flash.MustNew(cfg)
 	rng := mathx.NewRand(77)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		c.ProgramRandom(0, wl, rng)
+		c.ProgramRandom(wl, rng)
 	}
 	l := New(c)
 	wls := []int{0, 2, 4, 6, 8, 10, 12, 14}
@@ -217,9 +216,9 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 	}{
 		{0, 24}, {500, 400}, {500, 2000}, {1000, 3000}, {1000, 3336},
 	} {
-		c.Cycle(0, step.pe)
-		c.Age(0, step.hours, physics.RoomTempC)
-		if _, err := cc.Add(l, 0, wls); err != nil {
+		c.Cycle(step.pe)
+		c.Age(step.hours, physics.RoomTempC)
+		if _, err := cc.Add(l, wls); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +255,7 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 func TestCollectCorrelationsSingleStress(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	cc := NewCorrelationCollector(c.Coding())
-	if _, err := cc.Add(New(c), 0, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+	if _, err := cc.Add(New(c), []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
 	cors := cc.Fit()
@@ -272,10 +271,10 @@ func TestCollectCorrelationsSingleStress(t *testing.T) {
 
 func TestCollectCorrelationsUnprogrammed(t *testing.T) {
 	c := flash.MustNew(flash.Config{
-		Kind: flash.QLC, Blocks: 1, Layers: 4, WordlinesPerLayer: 1,
+		Kind: flash.QLC, Layers: 4, WordlinesPerLayer: 1,
 		CellsPerWordline: 1024, Seed: 1, CacheZ: true,
 	})
-	if _, err := NewCorrelationCollector(c.Coding()).Add(New(c), 0, []int{0}); err == nil {
+	if _, err := NewCorrelationCollector(c.Coding()).Add(New(c), []int{0}); err == nil {
 		t.Fatal("expected error for unprogrammed wordline")
 	}
 }

@@ -60,9 +60,9 @@ func AblatePlacement(s Scale, kind flash.Kind) (*PlacementAblationResult, error)
 			isGrad bool
 		}
 		perWL := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) wlErr {
-			sense := chip.Sense(0, wl, sv, 0, mathx.Mix(0x13c, uint64(wl)))
+			sense := chip.Sense(wl, sv, 0, mathx.Mix(0x13c, uint64(wl)))
 			_, inferred := eng.Infer(sense)
-			e := math.Abs(inferred.Get(sv) - lab.OptimalOffset(0, wl, sv))
+			e := math.Abs(inferred.Get(sv) - lab.OptimalOffset(wl, sv))
 			g := chip.Model().WLGradient(uint64(wl))
 			return wlErr{e: e, isGrad: math.Abs(g) > chip.Model().P.GradientStd}
 		})
@@ -142,7 +142,7 @@ func AblateCalibrationDelta(s Scale) (*DeltaAblationResult, error) {
 		fails := 0
 		n := cfg.WordlinesPerBlock()
 		for _, r := range parallel.Map(n, func(wl int) retry.Result {
-			return ctl.Read(0, wl, msb, pol, mathx.Mix(0x13d, uint64(wl)))
+			return ctl.Read(wl, msb, pol, mathx.Mix(0x13d, uint64(wl)))
 		}) {
 			sum += float64(r.Retries)
 			if !r.OK {
@@ -180,7 +180,7 @@ type CombinedAblationResult struct {
 }
 
 // AblateCombined measures the Section V extension: starting reads at the
-// tracked per-block voltages and falling back to sentinel inference.
+// tracked voltages and falling back to sentinel inference.
 func AblateCombined(s Scale) (*CombinedAblationResult, error) {
 	tb, err := s.Testbed(flash.TLC, 113, 233, 5000, physics.YearHours)
 	if err != nil {
@@ -189,7 +189,7 @@ func AblateCombined(s Scale) (*CombinedAblationResult, error) {
 	chip, ctl := tb.Chip, tb.Ctl
 	sent := retry.NewSentinelPolicy(tb.Eng)
 	combined := &retry.WarmStartPolicy{
-		Start:    map[int]flash.Offsets{0: charlab.New(chip).OptimalOffsets(0, 0)},
+		Start:    charlab.New(chip).OptimalOffsets(0),
 		Sentinel: sent}
 	res := &CombinedAblationResult{}
 	msb := chip.Coding().Bits() - 1
@@ -197,8 +197,8 @@ func AblateCombined(s Scale) (*CombinedAblationResult, error) {
 	type wlRead struct{ sent, combined retry.Result }
 	for _, r := range parallel.Map(n, func(wl int) wlRead {
 		return wlRead{
-			sent:     ctl.Read(0, wl, msb, sent, mathx.Mix(0x13e, uint64(wl))),
-			combined: ctl.Read(0, wl, msb, combined, mathx.Mix(0x13f, uint64(wl))),
+			sent:     ctl.Read(wl, msb, sent, mathx.Mix(0x13e, uint64(wl))),
+			combined: ctl.Read(wl, msb, combined, mathx.Mix(0x13f, uint64(wl))),
 		}
 	}) {
 		res.SentinelRetries += float64(r.sent.Retries)

@@ -102,7 +102,6 @@ func Full() Scale {
 func (s Scale) ChipConfig(kind flash.Kind, seed uint64) flash.Config {
 	return flash.Config{
 		Kind:              kind,
-		Blocks:            1,
 		Layers:            s.Layers,
 		WordlinesPerLayer: s.WLsPerLayer,
 		CellsPerWordline:  s.Cells,
@@ -210,13 +209,13 @@ func (s Scale) BuildEvalChip(kind flash.Kind, seed uint64, eng *sentinel.Engine,
 		if eng != nil {
 			eng.Prepare(states)
 		}
-		return chip.ProgramStates(0, wl, states)
+		return chip.ProgramStates(wl, states)
 	})
 	if err != nil {
 		return nil, err
 	}
-	chip.Cycle(0, pe)
-	chip.Age(0, hours, physics.RoomTempC)
+	chip.Cycle(pe)
+	chip.Age(hours, physics.RoomTempC)
 	return chip, nil
 }
 

@@ -65,10 +65,10 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 	res.Inferred = make([]float64, nwl)
 	res.Truth = make([]float64, nwl)
 	parallel.ForEach(nwl, func(wl int) {
-		sense := chip.Sense(0, wl, sv, 0, mathx.Mix(0xf10, uint64(wl)))
+		sense := chip.Sense(wl, sv, 0, mathx.Mix(0xf10, uint64(wl)))
 		_, inferred := eng.Infer(sense)
 		res.Inferred[wl] = inferred.Get(sv)
-		res.Truth[wl] = lab.OptimalOffset(0, wl, sv)
+		res.Truth[wl] = lab.OptimalOffset(wl, sv)
 	})
 	return res, nil
 }
@@ -153,8 +153,8 @@ func Table1SentinelRatio(s Scale, kind flash.Kind) (*Table1Result, error) {
 	truth := make([]float64, nwl)
 	senses := make([]flash.Bitmap, nwl)
 	parallel.ForEach(nwl, func(wl int) {
-		truth[wl] = lab.OptimalOffset(0, wl, sv)
-		senses[wl] = chip.Sense(0, wl, sv, 0, mathx.Mix(0x7ab1e, uint64(wl)))
+		truth[wl] = lab.OptimalOffset(wl, sv)
+		senses[wl] = chip.Sense(wl, sv, 0, mathx.Mix(0x7ab1e, uint64(wl)))
 	})
 
 	res := &Table1Result{Kind: kind}
@@ -226,13 +226,13 @@ func Fig12StateChange(s Scale) (*Fig12Result, error) {
 	// Each wordline's normalized curve is independent; fan out, then fold
 	// the per-wordline curves serially in wordline order.
 	perWL := parallel.Map(nwl, func(wl int) []float64 {
-		opt := lab.OptimalOffset(0, wl, sv)
+		opt := lab.OptimalOffset(wl, sv)
 		if opt >= -4 {
 			return nil // need a clear downward move for the window to exist
 		}
 		// The default sense and the probes re-read one wordline: one
 		// handle, redrawn with each read's seed.
-		op := chip.BeginRead(0, wl, mathx.Mix(0x12a, uint64(wl)))
+		op := chip.BeginRead(wl, mathx.Mix(0x12a, uint64(wl)))
 		defer op.Close()
 		defSense := op.Sense(sv, 0)
 		var probe flash.Bitmap

@@ -149,13 +149,13 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 			writeBits(cw, 0)
 			writeBits(cwRed[k:], k+parity) // reduced parity after the full frame
 			layout.ApplyPattern(states, indices, sv)
-			if err := chip.ProgramStates(0, wl, states); err != nil {
+			if err := chip.ProgramStates(wl, states); err != nil {
 				return nil, err
 			}
 			frames = append(frames, fig19Frame{wl: wl, data: data, cw: cw})
 		}
-		chip.Cycle(0, pe)
-		chip.Age(0, physics.YearHours, physics.RoomTempC)
+		chip.Cycle(pe)
+		chip.Age(physics.YearHours, physics.RoomTempC)
 
 		for si, sn := range sensings {
 			for m := Fig19OPT; m <= Fig19Sentinel; m++ {
@@ -222,7 +222,7 @@ func decodeFrame(chip *flash.Chip, model *sentinel.Model, layout sentinel.Layout
 		}
 		return false, nil
 	default: // Fig19Sentinel — reduced-parity code, inferred voltage.
-		sense := chip.Sense(0, fr.wl, sv, 0, seed^0xdef)
+		sense := chip.Sense(fr.wl, sv, 0, seed^0xdef)
 		d := sentinel.ErrorDiffRate(sense, indices)
 		ofs := model.InferSentinelOffset(d)
 		if attempt(ofs, reducedCode, k+parity, reducedCode.M, 20) {
@@ -244,7 +244,7 @@ func senseLLR(chip *flash.Chip, wl, v int, offset float64, sn ecc.Sensing,
 	levels := sn.Levels()
 	senses := make([]flash.Bitmap, len(levels))
 	// The levels re-read one wordline: one handle, redrawn per level.
-	op := chip.BeginRead(0, wl, mathx.Mix(seed, 0))
+	op := chip.BeginRead(wl, mathx.Mix(seed, 0))
 	for i, lv := range levels {
 		op.Redraw(mathx.Mix(seed, uint64(i)))
 		senses[i] = op.Sense(v, offset+lv)
@@ -282,7 +282,7 @@ func sweepBoundary(chip *flash.Chip, wl, v int, seed uint64) float64 {
 	for o := -50.0; o <= 20; o += 2 {
 		offs = append(offs, o)
 	}
-	ups, downs := chip.SweepVoltageErrors(0, wl, v, offs, seed^0x0b7)
+	ups, downs := chip.SweepVoltageErrors(wl, v, offs, seed^0x0b7)
 	best := 0
 	for i := range offs {
 		if ups[i]+downs[i] < ups[best]+downs[best] {

@@ -33,7 +33,7 @@ func Fig2ErrorVsOffset(s Scale) (*Fig2Result, error) {
 	res := &Fig2Result{Kind: flash.TLC}
 	// One fused sweep covers every voltage from the same read operations,
 	// byte-identical to the former per-voltage fan-out.
-	res.Offsets, res.Errors = lab.SweepCurves(0, 0)
+	res.Offsets, res.Errors = lab.SweepCurves(0)
 	return res, nil
 }
 
@@ -88,7 +88,7 @@ func Fig3LayerRBER(s Scale, kind flash.Kind) (*Fig3Result, error) {
 		}
 		lab := charlab.New(chip)
 		msb := chip.Coding().Bits() - 1
-		for _, lr := range lab.LayerMaxRBER(0, msb) {
+		for _, lr := range lab.LayerMaxRBER(msb) {
 			res.Rows = append(res.Rows, Fig3Row{
 				PE: pe, Layer: lr.Layer,
 				DefaultMax: lr.DefaultMax, OptimalMax: lr.OptimalMax,
@@ -162,7 +162,7 @@ func Fig45Temperature(s Scale) (*Fig45Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		chip.Age(0, 1, tempC)
+		chip.Age(1, tempC)
 		lab := charlab.New(chip)
 		bits := chip.Coding().Bits()
 		nwl := chip.Config().WordlinesPerBlock()
@@ -176,10 +176,10 @@ func Fig45Temperature(s Scale) (*Fig45Result, error) {
 		}
 		parallel.ForEach(nwl, func(wl int) {
 			for p := 0; p < bits; p++ {
-				rber[p][wl] = lab.PageRBER(0, wl, p, nil)
+				rber[p][wl] = lab.PageRBER(wl, p, nil)
 			}
 			for vi, v := range res.Voltages {
-				opts[vi][wl] = lab.OptimalOffset(0, wl, v)
+				opts[vi][wl] = lab.OptimalOffset(wl, v)
 			}
 		})
 		return rber, opts, nil
@@ -245,7 +245,7 @@ func Fig6LayerOptima(s Scale) (*Fig6Result, error) {
 		res.Opt[v] = make([]float64, cfg.Layers)
 	}
 	optima := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) flash.Offsets {
-		return lab.OptimalOffsets(0, wl)
+		return lab.OptimalOffsets(wl)
 	})
 	for wl, o := range optima {
 		layer := chip.LayerOf(wl)
@@ -297,7 +297,7 @@ func Fig7ErrorMap(s Scale) (*Fig7Result, error) {
 		return nil, err
 	}
 	lab := charlab.New(chip)
-	m := lab.CollectErrorMap(0, 16)
+	m := lab.CollectErrorMap(16)
 	return &Fig7Result{
 		Map:               m,
 		UniformityChi2:    m.UniformityChi2(),
@@ -338,16 +338,16 @@ func Fig8Correlation(s Scale) (*Fig8Result, error) {
 	// data identical at any worker count.
 	parallel.ForEach(len(wls), func(i int) {
 		rng := mathx.NewRand(mathx.Mix(881, uint64(wls[i])))
-		chip.ProgramRandom(0, wls[i], rng)
+		chip.ProgramRandom(wls[i], rng)
 	})
 	lab := charlab.New(chip)
 	cc := charlab.NewCorrelationCollector(chip.Coding())
 	for i, pt := range s.trainPoints() {
 		st := physics.Stress{PECycles: pt.PECycles}
 		st = st.Aged(chip.Model().P, pt.Hours, pt.TempC)
-		chip.SetStress(0, st)
+		chip.SetStress(st)
 		lab.Seed = mathx.Mix(12345, uint64(i))
-		if _, err := cc.Add(lab, 0, wls); err != nil {
+		if _, err := cc.Add(lab, wls); err != nil {
 			return nil, err
 		}
 	}

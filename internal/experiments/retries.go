@@ -42,8 +42,8 @@ func Fig13RetryCount(s Scale) (*Fig13Result, error) {
 	type wlRead struct{ table, sent retry.Result }
 	reads := parallel.Map(tb.Cfg.WordlinesPerBlock(), func(wl int) wlRead {
 		return wlRead{
-			table: tb.Ctl.Read(0, wl, msb, table, mathx.Mix(0x13a, uint64(wl))),
-			sent:  tb.Ctl.Read(0, wl, msb, sent, mathx.Mix(0x13b, uint64(wl))),
+			table: tb.Ctl.Read(wl, msb, table, mathx.Mix(0x13a, uint64(wl))),
+			sent:  tb.Ctl.Read(wl, msb, sent, mathx.Mix(0x13b, uint64(wl))),
 		}
 	})
 	for _, r := range reads {
@@ -127,7 +127,7 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 	chip, eng := tb.Chip, tb.Eng
 	lab := charlab.New(chip)
 	sent := retry.NewSentinelPolicy(eng)
-	tracked := lab.OptimalOffsets(0, 0)
+	tracked := lab.OptimalOffsets(0)
 
 	nv := chip.Coding().NumVoltages()
 	res := &ErrCompResult{Kind: kind}
@@ -145,13 +145,13 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 		res.TrackingErrors[v] = make([]int, nwl)
 	}
 	parallel.ForEach(nwl, func(wl int) {
-		optimal := lab.OptimalOffsets(0, wl)
-		sense := chip.Sense(0, wl, sv, 0, mathx.Mix(0x15a, uint64(wl)))
+		optimal := lab.OptimalOffsets(wl)
+		sense := chip.Sense(wl, sv, 0, mathx.Mix(0x15a, uint64(wl)))
 		_, inferred := eng.Infer(sense)
 		// Calibrated = the offsets the full read flow ends at. When the
 		// read fails outright, the controller reverts to the inferred
 		// voltages (the best information it holds), so measure those.
-		rr := tb.Ctl.Read(0, wl, msb, sent, mathx.Mix(0x15b, uint64(wl)))
+		rr := tb.Ctl.Read(wl, msb, sent, mathx.Mix(0x15b, uint64(wl)))
 		calibrated := rr.FinalOffsets
 		if calibrated == nil || !rr.OK {
 			calibrated = inferred
@@ -159,11 +159,11 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 		sets := [4]flash.Offsets{nil, inferred, calibrated, optimal}
 		for v := 1; v <= nv; v++ {
 			for m, ofs := range sets {
-				up, down := chip.VoltageErrors(0, wl, v, ofs.Get(v),
+				up, down := chip.VoltageErrors(wl, v, ofs.Get(v),
 					mathx.Mix4(0x15c, uint64(wl), uint64(v), uint64(m)))
 				res.Errors[m][v-1][wl] = up + down
 			}
-			up, down := chip.VoltageErrors(0, wl, v, tracked.Get(v),
+			up, down := chip.VoltageErrors(wl, v, tracked.Get(v),
 				mathx.Mix4(0x15d, uint64(wl), uint64(v), 9))
 			res.TrackingErrors[v-1][wl] = up + down
 		}

@@ -27,7 +27,7 @@ type RobustnessRow struct {
 	BareFails     int
 	FallbackFails int
 	// FallbackDegradedReads counts wordlines the fallback policy served
-	// from the static table (block-probe or per-read guard).
+	// from the static table (chip probe or per-read guard).
 	FallbackDegradedReads int
 	// BlockDegraded reports whether the coordinator-side probe latched the
 	// block into degraded mode before the reads.
@@ -77,19 +77,19 @@ func CorruptionSweep(s Scale) (*RobustnessResult, error) {
 			}))
 		}
 		fb := retry.NewFallback(retry.NewSentinelPolicy(eng), table)
-		stuck := fb.ProbeBlock(chip, 0, 0) // coordinator-side, before fan-out
+		stuck := fb.Probe(chip, 0) // coordinator-side, before fan-out
 		type wlRead struct{ table, bare, fb retry.Result }
 		reads := parallel.Map(nwl, func(wl int) wlRead {
 			seed := mathx.Mix3(0xc0c, uint64(i), uint64(wl))
 			return wlRead{
-				table: ctl.Read(0, wl, msb, table, seed),
-				bare:  ctl.Read(0, wl, msb, bare, seed),
-				fb:    ctl.Read(0, wl, msb, fb, seed),
+				table: ctl.Read(wl, msb, table, seed),
+				bare:  ctl.Read(wl, msb, bare, seed),
+				fb:    ctl.Read(wl, msb, fb, seed),
 			}
 		})
 		row := RobustnessRow{
 			Rate:          rate,
-			BlockDegraded: fb.BlockDegraded(0),
+			BlockDegraded: fb.Degraded(),
 			StuckEstimate: stuck,
 		}
 		for _, r := range reads {

@@ -51,7 +51,7 @@ func TempBandExperiment(s Scale) (*TempBandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval.SetReadTemperature(0, hotC)
+	eval.SetReadTemperature(hotC)
 	lab := charlab.New(eval)
 	sv := model.SentinelVoltage
 	nv := eval.Coding().NumVoltages()
@@ -59,8 +59,8 @@ func TempBandExperiment(s Scale) (*TempBandResult, error) {
 	res := &TempBandResult{ReadTempC: hotC}
 	type wlErrs struct{ room, band []float64 }
 	perWL := parallel.Map(evalCfg.WordlinesPerBlock(), func(wl int) wlErrs {
-		truth := lab.OptimalOffsets(0, wl)
-		sense := eval.Sense(0, wl, sv, 0, mathx.Mix(0x7b, uint64(wl)))
+		truth := lab.OptimalOffsets(wl)
+		sense := eval.Sense(wl, sv, 0, mathx.Mix(0x7b, uint64(wl)))
 		d := sentinel.ErrorDiffRate(sense, eng.Indices())
 		sentOfs := model.InferSentinelOffset(d)
 		room := model.OffsetsFromSentinelAt(sentOfs, physics.RoomTempC)

@@ -57,15 +57,15 @@ var PolicyNames = []string{"table", "sentinel", "fallback", "history", "ar2", "s
 //
 //   - "table": the static vendor retry table;
 //   - "sentinel": the paper's sentinel inference and calibration;
-//   - "fallback": sentinel guarded by the static table, with block 0
+//   - "fallback": sentinel guarded by the static table, with the chip
 //     probed for sentinel corruption up front;
-//   - "history": first shot at block 0's start offsets, table walk
+//   - "history": first shot at the chip's start offsets, table walk
 //     relative to them beyond it;
 //   - "ar2": the table walk with pipelined retry steps;
-//   - "sentinel+history": first shot at block 0's start offsets,
+//   - "sentinel+history": first shot at the chip's start offsets,
 //     sentinel recovery.
 //
-// Both history policies start block 0 at offsets inferred once from a
+// Both history policies start at offsets inferred once from a
 // sentinel sense of its wordline 0 (retry.SentinelStart); nothing writes
 // them afterwards, so reads are a pure function of their seeds at any
 // worker count.
@@ -79,14 +79,14 @@ func (tb *Testbed) Policy(name string) (retry.Policy, error) {
 		return sent, nil
 	case "fallback":
 		fb := retry.NewFallback(sent, table)
-		fb.ProbeBlock(tb.Chip, 0, 0)
+		fb.Probe(tb.Chip, 0)
 		return fb, nil
 	case "ar2":
 		return retry.NewAR2(table), nil
 	case "history", "sentinel+history":
 		pol := &retry.WarmStartPolicy{}
-		if ofs, ok := retry.SentinelStart(tb.Chip, tb.Eng, 0, 0, 0x9157); ok {
-			pol.Start = map[int]flash.Offsets{0: ofs}
+		if ofs, ok := retry.SentinelStart(tb.Chip, tb.Eng, 0, 0x9157); ok {
+			pol.Start = ofs
 		}
 		if name == "history" {
 			pol.Table = table
@@ -99,7 +99,7 @@ func (tb *Testbed) Policy(name string) (retry.Policy, error) {
 }
 
 // Sampler measures the named policy's retry-outcome pool on the
-// testbed: every page of wordlines wls of block 0 is read three times,
+// testbed: every page of wordlines wls is read three times,
 // drawing from seed. Every trace experiment and chip-backed replay cell
 // builds its pools here, each with its own wordlines and seeds.
 func (tb *Testbed) Sampler(policy string, wls []int, seed uint64) (*ssdsim.EmpiricalSampler, error) {

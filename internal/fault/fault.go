@@ -149,7 +149,7 @@ func hit(h uint64, rate float64) bool { return rate > 0 && u01(h) < rate }
 
 // PerturbVth implements flash.FaultModel: stuck sentinel-region cells,
 // outlier-wordline shifts, and sense-noise bursts, in that order.
-func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
+func (in *Injector) PerturbVth(wl int, readSeed uint64, vth []float64) {
 	p := in.p
 	if p.SentinelStuckRate > 0 {
 		lo, hi := p.SentinelRegion[0], p.SentinelRegion[1]
@@ -161,7 +161,7 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 		}
 		for i := lo; i < hi; i++ {
 			// Frozen per physical cell: independent of read and epoch.
-			h := mathx.Mix4(p.Seed^saltStuck, uint64(b), uint64(wl), uint64(i))
+			h := mathx.Mix4(p.Seed^saltStuck, 0, uint64(wl), uint64(i))
 			if !hit(h, p.SentinelStuckRate) {
 				continue
 			}
@@ -173,7 +173,7 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 		}
 	}
 	if p.OutlierWLRate > 0 {
-		h := mathx.Mix3(p.Seed^saltOutlier, uint64(b), uint64(wl))
+		h := mathx.Mix3(p.Seed^saltOutlier, 0, uint64(wl))
 		if hit(h, p.OutlierWLRate) {
 			shift := p.OutlierShift
 			if mathx.Hash64(h)&1 == 1 {
@@ -185,7 +185,7 @@ func (in *Injector) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
 		}
 	}
 	if p.BurstRate > 0 {
-		h := mathx.Mix4(p.Seed^saltBurst, uint64(b), uint64(wl), readSeed)
+		h := mathx.Mix4(p.Seed^saltBurst, 0, uint64(wl), readSeed)
 		if hit(h, p.BurstRate) {
 			rng := mathx.NewRand(mathx.Hash64(h))
 			for i := range vth {

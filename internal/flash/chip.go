@@ -16,9 +16,9 @@ import (
 // of distinct wordlines call PerturbVth concurrently.
 type FaultModel interface {
 	// PerturbVth mutates the freshly computed threshold-voltage vector of
-	// one read operation on wordline (b, wl). readSeed identifies the read
+	// one read operation on wordline wl. readSeed identifies the read
 	// operation, exactly as for sensing noise.
-	PerturbVth(b, wl int, readSeed uint64, vth []float64)
+	PerturbVth(wl int, readSeed uint64, vth []float64)
 }
 
 // Config describes the geometry and technology of a simulated chip.
@@ -26,11 +26,11 @@ type Config struct {
 	// Kind selects TLC or QLC.
 	Kind Kind
 
-	// Blocks, Layers, WordlinesPerLayer and CellsPerWordline set the
-	// geometry. The paper's chips have 64 layers; wordline w belongs to
-	// layer w % Layers (wordlines of a layer are interleaved across the
-	// block, as in multi-string 3D NAND).
-	Blocks            int
+	// Layers, WordlinesPerLayer and CellsPerWordline set the geometry of
+	// the chip's one block, the unit the paper characterizes and reads.
+	// The paper's chips have 64 layers; wordline w belongs to layer
+	// w % Layers (wordlines of a layer are interleaved across the block,
+	// as in multi-string 3D NAND).
 	Layers            int
 	WordlinesPerLayer int
 	CellsPerWordline  int
@@ -61,7 +61,6 @@ type Config struct {
 func DefaultConfig(kind Kind) Config {
 	return Config{
 		Kind:              kind,
-		Blocks:            1,
 		Layers:            64,
 		WordlinesPerLayer: 12,
 		CellsPerWordline:  32768,
@@ -88,7 +87,7 @@ func (c Config) OOBCells() int {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Blocks <= 0 || c.Layers <= 0 || c.WordlinesPerLayer <= 0 {
+	if c.Layers <= 0 || c.WordlinesPerLayer <= 0 {
 		return fmt.Errorf("flash: non-positive geometry %+v", c)
 	}
 	if c.CellsPerWordline < 64 {
@@ -119,30 +118,26 @@ func (c Config) Validate() error {
 //     zcache fill when CacheZ is set), so concurrent programs of
 //     *distinct* wordlines are safe, as are concurrent reads of other,
 //     already-programmed wordlines.
-//   - Block-level mutations (Cycle, Age, SetStress, SetReadTemperature)
-//     write the shared block stress state and must not run concurrently
-//     with anything else touching that block. SetFaults swaps the
+//   - Chip stress mutations (Cycle, Age, SetStress, SetReadTemperature)
+//     write the shared stress state and must not run concurrently with
+//     anything else touching the chip. SetFaults swaps the
 //     chip-wide fault model and must not run concurrently with anything
 //     at all.
 //
 // The experiment drivers in internal/experiments rely on exactly this:
 // they fan out per-wordline work (programming, then read-only sweeps)
-// and perform all block aging from the coordinating goroutine.
+// and perform all aging from the coordinating goroutine.
 type Chip struct {
 	cfg    Config
 	coding *Coding
 	model  *physics.Model
-	blocks []blockState
+	stress physics.Stress
+	wls    []wlState
 	faults FaultModel
 	// pos[i] is cell i's position along the wordline, (i+0.5)/n - 0.5,
 	// the factor of the intra-wordline gradient; set with CacheZ, whose
 	// reads derive each cell's Vth from it (vth0Into).
 	pos []float64
-}
-
-type blockState struct {
-	stress physics.Stress
-	wls    []wlState
 }
 
 type wlState struct {
@@ -179,10 +174,7 @@ func New(cfg Config) (*Chip, error) {
 		cfg:    cfg,
 		coding: NewCoding(params.Bits),
 		model:  model,
-		blocks: make([]blockState, cfg.Blocks),
-	}
-	for b := range c.blocks {
-		c.blocks[b].wls = make([]wlState, cfg.WordlinesPerBlock())
+		wls:    make([]wlState, cfg.WordlinesPerBlock()),
 	}
 	if cfg.CacheZ {
 		c.pos = make([]float64, cfg.CellsPerWordline)
@@ -221,69 +213,50 @@ func (c *Chip) SetFaults(f FaultModel) { c.faults = f }
 // Faults returns the attached fault model (nil when fault-free).
 func (c *Chip) Faults() FaultModel { return c.faults }
 
-// LayerOf returns the layer of wordline wl within its block.
+// LayerOf returns the layer of wordline wl.
 func (c *Chip) LayerOf(wl int) int { return wl % c.cfg.Layers }
 
-// globalWL returns the chip-global wordline id.
-func (c *Chip) globalWL(b, wl int) uint64 {
-	return uint64(b)*uint64(c.cfg.WordlinesPerBlock()) + uint64(wl)
-}
-
-func (c *Chip) checkAddr(b, wl int) {
-	if b < 0 || b >= c.cfg.Blocks {
-		panic(fmt.Sprintf("flash: block %d out of range [0,%d)", b, c.cfg.Blocks))
-	}
+func (c *Chip) checkAddr(wl int) {
 	if wl < 0 || wl >= c.cfg.WordlinesPerBlock() {
 		panic(fmt.Sprintf("flash: wordline %d out of range [0,%d)",
 			wl, c.cfg.WordlinesPerBlock()))
 	}
 }
 
-// Stress returns the current stress state of block b.
-func (c *Chip) Stress(b int) physics.Stress {
-	c.checkAddr(b, 0)
-	return c.blocks[b].stress
-}
+// Stress returns the chip's current stress state.
+func (c *Chip) Stress() physics.Stress { return c.stress }
 
-// Cycle adds n P/E cycles of pure wear to block b without changing its
+// Cycle adds n P/E cycles of pure wear to the chip without changing its
 // contents — the standard way test platforms pre-condition blocks before
 // a characterization run.
-func (c *Chip) Cycle(b, n int) {
-	c.checkAddr(b, 0)
-	c.blocks[b].stress = c.blocks[b].stress.Cycled(n)
-}
+func (c *Chip) Cycle(n int) { c.stress = c.stress.Cycled(n) }
 
-// Age adds retention time at tempC to block b. Time at elevated
+// Age adds retention time at tempC to the chip. Time at elevated
 // temperature is Arrhenius-accelerated, exactly like the paper's baking
 // procedure.
-func (c *Chip) Age(b int, hours, tempC float64) {
-	c.checkAddr(b, 0)
-	c.blocks[b].stress = c.blocks[b].stress.Aged(c.model.P, hours, tempC)
+func (c *Chip) Age(hours, tempC float64) {
+	c.stress = c.stress.Aged(c.model.P, hours, tempC)
 }
 
-// SetStress forces block b's stress state directly. Characterization
+// SetStress forces the chip's stress state directly. Characterization
 // benches use this to jump between stress points; runtime code never
 // would.
-func (c *Chip) SetStress(b int, st physics.Stress) {
-	c.checkAddr(b, 0)
-	c.blocks[b].stress = st
-}
+func (c *Chip) SetStress(st physics.Stress) { c.stress = st }
 
-// SetReadTemperature sets the ambient temperature for subsequent reads of
-// block b. Reading away from the programming temperature shifts the
+// SetReadTemperature sets the ambient temperature for subsequent reads.
+// Reading away from the programming temperature shifts the
 // states (cross-temperature effect); the paper's Section III-D keeps one
 // correlation table per temperature range for exactly this reason.
-func (c *Chip) SetReadTemperature(b int, tempC float64) {
-	c.checkAddr(b, 0)
-	c.blocks[b].stress = c.blocks[b].stress.AtReadTemp(tempC)
+func (c *Chip) SetReadTemperature(tempC float64) {
+	c.stress = c.stress.AtReadTemp(tempC)
 }
 
-// ProgramStates programs wordline (b, wl) with the given per-cell states.
+// ProgramStates programs wordline wl with the given per-cell states.
 // len(states) must equal CellsPerWordline and every state must be within
 // range. Programming bumps the wordline's program epoch, redrawing its
 // frozen cell offsets.
-func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
-	c.checkAddr(b, wl)
+func (c *Chip) ProgramStates(wl int, states []uint8) error {
+	c.checkAddr(wl)
 	if len(states) != c.cfg.CellsPerWordline {
 		return fmt.Errorf("flash: got %d states, want %d",
 			len(states), c.cfg.CellsPerWordline)
@@ -295,7 +268,7 @@ func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
 				s, i, maxState)
 		}
 	}
-	w := &c.blocks[b].wls[wl]
+	w := &c.wls[wl]
 	w.programmed = true
 	w.epoch++
 	if w.states == nil {
@@ -306,41 +279,41 @@ func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
 		if w.zcache == nil {
 			w.zcache = make([]float32, len(states))
 		}
-		c.model.FillCellZ(c.globalWL(b, wl), w.epoch, w.zcache)
+		c.model.FillCellZ(uint64(wl), w.epoch, w.zcache)
 	} else {
 		w.zcache = nil
 	}
 	return nil
 }
 
-// ProgramRandom programs wordline (b, wl) with uniformly random states
-// (host data is scrambled in real SSDs, so this is the realistic
-// distribution). The rng drives only the data pattern, not the physics.
-// The error is always nil: the generated states are valid by
-// construction.
-func (c *Chip) ProgramRandom(b, wl int, rng *mathx.Rand) error {
+// ProgramRandom programs wordline wl with uniformly random states (host
+// data is scrambled in real SSDs, so this is the realistic distribution).
+// The rng drives only the data pattern, not the physics. It panics on a
+// wordline out of range, like the read paths.
+func (c *Chip) ProgramRandom(wl int, rng *mathx.Rand) {
 	states := statePool.get(c.cfg.CellsPerWordline)
 	n := c.coding.States()
 	for i := range states {
 		states[i] = uint8(rng.Intn(n))
 	}
-	err := c.ProgramStates(b, wl, states) // copies; safe to recycle
+	// The states are valid by construction, so the only error left is
+	// impossible; ProgramStates copies them, so recycling is safe.
+	_ = c.ProgramStates(wl, states)
 	statePool.put(states)
-	return err
 }
 
-// IsProgrammed reports whether wordline (b, wl) holds data.
-func (c *Chip) IsProgrammed(b, wl int) bool {
-	c.checkAddr(b, wl)
-	return c.blocks[b].wls[wl].programmed
+// IsProgrammed reports whether wordline wl holds data.
+func (c *Chip) IsProgrammed(wl int) bool {
+	c.checkAddr(wl)
+	return c.wls[wl].programmed
 }
 
-// States returns a copy of the programmed states of wordline (b, wl).
-// This is simulator ground truth: characterization and oracle baselines
-// use it, the sentinel FTL path does not.
-func (c *Chip) States(b, wl int) []uint8 {
-	c.checkAddr(b, wl)
-	w := &c.blocks[b].wls[wl]
+// States returns a copy of the programmed states of wordline wl. This is
+// simulator ground truth: characterization and oracle baselines use it,
+// the sentinel FTL path does not.
+func (c *Chip) States(wl int) []uint8 {
+	c.checkAddr(wl)
+	w := &c.wls[wl]
 	if !w.programmed {
 		return nil
 	}
@@ -349,9 +322,9 @@ func (c *Chip) States(b, wl int) []uint8 {
 	return out
 }
 
-// wordline returns the state of wordline (b, wl), which must hold data.
-func (c *Chip) wordline(b, wl int) *wlState {
-	w := &c.blocks[b].wls[wl]
+// wordline returns the state of wordline wl, which must hold data.
+func (c *Chip) wordline(wl int) *wlState {
+	w := &c.wls[wl]
 	if !w.programmed {
 		panic("flash: read of unprogrammed wordline")
 	}
@@ -364,15 +337,15 @@ func (c *Chip) wordline(b, wl int) *wlState {
 // returns the filled slice. env is caller-owned scratch for the resolved
 // wordline environment (its slices are reused), so the steady-state path
 // performs no allocations.
-func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WLEnv) []float64 {
-	w := c.wordline(b, wl)
+func (c *Chip) vthAll(wl int, readSeed uint64, buf []float64, env *physics.WLEnv) []float64 {
+	w := c.wordline(wl)
 	n := c.cfg.CellsPerWordline
 	if cap(buf) < n {
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
 	if w.zcache != nil {
-		c.vth0Into(b, wl, w, buf, env)
+		c.vth0Into(wl, w, buf, env)
 		// The sensing-noise hash stream setup is hoisted out of the loop
 		// (physics.NoiseStream); each cell's Vth is its noiseless sum plus
 		// its noise, exactly the scalar path's grouping.
@@ -381,11 +354,11 @@ func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WL
 			buf[i] += ns.At(i)
 		}
 	} else {
-		c.model.EnvInto(env, c.LayerOf(wl), c.globalWL(b, wl), c.blocks[b].stress)
-		c.model.FillVth(*env, c.globalWL(b, wl), w.states, w.epoch, readSeed, buf)
+		c.model.EnvInto(env, c.LayerOf(wl), uint64(wl), c.stress)
+		c.model.FillVth(*env, uint64(wl), w.states, w.epoch, readSeed, buf)
 	}
 	if c.faults != nil {
-		c.faults.PerturbVth(b, wl, readSeed, buf)
+		c.faults.PerturbVth(wl, readSeed, buf)
 	}
 	return buf
 }
@@ -398,8 +371,8 @@ func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WL
 // or later. The erased state has no gradient term: its grad is exactly
 // +0, which a mask of the product's bits gives without a branch (a
 // multiply by 0 would give -0 for a negative product).
-func (c *Chip) vth0Into(b, wl int, w *wlState, buf []float64, env *physics.WLEnv) {
-	c.model.EnvInto(env, c.LayerOf(wl), c.globalWL(b, wl), c.blocks[b].stress)
+func (c *Chip) vth0Into(wl int, w *wlState, buf []float64, env *physics.WLEnv) {
+	c.model.EnvInto(env, c.LayerOf(wl), uint64(wl), c.stress)
 	pos, states, z := c.pos[:len(buf)], w.states[:len(buf)], w.zcache[:len(buf)]
 	for i := range buf {
 		s := states[i]
@@ -443,28 +416,28 @@ func (c *Chip) voltage(v int, o Offsets) float64 {
 	return c.model.DefaultReadVoltage(v) + o.Get(v)
 }
 
-// ReadPage senses page p of wordline (b, wl) with the given offsets and
+// ReadPage senses page p of wordline wl with the given offsets and
 // returns the readout as a bitmap (bit i = cell i's page bit). Each call
 // is one read operation with fresh sensing noise derived from readSeed.
 // The result comes from the shared bitmap pool: callers on hot paths may
 // recycle it with PutBitmap, others can simply drop it.
-func (c *Chip) ReadPage(b, wl, p int, o Offsets, readSeed uint64) Bitmap {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) ReadPage(wl, p int, o Offsets, readSeed uint64) Bitmap {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.ReadPageInto(GetBitmap(c.cfg.CellsPerWordline), p, o)
 }
 
 // TrueBits returns the programmed (ground-truth) bits of page p on
-// wordline (b, wl).
-func (c *Chip) TrueBits(b, wl, p int) Bitmap {
-	return c.TrueBitsInto(nil, b, wl, p)
+// wordline wl.
+func (c *Chip) TrueBits(wl, p int) Bitmap {
+	return c.TrueBitsInto(nil, wl, p)
 }
 
 // TrueBitsInto is TrueBits writing into dst (reused when its capacity
 // suffices, otherwise freshly allocated).
-func (c *Chip) TrueBitsInto(dst Bitmap, b, wl, p int) Bitmap {
-	c.checkAddr(b, wl)
-	w := &c.blocks[b].wls[wl]
+func (c *Chip) TrueBitsInto(dst Bitmap, wl, p int) Bitmap {
+	c.checkAddr(wl)
+	w := &c.wls[wl]
 	if !w.programmed {
 		panic("flash: TrueBits of unprogrammed wordline")
 	}
@@ -494,8 +467,8 @@ func (c *Chip) TrueBitsInto(dst Bitmap, b, wl, p int) Bitmap {
 // This models one sensing level — the primitive from which LSB reads and
 // the calibration state-change counts are built. The result comes from
 // the shared bitmap pool, like ReadPage's.
-func (c *Chip) Sense(b, wl, v int, offset float64, readSeed uint64) Bitmap {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) Sense(wl, v int, offset float64, readSeed uint64) Bitmap {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.SenseInto(GetBitmap(c.cfg.CellsPerWordline), v, offset)
 }
@@ -504,22 +477,22 @@ func (c *Chip) Sense(b, wl, v int, offset float64, readSeed uint64) Bitmap {
 // v at the given offset: up errors are cells programmed below the
 // boundary (state <= v-1) but sensed above it; down errors the converse.
 // This is the paper's per-voltage error metric (Figs. 16-18).
-func (c *Chip) VoltageErrors(b, wl, v int, offset float64, readSeed uint64) (up, down int) {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) VoltageErrors(wl, v int, offset float64, readSeed uint64) (up, down int) {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.VoltageErrors(v, offset)
 }
 
 // CountPageErrors reads page p with offsets o and returns the number of
 // bit errors against the programmed data.
-func (c *Chip) CountPageErrors(b, wl, p int, o Offsets, readSeed uint64) int {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) CountPageErrors(wl, p int, o Offsets, readSeed uint64) int {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.CountPageErrors(p, o)
 }
 
 // PageRBER returns CountPageErrors divided by the wordline cell count.
-func (c *Chip) PageRBER(b, wl, p int, o Offsets, readSeed uint64) float64 {
-	return float64(c.CountPageErrors(b, wl, p, o, readSeed)) /
+func (c *Chip) PageRBER(wl, p int, o Offsets, readSeed uint64) float64 {
+	return float64(c.CountPageErrors(wl, p, o, readSeed)) /
 		float64(c.cfg.CellsPerWordline)
 }

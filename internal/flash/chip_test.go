@@ -12,7 +12,6 @@ import (
 func testConfig(kind Kind) Config {
 	return Config{
 		Kind:              kind,
-		Blocks:            2,
 		Layers:            8,
 		WordlinesPerLayer: 2,
 		CellsPerWordline:  4096,
@@ -24,9 +23,9 @@ func testConfig(kind Kind) Config {
 
 func TestNewValidation(t *testing.T) {
 	bad := testConfig(TLC)
-	bad.Blocks = 0
+	bad.Layers = 0
 	if _, err := New(bad); err == nil {
-		t.Fatal("accepted zero blocks")
+		t.Fatal("accepted zero layers")
 	}
 	bad = testConfig(TLC)
 	bad.CellsPerWordline = 10
@@ -69,13 +68,13 @@ func TestProgramAndTrueBitsRoundTrip(t *testing.T) {
 	for i := range states {
 		states[i] = uint8(i % 8)
 	}
-	if err := c.ProgramStates(0, 0, states); err != nil {
+	if err := c.ProgramStates(0, states); err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsProgrammed(0, 0) {
+	if !c.IsProgrammed(0) {
 		t.Fatal("wordline not marked programmed")
 	}
-	got := c.States(0, 0)
+	got := c.States(0)
 	for i := range got {
 		if got[i] != states[i] {
 			t.Fatalf("state mismatch at %d", i)
@@ -83,7 +82,7 @@ func TestProgramAndTrueBitsRoundTrip(t *testing.T) {
 	}
 	// TrueBits must match the coding tables.
 	for p := 0; p < 3; p++ {
-		tb := c.TrueBits(0, 0, p)
+		tb := c.TrueBits(0, p)
 		for i := 0; i < 64; i++ {
 			want := c.Coding().PageBit(int(states[i]), p) == 1
 			if tb.Get(i) != want {
@@ -96,12 +95,12 @@ func TestProgramAndTrueBitsRoundTrip(t *testing.T) {
 
 func TestProgramStatesRejectsBadInput(t *testing.T) {
 	c := MustNew(testConfig(TLC))
-	if err := c.ProgramStates(0, 0, make([]uint8, 10)); err == nil {
+	if err := c.ProgramStates(0, make([]uint8, 10)); err == nil {
 		t.Fatal("accepted short state slice")
 	}
 	states := make([]uint8, c.Config().CellsPerWordline)
 	states[5] = 8 // TLC max state is 7
-	if err := c.ProgramStates(0, 0, states); err == nil {
+	if err := c.ProgramStates(0, states); err == nil {
 		t.Fatal("accepted out-of-range state")
 	}
 }
@@ -111,9 +110,9 @@ func TestFreshReadIsNearlyErrorFree(t *testing.T) {
 	for _, kind := range []Kind{TLC, QLC} {
 		c := MustNew(testConfig(kind))
 		rng := mathx.NewRand(3)
-		c.ProgramRandom(0, 0, rng)
+		c.ProgramRandom(0, rng)
 		for p := 0; p < kind.Bits(); p++ {
-			rber := c.PageRBER(0, 0, p, nil, 99)
+			rber := c.PageRBER(0, p, nil, 99)
 			if rber > limits[kind] {
 				t.Errorf("%v fresh page %d RBER = %v, want < %v",
 					kind, p, rber, limits[kind])
@@ -125,12 +124,12 @@ func TestFreshReadIsNearlyErrorFree(t *testing.T) {
 func TestAgingIncreasesErrors(t *testing.T) {
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
+	c.ProgramRandom(0, rng)
 	p := QLC.Bits() - 1 // MSB
-	fresh := c.CountPageErrors(0, 0, p, nil, 1)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
-	aged := c.CountPageErrors(0, 0, p, nil, 1)
+	fresh := c.CountPageErrors(0, p, nil, 1)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
+	aged := c.CountPageErrors(0, p, nil, 1)
 	if aged <= fresh+10 {
 		t.Fatalf("aging did not increase errors: fresh %d, aged %d", fresh, aged)
 	}
@@ -144,11 +143,11 @@ func TestOptimalOffsetReducesErrors(t *testing.T) {
 	// Tuning all voltages down after heavy retention must beat defaults.
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
+	c.ProgramRandom(0, rng)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
 	p := QLC.Bits() - 1
-	def := c.CountPageErrors(0, 0, p, nil, 5)
+	def := c.CountPageErrors(0, p, nil, 5)
 	best := def
 	for shift := -40.0; shift <= 0; shift += 4 {
 		o := ZeroOffsets(c.Coding().NumVoltages())
@@ -157,7 +156,7 @@ func TestOptimalOffsetReducesErrors(t *testing.T) {
 			// voltages.
 			o[i] = shift * (1 - float64(i)/float64(len(o)))
 		}
-		if e := c.CountPageErrors(0, 0, p, o, 5); e < best {
+		if e := c.CountPageErrors(0, p, o, 5); e < best {
 			best = e
 		}
 	}
@@ -174,12 +173,12 @@ func TestReadNoiseMakesReadsDiffer(t *testing.T) {
 	// only slightly.
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
+	c.ProgramRandom(0, rng)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
 	p := QLC.Bits() - 1
-	r1 := c.ReadPage(0, 0, p, nil, 1)
-	r2 := c.ReadPage(0, 0, p, nil, 2)
+	r1 := c.ReadPage(0, p, nil, 1)
+	r2 := c.ReadPage(0, p, nil, 2)
 	diff := r1.XorCount(r2)
 	if diff == 0 {
 		t.Fatal("two reads identical despite read noise")
@@ -188,7 +187,7 @@ func TestReadNoiseMakesReadsDiffer(t *testing.T) {
 		t.Fatalf("reads differ too much: %d cells", diff)
 	}
 	// Same seed = identical read.
-	r3 := c.ReadPage(0, 0, p, nil, 1)
+	r3 := c.ReadPage(0, p, nil, 1)
 	if r1.XorCount(r3) != 0 {
 		t.Fatal("same-seed reads differ")
 	}
@@ -199,12 +198,12 @@ func TestVoltageErrorsConsistentWithPageErrors(t *testing.T) {
 	// the boundary's up+down errors at the same read seed.
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
+	c.ProgramRandom(0, rng)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
 	sv := c.Coding().SentinelVoltage()
-	up, down := c.VoltageErrors(0, 0, sv, 0, 42)
-	pageErr := c.CountPageErrors(0, 0, PageLSB, nil, 42)
+	up, down := c.VoltageErrors(0, sv, 0, 42)
+	pageErr := c.CountPageErrors(0, PageLSB, nil, 42)
 	if up+down != pageErr {
 		t.Fatalf("LSB page errors %d != boundary errors %d+%d",
 			pageErr, up, down)
@@ -217,11 +216,11 @@ func TestRetentionShiftProducesDownErrorsAtSentinel(t *testing.T) {
 	// the paper's inference.
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
+	c.ProgramRandom(0, rng)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
 	sv := c.Coding().SentinelVoltage()
-	up, down := c.VoltageErrors(0, 0, sv, 0, 7)
+	up, down := c.VoltageErrors(0, sv, 0, 7)
 	if down <= up {
 		t.Fatalf("after retention, down (%d) should exceed up (%d)", down, up)
 	}
@@ -230,15 +229,15 @@ func TestRetentionShiftProducesDownErrorsAtSentinel(t *testing.T) {
 func TestSenseMatchesVoltageClassification(t *testing.T) {
 	c := MustNew(testConfig(TLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
+	c.ProgramRandom(0, rng)
 	// A sense far below the erased state is all ones; far above the top
 	// state, all zeros. Offsets are relative to the default voltage.
-	low := c.Sense(0, 0, 1, -5000, 1)
+	low := c.Sense(0, 1, -5000, 1)
 	if low.PopCount() != c.Config().CellsPerWordline {
 		t.Fatalf("low sense popcount = %d", low.PopCount())
 	}
 	nv := c.Coding().NumVoltages()
-	high := c.Sense(0, 0, nv, 5000, 1)
+	high := c.Sense(0, nv, 5000, 1)
 	if high.PopCount() != 0 {
 		t.Fatalf("high sense popcount = %d", high.PopCount())
 	}
@@ -249,11 +248,11 @@ func TestSenseConsistentWithLSBRead(t *testing.T) {
 	// the bit inverted (bit=1 below the boundary).
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(4)
-	c.ProgramRandom(0, 1, rng)
-	c.Age(0, 1000, physics.RoomTempC)
+	c.ProgramRandom(1, rng)
+	c.Age(1000, physics.RoomTempC)
 	sv := c.Coding().SentinelVoltage()
-	sense := c.Sense(0, 1, sv, 0, 9)
-	page := c.ReadPage(0, 1, PageLSB, nil, 9)
+	sense := c.Sense(1, sv, 0, 9)
+	page := c.ReadPage(1, PageLSB, nil, 9)
 	n := c.Config().CellsPerWordline
 	for i := 0; i < n; i++ {
 		if sense.Get(i) == page.Get(i) {
@@ -275,19 +274,19 @@ func TestZCacheMatchesHashPath(t *testing.T) {
 	for i := range states {
 		states[i] = uint8(r.Intn(16))
 	}
-	if err := a.ProgramStates(1, 3, states); err != nil {
+	if err := a.ProgramStates(3, states); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ProgramStates(1, 3, states); err != nil {
+	if err := b.ProgramStates(3, states); err != nil {
 		t.Fatal(err)
 	}
-	a.Cycle(1, 2000)
-	b.Cycle(1, 2000)
-	a.Age(1, 8760, physics.RoomTempC)
-	b.Age(1, 8760, physics.RoomTempC)
+	a.Cycle(2000)
+	b.Cycle(2000)
+	a.Age(8760, physics.RoomTempC)
+	b.Age(8760, physics.RoomTempC)
 	for p := 0; p < 4; p++ {
-		ra := a.ReadPage(1, 3, p, nil, 77)
-		rb := b.ReadPage(1, 3, p, nil, 77)
+		ra := a.ReadPage(3, p, nil, 77)
+		rb := b.ReadPage(3, p, nil, 77)
 		if n := ra.XorCount(rb); n != 0 {
 			// float32 rounding in the cache can flip borderline cells;
 			// allow a vanishing fraction.
@@ -304,10 +303,10 @@ func TestHighTemperatureAcceleratesErrors(t *testing.T) {
 	mk := func(tempC float64) int {
 		c := MustNew(testConfig(QLC))
 		rng := mathx.NewRand(3)
-		c.ProgramRandom(0, 0, rng)
-		c.Cycle(0, 1000)
-		c.Age(0, 1, tempC)
-		return c.CountPageErrors(0, 0, QLC.Bits()-1, nil, 5)
+		c.ProgramRandom(0, rng)
+		c.Cycle(1000)
+		c.Age(1, tempC)
+		return c.CountPageErrors(0, QLC.Bits()-1, nil, 5)
 	}
 	room := mk(physics.RoomTempC)
 	hot := mk(80)
@@ -319,9 +318,7 @@ func TestHighTemperatureAcceleratesErrors(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	c := MustNew(testConfig(TLC))
 	for _, fn := range []func(){
-		func() { c.Stress(99) },
-		func() { c.ReadPage(0, 999, 0, nil, 1) },
-		func() { c.States(-1, 0) },
+		func() { c.ReadPage(999, 0, nil, 1) },
 	} {
 		func() {
 			defer func() {
@@ -339,7 +336,7 @@ func TestOutOfRangePanics(t *testing.T) {
 				t.Error("expected panic reading unprogrammed wordline")
 			}
 		}()
-		c.ReadPage(0, 5, 0, nil, 1)
+		c.ReadPage(5, 0, nil, 1)
 	}()
 }
 

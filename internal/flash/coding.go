@@ -1,5 +1,5 @@
 // Package flash simulates a 3D NAND flash chip at the threshold-voltage
-// level: blocks of layers of wordlines of multi-level cells, with
+// level: one block of layers of wordlines of multi-level cells, with
 // program/erase/read operations, per-voltage error accounting and an OOB
 // (out-of-band) region on every wordline.
 //

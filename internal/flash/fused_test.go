@@ -28,12 +28,10 @@ func fusedChip(t testing.TB, kind Kind, cells int, aged, quiet bool) *Chip {
 	c := MustNew(cfg)
 	r := mathx.NewRand(uint64(cells))
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		if err := c.ProgramRandom(0, wl, r); err != nil {
-			t.Fatal(err)
-		}
+		c.ProgramRandom(wl, r)
 	}
 	if aged {
-		c.SetStress(0, physics.Stress{PECycles: 5000}.Aged(c.Model().P, physics.YearHours, physics.RoomTempC))
+		c.SetStress(physics.Stress{PECycles: 5000}.Aged(c.Model().P, physics.YearHours, physics.RoomTempC))
 	}
 	return c
 }
@@ -88,11 +86,11 @@ func edgeValues(p *SweepPlan, r *mathx.Rand) []float64 {
 func checkPlannedSweep(t testing.TB, c *Chip, wl int, readSeed uint64, offs []float64, plant []float64, r *mathx.Rand) bool {
 	t.Helper()
 	plan := c.PlanSweep(offs)
-	a := c.BeginRead(0, wl, readSeed)
+	a := c.BeginRead(wl, readSeed)
 	defer a.Close()
-	b := c.BeginRead(0, wl, readSeed)
+	b := c.BeginRead(wl, readSeed)
 	defer b.Close()
-	e := beginEager(c, 0, wl, readSeed)
+	e := beginEager(c, wl, readSeed)
 	defer e.Close()
 	n := a.Cells()
 	for _, y := range plant {
@@ -118,7 +116,7 @@ func checkPlannedSweep(t testing.TB, c *Chip, wl int, readSeed uint64, offs []fl
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%v aged=%v sigma=%v wl=%d seed=%#x offs=%v: %s", c.Config().Kind,
-			c.Stress(0).PECycles > 0, c.Model().P.ReadNoiseSigma, wl, readSeed, offs, fmt.Sprintf(format, args...))
+			c.Stress().PECycles > 0, c.Model().P.ReadNoiseSigma, wl, readSeed, offs, fmt.Sprintf(format, args...))
 	}
 	for v := range bases {
 		ou, od := sweepOne(bases[v], e.vth, e.states, v+1, offs)
@@ -229,7 +227,7 @@ func TestTrainingSweepFuses(t *testing.T) {
 	for _, aged := range []bool{false, true} {
 		c := fusedChip(t, TLC, 16384, aged, false)
 		plan := c.PlanSweep(benchGrid())
-		op := c.BeginRead(0, 1, 7)
+		op := c.BeginRead(1, 7)
 		if !plan.fuses(op) {
 			t.Fatalf("aged=%v: the training sweep does not take the fused path", aged)
 		}

@@ -14,9 +14,7 @@ func benchChip(b *testing.B) *Chip {
 	cfg := DefaultConfig(TLC)
 	cfg.WordlinesPerLayer = 1 // one wordline per layer is plenty for reads
 	chip := MustNew(cfg)
-	if err := chip.ProgramRandom(0, 0, mathx.NewRand(42)); err != nil {
-		b.Fatal(err)
-	}
+	chip.ProgramRandom(0, mathx.NewRand(42))
 	return chip
 }
 
@@ -34,7 +32,7 @@ func BenchmarkSense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PutBitmap(chip.Sense(0, 0, sv, 0, uint64(i)))
+		PutBitmap(chip.Sense(0, sv, 0, uint64(i)))
 	}
 }
 
@@ -44,7 +42,7 @@ func BenchmarkReadPage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PutBitmap(chip.ReadPage(0, 0, msb, nil, uint64(i)))
+		PutBitmap(chip.ReadPage(0, msb, nil, uint64(i)))
 	}
 }
 
@@ -55,7 +53,7 @@ func BenchmarkReadOpReuse(b *testing.B) {
 	chip := benchChip(b)
 	sv := chip.Coding().SentinelVoltage()
 	msb := chip.Coding().Bits() - 1
-	op := chip.BeginRead(0, 0, 1)
+	op := chip.BeginRead(0, 1)
 	defer op.Close()
 	var sense, page Bitmap
 	b.ReportAllocs()
@@ -72,7 +70,7 @@ func BenchmarkSweepAllVoltages(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.SweepAllVoltages(0, 0, offs, uint64(i))
+		chip.SweepAllVoltages(0, offs, uint64(i))
 	}
 }
 
@@ -91,18 +89,16 @@ func BenchmarkSweepAllVoltagesQuick(b *testing.B) {
 				cfg := DefaultConfig(kind)
 				cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline = 1, 1, 16384
 				chip := MustNew(cfg)
-				if err := chip.ProgramRandom(0, 0, mathx.NewRand(42)); err != nil {
-					b.Fatal(err)
-				}
+				chip.ProgramRandom(0, mathx.NewRand(42))
 				if aged {
-					chip.Cycle(0, 5000)
-					chip.Age(0, physics.YearHours, physics.RoomTempC)
+					chip.Cycle(5000)
+					chip.Age(physics.YearHours, physics.RoomTempC)
 				}
 				offs := benchGrid()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					chip.SweepAllVoltages(0, 0, offs, uint64(i))
+					chip.SweepAllVoltages(0, offs, uint64(i))
 				}
 			})
 		}

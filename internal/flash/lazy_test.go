@@ -13,9 +13,9 @@ import (
 // beginEager opens the eager form of BeginRead's handle on any chip: the
 // whole noisy vector up front, no noise cache. It is the reference the
 // lazy handle must match bit for bit.
-func beginEager(c *Chip, b, wl int, readSeed uint64) *ReadOp {
-	op := &ReadOp{c: c, b: b, wl: wl, readSeed: readSeed, states: c.wordline(b, wl).states}
-	op.vth = c.vthAll(b, wl, readSeed, nil, &op.env)
+func beginEager(c *Chip, wl int, readSeed uint64) *ReadOp {
+	op := &ReadOp{c: c, wl: wl, readSeed: readSeed, states: c.wordline(wl).states}
+	op.vth = c.vthAll(wl, readSeed, nil, &op.env)
 	return op
 }
 
@@ -30,11 +30,9 @@ func lazyChip(t testing.TB, kind Kind, cells, pe int, hours float64) *Chip {
 	c := MustNew(cfg)
 	r := mathx.NewRand(11)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		if err := c.ProgramRandom(0, wl, r); err != nil {
-			t.Fatal(err)
-		}
+		c.ProgramRandom(wl, r)
 	}
-	c.SetStress(0, physics.Stress{PECycles: pe}.Aged(c.Model().P, hours, physics.RoomTempC))
+	c.SetStress(physics.Stress{PECycles: pe}.Aged(c.Model().P, hours, physics.RoomTempC))
 	return c
 }
 
@@ -335,12 +333,12 @@ func (lc *lazyEagerCase) step() {
 // steps random queries and redraws through them.
 func runLazyEager(t testing.TB, c *Chip, wl int, readSeed uint64, r *mathx.Rand, target []float64, steps int) {
 	t.Helper()
-	lazy := c.BeginRead(0, wl, readSeed)
+	lazy := c.BeginRead(wl, readSeed)
 	defer lazy.Close()
 	if lazy.vth0 == nil {
 		t.Fatal("BeginRead on a fault-free CacheZ chip took the eager path")
 	}
-	eager := beginEager(c, 0, wl, readSeed)
+	eager := beginEager(c, wl, readSeed)
 	defer eager.Close()
 	lc := &lazyEagerCase{t: t, c: c, wl: wl, lazy: lazy, eager: eager, r: r, target: target}
 	if r.Intn(3) == 0 {
@@ -388,7 +386,7 @@ func TestReadOpLazyMatchesEager(t *testing.T) {
 						t.Fatalf("seed %#x gives cell %d noise %v, not extreme (bound %v)", seed, cell, noise, bound)
 					}
 					wl := r.Intn(4)
-					op := c.BeginRead(0, wl, seed)
+					op := c.BeginRead(wl, seed)
 					x0 := op.vth0[cell]
 					win := noiseWindow(x0, op.bound)
 					op.Close()
@@ -429,9 +427,9 @@ func FuzzReadOpLazyEager(f *testing.F) {
 		runLazyEager(t, c, wl, seed, r, []float64{off1, off2}, 30)
 
 		// The fuzzed offsets applied directly, at every voltage of page p.
-		lazy := c.BeginRead(0, wl, seed)
+		lazy := c.BeginRead(wl, seed)
 		defer lazy.Close()
-		eager := beginEager(c, 0, wl, seed)
+		eager := beginEager(c, wl, seed)
 		defer eager.Close()
 		o := make(Offsets, c.Coding().NumVoltages())
 		for i, v := range c.Coding().PageVoltages(p) {
@@ -457,7 +455,7 @@ type pinFault struct {
 	seeds []uint64
 }
 
-func (f *pinFault) PerturbVth(b, wl int, readSeed uint64, vth []float64) {
+func (f *pinFault) PerturbVth(wl int, readSeed uint64, vth []float64) {
 	vth[0] = f.pin
 	f.seeds = append(f.seeds, readSeed)
 }
@@ -472,7 +470,7 @@ func TestReadOpFaultModelStaysEager(t *testing.T) {
 	sv := c.Coding().SentinelVoltage()
 	f := &pinFault{pin: c.Model().DefaultReadVoltage(sv)}
 	c.SetFaults(f)
-	op := c.BeginRead(0, 1, 5)
+	op := c.BeginRead(1, 5)
 	defer op.Close()
 	if op.vth0 != nil {
 		t.Fatal("BeginRead with a fault model attached took the lazy path")
@@ -482,7 +480,7 @@ func TestReadOpFaultModelStaysEager(t *testing.T) {
 		if !op.Sense(sv, 0).Get(0) {
 			t.Fatalf("seed %d: the cell pinned on the read voltage sensed below it", seed)
 		}
-		want := c.vthAll(0, 1, seed, nil, new(physics.WLEnv))
+		want := c.vthAll(1, seed, nil, new(physics.WLEnv))
 		for i, x := range op.vth {
 			if x != want[i] {
 				t.Fatalf("seed %d cell %d: Vth %v, eager %v", seed, i, x, want[i])
@@ -504,9 +502,9 @@ func TestReadPageNaNAfterInfiniteLevel(t *testing.T) {
 	pv := c.Coding().PageVoltages(msb)
 	o := make(Offsets, c.Coding().NumVoltages())
 	o[pv[1]-1], o[pv[3]-1] = math.Inf(1), math.NaN()
-	lazy := c.BeginRead(0, 0, 3)
+	lazy := c.BeginRead(0, 3)
 	defer lazy.Close()
-	eager := beginEager(c, 0, 0, 3)
+	eager := beginEager(c, 0, 3)
 	defer eager.Close()
 	lc := &lazyEagerCase{t: t, c: c, lazy: lazy, eager: eager, r: mathx.NewRand(3)}
 	lc.plant([]float64{math.Inf(1), math.Inf(1), math.Inf(1)})

@@ -14,19 +14,19 @@ import (
 func TestPageReadMatchesSenseParity(t *testing.T) {
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(17)
-	c.ProgramRandom(0, 2, rng)
-	c.Cycle(0, 2000)
-	c.Age(0, 5000, physics.RoomTempC)
+	c.ProgramRandom(2, rng)
+	c.Cycle(2000)
+	c.Age(5000, physics.RoomTempC)
 	coding := c.Coding()
 
 	f := func(seedRaw uint16, pRaw uint8) bool {
 		p := int(pRaw) % coding.Bits()
 		seed := uint64(seedRaw) + 1
-		read := c.ReadPage(0, 2, p, nil, seed)
+		read := c.ReadPage(2, p, nil, seed)
 		// Reconstruct from senses at the same read seed.
 		senses := make([]Bitmap, 0, len(coding.PageVoltages(p)))
 		for _, v := range coding.PageVoltages(p) {
-			senses = append(senses, c.Sense(0, 2, v, 0, seed))
+			senses = append(senses, c.Sense(2, v, 0, seed))
 		}
 		start := coding.PageBit(0, p)
 		for i := 0; i < c.Config().CellsPerWordline; i++ {
@@ -54,10 +54,10 @@ func TestPageReadMatchesSenseParity(t *testing.T) {
 func TestOffsetsShiftMonotone(t *testing.T) {
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(19)
-	c.ProgramRandom(0, 1, rng)
-	c.Age(0, 8760, physics.RoomTempC)
-	hi := c.Sense(0, 1, 8, 0, 7)
-	lo := c.Sense(0, 1, 8, -20, 7)
+	c.ProgramRandom(1, rng)
+	c.Age(8760, physics.RoomTempC)
+	hi := c.Sense(1, 8, 0, 7)
+	lo := c.Sense(1, 8, -20, 7)
 	for i := 0; i < c.Config().CellsPerWordline; i++ {
 		if hi.Get(i) && !lo.Get(i) {
 			t.Fatalf("cell %d above V8+0 but below V8-20 in the same read", i)
@@ -75,11 +75,11 @@ func TestRBERInvariantUnderReprogram(t *testing.T) {
 		states[i] = uint8(rng.Intn(16))
 	}
 	measure := func() float64 {
-		if err := c.ProgramStates(0, 0, states); err != nil {
+		if err := c.ProgramStates(0, states); err != nil {
 			t.Fatal(err)
 		}
-		c.SetStress(0, physics.Stress{PECycles: 1000, EffRetentionHours: 8760})
-		return c.PageRBER(0, 0, 3, nil, 99)
+		c.SetStress(physics.Stress{PECycles: 1000, EffRetentionHours: 8760})
+		return c.PageRBER(0, 3, nil, 99)
 	}
 	a := measure()
 	b := measure()
@@ -88,21 +88,5 @@ func TestRBERInvariantUnderReprogram(t *testing.T) {
 	}
 	if b > a*2 || a > b*2 {
 		t.Fatalf("reprogram changed RBER too much: %v vs %v", a, b)
-	}
-}
-
-// TestBlocksAreIndependent: wear and retention on one block must not
-// affect another.
-func TestBlocksAreIndependent(t *testing.T) {
-	c := MustNew(testConfig(QLC))
-	rng := mathx.NewRand(29)
-	c.ProgramRandom(0, 0, rng)
-	c.ProgramRandom(1, 0, rng)
-	before := c.CountPageErrors(1, 0, 3, nil, 5)
-	c.Cycle(0, 5000)
-	c.Age(0, 8760, physics.RoomTempC)
-	after := c.CountPageErrors(1, 0, 3, nil, 5)
-	if before != after {
-		t.Fatalf("aging block 0 changed block 1 errors: %d -> %d", before, after)
 	}
 }

@@ -39,7 +39,7 @@ import (
 // the chip's read methods.
 type ReadOp struct {
 	c        *Chip
-	b, wl    int
+	wl       int
 	readSeed uint64
 	// vth is the working threshold-voltage vector: every cell's final Vth
 	// on an eager handle; on a lazy one, cell i holds its noisy Vth when
@@ -62,26 +62,26 @@ type ReadOp struct {
 	env physics.WLEnv
 }
 
-// BeginRead opens one read operation on wordline (b, wl) for one shared
+// BeginRead opens one read operation on wordline wl for one shared
 // sensing-noise draw (readSeed) under the wordline's current stress,
 // applying any attached fault model, and returns the handle serving
 // queries against that snapshot. It panics if the wordline holds no
 // data, like every read.
-func (c *Chip) BeginRead(b, wl int, readSeed uint64) *ReadOp {
-	c.checkAddr(b, wl)
+func (c *Chip) BeginRead(wl int, readSeed uint64) *ReadOp {
+	c.checkAddr(wl)
 	op, _ := readOpPool.Get().(*ReadOp)
 	if op == nil {
 		op = new(ReadOp)
 	}
-	w := c.wordline(b, wl)
+	w := c.wordline(wl)
 	n := c.cfg.CellsPerWordline
-	op.c, op.b, op.wl, op.readSeed, op.states = c, b, wl, readSeed, w.states
+	op.c, op.wl, op.readSeed, op.states = c, wl, readSeed, w.states
 	if w.zcache == nil || c.faults != nil {
-		op.vth = c.vthAll(b, wl, readSeed, vthPool.get(n), &op.env)
+		op.vth = c.vthAll(wl, readSeed, vthPool.get(n), &op.env)
 		return op
 	}
 	op.vth0 = vthPool.get(n)
-	c.vth0Into(b, wl, w, op.vth0, &op.env)
+	c.vth0Into(wl, w, op.vth0, &op.env)
 	op.vth = vthPool.get(n)
 	copy(op.vth, op.vth0)
 	op.noised = GetBitmap(n)
@@ -91,7 +91,7 @@ func (c *Chip) BeginRead(b, wl int, readSeed uint64) *ReadOp {
 }
 
 // Redraw gives the handle a fresh sensing-noise draw: afterwards every
-// query answers exactly as on a handle from BeginRead(b, wl, readSeed).
+// query answers exactly as on a handle from BeginRead(wl, readSeed).
 // It is how a caller re-reads one wordline with new seeds (retry
 // attempts, repeated measurements) without re-deriving its cells: a lazy
 // handle restores only the cells whose noise it had drawn, an eager one
@@ -102,7 +102,7 @@ func (op *ReadOp) Redraw(readSeed uint64) {
 	}
 	op.readSeed = readSeed
 	if op.vth0 == nil {
-		op.vth = op.c.vthAll(op.b, op.wl, readSeed, op.vth, &op.env)
+		op.vth = op.c.vthAll(op.wl, readSeed, op.vth, &op.env)
 		return
 	}
 	for wi, word := range op.noised {
@@ -133,8 +133,8 @@ func (op *ReadOp) Close() {
 	readOpPool.Put(op)
 }
 
-// Wordline returns the block and wordline the handle reads.
-func (op *ReadOp) Wordline() (b, wl int) { return op.b, op.wl }
+// Wordline returns the wordline the handle reads.
+func (op *ReadOp) Wordline() int { return op.wl }
 
 // TrueBits returns the programmed (ground-truth) bits of page p of the
 // handle's wordline. The bitmap belongs to the handle: it is built on
@@ -142,7 +142,7 @@ func (op *ReadOp) Wordline() (b, wl int) { return op.b, op.wl }
 // The caller must not modify it.
 func (op *ReadOp) TrueBits(p int) Bitmap {
 	if op.truth[p] == nil {
-		op.truth[p] = op.c.TrueBitsInto(GetBitmap(len(op.vth)), op.b, op.wl, p)
+		op.truth[p] = op.c.TrueBitsInto(GetBitmap(len(op.vth)), op.wl, p)
 	}
 	return op.truth[p]
 }
@@ -580,7 +580,7 @@ func (op *ReadOp) VoltageErrors(v int, offset float64) (up, down int) {
 func (op *ReadOp) CountPageErrors(p int, o Offsets) int {
 	n := len(op.vth)
 	read := op.ReadPageInto(GetBitmap(n), p, o)
-	truth := op.c.TrueBitsInto(GetBitmap(n), op.b, op.wl, p)
+	truth := op.c.TrueBitsInto(GetBitmap(n), op.wl, p)
 	errs := read.XorCount(truth)
 	PutBitmap(truth)
 	PutBitmap(read)

@@ -20,12 +20,10 @@ func readOpTestChip(t testing.TB, kind Kind, cacheZ bool, cells int) *Chip {
 	c := MustNew(cfg)
 	r := mathx.NewRand(7)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		if err := c.ProgramRandom(0, wl, r); err != nil {
-			t.Fatal(err)
-		}
+		c.ProgramRandom(wl, r)
 	}
-	c.Cycle(0, 3000)
-	c.Age(0, 100, 30)
+	c.Cycle(3000)
+	c.Age(100, 30)
 	return c
 }
 
@@ -111,11 +109,11 @@ func TestReadOpMatchesReference(t *testing.T) {
 					offsets[v-1] = float64(v%3-1) * 0.3
 				}
 				for _, readSeed := range []uint64{0, 42, 1 << 50} {
-					op := c.BeginRead(0, 1, readSeed)
+					op := c.BeginRead(1, readSeed)
 					// The reference is the eager vector: a lazy handle's
 					// own vth holds only the noise its queries drew.
-					vths := c.vthAll(0, 1, readSeed, nil, new(physics.WLEnv))
-					states := c.States(0, 1)
+					vths := c.vthAll(1, readSeed, nil, new(physics.WLEnv))
+					states := c.States(1)
 
 					for v := 1; v <= nv; v++ {
 						for _, off := range []float64{-0.7, 0, 0.4} {
@@ -139,7 +137,7 @@ func TestReadOpMatchesReference(t *testing.T) {
 									kind, cacheZ, cells, readSeed, p, o)
 							}
 						}
-						if got, want := c.TrueBits(0, 1, p), refTrueBits(c, states, p); !bitmapsEqual(got, want) {
+						if got, want := c.TrueBits(1, p), refTrueBits(c, states, p); !bitmapsEqual(got, want) {
 							t.Fatalf("%v cacheZ=%v cells=%d: TrueBits(p=%d) mismatch", kind, cacheZ, cells, p)
 						}
 						want := refReadPage(c, vths, p, offsets).XorCount(refTrueBits(c, states, p))
@@ -147,17 +145,17 @@ func TestReadOpMatchesReference(t *testing.T) {
 							t.Fatalf("%v cacheZ=%v cells=%d seed=%d: CountPageErrors(p=%d) = %d, want %d",
 								kind, cacheZ, cells, readSeed, p, got, want)
 						}
-						if got := c.CountPageErrors(0, 1, p, offsets, readSeed); got != want {
+						if got := c.CountPageErrors(1, p, offsets, readSeed); got != want {
 							t.Fatalf("chip.CountPageErrors(p=%d) = %d, want %d", p, got, want)
 						}
 					}
 
 					// One-shot chip wrappers agree with the open handle.
 					sv := c.Coding().SentinelVoltage()
-					if got := c.Sense(0, 1, sv, 0.1, readSeed); !bitmapsEqual(got, op.Sense(sv, 0.1)) {
+					if got := c.Sense(1, sv, 0.1, readSeed); !bitmapsEqual(got, op.Sense(sv, 0.1)) {
 						t.Fatalf("chip.Sense disagrees with ReadOp.Sense")
 					}
-					PutBitmap(c.Sense(0, 1, sv, 0.1, readSeed))
+					PutBitmap(c.Sense(1, sv, 0.1, readSeed))
 					op.Close()
 					op.Close() // double Close is a documented no-op
 				}
@@ -185,7 +183,7 @@ func TestReadOpConcurrent(t *testing.T) {
 	for wl := 0; wl < nwl; wl++ {
 		for s := 0; s < iters; s++ {
 			k := key{wl, uint64(s)}
-			want[k] = c.CountPageErrors(0, wl, msb, nil, k.seed)
+			want[k] = c.CountPageErrors(wl, msb, nil, k.seed)
 		}
 	}
 
@@ -198,17 +196,17 @@ func TestReadOpConcurrent(t *testing.T) {
 			for s := 0; s < iters; s++ {
 				wl := (g + s) % nwl
 				k := key{wl, uint64(s)}
-				op := c.BeginRead(0, wl, k.seed)
+				op := c.BeginRead(wl, k.seed)
 				got := op.CountPageErrors(msb, nil)
 				bm := op.Sense(sv, 0)
 				pop := bm.PopCount()
 				op.Close()
-				PutBitmap(c.Sense(0, wl, sv, 0, k.seed))
+				PutBitmap(c.Sense(wl, sv, 0, k.seed))
 				if got != want[k] {
 					errc <- &addrErr{wl, k.seed, got, want[k]}
 					return
 				}
-				if bm2 := c.Sense(0, wl, sv, 0, k.seed); bm2.PopCount() != pop {
+				if bm2 := c.Sense(wl, sv, 0, k.seed); bm2.PopCount() != pop {
 					errc <- &addrErr{wl, k.seed, bm2.PopCount(), pop}
 					PutBitmap(bm2)
 					return
@@ -253,21 +251,19 @@ func TestReadAllocs(t *testing.T) {
 	}
 	if a := warm(func() {
 		seed++
-		PutBitmap(c.Sense(0, 0, sv, 0, seed))
+		PutBitmap(c.Sense(0, sv, 0, seed))
 	}); a > 2 {
 		t.Errorf("Sense allocates %.1f/op on a warm chip, want <= 2", a)
 	}
 	if a := warm(func() {
 		seed++
-		PutBitmap(c.ReadPage(0, 0, msb, nil, seed))
+		PutBitmap(c.ReadPage(0, msb, nil, seed))
 	}); a > 2 {
 		t.Errorf("ReadPage allocates %.1f/op on a warm chip, want <= 2", a)
 	}
 	rng := mathx.NewRand(99)
 	if a := warm(func() {
-		if err := c.ProgramRandom(0, 1, rng); err != nil {
-			t.Fatal(err)
-		}
+		c.ProgramRandom(1, rng)
 	}); a > 2 {
 		t.Errorf("ProgramRandom allocates %.1f/op on a warm chip, want <= 2", a)
 	}

@@ -15,8 +15,8 @@ import (
 // sweeps: a real tester likewise re-reads a page across an offset grid.
 //
 // ups[i] + downs[i] is the error count of boundary v at offs[i].
-func (c *Chip) SweepVoltageErrors(b, wl, v int, offs []float64, readSeed uint64) (ups, downs []int) {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) SweepVoltageErrors(wl, v int, offs []float64, readSeed uint64) (ups, downs []int) {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.SweepVoltageErrors(v, offs)
 }
@@ -134,8 +134,8 @@ func sweepOne(base float64, vths []float64, states []uint8, v int, offs []float6
 // SweepAllVoltages classifies every read voltage across the offset grid
 // from a single read operation and returns total error counts indexed as
 // errs[v-1][i] for voltage v at offs[i].
-func (c *Chip) SweepAllVoltages(b, wl int, offs []float64, readSeed uint64) [][]int {
-	op := c.BeginRead(b, wl, readSeed)
+func (c *Chip) SweepAllVoltages(wl int, offs []float64, readSeed uint64) [][]int {
+	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.SweepAllVoltages(offs)
 }

@@ -13,9 +13,9 @@ func agedQLC(t *testing.T) *Chip {
 	t.Helper()
 	c := MustNew(testConfig(QLC))
 	rng := mathx.NewRand(3)
-	c.ProgramRandom(0, 0, rng)
-	c.Cycle(0, 1000)
-	c.Age(0, physics.YearHours, physics.RoomTempC)
+	c.ProgramRandom(0, rng)
+	c.Cycle(1000)
+	c.Age(physics.YearHours, physics.RoomTempC)
 	return c
 }
 
@@ -25,9 +25,9 @@ func TestSweepMatchesPointQueries(t *testing.T) {
 	c := agedQLC(t)
 	offs := []float64{-30, -20, -10, -5, 0, 5, 10}
 	for _, v := range []int{1, 2, 8, 15} {
-		ups, downs := c.SweepVoltageErrors(0, 0, v, offs, 99)
+		ups, downs := c.SweepVoltageErrors(0, v, offs, 99)
 		for i, o := range offs {
-			u, d := c.VoltageErrors(0, 0, v, o, 99)
+			u, d := c.VoltageErrors(0, v, o, 99)
 			if u != ups[i] || d != downs[i] {
 				t.Fatalf("V%d offset %v: sweep (%d,%d) != point (%d,%d)",
 					v, o, ups[i], downs[i], u, d)
@@ -43,7 +43,7 @@ func TestSweepMonotoneStructure(t *testing.T) {
 	for o := -40.0; o <= 40; o++ {
 		offs = append(offs, o)
 	}
-	ups, downs := c.SweepVoltageErrors(0, 0, 8, offs, 5)
+	ups, downs := c.SweepVoltageErrors(0, 8, offs, 5)
 	for i := 1; i < len(offs); i++ {
 		if ups[i] > ups[i-1] {
 			t.Fatalf("up errors increased with offset at %v", offs[i])
@@ -62,7 +62,7 @@ func TestSweepVShape(t *testing.T) {
 	for o := -60.0; o <= 60; o++ {
 		offs = append(offs, o)
 	}
-	rows := c.SweepAllVoltages(0, 0, offs, 5)
+	rows := c.SweepAllVoltages(0, offs, 5)
 	for v := 2; v <= 15; v++ {
 		row := rows[v-1]
 		minI, minV := 0, row[0]
@@ -88,7 +88,7 @@ func TestSweepPanicsOnUnsortedOffsets(t *testing.T) {
 			t.Fatal("unsorted offsets accepted")
 		}
 	}()
-	c.SweepVoltageErrors(0, 0, 8, []float64{0, -10, 10}, 1)
+	c.SweepVoltageErrors(0, 8, []float64{0, -10, 10}, 1)
 }
 
 // sweepMulti is the multi-boundary sweep of a given Vth vector, with no
@@ -228,7 +228,7 @@ func TestSweepOptimalBelowDefaultAfterRetention(t *testing.T) {
 	for o := -60.0; o <= 40; o++ {
 		offs = append(offs, o)
 	}
-	rows := c.SweepAllVoltages(0, 0, offs, 7)
+	rows := c.SweepAllVoltages(0, offs, 7)
 	row := rows[7] // V8
 	minI, minV := 0, row[0]
 	for i, e := range row {

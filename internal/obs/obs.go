@@ -18,8 +18,8 @@
 // cells live on the exact mathx.LogHist bucket grid with an integer
 // fixed-point sum, so concurrent updates commute; per-shard cells are
 // reconstructed and merged in fixed shard order at snapshot time.
-// Gauges carry wall-clock rates and are the one nondeterministic kind;
-// Snapshot.Deterministic strips them.
+// Gauges carry wall-clock rates, and wall-clock histograms (WallHist)
+// time requests on the host; Snapshot.Deterministic strips both.
 package obs
 
 import (
@@ -51,6 +51,7 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHist
+	kindWallHist
 )
 
 func (k kind) String() string {
@@ -59,6 +60,8 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
+	case kindWallHist:
+		return "wall-clock histogram"
 	default:
 		return "histogram"
 	}
@@ -145,7 +148,7 @@ func (r *Registry) family(name, help string, k kind) *family {
 		for i := range f.gauges {
 			f.gauges[i] = &Gauge{}
 		}
-	case kindHist:
+	case kindHist, kindWallHist:
 		f.hists = make([]*Hist, r.shards)
 		for i := range f.hists {
 			f.hists[i] = newHist()
@@ -204,6 +207,15 @@ func (s *Set) Hist(name, help string) *Hist {
 		return nil
 	}
 	return s.r.family(name, help, kindHist).hists[s.shard]
+}
+
+// WallHist is Hist for wall-clock samples, which depend on the host and
+// the schedule: snapshots carry it, and Snapshot.Deterministic strips it.
+func (s *Set) WallHist(name, help string) *Hist {
+	if s == nil {
+		return nil
+	}
+	return s.r.family(name, help, kindWallHist).hists[s.shard]
 }
 
 // SlowRing returns this shard's slow-read ring, or nil when the trace

@@ -25,15 +25,16 @@ type GaugeSnap struct {
 }
 
 // HistSnap is one histogram family merged across shards in shard
-// order.
+// order. Volatile marks a wall-clock family (Set.WallHist).
 type HistSnap struct {
 	Name, Help string
 	Hist       *mathx.LogHist
+	Volatile   bool
 }
 
 // Snapshot is a point-in-time view of a registry. Taken after writers
-// quiesce it is exact and — gauges aside — byte-identical at any
-// worker count when rendered.
+// quiesce it is exact and — gauges and volatile histograms aside —
+// byte-identical at any worker count when rendered.
 type Snapshot struct {
 	Counters []CounterSnap
 	Gauges   []GaugeSnap
@@ -63,12 +64,12 @@ func (r *Registry) Snapshot() *Snapshot {
 					snap.Gauges = append(snap.Gauges, GaugeSnap{f.name, f.help, s, v})
 				}
 			}
-		case kindHist:
+		case kindHist, kindWallHist:
 			merged := &mathx.LogHist{}
 			for _, h := range f.hists {
 				merged.Merge(h.snapshot())
 			}
-			snap.Hists = append(snap.Hists, HistSnap{f.name, f.help, merged})
+			snap.Hists = append(snap.Hists, HistSnap{f.name, f.help, merged, f.kind == kindWallHist})
 		}
 	}
 	r.mu.Lock()
@@ -81,12 +82,18 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // Deterministic returns the snapshot with the wall-clock-derived
-// gauges stripped: everything left is a pure function of the workload,
-// so two runs of the same trace render identically at any worker
-// count. Determinism tests compare this view.
+// gauges and volatile histograms stripped: everything left is a pure
+// function of the workload, so two runs of the same trace render
+// identically at any worker count. Determinism tests compare this view.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := *s
 	out.Gauges = nil
+	out.Hists = nil
+	for _, h := range s.Hists {
+		if !h.Volatile {
+			out.Hists = append(out.Hists, h)
+		}
+	}
 	return &out
 }
 

@@ -87,12 +87,6 @@ func (s Stress) Cycled(n int) Stress {
 	return s
 }
 
-// AfterProgram returns the stress state immediately after reprogramming:
-// retention and read temperature reset, wear kept.
-func (s Stress) AfterProgram() Stress {
-	return Stress{PECycles: s.PECycles}
-}
-
 // YearHours is the number of hours in the paper's canonical one-year
 // retention experiments.
 const YearHours = 365 * 24

@@ -111,11 +111,3 @@ func TestZeroCelsiusReadShiftsDifferFromRoom(t *testing.T) {
 			cold.Mean[top], room.Mean[top], hot.Mean[top])
 	}
 }
-
-func TestAfterProgramResetsRetentionKeepsWear(t *testing.T) {
-	s := Stress{PECycles: 500, EffRetentionHours: 1000}.AtReadTemp(70)
-	s = s.AfterProgram()
-	if s.PECycles != 500 || s.EffRetentionHours != 0 || s.ReadTempSet {
-		t.Fatalf("AfterProgram = %+v", s)
-	}
-}

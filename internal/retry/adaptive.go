@@ -8,15 +8,15 @@ import (
 
 // The adaptive read stack, after the AR²/PR² follow-on literature
 // (Park et al.) and the paper's Section V sketch: start each read at
-// known-good per-block voltages so the first attempt usually lands
+// known-good voltages so the first attempt usually lands
 // (WarmStartPolicy), and pipeline consecutive retry steps so a retry's
 // sense hides behind the previous decode (AR2Policy).
 
 // ---------------------------------------------------------------------------
-// Warm start — per-block first shot.
+// Warm start — tracked first shot.
 
-// WarmStartPolicy starts every read of a block listed in Start at that
-// block's offsets; reads of other blocks start at factory defaults. A
+// WarmStartPolicy starts every read at the Start offsets; a nil Start
+// starts at factory defaults. A
 // failed first attempt recovers through sentinel inference and
 // calibration when Sentinel is set (the paper's Section V extension:
 // "read operations can start with the tracked optimal read voltages
@@ -31,14 +31,14 @@ import (
 // concurrent reads share it without locking and every read is a pure
 // function of its seed.
 type WarmStartPolicy struct {
-	Start    map[int]flash.Offsets
+	Start    flash.Offsets
 	Table    *DefaultTablePolicy
 	Sentinel *SentinelPolicy
 }
 
 // Session implements Policy.
 func (p *WarmStartPolicy) Session(env *Env) Session {
-	start := p.Start[env.B]
+	start := p.Start
 	if start != nil {
 		env.met.cacheHit()
 	} else {
@@ -58,7 +58,7 @@ func (p *WarmStartPolicy) Session(env *Env) Session {
 type warmStartSession struct {
 	table *DefaultTablePolicy
 	nv    int
-	// start is the block's start vector (nil when the block has none).
+	// start is the policy's start vector (nil for factory defaults).
 	start    flash.Offsets
 	sentinel *sentinelSession
 }
@@ -82,14 +82,15 @@ func (s *warmStartSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash
 	return ofs, true
 }
 
-// SentinelStart infers block b's start offsets from one sense of
+// SentinelStart infers the chip's start offsets from one sense of
 // wordline wl at the default sentinel voltage. It returns false when
 // wl is unprogrammed.
-func SentinelStart(chip *flash.Chip, eng *sentinel.Engine, b, wl int, seed uint64) (flash.Offsets, bool) {
-	if !chip.IsProgrammed(b, wl) {
+func SentinelStart(chip *flash.Chip, eng *sentinel.Engine, wl int, seed uint64) (flash.Offsets, bool) {
+	if !chip.IsProgrammed(wl) {
 		return nil, false
 	}
-	sense := chip.Sense(b, wl, eng.Model.SentinelVoltage, 0, mathx.Mix3(seed, 0x3a3d, uint64(b)))
+	// Pinned digests depend on the key, zero slot included.
+	sense := chip.Sense(wl, eng.Model.SentinelVoltage, 0, mathx.Mix3(seed, 0x3a3d, 0))
 	_, ofs := eng.Infer(sense)
 	flash.PutBitmap(sense)
 	return ofs, true

@@ -43,8 +43,8 @@ func TestAR2MatchesTableRetries(t *testing.T) {
 	sawRetry := false
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		seed := mathx.Mix(0xa2, uint64(wl))
-		rT := ctl.Read(0, wl, 2, table, seed)
-		rA := ctl.Read(0, wl, 2, ar2, seed)
+		rT := ctl.Read(wl, 2, table, seed)
+		rA := ctl.Read(wl, 2, ar2, seed)
 		if rA.Retries != rT.Retries || rA.OK != rT.OK || rA.FinalErrors != rT.FinalErrors {
 			t.Fatalf("wl %d: ar2 (retries %d ok %v errs %d) diverged from table (%d %v %d)",
 				wl, rA.Retries, rA.OK, rA.FinalErrors, rT.Retries, rT.OK, rT.FinalErrors)
@@ -71,7 +71,7 @@ func TestAR2MatchesTableRetries(t *testing.T) {
 	}
 }
 
-// TestSentinelHistoryWarmStart: SentinelStart infers block 0's start
+// TestSentinelHistoryWarmStart: SentinelStart infers the chip's start
 // offsets from one sentinel sense, and a warm start from them with
 // sentinel recovery spends no more senses (attempts + aux) on MSB reads
 // than plain sentinel.
@@ -82,20 +82,20 @@ func TestSentinelHistoryWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, ok := SentinelStart(chip, eng, 0, 0, 0x9157)
+	start, ok := SentinelStart(chip, eng, 0, 0x9157)
 	if !ok || len(start) != chip.Coding().NumVoltages() {
 		t.Fatalf("SentinelStart = %v, %v; want %d offsets", start, ok, chip.Coding().NumVoltages())
 	}
-	if _, ok := SentinelStart(flash.MustNew(testCfg(flash.TLC)), eng, 0, 0, 0x9157); ok {
+	if _, ok := SentinelStart(flash.MustNew(testCfg(flash.TLC)), eng, 0, 0x9157); ok {
 		t.Fatal("started from an unprogrammed probe wordline")
 	}
 	sent := NewSentinelPolicy(eng)
-	warm := &WarmStartPolicy{Start: map[int]flash.Offsets{0: start}, Sentinel: sent}
+	warm := &WarmStartPolicy{Start: start, Sentinel: sent}
 	var sentSenses, warmSenses int
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		seed := mathx.Mix(0x51, uint64(wl))
-		rS := ctl.Read(0, wl, 2, sent, seed)
-		rW := ctl.Read(0, wl, 2, warm, seed)
+		rS := ctl.Read(wl, 2, sent, seed)
+		rW := ctl.Read(wl, 2, warm, seed)
 		if !rS.OK || !rW.OK {
 			t.Fatalf("wl %d: read failed (sentinel %v, warm start %v)", wl, rS.OK, rW.OK)
 		}
@@ -120,19 +120,19 @@ func TestAdaptiveMetricsCounters(t *testing.T) {
 	}
 	reg := obs.NewRegistry(1)
 	ctl.Obs = NewMetrics(reg.Set(0), 2)
-	start, ok := SentinelStart(chip, eng, 0, 0, 0x9157)
+	start, ok := SentinelStart(chip, eng, 0, 0x9157)
 	if !ok {
 		t.Fatal("probe wordline unprogrammed")
 	}
 	table := NewDefaultTable(chip, 2)
-	warm := &WarmStartPolicy{Start: map[int]flash.Offsets{0: start}, Table: table}
+	warm := &WarmStartPolicy{Start: start, Table: table}
 	cold := &WarmStartPolicy{Table: table}
 	ar2 := NewAR2(table)
 	nwl := chip.Config().WordlinesPerBlock()
 	for wl := 0; wl < nwl; wl++ {
-		ctl.Read(0, wl, 2, cold, mathx.Mix(6, uint64(wl)))
-		ctl.Read(0, wl, 2, ar2, mathx.Mix(7, uint64(wl)))
-		ctl.Read(0, wl, 2, warm, mathx.Mix(8, uint64(wl)))
+		ctl.Read(wl, 2, cold, mathx.Mix(6, uint64(wl)))
+		ctl.Read(wl, 2, ar2, mathx.Mix(7, uint64(wl)))
+		ctl.Read(wl, 2, warm, mathx.Mix(8, uint64(wl)))
 	}
 	m := ctl.Obs
 	if got := m.CacheMisses.Value(); got != int64(nwl) {
@@ -172,7 +172,7 @@ func TestCombinedPolicyBeatsBoth(t *testing.T) {
 	}
 	sent := NewSentinelPolicy(eng)
 	combined := &WarmStartPolicy{
-		Start:    map[int]flash.Offsets{0: charlab.New(chip).OptimalOffsets(0, 0)},
+		Start:    charlab.New(chip).OptimalOffsets(0),
 		Sentinel: sent}
 
 	var sentSum, combSum float64
@@ -180,8 +180,8 @@ func TestCombinedPolicyBeatsBoth(t *testing.T) {
 	nwl := chip.Config().WordlinesPerBlock()
 	for wl := 0; wl < nwl; wl++ {
 		for p := 0; p < 3; p++ {
-			rS := ctl.Read(0, wl, p, sent, mathx.Mix3(31, uint64(wl), uint64(p)))
-			rC := ctl.Read(0, wl, p, combined, mathx.Mix3(32, uint64(wl), uint64(p)))
+			rS := ctl.Read(wl, p, sent, mathx.Mix3(31, uint64(wl), uint64(p)))
+			rC := ctl.Read(wl, p, combined, mathx.Mix3(32, uint64(wl), uint64(p)))
 			sentSum += float64(rS.Retries)
 			combSum += float64(rC.Retries)
 			if !rC.OK {
@@ -198,7 +198,7 @@ func TestCombinedPolicyBeatsBoth(t *testing.T) {
 	}
 }
 
-// TestCombinedWithoutTrackingFallsBack: a block without start offsets
+// TestCombinedWithoutTrackingFallsBack: a policy without start offsets
 // reads exactly like the recovery policy alone — sentinel in Sentinel
 // mode, the plain vendor table in Table mode.
 func TestCombinedWithoutTrackingFallsBack(t *testing.T) {
@@ -215,14 +215,14 @@ func TestCombinedWithoutTrackingFallsBack(t *testing.T) {
 		warm *WarmStartPolicy
 		base Policy
 	}{
-		{&WarmStartPolicy{Start: map[int]flash.Offsets{}, Sentinel: sent}, sent},
-		{&WarmStartPolicy{Start: map[int]flash.Offsets{}, Table: table}, table},
+		{&WarmStartPolicy{Sentinel: sent}, sent},
+		{&WarmStartPolicy{Table: table}, table},
 	} {
 		for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 			for p := 0; p < 3; p++ {
 				seed := mathx.Mix3(41, uint64(wl), uint64(p))
-				rB := ctl.Read(0, wl, p, row.base, seed)
-				rW := ctl.Read(0, wl, p, row.warm, seed)
+				rB := ctl.Read(wl, p, row.base, seed)
+				rW := ctl.Read(wl, p, row.warm, seed)
 				if rB.OK != rW.OK || rB.Retries != rW.Retries || rB.AuxSenses != rW.AuxSenses ||
 					!reflect.DeepEqual(rB.FinalOffsets, rW.FinalOffsets) {
 					t.Fatalf("%T wl %d page %d: warm start %+v != %T %+v without start offsets",
@@ -245,9 +245,9 @@ func TestCombinedLSBUsesAuxSense(t *testing.T) {
 		t.Fatal(err)
 	}
 	combined := &WarmStartPolicy{
-		Start:    map[int]flash.Offsets{0: charlab.New(chip).OptimalOffsets(0, 0)},
+		Start:    charlab.New(chip).OptimalOffsets(0),
 		Sentinel: NewSentinelPolicy(eng)}
-	res := ctl.Read(0, 3, flash.PageLSB, combined, 99)
+	res := ctl.Read(3, flash.PageLSB, combined, 99)
 	if res.OK {
 		t.Skip("read unexpectedly passed with T=1")
 	}

@@ -13,12 +13,12 @@ import (
 // issue auxiliary single-voltage senses, with every operation's latency
 // accounted on the read.
 type Env struct {
-	Chip  *flash.Chip
-	B, WL int
-	Page  int
+	Chip *flash.Chip
+	WL   int
+	Page int
 
 	seed      uint64
-	op        *flash.ReadOp // the read's one handle on (B, WL)
+	op        *flash.ReadOp // the read's one handle on WL
 	senseOps  int
 	extraCost float64
 	scratch   []flash.Bitmap
@@ -156,31 +156,30 @@ func NewController(chip *flash.Chip, model ecc.CapabilityModel, maxRetries int) 
 // Invalid addresses and unprogrammed wordlines are reported through
 // Result.Err (with OK=false) rather than panicking, so callers such as
 // trace-driven simulators need no pre-checks of their own.
-func (c *Controller) Read(b, wl, page int, pol Policy, readSeed uint64) Result {
-	if err := c.checkPage(b, wl, page); err != nil {
+func (c *Controller) Read(wl, page int, pol Policy, readSeed uint64) Result {
+	if err := c.checkPage(wl, page); err != nil {
 		return Result{Err: err}
 	}
-	op, err := c.Begin(b, wl, readSeed)
+	op, err := c.Begin(wl, readSeed)
 	if err != nil {
 		return Result{Err: err}
 	}
 	defer op.Close()
-	return c.read(op, b, wl, page, pol, readSeed)
+	return c.read(op, wl, page, pol, readSeed)
 }
 
-// Begin opens a handle on wordline (b, wl) for ReadOn, drawn for the
+// Begin opens a handle on wordline wl for ReadOn, drawn for the
 // first attempt of the read with seed readSeed, or reports why the
 // wordline cannot be read (ErrBadAddress, ErrNotProgrammed). The caller
 // closes the handle.
-func (c *Controller) Begin(b, wl int, readSeed uint64) (*flash.ReadOp, error) {
-	cfg := c.Chip.Config()
-	if b < 0 || b >= cfg.Blocks || wl < 0 || wl >= cfg.WordlinesPerBlock() {
-		return nil, fmt.Errorf("%w: block %d wordline %d", ErrBadAddress, b, wl)
+func (c *Controller) Begin(wl int, readSeed uint64) (*flash.ReadOp, error) {
+	if wl < 0 || wl >= c.Chip.Config().WordlinesPerBlock() {
+		return nil, fmt.Errorf("%w: wordline %d", ErrBadAddress, wl)
 	}
-	if !c.Chip.IsProgrammed(b, wl) {
-		return nil, fmt.Errorf("%w: block %d wordline %d", ErrNotProgrammed, b, wl)
+	if !c.Chip.IsProgrammed(wl) {
+		return nil, fmt.Errorf("%w: wordline %d", ErrNotProgrammed, wl)
 	}
-	return c.Chip.BeginRead(b, wl, attemptSeed(readSeed, 0)), nil
+	return c.Chip.BeginRead(wl, attemptSeed(readSeed, 0)), nil
 }
 
 // ReadOn is Read of a page of the wordline that op, a handle on
@@ -189,17 +188,17 @@ func (c *Controller) Begin(b, wl int, readSeed uint64) (*flash.ReadOp, error) {
 // seed: the result is Read's whatever op was drawn with before, and a
 // caller that reads one wordline many times derives its cells once.
 func (c *Controller) ReadOn(op *flash.ReadOp, page int, pol Policy, readSeed uint64) Result {
-	b, wl := op.Wordline()
-	if err := c.checkPage(b, wl, page); err != nil {
+	wl := op.Wordline()
+	if err := c.checkPage(wl, page); err != nil {
 		return Result{Err: err}
 	}
-	return c.read(op, b, wl, page, pol, readSeed)
+	return c.read(op, wl, page, pol, readSeed)
 }
 
 // checkPage reports a page outside the chip's pages per wordline.
-func (c *Controller) checkPage(b, wl, page int) error {
+func (c *Controller) checkPage(wl, page int) error {
 	if page < 0 || page >= c.Chip.Config().Kind.Bits() {
-		return fmt.Errorf("%w: block %d wordline %d page %d", ErrBadAddress, b, wl, page)
+		return fmt.Errorf("%w: wordline %d page %d", ErrBadAddress, wl, page)
 	}
 	return nil
 }
@@ -208,9 +207,9 @@ func (c *Controller) checkPage(b, wl, page int) error {
 // readSeed.
 func attemptSeed(readSeed uint64, k int) uint64 { return mathx.Mix3(readSeed, 0x5ead, uint64(k)) }
 
-func (c *Controller) read(op *flash.ReadOp, b, wl, page int, pol Policy, readSeed uint64) Result {
+func (c *Controller) read(op *flash.ReadOp, wl, page int, pol Policy, readSeed uint64) Result {
 	env := &Env{
-		Chip: c.Chip, B: b, WL: wl, Page: page,
+		Chip: c.Chip, WL: wl, Page: page,
 		seed: readSeed, op: op, met: c.Obs,
 	}
 	sess := pol.Session(env)

@@ -30,7 +30,7 @@ func BenchmarkControllerRead(b *testing.B) {
 			b.ReportAllocs()
 			retries := 0
 			for i := 0; i < b.N; i++ {
-				res := ctl.Read(0, i%nwl, 2, pc.pol, uint64(i))
+				res := ctl.Read(i%nwl, 2, pc.pol, uint64(i))
 				retries += res.Retries
 			}
 			b.ReportMetric(float64(retries)/float64(b.N), "retries/op")

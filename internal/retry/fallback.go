@@ -1,7 +1,7 @@
 package retry
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"sentinel3d/internal/flash"
 )
@@ -19,7 +19,7 @@ const (
 	// (or a diverging calibration walk) is implausible.
 	maxOffsetFactor float64 = 1.25
 	// stuckTolerance is the sentinel-region stuck-cell fraction above
-	// which ProbeBlock declares the whole block degraded. It is
+	// which Probe declares the chip degraded. It is
 	// deliberately generous: the inference clamp to [DLo, DHi] plus
 	// state-change calibration absorb small error-difference biases (the
 	// corruption sweep measures only ~0.1 extra retries per read at 4%
@@ -27,7 +27,7 @@ const (
 	// fraction is large enough to bias d beyond what calibration can
 	// walk back.
 	stuckTolerance float64 = 0.05
-	// probeSpan sets the probe voltages of ProbeBlock in state widths:
+	// probeSpan sets the probe voltages of Probe in state widths:
 	// the sentinel voltage ± probeSpan*StateWidth. It must be wide enough
 	// that every healthy cell of the two flanking states responds at both
 	// extremes.
@@ -38,82 +38,64 @@ const (
 // the static vendor table instead of burning the retry budget on
 // implausible voltages. Two layers of defence:
 //
-//   - Per block: ProbeBlock senses the sentinel region at two extreme
-//     voltages and retires the block from sentinel service when its
-//     stuck-cell fraction exceeds stuckTolerance. Degraded blocks
-//     read exactly like the static table from attempt 0.
+//   - Per chip: Probe senses the sentinel region at two extreme
+//     voltages and retires the chip from sentinel service when its
+//     stuck-cell fraction exceeds stuckTolerance. A degraded chip reads
+//     exactly like the static table from attempt 0.
 //   - Per read: the inferred offset must be inside the model's plausible
 //     range and the measured d inside the trained domain; calibration
 //     must stay bounded rather than diverge. A violation switches the
 //     remaining attempts of that read to the static table (whose entry k
 //     sequence is shared, so no attempt is wasted).
 //
-// ProbeBlock writes the block-degraded map before reads fan out; the
-// map is mutex-guarded all the same, and every session latches its
-// degraded flag once at creation, so each read runs one coherent
-// policy — it can degrade mid-read only via its own guard. Probing
-// issues device senses, so ProbeBlock itself follows the chip's
-// read-concurrency contract.
+// Probe writes the degraded flag before reads fan out; the flag is
+// atomic all the same, and every session latches it once at creation,
+// so each read runs one coherent policy — it can degrade mid-read only
+// via its own guard. Probing issues device senses, so Probe itself
+// follows the chip's read-concurrency contract.
 type FallbackPolicy struct {
 	Sentinel *SentinelPolicy
 	Table    *DefaultTablePolicy
 
-	mu       sync.RWMutex
-	degraded map[int]bool
+	degraded atomic.Bool
 }
 
 // NewFallback wraps a sentinel policy with a static-table fallback.
 func NewFallback(sentinel *SentinelPolicy, table *DefaultTablePolicy) *FallbackPolicy {
-	return &FallbackPolicy{
-		Sentinel: sentinel,
-		Table:    table,
-		degraded: make(map[int]bool),
-	}
+	return &FallbackPolicy{Sentinel: sentinel, Table: table}
 }
 
-// ProbeBlock health-checks block b's sentinel region through wordline wl
+// Probe health-checks the chip's sentinel region through wordline wl
 // (which must be programmed): two accounted-for-nothing senses at the
 // extremes of the sentinel voltage's neighbourhood detect cells that do
 // not respond to the read voltage. It returns the stuck fraction and
-// records the block as degraded when it exceeds stuckTolerance.
+// records the chip as degraded when it exceeds stuckTolerance.
 // Call from the coordinating goroutine before fanning out reads.
-func (p *FallbackPolicy) ProbeBlock(chip *flash.Chip, b, wl int) float64 {
+func (p *FallbackPolicy) Probe(chip *flash.Chip, wl int) float64 {
 	eng := p.Sentinel.Engine
 	sv := eng.Model.SentinelVoltage
 	span := probeSpan * chip.Model().P.StateWidth
-	lo := chip.Sense(b, wl, sv, -span, uint64(b)<<1|1)
-	hi := chip.Sense(b, wl, sv, +span, uint64(b)<<1)
+	// Pinned digests of probed runs depend on these two read seeds.
+	lo := chip.Sense(wl, sv, -span, 1)
+	hi := chip.Sense(wl, sv, +span, 0)
 	frac := eng.StuckFraction(lo, hi)
 	flash.PutBitmap(hi)
 	flash.PutBitmap(lo)
-	p.mu.Lock()
-	if frac > stuckTolerance {
-		p.degraded[b] = true
-	} else {
-		delete(p.degraded, b)
-	}
-	p.mu.Unlock()
+	p.degraded.Store(frac > stuckTolerance)
 	return frac
 }
 
-// BlockDegraded reports whether block b failed its last probe.
-func (p *FallbackPolicy) BlockDegraded(b int) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.degraded[b]
-}
+// Degraded reports whether the chip failed its last probe.
+func (p *FallbackPolicy) Degraded() bool { return p.degraded.Load() }
 
 // Session implements Policy.
 func (p *FallbackPolicy) Session(env *Env) Session {
-	s := &fallbackSession{
+	return &fallbackSession{
 		p:        p,
 		env:      env,
 		sentinel: p.Sentinel.Session(env).(*sentinelSession),
+		degraded: p.Degraded(),
 	}
-	if p.BlockDegraded(env.B) {
-		s.degraded = true
-	}
-	return s
 }
 
 type fallbackSession struct {
@@ -121,7 +103,7 @@ type fallbackSession struct {
 	env      *Env
 	sentinel *sentinelSession
 	// degraded latches once the guard trips (or immediately for a
-	// degraded block); from then on every attempt k is the static table's
+	// degraded chip); from then on every attempt k is the static table's
 	// entry k, which matches the attempts a pure table session would have
 	// issued because both start from factory defaults at k=0.
 	degraded bool

@@ -18,13 +18,12 @@ func TestReadReportsBadAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewDefaultTable(chip, 2)
-	cases := [][3]int{
-		{-1, 0, 0}, {1, 0, 0}, // block out of range (1 block configured)
-		{0, -1, 0}, {0, chip.Config().WordlinesPerBlock(), 0},
-		{0, 0, -1}, {0, 0, 3}, // TLC has pages 0..2
+	cases := [][2]int{
+		{-1, 0}, {chip.Config().WordlinesPerBlock(), 0},
+		{0, -1}, {0, 3}, // TLC has pages 0..2
 	}
 	for _, c := range cases {
-		res := ctl.Read(c[0], c[1], c[2], table, 1)
+		res := ctl.Read(c[0], c[1], table, 1)
 		if res.OK || !errors.Is(res.Err, ErrBadAddress) {
 			t.Fatalf("Read(%v): ok=%v err=%v, want ErrBadAddress", c, res.OK, res.Err)
 		}
@@ -41,7 +40,7 @@ func TestReadReportsUnprogrammed(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewDefaultTable(chip, 2)
-	res := ctl.Read(0, 0, 0, table, 1)
+	res := ctl.Read(0, 0, table, 1)
 	if res.OK || !errors.Is(res.Err, ErrNotProgrammed) {
 		t.Fatalf("ok=%v err=%v, want ErrNotProgrammed", res.OK, res.Err)
 	}
@@ -55,14 +54,14 @@ func TestUncorrectableFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewDefaultTable(chip, 2)
-	res := ctl.Read(0, 0, 2, table, 1)
+	res := ctl.Read(0, 2, table, 1)
 	if res.OK || !res.Uncorrectable {
 		t.Fatalf("T=0 read: ok=%v uncorrectable=%v, want failed+uncorrectable",
 			res.OK, res.Uncorrectable)
 	}
 	ctl.ECC = ecc.CapabilityModel{FrameBits: 8192, T: 30}
 	ctl.MaxRetries = 15
-	res = ctl.Read(0, 0, 2, table, 1)
+	res = ctl.Read(0, 2, table, 1)
 	if !res.OK || res.Uncorrectable {
 		t.Fatalf("healthy read: ok=%v uncorrectable=%v", res.OK, res.Uncorrectable)
 	}
@@ -86,26 +85,26 @@ func TestProbeBlockHealthyAndDegraded(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	fb := NewFallback(NewSentinelPolicy(eng), table)
 
-	if frac := fb.ProbeBlock(chip, 0, 0); frac > stuckTolerance {
+	if frac := fb.Probe(chip, 0); frac > stuckTolerance {
 		t.Fatalf("healthy chip probed stuck fraction %v", frac)
 	}
-	if fb.BlockDegraded(0) {
+	if fb.Degraded() {
 		t.Fatal("healthy block marked degraded")
 	}
 
 	chip.SetFaults(fault.MustNew(stuckProfile(chip.Config(), eng, 0.10)))
-	frac := fb.ProbeBlock(chip, 0, 0)
+	frac := fb.Probe(chip, 0)
 	if frac < 0.05 {
 		t.Fatalf("10%% stuck cells probed as %v", frac)
 	}
-	if !fb.BlockDegraded(0) {
+	if !fb.Degraded() {
 		t.Fatal("corrupted block not marked degraded")
 	}
 
 	// Re-probing after the faults clear restores the block.
 	chip.SetFaults(nil)
-	fb.ProbeBlock(chip, 0, 0)
-	if fb.BlockDegraded(0) {
+	fb.Probe(chip, 0)
+	if fb.Degraded() {
 		t.Fatal("block still degraded after faults cleared")
 	}
 }
@@ -120,8 +119,8 @@ func TestDegradedBlockMatchesTable(t *testing.T) {
 	chip.SetFaults(fault.MustNew(stuckProfile(chip.Config(), eng, 0.10)))
 	table := NewDefaultTable(chip, 2)
 	fb := NewFallback(NewSentinelPolicy(eng), table)
-	fb.ProbeBlock(chip, 0, 0)
-	if !fb.BlockDegraded(0) {
+	fb.Probe(chip, 0)
+	if !fb.Degraded() {
 		t.Fatal("probe did not degrade the corrupted block")
 	}
 	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
@@ -130,8 +129,8 @@ func TestDegradedBlockMatchesTable(t *testing.T) {
 	}
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		seed := mathx.Mix(7, uint64(wl))
-		rT := ctl.Read(0, wl, 2, table, seed)
-		rF := ctl.Read(0, wl, 2, fb, seed)
+		rT := ctl.Read(wl, 2, table, seed)
+		rF := ctl.Read(wl, 2, fb, seed)
 		if rF.Retries != rT.Retries || rF.OK != rT.OK {
 			t.Fatalf("wl %d: fallback (retries=%d ok=%v) != table (retries=%d ok=%v)",
 				wl, rF.Retries, rF.OK, rT.Retries, rT.OK)
@@ -160,8 +159,8 @@ func TestGuardTripsWithoutProbe(t *testing.T) {
 	var fbSum, bareSum int
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		seed := mathx.Mix(8, uint64(wl))
-		rF := ctl.Read(0, wl, 2, fb, seed)
-		rB := ctl.Read(0, wl, 2, bare, seed)
+		rF := ctl.Read(wl, 2, fb, seed)
+		rB := ctl.Read(wl, 2, bare, seed)
 		fbSum += rF.Retries
 		bareSum += rB.Retries
 		if rF.UsedFallback {
@@ -182,15 +181,15 @@ func TestFallbackHealthyStaysOnSentinel(t *testing.T) {
 	table := NewDefaultTable(chip, 2)
 	bare := NewSentinelPolicy(eng)
 	fb := NewFallback(bare, table)
-	fb.ProbeBlock(chip, 0, 0)
+	fb.Probe(chip, 0)
 	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		seed := mathx.Mix(9, uint64(wl))
-		rF := ctl.Read(0, wl, 2, fb, seed)
-		rB := ctl.Read(0, wl, 2, bare, seed)
+		rF := ctl.Read(wl, 2, fb, seed)
+		rB := ctl.Read(wl, 2, bare, seed)
 		if rF.UsedFallback {
 			t.Fatalf("wl %d: healthy read degraded to the table", wl)
 		}
@@ -211,24 +210,23 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 	chip.SetFaults(fault.MustNew(stuckProfile(chip.Config(), eng, 0.05)))
 	table := NewDefaultTable(chip, 2)
 	fb := NewFallback(NewSentinelPolicy(eng), table)
-	fb.ProbeBlock(chip, 0, 0) // coordinator-side, before the fan-out
+	fb.Probe(chip, 0) // coordinator-side, before the fan-out
 	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wls := chip.Config().WordlinesPerBlock()
-	start, ok := SentinelStart(chip, eng, 0, 0, 0x9157)
+	start, ok := SentinelStart(chip, eng, 0, 0x9157)
 	if !ok {
 		t.Fatal("probe wordline unprogrammed")
 	}
-	starts := map[int]flash.Offsets{0: start}
 	policies := []Policy{table, NewSentinelPolicy(eng), fb,
-		&WarmStartPolicy{Start: starts, Table: table},
-		&WarmStartPolicy{Start: starts, Sentinel: NewSentinelPolicy(eng)}}
+		&WarmStartPolicy{Start: start, Table: table},
+		&WarmStartPolicy{Start: start, Sentinel: NewSentinelPolicy(eng)}}
 	for _, pol := range policies {
 		serial := make([]Result, wls)
 		for wl := 0; wl < wls; wl++ {
-			serial[wl] = ctl.Read(0, wl, 2, pol, mathx.Mix(10, uint64(wl)))
+			serial[wl] = ctl.Read(wl, 2, pol, mathx.Mix(10, uint64(wl)))
 		}
 		conc := make([]Result, wls)
 		var wg sync.WaitGroup
@@ -236,7 +234,7 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 			wg.Add(1)
 			go func(wl int) {
 				defer wg.Done()
-				conc[wl] = ctl.Read(0, wl, 2, pol, mathx.Mix(10, uint64(wl)))
+				conc[wl] = ctl.Read(wl, 2, pol, mathx.Mix(10, uint64(wl)))
 			}(wl)
 		}
 		wg.Wait()

@@ -8,9 +8,9 @@
 //   - AR2: the same table walk with pipelined retry steps;
 //   - Sentinel: the paper's contribution — inference from sentinel-cell
 //     errors, then state-change calibration;
-//   - WarmStart: a first shot at read-only per-block start offsets,
+//   - WarmStart: a first shot at read-only start offsets,
 //     recovered by the table walk or by sentinel inference;
-//   - Fallback: Sentinel guarded by the static table on blocks whose
+//   - Fallback: Sentinel guarded by the static table on chips whose
 //     sentinel cells are corrupt.
 //
 // The controller accounts latency with an SSDSim-style model where sensing

@@ -90,7 +90,7 @@ func TestMetricsOnInstrumentedReads(t *testing.T) {
 	var reads, retries, aux, lsbRetried int64
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
 		for p := 0; p < 3; p++ {
-			res := ctl.Read(0, wl, p, sent, mathx.Mix(11, uint64(wl*4+p)))
+			res := ctl.Read(wl, p, sent, mathx.Mix(11, uint64(wl*4+p)))
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -127,7 +127,7 @@ func TestMetricsOnInstrumentedReads(t *testing.T) {
 
 	// An out-of-range read reports Err and must leave the counters alone.
 	before := ctl.Obs.Reads.Value()
-	if res := ctl.Read(99, 0, 0, sent, 1); res.Err == nil {
+	if res := ctl.Read(99, 0, sent, 1); res.Err == nil {
 		t.Fatal("bad address not reported")
 	}
 	if got := ctl.Obs.Reads.Value(); got != before {

@@ -14,7 +14,7 @@ import (
 
 func testCfg(kind flash.Kind) flash.Config {
 	return flash.Config{
-		Kind: kind, Blocks: 1, Layers: 16, WordlinesPerLayer: 2,
+		Kind: kind, Layers: 16, WordlinesPerLayer: 2,
 		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 4, CacheZ: true,
 	}
 }
@@ -60,12 +60,12 @@ func agedTLCChip(t testing.TB, eng *sentinel.Engine) *flash.Chip {
 			states[i] = uint8(rng.Intn(8))
 		}
 		eng.Prepare(states)
-		if err := chip.ProgramStates(0, wl, states); err != nil {
+		if err := chip.ProgramStates(wl, states); err != nil {
 			t.Fatal(err)
 		}
 	}
-	chip.Cycle(0, 5000)
-	chip.Age(0, physics.YearHours, physics.RoomTempC)
+	chip.Cycle(5000)
+	chip.Age(physics.YearHours, physics.RoomTempC)
 	return chip
 }
 
@@ -138,14 +138,14 @@ func TestControllerValidation(t *testing.T) {
 func TestFreshChipReadsWithoutRetry(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
 	rng := mathx.NewRand(2)
-	chip.ProgramRandom(0, 0, rng)
+	chip.ProgramRandom(0, rng)
 	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 30}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := NewDefaultTable(chip, 2)
 	for p := 0; p < 3; p++ {
-		res := ctl.Read(0, 0, p, table, uint64(p))
+		res := ctl.Read(0, p, table, uint64(p))
 		if !res.OK || res.Retries != 0 {
 			t.Fatalf("fresh page %d: ok=%v retries=%d", p, res.OK, res.Retries)
 		}
@@ -173,8 +173,8 @@ func TestAgedChipTableVsSentinel(t *testing.T) {
 	var tableMSB, sentMSB, tableLat, sentLat float64
 	n := 0
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
-		rT := ctl.Read(0, wl, 2, table, mathx.Mix(1, uint64(wl)))
-		rS := ctl.Read(0, wl, 2, sent, mathx.Mix(2, uint64(wl)))
+		rT := ctl.Read(wl, 2, table, mathx.Mix(1, uint64(wl)))
+		rS := ctl.Read(wl, 2, sent, mathx.Mix(2, uint64(wl)))
 		tableMSB += float64(rT.Retries)
 		sentMSB += float64(rS.Retries)
 		tableLat += rT.Latency
@@ -205,7 +205,7 @@ func TestSentinelLSBNeedsNoAuxSense(t *testing.T) {
 	sent := NewSentinelPolicy(eng)
 	sawLSBRetry, sawMSBRetry := false, false
 	for wl := 0; wl < chip.Config().WordlinesPerBlock(); wl++ {
-		rL := ctl.Read(0, wl, flash.PageLSB, sent, mathx.Mix(3, uint64(wl)))
+		rL := ctl.Read(wl, flash.PageLSB, sent, mathx.Mix(3, uint64(wl)))
 		if rL.Retries > 0 {
 			sawLSBRetry = true
 			if rL.AuxSenses != 0 {
@@ -213,7 +213,7 @@ func TestSentinelLSBNeedsNoAuxSense(t *testing.T) {
 					"contains the sentinel boundary", rL.AuxSenses)
 			}
 		}
-		rM := ctl.Read(0, wl, 2, sent, mathx.Mix(4, uint64(wl)))
+		rM := ctl.Read(wl, 2, sent, mathx.Mix(4, uint64(wl)))
 		if rM.Retries > 0 {
 			sawMSBRetry = true
 			if rM.AuxSenses == 0 {
@@ -237,7 +237,7 @@ func TestReadGivesUpAtBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewDefaultTable(chip, 2)
-	res := ctl.Read(0, 0, 2, table, 1)
+	res := ctl.Read(0, 2, table, 1)
 	if res.OK {
 		t.Fatal("read succeeded with T=0")
 	}
@@ -260,7 +260,7 @@ func TestSentinelSessionGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := NewSentinelPolicy(eng)
-	res := ctl.Read(0, 0, 2, sent, 1)
+	res := ctl.Read(0, 2, sent, 1)
 	if res.OK {
 		t.Fatal("read succeeded with T=0")
 	}

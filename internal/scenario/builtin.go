@@ -490,7 +490,7 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 	// worker count (the flashlab contract since PR 1).
 	parallel.ForEach(len(wls), func(i int) {
 		rng := mathx.NewRand(mathx.Mix(seed^0xf1a5, uint64(wls[i])))
-		chip.ProgramRandom(0, wls[i], rng)
+		chip.ProgramRandom(wls[i], rng)
 	})
 	pe := spec.PE
 	hours := spec.Hours
@@ -501,8 +501,8 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 	if temp == 0 {
 		temp = physics.RoomTempC
 	}
-	chip.Cycle(0, pe)
-	chip.Age(0, hours, temp)
+	chip.Cycle(pe)
+	chip.Age(hours, temp)
 
 	if inj, err := spec.Fault.chipProfile(cfg.UserCells(), cfg.CellsPerWordline,
 		chip.Model().P.StateWidth); err != nil {
@@ -515,7 +515,7 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 	fmt.Fprintf(&b, "chip: %v, %d layers x %d WL/layer, %d cells/WL, seed %d\n",
 		kind, cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline, seed)
 	fmt.Fprintf(&b, "stress: %d P/E cycles, %.0f h at %.0f C (%.0f effective room-temp hours)\n\n",
-		pe, hours, temp, chip.Stress(0).EffRetentionHours)
+		pe, hours, temp, chip.Stress().EffRetentionHours)
 
 	// Bench-level instrumentation, nil-safe when the cell carries no
 	// registry: what was measured and the RBER spread.
@@ -542,14 +542,14 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 		wlMeasured.Inc()
 		m := measured{row: []string{fmt.Sprint(wl), fmt.Sprint(chip.LayerOf(wl))}}
 		for p := 0; p < kind.Bits(); p++ {
-			rber := lab.PageRBER(0, wl, p, nil)
+			rber := lab.PageRBER(wl, p, nil)
 			rberHist.Observe(rber)
 			m.rber = append(m.rber, rber)
 			m.row = append(m.row, fmt.Sprintf("%.3g", rber))
 		}
-		opt := lab.OptimalOffsets(0, wl)
+		opt := lab.OptimalOffsets(wl)
 		m.row = append(m.row,
-			fmt.Sprintf("%.3g", lab.PageRBER(0, wl, kind.Bits()-1, opt)),
+			fmt.Sprintf("%.3g", lab.PageRBER(wl, kind.Bits()-1, opt)),
 			fmt.Sprintf("%.1f", opt.Get(sv)))
 		return m
 	})
@@ -571,7 +571,7 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 				spec.SweepV, chip.Coding().NumVoltages())
 		}
 		fmt.Fprintf(&b, "\nerror-vs-offset sweep of V%d on wordline %d:\n", spec.SweepV, wls[0])
-		offs, errs := lab.SweepCurve(0, wls[0], spec.SweepV)
+		offs, errs := lab.SweepCurve(wls[0], spec.SweepV)
 		sweepPoints.Add(int64(len(offs)))
 		_, hi := mathx.MinMax(errs)
 		for i, o := range offs {

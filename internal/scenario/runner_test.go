@@ -252,15 +252,15 @@ func TestRunCellCharlab(t *testing.T) {
 	}
 	wls := []int{0, cfg.WordlinesPerBlock() / 2}
 	for _, wl := range wls {
-		chip.ProgramRandom(0, wl, mathx.NewRand(mathx.Mix(1^0xf1a5, uint64(wl))))
+		chip.ProgramRandom(wl, mathx.NewRand(mathx.Mix(1^0xf1a5, uint64(wl))))
 	}
-	chip.Cycle(0, 1000)
-	chip.Age(0, 100, physics.RoomTempC)
+	chip.Cycle(1000)
+	chip.Age(100, physics.RoomTempC)
 	lab := charlab.New(chip)
 	var sum float64
 	for _, wl := range wls {
 		for p := 0; p < flash.TLC.Bits(); p++ {
-			sum += lab.PageRBER(0, wl, p, nil)
+			sum += lab.PageRBER(wl, p, nil)
 		}
 	}
 	if want := sum / float64(len(wls)*flash.TLC.Bits()); res.Metrics["mean-rber"] != want {

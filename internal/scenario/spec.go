@@ -51,7 +51,7 @@ type Spec struct {
 	// experiments.PolicyNames catalogue ("sentinel" by default), built by
 	// experiments.Testbed.Policy on the cell's aged chip, or "synthetic"
 	// (a fixed outcome distribution; no chip is built, so the cell is
-	// fast enough for smoke tiers). The history policies start block 0
+	// fast enough for smoke tiers). The history policies start reads
 	// at offsets inferred once from a sentinel sense and never rewritten,
 	// so their cells golden-gate like every other.
 	Policy string `json:"policy,omitempty"`

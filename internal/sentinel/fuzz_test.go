@@ -16,7 +16,6 @@ import (
 func fuzzEngine(tb testing.TB) (*Engine, flash.Config) {
 	cfg := flash.Config{
 		Kind:              flash.TLC,
-		Blocks:            1,
 		Layers:            1,
 		WordlinesPerLayer: 1,
 		CellsPerWordline:  1024,

@@ -8,7 +8,7 @@ import (
 
 func cfg16k() flash.Config {
 	return flash.Config{
-		Kind: flash.QLC, Blocks: 1, Layers: 8, WordlinesPerLayer: 2,
+		Kind: flash.QLC, Layers: 8, WordlinesPerLayer: 2,
 		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 3, CacheZ: true,
 	}
 }

@@ -75,14 +75,14 @@ func (tc TrainConfig) validate(cfg flash.Config) error {
 	return nil
 }
 
-// Train fits a Model on the given chip. Block 0 is reprogrammed with
+// Train fits a Model on the given chip. The chip is reprogrammed with
 // random data plus the sentinel pattern, then driven through the stress
 // grid; at each point the error-difference rate of each sampled wordline
 // is measured at the default sentinel voltage and paired with the
 // ground-truth optimal offset located by sweep. The per-voltage
 // correlations are collected from the same sweeps.
 //
-// The chip's block 0 contents and stress state are clobbered.
+// The chip's contents and stress state are clobbered.
 func Train(chip *flash.Chip, tc TrainConfig) (*Model, error) {
 	cc := charlab.NewCorrelationCollector(chip.Coding())
 	ds, opts, err := collect(chip, tc, cc)
@@ -151,7 +151,7 @@ func trainBands(chip *flash.Chip, tc TrainConfig) ([]TempBand, error) {
 			lo = tc.TempBandsC[bi-1]
 		}
 		mid := (lo + hi) / 2
-		chip.SetReadTemperature(0, mid)
+		chip.SetReadTemperature(mid)
 		cc := charlab.NewCorrelationCollector(coding)
 		for pi, pt := range tc.Points {
 			if pi%2 == 1 {
@@ -159,9 +159,9 @@ func trainBands(chip *flash.Chip, tc TrainConfig) ([]TempBand, error) {
 			}
 			st := physics.Stress{PECycles: pt.PECycles}
 			st = st.Aged(chip.Model().P, pt.Hours, pt.TempC).AtReadTemp(mid)
-			chip.SetStress(0, st)
+			chip.SetStress(st)
 			lab.Seed = mathx.Mix3(tc.Seed, 0xba2d, uint64(bi*100+pi))
-			if _, err := cc.Add(lab, 0, wls); err != nil {
+			if _, err := cc.Add(lab, wls); err != nil {
 				return nil, err
 			}
 		}
@@ -173,7 +173,7 @@ func trainBands(chip *flash.Chip, tc TrainConfig) ([]TempBand, error) {
 		}
 		bands = append(bands, TempBand{MaxTempC: hi, Corr: rels})
 	}
-	chip.SetReadTemperature(0, physics.RoomTempC)
+	chip.SetReadTemperature(physics.RoomTempC)
 	return bands, nil
 }
 
@@ -213,7 +213,7 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 			states[i] = uint8(rng.Intn(coding.States()))
 		}
 		tc.Layout.ApplyPattern(states, indices, sv)
-		if err := chip.ProgramStates(0, wl, states); err != nil {
+		if err := chip.ProgramStates(wl, states); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -227,7 +227,7 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 	for pi, pt := range tc.Points {
 		st := physics.Stress{PECycles: pt.PECycles}
 		st = st.Aged(model.P, pt.Hours, pt.TempC)
-		chip.SetStress(0, st)
+		chip.SetStress(st)
 		// Vary the lab's read seeds per point so sweeps are independent.
 		lab.Seed = mathx.Mix(tc.Seed, uint64(pi))
 		// Each sampled wordline is measured through one handle: the
@@ -239,7 +239,7 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 		// sweep would find, so they serve as the d pairs' optima.
 		ms := parallel.Map(len(wls), func(wi int) measurement {
 			seed := func(rep int) uint64 { return mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)) }
-			op := chip.BeginRead(0, wls[wi], seed(0))
+			op := chip.BeginRead(wls[wi], seed(0))
 			defer op.Close()
 			var m measurement
 			if cc != nil {

@@ -35,24 +35,24 @@ func collectPerRead(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCol
 			states[i] = uint8(rng.Intn(coding.States()))
 		}
 		tc.Layout.ApplyPattern(states, indices, sv)
-		if err := chip.ProgramStates(0, wl, states); err != nil {
+		if err := chip.ProgramStates(wl, states); err != nil {
 			return nil, nil, err
 		}
 	}
 	lab := charlab.New(chip)
 	for pi, pt := range tc.Points {
-		chip.SetStress(0, physics.Stress{PECycles: pt.PECycles}.Aged(chip.Model().P, pt.Hours, pt.TempC))
+		chip.SetStress(physics.Stress{PECycles: pt.PECycles}.Aged(chip.Model().P, pt.Hours, pt.TempC))
 		lab.Seed = mathx.Mix(tc.Seed, uint64(pi))
 		var optima []flash.Offsets
 		if cc != nil {
-			if optima, err = cc.Add(lab, 0, wls); err != nil {
+			if optima, err = cc.Add(lab, wls); err != nil {
 				return nil, nil, err
 			}
 		}
 		for wi, wl := range wls {
 			var d float64
 			for rep := 0; rep < measureReads; rep++ {
-				sense := chip.Sense(0, wl, sv, 0, mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)))
+				sense := chip.Sense(wl, sv, 0, mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)))
 				d += ErrorDiffRate(sense, indices)
 				flash.PutBitmap(sense)
 			}
@@ -60,7 +60,7 @@ func collectPerRead(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCol
 			if optima != nil {
 				opts = append(opts, optima[wi].Get(sv))
 			} else {
-				opts = append(opts, lab.OptimalOffset(0, wl, sv))
+				opts = append(opts, lab.OptimalOffset(wl, sv))
 			}
 		}
 	}

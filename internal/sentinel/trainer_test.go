@@ -164,19 +164,19 @@ func TestInferenceAccuracyEndToEnd(t *testing.T) {
 			states[i] = uint8(rng.Intn(coding.States()))
 		}
 		eng.Prepare(states)
-		if err := chip.ProgramStates(0, wl, states); err != nil {
+		if err := chip.ProgramStates(wl, states); err != nil {
 			t.Fatal(err)
 		}
 	}
-	chip.Cycle(0, 2000)
-	chip.Age(0, 6000, physics.RoomTempC)
+	chip.Cycle(2000)
+	chip.Age(6000, physics.RoomTempC)
 
 	lab := charlab.New(chip)
 	var absErr []float64
 	for wl := 0; wl < nWL; wl++ {
-		sense := chip.Sense(0, wl, m.SentinelVoltage, 0, mathx.Mix(42, uint64(wl)))
+		sense := chip.Sense(wl, m.SentinelVoltage, 0, mathx.Mix(42, uint64(wl)))
 		_, inferred := eng.Infer(sense)
-		truth := lab.OptimalOffset(0, wl, m.SentinelVoltage)
+		truth := lab.OptimalOffset(wl, m.SentinelVoltage)
 		absErr = append(absErr, math.Abs(inferred.Get(m.SentinelVoltage)-truth))
 	}
 	mean := mathx.Mean(absErr)
@@ -223,11 +223,11 @@ func TestEnginePrepareAndInferRoundTrip(t *testing.T) {
 	}
 	states := make([]uint8, cfg.CellsPerWordline)
 	eng.Prepare(states)
-	if err := chip.ProgramStates(0, 0, states); err != nil {
+	if err := chip.ProgramStates(0, states); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh chip: d should be ~0 and the inferred offsets modest.
-	sense := chip.Sense(0, 0, m.SentinelVoltage, 0, 7)
+	sense := chip.Sense(0, m.SentinelVoltage, 0, 7)
 	d, ofs := eng.Infer(sense)
 	if math.Abs(d) > 0.05 {
 		t.Fatalf("fresh d = %v, want ~0", d)

@@ -8,9 +8,9 @@ import "sentinel3d/internal/ssdsim"
 // resolves most reads in one attempt at the cost of an aux sense, the
 // vendor table walks fixed retry sequences (deep for MSB pages), and
 // the adaptive policies (ar2, history, sentinel+history) shave or skip
-// the walk via pipelining and per-block warm-start offsets. The pools
+// the walk via pipelining and warm-start offsets. The pools
 // never change while serving: flashd reads no chip and keeps no
-// per-block offset state.
+// offset state.
 func DefaultSamplers() map[string]ssdsim.RetrySampler {
 	return map[string]ssdsim.RetrySampler{
 		"sentinel": &ssdsim.EmpiricalSampler{PerPage: [][]ssdsim.RetryOutcome{

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +168,74 @@ func TestReadResultQueueWaitSubMicrosecond(t *testing.T) {
 	if sum <= 0 || math.Abs(sum-hist) > n*1e-6 {
 		t.Fatalf("QueueWaitUS sum %v µs, fleet.queue_wait_us sum %v µs; want equal and > 0", sum, hist)
 	}
+}
+
+// serveReads answers n single-page /read requests for tenant through
+// the server's handler, one LPN each, and fails on any non-200 reply.
+func serveReads(t *testing.T, s *Server, tenant string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		body := fmt.Sprintf(`{"tenant":%q,"lpn":%d}`, tenant, i)
+		rec := httptest.NewRecorder()
+		s.handleRead(rec, httptest.NewRequest(http.MethodPost, "/read", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read %d: status %d body %q", i, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestSnapshotDeterministicAcrossServers: two fresh servers serving the
+// same reads render the same deterministic snapshot. The wall-clock
+// histograms (fleet.queue_wait_us, serve.tenant.*.wall_us) stay in the
+// full snapshot and out of the deterministic view.
+func TestSnapshotDeterministicAcrossServers(t *testing.T) {
+	render := func() (full, det string) {
+		s, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		serveReads(t, s, "gold", 100)
+		serveReads(t, s, "bronze", 100)
+		snap := s.Registry().Snapshot()
+		return snap.Render(), snap.Deterministic().Render()
+	}
+	full, a := render()
+	_, b := render()
+	if a != b {
+		t.Fatalf("deterministic snapshots differ:\n%s\nvs\n%s", a, b)
+	}
+	for _, name := range []string{"sentinel3d_fleet_queue_wait_us", "sentinel3d_serve_tenant_gold_wall_us"} {
+		if !strings.Contains(full, name) || strings.Contains(a, name) {
+			t.Errorf("%s: want it in the full snapshot only", name)
+		}
+	}
+}
+
+// TestTenantWallHistSubMicrosecond: the tenant wall-clock histogram
+// keeps the fractional microseconds of each request. A sum, minimum and
+// maximum that are all whole microseconds mean the samples were
+// truncated (each of them alone is whole about once in a thousand runs).
+func TestTenantWallHistSubMicrosecond(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	serveReads(t, s, "gold", 50)
+	for _, h := range s.Registry().Snapshot().Hists {
+		if h.Name != "serve.tenant.gold.wall_us" {
+			continue
+		}
+		whole := func(v float64) bool { return v == math.Trunc(v) }
+		if h.Hist.Count() != 50 || h.Hist.Sum() <= 0 ||
+			whole(h.Hist.Sum()) && whole(h.Hist.Min()) && whole(h.Hist.Max()) {
+			t.Fatalf("wall_us count %d sum %v min %v max %v: want 50 samples with sub-µs parts",
+				h.Hist.Count(), h.Hist.Sum(), h.Hist.Min(), h.Hist.Max())
+		}
+		return
+	}
+	t.Fatal("no serve.tenant.gold.wall_us histogram")
 }
 
 func TestServerRejections(t *testing.T) {

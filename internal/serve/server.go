@@ -360,7 +360,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 
 	results, agg := s.fanout(r.Context(), start.Add(deadline), reads, policy, maxRetries)
 	wall := time.Since(start)
-	t.m.wallUS.Observe(float64(wall.Microseconds()))
+	t.m.wallUS.Observe(float64(wall) / float64(time.Microsecond))
 
 	switch {
 	case wall > deadline+s.cfg.Grace || agg.deadline:

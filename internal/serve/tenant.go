@@ -110,7 +110,7 @@ func newTenant(cfg TenantConfig, set *obs.Set) *tenant {
 			failFast:      set.Counter(p+"fail_fast", "requests cut off by the fail-fast retry budget"),
 			forcedTable:   set.Counter(p+"forced_table", "requests whose policy was overridden to the static table"),
 			sloViolations: set.Counter(p+"slo_violations", "answered requests slower than the tenant SLO"),
-			wallUS:        set.Hist(p+"wall_us", "wall-clock request latency"),
+			wallUS:        set.WallHist(p+"wall_us", "wall-clock request latency"),
 		},
 	}
 }

@@ -19,18 +19,16 @@ import (
 // performance at the system level.
 func BenchmarkBuildSampler(b *testing.B) {
 	cfg := flash.Config{
-		Kind: flash.TLC, Blocks: 1, Layers: 8, WordlinesPerLayer: 2,
+		Kind: flash.TLC, Layers: 8, WordlinesPerLayer: 2,
 		CellsPerWordline: 8192, OOBFraction: 0.119, Seed: 11, CacheZ: true,
 	}
 	chip := flash.MustNew(cfg)
 	rng := mathx.NewRand(1)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		if err := chip.ProgramRandom(0, wl, rng); err != nil {
-			b.Fatal(err)
-		}
+		chip.ProgramRandom(wl, rng)
 	}
-	chip.Cycle(0, 5000)
-	chip.Age(0, physics.YearHours, physics.RoomTempC)
+	chip.Cycle(5000)
+	chip.Age(physics.YearHours, physics.RoomTempC)
 	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14}, 15)
 	if err != nil {
 		b.Fatal(err)

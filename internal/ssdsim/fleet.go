@@ -238,7 +238,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		sh := &fleetShard{ftl: ft}
 		if set := cfg.Metrics.Set(s); set != nil {
 			sh.depth = set.Gauge("fleet.queue_depth", "requests queued on this shard")
-			sh.waitUS = set.Hist("fleet.queue_wait_us", "wall-clock queue wait per request")
+			sh.waitUS = set.WallHist("fleet.queue_wait_us", "wall-clock queue wait per request")
 			sh.rejects = set.Counter("fleet.queue_rejects", "submissions rejected by a full queue")
 			sh.expired = set.Counter("fleet.deadline_expired", "requests already past deadline at the shard lock")
 			sh.satisfied = set.Counter("fleet.reads_serviced", "requests serviced by this shard")

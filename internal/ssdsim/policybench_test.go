@@ -37,7 +37,7 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 	pb.once.Do(func() {
 		mkCfg := func(seed uint64) flash.Config {
 			return flash.Config{
-				Kind: flash.TLC, Blocks: 1, Layers: 16, WordlinesPerLayer: 2,
+				Kind: flash.TLC, Layers: 16, WordlinesPerLayer: 2,
 				CellsPerWordline: 16384, OOBFraction: 0.119, Seed: seed, CacheZ: true,
 			}
 		}
@@ -81,13 +81,13 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 				states[i] = uint8(rng.Intn(nStates))
 			}
 			eng.Prepare(states)
-			if err := chip.ProgramStates(0, wl, states); err != nil {
+			if err := chip.ProgramStates(wl, states); err != nil {
 				pb.err = err
 				return
 			}
 		}
-		chip.Cycle(0, 5000)
-		chip.Age(0, physics.YearHours, physics.RoomTempC)
+		chip.Cycle(5000)
+		chip.Age(physics.YearHours, physics.RoomTempC)
 		ctl, err := retry.NewController(chip,
 			ecc.CapabilityModel{FrameBits: 8192, T: 26}, 15)
 		if err != nil {
@@ -103,8 +103,8 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 			return
 		}
 		hist := &retry.WarmStartPolicy{Table: retry.NewDefaultTable(chip, 1.2)}
-		if ofs, ok := retry.SentinelStart(chip, eng, 0, wls[0], 0x9157); ok {
-			hist.Start = map[int]flash.Offsets{0: ofs}
+		if ofs, ok := retry.SentinelStart(chip, eng, wls[0], 0x9157); ok {
+			hist.Start = ofs
 		}
 		pb.history, pb.err = BuildSampler(ctl, hist, 0, wls, 3, 0xb52)
 	})

@@ -15,13 +15,13 @@ import (
 // buildSamplerPerRead is BuildSampler with every read on a handle of
 // its own (Controller.Read): the reference for BuildSampler's one
 // handle per wordline.
-func buildSamplerPerRead(ctl *retry.Controller, pol retry.Policy, b int, wls []int, reps int, seed uint64) (*EmpiricalSampler, error) {
+func buildSamplerPerRead(ctl *retry.Controller, pol retry.Policy, wls []int, reps int, seed uint64) (*EmpiricalSampler, error) {
 	bits := ctl.Chip.Coding().Bits()
 	out := &EmpiricalSampler{PerPage: make([][]RetryOutcome, bits)}
 	for _, wl := range wls {
 		for p := 0; p < bits; p++ {
 			for rep := 0; rep < reps; rep++ {
-				res := ctl.Read(b, wl, p, pol, mathx.Mix4(seed, uint64(wl), uint64(p), uint64(rep)))
+				res := ctl.Read(wl, p, pol, mathx.Mix4(seed, uint64(wl), uint64(p), uint64(rep)))
 				if res.Err != nil {
 					return nil, res.Err
 				}
@@ -48,7 +48,7 @@ func buildSamplerPerRead(ctl *retry.Controller, pol retry.Policy, b int, wls []i
 func TestBuildSamplerSharedHandleMatchesPerRead(t *testing.T) {
 	mkCfg := func(seed uint64) flash.Config {
 		return flash.Config{
-			Kind: flash.TLC, Blocks: 1, Layers: 4, WordlinesPerLayer: 2,
+			Kind: flash.TLC, Layers: 4, WordlinesPerLayer: 2,
 			CellsPerWordline: 16384, OOBFraction: 0.119, Seed: seed, CacheZ: true,
 		}
 	}
@@ -78,12 +78,12 @@ func TestBuildSamplerSharedHandleMatchesPerRead(t *testing.T) {
 			states[i] = uint8(rng.Intn(chip.Coding().States()))
 		}
 		eng.Prepare(states)
-		if err := chip.ProgramStates(0, wl, states); err != nil {
+		if err := chip.ProgramStates(wl, states); err != nil {
 			t.Fatal(err)
 		}
 	}
-	chip.Cycle(0, 5000)
-	chip.Age(0, physics.YearHours, physics.RoomTempC)
+	chip.Cycle(5000)
+	chip.Age(physics.YearHours, physics.RoomTempC)
 	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 26}, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +91,10 @@ func TestBuildSamplerSharedHandleMatchesPerRead(t *testing.T) {
 	wls := []int{0, 3, 5, 6}
 	sent := retry.NewSentinelPolicy(eng)
 	table := retry.NewDefaultTable(chip, 1.2)
-	start, ok := retry.SentinelStart(chip, eng, 0, wls[0], 0x9157)
+	start, ok := retry.SentinelStart(chip, eng, wls[0], 0x9157)
 	if !ok {
 		t.Fatal("no sentinel start offsets")
 	}
-	warm := map[int]flash.Offsets{0: start}
 	retries, aux := 0, 0
 	for _, c := range []struct {
 		name string
@@ -105,15 +104,15 @@ func TestBuildSamplerSharedHandleMatchesPerRead(t *testing.T) {
 		{"table", table},
 		{"fallback", retry.NewFallback(sent, table)},
 		{"ar2", retry.NewAR2(table)},
-		{"warm-sentinel", &retry.WarmStartPolicy{Start: warm, Sentinel: sent}},
-		{"warm-table", &retry.WarmStartPolicy{Start: warm, Table: table}},
+		{"warm-sentinel", &retry.WarmStartPolicy{Start: start, Sentinel: sent}},
+		{"warm-table", &retry.WarmStartPolicy{Start: start, Table: table}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := BuildSampler(ctl, c.pol, 0, wls, 3, 0x5eed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := buildSamplerPerRead(ctl, c.pol, 0, wls, 3, 0x5eed)
+			want, err := buildSamplerPerRead(ctl, c.pol, wls, 3, 0x5eed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,17 +110,22 @@ func (e *EmpiricalSampler) MeanRetries(p int) float64 {
 // controller and policy: every page of every listed wordline is read
 // reps times. The resulting pools feed the trace-driven simulation.
 // Wordlines are measured concurrently; the pools are assembled in wls
-// order so the sampler is identical at any worker count.
+// order so the sampler is identical at any worker count. b must be 0,
+// the chip's one block (else retry.ErrBadAddress); the parameter goes
+// with ROADMAP's perfbench item.
 func BuildSampler(ctl *retry.Controller, pol retry.Policy, b int, wls []int, reps int, seed uint64) (*EmpiricalSampler, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("ssdsim: reps must be positive")
+	}
+	if b != 0 {
+		return nil, fmt.Errorf("ssdsim: %w: block %d", retry.ErrBadAddress, b)
 	}
 	bits := ctl.Chip.Coding().Bits()
 	perWL, err := parallel.MapErr(len(wls), func(i int) ([][]RetryOutcome, error) {
 		wl := wls[i]
 		// Every read of the wordline goes through one handle, which
 		// each read redraws, so its cells are derived once.
-		op, err := ctl.Begin(b, wl, mathx.Mix4(seed, uint64(wl), 0, 0))
+		op, err := ctl.Begin(wl, mathx.Mix4(seed, uint64(wl), 0, 0))
 		if err != nil {
 			// Bad address or unprogrammed wordline: the controller
 			// reports it, so no pre-checks are needed here.

@@ -1,6 +1,7 @@
 package ssdsim
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -217,16 +218,16 @@ func TestBuildSamplerFromChip(t *testing.T) {
 	// Integration: measure a real chip's retry distribution and confirm
 	// the sampler reflects aging.
 	cfg := flash.Config{
-		Kind: flash.TLC, Blocks: 1, Layers: 8, WordlinesPerLayer: 2,
+		Kind: flash.TLC, Layers: 8, WordlinesPerLayer: 2,
 		CellsPerWordline: 8192, OOBFraction: 0.119, Seed: 11, CacheZ: true,
 	}
 	chip := flash.MustNew(cfg)
 	rng := mathx.NewRand(1)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		chip.ProgramRandom(0, wl, rng)
+		chip.ProgramRandom(wl, rng)
 	}
-	chip.Cycle(0, 5000)
-	chip.Age(0, physics.YearHours, physics.RoomTempC)
+	chip.Cycle(5000)
+	chip.Age(physics.YearHours, physics.RoomTempC)
 	ctl, err := retry.NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 14}, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +250,14 @@ func TestBuildSamplerFromChip(t *testing.T) {
 		t.Fatalf("MSB mean %v < LSB mean %v",
 			sampler.MeanRetries(2), sampler.MeanRetries(0))
 	}
-	// Reps must be positive; unprogrammed wordlines rejected.
+	// Reps must be positive, the block 0; unprogrammed wordlines rejected.
 	if _, err := BuildSampler(ctl, pol, 0, []int{0}, 0, 1); err == nil {
 		t.Fatal("accepted zero reps")
+	}
+	for _, b := range []int{-1, 1} {
+		if _, err := BuildSampler(ctl, pol, b, []int{0}, 1, 1); !errors.Is(err, retry.ErrBadAddress) {
+			t.Fatalf("block %d: err %v, want ErrBadAddress", b, err)
+		}
 	}
 	empty := flash.MustNew(cfg)
 	ctl2, _ := retry.NewController(empty, ecc.DefaultCapability(), 5)
