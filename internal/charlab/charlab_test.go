@@ -17,7 +17,6 @@ func smallChip(t testing.TB, kind flash.Kind, pe int, hours float64) *flash.Chip
 		Layers:            8,
 		WordlinesPerLayer: 2,
 		CellsPerWordline:  4096,
-		OOBFraction:       0.119,
 		Seed:              21,
 		CacheZ:            true,
 	}
@@ -200,7 +199,7 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 	// sentinel voltage's optimum (Figure 8).
 	cfg := flash.Config{
 		Kind: flash.QLC, Layers: 8, WordlinesPerLayer: 2,
-		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 21, CacheZ: true,
+		CellsPerWordline: 16384, Seed: 21, CacheZ: true,
 	}
 	c := flash.MustNew(cfg)
 	rng := mathx.NewRand(77)

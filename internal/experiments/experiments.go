@@ -42,7 +42,8 @@ type Scale struct {
 	// TrainWLs and TrainPoints bound the trainer's work.
 	TrainWLs    int
 	TrainPoints int
-	// CacheZ trades memory for read speed in the chip simulator.
+	// CacheZ is flash.Config.CacheZ: the scales differ in z's precision.
+	// Full scale hashes z, as a full-width cache costs ~151 MB per chip.
 	CacheZ bool
 	// TLCCapT / QLCCapT are the ECC capability thresholds (bit errors per
 	// 8192-bit frame) used by the retry experiments.
@@ -105,7 +106,6 @@ func (s Scale) ChipConfig(kind flash.Kind, seed uint64) flash.Config {
 		Layers:            s.Layers,
 		WordlinesPerLayer: s.WLsPerLayer,
 		CellsPerWordline:  s.Cells,
-		OOBFraction:       0.119,
 		Seed:              seed,
 		CacheZ:            s.CacheZ,
 	}

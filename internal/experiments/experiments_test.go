@@ -14,7 +14,7 @@ func TestScalesValid(t *testing.T) {
 		if err := s.ChipConfig(flash.TLC, 1).Validate(); err != nil {
 			t.Errorf("%s TLC config: %v", s.Name, err)
 		}
-		if err := s.Layout().Validate(s.ChipConfig(flash.QLC, 1)); err != nil {
+		if err := s.Layout().Validate(); err != nil {
 			t.Errorf("%s layout: %v", s.Name, err)
 		}
 		if err := s.CapModel(flash.TLC).Validate(); err != nil {

@@ -263,7 +263,6 @@ func TestChipIntegration(t *testing.T) {
 		Layers:            4,
 		WordlinesPerLayer: 1,
 		CellsPerWordline:  2048,
-		OOBFraction:       0.119,
 		Seed:              4,
 	}
 	chip := flash.MustNew(cfg)

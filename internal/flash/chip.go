@@ -35,24 +35,22 @@ type Config struct {
 	WordlinesPerLayer int
 	CellsPerWordline  int
 
-	// OOBFraction is the fraction of each wordline reserved as the
-	// out-of-band area (ECC parity + spare). The paper's example page is
-	// 18592 bytes with 2208 bytes OOB, i.e. ~11.9%.
-	OOBFraction float64
-
 	// Seed determines the chip instance (its frozen process variation).
 	Seed uint64
 
-	// Params optionally overrides the physics parameters; nil selects the
-	// defaults for Kind.
-	Params *physics.Params
-
-	// CacheZ caches each wordline's frozen program offsets as float32 at
-	// program time, trading memory (4 bytes/cell) for much faster repeated
-	// reads. Recommended for experiments; tests with tiny geometries can
-	// disable it to exercise the hash path.
+	// CacheZ caches each wordline's frozen program offsets z as float32
+	// at program time (4 bytes/cell), so a read takes them from memory
+	// instead of re-hashing them. It also sets z's precision: without
+	// the cache every read hashes z anew at full float64 precision, so
+	// chips that differ only in CacheZ read the same wordline with z
+	// differing in its last bits. Reads take the same path either way.
 	CacheZ bool
 }
+
+// oobFraction is the fraction of each wordline reserved as the
+// out-of-band area (ECC parity + spare): the paper's example page is
+// 18592 bytes with 2208 bytes OOB, i.e. ~11.9%.
+const oobFraction = 0.119
 
 // DefaultConfig returns a block-scale configuration mirroring the paper's
 // chips: 64 layers, 12 wordlines per layer (768 wordlines per block).
@@ -64,7 +62,6 @@ func DefaultConfig(kind Kind) Config {
 		Layers:            64,
 		WordlinesPerLayer: 12,
 		CellsPerWordline:  32768,
-		OOBFraction:       0.119,
 		Seed:              1,
 		CacheZ:            true,
 	}
@@ -82,7 +79,7 @@ func (c Config) UserCells() int {
 
 // OOBCells returns the number of OOB cells on a wordline.
 func (c Config) OOBCells() int {
-	return int(float64(c.CellsPerWordline) * c.OOBFraction)
+	return int(float64(c.CellsPerWordline) * oobFraction)
 }
 
 // Validate reports configuration errors.
@@ -92,9 +89,6 @@ func (c Config) Validate() error {
 	}
 	if c.CellsPerWordline < 64 {
 		return fmt.Errorf("flash: CellsPerWordline %d too small", c.CellsPerWordline)
-	}
-	if c.OOBFraction < 0 || c.OOBFraction > 0.5 {
-		return fmt.Errorf("flash: OOBFraction %v out of [0, 0.5]", c.OOBFraction)
 	}
 	return nil
 }
@@ -135,8 +129,8 @@ type Chip struct {
 	wls    []wlState
 	faults FaultModel
 	// pos[i] is cell i's position along the wordline, (i+0.5)/n - 0.5,
-	// the factor of the intra-wordline gradient; set with CacheZ, whose
-	// reads derive each cell's Vth from it (vth0Into).
+	// the factor of the intra-wordline gradient in each cell's Vth
+	// (vth0Into).
 	pos []float64
 }
 
@@ -147,41 +141,36 @@ type wlState struct {
 	zcache     []float32
 }
 
-// New builds a chip. The same Config always yields an identical chip.
+// New builds a chip with the physics parameters of cfg.Kind. The same
+// Config always yields an identical chip.
 func New(cfg Config) (*Chip, error) {
+	p := physics.QLC()
+	if cfg.Kind == TLC {
+		p = physics.TLC()
+	}
+	return newChip(cfg, p)
+}
+
+// newChip is New with the physics parameters given, whose Bits must
+// match cfg.Kind.
+func newChip(cfg Config, p physics.Params) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	params := cfg.Params
-	if params == nil {
-		var p physics.Params
-		if cfg.Kind == TLC {
-			p = physics.TLC()
-		} else {
-			p = physics.QLC()
-		}
-		params = &p
-	}
-	if params.Bits != cfg.Kind.Bits() {
-		return nil, fmt.Errorf("flash: params bits %d do not match kind %v",
-			params.Bits, cfg.Kind)
-	}
-	model, err := physics.NewModel(*params, cfg.Seed)
+	model, err := physics.NewModel(p, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	c := &Chip{
 		cfg:    cfg,
-		coding: NewCoding(params.Bits),
+		coding: NewCoding(p.Bits),
 		model:  model,
 		wls:    make([]wlState, cfg.WordlinesPerBlock()),
+		pos:    make([]float64, cfg.CellsPerWordline),
 	}
-	if cfg.CacheZ {
-		c.pos = make([]float64, cfg.CellsPerWordline)
-		nf := float64(cfg.CellsPerWordline)
-		for i := range c.pos {
-			c.pos[i] = (float64(i)+0.5)/nf - 0.5
-		}
+	nf := float64(cfg.CellsPerWordline)
+	for i := range c.pos {
+		c.pos[i] = (float64(i)+0.5)/nf - 0.5
 	}
 	return c, nil
 }
@@ -280,8 +269,6 @@ func (c *Chip) ProgramStates(wl int, states []uint8) error {
 			w.zcache = make([]float32, len(states))
 		}
 		c.model.FillCellZ(uint64(wl), w.epoch, w.zcache)
-	} else {
-		w.zcache = nil
 	}
 	return nil
 }
@@ -344,18 +331,13 @@ func (c *Chip) vthAll(wl int, readSeed uint64, buf []float64, env *physics.WLEnv
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
-	if w.zcache != nil {
-		c.vth0Into(wl, w, buf, env)
-		// The sensing-noise hash stream setup is hoisted out of the loop
-		// (physics.NoiseStream); each cell's Vth is its noiseless sum plus
-		// its noise, exactly the scalar path's grouping.
-		ns := c.model.Noise(readSeed)
-		for i := range buf {
-			buf[i] += ns.At(i)
-		}
-	} else {
-		c.model.EnvInto(env, c.LayerOf(wl), uint64(wl), c.stress)
-		c.model.FillVth(*env, uint64(wl), w.states, w.epoch, readSeed, buf)
+	c.vth0Into(wl, w, buf, env)
+	// The sensing-noise hash stream setup is hoisted out of the loop
+	// (physics.NoiseStream); each cell's Vth is its noiseless sum plus
+	// its noise, exactly physics.CellVth's grouping.
+	ns := c.model.Noise(readSeed)
+	for i := range buf {
+		buf[i] += ns.At(i)
 	}
 	if c.faults != nil {
 		c.faults.PerturbVth(wl, readSeed, buf)
@@ -364,16 +346,29 @@ func (c *Chip) vthAll(wl int, readSeed uint64, buf []float64, env *physics.WLEnv
 }
 
 // vth0Into fills buf (len CellsPerWordline) with every cell's noiseless
-// threshold voltage, (Mean + grad) + Sigma·z from the wordline's cached
-// program offsets: the sum to which a read adds each cell's sensing
-// noise. The explicit conversions keep every product rounded on its own
-// on every GOARCH, so the sum is the same whether the noise is added here
-// or later. The erased state has no gradient term: its grad is exactly
-// +0, which a mask of the product's bits gives without a branch (a
-// multiply by 0 would give -0 for a negative product).
+// threshold voltage: the sum to which a read adds each cell's sensing
+// noise. The program offsets z come from the wordline's cache (CacheZ)
+// or, without one, are hashed into buf at full precision and summed in
+// place.
 func (c *Chip) vth0Into(wl int, w *wlState, buf []float64, env *physics.WLEnv) {
 	c.model.EnvInto(env, c.LayerOf(wl), uint64(wl), c.stress)
-	pos, states, z := c.pos[:len(buf)], w.states[:len(buf)], w.zcache[:len(buf)]
+	if w.zcache != nil {
+		sumVth0(buf, env, c.pos, w.states, w.zcache)
+		return
+	}
+	c.model.FillCellZ64(uint64(wl), w.epoch, buf)
+	sumVth0(buf, env, c.pos, w.states, buf)
+}
+
+// sumVth0 sets buf[i] = (Mean + grad) + Sigma·z of cell i, physics.CellVth
+// without the noise; z may be buf itself. The explicit conversions keep every product
+// rounded on its own on every GOARCH, so the sum is the same whether the
+// noise is added here or later. The erased state has no gradient term:
+// its grad is exactly +0, which a mask of the product's bits gives
+// without a branch (a multiply by 0 would give -0 for a negative
+// product).
+func sumVth0[Z float32 | float64](buf []float64, env *physics.WLEnv, pos []float64, states []uint8, z []Z) {
+	pos, states, z = pos[:len(buf)], states[:len(buf)], z[:len(buf)]
 	for i := range buf {
 		s := states[i]
 		grad := math.Float64frombits(math.Float64bits(float64(env.Gradient*pos[i])) & gradMask[s&15])

@@ -17,15 +17,17 @@ func fusedChip(t testing.TB, kind Kind, cells int, aged, quiet bool) *Chip {
 	t.Helper()
 	cfg := DefaultConfig(kind)
 	cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline = 2, 2, cells
-	if quiet {
-		p := physics.TLC()
-		if kind == QLC {
-			p = physics.QLC()
-		}
-		p.ReadNoiseSigma = 0
-		cfg.Params = &p
+	p := physics.QLC()
+	if kind == TLC {
+		p = physics.TLC()
 	}
-	c := MustNew(cfg)
+	if quiet {
+		p.ReadNoiseSigma = 0
+	}
+	c, err := newChip(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := mathx.NewRand(uint64(cells))
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
 		c.ProgramRandom(wl, r)

@@ -19,14 +19,16 @@ func beginEager(c *Chip, wl int, readSeed uint64) *ReadOp {
 	return op
 }
 
-// lazyChip builds a small CacheZ chip (so BeginRead takes the lazy path)
-// at the given wear and retention.
-func lazyChip(t testing.TB, kind Kind, cells, pe int, hours float64) *Chip {
+// lazyChip builds a small fault-free chip (so BeginRead takes the lazy
+// path) at the given wear and retention, with its program offsets
+// cached (cacheZ) or hashed on every read.
+func lazyChip(t testing.TB, kind Kind, cells, pe int, hours float64, cacheZ bool) *Chip {
 	t.Helper()
 	cfg := DefaultConfig(kind)
 	cfg.Layers = 2
 	cfg.WordlinesPerLayer = 2
 	cfg.CellsPerWordline = cells
+	cfg.CacheZ = cacheZ
 	c := MustNew(cfg)
 	r := mathx.NewRand(11)
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
@@ -336,7 +338,7 @@ func runLazyEager(t testing.TB, c *Chip, wl int, readSeed uint64, r *mathx.Rand,
 	lazy := c.BeginRead(wl, readSeed)
 	defer lazy.Close()
 	if lazy.vth0 == nil {
-		t.Fatal("BeginRead on a fault-free CacheZ chip took the eager path")
+		t.Fatalf("BeginRead on a fault-free chip (CacheZ %v) took the eager path", c.Config().CacheZ)
 	}
 	eager := beginEager(c, wl, readSeed)
 	defer eager.Close()
@@ -359,59 +361,68 @@ func runLazyEager(t testing.TB, c *Chip, wl int, readSeed uint64, r *mathx.Rand,
 
 // TestReadOpLazyMatchesEager is the differential test of the lazy-noise
 // kernel: every query kind, interleaved with redraws, on TLC and QLC,
-// fresh and aged, at both a word-aligned and a ragged cell count, must
-// answer exactly as the eager handle does.
+// fresh and aged, at both a word-aligned and a ragged cell count, with
+// cached and hashed program offsets, must answer exactly as the eager
+// handle does.
 func TestReadOpLazyMatchesEager(t *testing.T) {
 	for _, kind := range []Kind{TLC, QLC} {
 		for _, cells := range []int{200, 256} {
 			for _, aged := range []bool{false, true} {
-				pe, hours := 0, 0.0
-				if aged {
-					pe, hours = 5000, physics.YearHours
-				}
-				c := lazyChip(t, kind, cells, pe, hours)
-				r := mathx.NewRand(uint64(cells) + uint64(pe))
-				for trial := 0; trial < 6; trial++ {
-					runLazyEager(t, c, r.Intn(4), r.Uint64(), r, nil, 60)
-				}
-				// Seeds whose noise for one cell comes from the extreme
-				// hashes (|z| ≈ 8.3, the edge of every noise window), with
-				// queries aimed on and one ulp around that cell's noiseless
-				// and noisy Vth and the window edges.
-				for _, h := range []uint64{0, math.MaxUint64, 1 << 11, math.MaxUint64 - 1<<11} {
-					cell := r.Intn(cells)
-					seed := extremeSeed(cell, h)
-					noise := c.Model().ReadNoise(seed, cell)
-					if bound := c.Model().Noise(seed).Bound(); math.Abs(noise) < 0.97*bound {
-						t.Fatalf("seed %#x gives cell %d noise %v, not extreme (bound %v)", seed, cell, noise, bound)
-					}
-					wl := r.Intn(4)
-					op := c.BeginRead(wl, seed)
-					x0 := op.vth0[cell]
-					win := noiseWindow(x0, op.bound)
-					op.Close()
-					var target []float64
-					for _, y := range []float64{x0, x0 + noise, win.lo, win.hi} {
-						target = append(target, y, math.Nextafter(y, math.Inf(1)), math.Nextafter(y, math.Inf(-1)))
-					}
-					// Short runs on fresh handles: the first queries
-					// meet the extreme cell before anything has drawn
-					// its noise or redrawn it away.
-					for run := 0; run < 40; run++ {
-						runLazyEager(t, c, wl, seed, r, target, 3)
-					}
+				for _, cacheZ := range []bool{true, false} {
+					testLazyMatchesEager(t, kind, cells, aged, cacheZ)
 				}
 			}
 		}
 	}
 }
 
+func testLazyMatchesEager(t *testing.T, kind Kind, cells int, aged, cacheZ bool) {
+	pe, hours := 0, 0.0
+	if aged {
+		pe, hours = 5000, physics.YearHours
+	}
+	c := lazyChip(t, kind, cells, pe, hours, cacheZ)
+	r := mathx.NewRand(uint64(cells) + uint64(pe))
+	for trial := 0; trial < 6; trial++ {
+		runLazyEager(t, c, r.Intn(4), r.Uint64(), r, nil, 60)
+	}
+	// Seeds whose noise for one cell comes from the extreme hashes
+	// (|z| ≈ 8.3, the edge of every noise window), with queries aimed on
+	// and one ulp around that cell's noiseless and noisy Vth and the
+	// window edges.
+	for _, h := range []uint64{0, math.MaxUint64, 1 << 11, math.MaxUint64 - 1<<11} {
+		cell := r.Intn(cells)
+		seed := extremeSeed(cell, h)
+		noise := c.Model().ReadNoise(seed, cell)
+		if bound := c.Model().Noise(seed).Bound(); math.Abs(noise) < 0.97*bound {
+			t.Fatalf("seed %#x gives cell %d noise %v, not extreme (bound %v)", seed, cell, noise, bound)
+		}
+		wl := r.Intn(4)
+		op := c.BeginRead(wl, seed)
+		x0 := op.vth0[cell]
+		win := noiseWindow(x0, op.bound)
+		op.Close()
+		var target []float64
+		for _, y := range []float64{x0, x0 + noise, win.lo, win.hi} {
+			target = append(target, y, math.Nextafter(y, math.Inf(1)), math.Nextafter(y, math.Inf(-1)))
+		}
+		// Short runs on fresh handles: the first queries meet the extreme
+		// cell before anything has drawn its noise or redrawn it away.
+		for run := 0; run < 40; run++ {
+			runLazyEager(t, c, wl, seed, r, target, 3)
+		}
+	}
+}
+
 // FuzzReadOpLazyEager fuzzes the lazy/eager differential check over the
-// read seed, query offsets, page, wear and retention.
+// read seed, query offsets, page, wear and retention. Bit 2 of page
+// picks QLC and bit 3 hashed program offsets (CacheZ off).
 func FuzzReadOpLazyEager(f *testing.F) {
 	f.Add(uint64(1), 0.0, 10.0, uint8(2), uint16(0), 0.0)
 	f.Add(uint64(7), -40.0, math.Inf(1), uint8(1), uint16(3000), 720.0)
 	f.Add(uint64(99), math.NaN(), -1e9, uint8(3), uint16(5000), float64(physics.YearHours))
+	f.Add(uint64(5), 3.0, -2.0, uint8(8|4|1), uint16(2000), 100.0)
+	f.Add(uint64(12), -1.5, 4.0, uint8(8|2), uint16(5000), float64(physics.YearHours))
 	f.Fuzz(func(t *testing.T, seed uint64, off1, off2 float64, page uint8, pe uint16, hours float64) {
 		if !(hours >= 0 && hours <= 1e6) {
 			hours = 0
@@ -420,7 +431,7 @@ func FuzzReadOpLazyEager(f *testing.F) {
 		if page&4 != 0 {
 			kind = QLC
 		}
-		c := lazyChip(t, kind, 200+int(seed%57), int(pe), hours)
+		c := lazyChip(t, kind, 200+int(seed%57), int(pe), hours, page&8 == 0)
 		r := mathx.NewRand(seed)
 		wl := int(seed>>8) % 4
 		p := int(page) % c.Coding().Bits()
@@ -466,7 +477,7 @@ func (f *pinFault) PerturbVth(wl int, readSeed uint64, vth []float64) {
 // voltage and must sense as set on every draw; the lazy path would add
 // noise on top of the pin and lose it on about half of them.
 func TestReadOpFaultModelStaysEager(t *testing.T) {
-	c := lazyChip(t, TLC, 256, 3000, 720)
+	c := lazyChip(t, TLC, 256, 3000, 720, true)
 	sv := c.Coding().SentinelVoltage()
 	f := &pinFault{pin: c.Model().DefaultReadVoltage(sv)}
 	c.SetFaults(f)
@@ -497,7 +508,7 @@ func TestReadOpFaultModelStaysEager(t *testing.T) {
 // the +Inf level and not the NaN one, as the scan-and-stop reference
 // reads it, on the lazy and the eager handle alike.
 func TestReadPageNaNAfterInfiniteLevel(t *testing.T) {
-	c := lazyChip(t, QLC, 200, 0, 0)
+	c := lazyChip(t, QLC, 200, 0, 0, true)
 	msb := c.Coding().Bits() - 1
 	pv := c.Coding().PageVoltages(msb)
 	o := make(Offsets, c.Coding().NumVoltages())

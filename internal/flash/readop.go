@@ -15,14 +15,14 @@ import (
 // convenience methods (Chip.Sense, Chip.ReadPage, ...) are one-query
 // wrappers around a ReadOp.
 //
-// Lazy sensing noise: on a chip with cached program offsets (CacheZ) and
-// no fault model, BeginRead computes only each cell's noiseless Vth, and
-// a query adds a cell's sensing noise — once, cached for the handle's
-// later queries — only when the cell lies close enough to a voltage the
-// query compares for the noise to change the outcome (see noiseWindow).
-// Every answer is bit-identical to the eager handle's, which draws every
-// cell's noise up front; that one serves chips with a fault model (its
-// PerturbVth runs after the noise) and chips without CacheZ.
+// Lazy sensing noise: on a chip without a fault model, BeginRead
+// computes only each cell's noiseless Vth, and a query adds a cell's
+// sensing noise — once, cached for the handle's later queries — only
+// when the cell lies close enough to a voltage the query compares for
+// the noise to change the outcome (see noiseWindow). Every answer is
+// bit-identical to the eager handle's, which draws every cell's noise up
+// front. Only a fault model keeps a read eager: its PerturbVth runs
+// after the noise, on the whole vector.
 //
 // Lifetime and pooling: a ReadOp borrows its buffers (and the struct
 // itself) from package-level pools; call Close when done — queries after
@@ -76,7 +76,7 @@ func (c *Chip) BeginRead(wl int, readSeed uint64) *ReadOp {
 	w := c.wordline(wl)
 	n := c.cfg.CellsPerWordline
 	op.c, op.wl, op.readSeed, op.states = c, wl, readSeed, w.states
-	if w.zcache == nil || c.faults != nil {
+	if c.faults != nil {
 		op.vth = c.vthAll(wl, readSeed, vthPool.get(n), &op.env)
 		return op
 	}

@@ -18,8 +18,9 @@
 // cells live on the exact mathx.LogHist bucket grid with an integer
 // fixed-point sum, so concurrent updates commute; per-shard cells are
 // reconstructed and merged in fixed shard order at snapshot time.
-// Gauges carry wall-clock rates, and wall-clock histograms (WallHist)
-// time requests on the host; Snapshot.Deterministic strips both.
+// Gauges carry wall-clock rates, wall-clock histograms (WallHist) time
+// requests on the host, and wall-clock counters (WallCounter) count
+// events decided by host time; Snapshot.Deterministic strips all three.
 package obs
 
 import (
@@ -51,7 +52,6 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHist
-	kindWallHist
 )
 
 func (k kind) String() string {
@@ -60,17 +60,17 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindWallHist:
-		return "wall-clock histogram"
 	default:
 		return "histogram"
 	}
 }
 
-// family is one named metric with a cell per shard.
+// family is one named metric with a cell per shard. wall marks one
+// that depends on host time (Set.WallCounter, Set.WallHist).
 type family struct {
 	name, help string
 	kind       kind
+	wall       bool
 	counters   []*Counter
 	gauges     []*Gauge
 	hists      []*Hist
@@ -123,20 +123,20 @@ func (r *Registry) Set(s int) *Set {
 }
 
 // family returns the named family, creating it (with cells for every
-// shard) on first use. Re-registering a name under a different kind is
-// a wiring bug and panics.
-func (r *Registry) family(name, help string, k kind) *family {
+// shard) on first use. Re-registering a name under a different kind, or
+// with and without wall, is a wiring bug and panics.
+func (r *Registry) family(name, help string, k kind, wall bool) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if ok {
-		if f.kind != k {
-			panic(fmt.Sprintf("obs: metric %q registered as %v, requested as %v",
-				name, f.kind, k))
+		if f.kind != k || f.wall != wall {
+			panic(fmt.Sprintf("obs: metric %q registered as %v (wall %v), requested as %v (wall %v)",
+				name, f.kind, f.wall, k, wall))
 		}
 		return f
 	}
-	f = &family{name: name, help: help, kind: k}
+	f = &family{name: name, help: help, kind: k, wall: wall}
 	switch k {
 	case kindCounter:
 		f.counters = make([]*Counter, r.shards)
@@ -148,7 +148,7 @@ func (r *Registry) family(name, help string, k kind) *family {
 		for i := range f.gauges {
 			f.gauges[i] = &Gauge{}
 		}
-	case kindHist, kindWallHist:
+	case kindHist:
 		f.hists = make([]*Hist, r.shards)
 		for i := range f.hists {
 			f.hists[i] = newHist()
@@ -190,7 +190,16 @@ func (s *Set) Counter(name, help string) *Counter {
 	if s == nil {
 		return nil
 	}
-	return s.r.family(name, help, kindCounter).counters[s.shard]
+	return s.r.family(name, help, kindCounter, false).counters[s.shard]
+}
+
+// WallCounter is Counter for events decided by wall-clock time, like
+// WallHist kept by snapshots and stripped by Snapshot.Deterministic.
+func (s *Set) WallCounter(name, help string) *Counter {
+	if s == nil {
+		return nil
+	}
+	return s.r.family(name, help, kindCounter, true).counters[s.shard]
 }
 
 // Gauge returns this shard's cell of the named gauge.
@@ -198,7 +207,7 @@ func (s *Set) Gauge(name, help string) *Gauge {
 	if s == nil {
 		return nil
 	}
-	return s.r.family(name, help, kindGauge).gauges[s.shard]
+	return s.r.family(name, help, kindGauge, false).gauges[s.shard]
 }
 
 // Hist returns this shard's cell of the named histogram.
@@ -206,7 +215,7 @@ func (s *Set) Hist(name, help string) *Hist {
 	if s == nil {
 		return nil
 	}
-	return s.r.family(name, help, kindHist).hists[s.shard]
+	return s.r.family(name, help, kindHist, false).hists[s.shard]
 }
 
 // WallHist is Hist for wall-clock samples, which depend on the host and
@@ -215,7 +224,7 @@ func (s *Set) WallHist(name, help string) *Hist {
 	if s == nil {
 		return nil
 	}
-	return s.r.family(name, help, kindWallHist).hists[s.shard]
+	return s.r.family(name, help, kindHist, true).hists[s.shard]
 }
 
 // SlowRing returns this shard's slow-read ring, or nil when the trace

@@ -10,10 +10,12 @@ import (
 	"sentinel3d/internal/mathx"
 )
 
-// CounterSnap is one counter family merged across shards.
+// CounterSnap is one counter family merged across shards. Volatile
+// marks a wall-clock family (Set.WallCounter).
 type CounterSnap struct {
 	Name, Help string
 	Value      int64
+	Volatile   bool
 }
 
 // GaugeSnap is one shard's gauge cell (gauges are per-shard facts —
@@ -33,7 +35,7 @@ type HistSnap struct {
 }
 
 // Snapshot is a point-in-time view of a registry. Taken after writers
-// quiesce it is exact and — gauges and volatile histograms aside —
+// quiesce it is exact and — gauges and volatile families aside —
 // byte-identical at any worker count when rendered.
 type Snapshot struct {
 	Counters []CounterSnap
@@ -57,19 +59,19 @@ func (r *Registry) Snapshot() *Snapshot {
 			for _, c := range f.counters {
 				total += c.Value()
 			}
-			snap.Counters = append(snap.Counters, CounterSnap{f.name, f.help, total})
+			snap.Counters = append(snap.Counters, CounterSnap{f.name, f.help, total, f.wall})
 		case kindGauge:
 			for s, g := range f.gauges {
 				if v, ok := g.Value(); ok {
 					snap.Gauges = append(snap.Gauges, GaugeSnap{f.name, f.help, s, v})
 				}
 			}
-		case kindHist, kindWallHist:
+		case kindHist:
 			merged := &mathx.LogHist{}
 			for _, h := range f.hists {
 				merged.Merge(h.snapshot())
 			}
-			snap.Hists = append(snap.Hists, HistSnap{f.name, f.help, merged, f.kind == kindWallHist})
+			snap.Hists = append(snap.Hists, HistSnap{f.name, f.help, merged, f.wall})
 		}
 	}
 	r.mu.Lock()
@@ -82,12 +84,19 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 // Deterministic returns the snapshot with the wall-clock-derived
-// gauges and volatile histograms stripped: everything left is a pure
-// function of the workload, so two runs of the same trace render
-// identically at any worker count. Determinism tests compare this view.
+// gauges and volatile counters and histograms stripped: everything left
+// is a pure function of the workload, so two runs of the same trace
+// render identically at any worker count. Determinism tests compare
+// this view.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := *s
 	out.Gauges = nil
+	out.Counters = nil
+	for _, c := range s.Counters {
+		if !c.Volatile {
+			out.Counters = append(out.Counters, c)
+		}
+	}
 	out.Hists = nil
 	for _, h := range s.Hists {
 		if !h.Volatile {

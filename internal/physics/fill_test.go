@@ -62,23 +62,20 @@ func TestFillCellZMatchesCellZ(t *testing.T) {
 	}
 }
 
-func TestFillVthMatchesCellVth(t *testing.T) {
+func TestFillCellZ64MatchesCellZ(t *testing.T) {
 	for _, mk := range []func() Params{TLC, QLC} {
 		m := fillTestModel(t, mk, 13)
-		n := 283
-		states := make([]uint8, n)
-		for i := range states {
-			states[i] = uint8(i % m.P.States())
-		}
-		st := Stress{PECycles: 3000}
-		st = st.Aged(m.P, 1000, RoomTempC)
-		env := m.Env(2, 77, st)
-		dst := make([]float64, n)
-		m.FillVth(env, 77, states, 4, 0xabc, dst)
-		for i := range dst {
-			want := m.CellVth(env, 77, i, n, int(states[i]), 4, 0xabc)
-			if dst[i] != want || math.IsNaN(dst[i]) {
-				t.Fatalf("cell %d: FillVth %v != CellVth %v", i, dst[i], want)
+		dst := make([]float64, 283)
+		for _, g := range []uint64{0, 77, 999} {
+			for _, epoch := range []uint64{1, 4} {
+				m.FillCellZ64(g, epoch, dst)
+				for i := range dst {
+					want := m.CellZ(g, i, epoch)
+					if dst[i] != want || math.IsNaN(dst[i]) {
+						t.Fatalf("wl %d epoch %d cell %d: FillCellZ64 %v != CellZ %v",
+							g, epoch, i, dst[i], want)
+					}
+				}
 			}
 		}
 	}

@@ -214,6 +214,19 @@ func (ns NoiseStream) Bound() float64 {
 // entry is bit-identical to float32(CellZ(globalWL, cell, epoch)); only
 // the per-(wordline, epoch) hash setup is hoisted out of the loop.
 func (m *Model) FillCellZ(globalWL, epoch uint64, dst []float32) {
+	fillCellZ(m, globalWL, epoch, dst)
+}
+
+// FillCellZ64 is FillCellZ at full precision: each entry is exactly
+// CellZ(globalWL, cell, epoch).
+func (m *Model) FillCellZ64(globalWL, epoch uint64, dst []float64) {
+	fillCellZ(m, globalWL, epoch, dst)
+}
+
+// fillCellZ is the loop behind FillCellZ and FillCellZ64: CellZ's hash
+// draws with the per-(wordline, epoch) setup hoisted, each z rounded to
+// Z only at the store.
+func fillCellZ[Z float32 | float64](m *Model, globalWL, epoch uint64, dst []Z) {
 	base := mathx.Mix3(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch))
 	tf, tm := m.P.TailFrac, m.P.TailMult
 	for i := range dst {
@@ -222,34 +235,7 @@ func (m *Model) FillCellZ(globalWL, epoch uint64, dst []float32) {
 		if tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < tf {
 			z *= tm
 		}
-		dst[i] = float32(z)
-	}
-}
-
-// FillVth writes the threshold voltage of every cell of one read
-// operation into dst (the hash-path analogue of the chip's zcache read).
-// dst[i] is bit-identical to CellVth(env, globalWL, i, len(dst),
-// states[i], epoch, readSeed): the same hash draws, the same
-// floating-point summation order, only the per-read stream setup hoisted
-// out of the loop.
-func (m *Model) FillVth(env WLEnv, globalWL uint64, states []uint8, epoch, readSeed uint64, dst []float64) {
-	zbase := mathx.Mix3(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch))
-	tf, tm := m.P.TailFrac, m.P.TailMult
-	ns := m.Noise(readSeed)
-	nf := float64(len(dst))
-	for i := range dst {
-		s := int(states[i])
-		pos := (float64(i)+0.5)/nf - 0.5
-		var grad float64
-		if s > 0 {
-			grad = float64(env.Gradient * pos)
-		}
-		h := mathx.Mix(zbase, uint64(i))
-		z := mathx.GaussFromHash(h)
-		if tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < tf {
-			z *= tm
-		}
-		dst[i] = env.Mean[s] + grad + float64(env.Sigma[s]*z) + ns.At(i)
+		dst[i] = Z(z)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func testCfg(kind flash.Kind) flash.Config {
 	return flash.Config{
 		Kind: kind, Layers: 16, WordlinesPerLayer: 2,
-		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 4, CacheZ: true,
+		CellsPerWordline: 16384, Seed: 4, CacheZ: true,
 	}
 }
 

@@ -29,7 +29,7 @@ func NewEngine(model *Model, layout Layout, cal Calibrator, cfg flash.Config) (*
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if err := layout.Validate(cfg); err != nil {
+	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cal.Validate(); err != nil {

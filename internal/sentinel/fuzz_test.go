@@ -19,7 +19,6 @@ func fuzzEngine(tb testing.TB) (*Engine, flash.Config) {
 		Layers:            1,
 		WordlinesPerLayer: 1,
 		CellsPerWordline:  1024,
-		OOBFraction:       0.119,
 		Seed:              1,
 	}
 	corr := make([]LinearRel, 7)

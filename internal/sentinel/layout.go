@@ -66,17 +66,12 @@ func DefaultLayout() Layout {
 	return Layout{Ratio: 0.002, Placement: TailOOB}
 }
 
-// Validate reports layout errors against a chip configuration.
-func (l Layout) Validate(cfg flash.Config) error {
+// Validate reports layout errors. A ratio in (0, 0.1] keeps tail
+// sentinels inside the OOB area (flash.Config.OOBCells, 11.9% of the
+// cells) of every wordline flash.New accepts.
+func (l Layout) Validate() error {
 	if l.Ratio <= 0 || l.Ratio > 0.1 {
 		return fmt.Errorf("sentinel: ratio %v out of (0, 0.1]", l.Ratio)
-	}
-	if l.Count(cfg) < 2 {
-		return fmt.Errorf("sentinel: ratio %v yields fewer than 2 sentinels", l.Ratio)
-	}
-	if l.Placement == TailOOB && l.Count(cfg) > cfg.OOBCells() {
-		return fmt.Errorf("sentinel: %d sentinels exceed the %d spare OOB cells",
-			l.Count(cfg), cfg.OOBCells())
 	}
 	return nil
 }

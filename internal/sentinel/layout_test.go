@@ -9,13 +9,13 @@ import (
 func cfg16k() flash.Config {
 	return flash.Config{
 		Kind: flash.QLC, Layers: 8, WordlinesPerLayer: 2,
-		CellsPerWordline: 16384, OOBFraction: 0.119, Seed: 3, CacheZ: true,
+		CellsPerWordline: 16384, Seed: 3, CacheZ: true,
 	}
 }
 
 func TestDefaultLayoutValid(t *testing.T) {
 	l := DefaultLayout()
-	if err := l.Validate(cfg16k()); err != nil {
+	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if l.Ratio != 0.002 {
@@ -37,24 +37,32 @@ func TestLayoutCount(t *testing.T) {
 }
 
 func TestLayoutValidateErrors(t *testing.T) {
-	cfg := cfg16k()
-	if err := (Layout{Ratio: 0}).Validate(cfg); err == nil {
+	if err := (Layout{Ratio: 0}).Validate(); err == nil {
 		t.Fatal("accepted zero ratio")
 	}
-	if err := (Layout{Ratio: 0.2}).Validate(cfg); err == nil {
+	if err := (Layout{Ratio: 0.2}).Validate(); err == nil {
 		t.Fatal("accepted 20% ratio")
 	}
-	if err := (Layout{Ratio: 0.054, Placement: TailOOB}).Validate(cfg); err != nil {
+	if err := (Layout{Ratio: 0.054, Placement: TailOOB}).Validate(); err != nil {
 		t.Fatalf("rejected 5.4%% (needed by scaled Table I sweeps): %v", err)
 	}
 	// Sentinels must fit in the OOB for tail placement.
-	if err := (Layout{Ratio: 0.04, Placement: TailOOB}).Validate(cfg); err != nil {
+	if err := (Layout{Ratio: 0.04, Placement: TailOOB}).Validate(); err != nil {
 		t.Fatalf("4%% should still fit in 11.9%% OOB: %v", err)
 	}
-	tight := cfg
-	tight.OOBFraction = 0.001
-	if err := (Layout{Ratio: 0.01, Placement: TailOOB}).Validate(tight); err == nil {
-		t.Fatal("accepted sentinels exceeding OOB")
+}
+
+// The largest valid ratio keeps tail sentinels inside the OOB area of
+// every wordline width flash.New accepts, which is why Validate needs
+// no chip configuration.
+func TestMaxRatioFitsOOB(t *testing.T) {
+	l := Layout{Ratio: 0.1, Placement: TailOOB}
+	for cells := 64; cells <= 1<<18; cells++ {
+		cfg := cfg16k()
+		cfg.CellsPerWordline = cells
+		if n, oob := l.Count(cfg), cfg.OOBCells(); n > oob {
+			t.Fatalf("%d cells: %d sentinels exceed the %d OOB cells", cells, n, oob)
+		}
 	}
 }
 

@@ -62,8 +62,8 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-func (tc TrainConfig) validate(cfg flash.Config) error {
-	if err := tc.Layout.Validate(cfg); err != nil {
+func (tc TrainConfig) validate() error {
+	if err := tc.Layout.Validate(); err != nil {
 		return err
 	}
 	if len(tc.Points) == 0 {
@@ -187,10 +187,10 @@ func TrainSamples(chip *flash.Chip, tc TrainConfig) (ds, opts []float64, err err
 // (d, sentinel optimum) pairs; when cc is non-nil it also accumulates
 // full optimal-offset vectors for the correlation fit.
 func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector) (ds, opts []float64, err error) {
-	cfg := chip.Config()
-	if err := tc.validate(cfg); err != nil {
+	if err := tc.validate(); err != nil {
 		return nil, nil, err
 	}
+	cfg := chip.Config()
 	coding := chip.Coding()
 	sv := coding.SentinelVoltage()
 	indices := tc.Layout.Indices(cfg)

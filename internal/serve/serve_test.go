@@ -186,8 +186,9 @@ func serveReads(t *testing.T, s *Server, tenant string, n int) {
 
 // TestSnapshotDeterministicAcrossServers: two fresh servers serving the
 // same reads render the same deterministic snapshot. The wall-clock
-// histograms (fleet.queue_wait_us, serve.tenant.*.wall_us) stay in the
-// full snapshot and out of the deterministic view.
+// histograms (fleet.queue_wait_us, serve.tenant.*.wall_us) and counters
+// (serve.tenant.*.slo_violations and .deadline, serve.late_replies)
+// stay in the full snapshot and out of the deterministic view.
 func TestSnapshotDeterministicAcrossServers(t *testing.T) {
 	render := func() (full, det string) {
 		s, err := New(testConfig())
@@ -205,7 +206,9 @@ func TestSnapshotDeterministicAcrossServers(t *testing.T) {
 	if a != b {
 		t.Fatalf("deterministic snapshots differ:\n%s\nvs\n%s", a, b)
 	}
-	for _, name := range []string{"sentinel3d_fleet_queue_wait_us", "sentinel3d_serve_tenant_gold_wall_us"} {
+	for _, name := range []string{"sentinel3d_fleet_queue_wait_us", "sentinel3d_serve_tenant_gold_wall_us",
+		"sentinel3d_serve_tenant_gold_slo_violations", "sentinel3d_serve_tenant_bronze_deadline",
+		"sentinel3d_serve_late_replies"} {
 		if !strings.Contains(full, name) || strings.Contains(a, name) {
 			t.Errorf("%s: want it in the full snapshot only", name)
 		}

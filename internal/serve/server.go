@@ -167,7 +167,7 @@ func New(cfg Config) (*Server, error) {
 		ladder:          newLadder(fleet.MaxQueueFrac, set),
 		inflight:        make(chan struct{}, maxInflight),
 		inflightRejects: set.Counter("serve.inflight_rejects", "requests bounced by the global in-flight cap"),
-		lateReplies:     set.Counter("serve.late_replies", "completed reads discarded past deadline+grace"),
+		lateReplies:     set.WallCounter("serve.late_replies", "completed reads discarded past deadline+grace"),
 	}
 	for _, tc := range cfg.Tenants {
 		if err := tc.withDefaults(); err != nil {

@@ -104,12 +104,12 @@ func newTenant(cfg TenantConfig, set *obs.Set) *tenant {
 			shed:          set.Counter(p+"shed", "requests shed by the overload ladder"),
 			throttled:     set.Counter(p+"throttled", "requests rejected by the token bucket"),
 			queueFull:     set.Counter(p+"queue_full", "requests bounced off a full shard queue"),
-			deadline:      set.Counter(p+"deadline", "requests past deadline (reject-on-arrival or late reply)"),
+			deadline:      set.WallCounter(p+"deadline", "requests past deadline (reject-on-arrival or late reply)"),
 			uncorrectable: set.Counter(p+"uncorrectable", "requests with at least one uncorrectable page"),
 			fallback:      set.Counter(p+"fallback", "requests that used the static-table fallback"),
 			failFast:      set.Counter(p+"fail_fast", "requests cut off by the fail-fast retry budget"),
 			forcedTable:   set.Counter(p+"forced_table", "requests whose policy was overridden to the static table"),
-			sloViolations: set.Counter(p+"slo_violations", "answered requests slower than the tenant SLO"),
+			sloViolations: set.WallCounter(p+"slo_violations", "answered requests slower than the tenant SLO"),
 			wallUS:        set.WallHist(p+"wall_us", "wall-clock request latency"),
 		},
 	}

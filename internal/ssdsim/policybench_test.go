@@ -38,7 +38,7 @@ func policyBenchSamplers() (sentinelPool, historyPool *EmpiricalSampler, err err
 		mkCfg := func(seed uint64) flash.Config {
 			return flash.Config{
 				Kind: flash.TLC, Layers: 16, WordlinesPerLayer: 2,
-				CellsPerWordline: 16384, OOBFraction: 0.119, Seed: seed, CacheZ: true,
+				CellsPerWordline: 16384, Seed: seed, CacheZ: true,
 			}
 		}
 		layout := sentinel.Layout{Ratio: 0.02, Placement: sentinel.TailOOB}

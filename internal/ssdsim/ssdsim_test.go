@@ -219,7 +219,7 @@ func TestBuildSamplerFromChip(t *testing.T) {
 	// the sampler reflects aging.
 	cfg := flash.Config{
 		Kind: flash.TLC, Layers: 8, WordlinesPerLayer: 2,
-		CellsPerWordline: 8192, OOBFraction: 0.119, Seed: 11, CacheZ: true,
+		CellsPerWordline: 8192, Seed: 11, CacheZ: true,
 	}
 	chip := flash.MustNew(cfg)
 	rng := mathx.NewRand(1)
