@@ -40,8 +40,7 @@ func main() {
 	// Pick the wordline whose inference lands farthest from the truth
 	// among those whose optimum is actually decodable — the interesting
 	// calibration case.
-	decodableAtOptimum := func(wl int) bool {
-		opt := lab.OptimalOffsets(wl)
+	decodableAt := func(wl int, opt flash.Offsets) bool {
 		read := chip.ReadPage(wl, chip.Coding().Bits()-1, opt, uint64(wl)+7777)
 		truthBits := chip.TrueBits(wl, chip.Coding().Bits()-1)
 		errs := make(flash.Bitmap, len(read))
@@ -52,12 +51,13 @@ func main() {
 	}
 	worstWL, worstGap := 0, -1.0
 	for wl := 0; wl < cfg.WordlinesPerBlock(); wl++ {
-		if !decodableAtOptimum(wl) {
+		opt := lab.OptimalOffsets(wl)
+		if !decodableAt(wl, opt) {
 			continue
 		}
 		sense := chip.Sense(wl, sv, 0, uint64(wl)+9000)
 		_, inf := eng.Infer(sense)
-		gap := inf.Get(sv) - lab.OptimalOffset(wl, sv)
+		gap := inf.Get(sv) - opt.Get(sv)
 		if gap < 0 {
 			gap = -gap
 		}
@@ -66,7 +66,7 @@ func main() {
 		}
 	}
 	wl := worstWL
-	truth := lab.OptimalOffset(wl, sv)
+	truth := lab.OptimalOffsets(wl).Get(sv)
 	fmt.Printf("wordline %d (layer %d): ground-truth optimal V%d offset = %.1f\n\n",
 		wl, chip.LayerOf(wl), sv, truth)
 

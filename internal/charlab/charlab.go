@@ -92,51 +92,39 @@ func (l *Lab) readsOn(op *flash.ReadOp, first int, f func(op *flash.ReadOp)) {
 	}
 }
 
-// SweepCurve returns the offset grid and the total error count of
-// voltage v at each offset on wordline wl, averaged over averageReads
-// reads. This is the paper's Figure 2 curve.
-func (l *Lab) SweepCurve(wl, v int) (offs []float64, errs []float64) {
-	offs = sweepGrid()
-	errs = make([]float64, len(offs))
-	l.reads(wl, 0, func(op *flash.ReadOp) {
-		ups, downs := op.SweepVoltageErrors(v, offs)
-		for i := range errs {
-			errs[i] += float64(ups[i] + downs[i])
+// SweepCurves returns the offset grid and, per read voltage (index v-1),
+// the total error count of voltage v at each offset on wordline wl,
+// averaged over averageReads reads — the full family of the paper's
+// Figure 2 curves. All voltages share each repetition's read operation
+// and one planned sweep.
+func (l *Lab) SweepCurves(wl int) (offs []float64, errs [][]float64) {
+	op := l.Chip.BeginRead(wl, l.readSeed(wl, 0))
+	defer op.Close()
+	errs = l.errorSums(op)
+	for _, row := range errs {
+		for i := range row {
+			row[i] /= float64(averageReads)
 		}
-	})
-	for i := range errs {
-		errs[i] /= float64(averageReads)
 	}
-	return offs, errs
+	return sweepGrid(), errs
 }
 
-// SweepCurves returns the offset grid and, per read voltage (index v-1),
-// the averaged total error curve of voltage v — the full family of
-// Figure 2 curves. All voltages share each repetition's read operation
-// (one threshold-voltage materialization serves every boundary), so the
-// whole family costs averageReads reads instead of averageReads per
-// voltage, and each curve is byte-identical to SweepCurve's.
-func (l *Lab) SweepCurves(wl int) (offs []float64, errs [][]float64) {
-	offs = sweepGrid()
-	nv := l.Chip.Coding().NumVoltages()
-	errs = make([][]float64, nv)
-	for v := range errs {
-		errs[v] = make([]float64, len(offs))
-	}
-	l.reads(wl, 0, func(op *flash.ReadOp) {
-		rows := op.SweepPlanned(l.sweepPlan())
-		for v := range errs {
-			for i, e := range rows[v] {
-				errs[v][i] += float64(e)
+// errorSums sums, per read voltage (index v-1), the error counts of the
+// lab's offset sweep over averageReads reads through op, which each
+// repetition redraws with the lab's read seeds.
+func (l *Lab) errorSums(op *flash.ReadOp) [][]float64 {
+	sums := make([][]float64, l.Chip.Coding().NumVoltages())
+	l.readsOn(op, 0, func(op *flash.ReadOp) {
+		for v, row := range op.SweepPlanned(l.sweepPlan()) {
+			if sums[v] == nil {
+				sums[v] = make([]float64, len(row))
+			}
+			for i, e := range row {
+				sums[v][i] += float64(e)
 			}
 		}
 	})
-	for v := range errs {
-		for i := range errs[v] {
-			errs[v][i] /= float64(averageReads)
-		}
-	}
-	return offs, errs
+	return sums
 }
 
 // OptimalOffsets locates the ground-truth optimal offset of every read
@@ -153,22 +141,9 @@ func (l *Lab) OptimalOffsets(wl int) flash.Offsets {
 // and the caller may go on to redraw op for measurements of its own.
 func (l *Lab) OptimalOffsetsOn(op *flash.ReadOp) flash.Offsets {
 	offs := sweepGrid()
-	nv := l.Chip.Coding().NumVoltages()
-	acc := make([][]float64, nv)
-	for v := 0; v < nv; v++ {
-		acc[v] = make([]float64, len(offs))
-	}
-	l.readsOn(op, 0, func(op *flash.ReadOp) {
-		rows := op.SweepPlanned(l.sweepPlan())
-		for v := 0; v < nv; v++ {
-			for i, e := range rows[v] {
-				acc[v][i] += float64(e)
-			}
-		}
-	})
-	out := flash.ZeroOffsets(nv)
-	for v := 0; v < nv; v++ {
-		out[v] = refineMinimum(offs, acc[v])
+	out := flash.ZeroOffsets(l.Chip.Coding().NumVoltages())
+	for v, sums := range l.errorSums(op) {
+		out[v] = refineMinimum(offs, sums)
 	}
 	return out
 }
@@ -207,27 +182,6 @@ func refineMinimum(offs, errs []float64) float64 {
 		return offs[minI]
 	}
 	return vertex
-}
-
-// OptimalOffset locates the optimum of a single voltage.
-func (l *Lab) OptimalOffset(wl, v int) float64 {
-	op := l.Chip.BeginRead(wl, l.readSeed(wl, 0))
-	defer op.Close()
-	return l.OptimalOffsetOn(op, v)
-}
-
-// OptimalOffsetOn is OptimalOffset of voltage v on the wordline the
-// caller's handle op reads, through op, as OptimalOffsetsOn.
-func (l *Lab) OptimalOffsetOn(op *flash.ReadOp, v int) float64 {
-	offs := sweepGrid()
-	acc := make([]float64, len(offs))
-	l.readsOn(op, 0, func(op *flash.ReadOp) {
-		ups, downs := op.SweepVoltageErrors(v, offs)
-		for i := range acc {
-			acc[i] += float64(ups[i] + downs[i])
-		}
-	})
-	return refineMinimum(offs, acc)
 }
 
 // PageRBER measures the RBER of page p on wordline wl under offsets o,
@@ -433,9 +387,8 @@ func NewCorrelationCollector(coding *flash.Coding) *CorrelationCollector {
 // Add sweeps the given wordlines at the chip's *current* stress
 // state and records their optima. Call it repeatedly between aging steps.
 // The sweeps fan out per wordline; optima are recorded in wls order and
-// returned, one vector per wordline, so a caller that also needs one
-// voltage's optimum at this stress point need not sweep again: each
-// entry's Get(v) equals OptimalOffset(wl, v) bit for bit.
+// returned, one vector per wordline, each entry equal to
+// OptimalOffsets(wl).
 func (cc *CorrelationCollector) Add(l *Lab, wls []int) ([]flash.Offsets, error) {
 	optima, err := parallel.MapErr(len(wls), func(i int) (flash.Offsets, error) {
 		wl := wls[i]

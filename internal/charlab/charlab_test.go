@@ -43,7 +43,8 @@ func TestGrid(t *testing.T) {
 func TestSweepCurveVShaped(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
 	l := New(c)
-	offs, errs := l.SweepCurve(0, 8)
+	offs, curves := l.SweepCurves(0)
+	errs := curves[8-1]
 	if len(offs) != len(errs) {
 		t.Fatal("length mismatch")
 	}
@@ -61,25 +62,35 @@ func TestSweepCurveVShaped(t *testing.T) {
 	}
 }
 
-func TestSweepCurvesMatchSweepCurve(t *testing.T) {
-	// The fused all-voltage sweep promises byte-identical curves to the
-	// per-voltage path — same read seeds, same counts, same float
-	// accumulation order.
-	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
-	l := New(c)
-	offs, curves := l.SweepCurves(1)
-	if len(curves) != c.Coding().NumVoltages() {
-		t.Fatalf("got %d curves, want %d", len(curves), c.Coding().NumVoltages())
-	}
-	for v := 1; v <= len(curves); v++ {
-		wantOffs, want := l.SweepCurve(1, v)
-		if len(offs) != len(wantOffs) {
-			t.Fatal("grid length mismatch")
-		}
-		for i := range want {
-			if curves[v-1][i] != want[i] {
-				t.Fatalf("V%d at %v: SweepCurves %v != SweepCurve %v",
-					v, offs[i], curves[v-1][i], want[i])
+// TestOptimalOffsetsAreCurveMinima pins that the optima and the curves
+// come from one measurement: each voltage's optimum is the refined
+// minimum of its SweepCurves curve (scaled back to the summed counts,
+// which the halving keeps exact), on fresh and aged TLC and QLC chips.
+func TestOptimalOffsetsAreCurveMinima(t *testing.T) {
+	for _, kind := range []flash.Kind{flash.TLC, flash.QLC} {
+		for _, age := range []struct {
+			pe    int
+			hours float64
+		}{{0, 0}, {3000, physics.YearHours}} {
+			c := smallChip(t, kind, age.pe, age.hours)
+			l := New(c)
+			l.Seed = 0x5eed
+			for _, wl := range []int{0, 5, 11} {
+				all := l.OptimalOffsets(wl)
+				offs, curves := l.SweepCurves(wl)
+				if len(curves) != c.Coding().NumVoltages() {
+					t.Fatalf("got %d curves, want %d", len(curves), c.Coding().NumVoltages())
+				}
+				for v, curve := range curves {
+					sums := make([]float64, len(curve))
+					for i, e := range curve {
+						sums[i] = e * float64(averageReads)
+					}
+					if got, want := all.Get(v+1), refineMinimum(offs, sums); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%v pe=%d wl=%d V%d: optimum %v, curve minimum %v",
+							kind, age.pe, wl, v+1, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -97,43 +108,6 @@ func TestOptimalOffsetsReduceRBER(t *testing.T) {
 		}
 		if opt > 0.5*def {
 			t.Fatalf("wl %d: optimal gain too small (%v vs %v)", wl, opt, def)
-		}
-	}
-}
-
-func TestOptimalOffsetSingleMatchesVector(t *testing.T) {
-	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
-	l := New(c)
-	all := l.OptimalOffsets(3)
-	single := l.OptimalOffset(3, 8)
-	if math.Abs(all.Get(8)-single) > 2*sweepStep {
-		t.Fatalf("single-voltage optimum %v far from vector %v", single, all.Get(8))
-	}
-}
-
-// TestOptimalOffsetsMatchSingleBitwise pins the identity the sentinel
-// trainer relies on to skip a second sweep: the all-voltage sweep's
-// optimum of voltage v is bit for bit the single-voltage sweep's, on
-// fresh and aged TLC and QLC chips, with the lab's seed moved off its
-// default as the trainer moves it.
-func TestOptimalOffsetsMatchSingleBitwise(t *testing.T) {
-	for _, kind := range []flash.Kind{flash.TLC, flash.QLC} {
-		for _, age := range []struct {
-			pe    int
-			hours float64
-		}{{0, 0}, {3000, physics.YearHours}} {
-			c := smallChip(t, kind, age.pe, age.hours)
-			l := New(c)
-			l.Seed = 0x5eed
-			for _, wl := range []int{0, 5, 11} {
-				all := l.OptimalOffsets(wl)
-				for v := 1; v <= c.Coding().NumVoltages(); v++ {
-					if got, want := all.Get(v), l.OptimalOffset(wl, v); math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("%v pe=%d wl=%d v=%d: vector optimum %v, single %v",
-							kind, age.pe, wl, v, got, want)
-					}
-				}
-			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ package ecc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sentinel3d/internal/flash"
 )
@@ -37,61 +36,14 @@ func (m CapabilityModel) Validate() error {
 	return nil
 }
 
-// Frames returns how many frames cover userBits data bits (the last frame
-// may be short).
-func (m CapabilityModel) Frames(userBits int) int {
-	return (userBits + m.FrameBits - 1) / m.FrameBits
-}
-
 // DecodePage reports whether every frame of a page decodes, given the
 // per-cell error bitmap of a page read (bit i set = cell i's page bit was
 // misread) over the first userBits cells.
 func (m CapabilityModel) DecodePage(errs flash.Bitmap, userBits int) bool {
 	for start := 0; start < userBits; start += m.FrameBits {
-		end := start + m.FrameBits
-		if end > userBits {
-			end = userBits
-		}
-		if m.countRange(errs, start, end) > m.T {
+		if errs.PopCountRange(start, min(start+m.FrameBits, userBits)) > m.T {
 			return false
 		}
 	}
 	return true
-}
-
-// WorstFrameErrors returns the highest per-frame error count on the page.
-func (m CapabilityModel) WorstFrameErrors(errs flash.Bitmap, userBits int) int {
-	worst := 0
-	for start := 0; start < userBits; start += m.FrameBits {
-		end := start + m.FrameBits
-		if end > userBits {
-			end = userBits
-		}
-		if n := m.countRange(errs, start, end); n > worst {
-			worst = n
-		}
-	}
-	return worst
-}
-
-func (m CapabilityModel) countRange(errs flash.Bitmap, start, end int) int {
-	n := 0
-	// Word-aligned fast path.
-	for start < end && start%64 != 0 {
-		if errs.Get(start) {
-			n++
-		}
-		start++
-	}
-	for start+64 <= end {
-		n += bits.OnesCount64(errs[start/64])
-		start += 64
-	}
-	for start < end {
-		if errs.Get(start) {
-			n++
-		}
-		start++
-	}
-	return n
 }

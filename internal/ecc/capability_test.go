@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/mathx"
 )
 
 func TestCapabilityValidate(t *testing.T) {
@@ -18,18 +17,6 @@ func TestCapabilityValidate(t *testing.T) {
 	bad = CapabilityModel{FrameBits: 100, T: -1}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted negative T")
-	}
-}
-
-func TestFrames(t *testing.T) {
-	m := CapabilityModel{FrameBits: 100, T: 5}
-	cases := []struct{ bits, want int }{
-		{1, 1}, {100, 1}, {101, 2}, {250, 3},
-	}
-	for _, c := range cases {
-		if got := m.Frames(c.bits); got != c.want {
-			t.Errorf("Frames(%d) = %d, want %d", c.bits, got, c.want)
-		}
 	}
 }
 
@@ -72,44 +59,5 @@ func TestDecodePagePartialLastFrame(t *testing.T) {
 	errs.Set(131, true)
 	if m.DecodePage(errs, 192) {
 		t.Fatal("two errors in short frame decoded with T=1")
-	}
-}
-
-func TestWorstFrameErrors(t *testing.T) {
-	m := CapabilityModel{FrameBits: 64, T: 10}
-	errs := flash.NewBitmap(192)
-	errs.Set(0, true)
-	errs.Set(65, true)
-	errs.Set(66, true)
-	errs.Set(67, true)
-	errs.Set(128, true)
-	if got := m.WorstFrameErrors(errs, 192); got != 3 {
-		t.Fatalf("WorstFrameErrors = %d, want 3", got)
-	}
-}
-
-func TestCountRangeMatchesNaive(t *testing.T) {
-	// Property: the word-accelerated range count equals bit-by-bit count
-	// for arbitrary ranges.
-	m := CapabilityModel{FrameBits: 7, T: 2} // odd frame size forces
-	// unaligned ranges through DecodePage
-	r := mathx.NewRand(5)
-	for trial := 0; trial < 50; trial++ {
-		n := 64 + r.Intn(400)
-		errs := flash.NewBitmap(n)
-		for i := 0; i < n; i++ {
-			errs.Set(i, r.Float64() < 0.3)
-		}
-		start := r.Intn(n)
-		end := start + r.Intn(n-start)
-		want := 0
-		for i := start; i < end; i++ {
-			if errs.Get(i) {
-				want++
-			}
-		}
-		if got := m.countRange(errs, start, end); got != want {
-			t.Fatalf("countRange(%d,%d) = %d, want %d", start, end, got, want)
-		}
 	}
 }

@@ -62,7 +62,7 @@ func AblatePlacement(s Scale, kind flash.Kind) (*PlacementAblationResult, error)
 		perWL := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) wlErr {
 			sense := chip.Sense(wl, sv, 0, mathx.Mix(0x13c, uint64(wl)))
 			_, inferred := eng.Infer(sense)
-			e := math.Abs(inferred.Get(sv) - lab.OptimalOffset(wl, sv))
+			e := math.Abs(inferred.Get(sv) - lab.OptimalOffsets(wl).Get(sv))
 			g := chip.Model().WLGradient(uint64(wl))
 			return wlErr{e: e, isGrad: math.Abs(g) > chip.Model().P.GradientStd}
 		})

@@ -68,7 +68,7 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 		sense := chip.Sense(wl, sv, 0, mathx.Mix(0xf10, uint64(wl)))
 		_, inferred := eng.Infer(sense)
 		res.Inferred[wl] = inferred.Get(sv)
-		res.Truth[wl] = lab.OptimalOffset(wl, sv)
+		res.Truth[wl] = lab.OptimalOffsets(wl).Get(sv)
 	})
 	return res, nil
 }
@@ -153,7 +153,7 @@ func Table1SentinelRatio(s Scale, kind flash.Kind) (*Table1Result, error) {
 	truth := make([]float64, nwl)
 	senses := make([]flash.Bitmap, nwl)
 	parallel.ForEach(nwl, func(wl int) {
-		truth[wl] = lab.OptimalOffset(wl, sv)
+		truth[wl] = lab.OptimalOffsets(wl).Get(sv)
 		senses[wl] = chip.Sense(wl, sv, 0, mathx.Mix(0x7ab1e, uint64(wl)))
 	})
 
@@ -226,7 +226,7 @@ func Fig12StateChange(s Scale) (*Fig12Result, error) {
 	// Each wordline's normalized curve is independent; fan out, then fold
 	// the per-wordline curves serially in wordline order.
 	perWL := parallel.Map(nwl, func(wl int) []float64 {
-		opt := lab.OptimalOffset(wl, sv)
+		opt := lab.OptimalOffsets(wl).Get(sv)
 		if opt >= -4 {
 			return nil // need a clear downward move for the window to exist
 		}

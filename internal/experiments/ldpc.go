@@ -156,12 +156,13 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 		}
 		chip.Cycle(pe)
 		chip.Age(physics.YearHours, physics.RoomTempC)
+		plan := chip.PlanSweep(fig19Offsets)
 
 		for si, sn := range sensings {
 			for m := Fig19OPT; m <= Fig19Sentinel; m++ {
 				si, sn, m := si, sn, m
 				goods, err := parallel.MapErr(len(frames), func(fi int) (bool, error) {
-					return decodeFrame(chip, model, layout, &frames[fi],
+					return decodeFrame(chip, plan, model, layout, &frames[fi],
 						fullCode, reducedCode, parity, sn, llrTabs[si], m,
 						mathx.Mix4(0x19d, uint64(pe), uint64(si), uint64(fi)))
 				})
@@ -185,7 +186,7 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 }
 
 // decodeFrame reads and decodes one frame under the given method.
-func decodeFrame(chip *flash.Chip, model *sentinel.Model, layout sentinel.Layout,
+func decodeFrame(chip *flash.Chip, plan *flash.SweepPlan, model *sentinel.Model, layout sentinel.Layout,
 	fr *fig19Frame, fullCode, reducedCode *ecc.LDPC, parity int,
 	sn ecc.Sensing, llrTab []float64, m Fig19Method, seed uint64) (bool, error) {
 
@@ -211,7 +212,7 @@ func decodeFrame(chip *flash.Chip, model *sentinel.Model, layout sentinel.Layout
 	switch m {
 	case Fig19OPT:
 		// Ground-truth optimal offset for the boundary, via a sweep.
-		opt := sweepBoundary(chip, fr.wl, sv, seed)
+		opt := sweepBoundary(chip, plan, fr.wl, sv, seed)
 		return attempt(opt, fullCode, k, parity, 1), nil
 	case Fig19CurrentFlash:
 		// Walk the static table on the sentinel boundary.
@@ -275,22 +276,30 @@ func senseLLR(chip *flash.Chip, wl, v int, offset float64, sn ecc.Sensing,
 	return out
 }
 
-// sweepBoundary locates the boundary's optimal offset by error sweep
-// against the programmed states.
-func sweepBoundary(chip *flash.Chip, wl, v int, seed uint64) float64 {
+// sweepBoundary locates boundary v's optimal offset on wordline wl by
+// error sweep against the programmed states, over the grid plan was
+// planned for (fig19Offsets).
+func sweepBoundary(chip *flash.Chip, plan *flash.SweepPlan, wl, v int, seed uint64) float64 {
+	op := chip.BeginRead(wl, seed^0x0b7)
+	errs := op.SweepPlanned(plan)[v-1]
+	op.Close()
+	best := 0
+	for i, e := range errs {
+		if e < errs[best] {
+			best = i
+		}
+	}
+	return fig19Offsets[best]
+}
+
+// fig19Offsets is the OPT method's sweep grid.
+var fig19Offsets = func() []float64 {
 	var offs []float64
 	for o := -50.0; o <= 20; o += 2 {
 		offs = append(offs, o)
 	}
-	ups, downs := chip.SweepVoltageErrors(wl, v, offs, seed^0x0b7)
-	best := 0
-	for i := range offs {
-		if ups[i]+downs[i] < ups[best]+downs[best] {
-			best = i
-		}
-	}
-	return offs[best]
-}
+	return offs
+}()
 
 // SuccessRate returns the rate for a specific configuration.
 func (r *Fig19Result) SuccessRate(pe, sensingBits int, m Fig19Method) (float64, bool) {

@@ -178,8 +178,9 @@ func Fig45Temperature(s Scale) (*Fig45Result, error) {
 			for p := 0; p < bits; p++ {
 				rber[p][wl] = lab.PageRBER(wl, p, nil)
 			}
+			o := lab.OptimalOffsets(wl)
 			for vi, v := range res.Voltages {
-				opts[vi][wl] = lab.OptimalOffset(wl, v)
+				opts[vi][wl] = o.Get(v)
 			}
 		})
 		return rber, opts, nil

@@ -100,7 +100,7 @@ func (c Config) Validate() error {
 //
 //   - All read paths (BeginRead and every ReadOp query, plus the
 //     one-shot wrappers Sense, ReadPage, ReadStates, VoltageErrors,
-//     SweepVoltageErrors, IsProgrammed, Stress, and the accessors) only
+//     IsProgrammed, Stress, and the accessors) only
 //     read chip state — the physics model is stateless (every frozen
 //     offset is re-derived by hashing) — so any number may run
 //     concurrently with each other on any wordlines. The pooled scratch

@@ -64,13 +64,15 @@ func BenchmarkReadOpReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepAllVoltages plans and runs the all-voltage sweep of a
+// full-scale wordline on a fresh handle per iteration.
 func BenchmarkSweepAllVoltages(b *testing.B) {
 	chip := benchChip(b)
 	offs := benchGrid()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.SweepAllVoltages(0, offs, uint64(i))
+		sweepRows(chip, 0, offs, uint64(i))
 	}
 }
 
@@ -98,7 +100,7 @@ func BenchmarkSweepAllVoltagesQuick(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					chip.SweepAllVoltages(0, offs, uint64(i))
+					sweepRows(chip, 0, offs, uint64(i))
 				}
 			})
 		}

@@ -306,19 +306,20 @@ func (lc *lazyEagerCase) step() {
 		v := 1 + r.Intn(nv)
 		offs := lc.grid(v)
 		var lu, ld, eu, ed []int
-		lp := panics(func() { lu, ld = lc.lazy.SweepVoltageErrors(v, offs) })
-		ep := panics(func() { eu, ed = lc.eager.SweepVoltageErrors(v, offs) })
+		lp := panics(func() { lu, ld = lc.lazy.sweepVoltage(v, offs) })
+		ep := panics(func() { eu, ed = lc.eager.sweepVoltage(v, offs) })
 		if lp != ep || fmt.Sprint(lu, ld) != fmt.Sprint(eu, ed) {
-			lc.fail("SweepVoltageErrors(v=%d, %v) = %v %v (panic %v), eager %v %v (panic %v)",
+			lc.fail("sweepVoltage(v=%d, %v) = %v %v (panic %v), eager %v %v (panic %v)",
 				v, offs, lu, ld, lp, eu, ed, ep)
 		}
 	case 5:
 		offs := lc.grid(0)
+		plan := lc.c.PlanSweep(offs)
 		var l, e [][]int
-		lp := panics(func() { l = lc.lazy.SweepAllVoltages(offs) })
-		ep := panics(func() { e = lc.eager.SweepAllVoltages(offs) })
+		lp := panics(func() { l = lc.lazy.SweepPlanned(plan) })
+		ep := panics(func() { e = lc.eager.SweepPlanned(plan) })
 		if lp != ep || fmt.Sprint(l) != fmt.Sprint(e) {
-			lc.fail("SweepAllVoltages(%v) = %v (panic %v), eager %v (panic %v)", offs, l, lp, e, ep)
+			lc.fail("SweepPlanned(%v) = %v (panic %v), eager %v (panic %v)", offs, l, lp, e, ep)
 		}
 	case 6:
 		seed := r.Uint64()

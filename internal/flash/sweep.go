@@ -8,22 +8,13 @@ import (
 	"sentinel3d/internal/physics"
 )
 
-// SweepVoltageErrors counts, for every offset in offs (which must be in
+// sweepVoltage counts, for every offset in offs (which must be in
 // ascending order), the up and down errors that read voltage v would
-// produce, all derived from a single read operation (one shared sensing
-// noise draw). This is the measurement primitive behind characterization
-// sweeps: a real tester likewise re-reads a page across an offset grid.
-//
-// ups[i] + downs[i] is the error count of boundary v at offs[i].
-func (c *Chip) SweepVoltageErrors(wl, v int, offs []float64, readSeed uint64) (ups, downs []int) {
-	op := c.BeginRead(wl, readSeed)
-	defer op.Close()
-	return op.SweepVoltageErrors(v, offs)
-}
-
-// SweepVoltageErrors is the ReadOp form of Chip.SweepVoltageErrors,
-// sharing the handle's threshold-voltage vector.
-func (op *ReadOp) SweepVoltageErrors(v int, offs []float64) (ups, downs []int) {
+// produce on op's read: ups[i] + downs[i] is the error count of
+// boundary v at offs[i]. It is the per-voltage reference kernel, which
+// SweepPlanned must match bit for bit, and serves the grids that hold a
+// NaN.
+func (op *ReadOp) sweepVoltage(v int, offs []float64) (ups, downs []int) {
 	base := op.c.model.DefaultReadVoltage(v)
 	op.noiseSweep([]float64{base}, offs)
 	return sweepOne(base, op.vth, op.states, v, offs)
@@ -131,32 +122,15 @@ func sweepOne(base float64, vths []float64, states []uint8, v int, offs []float6
 	return ups, downs
 }
 
-// SweepAllVoltages classifies every read voltage across the offset grid
-// from a single read operation and returns total error counts indexed as
-// errs[v-1][i] for voltage v at offs[i].
-func (c *Chip) SweepAllVoltages(wl int, offs []float64, readSeed uint64) [][]int {
-	op := c.BeginRead(wl, readSeed)
-	defer op.Close()
-	return op.SweepAllVoltages(offs)
-}
-
-// SweepAllVoltages is the ReadOp form of Chip.SweepAllVoltages. It runs
-// the one-pass multi-boundary kernel: one scan of the cells classifies
-// every (voltage, offset) pair at once, instead of one scan per voltage.
-// It plans the sweep for this call alone; a caller that sweeps many
-// wordlines over one grid plans once (Chip.PlanSweep) and calls
-// SweepPlanned.
-func (op *ReadOp) SweepAllVoltages(offs []float64) [][]int {
-	p := newSweepPlan(op.c.model, op.c.bases(), offs, op.c.coding.States(), op.c.model.Noise(0).Bound())
-	defer p.release()
-	return op.sweep(p)
-}
-
-// SweepPlanned is SweepAllVoltages over the grid p was planned for, bit
-// for bit. A plan from another chip is planned anew for this call.
+// SweepPlanned classifies every read voltage across the offset grid p
+// was planned for, in one scan of the cells, and returns total error
+// counts indexed as errs[v-1][i] for voltage v at offs[i]: what a tester
+// finds re-reading the page across the grid. A plan from another chip
+// is planned anew for this call.
 func (op *ReadOp) SweepPlanned(p *SweepPlan) [][]int {
 	if p.model != op.c.model {
-		return op.SweepAllVoltages(p.offs)
+		p = newSweepPlan(op.c.model, op.c.bases(), p.offs, op.c.coding.States(), op.c.model.Noise(0).Bound())
+		defer p.release()
 	}
 	return op.sweep(p)
 }
@@ -176,7 +150,7 @@ func (op *ReadOp) sweep(p *SweepPlan) [][]int {
 		// The merged-threshold kernel does not model NaN offsets; keep the
 		// reference semantics for such (pathological) grids.
 		for v := 1; v <= p.nv; v++ {
-			ups, downs := op.SweepVoltageErrors(v, p.offs)
+			ups, downs := op.sweepVoltage(v, p.offs)
 			row := make([]int, p.no)
 			for i := range row {
 				row[i] = ups[i] + downs[i]
@@ -298,13 +272,13 @@ var (
 	keyPosInf = floatKey(math.Inf(1))
 )
 
-// SweepPlan is the part of SweepAllVoltages that depends only on the
+// SweepPlan is the part of an all-voltage sweep that depends only on the
 // chip — its default read voltages, states and sensing-noise bound — and
 // the offset grid, not on any cell: the thresholds, their sorted merge,
 // the per-voltage maps and the bucket grid over the noise windows. A
-// caller that sweeps many wordlines over one grid builds it once
-// (Chip.PlanSweep); a plan is read-only once built, so any number of
-// handles may sweep with it concurrently.
+// caller builds it once per grid (Chip.PlanSweep) and sweeps any number
+// of wordlines with it (ReadOp.SweepPlanned); a plan is read-only once
+// built, so any number of handles may sweep with it concurrently.
 //
 // Method: each (voltage v, offset k) pair owns the exact threshold
 // T[v][k] = sweepThreshold(offs[k], bases[v]); cell i satisfies pair
@@ -353,8 +327,8 @@ type SweepPlan struct {
 	wfirst []uint8
 }
 
-// PlanSweep plans SweepAllVoltages over the offset grid offs on this
-// chip's wordlines, for SweepPlanned. offs is copied.
+// PlanSweep plans the all-voltage sweep over the offset grid offs on
+// this chip's wordlines, for SweepPlanned. offs is copied.
 func (c *Chip) PlanSweep(offs []float64) *SweepPlan {
 	return newSweepPlan(c.model, c.bases(), append([]float64(nil), offs...),
 		c.coding.States(), c.model.Noise(0).Bound())

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -19,18 +20,42 @@ func agedQLC(t *testing.T) *Chip {
 	return c
 }
 
+// sweepRows plans the all-voltage sweep over offs and runs it on a
+// fresh handle of wordline wl at readSeed, returning the plan's buffers
+// after.
+func sweepRows(c *Chip, wl int, offs []float64, readSeed uint64) [][]int {
+	plan := c.PlanSweep(offs)
+	defer plan.release()
+	op := c.BeginRead(wl, readSeed)
+	defer op.Close()
+	return op.SweepPlanned(plan)
+}
+
+// sweepVoltageAt is the per-voltage reference sweep of voltage v on
+// wordline wl through a fresh handle.
+func sweepVoltageAt(c *Chip, wl, v int, offs []float64, readSeed uint64) (ups, downs []int) {
+	op := c.BeginRead(wl, readSeed)
+	defer op.Close()
+	return op.sweepVoltage(v, offs)
+}
+
 func TestSweepMatchesPointQueries(t *testing.T) {
-	// Property: the batched sweep must agree exactly with per-offset
-	// VoltageErrors calls at the same read seed.
+	// Property: the per-voltage sweep must agree exactly with per-offset
+	// VoltageErrors calls at the same read seed, and the planned
+	// all-voltage sweep with its totals.
 	c := agedQLC(t)
 	offs := []float64{-30, -20, -10, -5, 0, 5, 10}
+	rows := sweepRows(c, 0, offs, 99)
 	for _, v := range []int{1, 2, 8, 15} {
-		ups, downs := c.SweepVoltageErrors(0, v, offs, 99)
+		ups, downs := sweepVoltageAt(c, 0, v, offs, 99)
 		for i, o := range offs {
 			u, d := c.VoltageErrors(0, v, o, 99)
 			if u != ups[i] || d != downs[i] {
 				t.Fatalf("V%d offset %v: sweep (%d,%d) != point (%d,%d)",
 					v, o, ups[i], downs[i], u, d)
+			}
+			if rows[v-1][i] != u+d {
+				t.Fatalf("V%d offset %v: planned sweep %d != point %d", v, o, rows[v-1][i], u+d)
 			}
 		}
 	}
@@ -43,7 +68,7 @@ func TestSweepMonotoneStructure(t *testing.T) {
 	for o := -40.0; o <= 40; o++ {
 		offs = append(offs, o)
 	}
-	ups, downs := c.SweepVoltageErrors(0, 8, offs, 5)
+	ups, downs := sweepVoltageAt(c, 0, 8, offs, 5)
 	for i := 1; i < len(offs); i++ {
 		if ups[i] > ups[i-1] {
 			t.Fatalf("up errors increased with offset at %v", offs[i])
@@ -62,7 +87,7 @@ func TestSweepVShape(t *testing.T) {
 	for o := -60.0; o <= 60; o++ {
 		offs = append(offs, o)
 	}
-	rows := c.SweepAllVoltages(0, offs, 5)
+	rows := sweepRows(c, 0, offs, 5)
 	for v := 2; v <= 15; v++ {
 		row := rows[v-1]
 		minI, minV := 0, row[0]
@@ -83,12 +108,39 @@ func TestSweepVShape(t *testing.T) {
 
 func TestSweepPanicsOnUnsortedOffsets(t *testing.T) {
 	c := agedQLC(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted offsets accepted")
+	unsorted := []float64{0, -10, 10}
+	for name, sweep := range map[string]func(){
+		"planned":     func() { sweepRows(c, 0, unsorted, 1) },
+		"per-voltage": func() { sweepVoltageAt(c, 0, 8, unsorted, 1) },
+	} {
+		if !panics(sweep) {
+			t.Fatalf("%s sweep accepted unsorted offsets", name)
 		}
-	}()
-	c.SweepVoltageErrors(0, 8, []float64{0, -10, 10}, 1)
+	}
+}
+
+// TestSweepPlannedOtherChip checks SweepPlanned with a plan built on a
+// second chip: it must plan the op's own chip anew and give the rows of
+// that chip's own plan, on TLC and QLC, whether the second chip's
+// thresholds match or not.
+func TestSweepPlannedOtherChip(t *testing.T) {
+	offs := benchGrid()
+	for _, kind := range []Kind{TLC, QLC} {
+		c := MustNew(testConfig(kind))
+		c.ProgramRandom(0, mathx.NewRand(3))
+		c.Cycle(1000)
+		c.Age(physics.YearHours, physics.RoomTempC)
+		for _, otherKind := range []Kind{TLC, QLC} {
+			other := MustNew(testConfig(otherKind))
+			op := c.BeginRead(0, 11)
+			got := op.SweepPlanned(other.PlanSweep(offs))
+			op.Close()
+			want := sweepRows(c, 0, offs, 11)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v with a %v plan: rows %v, own plan %v", kind, otherKind, got, want)
+			}
+		}
+	}
 }
 
 // sweepMulti is the multi-boundary sweep of a given Vth vector, with no
@@ -228,7 +280,7 @@ func TestSweepOptimalBelowDefaultAfterRetention(t *testing.T) {
 	for o := -60.0; o <= 40; o++ {
 		offs = append(offs, o)
 	}
-	rows := c.SweepAllVoltages(0, offs, 7)
+	rows := sweepRows(c, 0, offs, 7)
 	row := rows[7] // V8
 	minI, minV := 0, row[0]
 	for i, e := range row {

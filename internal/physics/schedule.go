@@ -119,32 +119,6 @@ func (e ScheduleEval) hotHoursBefore(t float64) float64 {
 	return float64(n*e.hotPerPeriod) + math.Min(rem, e.hotPerPeriod)
 }
 
-// HotHoursBefore returns the cumulative hot-band hours in [0, t].
-// Exported so hot-path consumers can compute it once per epoch (a
-// block's erase, a clock advance) and evaluate intervals with
-// EffHoursPre instead of paying the schedule arithmetic on every query.
-func (e ScheduleEval) HotHoursBefore(t float64) float64 {
-	if e.hotPerPeriod <= 0 {
-		return 0
-	}
-	return e.hotHoursBefore(t)
-}
-
-// EffHoursPre is EffHours for callers that cached HotHoursBefore at
-// both endpoints: bit-identical to EffHours(from, to), with no per-call
-// schedule arithmetic or validation. The caller must guarantee
-// from <= to (no NaN) and hotFrom/hotTo = HotHoursBefore(from/to).
-func (e ScheduleEval) EffHoursPre(from, to, hotFrom, hotTo float64) float64 {
-	span := to - from
-	hot := hotTo - hotFrom
-	if hot < 0 {
-		hot = 0
-	} else if hot > span {
-		hot = span
-	}
-	return float64(hot*e.afHot) + float64((span-hot)*e.afBase)
-}
-
 // MaxRate returns the schedule's fastest effective-hours accrual rate —
 // an upper bound on d(EffHours)/dt — so consumers can bound how soon a
 // retention threshold can possibly be crossed and skip recomputation

@@ -134,32 +134,6 @@ func TestRetentionClockSplitExactlyAssociative(t *testing.T) {
 	}
 }
 
-// TestEffHoursPreBitIdentical: the cached-endpoint fast path used by
-// the replay hot loop must agree bit-for-bit with the validating
-// EffHours, for constant and periodic schedules alike.
-func TestEffHoursPreBitIdentical(t *testing.T) {
-	p := TLC()
-	rng := rand.New(rand.NewSource(2468))
-	for _, ts := range []TempSchedule{
-		ConstantTemp(RoomTempC),
-		ConstantTemp(55),
-		SquareWave(25, 50, 24, 0.5),
-		SquareWave(20, 65, 7.3, 0.11),
-	} {
-		e := ts.Eval(p)
-		for trial := 0; trial < 500; trial++ {
-			from := rng.Float64() * 2000
-			to := from + rng.Float64()*8000
-			want := e.EffHours(from, to)
-			got := e.EffHoursPre(from, to, e.HotHoursBefore(from), e.HotHoursBefore(to))
-			if got != want { // exact: not a tolerance comparison
-				t.Fatalf("schedule %+v [%v,%v]: EffHoursPre %v (bits %x) != EffHours %v (bits %x)",
-					ts, from, to, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-		}
-	}
-}
-
 func TestRetentionClockMonotoneClamp(t *testing.T) {
 	c := RetentionClock{Eval: ConstantTemp(25).Eval(TLC())}
 	c.AdvanceTo(10)

@@ -571,7 +571,8 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 				spec.SweepV, chip.Coding().NumVoltages())
 		}
 		fmt.Fprintf(&b, "\nerror-vs-offset sweep of V%d on wordline %d:\n", spec.SweepV, wls[0])
-		offs, errs := lab.SweepCurve(wls[0], spec.SweepV)
+		offs, curves := lab.SweepCurves(wls[0])
+		errs := curves[spec.SweepV-1]
 		sweepPoints.Add(int64(len(offs)))
 		_, hi := mathx.MinMax(errs)
 		for i, o := range offs {

@@ -221,7 +221,7 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 	lab := charlab.New(chip)
 	model := chip.Model()
 	type measurement struct {
-		d, opt float64
+		d      float64
 		optima flash.Offsets
 	}
 	for pi, pt := range tc.Points {
@@ -231,23 +231,15 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 		// Vary the lab's read seeds per point so sweeps are independent.
 		lab.Seed = mathx.Mix(tc.Seed, uint64(pi))
 		// Each sampled wordline is measured through one handle: the
-		// sweeps locating its optima (every voltage with the collector,
-		// the sentinel voltage alone without it) redraw it with the lab's
+		// all-voltage sweep locating its optima redraws it with the lab's
 		// seeds, then the repeated senses of d with their own, so each
-		// answers as a fresh handle would. The collector's
-		// sentinel-voltage optima are bit for bit what a single-voltage
-		// sweep would find, so they serve as the d pairs' optima.
+		// answers as a fresh handle would. The sentinel voltage's optimum
+		// is the d pair's; the whole vector goes to the collector.
 		ms := parallel.Map(len(wls), func(wi int) measurement {
 			seed := func(rep int) uint64 { return mathx.Mix4(tc.Seed, uint64(pi), uint64(wi), uint64(rep)) }
 			op := chip.BeginRead(wls[wi], seed(0))
 			defer op.Close()
-			var m measurement
-			if cc != nil {
-				m.optima = lab.OptimalOffsetsOn(op)
-				m.opt = m.optima.Get(sv)
-			} else {
-				m.opt = lab.OptimalOffsetOn(op, sv)
-			}
+			m := measurement{optima: lab.OptimalOffsetsOn(op)}
 			sense := flash.GetBitmap(cfg.CellsPerWordline)
 			for rep := 0; rep < measureReads; rep++ {
 				op.Redraw(seed(rep))
@@ -263,7 +255,7 @@ func collect(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCollector)
 				cc.AddOptima(m.optima)
 			}
 			ds = append(ds, m.d)
-			opts = append(opts, m.opt)
+			opts = append(opts, m.optima.Get(sv))
 		}
 	}
 	return ds, opts, nil

@@ -60,7 +60,7 @@ func collectPerRead(chip *flash.Chip, tc TrainConfig, cc *charlab.CorrelationCol
 			if optima != nil {
 				opts = append(opts, optima[wi].Get(sv))
 			} else {
-				opts = append(opts, lab.OptimalOffset(wl, sv))
+				opts = append(opts, lab.OptimalOffsets(wl).Get(sv))
 			}
 		}
 	}

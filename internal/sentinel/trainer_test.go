@@ -176,7 +176,7 @@ func TestInferenceAccuracyEndToEnd(t *testing.T) {
 	for wl := 0; wl < nWL; wl++ {
 		sense := chip.Sense(wl, m.SentinelVoltage, 0, mathx.Mix(42, uint64(wl)))
 		_, inferred := eng.Infer(sense)
-		truth := lab.OptimalOffset(wl, m.SentinelVoltage)
+		truth := lab.OptimalOffsets(wl).Get(m.SentinelVoltage)
 		absErr = append(absErr, math.Abs(inferred.Get(m.SentinelVoltage)-truth))
 	}
 	mean := mathx.Mean(absErr)

@@ -240,7 +240,9 @@ func (a *benchAcc) record(status int, body *ReadResponse, errCode string, wall t
 		a.rep.Shed++
 	case status == http.StatusServiceUnavailable:
 		a.rep.Unavailable++
-	case status == http.StatusTooManyRequests:
+	case status == http.StatusTooManyRequests && errCode == "queue_full":
+		a.rep.QueueFull++
+	case status == http.StatusTooManyRequests: // throttled, inflight_cap
 		a.rep.Throttled++
 	case status == http.StatusGatewayTimeout:
 		a.rep.Deadline++

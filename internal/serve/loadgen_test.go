@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -138,5 +140,39 @@ func TestBenchCancelReturnsPartialReport(t *testing.T) {
 	}
 	if err := rep.AccountingErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBenchClassifies429ByCode runs the closed loop against a stub that
+// rejects every read with 429 and one error code: a bounce off a full
+// fleet queue must count as QueueFull, a token-bucket or in-flight-cap
+// rejection as Throttled.
+func TestBenchClassifies429ByCode(t *testing.T) {
+	for _, code := range []string{"queue_full", "throttled", "inflight_cap"} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: code})
+		}))
+		rep, err := RunBench(context.Background(), BenchConfig{
+			BaseURL: stub.URL,
+			Seed:    1,
+			MaxLPN:  4096,
+			Tenants: []BenchTenant{{Name: "gold", Workers: 2, Requests: 10}},
+		})
+		stub.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.AccountingErr(); err != nil {
+			t.Fatal(err)
+		}
+		tr := rep.Tenants[0]
+		want := TenantReport{Requests: 10, Throttled: 10}
+		if code == "queue_full" {
+			want = TenantReport{Requests: 10, QueueFull: 10}
+		}
+		if tr.Requests != want.Requests || tr.QueueFull != want.QueueFull || tr.Throttled != want.Throttled {
+			t.Errorf("%s: requests %d, queue_full %d, throttled %d; want %d, %d, %d", code,
+				tr.Requests, tr.QueueFull, tr.Throttled, want.Requests, want.QueueFull, want.Throttled)
+		}
 	}
 }

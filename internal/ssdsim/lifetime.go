@@ -268,15 +268,6 @@ type lifetime struct {
 	// configured base age.
 	armed bool
 
-	// hotNow caches the schedule's cumulative hot-band hours at
-	// device-hour hotAtH (computed lazily — see hot); hotAtReset and
-	// hotAtCalib cache it at each block's/die's epoch. Retention queries
-	// then evaluate in closed form (ScheduleEval.EffHoursPre) with no
-	// per-read schedule arithmetic — bit-identical to recomputing both
-	// endpoints, since HotHoursBefore is a pure function of the epoch it
-	// was cached at.
-	hotNow float64
-	hotAtH float64
 	// maxAF bounds the retention accrual rate (ScheduleEval.MaxRate),
 	// turning grid-pool lookups into a cached-until-expiry check.
 	maxAF float64
@@ -287,11 +278,9 @@ type lifetime struct {
 	blocksPerPlane int
 	// Per physical block (plane-major): the device-hour of the block's
 	// last successful replay erase (negative = still holding pre-replay
-	// data aged BaseRetentionHours), the cached hot-hours at that epoch,
-	// and replay-observed erase attempts.
-	resetH     []float64
-	hotAtReset []float64
-	cycles     []int32
+	// data aged BaseRetentionHours) and replay-observed erase attempts.
+	resetH []float64
+	cycles []int32
 
 	// Per-block grid-pool cache: the resolved grid-pool index and the
 	// device-hour before which the block's stress provably cannot cross
@@ -302,12 +291,10 @@ type lifetime struct {
 	poolIdx    []int32
 	poolExpiry []float64
 
-	// Per die: next periodic calibration due time, last calibration
-	// time (both in device-hours), and the cached hot-hours at the last
-	// calibration.
-	calibNext  []float64
-	calibLast  []float64
-	hotAtCalib []float64
+	// Per die: next periodic calibration due time and last calibration
+	// time, both in device-hours.
+	calibNext []float64
+	calibLast []float64
 
 	calibrations int64
 	calibBusyUS  float64
@@ -332,21 +319,17 @@ func newLifetime(cfg Config) *lifetime {
 		calibOn:        lc.CalibPeriodHours > 0 || lc.CalibDriftHours > 0,
 		blocksPerPlane: cfg.Geo.BlocksPerPlane,
 		resetH:         make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
-		hotAtReset:     make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		cycles:         make([]int32, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		poolIdx:        make([]int32, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		poolExpiry:     make([]float64, cfg.Geo.Planes()*cfg.Geo.BlocksPerPlane),
 		calibNext:      make([]float64, cfg.Geo.Dies()),
 		calibLast:      make([]float64, cfg.Geo.Dies()),
-		hotAtCalib:     make([]float64, cfg.Geo.Dies()),
 	}
 	for i := range l.poolExpiry {
 		l.poolExpiry[i] = -1 // unresolved: first read refreshes
 	}
 	for i := range l.resetH {
-		// Pre-replay data ages from BaseRetentionHours at epoch 0, so its
-		// cached hot-hours stay HotHoursBefore(0) = 0.
-		l.resetH[i] = -1
+		l.resetH[i] = -1 // pre-replay data: ages from BaseRetentionHours at epoch 0
 	}
 	for d := range l.calibNext {
 		l.calibNext[d] = lc.CalibPeriodHours // first period ends one period in
@@ -364,26 +347,13 @@ func (l *lifetime) tickUS(t float64) {
 	}
 }
 
-// hot returns the schedule's cumulative hot-band hours at device-hour
-// now, memoizing the last reading — a pure function of now, so the
-// cache never affects results.
-func (l *lifetime) hot(now float64) float64 {
-	if now != l.hotAtH {
-		l.hotNow = l.eval.HotHoursBefore(now)
-		l.hotAtH = now
-	}
-	return l.hotNow
-}
-
 // effRetention recomputes block i's effective retention from the
-// (reset, now) endpoints — the RetentionClock no-accumulation contract
-// — via the cached hot-hours fast path (bit-identical to
-// clock.EffSince, see EffHoursPre).
+// (reset, now) endpoints — the RetentionClock no-accumulation contract.
 func (l *lifetime) effRetention(i int, now float64) float64 {
 	if r := l.resetH[i]; r < 0 {
-		return l.cfg.BaseRetentionHours + l.eval.EffHoursPre(0, now, 0, l.hot(now))
+		return l.cfg.BaseRetentionHours + l.eval.EffHours(0, now)
 	} else if r < now {
-		return l.eval.EffHoursPre(r, now, l.hotAtReset[i], l.hot(now))
+		return l.eval.EffHours(r, now)
 	}
 	return 0
 }
@@ -434,9 +404,7 @@ func (l *lifetime) BlockErased(plane, block int, failed bool) {
 		l.failedWear++
 		return
 	}
-	now := l.clock.NowHours()
-	l.resetH[i] = now
-	l.hotAtReset[i] = l.hot(now)
+	l.resetH[i] = l.clock.NowHours()
 }
 
 // beforeOp charges any calibration work due on die before an operation
@@ -462,17 +430,15 @@ func (s *Sim) chargeCalib(die int32, arrive float64) {
 			start := max(due*l.usPerHour, s.dieFree[die])
 			s.dieFree[die] = start + l.cfg.CalibUS
 			l.calibLast[die] = due
-			l.hotAtCalib[die] = l.eval.HotHoursBefore(due)
 			l.calibNext[die] += l.cfg.CalibPeriodHours
 			l.calibrations++
 			l.calibBusyUS += l.cfg.CalibUS
 		}
 	}
 	if l.cfg.CalibDriftHours > 0 &&
-		l.eval.EffHoursPre(l.calibLast[die], now, l.hotAtCalib[die], l.hot(now)) >= l.cfg.CalibDriftHours {
+		l.eval.EffHours(l.calibLast[die], now) >= l.cfg.CalibDriftHours {
 		s.dieFree[die] = max(arrive, s.dieFree[die]) + l.cfg.CalibUS
 		l.calibLast[die] = now
-		l.hotAtCalib[die] = l.hot(now)
 		l.calibrations++
 		l.calibBusyUS += l.cfg.CalibUS
 	}
