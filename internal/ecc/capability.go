@@ -22,12 +22,6 @@ type CapabilityModel struct {
 	T int
 }
 
-// DefaultCapability mirrors a contemporary LDPC in hard-decision mode on a
-// 1KiB frame: ~40 correctable bits per 8192 data bits (RBER ~5e-3).
-func DefaultCapability() CapabilityModel {
-	return CapabilityModel{FrameBits: 8192, T: 40}
-}
-
 // Validate reports parameter errors.
 func (m CapabilityModel) Validate() error {
 	if m.FrameBits <= 0 || m.T < 0 {

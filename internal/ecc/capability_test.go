@@ -7,7 +7,7 @@ import (
 )
 
 func TestCapabilityValidate(t *testing.T) {
-	if err := DefaultCapability().Validate(); err != nil {
+	if err := (CapabilityModel{FrameBits: 8192, T: 40}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := CapabilityModel{FrameBits: 0, T: 10}

@@ -78,14 +78,17 @@ func TestRate(t *testing.T) {
 	}
 }
 
+// hardLLR is the LLR magnitude the tests assign to a hard-decision read.
+const hardLLR = 4.0
+
 // llrFromBits builds hard-decision LLRs for a received word.
 func llrFromBits(bits []bool) []float64 {
 	llr := make([]float64, len(bits))
 	for i, b := range bits {
 		if b {
-			llr[i] = -HardLLR
+			llr[i] = -hardLLR
 		} else {
-			llr[i] = HardLLR
+			llr[i] = hardLLR
 		}
 	}
 	return llr

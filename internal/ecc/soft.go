@@ -1,7 +1,6 @@
 package ecc
 
 import (
-	"fmt"
 	"math"
 
 	"sentinel3d/internal/mathx"
@@ -38,17 +37,6 @@ func (s Sensing) Levels() []float64 {
 		out[i] = float64(i-mid) * s.Step
 	}
 	return out
-}
-
-// Validate reports parameter errors.
-func (s Sensing) Validate() error {
-	if s.Bits < 1 || s.Bits > 4 {
-		return fmt.Errorf("ecc: sensing bits %d out of [1,4]", s.Bits)
-	}
-	if s.Bits > 1 && s.Step <= 0 {
-		return fmt.Errorf("ecc: soft sensing needs positive step, got %v", s.Step)
-	}
-	return nil
 }
 
 // LLRTable returns the per-region LLR magnitudes for a boundary between
@@ -105,6 +93,3 @@ func clampLLR(x, lim float64) float64 {
 	}
 	return x
 }
-
-// HardLLR is the LLR magnitude assigned to a hard-decision read.
-const HardLLR = 4.0

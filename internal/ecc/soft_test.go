@@ -29,24 +29,6 @@ func TestSensingLevels(t *testing.T) {
 	}
 }
 
-func TestSensingValidate(t *testing.T) {
-	if err := HardSensing().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := SoftSensing(2, 5).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Sensing{Bits: 0}).Validate(); err == nil {
-		t.Fatal("accepted 0-bit sensing")
-	}
-	if err := (Sensing{Bits: 2, Step: 0}).Validate(); err == nil {
-		t.Fatal("accepted soft sensing without step")
-	}
-	if err := (Sensing{Bits: 5, Step: 1}).Validate(); err == nil {
-		t.Fatal("accepted 5-bit sensing")
-	}
-}
-
 func TestLLRTableStructure(t *testing.T) {
 	s := SoftSensing(3, 8)
 	tab := s.LLRTable(128, 22)

@@ -27,9 +27,6 @@ const (
 	Fig19Sentinel
 )
 
-// Fig19MethodNames for rendering.
-var Fig19MethodNames = [3]string{"OPT", "current-flash", "sentinel"}
-
 // Fig19Point is a decoding success rate for one configuration.
 type Fig19Point struct {
 	PE          int
@@ -158,26 +155,30 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 		chip.Age(physics.YearHours, physics.RoomTempC)
 		plan := chip.PlanSweep(fig19Offsets)
 
+		// One fan-out over every (sensing, method, frame) task of this
+		// P/E, counted back in (sensing, method) order.
+		nf := len(frames)
+		perSensing := int(Fig19Sentinel+1) * nf
+		goods, err := parallel.MapErr(len(sensings)*perSensing, func(t int) (bool, error) {
+			si, m, fi := t/perSensing, Fig19Method(t%perSensing/nf), t%nf
+			return decodeFrame(chip, plan, model, layout, &frames[fi],
+				fullCode, reducedCode, parity, sensings[si], llrTabs[si], m,
+				mathx.Mix4(0x19d, uint64(pe), uint64(si), uint64(fi)))
+		})
+		if err != nil {
+			return nil, err
+		}
 		for si, sn := range sensings {
 			for m := Fig19OPT; m <= Fig19Sentinel; m++ {
-				si, sn, m := si, sn, m
-				goods, err := parallel.MapErr(len(frames), func(fi int) (bool, error) {
-					return decodeFrame(chip, plan, model, layout, &frames[fi],
-						fullCode, reducedCode, parity, sn, llrTabs[si], m,
-						mathx.Mix4(0x19d, uint64(pe), uint64(si), uint64(fi)))
-				})
-				if err != nil {
-					return nil, err
-				}
 				ok := 0
-				for _, good := range goods {
+				for _, good := range goods[si*perSensing+int(m)*nf:][:nf] {
 					if good {
 						ok++
 					}
 				}
 				res.Points = append(res.Points, Fig19Point{
 					PE: pe, SensingBits: sn.Bits, Method: m,
-					SuccessRate: float64(ok) / float64(len(frames)),
+					SuccessRate: float64(ok) / float64(nf),
 				})
 			}
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"sentinel3d/internal/charlab"
 	"sentinel3d/internal/flash"
@@ -368,19 +367,4 @@ func (r *Fig8Result) Render() string {
 	}
 	return "Fig 8 (QLC): per-voltage optimum vs V8 optimum\n" +
 		Table([]string{"voltage", "slope", "intercept", "r"}, rows)
-}
-
-// StrongCount returns how many voltages (excluding V1) correlate with
-// |r| above the threshold.
-func (r *Fig8Result) StrongCount(threshold float64) int {
-	n := 0
-	for _, vc := range r.Correlations {
-		if vc.Voltage == 1 {
-			continue
-		}
-		if math.Abs(vc.R) >= threshold {
-			n++
-		}
-	}
-	return n
 }

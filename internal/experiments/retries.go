@@ -109,9 +109,6 @@ const (
 	MethodOptimal
 )
 
-// MethodNames for rendering.
-var MethodNames = [4]string{"default", "inferred", "calibrated", "optimal"}
-
 // ErrorComparison ages a block (TLC: P/E 5000; QLC: P/E 1000; one year)
 // and measures the error count of every read voltage per wordline under
 // default, inferred, calibrated, tracked, and optimal offsets.
@@ -217,22 +214,6 @@ func meanPerVoltage(series [][]int) []float64 {
 	return out
 }
 
-// TrackingHurtFraction returns, for voltage v (1-based), the fraction of
-// wordlines where tracking produced MORE errors than the default voltages
-// — the paper's Figure 18 observation that tracking helps some wordlines
-// and hurts others.
-func (r *ErrCompResult) TrackingHurtFraction(v int) float64 {
-	col := r.TrackingErrors[v-1]
-	def := r.Errors[MethodDefault][v-1]
-	worse := 0
-	for i := range col {
-		if col[i] > def[i] {
-			worse++
-		}
-	}
-	return float64(worse) / float64(len(col))
-}
-
 // Render prints Figures 15-18 in text form.
 func (r *ErrCompResult) Render() string {
 	nv := len(r.Errors[MethodOptimal])
@@ -254,14 +235,4 @@ func (r *ErrCompResult) Render() string {
 	return fmt.Sprintf("Figs 15-18 (%v): per-voltage mean errors and success rates\n", r.Kind) +
 		Table([]string{"voltage", "default", "inferred", "calibrated", "tracking",
 			"optimal", "success(inf)", "success(cal)"}, rows)
-}
-
-// OverallSuccess returns the mean success rate across voltages (excluding
-// V1, as the paper's figures do).
-func (r *ErrCompResult) OverallSuccess(method int) float64 {
-	rates := r.SuccessRates(method)
-	if len(rates) <= 1 {
-		return 0
-	}
-	return mathx.Mean(rates[1:])
 }

@@ -25,15 +25,6 @@ func (b Bitmap) Set(i int, v bool) {
 	}
 }
 
-// PopCount returns the number of set bits.
-func (b Bitmap) PopCount() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // XorCount returns the number of positions where b and o differ. The
 // bitmaps must be the same length.
 func (b Bitmap) XorCount(o Bitmap) int {
@@ -80,11 +71,4 @@ func (b Bitmap) PopCountRange(start, end int) int {
 		n += bits.OnesCount64(b[i])
 	}
 	return n + bits.OnesCount64(b[ew]&tailMask)
-}
-
-// Clone returns a copy of b.
-func (b Bitmap) Clone() Bitmap {
-	c := make(Bitmap, len(b))
-	copy(c, b)
-	return c
 }

@@ -52,21 +52,6 @@ type Config struct {
 // 18592 bytes with 2208 bytes OOB, i.e. ~11.9%.
 const oobFraction = 0.119
 
-// DefaultConfig returns a block-scale configuration mirroring the paper's
-// chips: 64 layers, 12 wordlines per layer (768 wordlines per block).
-// CellsPerWordline is reduced from the physical ~150k to keep simulations
-// fast; error *rates* are unaffected.
-func DefaultConfig(kind Kind) Config {
-	return Config{
-		Kind:              kind,
-		Layers:            64,
-		WordlinesPerLayer: 12,
-		CellsPerWordline:  32768,
-		Seed:              1,
-		CacheZ:            true,
-	}
-}
-
 // WordlinesPerBlock returns Layers * WordlinesPerLayer.
 func (c Config) WordlinesPerBlock() int { return c.Layers * c.WordlinesPerLayer }
 
@@ -199,9 +184,6 @@ func (c *Chip) Model() *physics.Model { return c.model }
 // operation. Attach faults before fanning out reads.
 func (c *Chip) SetFaults(f FaultModel) { c.faults = f }
 
-// Faults returns the attached fault model (nil when fault-free).
-func (c *Chip) Faults() FaultModel { return c.faults }
-
 // LayerOf returns the layer of wordline wl.
 func (c *Chip) LayerOf(wl int) int { return wl % c.cfg.Layers }
 
@@ -293,20 +275,6 @@ func (c *Chip) ProgramRandom(wl int, rng *mathx.Rand) {
 func (c *Chip) IsProgrammed(wl int) bool {
 	c.checkAddr(wl)
 	return c.wls[wl].programmed
-}
-
-// States returns a copy of the programmed states of wordline wl. This is
-// simulator ground truth: characterization and oracle baselines use it,
-// the sentinel FTL path does not.
-func (c *Chip) States(wl int) []uint8 {
-	c.checkAddr(wl)
-	w := &c.wls[wl]
-	if !w.programmed {
-		return nil
-	}
-	out := make([]uint8, len(w.states))
-	copy(out, w.states)
-	return out
 }
 
 // wordline returns the state of wordline wl, which must hold data.
@@ -476,18 +444,4 @@ func (c *Chip) VoltageErrors(wl, v int, offset float64, readSeed uint64) (up, do
 	op := c.BeginRead(wl, readSeed)
 	defer op.Close()
 	return op.VoltageErrors(v, offset)
-}
-
-// CountPageErrors reads page p with offsets o and returns the number of
-// bit errors against the programmed data.
-func (c *Chip) CountPageErrors(wl, p int, o Offsets, readSeed uint64) int {
-	op := c.BeginRead(wl, readSeed)
-	defer op.Close()
-	return op.CountPageErrors(p, o)
-}
-
-// PageRBER returns CountPageErrors divided by the wordline cell count.
-func (c *Chip) PageRBER(wl, p int, o Offsets, readSeed uint64) float64 {
-	return float64(c.CountPageErrors(wl, p, o, readSeed)) /
-		float64(c.cfg.CellsPerWordline)
 }

@@ -20,6 +20,28 @@ func testConfig(kind Kind) Config {
 	}
 }
 
+// paperConfig returns the paper chips' block geometry: 64 layers, 12
+// wordlines per layer (768 wordlines per block), with CellsPerWordline
+// reduced from the physical ~150k to keep tests fast.
+func paperConfig(kind Kind) Config {
+	return Config{
+		Kind:              kind,
+		Layers:            64,
+		WordlinesPerLayer: 12,
+		CellsPerWordline:  32768,
+		Seed:              1,
+		CacheZ:            true,
+	}
+}
+
+// countPageErrors reads page p with offsets o and returns the number of
+// bit errors against the programmed data.
+func (c *Chip) countPageErrors(wl, p int, o Offsets, readSeed uint64) int {
+	op := c.BeginRead(wl, readSeed)
+	defer op.Close()
+	return op.CountPageErrors(p, o)
+}
+
 func TestNewValidation(t *testing.T) {
 	bad := testConfig(TLC)
 	bad.Layers = 0
@@ -62,7 +84,7 @@ func TestProgramAndTrueBitsRoundTrip(t *testing.T) {
 	if !c.IsProgrammed(0) {
 		t.Fatal("wordline not marked programmed")
 	}
-	got := c.States(0)
+	got := c.wls[0].states
 	for i := range got {
 		if got[i] != states[i] {
 			t.Fatalf("state mismatch at %d", i)
@@ -100,7 +122,7 @@ func TestFreshReadIsNearlyErrorFree(t *testing.T) {
 		rng := mathx.NewRand(3)
 		c.ProgramRandom(0, rng)
 		for p := 0; p < kind.Bits(); p++ {
-			rber := c.PageRBER(0, p, nil, 99)
+			rber := float64(c.countPageErrors(0, p, nil, 99)) / float64(c.cfg.CellsPerWordline)
 			if rber > limits[kind] {
 				t.Errorf("%v fresh page %d RBER = %v, want < %v",
 					kind, p, rber, limits[kind])
@@ -114,10 +136,10 @@ func TestAgingIncreasesErrors(t *testing.T) {
 	rng := mathx.NewRand(3)
 	c.ProgramRandom(0, rng)
 	p := QLC.Bits() - 1 // MSB
-	fresh := c.CountPageErrors(0, p, nil, 1)
+	fresh := c.countPageErrors(0, p, nil, 1)
 	c.Cycle(1000)
 	c.Age(physics.YearHours, physics.RoomTempC)
-	aged := c.CountPageErrors(0, p, nil, 1)
+	aged := c.countPageErrors(0, p, nil, 1)
 	if aged <= fresh+10 {
 		t.Fatalf("aging did not increase errors: fresh %d, aged %d", fresh, aged)
 	}
@@ -135,7 +157,7 @@ func TestOptimalOffsetReducesErrors(t *testing.T) {
 	c.Cycle(1000)
 	c.Age(physics.YearHours, physics.RoomTempC)
 	p := QLC.Bits() - 1
-	def := c.CountPageErrors(0, p, nil, 5)
+	def := c.countPageErrors(0, p, nil, 5)
 	best := def
 	for shift := -40.0; shift <= 0; shift += 4 {
 		o := ZeroOffsets(c.Coding().NumVoltages())
@@ -144,7 +166,7 @@ func TestOptimalOffsetReducesErrors(t *testing.T) {
 			// voltages.
 			o[i] = shift * (1 - float64(i)/float64(len(o)))
 		}
-		if e := c.CountPageErrors(0, p, o, 5); e < best {
+		if e := c.countPageErrors(0, p, o, 5); e < best {
 			best = e
 		}
 	}
@@ -191,7 +213,7 @@ func TestVoltageErrorsConsistentWithPageErrors(t *testing.T) {
 	c.Age(physics.YearHours, physics.RoomTempC)
 	sv := c.Coding().SentinelVoltage()
 	up, down := c.VoltageErrors(0, sv, 0, 42)
-	pageErr := c.CountPageErrors(0, PageLSB, nil, 42)
+	pageErr := c.countPageErrors(0, PageLSB, nil, 42)
 	if up+down != pageErr {
 		t.Fatalf("LSB page errors %d != boundary errors %d+%d",
 			pageErr, up, down)
@@ -221,13 +243,13 @@ func TestSenseMatchesVoltageClassification(t *testing.T) {
 	// A sense far below the erased state is all ones; far above the top
 	// state, all zeros. Offsets are relative to the default voltage.
 	low := c.Sense(0, 1, -5000, 1)
-	if low.PopCount() != c.Config().CellsPerWordline {
-		t.Fatalf("low sense popcount = %d", low.PopCount())
+	if low.popCount() != c.Config().CellsPerWordline {
+		t.Fatalf("low sense popcount = %d", low.popCount())
 	}
 	nv := c.Coding().NumVoltages()
 	high := c.Sense(0, nv, 5000, 1)
-	if high.PopCount() != 0 {
-		t.Fatalf("high sense popcount = %d", high.PopCount())
+	if high.popCount() != 0 {
+		t.Fatalf("high sense popcount = %d", high.popCount())
 	}
 }
 
@@ -302,7 +324,8 @@ func TestHashedEagerMatchesCellVth(t *testing.T) {
 	c.Age(2000, physics.RoomTempC)
 	m, n := c.Model(), cfg.CellsPerWordline
 	for _, wl := range []int{0, 3, 9} {
-		env := m.Env(c.LayerOf(wl), uint64(wl), c.Stress())
+		var env physics.WLEnv
+		m.EnvInto(&env, c.LayerOf(wl), uint64(wl), c.Stress())
 		w := c.wordline(wl)
 		for _, seed := range []uint64{1, 0xabc} {
 			vth := c.vthAll(wl, seed, nil, new(physics.WLEnv))
@@ -325,7 +348,7 @@ func TestHighTemperatureAcceleratesErrors(t *testing.T) {
 		c.ProgramRandom(0, rng)
 		c.Cycle(1000)
 		c.Age(1, tempC)
-		return c.CountPageErrors(0, QLC.Bits()-1, nil, 5)
+		return c.countPageErrors(0, QLC.Bits()-1, nil, 5)
 	}
 	room := mk(physics.RoomTempC)
 	hot := mk(80)
@@ -359,14 +382,12 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 }
 
+// TestDefaultConfigSane: the paper chips' block geometry validates.
 func TestDefaultConfigSane(t *testing.T) {
 	for _, kind := range []Kind{TLC, QLC} {
-		cfg := DefaultConfig(kind)
+		cfg := paperConfig(kind)
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
-		}
-		if cfg.Layers != 64 {
-			t.Fatal("paper chips have 64 layers")
 		}
 		if cfg.WordlinesPerBlock() != 768 {
 			t.Fatalf("wordlines per block = %d, want 768", cfg.WordlinesPerBlock())

@@ -95,9 +95,6 @@ func (c *Coding) States() int { return c.states }
 // indices are 1-based: V1..V(states-1), as in the paper.
 func (c *Coding) NumVoltages() int { return c.states - 1 }
 
-// Code returns the stored bit pattern of state s.
-func (c *Coding) Code(s int) uint8 { return c.code[s] }
-
 // PageBit returns the bit of page p stored by state s. Page 0 is the LSB
 // page (one read voltage), page bits-1 is the MSB page.
 //
@@ -117,19 +114,6 @@ func (c *Coding) PageVoltages(p int) []int { return c.pageBoundaries[p] }
 // sentinel voltage: the single boundary of the LSB page (V4 for TLC, V8
 // for QLC).
 func (c *Coding) SentinelVoltage() int { return c.pageBoundaries[PageLSB][0] }
-
-// PageOfVoltage returns the page whose read applies voltage v (1-based).
-// Every voltage belongs to exactly one page.
-func (c *Coding) PageOfVoltage(v int) int {
-	for p := 0; p < c.bits; p++ {
-		for _, b := range c.pageBoundaries[p] {
-			if b == v {
-				return p
-			}
-		}
-	}
-	return -1
-}
 
 // ReadBit decodes page p's bit from the number of applied read voltages
 // that lie at or below the cell's threshold voltage. below is the count of

@@ -15,7 +15,7 @@ import (
 // switched off when quiet is set (every noise window then has bound 0).
 func fusedChip(t testing.TB, kind Kind, cells int, aged, quiet bool) *Chip {
 	t.Helper()
-	cfg := DefaultConfig(kind)
+	cfg := paperConfig(kind)
 	cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline = 2, 2, cells
 	p := physics.QLC()
 	if kind == TLC {
@@ -132,7 +132,7 @@ func checkPlannedSweep(t testing.TB, c *Chip, wl int, readSeed uint64, offs []fl
 		}
 	}
 	if !bitmapsEqual(a.noised, b.noised) {
-		fail("the fused pass noised %d cells, the two-pass form %d", a.noised.PopCount(), b.noised.PopCount())
+		fail("the fused pass noised %d cells, the two-pass form %d", a.noised.popCount(), b.noised.popCount())
 	}
 	for i := range a.vth {
 		if math.Float64bits(a.vth[i]) != math.Float64bits(b.vth[i]) {

@@ -11,7 +11,7 @@ import (
 // kernel benchmarks. The wordline is programmed once; every benchmark
 // below is read-only.
 func benchChip(b *testing.B) *Chip {
-	cfg := DefaultConfig(TLC)
+	cfg := paperConfig(TLC)
 	cfg.WordlinesPerLayer = 1 // one wordline per layer is plenty for reads
 	chip := MustNew(cfg)
 	chip.ProgramRandom(0, mathx.NewRand(42))
@@ -88,7 +88,7 @@ func BenchmarkSweepAllVoltagesQuick(b *testing.B) {
 				name = kind.String() + "/aged"
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := DefaultConfig(kind)
+				cfg := paperConfig(kind)
 				cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline = 1, 1, 16384
 				chip := MustNew(cfg)
 				chip.ProgramRandom(0, mathx.NewRand(42))

@@ -24,7 +24,7 @@ func beginEager(c *Chip, wl int, readSeed uint64) *ReadOp {
 // cached (cacheZ) or hashed on every read.
 func lazyChip(t testing.TB, kind Kind, cells, pe int, hours float64, cacheZ bool) *Chip {
 	t.Helper()
-	cfg := DefaultConfig(kind)
+	cfg := paperConfig(kind)
 	cfg.Layers = 2
 	cfg.WordlinesPerLayer = 2
 	cfg.CellsPerWordline = cells
@@ -266,7 +266,7 @@ func (lc *lazyEagerCase) step() {
 			lc.fail("eager Sense(v=%d, off=%v) differs from the bit-by-bit reference", v, off)
 		}
 		if !bitmapsEqual(lc.lazy.noised, want) {
-			lc.fail("Sense(v=%d, off=%v) noised %d cells, want %d", v, off, lc.lazy.noised.PopCount(), want.PopCount())
+			lc.fail("Sense(v=%d, off=%v) noised %d cells, want %d", v, off, lc.lazy.noised.popCount(), want.popCount())
 		}
 	case 1, 2:
 		p := r.Intn(c.Coding().Bits())
@@ -281,8 +281,8 @@ func (lc *lazyEagerCase) step() {
 		}
 		want := lc.pageNoised(p, o)
 		if r.Intn(2) == 0 {
-			eager := lc.eager.ReadPage(p, o)
-			if !bitmapsEqual(lc.lazy.ReadPage(p, o), eager) {
+			eager := lc.eager.ReadPageInto(nil, p, o)
+			if !bitmapsEqual(lc.lazy.ReadPageInto(nil, p, o), eager) {
 				lc.fail("ReadPage(p=%d, o=%v) differs", p, o)
 			}
 			if !bitmapsEqual(eager, refReadPage(c, lc.eager.vth, p, o)) {
@@ -292,7 +292,7 @@ func (lc *lazyEagerCase) step() {
 			lc.fail("CountPageErrors(p=%d, o=%v) = %d, eager %d", p, o, a, b)
 		}
 		if !bitmapsEqual(lc.lazy.noised, want) {
-			lc.fail("ReadPage(p=%d, o=%v) noised %d cells, want %d", p, o, lc.lazy.noised.PopCount(), want.PopCount())
+			lc.fail("ReadPage(p=%d, o=%v) noised %d cells, want %d", p, o, lc.lazy.noised.popCount(), want.popCount())
 		}
 	case 3:
 		v := 1 + r.Intn(nv)
@@ -454,7 +454,7 @@ func FuzzReadOpLazyEager(f *testing.F) {
 				t.Fatalf("Sense(v=%d, %v) differs", v, off1)
 			}
 		}
-		if !bitmapsEqual(lazy.ReadPage(p, o), eager.ReadPage(p, o)) {
+		if !bitmapsEqual(lazy.ReadPageInto(nil, p, o), eager.ReadPageInto(nil, p, o)) {
 			t.Fatalf("ReadPage(p=%d, %v) differs", p, o)
 		}
 	})
@@ -521,10 +521,10 @@ func TestReadPageNaNAfterInfiniteLevel(t *testing.T) {
 	lc := &lazyEagerCase{t: t, c: c, lazy: lazy, eager: eager, r: mathx.NewRand(3)}
 	lc.plant([]float64{math.Inf(1), math.Inf(1), math.Inf(1)})
 	want := refReadPage(c, eager.vth, msb, o)
-	if got := eager.ReadPage(msb, o); !bitmapsEqual(got, want) {
+	if got := eager.ReadPageInto(nil, msb, o); !bitmapsEqual(got, want) {
 		t.Fatal("eager ReadPage differs from the scan-and-stop reference")
 	}
-	if got := lazy.ReadPage(msb, o); !bitmapsEqual(got, want) {
+	if got := lazy.ReadPageInto(nil, msb, o); !bitmapsEqual(got, want) {
 		t.Fatal("lazy ReadPage differs from the scan-and-stop reference")
 	}
 }

@@ -79,7 +79,7 @@ func TestRBERInvariantUnderReprogram(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetStress(physics.Stress{PECycles: 1000, EffRetentionHours: 8760})
-		return c.PageRBER(0, 3, nil, 99)
+		return float64(c.countPageErrors(0, 3, nil, 99)) / float64(c.cfg.CellsPerWordline)
 	}
 	a := measure()
 	b := measure()

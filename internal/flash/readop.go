@@ -301,13 +301,9 @@ func senseWords(dst, near Bitmap, vth []float64, rv float64, win window) {
 	}
 }
 
-// ReadPage senses page p with the given offsets and returns the readout
-// as a bitmap (bit i = cell i's page bit). The caller owns the result.
-func (op *ReadOp) ReadPage(p int, o Offsets) Bitmap {
-	return op.ReadPageInto(nil, p, o)
-}
-
-// ReadPageInto is ReadPage writing into dst (reused when large enough).
+// ReadPageInto senses page p with the given offsets and returns the
+// readout as a bitmap (bit i = cell i's page bit), written into dst
+// (reused when large enough, otherwise freshly allocated).
 func (op *ReadOp) ReadPageInto(dst Bitmap, p int, o Offsets) Bitmap {
 	coding := op.c.coding
 	var lad ladder

@@ -12,7 +12,7 @@ import (
 // be a multiple of 64 so the word-fill tails are exercised.
 func readOpTestChip(t testing.TB, kind Kind, cacheZ bool, cells int) *Chip {
 	t.Helper()
-	cfg := DefaultConfig(kind)
+	cfg := paperConfig(kind)
 	cfg.Layers = 4
 	cfg.WordlinesPerLayer = 2
 	cfg.CellsPerWordline = cells
@@ -113,7 +113,7 @@ func TestReadOpMatchesReference(t *testing.T) {
 					// The reference is the eager vector: a lazy handle's
 					// own vth holds only the noise its queries drew.
 					vths := c.vthAll(1, readSeed, nil, new(physics.WLEnv))
-					states := c.States(1)
+					states := c.wls[1].states
 
 					for v := 1; v <= nv; v++ {
 						for _, off := range []float64{-0.7, 0, 0.4} {
@@ -132,7 +132,7 @@ func TestReadOpMatchesReference(t *testing.T) {
 					}
 					for p := 0; p < c.Coding().Bits(); p++ {
 						for _, o := range []Offsets{nil, offsets} {
-							if got, want := op.ReadPage(p, o), refReadPage(c, vths, p, o); !bitmapsEqual(got, want) {
+							if got, want := op.ReadPageInto(nil, p, o), refReadPage(c, vths, p, o); !bitmapsEqual(got, want) {
 								t.Fatalf("%v cacheZ=%v cells=%d seed=%d: ReadPage(p=%d, o=%v) mismatch",
 									kind, cacheZ, cells, readSeed, p, o)
 							}
@@ -145,8 +145,8 @@ func TestReadOpMatchesReference(t *testing.T) {
 							t.Fatalf("%v cacheZ=%v cells=%d seed=%d: CountPageErrors(p=%d) = %d, want %d",
 								kind, cacheZ, cells, readSeed, p, got, want)
 						}
-						if got := c.CountPageErrors(1, p, offsets, readSeed); got != want {
-							t.Fatalf("chip.CountPageErrors(p=%d) = %d, want %d", p, got, want)
+						if got := c.countPageErrors(1, p, offsets, readSeed); got != want {
+							t.Fatalf("chip countPageErrors(p=%d) = %d, want %d", p, got, want)
 						}
 					}
 
@@ -183,7 +183,7 @@ func TestReadOpConcurrent(t *testing.T) {
 	for wl := 0; wl < nwl; wl++ {
 		for s := 0; s < iters; s++ {
 			k := key{wl, uint64(s)}
-			want[k] = c.CountPageErrors(wl, msb, nil, k.seed)
+			want[k] = c.countPageErrors(wl, msb, nil, k.seed)
 		}
 	}
 
@@ -199,15 +199,15 @@ func TestReadOpConcurrent(t *testing.T) {
 				op := c.BeginRead(wl, k.seed)
 				got := op.CountPageErrors(msb, nil)
 				bm := op.Sense(sv, 0)
-				pop := bm.PopCount()
+				pop := bm.popCount()
 				op.Close()
 				PutBitmap(c.Sense(wl, sv, 0, k.seed))
 				if got != want[k] {
 					errc <- &addrErr{wl, k.seed, got, want[k]}
 					return
 				}
-				if bm2 := c.Sense(wl, sv, 0, k.seed); bm2.PopCount() != pop {
-					errc <- &addrErr{wl, k.seed, bm2.PopCount(), pop}
+				if bm2 := c.Sense(wl, sv, 0, k.seed); bm2.popCount() != pop {
+					errc <- &addrErr{wl, k.seed, bm2.popCount(), pop}
 					PutBitmap(bm2)
 					return
 				} else {

@@ -29,7 +29,7 @@ func TestProgramFaultRetiresAndRelocates(t *testing.T) {
 	}
 	// Fill a few pages of plane 0's active block (block 0), then fail the
 	// next program on it.
-	planes := f.Geometry().Planes()
+	planes := f.geo.Planes()
 	var lpns []int64
 	for i := 0; i < 3*planes; i++ {
 		lpn := int64(i)
@@ -48,7 +48,7 @@ func TestProgramFaultRetiresAndRelocates(t *testing.T) {
 	if res.RetiredBlocks != 1 {
 		t.Fatalf("RetiredBlocks = %d, want 1", res.RetiredBlocks)
 	}
-	if !f.BlockRetired(0, 0) {
+	if !f.planes[0].blocks[0].retired {
 		t.Fatal("block (0,0) not retired after program fault")
 	}
 	if f.BadBlocks != 1 {
@@ -96,7 +96,7 @@ func TestEraseFaultRetiresVictim(t *testing.T) {
 	}
 	retiredP0 := 0
 	for b := 0; b < geo.BlocksPerPlane; b++ {
-		if f.BlockRetired(0, b) {
+		if f.planes[0].blocks[b].retired {
 			retiredP0++
 		}
 	}
@@ -163,12 +163,12 @@ func TestWearSinkSeesFailedErases(t *testing.T) {
 	// accounting exactly — including on retired blocks whose only erase
 	// attempt failed.
 	for pb, n := range sink.wear {
-		if got := f.BlockErases(pb[0], pb[1]); got != n {
+		if got := f.planes[pb[0]].blocks[pb[1]].erases; got != n {
 			t.Fatalf("block (%d,%d): sink wear %d, FTL erases %d", pb[0], pb[1], n, got)
 		}
 	}
 	for _, pb := range [][2]int{{0, 1}, {0, 2}} {
-		if !f.BlockRetired(pb[0], pb[1]) {
+		if !f.planes[pb[0]].blocks[pb[1]].retired {
 			continue // GC may not have picked it before the workload ended
 		}
 		if sink.wear[pb] == 0 {

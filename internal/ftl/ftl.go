@@ -283,9 +283,6 @@ func (f *FTL) l2pSet(lpn int64, p PPN) {
 	f.l2p[lpn] = p
 }
 
-// Geometry returns the FTL's geometry.
-func (f *FTL) Geometry() Geometry { return f.geo }
-
 // Translate returns the physical page of an LPN.
 func (f *FTL) Translate(lpn int64) (PPN, bool) {
 	return f.l2pGet(lpn)
@@ -533,16 +530,6 @@ func (f *FTL) collect(plane int, res *WriteResult) (progressed bool, err error) 
 	}
 	ps.freeQueue = append(ps.freeQueue, victim)
 	return true, nil
-}
-
-// BlockErases returns the erase count of a block (wear accounting).
-func (f *FTL) BlockErases(plane, block int) int {
-	return f.planes[plane].blocks[block].erases
-}
-
-// BlockRetired reports whether a block has been taken out of service.
-func (f *FTL) BlockRetired(plane, block int) bool {
-	return f.planes[plane].blocks[block].retired
 }
 
 // CheckInvariants verifies that the L2P map (dense and overflow) and

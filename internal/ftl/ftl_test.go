@@ -154,7 +154,7 @@ func TestEraseAccounting(t *testing.T) {
 	total := 0
 	for p := 0; p < g.Planes(); p++ {
 		for b := 0; b < g.BlocksPerPlane; b++ {
-			total += f.BlockErases(p, b)
+			total += f.planes[p].blocks[b].erases
 		}
 	}
 	if int64(total) != f.Erases {

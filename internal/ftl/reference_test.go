@@ -259,9 +259,9 @@ func FuzzFTLMatchesReference(f *testing.F) {
 		for p := range geo.Planes() {
 			for b := range geo.BlocksPerPlane {
 				rb := &want.planes[p].blocks[b]
-				if got.BlockErases(p, b) != rb.erasesN || got.BlockRetired(p, b) != rb.retired {
+				if got.planes[p].blocks[b].erases != rb.erasesN || got.planes[p].blocks[b].retired != rb.retired {
 					t.Fatalf("block (%d,%d): erases %d retired %v, reference %d %v", p, b,
-						got.BlockErases(p, b), got.BlockRetired(p, b), rb.erasesN, rb.retired)
+						got.planes[p].blocks[b].erases, got.planes[p].blocks[b].retired, rb.erasesN, rb.retired)
 				}
 			}
 		}

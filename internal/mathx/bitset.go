@@ -54,23 +54,6 @@ func (b *Bitset) SetRange(lo, n int64) {
 	b.words[w1] |= last
 }
 
-// Has reports membership.
-func (b *Bitset) Has(i int64) bool {
-	if i < 0 || i >= b.n {
-		return false
-	}
-	return b.words[i>>6]&(1<<uint(i&63)) != 0
-}
-
-// Count returns the number of members.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // VisitErr calls fn for every member in ascending order. It stops at
 // the first error fn returns and propagates it.
 func (b *Bitset) VisitErr(fn func(i int64) error) error {

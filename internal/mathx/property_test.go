@@ -98,14 +98,14 @@ func TestLinearFitMatchesPolyFitDegree1(t *testing.T) {
 	}
 }
 
-// TestSummaryAgainstSort: Median and MinMax agree with direct sorting.
+// TestSummaryAgainstSort: the 50th percentile and MinMax agree with direct sorting.
 func TestSummaryAgainstSort(t *testing.T) {
 	r := NewRand(79)
 	xs := make([]float64, 101)
 	for i := range xs {
 		xs[i] = r.Float64()
 	}
-	median := Median(xs)
+	median := Percentile(xs, 50)
 	lo, hi := MinMax(xs)
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)

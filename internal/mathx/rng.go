@@ -18,11 +18,6 @@ type SplitMix64 struct {
 	state uint64
 }
 
-// NewSplitMix64 returns a generator seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
 // Next returns the next 64-bit value in the stream.
 func (s *SplitMix64) Next() uint64 {
 	s.state += 0x9e3779b97f4a7c15

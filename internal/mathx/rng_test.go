@@ -8,7 +8,7 @@ import (
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference values for seed 0 from the SplitMix64 reference
 	// implementation.
-	sm := NewSplitMix64(0)
+	sm := &SplitMix64{}
 	want := []uint64{
 		0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
 		0x06c45d188009454f, 0xf88bb8a8724c81ec,

@@ -81,9 +81,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // It returns 0 when either input is constant or the lengths differ.
 func Pearson(x, y []float64) float64 {

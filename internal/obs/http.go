@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"expvar"
 	"net"
 	"net/http"
@@ -70,15 +69,4 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-// Shutdown drains the endpoint gracefully: the listener closes at
-// once, in-flight scrapes run to completion (or until ctx expires).
-// Long-running servers use this on their drain path so a final
-// /metrics scrape is never cut mid-body.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Shutdown(ctx)
 }

@@ -177,14 +177,6 @@ type Set struct {
 	shard int
 }
 
-// Shard returns the set's shard index (-1 for a nil set).
-func (s *Set) Shard() int {
-	if s == nil {
-		return -1
-	}
-	return s.shard
-}
-
 // Counter returns this shard's cell of the named counter.
 func (s *Set) Counter(name, help string) *Counter {
 	if s == nil {

@@ -23,9 +23,6 @@ func TestNilIsNoOp(t *testing.T) {
 	if s != nil {
 		t.Fatal("nil registry returned non-nil set")
 	}
-	if s.Shard() != -1 {
-		t.Error("nil set shard")
-	}
 	c := s.Counter("x", "")
 	g := s.Gauge("x", "")
 	h := s.Hist("x", "")

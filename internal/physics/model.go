@@ -250,17 +250,9 @@ type WLEnv struct {
 	states   int
 }
 
-// Env resolves the wordline environment for a wordline at (layer,
-// globalWL) under stress st.
-func (m *Model) Env(layer int, globalWL uint64, st Stress) WLEnv {
-	var env WLEnv
-	m.EnvInto(&env, layer, globalWL, st)
-	return env
-}
-
-// EnvInto is the allocation-free form of Env: it resolves the wordline
-// environment into env, reusing env's Mean and Sigma slices when they
-// have capacity. The resulting values are identical to Env's.
+// EnvInto resolves the wordline environment for a wordline at (layer,
+// globalWL) under stress st into env, reusing env's Mean and Sigma
+// slices when they have capacity.
 func (m *Model) EnvInto(env *WLEnv, layer int, globalWL uint64, st Stress) {
 	k := m.P.States()
 	if cap(env.Mean) < k {

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// envOf resolves the wordline environment through EnvInto.
+func envOf(m *Model, layer int, globalWL uint64, st Stress) WLEnv {
+	var env WLEnv
+	m.EnvInto(&env, layer, globalWL, st)
+	return env
+}
+
 func mustModel(t *testing.T, p Params, seed uint64) *Model {
 	t.Helper()
 	m, err := NewModel(p, seed)
@@ -37,7 +44,7 @@ func TestCentersOrderedAndSpaced(t *testing.T) {
 
 func TestDefaultReadVoltagesOrdered(t *testing.T) {
 	m := mustModel(t, QLC(), 1)
-	for i := 1; i <= m.P.NumVoltages(); i++ {
+	for i := 1; i <= m.P.States()-1; i++ {
 		v := m.DefaultReadVoltage(i)
 		if v <= m.Center(i-1) || v >= m.Center(i) {
 			t.Fatalf("V%d = %v not between centers %v and %v",
@@ -167,8 +174,8 @@ func TestReadNoiseVariesPerRead(t *testing.T) {
 
 func TestEnvMeansShiftLeftUnderStress(t *testing.T) {
 	m := mustModel(t, QLC(), 5)
-	fresh := m.Env(10, 100, Stress{})
-	aged := m.Env(10, 100, Stress{PECycles: 1000, EffRetentionHours: 8760})
+	fresh := envOf(m, 10, 100, Stress{})
+	aged := envOf(m, 10, 100, Stress{PECycles: 1000, EffRetentionHours: 8760})
 	for s := 1; s < m.P.States(); s++ {
 		if aged.Mean[s] >= fresh.Mean[s] {
 			t.Fatalf("state %d did not shift left under stress", s)
@@ -187,8 +194,8 @@ func TestEnvShiftDecreasesWithStateIndex(t *testing.T) {
 	// The magnitude of the retention shift must decrease with state index
 	// (paper Fig. 6: lower read voltages have larger optimal offsets).
 	m := mustModel(t, QLC(), 5)
-	fresh := m.Env(10, 100, Stress{})
-	aged := m.Env(10, 100, Stress{PECycles: 3000, EffRetentionHours: 8760})
+	fresh := envOf(m, 10, 100, Stress{})
+	aged := envOf(m, 10, 100, Stress{PECycles: 3000, EffRetentionHours: 8760})
 	prev := math.Inf(1)
 	for s := 1; s < m.P.States(); s++ {
 		shift := fresh.Mean[s] - aged.Mean[s]
@@ -204,7 +211,7 @@ func TestCellVthDistribution(t *testing.T) {
 	// Empirical mean and std of sampled Vth must match the environment.
 	m := mustModel(t, QLC(), 5)
 	st := Stress{PECycles: 1000, EffRetentionHours: 8760}
-	env := m.Env(3, 77, st)
+	env := envOf(m, 3, 77, st)
 	const n = 20000
 	s := 9
 	var sum, sumSq float64

@@ -127,9 +127,6 @@ type Params struct {
 // States returns the number of voltage states (2^Bits).
 func (p Params) States() int { return 1 << p.Bits }
 
-// NumVoltages returns the number of read voltages (states - 1).
-func (p Params) NumVoltages() int { return p.States() - 1 }
-
 // Validate reports whether the parameters are internally consistent.
 func (p Params) Validate() error {
 	if p.Bits < 1 || p.Bits > 5 {

@@ -12,12 +12,12 @@ func TestDefaultParamsValid(t *testing.T) {
 
 func TestStatesAndVoltages(t *testing.T) {
 	tlc := TLC()
-	if tlc.States() != 8 || tlc.NumVoltages() != 7 {
-		t.Fatalf("TLC states/voltages = %d/%d, want 8/7", tlc.States(), tlc.NumVoltages())
+	if tlc.States() != 8 {
+		t.Fatalf("TLC states = %d, want 8", tlc.States())
 	}
 	qlc := QLC()
-	if qlc.States() != 16 || qlc.NumVoltages() != 15 {
-		t.Fatalf("QLC states/voltages = %d/%d, want 16/15", qlc.States(), qlc.NumVoltages())
+	if qlc.States() != 16 {
+		t.Fatalf("QLC states = %d, want 16", qlc.States())
 	}
 }
 

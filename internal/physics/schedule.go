@@ -43,24 +43,6 @@ func (ts TempSchedule) constant() bool {
 	return ts.BaseC == ts.HotC || ts.PeriodHours <= 0 || ts.HotFrac <= 0 || ts.HotFrac >= 1
 }
 
-// TempAt returns the ambient temperature at absolute device-hour h.
-func (ts TempSchedule) TempAt(h float64) float64 {
-	if ts.constant() {
-		if ts.HotFrac >= 1 {
-			return ts.HotC
-		}
-		return ts.BaseC
-	}
-	rem := math.Mod(h, ts.PeriodHours)
-	if rem < 0 {
-		rem += ts.PeriodHours
-	}
-	if rem < ts.HotFrac*ts.PeriodHours {
-		return ts.HotC
-	}
-	return ts.BaseC
-}
-
 // Validate rejects schedules that cannot be evaluated.
 func (ts TempSchedule) Validate() error {
 	for _, c := range [...]float64{ts.BaseC, ts.HotC} {
@@ -81,7 +63,7 @@ func (ts TempSchedule) Validate() error {
 // schedule's two temperature bands so EffHours stays cheap enough for
 // per-read use in the replay hot path.
 func (ts TempSchedule) Eval(p Params) ScheduleEval {
-	e := ScheduleEval{sched: ts}
+	var e ScheduleEval
 	e.afBase = AccelerationFactor(p.ActivationEnergyEV, ts.BaseC)
 	e.afHot = AccelerationFactor(p.ActivationEnergyEV, ts.HotC)
 	if ts.constant() {
@@ -103,14 +85,10 @@ func (ts TempSchedule) Eval(p Params) ScheduleEval {
 // no per-step accumulation — so the result depends only on the interval
 // endpoints.
 type ScheduleEval struct {
-	sched         TempSchedule
 	afBase, afHot float64
 	period        float64
 	hotPerPeriod  float64
 }
-
-// Schedule returns the schedule this evaluation was built from.
-func (e ScheduleEval) Schedule() TempSchedule { return e.sched }
 
 // hotHoursBefore returns the cumulative hot-band hours in [0, t].
 func (e ScheduleEval) hotHoursBefore(t float64) float64 {
@@ -155,20 +133,16 @@ func (e ScheduleEval) EffHours(from, to float64) float64 {
 	return float64(hot*e.afHot) + float64((span-hot)*e.afBase)
 }
 
-// RetentionClock tracks simulated device time and answers "how much
-// effective room-temperature retention has a block accrued since it was
-// last programmed". It deliberately stores no accumulated retention:
-// every query recomputes EffHours from the (programTime, now) endpoint
-// pair, so a query at device-hour T returns bit-identical results no
-// matter how many intermediate AdvanceTo calls happened, or how an
-// interval was split across them. Accumulating per-interval increments
-// instead would make replay results drift with request arrival
-// granularity and worker scheduling, breaking the byte-identical
-// determinism contract.
+// RetentionClock tracks simulated device time. It deliberately stores
+// no accumulated retention: a block's effective retention is
+// ScheduleEval.EffHours(programTime, NowHours()), recomputed from the
+// endpoint pair, so a query at device-hour T returns bit-identical
+// results no matter how many intermediate AdvanceTo calls happened, or
+// how an interval was split across them. Accumulating per-interval
+// increments instead would make replay results drift with request
+// arrival granularity and worker scheduling, breaking the
+// byte-identical determinism contract.
 type RetentionClock struct {
-	// Eval is the compiled temperature schedule.
-	Eval ScheduleEval
-
 	nowHours float64
 }
 
@@ -186,14 +160,3 @@ func (c *RetentionClock) AdvanceTo(nowHours float64) {
 
 // NowHours returns the clock's current absolute device-hour.
 func (c *RetentionClock) NowHours() float64 { return c.nowHours }
-
-// EffSince returns the effective room-temperature retention accrued
-// from absolute device-hour resetHours (the block's last program or
-// erase) to now. resetHours after now is clamped to an empty interval
-// so a block programmed "at" the current instant reads as fresh.
-func (c *RetentionClock) EffSince(resetHours float64) float64 {
-	if resetHours >= c.nowHours {
-		return 0
-	}
-	return c.Eval.EffHours(resetHours, c.nowHours)
-}

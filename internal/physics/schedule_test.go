@@ -23,18 +23,6 @@ func TestConstantScheduleEffHours(t *testing.T) {
 	}
 }
 
-func TestSquareWaveTempAt(t *testing.T) {
-	ts := SquareWave(25, 55, 24, 0.25)
-	for h, want := range map[float64]float64{0: 55, 5: 55, 6: 25, 23.9: 25, 24: 55, 30.5: 25} {
-		if got := ts.TempAt(h); got != want {
-			t.Fatalf("TempAt(%v) = %v, want %v", h, got, want)
-		}
-	}
-	if got := ConstantTemp(40).TempAt(1e6); got != 40 {
-		t.Fatalf("constant TempAt = %v", got)
-	}
-}
-
 func TestSquareWaveEffHoursFullPeriod(t *testing.T) {
 	p := TLC()
 	ts := SquareWave(25, 70, 24, 0.5)
@@ -110,10 +98,10 @@ func TestRetentionClockSplitExactlyAssociative(t *testing.T) {
 			total := rng.Float64() * 5000
 			end := reset + total
 
-			direct := RetentionClock{Eval: eval}
+			direct := RetentionClock{}
 			direct.AdvanceTo(end)
 
-			split := RetentionClock{Eval: eval}
+			split := RetentionClock{}
 			k := 1 + rng.Intn(16)
 			cuts := make([]float64, k)
 			for i := range cuts {
@@ -121,11 +109,10 @@ func TestRetentionClockSplitExactlyAssociative(t *testing.T) {
 			}
 			for _, c := range cuts {
 				split.AdvanceTo(c)
-				_ = split.EffSince(reset) // interior queries must not perturb state
 			}
 			split.AdvanceTo(end)
 
-			a, b := direct.EffSince(reset), split.EffSince(reset)
+			a, b := eval.EffHours(reset, direct.NowHours()), eval.EffHours(reset, split.NowHours())
 			if a != b { // exact: not a tolerance comparison
 				t.Fatalf("schedule %+v: split traversal drifted: direct %v (bits %x) vs split %v (bits %x)",
 					ts, a, math.Float64bits(a), b, math.Float64bits(b))
@@ -135,14 +122,11 @@ func TestRetentionClockSplitExactlyAssociative(t *testing.T) {
 }
 
 func TestRetentionClockMonotoneClamp(t *testing.T) {
-	c := RetentionClock{Eval: ConstantTemp(25).Eval(TLC())}
+	c := RetentionClock{}
 	c.AdvanceTo(10)
 	c.AdvanceTo(4) // out-of-order trace timestamp: clamped, not rewound
 	if c.NowHours() != 10 {
 		t.Fatalf("clock rewound to %v", c.NowHours())
-	}
-	if got := c.EffSince(12); got != 0 {
-		t.Fatalf("future reset gave %v retention", got)
 	}
 	mustPanic(t, "AdvanceTo NaN", func() { c.AdvanceTo(math.NaN()) })
 }

@@ -94,10 +94,10 @@ func TestZeroCelsiusReadShiftsDifferFromRoom(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Stress{PECycles: 1000, EffRetentionHours: 100}
-	room := m.Env(3, 17, base)
-	explicitRoom := m.Env(3, 17, base.AtReadTemp(RoomTempC))
-	cold := m.Env(3, 17, base.AtReadTemp(0))
-	hot := m.Env(3, 17, base.AtReadTemp(70))
+	room := envOf(m, 3, 17, base)
+	explicitRoom := envOf(m, 3, 17, base.AtReadTemp(RoomTempC))
+	cold := envOf(m, 3, 17, base.AtReadTemp(0))
+	hot := envOf(m, 3, 17, base.AtReadTemp(70))
 	top := m.P.States() - 1
 	if room.Mean[top] != explicitRoom.Mean[top] {
 		t.Fatalf("explicit 25°C differs from unset default: %v vs %v",

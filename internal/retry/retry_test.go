@@ -34,9 +34,14 @@ func trainedTLCModel(t testing.TB) *sentinel.Model {
 	t.Helper()
 	tlcModelOnce.Do(func() {
 		chip := flash.MustNew(testCfg(flash.TLC))
-		tc := sentinel.DefaultTrainConfig()
-		tc.Layout = testLayout()
-		tc.WordlinesPerPoint = 12
+		// Fresh to worn, and short to year-long retention.
+		var pts []sentinel.StressPoint
+		for _, pe := range []int{0, 1000, 3000, 5000} {
+			for _, hours := range []float64{0, 24, 168, 720, 2880, physics.YearHours} {
+				pts = append(pts, sentinel.StressPoint{PECycles: pe, Hours: hours, TempC: physics.RoomTempC})
+			}
+		}
+		tc := sentinel.TrainConfig{Points: pts, WordlinesPerPoint: 12, Layout: testLayout(), Seed: 0x7ea1ed}
 		m, err := sentinel.Train(chip, tc)
 		if err != nil {
 			panic(err)
@@ -124,13 +129,13 @@ func TestDefaultTableEntries(t *testing.T) {
 
 func TestControllerValidation(t *testing.T) {
 	chip := flash.MustNew(testCfg(flash.TLC))
-	if _, err := NewController(nil, ecc.DefaultCapability(), 5); err == nil {
+	if _, err := NewController(nil, ecc.CapabilityModel{FrameBits: 8192, T: 40}, 5); err == nil {
 		t.Fatal("accepted nil chip")
 	}
 	if _, err := NewController(chip, ecc.CapabilityModel{}, 5); err == nil {
 		t.Fatal("accepted invalid ECC")
 	}
-	if _, err := NewController(chip, ecc.DefaultCapability(), -1); err == nil {
+	if _, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 40}, -1); err == nil {
 		t.Fatal("accepted negative budget")
 	}
 }

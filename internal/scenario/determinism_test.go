@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sentinel3d/internal/obs"
@@ -22,7 +24,7 @@ func TestMatrixWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res.Fingerprint()
+		return fingerprint(res)
 	}
 	one := run(1)
 	many := run(runtime.GOMAXPROCS(0))
@@ -103,4 +105,16 @@ func TestServeCellObs(t *testing.T) {
 	if c.Metrics["obs-series"] <= 0 {
 		t.Errorf("instrumented serve cell exported no obs series: %v", c.Metrics)
 	}
+}
+
+// fingerprint concatenates every deterministic per-cell field. Two runs
+// of the same matrix must produce byte-identical fingerprints at any
+// worker count; the determinism regression asserts exactly that.
+func fingerprint(m *MatrixResult) string {
+	var b strings.Builder
+	for _, c := range m.Cells {
+		fmt.Fprintf(&b, "%s\x00%s\x00%d\x00%s\x00%s\x00%s\x1e",
+			c.Name, c.Experiment, c.Seed, c.Digest, c.Render, c.Err)
+	}
+	return b.String()
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"time"
 
 	"sentinel3d/internal/obs"
@@ -83,18 +82,6 @@ type MatrixResult struct {
 	// actually ran — at most the number of distinct signatures, however
 	// many cells share them.
 	PrecondExecutions int64 `json:"precond_executions"`
-}
-
-// Fingerprint concatenates every deterministic per-cell field. Two runs
-// of the same matrix must produce byte-identical fingerprints at any
-// worker count; the determinism regression asserts exactly that.
-func (m *MatrixResult) Fingerprint() string {
-	var b strings.Builder
-	for _, c := range m.Cells {
-		fmt.Fprintf(&b, "%s\x00%s\x00%d\x00%s\x00%s\x00%s\x1e",
-			c.Name, c.Experiment, c.Seed, c.Digest, c.Render, c.Err)
-	}
-	return b.String()
 }
 
 // Failed lists the cells that errored (including golden mismatches).

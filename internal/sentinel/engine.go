@@ -83,9 +83,6 @@ func (e *Engine) StuckFraction(senseLo, senseHi flash.Bitmap) float64 {
 // Section III-D).
 func (e *Engine) SetTemperature(tempC float64) { e.tempC = tempC }
 
-// Temperature returns the engine's current temperature setting.
-func (e *Engine) Temperature() float64 { return e.tempC }
-
 // Indices returns the resolved sentinel cell indices.
 func (e *Engine) Indices() []int { return e.indices }
 

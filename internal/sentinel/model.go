@@ -118,14 +118,9 @@ func (m *Model) offsetBound() float64 {
 	return bound
 }
 
-// OffsetsFromSentinel expands a sentinel-voltage offset into a full
-// per-voltage offset vector through the room-temperature correlations.
-func (m *Model) OffsetsFromSentinel(sentOfs float64) flash.Offsets {
-	return m.OffsetsFromSentinelAt(sentOfs, 25)
-}
-
-// OffsetsFromSentinelAt expands a sentinel-voltage offset using the
-// correlation table of the band covering tempC.
+// OffsetsFromSentinelAt expands a sentinel-voltage offset into a full
+// per-voltage offset vector through the correlation table of the band
+// covering tempC.
 func (m *Model) OffsetsFromSentinelAt(sentOfs, tempC float64) flash.Offsets {
 	corr := m.CorrFor(tempC)
 	out := flash.ZeroOffsets(len(corr))
@@ -137,13 +132,8 @@ func (m *Model) OffsetsFromSentinelAt(sentOfs, tempC float64) flash.Offsets {
 	return out
 }
 
-// Infer runs the full inference: d -> sentinel offset -> all offsets,
-// using the room-temperature table.
-func (m *Model) Infer(d float64) flash.Offsets {
-	return m.OffsetsFromSentinel(m.InferSentinelOffset(d))
-}
-
-// InferAt is Infer with the correlation table selected by temperature.
+// InferAt runs the full inference, d -> sentinel offset -> all offsets,
+// with the correlation table selected by temperature.
 func (m *Model) InferAt(d, tempC float64) flash.Offsets {
 	return m.OffsetsFromSentinelAt(m.InferSentinelOffset(d), tempC)
 }

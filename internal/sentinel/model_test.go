@@ -66,7 +66,7 @@ func TestInferSentinelOffsetClampsDomain(t *testing.T) {
 
 func TestOffsetsFromSentinelUsesCorrelations(t *testing.T) {
 	m := trainedStub()
-	o := m.OffsetsFromSentinel(-10)
+	o := m.OffsetsFromSentinelAt(-10, 25)
 	if o.Get(8) != -10 {
 		t.Fatalf("sentinel voltage offset = %v, want exact -10", o.Get(8))
 	}

@@ -46,22 +46,6 @@ const (
 	measureReads int = 2
 )
 
-// DefaultTrainConfig covers fresh-to-worn and short-to-year-long retention.
-func DefaultTrainConfig() TrainConfig {
-	pts := make([]StressPoint, 0, 24)
-	for _, pe := range []int{0, 1000, 3000, 5000} {
-		for _, hours := range []float64{0, 24, 168, 720, 2880, physics.YearHours} {
-			pts = append(pts, StressPoint{PECycles: pe, Hours: hours, TempC: physics.RoomTempC})
-		}
-	}
-	return TrainConfig{
-		Points:            pts,
-		WordlinesPerPoint: 12,
-		Layout:            DefaultLayout(),
-		Seed:              0x7ea1ed,
-	}
-}
-
 func (tc TrainConfig) validate() error {
 	if err := tc.Layout.Validate(); err != nil {
 		return err

@@ -18,18 +18,19 @@ func testLayout() Layout {
 }
 
 func quickTrainConfig() TrainConfig {
-	tc := DefaultTrainConfig()
-	tc.Layout = testLayout()
-	tc.Points = []StressPoint{
-		{0, 24, physics.RoomTempC},
-		{1000, 720, physics.RoomTempC},
-		{1000, 4380, physics.RoomTempC},
-		{3000, 2000, physics.RoomTempC},
-		{1000, physics.YearHours, physics.RoomTempC},
-		{3000, physics.YearHours, physics.RoomTempC},
+	return TrainConfig{
+		Points: []StressPoint{
+			{0, 24, physics.RoomTempC},
+			{1000, 720, physics.RoomTempC},
+			{1000, 4380, physics.RoomTempC},
+			{3000, 2000, physics.RoomTempC},
+			{1000, physics.YearHours, physics.RoomTempC},
+			{3000, physics.YearHours, physics.RoomTempC},
+		},
+		WordlinesPerPoint: 16,
+		Layout:            testLayout(),
+		Seed:              0x7ea1ed,
 	}
-	tc.WordlinesPerPoint = 16
-	return tc
 }
 
 func trainChip(t testing.TB) (*flash.Chip, *Model) {
@@ -188,26 +189,26 @@ func TestInferenceAccuracyEndToEnd(t *testing.T) {
 	if mean > 7 {
 		t.Fatalf("mean inference error %v too large", mean)
 	}
-	if mathx.Median(absErr) > 6 {
-		t.Fatalf("median inference error %v too large", mathx.Median(absErr))
+	if mathx.Percentile(absErr, 50) > 6 {
+		t.Fatalf("median inference error %v too large", mathx.Percentile(absErr, 50))
 	}
 }
 
 func TestEngineValidation(t *testing.T) {
 	_, m := trainChip(t)
 	cfg := cfg16k()
-	if _, err := NewEngine(nil, DefaultLayout(), DefaultCalibrator(), cfg); err == nil {
+	if _, err := NewEngine(nil, Layout{Ratio: 0.002, Placement: TailOOB}, DefaultCalibrator(), cfg); err == nil {
 		t.Fatal("accepted nil model")
 	}
 	if _, err := NewEngine(m, Layout{Ratio: 0}, DefaultCalibrator(), cfg); err == nil {
 		t.Fatal("accepted bad layout")
 	}
-	if _, err := NewEngine(m, DefaultLayout(), Calibrator{}, cfg); err == nil {
+	if _, err := NewEngine(m, Layout{Ratio: 0.002, Placement: TailOOB}, Calibrator{}, cfg); err == nil {
 		t.Fatal("accepted bad calibrator")
 	}
 	tlcCfg := cfg
 	tlcCfg.Kind = flash.TLC
-	if _, err := NewEngine(m, DefaultLayout(), DefaultCalibrator(), tlcCfg); err == nil {
+	if _, err := NewEngine(m, Layout{Ratio: 0.002, Placement: TailOOB}, DefaultCalibrator(), tlcCfg); err == nil {
 		t.Fatal("accepted QLC model on TLC chip")
 	}
 }

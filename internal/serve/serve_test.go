@@ -370,8 +370,8 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if !s.Draining() {
-		t.Fatal("Draining() false after Shutdown")
+	if !s.draining.Load() {
+		t.Fatal("not draining after Shutdown")
 	}
 	if _, err := http.Post(base+"/read", "application/json",
 		strings.NewReader(`{"tenant":"gold","lpn":5}`)); err == nil {

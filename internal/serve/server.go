@@ -226,9 +226,6 @@ func (s *Server) Ladder() *Ladder { return s.ladder }
 // Registry exposes the metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.cfg.Obs }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains gracefully and is what SIGTERM maps to in flashd:
 // new requests are refused (readyz flips, /read answers 503), the
 // listener closes, in-flight handlers run to completion (bounded by

@@ -403,6 +403,75 @@ func binaryOpener(t *testing.T, src trace.Source) trace.Opener {
 	return open
 }
 
+// lpnBounded is the probe Engine.replay makes on a trace source for its
+// LPN bound. A source that loses it still replays to the same report,
+// but the FTLs lose their dense-mapping hint and the precondition pass
+// its bitset dedup, and replay runs two to five times slower: no digest
+// shows the loss.
+type lpnBounded interface{ MaxLPN() int64 }
+
+var (
+	_ lpnBounded = (*trace.Generator)(nil)
+	_ lpnBounded = (*trace.BinarySource)(nil)
+)
+
+// boundProbe forwards a source's requests and counts the engine's
+// MaxLPN probes.
+type boundProbe struct {
+	trace.Source
+	bound  int64
+	probes *int
+}
+
+func (p boundProbe) MaxLPN() int64 {
+	*p.probes++
+	return p.bound
+}
+
+// TestEngineProbesLPNBound: the sources that generator and S3DT
+// openers return carry MaxLPN, and a replay asks its source for it.
+func TestEngineProbesLPNBound(t *testing.T) {
+	spec, err := trace.WorkloadByName("hm_0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.WorkingSetPages = 8000
+	gen, err := trace.NewGenerator(spec, 2000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open trace.Opener
+	}{
+		{"generator", trace.GeneratorOpener(spec, 2000, 42)},
+		{"S3DT", binaryOpener(t, gen)},
+	} {
+		probes := 0
+		probed := func() (trace.Source, error) {
+			src, err := c.open()
+			if err != nil {
+				return nil, err
+			}
+			b, ok := src.(lpnBounded)
+			if !ok {
+				t.Fatalf("%s: %T does not carry MaxLPN", c.name, src)
+			}
+			return boundProbe{Source: src, bound: b.MaxLPN(), probes: &probes}, nil
+		}
+		eng, err := NewEngine(ReplayConfig{Sim: engineConfig(), Shards: 2, Precondition: true}, benchSampler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Replay(probed); err != nil {
+			t.Fatal(err)
+		}
+		if probes == 0 {
+			t.Errorf("%s: the engine never asked its source for MaxLPN", c.name)
+		}
+	}
+}
+
 // TestEngineErrors: configuration and trace failures surface as errors.
 func TestEngineErrors(t *testing.T) {
 	cfg := engineConfig()

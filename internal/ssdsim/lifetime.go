@@ -312,7 +312,6 @@ func newLifetime(cfg Config) *lifetime {
 	l := &lifetime{
 		cfg:            lc,
 		eval:           eval,
-		clock:          physics.RetentionClock{Eval: eval},
 		hoursPerUS:     lc.HoursPerSecond / 1e6,
 		usPerHour:      1e6 / lc.HoursPerSecond,
 		maxAF:          eval.MaxRate(),

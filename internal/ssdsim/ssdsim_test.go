@@ -260,7 +260,7 @@ func TestBuildSamplerFromChip(t *testing.T) {
 		}
 	}
 	empty := flash.MustNew(cfg)
-	ctl2, _ := retry.NewController(empty, ecc.DefaultCapability(), 5)
+	ctl2, _ := retry.NewController(empty, ecc.CapabilityModel{FrameBits: 8192, T: 40}, 5)
 	if _, err := BuildSampler(ctl2, pol, 0, []int{0}, 1, 1); err == nil {
 		t.Fatal("accepted unprogrammed wordline")
 	}

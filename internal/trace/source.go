@@ -68,8 +68,8 @@ func (s *SliceSource) Next() (Request, bool, error) {
 	return r, true, nil
 }
 
-// Collect drains src into a slice. It is the inverse of Sliced and the
-// compatibility bridge for callers that still want whole traces.
+// Collect drains src into a slice: the inverse of Sliced, which tests
+// use to compare a streamed source against its materialized trace.
 func Collect(src Source) ([]Request, error) {
 	var out []Request
 	for {
