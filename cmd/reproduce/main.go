@@ -15,10 +15,10 @@
 //	reproduce -matrix scenarios/paper.json   # the full declarative matrix
 //	reproduce -matrix scenarios/smoke.json -cells '^replay_' -out results/
 //
-// Experiment ids: fig2 fig3 fig45 fig6 fig7 fig8 fig10 table1 fig12 fig13
-// fig14 fig15 (alias: errcomp, covers figs 15-18) fig19 robust ablations
-// all; plus replay (the default cell of the sharded streaming engine,
-// never part of all; cmd/tracesim is the replay front end).
+// Experiment ids are the registry's entries: -list prints each one with
+// its description and marks the per-kind entries and those -exp all
+// leaves out. Aliases: fig4 and fig5 run fig45, fig15 to fig18 run
+// errcomp, and ablations runs the four ablation entries.
 package main
 
 import (

@@ -184,14 +184,13 @@ func main() {
 	// Cells are in matrix order: len(policies) per workload, and every
 	// reduction is against the workload's first listed policy.
 	cell := func(i, j int) scenario.CellResult { return res.Cells[i*len(policies)+j] }
-	fmt.Print("chip MSB retries:")
+	var out experiments.Result
 	for j, pol := range policies {
-		fmt.Printf(" %s %.2f", pol, cell(0, j).Metrics["msb-retries"])
+		out.Headlines = append(out.Headlines, experiments.Headline{
+			Name: "chip MSB retries, " + pol, Value: cell(0, j).Metrics["msb-retries"], Unit: "retries"})
 	}
-	fmt.Print("\n\n")
-	hdr := []string{"workload", "policy", "reads", "mean µs", "p99 µs", "reduction",
-		"uncorr", "fallback", "retired"}
-	var rows [][]string
+	cmp := experiments.Table{Header: []string{"workload", "policy", "reads", "mean µs", "p99 µs", "reduction",
+		"uncorr", "fallback", "retired"}}
 	for i, name := range names {
 		base := report(cell(i, 0))
 		for j, pol := range policies {
@@ -200,7 +199,7 @@ func main() {
 			if base.MeanReadUS > 0 {
 				red = 1 - r.MeanReadUS/base.MeanReadUS
 			}
-			rows = append(rows, []string{
+			cmp.Rows = append(cmp.Rows, []string{
 				name, pol, fmt.Sprint(r.Reads),
 				fmt.Sprintf("%.0f", r.MeanReadUS), fmt.Sprintf("%.0f", r.P99ReadUS),
 				experiments.Pct(red), fmt.Sprint(r.UncorrectableReads),
@@ -208,31 +207,32 @@ func main() {
 			})
 		}
 	}
-	fmt.Print(experiments.Table(hdr, rows))
-	for j, pol := range policies {
-		printPerDevice(*devices, *replicate, pol, names, func(i int) scenario.CellResult { return cell(i, j) })
+	out.Tables = append(out.Tables, cmp)
+	if *devices > 1 {
+		for j, pol := range policies {
+			out.Tables = append(out.Tables, perDeviceTable(*devices, *replicate, pol, names,
+				func(i int) scenario.CellResult { return cell(i, j) }))
+		}
 	}
+	fmt.Print(out.Text())
 	dumpSnapshots(*metricsOut, *slowOut, reg)
 }
 
-// printPerDevice breaks a fleet replay down per device for one policy —
-// the rows come straight from the engine's PerDevice summaries. No-op
-// for single-device runs.
-func printPerDevice(devices int, replicate bool, policy string, names []string,
-	cell func(workload int) scenario.CellResult) {
-	if devices <= 1 {
-		return
-	}
+// perDeviceTable breaks a fleet replay down per device for one policy —
+// the rows come straight from the engine's PerDevice summaries.
+func perDeviceTable(devices int, replicate bool, policy string, names []string,
+	cell func(workload int) scenario.CellResult) experiments.Table {
 	mode := "striped"
 	if replicate {
 		mode = "replicated"
 	}
-	fmt.Printf("\nper-device breakdown, %s policy (%d devices, %s):\n", policy, devices, mode)
-	hdr := []string{"workload", "device", "requests", "reads", "mean µs", "p99", "uncorr", "retired"}
-	var drows [][]string
+	t := experiments.Table{
+		Title:  fmt.Sprintf("per-device breakdown, %s policy (%d devices, %s)", policy, devices, mode),
+		Header: []string{"workload", "device", "requests", "reads", "mean µs", "p99", "uncorr", "retired"},
+	}
 	for i, name := range names {
 		for d, sum := range perDevice(cell(i)) {
-			drows = append(drows, []string{
+			t.Rows = append(t.Rows, []string{
 				name, fmt.Sprintf("dev%d", d),
 				fmt.Sprint(sum.Requests), fmt.Sprint(sum.Reads),
 				fmt.Sprintf("%.0f", sum.MeanReadUS), fmt.Sprintf("%.0f", sum.P99ReadUS),
@@ -240,7 +240,7 @@ func printPerDevice(devices int, replicate bool, policy string, names []string,
 			})
 		}
 	}
-	fmt.Print(experiments.Table(hdr, drows))
+	return t
 }
 
 // dumpSnapshots writes the metrics and slow-trace snapshots to their

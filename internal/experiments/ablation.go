@@ -38,10 +38,6 @@ func AblatePlacement(s Scale, kind flash.Kind) (*PlacementAblationResult, error)
 		return nil, err
 	}
 	res := &PlacementAblationResult{Kind: kind}
-	pe := 5000
-	if kind == flash.QLC {
-		pe = 1000
-	}
 	for _, placement := range []sentinel.Placement{sentinel.TailOOB, sentinel.Spread} {
 		layout := sentinel.Layout{Ratio: s.SentinelRatio, Placement: placement}
 		cfg := s.ChipConfig(kind, 231)
@@ -49,7 +45,7 @@ func AblatePlacement(s Scale, kind flash.Kind) (*PlacementAblationResult, error)
 		if err != nil {
 			return nil, err
 		}
-		chip, err := s.BuildEvalChip(kind, 231, eng, pe, physics.YearHours)
+		chip, err := s.BuildEvalChip(kind, 231, eng, agedPE(kind), physics.YearHours)
 		if err != nil {
 			return nil, err
 		}
@@ -83,12 +79,17 @@ func AblatePlacement(s Scale, kind flash.Kind) (*PlacementAblationResult, error)
 	return res, nil
 }
 
-// Render prints the comparison.
-func (r *PlacementAblationResult) Render() string {
-	return fmt.Sprintf("Ablation (%v): sentinel placement\n"+
-		"  tail-OOB (paper): mean |inferred-truth| %.2f (high-gradient WLs: %.2f)\n"+
-		"  spread (ideal):   mean |inferred-truth| %.2f (high-gradient WLs: %.2f)\n",
-		r.Kind, r.TailMean, r.TailGradMean, r.SpreadMean, r.SpreadGradMean)
+// Result reports both placements' inference errors.
+func (r *PlacementAblationResult) Result() Result {
+	return Result{
+		Title: fmt.Sprintf("Ablation (%v): sentinel placement, mean |inferred-truth|", r.Kind),
+		Headlines: []Headline{
+			{Name: "tail-OOB (paper), all WLs", Value: r.TailMean},
+			{Name: "tail-OOB (paper), high-gradient WLs", Value: r.TailGradMean},
+			{Name: "spread (ideal), all WLs", Value: r.SpreadMean},
+			{Name: "spread (ideal), high-gradient WLs", Value: r.SpreadGradMean},
+		},
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -156,16 +157,14 @@ func AblateCalibrationDelta(s Scale) (*DeltaAblationResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep.
-func (r *DeltaAblationResult) Render() string {
+// Result reports the sweep.
+func (r *DeltaAblationResult) Result() Result {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			F(row.Delta), fmt.Sprintf("%.2f", row.MeanRetries), fmt.Sprint(row.Fails),
-		})
+		rows = append(rows, []string{F(row.Delta), fmt.Sprintf("%.2f", row.MeanRetries), fmt.Sprint(row.Fails)})
 	}
-	return "Ablation: calibration step size Δ (TLC Fig-13 workload)\n" +
-		Table([]string{"delta", "mean retries", "unreadable"}, rows)
+	return tableResult("Ablation: calibration step size Δ (TLC Fig-13 workload)",
+		[]string{"delta", "mean retries", "unreadable"}, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -217,11 +216,15 @@ func AblateCombined(s Scale) (*CombinedAblationResult, error) {
 	return res, nil
 }
 
-// Render prints the comparison.
-func (r *CombinedAblationResult) Render() string {
-	return fmt.Sprintf("Ablation: tracking+sentinel combination (paper Section V)\n"+
-		"  sentinel alone:    %.2f retries/read, %.0f%% first-read success\n"+
-		"  tracking+sentinel: %.2f retries/read, %.0f%% first-read success\n",
-		r.SentinelRetries, r.SentinelFirstOK*100,
-		r.CombinedRetries, r.CombinedFirstOK*100)
+// Result reports both policies' retries and first-read success.
+func (r *CombinedAblationResult) Result() Result {
+	return Result{
+		Title: "Ablation: tracking+sentinel combination (paper Section V)",
+		Headlines: []Headline{
+			{Name: "sentinel alone", Value: r.SentinelRetries, Unit: "retries/read"},
+			{Name: "sentinel alone, first-read success", Value: r.SentinelFirstOK, Unit: "%"},
+			{Name: "tracking+sentinel", Value: r.CombinedRetries, Unit: "retries/read"},
+			{Name: "tracking+sentinel, first-read success", Value: r.CombinedFirstOK, Unit: "%"},
+		},
+	}
 }

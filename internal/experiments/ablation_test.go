@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"sentinel3d/internal/flash"
@@ -20,8 +19,8 @@ func TestAblatePlacement(t *testing.T) {
 	if r.SpreadGradMean > r.TailGradMean*1.3 {
 		t.Fatalf("spread placement worse on gradient wordlines: %+v", r)
 	}
-	if !strings.Contains(r.Render(), "tail-OOB") {
-		t.Fatal("render missing")
+	if h := headline(t, r.Result(), "tail-OOB (paper), all WLs"); h.Value != r.TailMean {
+		t.Errorf("tail-OOB headline %v, want %v", h.Value, r.TailMean)
 	}
 }
 
@@ -51,7 +50,7 @@ func TestAblateCalibrationDelta(t *testing.T) {
 	if d4 > best+1 {
 		t.Fatalf("default delta=4 (%v) far from best (%v)", d4, best)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestAblateCombined(t *testing.T) {
@@ -67,5 +66,5 @@ func TestAblateCombined(t *testing.T) {
 	if r.CombinedRetries > r.SentinelRetries+0.5 {
 		t.Fatalf("combined policy clearly worse: %+v", r)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }

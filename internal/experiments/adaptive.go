@@ -100,8 +100,7 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		// The paced trace measures latency; arrivals dominate its makespan,
 		// so device throughput is measured on a saturated burst (every
 		// request at t=0) where the makespan is pure service capacity.
-		burst := make([]trace.Request, len(reqs))
-		copy(burst, reqs)
+		burst := slices.Clone(reqs)
 		for j := range burst {
 			burst[j].ArriveUS = 0
 		}
@@ -163,32 +162,16 @@ func cellOf(group []AdaptiveCell, policy string) *AdaptiveCell {
 	return &group[slices.Index(adaptivePolicies, policy)]
 }
 
-// HistorySpeedup returns the mean simulated-throughput ratio of the
-// history policy over plain sentinel across workloads.
-func (r *AdaptiveResult) HistorySpeedup() float64 {
-	var sum float64
-	var n int
-	for w := 0; w < len(r.Cells); w += len(adaptivePolicies) {
-		group := r.Cells[w : w+len(adaptivePolicies)]
-		s := cellOf(group, "sentinel").SimReqPerSec
-		h := cellOf(group, "history").SimReqPerSec
-		if s > 0 {
-			sum += h / s
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Render prints the senses-per-read and latency matrices plus the
-// acceptance lines.
-func (r *AdaptiveResult) Render() string {
+// Result reports the MSB pool costs, the acceptance count, the history
+// policy's mean simulated-throughput ratio over plain sentinel, and the
+// senses-per-read and latency matrices.
+func (r *AdaptiveResult) Result() Result {
 	np := len(adaptivePolicies)
 	header := append([]string{"workload"}, adaptivePolicies...)
-	var senseRows, latRows [][]string
+	senses := Table{Title: "mean senses per mapped page read", Header: header}
+	lat := Table{Title: "mean read latency, µs", Header: header}
+	var speedup float64
+	var n int
 	for w := 0; w < len(r.Cells); w += np {
 		group := r.Cells[w : w+np]
 		srow := []string{group[0].Workload}
@@ -197,21 +180,24 @@ func (r *AdaptiveResult) Render() string {
 			srow = append(srow, fmt.Sprintf("%.3f", c.SensesPerRead))
 			lrow = append(lrow, fmt.Sprintf("%.0f", c.MeanReadUS))
 		}
-		senseRows = append(senseRows, srow)
-		latRows = append(latRows, lrow)
+		senses.Rows = append(senses.Rows, srow)
+		lat.Rows = append(lat.Rows, lrow)
+		if s := cellOf(group, "sentinel").SimReqPerSec; s > 0 {
+			speedup += cellOf(group, "history").SimReqPerSec / s
+			n++
+		}
 	}
-	pool := "MSB pool senses/read:"
+	speedup /= float64(max(n, 1))
+	var heads []Headline
 	for i, name := range adaptivePolicies {
-		pool += fmt.Sprintf(" %s %.2f", name, r.MSBPoolSenses[i])
+		heads = append(heads, Headline{Name: "MSB pool senses/read, " + name, Value: r.MSBPoolSenses[i]})
 	}
-	ok := "yes"
-	if r.Violations > 0 {
-		ok = fmt.Sprintf("NO (%d cells)", r.Violations)
+	heads = append(heads,
+		Headline{Name: "cells where sentinel+history senses more than sentinel", Value: float64(r.Violations), Unit: "cells"},
+		Headline{Name: "history/sentinel simulated throughput, mean over workloads", Value: speedup, Unit: "x"})
+	return Result{
+		Title:     fmt.Sprintf("adaptive first-shot reads: %d requests/workload (aged TLC chip)", r.Requests),
+		Headlines: heads,
+		Tables:    []Table{senses, lat},
 	}
-	return fmt.Sprintf("adaptive first-shot reads: %d requests/workload (aged TLC chip)\n%s\n\n", r.Requests, pool) +
-		"mean senses per mapped page read:\n" + Table(header, senseRows) +
-		"\nmean read latency, µs:\n" + Table(header, latRows) +
-		fmt.Sprintf("\nsentinel+history <= sentinel on every cell: %s\n", ok) +
-		fmt.Sprintf("history vs sentinel simulated throughput: %.2fx (mean across workloads)\n",
-			r.HistorySpeedup())
 }

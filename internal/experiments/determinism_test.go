@@ -13,7 +13,7 @@ func withWorkers(n int, fn func()) {
 }
 
 // TestWorkerCountDeterminism is the regression gate for the parallel
-// engine's core contract: the rendered output of an experiment is
+// engine's core contract: the rendered Result of an experiment is
 // byte-identical whether the per-wordline fan-out runs on one worker or
 // many. Every experiment assembles per-wordline results into
 // index-addressed slots and folds them serially in index order, so the
@@ -32,14 +32,14 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return r.Render(), nil
+			return r.Result().Text(), nil
 		}},
 		{"Fig13RetryCount", func() (string, error) {
 			r, err := Fig13RetryCount(s)
 			if err != nil {
 				return "", err
 			}
-			return r.Render(), nil
+			return r.Result().Text(), nil
 		}},
 	}
 	for _, tc := range cases {

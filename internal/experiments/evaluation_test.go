@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"sentinel3d/internal/flash"
@@ -44,11 +43,8 @@ func TestFig10InferenceQuality(t *testing.T) {
 		if kind == flash.TLC {
 			maxErr = 12
 		}
-		if e := r.MeanAbsError(); e > maxErr {
+		if e := headline(t, r.Result(), "held-out mean |inferred - truth|").Value; e > maxErr {
 			t.Fatalf("%v: mean inference error %v", kind, e)
-		}
-		if !strings.Contains(r.Render(), "Fig 10") {
-			t.Fatal("render missing title")
 		}
 	}
 }
@@ -75,7 +71,7 @@ func TestTable1ErrorShrinksWithRatio(t *testing.T) {
 			t.Fatalf("0.2%% mean error %v too large", row.Mean)
 		}
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig12CalibrationOrdering(t *testing.T) {
@@ -97,7 +93,7 @@ func TestFig12CalibrationOrdering(t *testing.T) {
 			t.Fatalf("NC(0) = %v, want 1", r.Normalized[i])
 		}
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig13RetryReduction(t *testing.T) {
@@ -105,21 +101,24 @@ func TestFig13RetryReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, sent, red := r.Averages()
+	res := r.Result()
+	table := headline(t, res, "current flash retries").Value
+	sent := headline(t, res, "sentinel retries").Value
+	red := headline(t, res, "retry reduction")
 	if table < 3 {
 		t.Fatalf("current flash avg %v suspiciously low", table)
 	}
 	if sent > 3 {
 		t.Fatalf("sentinel avg %v too high", sent)
 	}
-	if red < 0.5 {
-		t.Fatalf("retry reduction %v, paper reports 0.82", red)
+	if red.Value < 0.5 {
+		t.Fatalf("retry reduction %v, paper reports 0.82", red.Value)
+	}
+	if red.Paper == nil || *red.Paper != 0.82 {
+		t.Errorf("retry reduction headline carries paper value %v, want 0.82", red.Paper)
 	}
 	if r.SentLatencyUS >= r.TableLatencyUS {
 		t.Fatal("sentinel latency not lower")
-	}
-	if !strings.Contains(r.Render(), "Fig 13") {
-		t.Fatal("render missing title")
 	}
 }
 
@@ -140,9 +139,9 @@ func TestErrorComparisonQLC(t *testing.T) {
 	}
 	// Fig 17: inferred errors well below default for the heavily-shifted
 	// low voltages; optimal is the floor.
-	meanD := r.MeanErrors(MethodDefault)
-	meanI := r.MeanErrors(MethodInferred)
-	meanO := r.MeanErrors(MethodOptimal)
+	meanD := meanPerVoltage(r.Errors[MethodDefault])
+	meanI := meanPerVoltage(r.Errors[MethodInferred])
+	meanO := meanPerVoltage(r.Errors[MethodOptimal])
 	for _, v := range []int{2, 3, 4, 5, 6, 7, 8} {
 		if meanI[v-1] >= meanD[v-1] {
 			t.Errorf("V%d: inferred %v >= default %v", v, meanI[v-1], meanD[v-1])
@@ -164,13 +163,13 @@ func TestErrorComparisonQLC(t *testing.T) {
 	if !hurtSomewhere {
 		t.Error("tracking never hurt any wordline; Fig 18 contrast missing")
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 // overallSuccess returns the mean success rate of method across voltages,
 // excluding V1 as the paper's figures do.
 func overallSuccess(r *ErrCompResult, method int) float64 {
-	return mathx.Mean(r.SuccessRates(method)[1:])
+	return mathx.Mean(r.successRates(method)[1:])
 }
 
 // trackingHurtFraction returns, for voltage v (1-based), the fraction of
@@ -202,13 +201,13 @@ func TestFig14LatencyReduction(t *testing.T) {
 			t.Errorf("%s: no read-latency reduction (%v)", row.Workload, row.Reduction)
 		}
 	}
-	if m := r.MeanReduction(); m < 0.2 {
-		t.Fatalf("mean reduction %v too small", m)
+	if m := headline(t, r.Result(), "mean read-latency reduction"); m.Value < 0.2 || m.Paper == nil {
+		t.Fatalf("mean reduction %v (paper %v) too small", m.Value, m.Paper)
 	}
 	if r.SentMSBRetries >= r.TableMSBRetries {
 		t.Fatal("sentinel chip-level retries not lower")
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig19LDPC(t *testing.T) {
@@ -225,7 +224,7 @@ func TestFig19LDPC(t *testing.T) {
 	// Fresh chips decode everywhere.
 	for _, bits := range []int{1, 2, 3} {
 		for m := Fig19OPT; m <= Fig19Sentinel; m++ {
-			rate, ok := r.SuccessRate(0, bits, m)
+			rate, ok := r.successRate(0, bits, m)
 			if !ok || rate < 0.99 {
 				t.Fatalf("PE 0, %d-bit, method %d: success %v",
 					bits, m, rate)
@@ -235,8 +234,8 @@ func TestFig19LDPC(t *testing.T) {
 	// Soft sensing should never do worse than hard sensing for OPT, and
 	// help at high P/E.
 	for _, pe := range []int{4000, 5000} {
-		hard, _ := r.SuccessRate(pe, 1, Fig19OPT)
-		soft, _ := r.SuccessRate(pe, 3, Fig19OPT)
+		hard, _ := r.successRate(pe, 1, Fig19OPT)
+		soft, _ := r.successRate(pe, 3, Fig19OPT)
 		if soft < hard {
 			t.Fatalf("PE %d: 3-bit soft (%v) worse than hard (%v)", pe, soft, hard)
 		}
@@ -244,10 +243,10 @@ func TestFig19LDPC(t *testing.T) {
 	// OPT should dominate current flash at high stress under hard
 	// decoding... at minimum, never be dramatically worse anywhere.
 	for _, p := range r.Points {
-		opt, _ := r.SuccessRate(p.PE, p.SensingBits, Fig19OPT)
+		opt, _ := r.successRate(p.PE, p.SensingBits, Fig19OPT)
 		if p.Method == Fig19CurrentFlash && p.SuccessRate > opt+0.34 {
 			t.Fatalf("current flash beat OPT by a wide margin at PE %d", p.PE)
 		}
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }

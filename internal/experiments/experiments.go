@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // characterization and evaluation sections on the simulated chips. Each
 // experiment is a function taking a Scale (Quick for tests, Full for the
-// benchmark harness) and returning a typed result with a text rendering.
+// benchmark harness) and returning a typed result; every result reports
+// itself as one Result (headlines and tables), which Result.Text prints.
 //
 // The per-experiment index lives in DESIGN.md; measured-vs-paper numbers
 // are recorded in EXPERIMENTS.md.
@@ -9,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"sentinel3d/internal/ecc"
@@ -24,6 +24,15 @@ import (
 
 // tableStep is the per-entry step of the vendor retry table baseline.
 const tableStep float64 = 1.2
+
+// agedPE is the P/E count the per-kind evaluation chips are aged to:
+// 5000 for TLC, 1000 for QLC.
+func agedPE(kind flash.Kind) int {
+	if kind == flash.QLC {
+		return 1000
+	}
+	return 5000
+}
 
 // Scale selects the fidelity/runtime trade-off of an experiment.
 type Scale struct {
@@ -247,49 +256,3 @@ func (s Scale) Controller(chip *flash.Chip, maxRetries int) (*retry.Controller, 
 func (s Scale) obsSet() *obs.Set {
 	return s.Obs.Set(0)
 }
-
-// ---------------------------------------------------------------------------
-// Rendering helpers shared by the CLI tools.
-
-// Table renders rows as an aligned text table.
-func Table(header []string, rows [][]string) string {
-	width := make([]int, len(header))
-	for i, h := range header {
-		width[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", width[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for i, w := range width {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// F formats a float for tables.
-func F(v float64) string { return fmt.Sprintf("%.4g", v) }
-
-// Pct formats a ratio as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

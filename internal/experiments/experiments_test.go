@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"sentinel3d/internal/flash"
@@ -42,19 +41,6 @@ func TestScalesValid(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	out := Table([]string{"a", "bb"}, [][]string{{"1", "2"}, {"333", "4"}})
-	if !strings.Contains(out, "333") || !strings.Contains(out, "bb") {
-		t.Fatalf("table output wrong:\n%s", out)
-	}
-	if Pct(0.5) != "50.0%" {
-		t.Fatal("Pct wrong")
-	}
-	if F(1.5) != "1.5" {
-		t.Fatal("F wrong")
-	}
-}
-
 func TestModelCacheHit(t *testing.T) {
 	s := Quick()
 	m1, err := s.TrainModel(flash.TLC, 113)
@@ -89,8 +75,8 @@ func TestFig2VShaped(t *testing.T) {
 			t.Errorf("V%d minimum on sweep edge", v+1)
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 2") {
-		t.Fatal("render missing title")
+	if res := r.Result(); len(res.Tables) != 1 || len(res.Tables[0].Rows) != len(r.Errors) {
+		t.Fatalf("result has no per-voltage table: %+v", res)
 	}
 }
 
@@ -125,7 +111,7 @@ func TestFig3OptimalBeatsDefault(t *testing.T) {
 	if m := mathx.Mean(defHi); m < 1e-3 || m > 2e-1 {
 		t.Fatalf("QLC default RBER at 5K P/E = %v, outside paper's range", m)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig45TemperatureAcceleration(t *testing.T) {
@@ -145,7 +131,7 @@ func TestFig45TemperatureAcceleration(t *testing.T) {
 			t.Fatalf("V%d: hot optimum not below room", r.Voltages[vi])
 		}
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig6ShiftPattern(t *testing.T) {
@@ -167,7 +153,7 @@ func TestFig6ShiftPattern(t *testing.T) {
 	if hi-lo < 2 {
 		t.Fatalf("V8 layer variation only %v", hi-lo)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig7Locality(t *testing.T) {
@@ -182,7 +168,7 @@ func TestFig7Locality(t *testing.T) {
 		t.Fatalf("wordline variation %v too small for Fig 7's stripes",
 			r.WordlineVariation)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestFig8StrongCorrelations(t *testing.T) {
@@ -200,7 +186,7 @@ func TestFig8StrongCorrelations(t *testing.T) {
 	if n < 11 {
 		t.Fatalf("only %d/14 voltages strongly correlated", n)
 	}
-	_ = r.Render()
+	_ = r.Result().Text()
 }
 
 func TestTestbedSampler(t *testing.T) {

@@ -50,11 +50,7 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pe := 5000
-	if kind == flash.QLC {
-		pe = 1000
-	}
-	chip, err := s.BuildEvalChip(kind, 210, eng, pe, physics.YearHours)
+	chip, err := s.BuildEvalChip(kind, 210, eng, agedPE(kind), physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
@@ -73,30 +69,26 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 	return res, nil
 }
 
-// MeanAbsError returns the mean |inferred - truth|.
-func (r *Fig10Result) MeanAbsError() float64 {
-	var diffs []float64
+// Result summarizes the fit and the held-out inference error.
+func (r *Fig10Result) Result() Result {
+	diffs := make([]float64, len(r.Inferred))
 	for i := range r.Inferred {
-		diffs = append(diffs, r.Inferred[i]-r.Truth[i])
+		diffs[i] = r.Inferred[i] - r.Truth[i]
 	}
-	return mathx.AbsMean(diffs)
+	lo, hi := mathx.MinMax(r.DS)
+	return Result{
+		Title: fmt.Sprintf("Fig 10 (%v): f(d) fit and inference validation", r.Kind),
+		Headlines: []Headline{
+			{Name: "training pairs", Value: float64(len(r.DS))},
+			{Name: "d min", Value: lo},
+			{Name: "d max", Value: hi},
+			{Name: "d-vs-optimum correlation", Value: mathx.Pearson(r.DS, r.Opts)},
+			{Name: "held-out wordlines", Value: float64(len(r.Inferred))},
+			{Name: "held-out mean |inferred - truth|", Value: mathx.AbsMean(diffs)},
+			{Name: "inferred-vs-truth correlation", Value: mathx.Pearson(r.Inferred, r.Truth)},
+		},
+	}
 }
-
-// Render summarizes the fit.
-func (r *Fig10Result) Render() string {
-	return fmt.Sprintf("Fig 10 (%v): f(d) fit and inference validation\n"+
-		"  training pairs: %d, d range [%.4f, %.4f]\n"+
-		"  d-vs-optimum correlation: %.3f\n"+
-		"  held-out chip: mean |inferred - truth| = %.2f (over %d wordlines)\n"+
-		"  inferred-vs-truth correlation: %.3f\n",
-		r.Kind, len(r.DS), minOf(r.DS), maxOf(r.DS),
-		mathx.Pearson(r.DS, r.Opts),
-		r.MeanAbsError(), len(r.Inferred),
-		mathx.Pearson(r.Inferred, r.Truth))
-}
-
-func minOf(xs []float64) float64 { lo, _ := mathx.MinMax(xs); return lo }
-func maxOf(xs []float64) float64 { _, hi := mathx.MinMax(xs); return hi }
 
 // ---------------------------------------------------------------------------
 // Table I: prediction error vs sentinel ratio.
@@ -137,11 +129,7 @@ func Table1SentinelRatio(s Scale, kind flash.Kind) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pe := 5000
-	if kind == flash.QLC {
-		pe = 1000
-	}
-	chip, err := s.BuildEvalChip(kind, 211, maxEng, pe, physics.YearHours)
+	chip, err := s.BuildEvalChip(kind, 211, maxEng, agedPE(kind), physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
@@ -182,19 +170,15 @@ func Table1SentinelRatio(s Scale, kind flash.Kind) (*Table1Result, error) {
 	return res, nil
 }
 
-// Render prints the table in the paper's layout.
-func (r *Table1Result) Render() string {
+// Result reports the table in the paper's layout.
+func (r *Table1Result) Result() Result {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f%%", row.Ratio*100),
-			fmt.Sprint(row.Count),
-			fmt.Sprintf("%.2f", row.Mean),
-			fmt.Sprintf("%.2f", row.StdDev),
-		})
+		rows = append(rows, []string{fmt.Sprintf("%.2f%%", row.Ratio*100), fmt.Sprint(row.Count),
+			fmt.Sprintf("%.2f", row.Mean), fmt.Sprintf("%.2f", row.StdDev)})
 	}
-	return fmt.Sprintf("Table I (%v): |predicted - real| optimal sentinel voltage\n", r.Kind) +
-		Table([]string{"ratio", "sentinels", "mean", "std dev"}, rows)
+	return tableResult(fmt.Sprintf("Table I (%v): |predicted - real| optimal sentinel voltage", r.Kind),
+		[]string{"ratio", "sentinels", "mean", "std dev"}, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -273,8 +257,8 @@ func Fig12StateChange(s Scale) (*Fig12Result, error) {
 	return res, nil
 }
 
-// Render prints the normalized curve.
-func (r *Fig12Result) Render() string {
+// Result reports the normalized curve.
+func (r *Fig12Result) Result() Result {
 	rows := make([][]string, 0, len(r.PosOffsets))
 	for i, p := range r.PosOffsets {
 		caseName := "optimal"
@@ -285,6 +269,6 @@ func (r *Fig12Result) Render() string {
 		}
 		rows = append(rows, []string{F(p), fmt.Sprintf("%.3f", r.Normalized[i]), caseName})
 	}
-	return "Fig 12 (QLC): normalized state-change count vs window position\n" +
-		Table([]string{"position offset", "NC/NC(0)", "case"}, rows)
+	return tableResult("Fig 12 (QLC): normalized state-change count vs window position",
+		[]string{"position offset", "NC/NC(0)", "case"}, rows)
 }

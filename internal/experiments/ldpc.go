@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sentinel3d/internal/ecc"
 	"sentinel3d/internal/flash"
@@ -46,7 +47,6 @@ type Fig19Result struct {
 type fig19Frame struct {
 	wl   int
 	data []bool // information bits
-	cw   []bool // full codeword (data + parity), bit=1 -> below boundary
 }
 
 // Fig19LDPC runs real LDPC decoding over frames stored on QLC LSB pages
@@ -149,7 +149,7 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 			if err := chip.ProgramStates(wl, states); err != nil {
 				return nil, err
 			}
-			frames = append(frames, fig19Frame{wl: wl, data: data, cw: cw})
+			frames = append(frames, fig19Frame{wl: wl, data: data})
 		}
 		chip.Cycle(pe)
 		chip.Age(physics.YearHours, physics.RoomTempC)
@@ -284,13 +284,7 @@ func sweepBoundary(chip *flash.Chip, plan *flash.SweepPlan, wl, v int, seed uint
 	op := chip.BeginRead(wl, seed^0x0b7)
 	errs := op.SweepPlanned(plan)[v-1]
 	op.Close()
-	best := 0
-	for i, e := range errs {
-		if e < errs[best] {
-			best = i
-		}
-	}
-	return fig19Offsets[best]
+	return fig19Offsets[slices.Index(errs, slices.Min(errs))]
 }
 
 // fig19Offsets is the OPT method's sweep grid.
@@ -302,8 +296,8 @@ var fig19Offsets = func() []float64 {
 	return offs
 }()
 
-// SuccessRate returns the rate for a specific configuration.
-func (r *Fig19Result) SuccessRate(pe, sensingBits int, m Fig19Method) (float64, bool) {
+// successRate returns the rate for a specific configuration.
+func (r *Fig19Result) successRate(pe, sensingBits int, m Fig19Method) (float64, bool) {
 	for _, p := range r.Points {
 		if p.PE == pe && p.SensingBits == sensingBits && p.Method == m {
 			return p.SuccessRate, true
@@ -312,25 +306,28 @@ func (r *Fig19Result) SuccessRate(pe, sensingBits int, m Fig19Method) (float64, 
 	return 0, false
 }
 
-// Render prints the success-rate grid.
-func (r *Fig19Result) Render() string {
-	out := fmt.Sprintf("Fig 19 (QLC): LDPC decoding success (full rate %.3f, "+
-		"sentinel-reduced rate %.3f)\n", r.FullRate, r.ReducedRate)
-	header := []string{"sensing", "P/E", "OPT", "current-flash", "sentinel"}
+// Result reports the two code rates and the success-rate grid.
+func (r *Fig19Result) Result() Result {
 	var rows [][]string
 	for _, bits := range []int{1, 2, 3} {
 		for _, pe := range []int{0, 1000, 2000, 3000, 4000, 5000} {
 			row := []string{fmt.Sprintf("%d-bit", bits), fmt.Sprint(pe)}
 			for m := Fig19OPT; m <= Fig19Sentinel; m++ {
-				rate, ok := r.SuccessRate(pe, bits, m)
-				if !ok {
-					row = append(row, "-")
-					continue
+				cell := "-"
+				if rate, ok := r.successRate(pe, bits, m); ok {
+					cell = Pct(rate)
 				}
-				row = append(row, Pct(rate))
+				row = append(row, cell)
 			}
 			rows = append(rows, row)
 		}
 	}
-	return out + Table(header, rows)
+	return Result{
+		Title: "Fig 19 (QLC): LDPC decoding success",
+		Headlines: []Headline{
+			{Name: "full code rate", Value: r.FullRate},
+			{Name: "sentinel-reduced code rate", Value: r.ReducedRate},
+		},
+		Tables: []Table{{Header: []string{"sensing", "P/E", "OPT", "current-flash", "sentinel"}, Rows: rows}},
+	}
 }

@@ -35,9 +35,6 @@ var agePresets = []AgePreset{
 	{Name: "worn", PE: 5000, Hours: physics.YearHours},
 }
 
-// AgePresets returns the named device ages in sweep order.
-func AgePresets() []AgePreset { return agePresets }
-
 // AgeByName resolves a named age preset.
 func AgeByName(name string) (AgePreset, bool) {
 	for _, a := range agePresets {
@@ -107,12 +104,6 @@ type LifetimeResult struct {
 	Violations int
 }
 
-// lifetimeGridPoint is one measured (P/E, retention) chip: its pools,
-// one per policy, in lifetimePolicies order.
-type lifetimeGridPoint struct {
-	pools []*ssdsim.EmpiricalSampler
-}
-
 // Lifetime replays one read-heavy trace at three points of the device's
 // life (fresh, mid-life, worn) under two ambient-temperature schedules,
 // with per-block stress evolving during the replay: the retention clock
@@ -134,14 +125,15 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	// Measure the sampler grid: one aged chip per (age, retention hour)
 	// point, three policy pools per chip. Points fan out; each builds
 	// its own chip from a point-keyed seed, so the grid is a pure
-	// function of (scale, age, hour) regardless of worker count.
-	ages := AgePresets()
+	// function of (scale, age, hour) regardless of worker count. Each
+	// point holds its pools in lifetimePolicies order.
+	ages := agePresets
 	grids := make([][]float64, len(ages))
 	for ai, age := range ages {
 		grids[ai] = LifetimeGridHours(age.Hours)
 	}
 	nHours := len(grids[0])
-	points, err := parallel.MapErr(len(ages)*nHours, func(pi int) (*lifetimeGridPoint, error) {
+	points, err := parallel.MapErr(len(ages)*nHours, func(pi int) ([]*ssdsim.EmpiricalSampler, error) {
 		age := ages[pi/nHours]
 		hours := grids[pi/nHours][pi%nHours]
 		tb, err := s.Testbed(flash.TLC, 114, mathx.Mix(0x11fe, uint64(pi)), age.PE, hours)
@@ -149,15 +141,15 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 			return nil, err
 		}
 		wls := tb.spreadWLs()
-		pt := &lifetimeGridPoint{}
+		var pools []*ssdsim.EmpiricalSampler
 		for i, name := range lifetimePolicies {
 			pool, err := tb.Sampler(name, wls, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
 			if err != nil {
 				return nil, err
 			}
-			pt.pools = append(pt.pools, pool)
+			pools = append(pools, pool)
 		}
-		return pt, nil
+		return pools, nil
 	})
 	if err != nil {
 		return nil, err
@@ -186,22 +178,17 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	hoursPerSecond := 1.5 * physics.YearHours / traceSec
 
 	res := &LifetimeResult{Requests: requests}
-	type group struct{ ai, si int }
-	var groups []group
-	for ai := range ages {
-		for si := range lifetimeSchedules {
-			groups = append(groups, group{ai, si})
-		}
-	}
-	rows, err := parallel.MapErr(len(groups), func(gi int) ([]LifetimeCell, error) {
-		age := ages[groups[gi].ai]
-		schedName := lifetimeSchedules[groups[gi].si]
+	// Groups are age-major, lifetimeSchedules order within an age.
+	ns := len(lifetimeSchedules)
+	rows, err := parallel.MapErr(len(ages)*ns, func(gi int) ([]LifetimeCell, error) {
+		ai, age := gi/ns, ages[gi/ns]
+		schedName := lifetimeSchedules[gi%ns]
 		sched, _ := ScheduleByName(schedName)
 		cells := make([]LifetimeCell, 0, len(lifetimePolicies))
 		for pidx, name := range lifetimePolicies {
-			ls := &ssdsim.LifetimeSampler{PEs: []int{age.PE}, Hours: grids[groups[gi].ai]}
+			ls := &ssdsim.LifetimeSampler{PEs: []int{age.PE}, Hours: grids[ai]}
 			for j := 0; j < nHours; j++ {
-				ls.Pools = append(ls.Pools, points[groups[gi].ai*nHours+j].pools[pidx])
+				ls.Pools = append(ls.Pools, points[ai*nHours+j][pidx])
 			}
 			cfg := simCfg
 			cfg.Life = &ssdsim.LifetimeConfig{
@@ -255,12 +242,15 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	return res, nil
 }
 
-// Render prints the senses-per-read and latency matrices plus the
-// acceptance line.
-func (r *LifetimeResult) Render() string {
+// Result reports the senses-per-read and latency matrices, the lifetime
+// machinery per group and the acceptance count.
+func (r *LifetimeResult) Result() Result {
 	np := len(lifetimePolicies)
 	header := append([]string{"age", "schedule"}, lifetimePolicies...)
-	var senseRows, latRows, lifeRows [][]string
+	senses := Table{Title: "mean senses per mapped page read", Header: header}
+	lat := Table{Title: "mean read latency, µs", Header: header}
+	life := Table{Title: "lifetime machinery (per group; identical across policies)",
+		Header: []string{"age", "schedule", "device-hours", "calibs", "erases"}}
 	for g := 0; g < len(r.Cells); g += np {
 		cells := r.Cells[g : g+np]
 		srow := []string{cells[0].Age, cells[0].Schedule}
@@ -269,22 +259,16 @@ func (r *LifetimeResult) Render() string {
 			srow = append(srow, fmt.Sprintf("%.3f", cells[i].SensesPerRead))
 			lrow = append(lrow, fmt.Sprintf("%.0f", cells[i].MeanReadUS))
 		}
-		senseRows = append(senseRows, srow)
-		latRows = append(latRows, lrow)
+		senses.Rows = append(senses.Rows, srow)
+		lat.Rows = append(lat.Rows, lrow)
 		c := &cells[0]
-		lifeRows = append(lifeRows, []string{
-			c.Age, c.Schedule, fmt.Sprintf("%.0f", c.DeviceHours),
-			fmt.Sprint(c.Calibrations), fmt.Sprint(c.RunErases),
-		})
+		life.Rows = append(life.Rows, []string{c.Age, c.Schedule,
+			fmt.Sprintf("%.0f", c.DeviceHours), fmt.Sprint(c.Calibrations), fmt.Sprint(c.RunErases)})
 	}
-	ok := "yes"
-	if r.Violations > 0 {
-		ok = fmt.Sprintf("NO (%d cells)", r.Violations)
+	return Result{
+		Title: fmt.Sprintf("device lifetime sweep: %d requests/cell, stress evolving during replay", r.Requests),
+		Headlines: []Headline{{Name: "aged cells where sentinel does not beat table on senses/read",
+			Value: float64(r.Violations), Unit: "cells"}},
+		Tables: []Table{senses, lat, life},
 	}
-	return fmt.Sprintf("device lifetime sweep: %d requests/cell, stress evolving during replay\n\n", r.Requests) +
-		"mean senses per mapped page read:\n" + Table(header, senseRows) +
-		"\nmean read latency, µs:\n" + Table(header, latRows) +
-		"\nlifetime machinery (per group; identical across policies):\n" +
-		Table([]string{"age", "schedule", "device-hours", "calibs", "erases"}, lifeRows) +
-		fmt.Sprintf("\nsentinel beats table on senses/read at every aged point: %s\n", ok)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sentinel3d/internal/charlab"
 	"sentinel3d/internal/flash"
@@ -36,26 +37,16 @@ func Fig2ErrorVsOffset(s Scale) (*Fig2Result, error) {
 	return res, nil
 }
 
-// Render returns a text summary (per-voltage minimum position and depth).
-func (r *Fig2Result) Render() string {
+// Result reports the per-voltage minimum position and depth.
+func (r *Fig2Result) Result() Result {
 	rows := make([][]string, 0, len(r.Errors))
 	for v, errs := range r.Errors {
-		minI := 0
-		for i, e := range errs {
-			if e < errs[minI] {
-				minI = i
-			}
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("V%d", v+1),
-			F(r.Offsets[minI]),
-			F(errs[minI]),
-			F(errs[0]),
-			F(errs[len(errs)-1]),
-		})
+		minI := slices.Index(errs, slices.Min(errs))
+		rows = append(rows, []string{fmt.Sprintf("V%d", v+1),
+			F(r.Offsets[minI]), F(errs[minI]), F(errs[0]), F(errs[len(errs)-1])})
 	}
-	return "Fig 2: bit errors vs read-voltage offset (" + r.Kind.String() + ")\n" +
-		Table([]string{"voltage", "optimal offset", "min errors", "errors@lo", "errors@hi"}, rows)
+	return tableResult("Fig 2: bit errors vs read-voltage offset ("+r.Kind.String()+")",
+		[]string{"voltage", "optimal offset", "min errors", "errors@lo", "errors@hi"}, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -72,6 +63,7 @@ type Fig3Row struct {
 // Fig3Result holds both chips' layer scans.
 type Fig3Result struct {
 	Kind flash.Kind
+	// Rows is P/E-major: one run of layers per P/E count.
 	Rows []Fig3Row
 }
 
@@ -97,43 +89,23 @@ func Fig3LayerRBER(s Scale, kind flash.Kind) (*Fig3Result, error) {
 	return res, nil
 }
 
-// Render summarizes per P/E count.
-func (r *Fig3Result) Render() string {
-	type agg struct {
-		defMax, optMax float64
-		defSum, optSum float64
-		n              int
-	}
-	byPE := map[int]*agg{}
-	var pes []int
-	for _, row := range r.Rows {
-		a := byPE[row.PE]
-		if a == nil {
-			a = &agg{}
-			byPE[row.PE] = a
-			pes = append(pes, row.PE)
+// Result summarizes per P/E count.
+func (r *Fig3Result) Result() Result {
+	var rows [][]string
+	for lo, hi := 0, 0; lo < len(r.Rows); lo = hi {
+		var defSum, optSum, defMax, optMax float64
+		for ; hi < len(r.Rows) && r.Rows[hi].PE == r.Rows[lo].PE; hi++ {
+			defSum += r.Rows[hi].DefaultMax
+			optSum += r.Rows[hi].OptimalMax
+			defMax = max(defMax, r.Rows[hi].DefaultMax)
+			optMax = max(optMax, r.Rows[hi].OptimalMax)
 		}
-		a.n++
-		a.defSum += row.DefaultMax
-		a.optSum += row.OptimalMax
-		if row.DefaultMax > a.defMax {
-			a.defMax = row.DefaultMax
-		}
-		if row.OptimalMax > a.optMax {
-			a.optMax = row.OptimalMax
-		}
+		n := float64(hi - lo)
+		rows = append(rows, []string{fmt.Sprint(r.Rows[lo].PE),
+			F(defSum / n), F(defMax), F(optSum / n), F(optMax)})
 	}
-	rows := make([][]string, 0, len(pes))
-	for _, pe := range pes {
-		a := byPE[pe]
-		rows = append(rows, []string{
-			fmt.Sprint(pe),
-			F(a.defSum / float64(a.n)), F(a.defMax),
-			F(a.optSum / float64(a.n)), F(a.optMax),
-		})
-	}
-	return fmt.Sprintf("Fig 3 (%v): MSB RBER per layer, 1-year retention\n", r.Kind) +
-		Table([]string{"P/E", "default mean", "default max", "optimal mean", "optimal max"}, rows)
+	return tableResult(fmt.Sprintf("Fig 3 (%v): MSB RBER per layer, 1-year retention", r.Kind),
+		[]string{"P/E", "default mean", "default max", "optimal mean", "optimal max"}, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -194,29 +166,20 @@ func Fig45Temperature(s Scale) (*Fig45Result, error) {
 	return res, nil
 }
 
-// Render summarizes the temperature comparison.
-func (r *Fig45Result) Render() string {
+// Result summarizes the temperature comparison.
+func (r *Fig45Result) Result() Result {
 	names := []string{"LSB", "CSB", "CSB2", "MSB"}
-	rows := make([][]string, 0, len(r.RoomRBER))
+	rber := Table{Title: "Fig 4, RBER per page", Header: []string{"page", "room mean RBER", "hot mean RBER"}}
 	for p := range r.RoomRBER {
-		rows = append(rows, []string{
-			names[p],
-			F(mathx.Mean(r.RoomRBER[p])),
-			F(mathx.Mean(r.HotRBER[p])),
-		})
+		rber.Rows = append(rber.Rows, []string{names[p],
+			F(mathx.Mean(r.RoomRBER[p])), F(mathx.Mean(r.HotRBER[p]))})
 	}
-	out := "Fig 4 (QLC): RBER after 1h retention, room vs 80C\n" +
-		Table([]string{"page", "room mean RBER", "hot mean RBER"}, rows)
-	rows = rows[:0]
+	opt := Table{Title: "Fig 5, optimal offsets", Header: []string{"voltage", "room mean offset", "hot mean offset"}}
 	for vi, v := range r.Voltages {
-		rows = append(rows, []string{
-			fmt.Sprintf("V%d", v),
-			F(mathx.Mean(r.RoomOpt[vi])),
-			F(mathx.Mean(r.HotOpt[vi])),
-		})
+		opt.Rows = append(opt.Rows, []string{fmt.Sprintf("V%d", v),
+			F(mathx.Mean(r.RoomOpt[vi])), F(mathx.Mean(r.HotOpt[vi]))})
 	}
-	return out + "Fig 5 (QLC): optimal offsets after 1h, room vs 80C\n" +
-		Table([]string{"voltage", "room mean offset", "hot mean offset"}, rows)
+	return Result{Title: "Figs 4-5 (QLC): 1h retention, room vs 80C", Tables: []Table{rber, opt}}
 }
 
 // ---------------------------------------------------------------------------
@@ -264,25 +227,25 @@ func Fig6LayerOptima(s Scale) (*Fig6Result, error) {
 	return res, nil
 }
 
-// Render prints per-voltage layer ranges.
-func (r *Fig6Result) Render() string {
+// Result reports per-voltage layer ranges.
+func (r *Fig6Result) Result() Result {
 	rows := make([][]string, 0, len(r.Opt))
 	for v, per := range r.Opt {
 		lo, hi := mathx.MinMax(per)
-		rows = append(rows, []string{
-			fmt.Sprintf("V%d", v+1), F(mathx.Mean(per)), F(lo), F(hi),
-		})
+		rows = append(rows, []string{fmt.Sprintf("V%d", v+1), F(mathx.Mean(per)), F(lo), F(hi)})
 	}
-	return "Fig 6 (QLC, P/E 3000, 1 yr): optimal offsets across layers\n" +
-		Table([]string{"voltage", "mean", "min layer", "max layer"}, rows)
+	return tableResult("Fig 6 (QLC, P/E 3000, 1 yr): optimal offsets across layers",
+		[]string{"voltage", "mean", "min layer", "max layer"}, rows)
 }
 
 // ---------------------------------------------------------------------------
 // Figure 7: bit-error position map.
 
-// Fig7Result summarizes the spatial error structure.
+// Fig7Result summarizes the spatial error structure. It is a value
+// holding the map by value, so its %v (the scenario cell's digest)
+// prints the map's fields, never a heap address.
 type Fig7Result struct {
-	Map *charlab.ErrorMap
+	Map charlab.ErrorMap
 	// UniformityChi2 ~ 1 means errors uniform along wordlines; the
 	// wordline coefficient of variation captures the stripes.
 	UniformityChi2    float64
@@ -291,26 +254,29 @@ type Fig7Result struct {
 
 // Fig7ErrorMap collects the error-position map of a QLC block at P/E 3000
 // with one-year retention.
-func Fig7ErrorMap(s Scale) (*Fig7Result, error) {
+func Fig7ErrorMap(s Scale) (Fig7Result, error) {
 	chip, err := s.BuildEvalChip(flash.QLC, 107, nil, 3000, physics.YearHours)
 	if err != nil {
-		return nil, err
+		return Fig7Result{}, err
 	}
 	lab := charlab.New(chip)
 	m := lab.CollectErrorMap(16)
-	return &Fig7Result{
-		Map:               m,
+	return Fig7Result{
+		Map:               *m,
 		UniformityChi2:    m.UniformityChi2(),
 		WordlineVariation: m.WordlineVariation(),
 	}, nil
 }
 
-// Render prints the two locality statistics.
-func (r *Fig7Result) Render() string {
-	return fmt.Sprintf("Fig 7 (QLC): error-position structure\n"+
-		"  along-wordline uniformity (reduced chi^2, ~1 = uniform): %.3f\n"+
-		"  across-wordline variation (CV of per-WL error counts):   %.3f\n",
-		r.UniformityChi2, r.WordlineVariation)
+// Result reports the two locality statistics.
+func (r Fig7Result) Result() Result {
+	return Result{
+		Title: "Fig 7 (QLC): error-position structure",
+		Headlines: []Headline{
+			{Name: "along-wordline uniformity (reduced chi^2, ~1 = uniform)", Value: r.UniformityChi2},
+			{Name: "across-wordline variation (CV of per-WL error counts)", Value: r.WordlineVariation},
+		},
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -354,17 +320,13 @@ func Fig8Correlation(s Scale) (*Fig8Result, error) {
 	return &Fig8Result{Correlations: cc.Fit()}, nil
 }
 
-// Render prints slopes and correlation coefficients.
-func (r *Fig8Result) Render() string {
+// Result reports slopes and correlation coefficients.
+func (r *Fig8Result) Result() Result {
 	rows := make([][]string, 0, len(r.Correlations))
 	for _, vc := range r.Correlations {
-		rows = append(rows, []string{
-			fmt.Sprintf("V%d", vc.Voltage),
-			fmt.Sprintf("%.3f", vc.Slope),
-			fmt.Sprintf("%.2f", vc.Intercept),
-			fmt.Sprintf("%.3f", vc.R),
-		})
+		rows = append(rows, []string{fmt.Sprintf("V%d", vc.Voltage),
+			fmt.Sprintf("%.3f", vc.Slope), fmt.Sprintf("%.2f", vc.Intercept), fmt.Sprintf("%.3f", vc.R)})
 	}
-	return "Fig 8 (QLC): per-voltage optimum vs V8 optimum\n" +
-		Table([]string{"voltage", "slope", "intercept", "r"}, rows)
+	return tableResult("Fig 8 (QLC): per-voltage optimum vs V8 optimum",
+		[]string{"voltage", "slope", "intercept", "r"}, rows)
 }

@@ -61,31 +61,31 @@ func Fig13RetryCount(s Scale) (*Fig13Result, error) {
 	return res, nil
 }
 
-// Averages returns the mean retry counts and the reduction fraction.
-func (r *Fig13Result) Averages() (table, sentinel, reduction float64) {
+// Result reports the mean retry counts, their reduction and the
+// block's latency reduction.
+func (r *Fig13Result) Result() Result {
 	var ts, ss float64
 	for i := range r.TableRetries {
 		ts += float64(r.TableRetries[i])
 		ss += float64(r.SentinelRetries[i])
 	}
 	n := float64(len(r.TableRetries))
-	table, sentinel = ts/n, ss/n
+	table, sent := ts/n, ss/n
+	var reduction float64
 	if table > 0 {
-		reduction = 1 - sentinel/table
+		reduction = 1 - sent/table
 	}
-	return table, sentinel, reduction
-}
-
-// Render prints the comparison.
-func (r *Fig13Result) Render() string {
-	t, se, red := r.Averages()
-	return fmt.Sprintf("Fig 13 (TLC, P/E 5000, 1 yr): MSB read retries per wordline\n"+
-		"  current flash: avg %.2f retries (%d unreadable)\n"+
-		"  sentinel:      avg %.2f retries (%d unreadable)\n"+
-		"  retry reduction: %.0f%% (paper: 82%%, 6.6 -> 1.2)\n"+
-		"  latency reduction on this block: %.0f%%\n",
-		t, r.TableFails, se, r.SentinelFails, red*100,
-		100*(1-r.SentLatencyUS/r.TableLatencyUS))
+	return Result{
+		Title: "Fig 13 (TLC, P/E 5000, 1 yr): MSB read retries per wordline",
+		Headlines: []Headline{
+			{Name: "current flash retries", Value: table, Unit: "retries", Paper: paper(6.6)},
+			{Name: "current flash unreadable", Value: float64(r.TableFails), Unit: "wordlines"},
+			{Name: "sentinel retries", Value: sent, Unit: "retries", Paper: paper(1.2)},
+			{Name: "sentinel unreadable", Value: float64(r.SentinelFails), Unit: "wordlines"},
+			{Name: "retry reduction", Value: reduction, Unit: "%", Paper: paper(0.82)},
+			{Name: "latency reduction on this block", Value: 1 - r.SentLatencyUS/r.TableLatencyUS, Unit: "%"},
+		},
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -113,11 +113,7 @@ const (
 // and measures the error count of every read voltage per wordline under
 // default, inferred, calibrated, tracked, and optimal offsets.
 func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
-	pe := 5000
-	if kind == flash.QLC {
-		pe = 1000
-	}
-	tb, err := s.Testbed(kind, 116, 216, pe, physics.YearHours)
+	tb, err := s.Testbed(kind, 116, 216, agedPE(kind), physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +164,10 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 	return res, nil
 }
 
-// SuccessRates returns, per voltage, the fraction of wordlines whose
+// successRates returns, per voltage, the fraction of wordlines whose
 // error count under the method is within 5% of the optimal count (plus a
 // Poisson noise allowance), i.e. the paper's Figure 15 metric.
-func (r *ErrCompResult) SuccessRates(method int) []float64 {
+func (r *ErrCompResult) successRates(method int) []float64 {
 	nv := len(r.Errors[MethodOptimal])
 	out := make([]float64, nv)
 	for v := 0; v < nv; v++ {
@@ -189,17 +185,7 @@ func (r *ErrCompResult) SuccessRates(method int) []float64 {
 	return out
 }
 
-// MeanErrors returns the per-voltage mean error count for a method.
-func (r *ErrCompResult) MeanErrors(method int) []float64 {
-	return meanPerVoltage(r.Errors[method])
-}
-
-// MeanTrackingErrors returns the per-voltage mean error count under the
-// tracking baseline.
-func (r *ErrCompResult) MeanTrackingErrors() []float64 {
-	return meanPerVoltage(r.TrackingErrors)
-}
-
+// meanPerVoltage returns the per-voltage mean of per-wordline counts.
 func meanPerVoltage(series [][]int) []float64 {
 	out := make([]float64, len(series))
 	for v, col := range series {
@@ -207,32 +193,28 @@ func meanPerVoltage(series [][]int) []float64 {
 		for _, e := range col {
 			s += e
 		}
-		if len(col) > 0 {
-			out[v] = float64(s) / float64(len(col))
-		}
+		out[v] = float64(s) / float64(max(len(col), 1))
 	}
 	return out
 }
 
-// Render prints Figures 15-18 in text form.
-func (r *ErrCompResult) Render() string {
+// Result reports Figures 15-18 as one per-voltage table.
+func (r *ErrCompResult) Result() Result {
 	nv := len(r.Errors[MethodOptimal])
-	infRates := r.SuccessRates(MethodInferred)
-	calRates := r.SuccessRates(MethodCalibrated)
+	infRates := r.successRates(MethodInferred)
+	calRates := r.successRates(MethodCalibrated)
 	rows := make([][]string, 0, nv)
-	meanD := r.MeanErrors(MethodDefault)
-	meanI := r.MeanErrors(MethodInferred)
-	meanC := r.MeanErrors(MethodCalibrated)
-	meanO := r.MeanErrors(MethodOptimal)
-	meanT := r.MeanTrackingErrors()
+	meanD := meanPerVoltage(r.Errors[MethodDefault])
+	meanI := meanPerVoltage(r.Errors[MethodInferred])
+	meanC := meanPerVoltage(r.Errors[MethodCalibrated])
+	meanO := meanPerVoltage(r.Errors[MethodOptimal])
+	meanT := meanPerVoltage(r.TrackingErrors)
 	for v := 1; v <= nv; v++ {
-		rows = append(rows, []string{
-			fmt.Sprintf("V%d", v),
+		rows = append(rows, []string{fmt.Sprintf("V%d", v),
 			F(meanD[v-1]), F(meanI[v-1]), F(meanC[v-1]), F(meanT[v-1]), F(meanO[v-1]),
-			Pct(infRates[v-1]), Pct(calRates[v-1]),
-		})
+			Pct(infRates[v-1]), Pct(calRates[v-1])})
 	}
-	return fmt.Sprintf("Figs 15-18 (%v): per-voltage mean errors and success rates\n", r.Kind) +
-		Table([]string{"voltage", "default", "inferred", "calibrated", "tracking",
+	return tableResult(fmt.Sprintf("Figs 15-18 (%v): per-voltage mean errors and success rates", r.Kind),
+		[]string{"voltage", "default", "inferred", "calibrated", "tracking",
 			"optimal", "success(inf)", "success(cal)"}, rows)
 }

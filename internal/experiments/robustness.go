@@ -117,20 +117,16 @@ func CorruptionSweep(s Scale) (*RobustnessResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep as a table.
-func (r *RobustnessResult) Render() string {
+// Result reports the sweep as a table.
+func (r *RobustnessResult) Result() Result {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			Pct(row.Rate),
+		rows = append(rows, []string{Pct(row.Rate),
 			F(row.TableRetries), F(row.BareRetries), F(row.FallbackRetries),
-			fmt.Sprintf("%d", row.TableFails), fmt.Sprintf("%d", row.BareFails),
-			fmt.Sprintf("%d", row.FallbackFails),
-			fmt.Sprintf("%d", row.FallbackDegradedReads),
-			fmt.Sprintf("%v", row.BlockDegraded), F(row.StuckEstimate),
-		})
+			fmt.Sprint(row.TableFails), fmt.Sprint(row.BareFails), fmt.Sprint(row.FallbackFails),
+			fmt.Sprint(row.FallbackDegradedReads), fmt.Sprint(row.BlockDegraded), F(row.StuckEstimate)})
 	}
-	return "Robustness (TLC, P/E 5000, 1 yr): MSB retries vs sentinel corruption\n" +
-		Table([]string{"corrupt", "table", "bare-sent", "fallback", "tblFail",
+	return tableResult("Robustness (TLC, P/E 5000, 1 yr): MSB retries vs sentinel corruption",
+		[]string{"corrupt", "table", "bare-sent", "fallback", "tblFail",
 			"bareFail", "fbFail", "fbDegraded", "probeTrip", "probeFrac"}, rows)
 }

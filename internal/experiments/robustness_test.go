@@ -73,7 +73,7 @@ func TestFaultedWorkerCountDeterminism(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return r.Render(), nil
+		return r.Result().Text(), nil
 	}
 	var serial, fanned string
 	var err1, err2 error

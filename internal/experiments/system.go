@@ -90,36 +90,25 @@ func Fig14TraceLatency(s Scale, requests int) (*Fig14Result, error) {
 	return res, nil
 }
 
-// MeanReduction returns the average read-latency reduction across
-// workloads.
-func (r *Fig14Result) MeanReduction() float64 {
-	var s float64
-	for _, row := range r.Rows {
-		s += row.Reduction
-	}
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	return s / float64(len(r.Rows))
-}
-
-// Render prints the per-workload reductions.
-func (r *Fig14Result) Render() string {
+// Result reports the per-workload reductions and their mean.
+func (r *Fig14Result) Result() Result {
 	rows := make([][]string, 0, len(r.Rows))
+	var sum float64
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Workload,
-			fmt.Sprintf("%.0f", row.BaselineUS),
-			fmt.Sprintf("%.0f", row.SentinelUS),
-			Pct(row.Reduction),
-			fmt.Sprintf("%.0f", row.BaselineP99US),
-			fmt.Sprintf("%.0f", row.SentinelP99US),
-		})
+		sum += row.Reduction
+		rows = append(rows, []string{row.Workload,
+			fmt.Sprintf("%.0f", row.BaselineUS), fmt.Sprintf("%.0f", row.SentinelUS), Pct(row.Reduction),
+			fmt.Sprintf("%.0f", row.BaselineP99US), fmt.Sprintf("%.0f", row.SentinelP99US)})
 	}
-	return fmt.Sprintf("Fig 14: trace-driven read latency (chip MSB retries: "+
-		"current flash %.2f, sentinel %.2f)\n", r.TableMSBRetries, r.SentMSBRetries) +
-		Table([]string{"workload", "base µs", "sentinel µs", "reduction",
-			"base p99", "sentinel p99"}, rows) +
-		fmt.Sprintf("mean read-latency reduction: %s (paper: 74%%)\n",
-			Pct(r.MeanReduction()))
+	mean := sum / float64(max(len(r.Rows), 1))
+	return Result{
+		Title: "Fig 14: trace-driven read latency",
+		Headlines: []Headline{
+			{Name: "chip MSB retries, current flash", Value: r.TableMSBRetries, Unit: "retries"},
+			{Name: "chip MSB retries, sentinel", Value: r.SentMSBRetries, Unit: "retries"},
+			{Name: "mean read-latency reduction", Value: mean, Unit: "%", Paper: paper(0.74)},
+		},
+		Tables: []Table{{Header: []string{"workload", "base µs", "sentinel µs", "reduction",
+			"base p99", "sentinel p99"}, Rows: rows}},
+	}
 }

@@ -85,10 +85,13 @@ func TempBandExperiment(s Scale) (*TempBandResult, error) {
 	return res, nil
 }
 
-// Render prints the comparison.
-func (r *TempBandResult) Render() string {
-	return fmt.Sprintf("Temperature bands (paper Section III-D), read at %.0f C:\n"+
-		"  room-temperature correlation table: mean per-voltage error %.2f\n"+
-		"  matching hot-band table:            mean per-voltage error %.2f\n",
-		r.ReadTempC, r.RoomTableErr, r.BandTableErr)
+// Result reports the two tables' mean per-voltage errors.
+func (r *TempBandResult) Result() Result {
+	return Result{
+		Title: fmt.Sprintf("Temperature bands (paper Section III-D), read at %.0f C", r.ReadTempC),
+		Headlines: []Headline{
+			{Name: "room-temperature table mean per-voltage error", Value: r.RoomTableErr},
+			{Name: "hot-band table mean per-voltage error", Value: r.BandTableErr},
+		},
+	}
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTempBandsImproveHotInference(t *testing.T) {
 	r, err := TempBandExperiment(Quick())
@@ -19,7 +16,11 @@ func TestTempBandsImproveHotInference(t *testing.T) {
 		t.Fatalf("banded table (%.2f) not better than room table (%.2f) at %v C",
 			r.BandTableErr, r.RoomTableErr, r.ReadTempC)
 	}
-	if !strings.Contains(r.Render(), "Temperature bands") {
-		t.Fatal("render missing")
+	res := r.Result()
+	if h := headline(t, res, "room-temperature table mean per-voltage error"); h.Value != r.RoomTableErr {
+		t.Errorf("room headline %v, want %v", h.Value, r.RoomTableErr)
+	}
+	if h := headline(t, res, "hot-band table mean per-voltage error"); h.Value != r.BandTableErr {
+		t.Errorf("hot-band headline %v, want %v", h.Value, r.BandTableErr)
 	}
 }

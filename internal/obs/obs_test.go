@@ -43,7 +43,7 @@ func TestNilIsNoOp(t *testing.T) {
 	h.Flush(&mathx.LogHist{}, nil)
 	ring.Admit(SlowRead{TotalUS: 1})
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Hists) != 0 || snap.Render() != "" {
+	if len(snap.Counters) != 0 || len(snap.Hists) != 0 || promText(snap) != "" {
 		t.Error("nil registry snapshot not empty")
 	}
 }
@@ -228,7 +228,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = r.Snapshot().Render()
+					_ = promText(r.Snapshot())
 				}
 			}
 		}()
@@ -261,7 +261,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 		if err := snap.WriteSlowJSONL(&slow); err != nil {
 			t.Fatal(err)
 		}
-		return snap.Render() + slow.String()
+		return promText(snap) + slow.String()
 	}
 	base := render(1)
 	if base == "" || !strings.Contains(base, "sentinel3d_ops 12000") {
@@ -275,4 +275,11 @@ func TestConcurrentDeterminism(t *testing.T) {
 			t.Fatalf("rendering diverged at %d workers:\n got:\n%s\nwant:\n%s", w, got, base)
 		}
 	}
+}
+
+// promText is the snapshot's Prometheus text.
+func promText(s *Snapshot) string {
+	var b strings.Builder
+	_ = s.WritePrometheus(&b) // strings.Builder writes cannot fail
+	return b.String()
 }

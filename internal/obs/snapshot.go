@@ -183,13 +183,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Render returns the Prometheus text as a string.
-func (s *Snapshot) Render() string {
-	var b strings.Builder
-	_ = s.WritePrometheus(&b) // strings.Builder writes cannot fail
-	return b.String()
-}
-
 // WriteSlowJSONL dumps the merged slow-read trace, one JSON object per
 // line, slowest first.
 func (s *Snapshot) WriteSlowJSONL(w io.Writer) error {

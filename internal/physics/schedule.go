@@ -114,7 +114,7 @@ func (e ScheduleEval) MaxRate() float64 {
 // (EffHours(from, m), EffHours(m, to)) describes the same physical
 // interval, but consumers that care about exactness must query the full
 // interval rather than summing parts (floating-point addition is not
-// associative) — which is exactly what RetentionClock does. A reversed
+// associative), as the replay's lifetime model does. A reversed
 // or NaN interval panics, matching Stress.Aged.
 func (e ScheduleEval) EffHours(from, to float64) float64 {
 	if math.IsNaN(from) || math.IsNaN(to) || to < from {
@@ -132,31 +132,3 @@ func (e ScheduleEval) EffHours(from, to float64) float64 {
 	}
 	return float64(hot*e.afHot) + float64((span-hot)*e.afBase)
 }
-
-// RetentionClock tracks simulated device time. It deliberately stores
-// no accumulated retention: a block's effective retention is
-// ScheduleEval.EffHours(programTime, NowHours()), recomputed from the
-// endpoint pair, so a query at device-hour T returns bit-identical
-// results no matter how many intermediate AdvanceTo calls happened, or
-// how an interval was split across them. Accumulating per-interval
-// increments instead would make replay results drift with request
-// arrival granularity and worker scheduling, breaking the
-// byte-identical determinism contract.
-type RetentionClock struct {
-	nowHours float64
-}
-
-// AdvanceTo moves the clock to the absolute device-hour now. The clock
-// is monotonic: moving backwards is clamped (MSR traces carry
-// occasional out-of-order timestamps); NaN panics.
-func (c *RetentionClock) AdvanceTo(nowHours float64) {
-	if math.IsNaN(nowHours) {
-		panic("physics: RetentionClock.AdvanceTo(NaN)")
-	}
-	if nowHours > c.nowHours {
-		c.nowHours = nowHours
-	}
-}
-
-// NowHours returns the clock's current absolute device-hour.
-func (c *RetentionClock) NowHours() float64 { return c.nowHours }

@@ -2,7 +2,6 @@ package physics
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -73,60 +72,4 @@ func TestValidateSchedule(t *testing.T) {
 			t.Fatalf("schedule %+v accepted", bad)
 		}
 	}
-}
-
-// TestRetentionClockSplitExactlyAssociative is the satellite property
-// test: traversing an aging interval through any number of intermediate
-// clock advances yields *bit-identical* retention to jumping straight
-// to the endpoint, because the clock recomputes retention from the
-// (reset, now) endpoints instead of accumulating increments. This is
-// the guarantee that keeps lifetime-enabled replay byte-identical at
-// any worker count and request granularity.
-func TestRetentionClockSplitExactlyAssociative(t *testing.T) {
-	p := QLC()
-	rng := rand.New(rand.NewSource(1357))
-	schedules := []TempSchedule{
-		ConstantTemp(RoomTempC),
-		ConstantTemp(55),
-		SquareWave(25, 50, 24, 0.5),
-		SquareWave(20, 65, 7.3, 0.11),
-	}
-	for _, ts := range schedules {
-		eval := ts.Eval(p)
-		for trial := 0; trial < 200; trial++ {
-			reset := rng.Float64() * 1000
-			total := rng.Float64() * 5000
-			end := reset + total
-
-			direct := RetentionClock{}
-			direct.AdvanceTo(end)
-
-			split := RetentionClock{}
-			k := 1 + rng.Intn(16)
-			cuts := make([]float64, k)
-			for i := range cuts {
-				cuts[i] = reset + rng.Float64()*total
-			}
-			for _, c := range cuts {
-				split.AdvanceTo(c)
-			}
-			split.AdvanceTo(end)
-
-			a, b := eval.EffHours(reset, direct.NowHours()), eval.EffHours(reset, split.NowHours())
-			if a != b { // exact: not a tolerance comparison
-				t.Fatalf("schedule %+v: split traversal drifted: direct %v (bits %x) vs split %v (bits %x)",
-					ts, a, math.Float64bits(a), b, math.Float64bits(b))
-			}
-		}
-	}
-}
-
-func TestRetentionClockMonotoneClamp(t *testing.T) {
-	c := RetentionClock{}
-	c.AdvanceTo(10)
-	c.AdvanceTo(4) // out-of-order trace timestamp: clamped, not rewound
-	if c.NowHours() != 10 {
-		t.Fatalf("clock rewound to %v", c.NowHours())
-	}
-	mustPanic(t, "AdvanceTo NaN", func() { c.AdvanceTo(math.NaN()) })
 }

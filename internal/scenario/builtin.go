@@ -17,34 +17,35 @@ import (
 	"sentinel3d/internal/trace"
 )
 
-// renderer is the shape every experiments result satisfies.
-type renderer interface{ Render() string }
+// payload is the constraint on every result a runner returns: the value
+// is digested, and it reports itself as one experiments.Result.
+type payload interface{ Result() experiments.Result }
 
-// outcomeOf wraps an experiments result into an Outcome.
-func outcomeOf(r renderer, err error) (*Outcome, error) {
+// outcome wraps an experiment's result into an Outcome.
+func outcome[T payload](r T, err error) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Payload: r, Render: r.Render()}, nil
+	return &Outcome{Payload: r, Result: r.Result()}, nil
 }
 
 // figure is a plain figure experiment.
-func figure[T renderer](name, desc string, fn func(experiments.Scale) (T, error)) *Entry {
+func figure[T payload](name, desc string, fn func(experiments.Scale) (T, error)) *Entry {
 	return &Entry{Name: name, Desc: desc, InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale)) }}
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcome(fn(ctx.Scale)) }}
 }
 
 // kindFigure is a kind-parameterized figure experiment.
-func kindFigure[T renderer](name, desc string, fn func(experiments.Scale, flash.Kind) (T, error)) *Entry {
+func kindFigure[T payload](name, desc string, fn func(experiments.Scale, flash.Kind) (T, error)) *Entry {
 	return &Entry{Name: name, Desc: desc, InAll: true, PerKind: true,
-		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale, ctx.Kind())) }}
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcome(fn(ctx.Scale, ctx.Kind())) }}
 }
 
 // traceFigure is a trace-driven figure experiment: it replays the
 // cell's request count (6000 by default) per workload.
-func traceFigure[T renderer](name, desc string, fn func(experiments.Scale, int) (T, error)) *Entry {
+func traceFigure[T payload](name, desc string, fn func(experiments.Scale, int) (T, error)) *Entry {
 	return &Entry{Name: name, Desc: desc, InAll: true,
-		Run: func(ctx *Ctx) (*Outcome, error) { return outcomeOf(fn(ctx.Scale, ctx.Requests(6000))) }}
+		Run: func(ctx *Ctx) (*Outcome, error) { return outcome(fn(ctx.Scale, ctx.Requests(6000))) }}
 }
 
 // entries is the experiment table. Its order is the order `-exp all`
@@ -54,7 +55,7 @@ var entries = []*Entry{
 	kindFigure("fig3", "per-layer RBER, default vs optimal voltages", experiments.Fig3LayerRBER),
 	figure("fig45", "temperature impact after one hour", experiments.Fig45Temperature),
 	figure("fig6", "optimal offsets across layers", experiments.Fig6LayerOptima),
-	{Name: "fig7", Desc: "bit-error position map", InAll: true, Run: runFig7},
+	figure("fig7", "bit-error position map", experiments.Fig7ErrorMap),
 	figure("fig8", "correlation of per-voltage optima", experiments.Fig8Correlation),
 	kindFigure("fig10", "f(d) fit and inference validation", experiments.Fig10InferenceFit),
 	kindFigure("table1", "prediction error vs sentinel ratio", experiments.Table1SentinelRatio),
@@ -75,21 +76,6 @@ var entries = []*Entry{
 	{Name: "replay", Desc: "sharded streaming trace replay under one retry policy", Run: runReplay},
 	{Name: "charlab", Desc: "chip characterization bench (RBER table, optima, sweeps)", PerKind: true, Run: runCharlab},
 	{Name: "serve", Desc: "in-process read server driven by a closed-loop flashbench run", Run: runServe},
-}
-
-// runFig7 runs Fig 7. Fig7Result.Map is a nested pointer; digesting the
-// result itself would hash its heap address, so the payload flattens it.
-func runFig7(ctx *Ctx) (*Outcome, error) {
-	r, err := experiments.Fig7ErrorMap(ctx.Scale)
-	if err != nil {
-		return nil, err
-	}
-	payload := struct {
-		Map               charlab.ErrorMap
-		UniformityChi2    float64
-		WordlineVariation float64
-	}{*r.Map, r.UniformityChi2, r.WordlineVariation}
-	return &Outcome{Payload: payload, Render: r.Render()}, nil
 }
 
 // chipPrep is the shared preconditioning of chip-backed replay cells:
@@ -201,18 +187,19 @@ type ReplayResult struct {
 	Report   ssdsim.ReportSummary
 }
 
-// Render prints the replay summary table.
-func (r *ReplayResult) Render() string {
+// Result reports the replay summary table.
+func (r *ReplayResult) Result() experiments.Result {
 	rep := &r.Report
-	return experiments.Table(
-		[]string{"workload", "policy", "shards", "reads", "mean µs", "p95", "p99", "uncorr", "fallback", "retired"},
-		[][]string{{
+	return experiments.Result{Tables: []experiments.Table{{
+		Header: []string{"workload", "policy", "shards", "reads", "mean µs", "p95", "p99", "uncorr", "fallback", "retired"},
+		Rows: [][]string{{
 			r.Workload, r.Policy, fmt.Sprint(r.Shards), fmt.Sprint(rep.Reads),
 			fmt.Sprintf("%.1f", rep.MeanReadUS),
 			fmt.Sprintf("%.1f", rep.P95ReadUS), fmt.Sprintf("%.1f", rep.P99ReadUS),
 			fmt.Sprint(rep.UncorrectableReads), fmt.Sprint(rep.FallbackReads),
 			fmt.Sprint(rep.RetiredBlocks),
-		}})
+		}},
+	}}}
 }
 
 // LifetimeReplayResult is the payload of a dynamic-aging replay cell:
@@ -229,19 +216,29 @@ type LifetimeReplayResult struct {
 	Life     ssdsim.LifetimeStats
 }
 
-// Render prints the replay summary row plus the lifetime line.
-func (r *LifetimeReplayResult) Render() string {
-	rep := &r.Report
-	return experiments.Table(
-		[]string{"workload", "policy", "age", "schedule", "shards", "reads", "mean µs", "p99", "uncorr"},
-		[][]string{{
-			r.Workload, r.Policy, r.Age, r.Schedule, fmt.Sprint(r.Shards),
-			fmt.Sprint(rep.Reads), fmt.Sprintf("%.1f", rep.MeanReadUS),
-			fmt.Sprintf("%.1f", rep.P99ReadUS), fmt.Sprint(rep.UncorrectableReads),
-		}}) + fmt.Sprintf(
-		"lifetime: %.0f device-hours, %d calibrations (%.0f µs busy), %d erases (%d failed-wear), %d worn blocks (max %d)\n",
-		r.Life.DeviceHours, r.Life.Calibrations, r.Life.CalibBusyUS,
-		r.Life.RunErases, r.Life.FailedEraseWear, r.Life.WornBlocks, r.Life.MaxBlockWear)
+// Result reports what the aging machinery did and the replay summary
+// row.
+func (r *LifetimeReplayResult) Result() experiments.Result {
+	rep, life := &r.Report, &r.Life
+	return experiments.Result{
+		Headlines: []experiments.Headline{
+			{Name: "device-hours", Value: life.DeviceHours, Unit: "h"},
+			{Name: "calibrations", Value: float64(life.Calibrations)},
+			{Name: "calibration busy time", Value: life.CalibBusyUS, Unit: "µs"},
+			{Name: "erases", Value: float64(life.RunErases)},
+			{Name: "failed-wear erases", Value: float64(life.FailedEraseWear)},
+			{Name: "worn blocks", Value: float64(life.WornBlocks)},
+			{Name: "max block wear", Value: float64(life.MaxBlockWear), Unit: "P/E cycles"},
+		},
+		Tables: []experiments.Table{{
+			Header: []string{"workload", "policy", "age", "schedule", "shards", "reads", "mean µs", "p99", "uncorr"},
+			Rows: [][]string{{
+				r.Workload, r.Policy, r.Age, r.Schedule, fmt.Sprint(r.Shards),
+				fmt.Sprint(rep.Reads), fmt.Sprintf("%.1f", rep.MeanReadUS),
+				fmt.Sprintf("%.1f", rep.P99ReadUS), fmt.Sprint(rep.UncorrectableReads),
+			}},
+		}},
+	}
 }
 
 // lifetimeAxes resolves a lifetime cell's presets; either axis unset
@@ -295,8 +292,8 @@ type FleetReplayResult struct {
 	PerDevice []ssdsim.ReportSummary
 }
 
-// Render prints the merged fleet row followed by one row per device.
-func (r *FleetReplayResult) Render() string {
+// Result reports the merged fleet row followed by one row per device.
+func (r *FleetReplayResult) Result() experiments.Result {
 	mode := "striped"
 	if r.Replicate {
 		mode = "replicated"
@@ -305,11 +302,14 @@ func (r *FleetReplayResult) Render() string {
 	for d := range r.PerDevice {
 		rows = append(rows, fleetRow(fmt.Sprintf("dev%d", d), &r.PerDevice[d]))
 	}
-	return fmt.Sprintf("workload %s, policy %s, %d devices (%s) x %d shards\n%s",
-		r.Workload, r.Policy, r.Devices, mode, r.Shards,
-		experiments.Table(
-			[]string{"device", "requests", "reads", "mean µs", "p95", "p99", "uncorr", "fallback", "retired"},
-			rows))
+	return experiments.Result{
+		Title: fmt.Sprintf("workload %s, policy %s, %d devices (%s) x %d shards",
+			r.Workload, r.Policy, r.Devices, mode, r.Shards),
+		Tables: []experiments.Table{{
+			Header: []string{"device", "requests", "reads", "mean µs", "p95", "p99", "uncorr", "fallback", "retired"},
+			Rows:   rows,
+		}},
+	}
 }
 
 func fleetRow(label string, rep *ssdsim.ReportSummary) []string {
@@ -420,7 +420,7 @@ func runReplay(ctx *Ctx) (*Outcome, error) {
 	if policy == "" {
 		policy = "sentinel"
 	}
-	var res renderer
+	var res payload
 	switch {
 	case devices > 1:
 		// Fleet cells keep their payload type with or without lifetime;
@@ -452,7 +452,7 @@ func runReplay(ctx *Ctx) (*Outcome, error) {
 	if reg != nil {
 		metrics["obs-series"] = obsSeries(reg)
 	}
-	return &Outcome{Payload: res, Render: res.Render(), Metrics: metrics}, nil
+	return &Outcome{Payload: res, Result: res.Result(), Metrics: metrics}, nil
 }
 
 // obsSeries counts the deterministic series an instrumented cell
@@ -463,8 +463,10 @@ func obsSeries(reg *obs.Registry) float64 {
 }
 
 // runCharlab is the flashlab CLI's engine: program, age and
-// characterize a block, rendering the per-wordline RBER/optima table
-// and an optional error-vs-offset sweep.
+// characterize a block, reporting the per-wordline RBER/optima table
+// and an optional error-vs-offset sweep. The Result is also the
+// digested payload; its headlines carry no paper value, so the digest
+// holds no pointer.
 func runCharlab(ctx *Ctx) (*Outcome, error) {
 	spec := ctx.Spec
 	kind := ctx.Kind()
@@ -511,11 +513,16 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 		chip.SetFaults(inj)
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "chip: %v, %d layers x %d WL/layer, %d cells/WL, seed %d\n",
-		kind, cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline, seed)
-	fmt.Fprintf(&b, "stress: %d P/E cycles, %.0f h at %.0f C (%.0f effective room-temp hours)\n\n",
-		pe, hours, temp, chip.Stress().EffRetentionHours)
+	res := experiments.Result{
+		Title: fmt.Sprintf("chip: %v, %d layers x %d WL/layer, %d cells/WL, seed %d",
+			kind, cfg.Layers, cfg.WordlinesPerLayer, cfg.CellsPerWordline, seed),
+		Headlines: []experiments.Headline{
+			{Name: "wear", Value: float64(pe), Unit: "P/E cycles"},
+			{Name: "retention", Value: hours, Unit: "h"},
+			{Name: "temperature", Value: temp, Unit: "C"},
+			{Name: "effective room-temp retention", Value: chip.Stress().EffRetentionHours, Unit: "h"},
+		},
+	}
 
 	// Bench-level instrumentation, nil-safe when the cell carries no
 	// registry: what was measured and the RBER spread.
@@ -563,14 +570,17 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 			rberN++
 		}
 	}
-	b.WriteString(experiments.Table(header, rows))
+	res.Tables = append(res.Tables, experiments.Table{Header: header, Rows: rows})
 
 	if spec.SweepV > 0 {
 		if spec.SweepV > chip.Coding().NumVoltages() {
 			return nil, fmt.Errorf("scenario: voltage V%d out of range (max V%d)",
 				spec.SweepV, chip.Coding().NumVoltages())
 		}
-		fmt.Fprintf(&b, "\nerror-vs-offset sweep of V%d on wordline %d:\n", spec.SweepV, wls[0])
+		sweep := experiments.Table{
+			Title:  fmt.Sprintf("error-vs-offset sweep of V%d on wordline %d", spec.SweepV, wls[0]),
+			Header: []string{"offset", "errors", ""},
+		}
 		offs, curves := lab.SweepCurves(wls[0])
 		errs := curves[spec.SweepV-1]
 		sweepPoints.Add(int64(len(offs)))
@@ -580,13 +590,14 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 				continue
 			}
 			bar := int(errs[i] / (hi + 1) * 60)
-			fmt.Fprintf(&b, "%6.0f %7.0f %s\n", o, errs[i], strings.Repeat("#", bar))
+			sweep.Rows = append(sweep.Rows, []string{
+				fmt.Sprintf("%.0f", o), fmt.Sprintf("%.0f", errs[i]), strings.Repeat("#", bar)})
 		}
+		res.Tables = append(res.Tables, sweep)
 	}
-	out := b.String()
 	metrics := map[string]float64{"wordlines": float64(len(wls))}
 	if rberN > 0 {
 		metrics["mean-rber"] = rberSum / float64(rberN)
 	}
-	return &Outcome{Payload: out, Render: out, Metrics: metrics}, nil
+	return &Outcome{Payload: res, Result: res, Metrics: metrics}, nil
 }

@@ -30,8 +30,8 @@ type ServeResult struct {
 	Tenants []serve.TenantReport
 }
 
-// Render prints the per-tenant outcome table.
-func (r *ServeResult) Render() string {
+// Result reports the per-tenant outcome table.
+func (r *ServeResult) Result() experiments.Result {
 	rows := make([][]string, 0, len(r.Tenants))
 	for _, t := range r.Tenants {
 		rows = append(rows, []string{
@@ -41,9 +41,10 @@ func (r *ServeResult) Render() string {
 			t.Check,
 		})
 	}
-	return experiments.Table(
-		[]string{"tenant", "reqs", "ok", "retries", "aux", "sim p50", "sim p99", "check"},
-		rows)
+	return experiments.Result{Tables: []experiments.Table{{
+		Header: []string{"tenant", "reqs", "ok", "retries", "aux", "sim p50", "sim p99", "check"},
+		Rows:   rows,
+	}}}
 }
 
 // runServe brings up the serving stack on a loopback port, runs the
@@ -123,7 +124,7 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 	if reg != nil {
 		metrics["obs-series"] = obsSeries(reg)
 	}
-	return &Outcome{Payload: res, Render: res.Render(), Metrics: metrics}, nil
+	return &Outcome{Payload: res, Result: res.Result(), Metrics: metrics}, nil
 }
 
 // sumAchievedRPS totals the tenants' wall-clock throughput.

@@ -58,8 +58,9 @@ type Outcome struct {
 	// checked against the cell's golden digest) and must therefore be
 	// byte-identical at any worker count.
 	Payload any
-	// Render is the human-readable text (the CLIs print it verbatim).
-	Render string
+	// Result reports the outcome; the runner prints its Text into
+	// CellResult.Render, which the CLIs print verbatim.
+	Result experiments.Result
 	// Metrics holds benchjson-style custom metrics (unit -> value), e.g.
 	// "req/s". They are emitted on the cell's bench line and in its JSON
 	// result but never digested.

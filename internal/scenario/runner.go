@@ -180,7 +180,7 @@ func runCell(spec Spec, shared *Shared, opts RunOptions) CellResult {
 		out.Err = err.Error()
 		return out
 	}
-	out.Render = oc.Render
+	out.Render = oc.Result.Text()
 	out.Metrics = oc.Metrics
 	if opts.KeepPayload {
 		out.Payload = oc.Payload

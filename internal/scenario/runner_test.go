@@ -233,7 +233,7 @@ func TestRunCellCharlab(t *testing.T) {
 		Name: "bench", Experiment: "charlab", Kind: "tlc",
 		Wordlines: 2, PE: 1000, Hours: 100, SweepV: 2, Seed: 1,
 	})
-	for _, want := range []string{"chip:", "stress:", "RBER", "error-vs-offset sweep"} {
+	for _, want := range []string{"chip:", "effective room-temp retention:", "RBER", "error-vs-offset sweep"} {
 		if !strings.Contains(res.Render, want) {
 			t.Errorf("charlab render missing %q:\n%s", want, res.Render)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sentinel3d/internal/ftl"
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/ssdsim"
 )
 
@@ -199,7 +200,7 @@ func TestSnapshotDeterministicAcrossServers(t *testing.T) {
 		serveReads(t, s, "gold", 100)
 		serveReads(t, s, "bronze", 100)
 		snap := s.Registry().Snapshot()
-		return snap.Render(), snap.Deterministic().Render()
+		return promText(snap), promText(snap.Deterministic())
 	}
 	full, a := render()
 	_, b := render()
@@ -491,4 +492,11 @@ func TestParsePercentile(t *testing.T) {
 	if Percentile(nil, 0.5) != 0 {
 		t.Error("empty sample must yield 0")
 	}
+}
+
+// promText is the snapshot's Prometheus text.
+func promText(s *obs.Snapshot) string {
+	var b strings.Builder
+	_ = s.WritePrometheus(&b) // strings.Builder writes cannot fail
+	return b.String()
 }

@@ -172,7 +172,7 @@ func TestEngineMillionRequestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prom := reg.Snapshot().Deterministic().Render()
+		prom := promText(reg.Snapshot().Deterministic())
 		if base == nil {
 			base, baseProm = rep, prom
 			if rep.Requests != n {

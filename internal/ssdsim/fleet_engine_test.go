@@ -84,7 +84,7 @@ func TestEngineFleetDeviceWorkerDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prom := reg.Snapshot().Deterministic().Render()
+			prom := promText(reg.Snapshot().Deterministic())
 			if base == nil {
 				base, baseProm = rep, prom
 				continue
@@ -222,7 +222,7 @@ func TestEngineFleetMillionRequestDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prom := reg.Snapshot().Deterministic().Render()
+			prom := promText(reg.Snapshot().Deterministic())
 			if base == nil {
 				base, baseProm = rep, prom
 				checkFleetReport(t, rep, devices, n)

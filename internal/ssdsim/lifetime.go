@@ -257,9 +257,16 @@ func (s *LifetimeStats) mergeLife(o LifetimeStats) {
 // timestamps of the shard's own sub-stream, so every field is a pure
 // function of (config, sub-trace) — never of worker scheduling.
 type lifetime struct {
-	cfg        LifetimeConfig
-	eval       physics.ScheduleEval
-	clock      physics.RetentionClock
+	cfg  LifetimeConfig
+	eval physics.ScheduleEval
+	// nowH is the device clock in hours: monotone, advanced only by
+	// tickUS. No retention is accumulated against it; a block's
+	// effective retention is recomputed from the (reset, now) endpoint
+	// pair (effRetention), so a read at hour T sees bit-identical stress
+	// however many ticks led there or how an interval was split across
+	// them. Summing per-interval increments instead would make replay
+	// results drift with request arrival granularity.
+	nowH       float64
 	hoursPerUS float64
 	usPerHour  float64
 
@@ -336,18 +343,20 @@ func newLifetime(cfg Config) *lifetime {
 	return l
 }
 
-// tickUS advances the retention clock to trace-microsecond t.
+// tickUS advances the device clock to trace-microsecond t. An earlier t
+// leaves the clock where it is (MSR traces carry occasional
+// out-of-order timestamps); a NaN t panics.
 func (l *lifetime) tickUS(t float64) {
 	h := t * l.hoursPerUS
-	if h > l.clock.NowHours() {
-		l.clock.AdvanceTo(h)
+	if h > l.nowH {
+		l.nowH = h
 	} else if h != h {
-		l.clock.AdvanceTo(h) // NaN: delegate the clock's panic
+		panic("ssdsim: lifetime clock ticked to NaN")
 	}
 }
 
 // effRetention recomputes block i's effective retention from the
-// (reset, now) endpoints — the RetentionClock no-accumulation contract.
+// (reset, now) endpoints, never from an accumulated sum (see nowH).
 func (l *lifetime) effRetention(i int, now float64) float64 {
 	if r := l.resetH[i]; r < 0 {
 		return l.cfg.BaseRetentionHours + l.eval.EffHours(0, now)
@@ -365,7 +374,7 @@ func (l *lifetime) effRetention(i int, now float64) float64 {
 // between refreshes the floor cell provably cannot change.
 func (l *lifetime) poolIndex(ls *LifetimeSampler, plane, block int) int {
 	i := plane*l.blocksPerPlane + block
-	if now := l.clock.NowHours(); now >= l.poolExpiry[i] {
+	if now := l.nowH; now >= l.poolExpiry[i] {
 		l.refreshPool(ls, i, now)
 	}
 	return int(l.poolIdx[i])
@@ -403,7 +412,7 @@ func (l *lifetime) BlockErased(plane, block int, failed bool) {
 		l.failedWear++
 		return
 	}
-	l.resetH[i] = l.clock.NowHours()
+	l.resetH[i] = l.nowH
 }
 
 // beforeOp charges any calibration work due on die before an operation
@@ -422,7 +431,7 @@ func (s *Sim) beforeOp(die int32, arrive float64) {
 // chargeCalib lands due calibration work on die's busy-until time.
 func (s *Sim) chargeCalib(die int32, arrive float64) {
 	l := s.life
-	now := l.clock.NowHours()
+	now := l.nowH
 	if l.cfg.CalibPeriodHours > 0 {
 		for l.calibNext[die] <= now {
 			due := l.calibNext[die]
@@ -449,7 +458,7 @@ func (s *Sim) chargeCalib(die int32, arrive float64) {
 func (l *lifetime) finish(rep *Report, set *obs.Set, makespan float64) {
 	st := LifetimeStats{
 		Enabled:         true,
-		DeviceHours:     l.clock.NowHours(),
+		DeviceHours:     l.nowH,
 		RunErases:       l.runErases,
 		FailedEraseWear: l.failedWear,
 		Calibrations:    l.calibrations,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sentinel3d/internal/fault"
+	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
@@ -58,7 +59,7 @@ func TestLifetimeWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prom := reg.Snapshot().Deterministic().Render()
+		prom := promText(reg.Snapshot().Deterministic())
 		if base == nil {
 			base, baseProm = rep, prom
 			if !rep.Life.Enabled || rep.Life.DeviceHours <= 0 {
@@ -149,6 +150,63 @@ func TestLifetimeStressEvolves(t *testing.T) {
 		t.Fatalf("aging did not raise read latency: fast %v, slow %v",
 			fast.MeanReadUS, slow.MeanReadUS)
 	}
+}
+
+// TestLifetimeRetentionSplitExact: one lifetime ticks straight to hour
+// T, another ticks there through k random earlier hours, some out of
+// order. Under a square-wave schedule, a block still holding pre-replay
+// data and a block erased during the replay must read bit-identical
+// effective retention in both: effRetention recomputes from the
+// (reset, now) endpoints, so no traversal of the clock can drift it.
+// This is what keeps lifetime replays byte-identical at any request
+// granularity.
+func TestLifetimeRetentionSplitExact(t *testing.T) {
+	cfg := engineConfig()
+	cfg.Life = lifeConfig()
+	rng := mathx.NewRand(1357)
+	for trial := 0; trial < 200; trial++ {
+		direct, split := newLifetime(cfg), newLifetime(cfg)
+		endUS := rng.Float64() * 5000 * direct.usPerHour
+		resetUS := rng.Float64() * endUS
+		for _, l := range []*lifetime{direct, split} {
+			l.armed = true
+			l.tickUS(resetUS)
+			l.BlockErased(0, 1, false)
+		}
+		for k := 1 + rng.Intn(16); k > 0; k-- {
+			split.tickUS(resetUS + rng.Float64()*(endUS-resetUS))
+		}
+		direct.tickUS(endUS)
+		split.tickUS(endUS)
+		for _, blk := range []int{0, 1} { // 0 pre-replay, 1 erased at resetUS
+			a := direct.effRetention(blk, direct.nowH)
+			b := split.effRetention(blk, split.nowH)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d block %d: split traversal drifted: direct %v (bits %x) vs split %v (bits %x)",
+					trial, blk, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		}
+	}
+}
+
+// TestLifetimeTickClamps: an out-of-order timestamp leaves the clock
+// where it is, and a NaN one panics.
+func TestLifetimeTickClamps(t *testing.T) {
+	cfg := engineConfig()
+	cfg.Life = lifeConfig()
+	l := newLifetime(cfg)
+	l.tickUS(10e6)
+	want := l.nowH
+	l.tickUS(4e6)
+	if l.nowH != want || want <= 0 {
+		t.Fatalf("clock at %v h after an earlier tick, want %v", l.nowH, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("tickUS(NaN) did not panic")
+		}
+	}()
+	l.tickUS(math.NaN())
 }
 
 // TestCalibrationChargedAsQueueLatency: a read arriving just after a
@@ -310,7 +368,7 @@ func checkPoolCache(t *testing.T, reqs []trace.Request, life *LifetimeConfig, wa
 		if r.Op != trace.Read {
 			continue
 		}
-		now := l.clock.NowHours()
+		now := l.nowH
 		for p := 0; p < r.Pages; p++ {
 			ppn, ok := sim.ftl.Translate(r.LPN + int64(p))
 			if !ok {

@@ -165,7 +165,7 @@ func TestEngineMetricsWorkerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot().Deterministic()
-		prom := snap.Render()
+		prom := promText(snap)
 		var slow strings.Builder
 		if err := snap.WriteSlowJSONL(&slow); err != nil {
 			t.Fatal(err)
@@ -338,4 +338,11 @@ func TestSlowReadsCarryDrawnOutcome(t *testing.T) {
 			t.Fatalf("%s: degenerate trace: %d slow reads from %d pools", c.name, len(slow), len(pools))
 		}
 	}
+}
+
+// promText is the snapshot's Prometheus text.
+func promText(s *obs.Snapshot) string {
+	var b strings.Builder
+	_ = s.WritePrometheus(&b) // strings.Builder writes cannot fail
+	return b.String()
 }
